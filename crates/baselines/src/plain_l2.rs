@@ -7,7 +7,7 @@
 //! it reproduces the incoherent baseline the paper only runs on workloads
 //! that need no coherence.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
@@ -220,7 +220,13 @@ impl L2Controller for PlainL2 {
     }
 
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        let mut img: std::collections::HashMap<BlockAddr, Version> = self.backing.clone();
+        // BTreeMap so the returned image is sorted by block address and
+        // never leaks the hash-keyed backing store's iteration order.
+        let mut img: BTreeMap<BlockAddr, Version> = self
+            .backing
+            .iter() // lint: allow(hash-iter): re-keyed into a BTreeMap before anything observes the order.
+            .map(|(b, v)| (*b, *v))
+            .collect();
         for line in self.tags.iter() {
             img.insert(line.block, line.meta.version);
         }

@@ -13,7 +13,7 @@
 //! TC forces an **inclusive** L2 (Section II-D2): a victim whose lease is
 //! still live cannot be evicted, stalling the fill until it expires.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
@@ -78,8 +78,9 @@ pub struct TcL2 {
     pending: Mshr<PendingReq>,
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
     /// Per-block queues headed by a stalled (strong) write; later requests
-    /// to the block wait behind it.
-    blocked: HashMap<BlockAddr, VecDeque<(usize, L1ToL2)>>,
+    /// to the block wait behind it. BTreeMap: `drain_blocked` walks the
+    /// keys, and that order decides which block's queue is served first.
+    blocked: BTreeMap<BlockAddr, VecDeque<(usize, L1ToL2)>>,
     /// Fills that could not install because every victim's lease is live
     /// (the inclusive-L2 replacement stall).
     install_wait: Vec<BlockAddr>,
@@ -99,7 +100,7 @@ impl TcL2 {
             backing: HashMap::new(),
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
             in_queue: VecDeque::new(),
-            blocked: HashMap::new(),
+            blocked: BTreeMap::new(),
             install_wait: Vec::new(),
             out_resp: VecDeque::new(),
             dram_out: VecDeque::new(),
@@ -462,7 +463,13 @@ impl L2Controller for TcL2 {
     }
 
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        let mut img: std::collections::HashMap<BlockAddr, Version> = self.backing.clone();
+        // BTreeMap so the returned image is sorted by block address and
+        // never leaks the hash-keyed backing store's iteration order.
+        let mut img: BTreeMap<BlockAddr, Version> = self
+            .backing
+            .iter() // lint: allow(hash-iter): re-keyed into a BTreeMap before anything observes the order.
+            .map(|(b, v)| (*b, *v))
+            .collect();
         for line in self.tags.iter() {
             img.insert(line.block, line.meta.version);
         }

@@ -1,54 +1,36 @@
-//! Source lints for the protocol crates. The default engine is the
-//! token-level linter in [`gtsc_lint`] (span-accurate, string/comment
-//! aware, plus the determinism rules `hash-iter` / `std-time` /
-//! `unseeded-rng` / `thread-id`); `--legacy` falls back to the original
-//! line-regex engine in [`gtsc_check::srclint`] during the migration.
-//! Output format and exit codes are identical for both engines: one
-//! `file:line: [rule] snippet` line per finding, then a one-line
-//! summary; exit 1 when anything fires, 2 when a whitelisted directory
-//! cannot be scanned. `--spans` adds the column and rationale to each
-//! finding (token engine only).
+//! Source lints for the protocol crates: the token-level linter in
+//! [`gtsc_lint`] (span-accurate, string/comment aware; review
+//! invariants plus the determinism rules `hash-iter` / `std-time` /
+//! `unseeded-rng` / `thread-id`). Prints one `file:line: [rule] snippet`
+//! line per finding, then a one-line summary; exit 1 when anything
+//! fires, 2 when a whitelisted directory cannot be scanned. `--spans`
+//! adds the column and rationale to each finding.
 //!
 //! ```text
-//! src_lint [--legacy] [--spans] [repo-root]   # default root: current directory
+//! src_lint [--spans] [repo-root]   # default root: current directory
 //! ```
 
 use std::path::PathBuf;
 
-use gtsc_check::srclint::lint_sources;
 use gtsc_lint::lint_tree;
 
 fn main() {
-    let mut legacy = false;
     let mut spans = false;
     let mut root = PathBuf::from(".");
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--legacy" => legacy = true,
             "--spans" => spans = true,
             _ => root = PathBuf::from(arg),
         }
     }
 
-    // Both engines print findings in the same `file:line: [rule] snippet`
-    // format, so CI's contract is engine-independent.
-    let rendered: Result<Vec<String>, std::io::Error> = if legacy {
-        lint_sources(&root).map(|fs| fs.iter().map(ToString::to_string).collect())
-    } else {
-        lint_tree(&root).map(|ds| {
-            ds.iter()
-                .map(|d| if spans { d.spanned() } else { d.to_string() })
-                .collect()
-        })
-    };
-
-    match rendered {
+    match lint_tree(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("src_lint: clean");
         }
         Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
+            for d in &findings {
+                println!("{}", if spans { d.spanned() } else { d.to_string() });
             }
             println!("src_lint: {} finding(s)", findings.len());
             std::process::exit(1);

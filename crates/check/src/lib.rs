@@ -46,7 +46,6 @@ pub mod litmus;
 pub mod multi;
 pub mod races;
 pub mod spec;
-pub mod srclint;
 
 pub use explore::{explore_all, Explored, Schedulable};
 pub use gtsc_trace::{Sanitizer, Transition};
@@ -61,4 +60,3 @@ pub use races::{
     scan_trace, RaceEventKind, RaceFinding, RaceOracle, RaceReport, RespMeta, MAX_RACE_FINDINGS,
 };
 pub use spec::SpecMachine;
-pub use srclint::{lint_sources, SrcFinding};

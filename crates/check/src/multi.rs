@@ -33,7 +33,9 @@ use std::collections::BTreeMap;
 use gtsc_core::{GtscL1, L1Params, ProtocolMutation};
 use gtsc_fabric::{DeviceL2, DeviceParams, HomeNode, HomeParams};
 use gtsc_protocol::msg::{Epoch, L2ToL1};
-use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
+use gtsc_protocol::{
+    AccessId, AccessKind, Completion, L1Controller, L1Outcome, L2Controller, MemAccess,
+};
 use gtsc_trace::{Sanitizer, Scope};
 use gtsc_types::{BlockAddr, Cycle, Lease, Version, WarpId};
 

@@ -1,39 +1,25 @@
-//! Migration gate for the `src_lint` engine swap: the token engine
-//! (`gtsc_lint`) and the legacy line-regex engine
-//! (`gtsc_check::srclint`) must agree that the real workspace is clean,
-//! and the new determinism rules must be demonstrably live on the real
-//! sources — the sanctioned hash-iteration sites fire the moment their
-//! `lint: allow(hash-iter)` annotations are stripped.
+//! The source linter against the real workspace: the tree must be
+//! clean, and the determinism rules must be demonstrably live on the
+//! real sources — the sanctioned hash-iteration sites fire the moment
+//! their `lint: allow(hash-iter)` annotations are stripped.
 
 use std::path::Path;
 
-use gtsc_check::srclint::lint_sources;
 use gtsc_lint::{lint_text, lint_tree, RuleSet};
 
 fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// Both engines, zero findings, same tree. This is the strongest parity
-/// statement available on a clean repository; per-rule behavioural
-/// parity is pinned by the fixture suites in each crate.
+/// Zero findings on the real tree; per-rule behaviour is pinned by the
+/// fixture suite in `gtsc-lint`.
 #[test]
-fn token_and_legacy_engines_agree_tree_is_clean() {
-    let legacy = lint_sources(workspace_root()).expect("legacy scan");
-    let token = lint_tree(workspace_root()).expect("token scan");
+fn tree_is_clean() {
+    let findings = lint_tree(workspace_root()).expect("scan");
     assert!(
-        legacy.is_empty(),
-        "legacy engine fired:\n{}",
-        legacy
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        token.is_empty(),
-        "token engine fired:\n{}",
-        token
+        findings.is_empty(),
+        "src_lint fired:\n{}",
+        findings
             .iter()
             .map(|d| d.spanned())
             .collect::<Vec<_>>()
@@ -47,7 +33,12 @@ fn token_and_legacy_engines_agree_tree_is_clean() {
 /// per site.
 #[test]
 fn hash_iter_rule_is_live_on_the_real_sources() {
-    let dirs_with_sanctioned_sites = [("crates/mem/src/mshr.rs", 1), ("crates/core/src/l2.rs", 1)];
+    let dirs_with_sanctioned_sites = [
+        ("crates/mem/src/mshr.rs", 1),
+        ("crates/core/src/l2.rs", 1),
+        ("crates/baselines/src/tc_l2.rs", 1),
+        ("crates/baselines/src/plain_l2.rs", 1),
+    ];
     for (rel, sites) in dirs_with_sanctioned_sites {
         let path = workspace_root().join(rel);
         let text = std::fs::read_to_string(&path).expect("source file");

@@ -21,10 +21,10 @@ use std::collections::{BTreeMap, VecDeque};
 use gtsc_core::rules::{extend_rts, lease_covers, nest_rts};
 use gtsc_core::ProtocolMutation;
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq};
-use gtsc_protocol::ControllerPressure;
-use gtsc_trace::{EventKind, Sanitizer, Scope, Tracer, Transition};
+use gtsc_protocol::{ControllerPressure, L2Controller};
+use gtsc_trace::{CloseReason, EventKind, Sanitizer, Scope, SpanTracker, Tracer, Transition};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
-use gtsc_types::{BlockAddr, CacheStats, Cycle, Lease, Timestamp, Version};
+use gtsc_types::{BlockAddr, CacheStats, Cycle, Lease, SpanId, Timestamp, Version};
 
 /// Construction parameters for [`DeviceL2`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +89,12 @@ pub struct DeviceL2 {
     /// Reads parked until a grant covering them is installed.
     read_waiters: BTreeMap<BlockAddr, Vec<(usize, ReadReq)>>,
     /// Stores forwarded to the home, keyed by their globally-unique
-    /// version: `(local SM, is_atomic)`.
-    write_waiters: BTreeMap<Version, (usize, bool)>,
+    /// version: `(local SM, span)`.
+    write_waiters: BTreeMap<Version, (usize, SpanId)>,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
+    spans: SpanTracker,
     clock: Cycle,
     mutation: ProtocolMutation,
 }
@@ -115,6 +116,7 @@ impl DeviceL2 {
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
+            spans: SpanTracker::disabled(),
             clock: Cycle(0),
             mutation: ProtocolMutation::None,
         }
@@ -137,49 +139,6 @@ impl DeviceL2 {
     #[must_use]
     pub fn installed_grant(&self, block: BlockAddr) -> Option<(Timestamp, Timestamp)> {
         self.tags.get(&block).map(|m| (m.wts, m.rts))
-    }
-
-    /// Installs a protocol event tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The installed tracer (disabled by default).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Installs an online transition sanitizer (scoped `Scope::Device`).
-    pub fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
-    }
-
-    /// Counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Whether no transaction is pending inside the device L2.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.in_queue.is_empty()
-            && self.fabric_out.is_empty()
-            && self.out_resp.is_empty()
-            && self.read_waiters.values().all(Vec::is_empty)
-            && self.write_waiters.is_empty()
-    }
-
-    /// Occupancy snapshot for stall diagnosis.
-    #[must_use]
-    pub fn pressure(&self) -> ControllerPressure {
-        ControllerPressure {
-            mshr: self.read_waiters.values().map(Vec::len).sum::<usize>()
-                + self.write_waiters.len(),
-            out_queue: self.in_queue.len() + self.fabric_out.len(),
-            waiting: self.out_resp.len(),
-        }
     }
 
     /// Device-scoped stall attribution for the watchdog's diagnosis:
@@ -212,91 +171,9 @@ impl DeviceL2 {
             .collect()
     }
 
-    /// Accepts a request from local SM `src`.
-    pub fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        self.clock = self.clock.max(now);
-        self.in_queue.push_back((now + self.p.latency, src, msg));
-    }
-
-    /// Next response to inject into the local response network.
-    pub fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
-        self.out_resp.pop_front()
-    }
-
     /// Next request to inject into the fabric toward the home node.
     pub fn take_fabric_request(&mut self) -> Option<L1ToL2> {
         self.fabric_out.pop_front()
-    }
-
-    /// Serves ready L1 requests (up to `ports` per cycle).
-    pub fn tick(&mut self, now: Cycle) {
-        self.clock = self.clock.max(now);
-        for _ in 0..self.p.ports {
-            match self.in_queue.front() {
-                Some((ready, _, _)) if *ready <= now => {
-                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
-                    self.serve(src, msg);
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Whether the device wants the global Section V-D reset (set by
-    /// [`DeviceL2::crash`]; the simulator then bumps the global epoch).
-    #[must_use]
-    pub fn needs_reset(&self) -> bool {
-        self.needs_reset
-    }
-
-    /// Enters `epoch`: every installed grant belongs to the old logical
-    /// time coordinate system and is discarded (re-acquired on demand).
-    /// Parked requests survive — their fabric round trips are answered
-    /// in the new epoch — but their timestamps are in dead coordinates,
-    /// so they degrade to fresh-warp requests (Section V-D, mirroring
-    /// the home's `sanitize`). Without the degrade, a refetch would
-    /// replay a near-overflow `warp_ts` at the *new* epoch, the home
-    /// would overflow again, and the reset would livelock.
-    pub fn apply_reset(&mut self, epoch: Epoch) {
-        self.tags.clear();
-        self.epoch = epoch;
-        self.needs_reset = false;
-        self.stats.ts_rollovers += 1;
-        for parked in self.read_waiters.values_mut() {
-            for (_, r) in parked.iter_mut() {
-                r.wts = Timestamp(0);
-                r.warp_ts = Timestamp::INIT;
-                r.epoch = epoch;
-            }
-        }
-        self.tracer
-            .record_with(self.clock, || EventKind::Rollover { epoch });
-    }
-
-    /// Crashes the whole device: every grant, parked request, and queued
-    /// message vanishes. Committed data is safe at the home (stores are
-    /// write-through); in-flight L1 requests are recovered by the L1's
-    /// end-to-end retry. Recovery rides the Section V-D machinery: the
-    /// simulator sees [`DeviceL2::needs_reset`] and bumps the global
-    /// epoch, exactly as for an on-die bank crash.
-    pub fn crash(&mut self, now: Cycle) {
-        self.clock = self.clock.max(now);
-        self.tags.clear();
-        self.in_queue.clear();
-        self.fabric_out.clear();
-        self.out_resp.clear();
-        self.read_waiters.clear();
-        self.write_waiters.clear();
-        let epoch = self.epoch;
-        let dev = match self.tracer.scope() {
-            Scope::Device(d) => d,
-            _ => 0,
-        };
-        self.tracer
-            .record_with(self.clock, || EventKind::BankReset { bank: dev, epoch });
-        self.sanitizer
-            .check_with(self.clock, || Transition::DeviceCrash { epoch });
-        self.needs_reset = true;
     }
 
     /// Installs a grant received from the home and reports it to the
@@ -389,7 +266,7 @@ impl DeviceL2 {
 
     /// Sends a read toward the home for `block`, renewing data-lessly
     /// when a (too-short) grant is already installed.
-    fn forward_read(&mut self, block: BlockAddr, warp_ts: Timestamp, span: gtsc_types::SpanId) {
+    fn forward_read(&mut self, block: BlockAddr, warp_ts: Timestamp, span: SpanId) {
         let wts = self.tags.get(&block).map_or(Timestamp(0), |m| m.wts);
         self.fabric_out.push_back(L1ToL2::Read(ReadReq {
             block,
@@ -434,8 +311,7 @@ impl DeviceL2 {
                 // Write-through: every store crosses the fabric; the
                 // home serializes and assigns its timestamp.
                 self.stats.stores += 1;
-                let atomic = matches!(msg, L1ToL2::Atomic(_));
-                self.write_waiters.insert(w.version, (src, atomic));
+                self.write_waiters.insert(w.version, (src, w.span));
                 self.fabric_out.push_back(msg);
             }
         }
@@ -549,9 +425,152 @@ impl DeviceL2 {
             self.forward_read(block, warp_ts, span);
         }
     }
+}
+
+/// The local-L1 side of a device L2 is an ordinary bank controller, so a
+/// simulator's bank slot holds it like any other; it has no DRAM port —
+/// its memory side is the fabric ([`DeviceL2::take_fabric_request`],
+/// [`DeviceL2::on_fabric_response`]).
+impl L2Controller for DeviceL2 {
+    /// Installs a protocol event tracer.
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    fn tracer(&self) -> Option<&Tracer> {
+        Some(&self.tracer)
+    }
+
+    /// Installs an online transition sanitizer (scoped `Scope::Device`).
+    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
+        self.sanitizer = sanitizer;
+    }
+
+    fn set_span_tracker(&mut self, spans: SpanTracker) {
+        self.spans = spans;
+    }
+
+    /// Counters accumulated so far.
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// Whether no transaction is pending inside the device L2.
+    fn is_idle(&self) -> bool {
+        self.in_queue.is_empty()
+            && self.fabric_out.is_empty()
+            && self.out_resp.is_empty()
+            && self.read_waiters.values().all(Vec::is_empty)
+            && self.write_waiters.is_empty()
+    }
+
+    /// Occupancy snapshot for stall diagnosis.
+    fn pressure(&self) -> ControllerPressure {
+        ControllerPressure {
+            mshr: self.read_waiters.values().map(Vec::len).sum::<usize>()
+                + self.write_waiters.len(),
+            out_queue: self.in_queue.len() + self.fabric_out.len(),
+            waiting: self.out_resp.len(),
+        }
+    }
+
+    /// Accepts a request from local SM `src`.
+    fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
+        self.clock = self.clock.max(now);
+        self.in_queue.push_back((now + self.p.latency, src, msg));
+    }
+
+    /// Next response to inject into the local response network.
+    fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
+        self.out_resp.pop_front()
+    }
+
+    fn take_dram_request(&mut self) -> Option<(BlockAddr, bool)> {
+        None
+    }
+
+    fn on_dram_response(&mut self, _block: BlockAddr, _is_write: bool, _now: Cycle) {}
+
+    /// Serves ready L1 requests (up to `ports` per cycle).
+    fn tick(&mut self, now: Cycle) {
+        self.clock = self.clock.max(now);
+        for _ in 0..self.p.ports {
+            match self.in_queue.front() {
+                Some((ready, _, _)) if *ready <= now => {
+                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
+                    self.serve(src, msg);
+                }
+                _ => break,
+            }
+        }
+    }
+
+    /// Whether the device wants the global Section V-D reset (set by
+    /// `crash`; the simulator then bumps the global epoch).
+    fn needs_reset(&self) -> bool {
+        self.needs_reset
+    }
+
+    /// Enters `epoch`: every installed grant belongs to the old logical
+    /// time coordinate system and is discarded (re-acquired on demand).
+    /// Parked requests survive — their fabric round trips are answered
+    /// in the new epoch — but their timestamps are in dead coordinates,
+    /// so they degrade to fresh-warp requests (Section V-D, mirroring
+    /// the home's `sanitize`). Without the degrade, a refetch would
+    /// replay a near-overflow `warp_ts` at the *new* epoch, the home
+    /// would overflow again, and the reset would livelock.
+    fn apply_reset(&mut self, epoch: Epoch) {
+        self.tags.clear();
+        self.epoch = epoch;
+        self.needs_reset = false;
+        self.stats.ts_rollovers += 1;
+        for parked in self.read_waiters.values_mut() {
+            for (_, r) in parked.iter_mut() {
+                r.wts = Timestamp(0);
+                r.warp_ts = Timestamp::INIT;
+                r.epoch = epoch;
+            }
+        }
+        self.tracer
+            .record_with(self.clock, || EventKind::Rollover { epoch });
+    }
+
+    /// Crashes the whole device: every grant, parked request, and queued
+    /// message vanishes. Committed data is safe at the home (stores are
+    /// write-through); in-flight L1 requests are recovered by the L1's
+    /// end-to-end retry. Recovery rides the Section V-D machinery: the
+    /// simulator sees `needs_reset` and bumps the global epoch, exactly
+    /// as for an on-die bank crash.
+    fn crash(&mut self, now: Cycle) -> bool {
+        self.clock = self.clock.max(now);
+        self.tags.clear();
+        // Every in-flight transaction dies with the device: close their
+        // sampled spans so no span leaks open across the reset.
+        let dead = (self.in_queue.drain(..).map(|(_, _, m)| m.span()))
+            .chain(self.fabric_out.drain(..).map(|m| m.span()))
+            .chain(self.out_resp.drain(..).map(|(_, m)| m.span()))
+            .chain(self.read_waiters.values().flatten().map(|(_, r)| r.span))
+            .chain(self.write_waiters.values().map(|&(_, span)| span));
+        for span in dead {
+            self.spans.close(span, CloseReason::BankReset, now);
+        }
+        self.read_waiters.clear();
+        self.write_waiters.clear();
+        let epoch = self.epoch;
+        let dev = match self.tracer.scope() {
+            Scope::Device(d) => d,
+            _ => 0,
+        };
+        self.tracer
+            .record_with(self.clock, || EventKind::BankReset { bank: dev, epoch });
+        self.sanitizer
+            .check_with(self.clock, || Transition::DeviceCrash { epoch });
+        self.needs_reset = true;
+        true
+    }
 
     /// Serializes the device's dynamic state (DESIGN.md §14).
-    pub fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
         self.tags.save(w);
         self.epoch.save(w);
         self.needs_reset.save(w);
@@ -562,14 +581,12 @@ impl DeviceL2 {
         self.write_waiters.save(w);
         self.stats.save(w);
         self.clock.save(w);
+        Ok(())
     }
 
-    /// Restores state saved by [`DeviceL2::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Any decoding error on corrupt input.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    /// Restores state saved by `save_state`; any decoding error on
+    /// corrupt input.
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.tags = Snap::load(r)?;
         self.epoch = Snap::load(r)?;
         self.needs_reset = Snap::load(r)?;
@@ -589,7 +606,6 @@ mod tests {
     use super::*;
     use crate::home::{HomeNode, HomeParams};
     use gtsc_protocol::msg::WriteReq;
-    use gtsc_types::SpanId;
 
     fn read(block: u64, wts: u64, warp_ts: u64) -> L1ToL2 {
         L1ToL2::Read(ReadReq {
@@ -777,6 +793,43 @@ mod tests {
     }
 
     #[test]
+    fn crash_closes_every_dropped_span_as_bank_reset() {
+        // One span per place a message can be when the device dies: still
+        // queued, parked on a grant in flight, and a store awaiting its
+        // home ack.
+        let spans = SpanTracker::new(16);
+        let mut dev = DeviceL2::new(DeviceParams::default());
+        dev.set_span_tracker(spans.clone());
+        let ids = [SpanId(1), SpanId(2), SpanId(3)];
+        for id in ids {
+            spans.open(id, Cycle(0));
+        }
+        let spanned = |msg: L1ToL2, span: SpanId| match msg {
+            L1ToL2::Read(r) => L1ToL2::Read(ReadReq { span, ..r }),
+            L1ToL2::Write(w) => L1ToL2::Write(WriteReq { span, ..w }),
+            other => other,
+        };
+        dev.on_request(0, spanned(read(5, 0, 1), ids[0]), Cycle(0));
+        dev.on_request(1, spanned(write(7, 1, 42), ids[1]), Cycle(0));
+        for c in 0..40 {
+            dev.tick(Cycle(c));
+        }
+        while dev.take_fabric_request().is_some() {} // both now cross the fabric
+        dev.on_request(0, spanned(read(9, 0, 1), ids[2]), Cycle(40));
+        dev.crash(Cycle(50));
+        let records = spans.spans();
+        assert_eq!(records.len(), 3);
+        for r in records {
+            assert_eq!(
+                r.closed,
+                Some((Cycle(50), CloseReason::BankReset)),
+                "{:?}",
+                r.id
+            );
+        }
+    }
+
+    #[test]
     fn merged_readers_all_complete() {
         let mut dev = DeviceL2::new(DeviceParams::default());
         let mut home = HomeNode::new(HomeParams::default());
@@ -819,14 +872,14 @@ mod tests {
         dev.tick(Cycle(201));
         assert!(!dev.is_idle());
         let mut w = SnapWriter::new();
-        dev.save_state(&mut w);
+        dev.save_state(&mut w).expect("checkpoints");
         let bytes = w.into_bytes();
         let mut copy = DeviceL2::new(DeviceParams::default());
         let mut r = SnapReader::new(&bytes);
         copy.load_state(&mut r).expect("restore");
         r.expect_end("device snapshot").expect("fully consumed");
         let mut w2 = SnapWriter::new();
-        copy.save_state(&mut w2);
+        copy.save_state(&mut w2).expect("checkpoints");
         assert_eq!(bytes, w2.into_bytes(), "save -> load -> save is stable");
         // Both replay the identical future against identical homes.
         let mut home2 = HomeNode::new(HomeParams::default());

@@ -4,10 +4,9 @@
 //! its own tokenizer: enough of the Rust lexical grammar to classify
 //! every byte of a source file as code, comment, or literal, with an
 //! accurate line/column span on each token. That classification is what
-//! separates this engine from the legacy line-regex linter — a banned
-//! pattern inside a string literal, doc comment, or `/* ... */` block
-//! can no longer fire, and every diagnostic can point at the exact
-//! token rather than a whole line.
+//! a line-regex linter lacks — a banned pattern inside a string literal,
+//! doc comment, or `/* ... */` block cannot fire, and every diagnostic
+//! can point at the exact token rather than a whole line.
 //!
 //! Covered: line and (nested) block comments, string / raw-string /
 //! byte-string / char literals, lifetimes, numbers (including float

@@ -1,16 +1,14 @@
 //! Token-level source lints for the G-TSC workspace.
 //!
-//! This crate replaces the legacy line-regex linter
-//! (`gtsc_check::srclint`) with a real lexer: every file is tokenized
-//! (see [`lexer`]), so rules match code tokens — never the inside of a
-//! string literal, doc comment, or `/* */` block — and every diagnostic
-//! carries an exact line *and column*. The legacy engine stays behind
-//! the `src_lint --legacy` flag as a fallback during the migration.
+//! Every file is tokenized by a real lexer (see [`lexer`]), so rules
+//! match code tokens — never the inside of a string literal, doc
+//! comment, or `/* */` block — and every diagnostic carries an exact
+//! line *and column*.
 //!
 //! # Rules
 //!
-//! Review-invariant rules, ported 1:1 from the legacy engine (same
-//! directory whitelists, same semantics, same output lines):
+//! Review-invariant rules, each scanned over its own directory
+//! whitelist:
 //!
 //! * `raw-ts-arith` — logical-timestamp arithmetic (`.succ()`,
 //!   `+ lease`, `max` over `wts`/`rts`/`warp_ts`/`mem_ts`) outside
@@ -22,8 +20,8 @@
 //! * `raw-network` — the raw lossy `Network` type inside
 //!   `crates/sim/src` (the simulator must use `ReliableNet`).
 //!
-//! Determinism rules, new with this engine, scanned over every
-//! simulation-state crate (`crates/{core,sim,noc,fabric,mem,gpu}/src`) —
+//! Determinism rules, scanned over every simulation-state crate
+//! (`crates/{core,baselines,sim,noc,fabric,mem,gpu}/src`) —
 //! each bans a nondeterminism source that would break bit-identical
 //! replay, the property the model checker, snapshot/restore, and the
 //! race oracle all stand on:
@@ -38,10 +36,9 @@
 //! * `thread-id` — `thread::current`: results must not depend on
 //!   thread identity.
 //!
-//! Suppression and test handling match the legacy engine so existing
-//! annotations keep working: a `// lint: allow(<rule>)` comment on the
-//! offending line or one of the two lines above it, and scanning stops
-//! at the file's first `#[cfg(test)]` marker.
+//! Suppression and test handling: a `// lint: allow(<rule>)` comment on
+//! the offending line or one of the two lines above it, and scanning
+//! stops at the file's first `#[cfg(test)]` marker.
 
 pub mod lexer;
 mod rules;
@@ -88,8 +85,7 @@ pub struct Diagnostic {
     pub file: PathBuf,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column of the offending token (new over the legacy
-    /// engine, which could only name a line).
+    /// 1-based column of the offending token.
     pub col: usize,
     /// Rule name.
     pub rule: &'static str,
@@ -116,9 +112,8 @@ impl Diagnostic {
     }
 }
 
-/// Renders in the legacy `src_lint` output format
-/// (`file:line: [rule] snippet`) so the CI contract is unchanged by
-/// the engine migration.
+/// Renders in the `src_lint` output format
+/// (`file:line: [rule] snippet`) that CI greps.
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -132,9 +127,8 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Directory whitelists, relative to the repo root. The first four
-/// mirror the legacy engine exactly; the determinism list covers every
-/// crate that holds simulation state.
+/// Directory whitelists, relative to the repo root. The determinism
+/// list covers every crate that holds simulation state.
 const TS_ARITH_DIRS: &[&str] = &["crates/core/src"];
 const TS_ARITH_ALLOWED_FILES: &[&str] = &["rules.rs"];
 const NO_PANIC_DIRS: &[&str] = &[
@@ -149,6 +143,7 @@ const NOC_INJECT_DIRS: &[&str] = &["crates/noc/src"];
 const RAW_NETWORK_DIRS: &[&str] = &["crates/sim/src"];
 const DETERMINISM_DIRS: &[&str] = &[
     "crates/core/src",
+    "crates/baselines/src",
     "crates/sim/src",
     "crates/noc/src",
     "crates/fabric/src",

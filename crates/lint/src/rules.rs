@@ -2,19 +2,16 @@
 //!
 //! Two families:
 //!
-//! * **Per-line review rules** ported from the legacy line-regex linter
-//!   (`raw-ts-arith`, `unwrap`, `panic`, `noc-inject`, `raw-network`).
-//!   These keep the legacy line-at-a-time semantics so their findings
-//!   land on the same lines, but evaluate token patterns instead of
-//!   substrings — a `panic!(` inside a string literal or comment can no
-//!   longer fire.
+//! * **Per-line review rules** (`raw-ts-arith`, `unwrap`, `panic`,
+//!   `noc-inject`, `raw-network`). These are evaluated a line at a time,
+//!   but over token patterns instead of substrings — a `panic!(` inside
+//!   a string literal or comment cannot fire.
 //! * **Stream determinism rules** (`hash-iter`, `std-time`,
 //!   `unseeded-rng`, `thread-id`) that walk the whole token stream, so
 //!   a method chain split across lines (`self.entries\n.keys()`) is
 //!   still caught.
 //!
-//! Shared conventions, inherited from the legacy engine so existing
-//! suppressions keep working:
+//! Shared conventions:
 //!
 //! * scanning stops at the file's first `#[cfg(test)]` marker (this
 //!   workspace keeps test modules at the bottom of each file);
@@ -47,7 +44,7 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 /// Timestamp-bearing identifiers whose combination with arithmetic
-/// marks a line as timestamp math (same catalog as the legacy engine).
+/// marks a line as timestamp math.
 const TS_WORDS: &[&str] = &["wts", "rts", "warp_ts", "mem_ts"];
 
 /// Scans one file's token stream. `toks` must come from
@@ -94,7 +91,7 @@ fn cfg_test_line(code: &[Tok<'_>]) -> usize {
 }
 
 /// Whether a `lint: allow(<rule>)` comment covers `line` (the line
-/// itself or the two above — the legacy suppression window).
+/// itself or the two above).
 fn allowed(comments: &[Tok<'_>], line: usize, rule: &str) -> bool {
     let lo = line.saturating_sub(2);
     comments
@@ -128,7 +125,7 @@ fn per_line_rules(code: &[Tok<'_>], rules: RuleSet, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The legacy per-line rules, evaluated over one line's code tokens.
+/// The per-line rules, evaluated over one line's code tokens.
 fn line_rules(l: &[Tok<'_>], rules: RuleSet, out: &mut Vec<RawFinding>) {
     let mut push = |t: &Tok<'_>, rule: &'static str, message: String| {
         out.push(RawFinding {
@@ -212,7 +209,7 @@ fn line_rules(l: &[Tok<'_>], rules: RuleSet, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The legacy timestamp-arithmetic heuristic over one line's tokens:
+/// The timestamp-arithmetic heuristic over one line's tokens:
 /// `.succ()`, `+ lease`/`+ Lease…`, or a timestamp word combined with
 /// `.max(` or a literal `+ 1`. Returns the anchoring token.
 fn ts_arith<'t, 'a>(l: &'t [Tok<'a>]) -> Option<&'t Tok<'a>> {

@@ -1,0 +1,1315 @@
+//! The cycle engine: one machine, one loop (DESIGN.md §17).
+//!
+//! The paper's machine is one pipeline — SM → L1 → request crossbar →
+//! banked L2 → memory side → response crossbar → L1 — plus the Section
+//! V-D global epoch bump. A [`Device`] owns the on-die part of that
+//! pipeline; a [`Sim`] steps one or more devices against a
+//! [`MemorySide`], the single point where the two topologies differ:
+//! local DRAM partitions ([`GpuSim`](crate::GpuSim), the paper's
+//! machine) or a fabric to a home directory
+//! ([`MultiGpuSim`](crate::MultiGpuSim)). Everything else — dispatch,
+//! the watchdog, reports, stall diagnosis, snapshots — exists once.
+//!
+//! One cycle, in order (the checker, the shared sanitizer and the fault
+//! streams all observe this order, so it is part of the contract):
+//!
+//! 1. per device, front half: SM issue, L1 housekeeping, L1 → request
+//!    network, request deliveries → banks, then the memory side's
+//!    per-device bank service ([`MemorySide::serve`]);
+//! 2. one cross-device exchange ([`MemorySide::exchange`]);
+//! 3. scheduled crashes ([`MemorySide::crash`]);
+//! 4. the global reset: memory side first, then every bank;
+//! 5. per device, back half: banks → response network → L1s, then the
+//!    cycle-reason accounting.
+
+use std::collections::BTreeMap;
+
+use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
+use gtsc_gpu::{Kernel, Sm, SmParams};
+use gtsc_noc::ReliableNet;
+use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
+use gtsc_protocol::{L1Controller, L2Controller, WaitHint};
+use gtsc_trace::{
+    merge_tails, HopKind, IntervalSample, IntervalSampler, Sanitizer, Scope, SpanRecord,
+    SpanTracker, TraceEvent, Tracer,
+};
+use gtsc_types::snap::{
+    crc32, Snap, SnapReader, SnapWriter, SnapshotBuilder, SnapshotError, SnapshotFile,
+};
+use gtsc_types::{
+    BlockAddr, CtaId, Cycle, CycleReason, FaultConfig, GpuConfig, SimStats, SmId, Version,
+};
+
+use crate::check::{Checker, Violation};
+use crate::report::{KernelProgress, RunReport, SimError, StallDiagnosis};
+
+/// Retained checker events above which [`Checker::compact`] runs (large
+/// enough that short litmus runs — whose tests read exact
+/// `load_observations` — are never compacted).
+const COMPACT_RETAINED_THRESHOLD: usize = 1 << 20;
+/// How often (in cycles) the run loop polls the checker's footprint.
+const COMPACT_POLL_CYCLES: u64 = 4096;
+/// Per-device stride of the on-die fault seed: decorrelates the devices'
+/// streams while keeping the whole system a pure function of the seeds
+/// (device 0 draws from the configured seed itself).
+const DEVICE_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Which view of a component's recorder to gather.
+#[derive(Clone, Copy)]
+pub enum TraceView {
+    /// Every retained event ([`gtsc_types::TraceMode::Full`]).
+    Full,
+    /// The bounded flight-recorder tail.
+    Tail,
+}
+
+impl TraceView {
+    /// `tracer`'s events under this view.
+    pub fn of(self, tracer: &Tracer) -> Vec<TraceEvent> {
+        match self {
+            TraceView::Full => tracer.events().to_vec(),
+            TraceView::Tail => tracer.flight_tail(),
+        }
+    }
+
+    /// `net`'s events under this view.
+    pub fn of_net<T: Clone>(self, net: &ReliableNet<T>) -> Vec<TraceEvent> {
+        match self {
+            TraceView::Full => net.events(),
+            TraceView::Tail => net.flight_tail(),
+        }
+    }
+}
+
+/// The memory side of the banked L2: where a bank's misses go, and what
+/// else lives beyond the response crossbar. Sealed — exactly two
+/// implementations exist (`LocalDram` in `gpu.rs`, `FabricToHome` in
+/// `multi.rs`), and the trait is unnameable outside this crate.
+pub trait MemorySide {
+    /// The bank controller a device's L2 slots hold.
+    type Bank: L2Controller + ?Sized;
+
+    /// Tracer/sanitizer scope of bank `b` on device `d`.
+    fn bank_scope(d: usize, b: usize) -> Scope;
+
+    /// Front half, per device, after request delivery: tick device
+    /// `d`'s banks and move their memory-side traffic.
+    fn serve(&mut self, d: usize, banks: &mut [Box<Self::Bank>], now: Cycle);
+
+    /// Once per cycle, after every device's front half: whatever crosses
+    /// between devices.
+    fn exchange(&mut self, _devices: &mut [Device<Self::Bank>], _now: Cycle) {}
+
+    /// Crashes unit `unit` of this topology's crash domain (a bank, or a
+    /// whole device) — its scheduler, kept by the engine, fired at `now`.
+    /// Returns whether a recovery started.
+    fn crash(&mut self, unit: usize, devices: &mut [Device<Self::Bank>], now: Cycle) -> bool;
+
+    /// Whether the memory side itself wants the Section V-D reset.
+    fn needs_reset(&self) -> bool {
+        false
+    }
+
+    /// Enters `epoch` (called before the banks').
+    fn apply_reset(&mut self, _epoch: Epoch) {}
+
+    /// Whether nothing is pending beyond the banks.
+    fn is_idle(&self) -> bool;
+
+    /// Transport progress beyond the on-die networks (watchdog input).
+    fn progress_mark(&self) -> u64 {
+        0
+    }
+
+    /// Adds the memory side's counters to `stats`, after the devices'.
+    fn add_stats(&self, stats: &mut SimStats);
+
+    /// Appends the memory side's recorders under `view`.
+    fn trace(&self, view: TraceView, out: &mut Vec<Vec<TraceEvent>>);
+
+    /// Fault-injection counters of every armed injector out here.
+    fn fault_stats(&self) -> Vec<FaultStats>;
+
+    /// The functional image held beyond the banks (empty when the banks
+    /// hold it themselves).
+    fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
+        Vec::new()
+    }
+
+    /// Completes a diagnosis already filled from the devices.
+    fn diagnose(&self, devices: &[Device<Self::Bank>], now: Cycle, diag: &mut StallDiagnosis);
+
+    /// Fingerprint of the configuration this topology was built from;
+    /// `gpu` is the per-device config.
+    fn config_fingerprint(&self, gpu: &GpuConfig) -> u64;
+
+    /// Writes the memory side's snapshot sections.
+    fn save(&self, b: &mut SnapshotBuilder);
+
+    /// Restores the sections written by [`MemorySide::save`].
+    fn restore(&mut self, file: &SnapshotFile<'_>) -> Result<(), SnapshotError>;
+}
+
+/// The fingerprint both topologies store in snapshots: derived `Debug`
+/// output is deterministic for identical configs across processes, which
+/// is all a mismatch check needs.
+pub fn fingerprint_of(cfg: &dyn std::fmt::Debug, label: &str) -> u64 {
+    let repr = format!("{cfg:?}");
+    (u64::from(crc32(repr.as_bytes())) << 32) | u64::from(crc32(label.as_bytes()))
+}
+
+/// Writes snapshot section `name` through `fill`.
+pub fn put(b: &mut SnapshotBuilder, name: &str, fill: impl FnOnce(&mut SnapWriter)) {
+    let mut w = SnapWriter::new();
+    fill(&mut w);
+    b.section(name, w.into_bytes());
+}
+
+/// Decodes snapshot section `name` through `read`, which must consume
+/// the whole payload.
+pub fn get<'a, T>(
+    file: &SnapshotFile<'a>,
+    name: &'static str,
+    read: impl FnOnce(&mut SnapReader<'a>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut r = file.section(name)?;
+    let value = read(&mut r)?;
+    r.expect_end(name)?;
+    Ok(value)
+}
+
+/// Rejects a snapshot whose next count differs from the freshly built
+/// machine's `built`.
+pub fn expect_count(r: &mut SnapReader<'_>, built: usize, what: &str) -> Result<(), SnapshotError> {
+    if r.usize()? == built {
+        Ok(())
+    } else {
+        Err(SnapshotError::Mismatch { what: what.into() })
+    }
+}
+
+/// One GPU die: its SMs (each with a private-cache controller), its
+/// request/response crossbars, and its L2 banks.
+pub struct Device<B: ?Sized> {
+    pub(crate) sms: Vec<Sm>,
+    pub(crate) l2: Vec<Box<B>>,
+    pub(crate) req_net: ReliableNet<(usize, L1ToL2)>,
+    pub(crate) resp_net: ReliableNet<L2ToL1>,
+    /// Global index of this device's SM 0 (SM ids — and with them
+    /// version minting — are unique across devices).
+    sm_base: usize,
+}
+
+impl<B: L2Controller + ?Sized> Device<B> {
+    /// Builds device `d`: request network = NoC fault streams 0 (data)
+    /// and 2 (transport control), response network = streams 1 and 3,
+    /// drawn from the device's decorrelated seed. `l1_retry` arms the
+    /// L1s' end-to-end retry (something between L1 and memory can lose
+    /// traffic).
+    fn build(
+        d: usize,
+        cfg: &GpuConfig,
+        l1_retry: bool,
+        l1: &dyn Fn(&GpuConfig, usize) -> Box<dyn L1Controller>,
+        bank: &dyn Fn(&GpuConfig) -> Box<B>,
+    ) -> Self {
+        let faults = FaultConfig {
+            seed: cfg
+                .faults
+                .seed
+                .wrapping_add((d as u64).wrapping_mul(DEVICE_SEED_STRIDE)),
+            ..cfg.faults
+        };
+        let plan = FaultPlan::new(faults);
+        let sm_base = d * cfg.n_sms;
+        let mut sms: Vec<Sm> = (0..cfg.n_sms)
+            .map(|i| {
+                Sm::new(
+                    SmParams {
+                        id: SmId((sm_base + i) as u16),
+                        n_warp_slots: cfg.warps_per_sm,
+                        block_shift: cfg.l1.block_shift(),
+                        consistency: cfg.consistency,
+                        max_outstanding_per_warp: cfg.max_outstanding_per_warp,
+                        max_ctas: cfg.max_ctas_per_sm,
+                        issue_width: 1,
+                        scheduler: cfg.scheduler,
+                    },
+                    l1(cfg, sm_base + i),
+                )
+            })
+            .collect();
+        let l2 = (0..cfg.l2_banks).map(|_| bank(cfg)).collect();
+        let mut req_net = ReliableNet::new(cfg.n_sms, cfg.l2_banks, cfg.noc, cfg.transport);
+        let mut resp_net = ReliableNet::new(cfg.l2_banks, cfg.n_sms, cfg.noc, cfg.transport);
+        req_net.set_faults(plan.noc(0), plan.noc(2));
+        resp_net.set_faults(plan.noc(1), plan.noc(3));
+        if faults.lossy_active() {
+            // Loss faults make the raw NoC unreliable: arm the transport
+            // layer (ack/retransmit/dedup). It stays off otherwise so the
+            // lossless hot path — and the watchdog's ability to catch
+            // genuine protocol stalls — are untouched.
+            req_net.enable(faults.seed ^ 0x5245_515F);
+            resp_net.enable(faults.seed ^ 0x5245_5350);
+        }
+        if l1_retry {
+            for sm in &mut sms {
+                sm.l1_mut().enable_retry(cfg.transport.retry_timeout);
+            }
+        }
+        Device {
+            sms,
+            l2,
+            req_net,
+            resp_net,
+            sm_base,
+        }
+    }
+
+    /// Hands every component its tracer, span-tracker clone and scoped
+    /// sanitizer (each only when enabled). Device `d`'s crossbars are
+    /// `Noc(2d)` / `Noc(2d + 1)`; its banks are scoped by `bank_scope(d, b)`.
+    fn instrument(
+        &mut self,
+        d: usize,
+        cfg: &GpuConfig,
+        bank_scope: fn(usize, usize) -> Scope,
+        sanitizer: &Sanitizer,
+        spans: &SpanTracker,
+    ) {
+        let sm_scope = |i: usize| Scope::Sm((self.sm_base + i) as u16);
+        if cfg.trace.is_enabled() {
+            let noc = 2 * d as u16;
+            for (i, sm) in self.sms.iter_mut().enumerate() {
+                sm.set_tracer(Tracer::new(sm_scope(i), &cfg.trace));
+                sm.l1_mut().set_tracer(Tracer::new(sm_scope(i), &cfg.trace));
+            }
+            for (b, bank) in self.l2.iter_mut().enumerate() {
+                bank.set_tracer(Tracer::new(bank_scope(d, b), &cfg.trace));
+            }
+            self.req_net
+                .set_tracer(Tracer::new(Scope::Noc(noc), &cfg.trace));
+            self.resp_net
+                .set_tracer(Tracer::new(Scope::Noc(noc + 1), &cfg.trace));
+        }
+        if spans.is_enabled() {
+            for sm in &mut self.sms {
+                sm.set_span_sampling(cfg.trace.span_rate, cfg.trace.span_seed, spans.clone());
+                sm.l1_mut().set_span_tracker(spans.clone());
+            }
+            for bank in &mut self.l2 {
+                bank.set_span_tracker(spans.clone());
+            }
+            self.req_net
+                .set_span_probe(spans.clone(), |p: &(usize, L1ToL2)| p.1.span());
+            self.resp_net.set_span_probe(spans.clone(), L2ToL1::span);
+        }
+        if sanitizer.is_enabled() {
+            for (i, sm) in self.sms.iter_mut().enumerate() {
+                sm.l1_mut().set_sanitizer(sanitizer.for_scope(sm_scope(i)));
+            }
+            for (b, bank) in self.l2.iter_mut().enumerate() {
+                bank.set_sanitizer(sanitizer.for_scope(bank_scope(d, b)));
+            }
+        }
+    }
+
+    /// Crashes bank `b`; if the controller supports crash/recovery, its
+    /// transport flows are reset on both networks in the same cycle
+    /// (stale generations are discarded, so pre-crash sequence state can
+    /// never collide with the rebuilt bank). The crash forces
+    /// `needs_reset`, so the Section V-D broadcast rebuilds coherence
+    /// behind a global epoch bump; requests the bank had consumed are
+    /// recovered by the L1s' end-to-end retry.
+    pub fn crash_bank(&mut self, b: usize, now: Cycle) -> bool {
+        let crashed = self.l2[b].crash(now);
+        if crashed {
+            self.req_net.reset_flows_to_dst(b, now);
+            self.resp_net.reset_flows_from_src(b, now);
+        }
+        crashed
+    }
+
+    /// SM issue (L1 hits complete immediately); L1 housekeeping
+    /// (end-to-end retry scans may re-queue overdue requests and
+    /// complete long-parked waiters); L1 → request network; request
+    /// deliveries → banks.
+    fn front_half(
+        &mut self,
+        now: Cycle,
+        sizes: &MsgSizes,
+        spans: &SpanTracker,
+        checker: &mut Checker,
+    ) {
+        let n_banks = self.l2.len();
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            for c in sm.cycle(now) {
+                checker.on_completion(self.sm_base + i, &c, now);
+            }
+        }
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            for c in sm.l1_mut().tick(now) {
+                sm.on_completion_at(&c, Some(now));
+                checker.on_completion(self.sm_base + i, &c, now);
+            }
+            while let Some(req) = sm.l1_mut().take_request() {
+                let bank = req.block().bank(n_banks);
+                let bytes = sizes.request_bytes(&req);
+                spans.hop_enter(req.span(), HopKind::NocReq, now);
+                self.req_net.send(i, bank, bytes, (i, req), now);
+            }
+        }
+        for (bank, (src, msg)) in self.req_net.tick(now) {
+            spans.hop_enter(msg.span(), HopKind::L2Serve, now);
+            self.l2[bank].on_request(src, msg, now);
+        }
+    }
+
+    /// Banks → response network → L1s (completions retire warp
+    /// accesses), then the cycle-reason accounting: this cycle is
+    /// attributed, for every SM, to exactly one bucket. The buckets
+    /// therefore tile elapsed time — `sum(buckets) == steps` per SM, the
+    /// invariant the report and the profile both assert.
+    fn back_half(
+        &mut self,
+        now: Cycle,
+        rollover: bool,
+        sizes: &MsgSizes,
+        spans: &SpanTracker,
+        checker: &mut Checker,
+    ) {
+        for (b, bank) in self.l2.iter_mut().enumerate() {
+            while let Some((dst, msg)) = bank.take_response() {
+                let bytes = sizes.response_bytes(&msg);
+                spans.hop_enter(msg.span(), HopKind::NocResp, now);
+                self.resp_net.send(b, dst, bytes, msg, now);
+            }
+        }
+        for (dst, msg) in self.resp_net.tick(now) {
+            let sm = &mut self.sms[dst];
+            spans.hop_enter(msg.span(), HopKind::L1Fill, now);
+            for c in sm.l1_mut().on_response(msg, now) {
+                sm.on_completion_at(&c, Some(now));
+                checker.on_completion(self.sm_base + dst, &c, now);
+            }
+        }
+        for sm in &mut self.sms {
+            let reason = if sm.issued_last_cycle() {
+                CycleReason::Issue
+            } else if rollover {
+                CycleReason::RolloverFreeze
+            } else if !sm.has_resident_warps() {
+                CycleReason::Idle
+            } else {
+                match sm.l1().wait_hint() {
+                    WaitHint::LeaseExpired => CycleReason::LeaseExpiredWait,
+                    WaitHint::MshrFull => CycleReason::MshrFull,
+                    WaitHint::NocBackpressure => CycleReason::NocBackpressure,
+                    WaitHint::Downstream => CycleReason::DramWait,
+                    WaitHint::None => CycleReason::Idle,
+                }
+            };
+            sm.account_cycle(reason);
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        self.sms.iter().all(Sm::is_idle)
+            && self.l2.iter().all(|b| b.is_idle())
+            && self.req_net.is_idle()
+            && self.resp_net.is_idle()
+    }
+
+    fn trace(&self, view: TraceView, out: &mut Vec<Vec<TraceEvent>>) {
+        for sm in &self.sms {
+            out.push(view.of(sm.tracer()));
+            out.extend(sm.l1().tracer().map(|t| view.of(t)));
+        }
+        out.extend(
+            self.l2
+                .iter()
+                .filter_map(|b| b.tracer())
+                .map(|t| view.of(t)),
+        );
+        out.push(view.of_net(&self.req_net));
+        out.push(view.of_net(&self.resp_net));
+    }
+
+    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+        w.usize(self.sms.len());
+        for sm in &self.sms {
+            sm.save_state(w)?;
+        }
+        w.usize(self.l2.len());
+        for bank in &self.l2 {
+            bank.save_state(w)?;
+        }
+        self.req_net.save_state(w);
+        self.resp_net.save_state(w);
+        Ok(())
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        expect_count(r, self.sms.len(), "SM count")?;
+        for sm in &mut self.sms {
+            sm.load_state(r)?;
+        }
+        expect_count(r, self.l2.len(), "L2 bank count")?;
+        for bank in &mut self.l2 {
+            bank.load_state(r)?;
+        }
+        self.req_net.load_state(r)?;
+        self.resp_net.load_state(r)
+    }
+}
+
+/// The assembled machine: one or more devices (SMs, crossbars, L2
+/// banks) stepped by one loop against a memory side `M`. Named through
+/// its two instantiations, [`GpuSim`](crate::GpuSim) (local DRAM) and
+/// [`MultiGpuSim`](crate::MultiGpuSim) (fabric to a home directory);
+/// the memory side is sealed, so there is no third.
+pub struct Sim<M: MemorySide> {
+    /// Per-device configuration (timestamp width already narrowed by the
+    /// rollover-storm knob).
+    pub(crate) cfg: GpuConfig,
+    pub(crate) devices: Vec<Device<M::Bank>>,
+    pub(crate) mem: M,
+    /// Crash schedulers (loss-fault injection), one per unit of the
+    /// memory side's crash domain — a bank, or a whole device; `None`
+    /// where crashes are disabled.
+    crash_faults: Vec<Option<BankFaults>>,
+    /// Units crash-recovered so far; surfaces as
+    /// [`gtsc_types::TransportStats::bank_recoveries`].
+    pub(crate) recoveries: u64,
+    sizes: MsgSizes,
+    now: Cycle,
+    epoch: Epoch,
+    checker: Checker,
+    sampler: IntervalSampler,
+    /// Root handle on the shared transition sanitizer (disabled unless
+    /// `cfg.sanitize`); the L1s and banks hold scoped clones.
+    sanitizer: Sanitizer,
+    /// Root handle on the shared causal-span tracker (disabled unless
+    /// `cfg.trace.spans_enabled()`); every layer holds a clone. Volatile
+    /// observability state — excluded from snapshots like the tracer.
+    spans: SpanTracker,
+    /// Cycles actually stepped by this machine (the denominator of the
+    /// cycle-reason accounting invariant: every per-SM bucket set sums to
+    /// exactly this). Snapshotted, unlike the span state, because the
+    /// accounting lives in `SmStats` which is snapshotted too.
+    steps: u64,
+}
+
+impl<M: MemorySide> std::fmt::Debug for Sim<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sim")
+            .field("config", &self.cfg.label())
+            .field("devices", &self.devices.len())
+            .field("now", &self.now)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<M: MemorySide> Sim<M> {
+    /// Assembles `n_devices` devices per `cfg` around the memory side
+    /// `mem` builds (handed the root sanitizer to scope its own
+    /// components) together with its crash schedulers. `cfg.ts_bits` must
+    /// already be the effective width.
+    pub(crate) fn assemble(
+        cfg: GpuConfig,
+        n_devices: usize,
+        l1_retry: bool,
+        l1: &dyn Fn(&GpuConfig, usize) -> Box<dyn L1Controller>,
+        bank: &dyn Fn(&GpuConfig) -> Box<M::Bank>,
+        mem: impl FnOnce(&Sanitizer) -> (M, Vec<Option<BankFaults>>),
+    ) -> Self {
+        let sanitizer = if cfg.sanitize {
+            Sanitizer::enabled(Scope::Sm(0))
+        } else {
+            Sanitizer::disabled()
+        };
+        let spans = if cfg.trace.spans_enabled() {
+            SpanTracker::new(cfg.trace.span_cap)
+        } else {
+            SpanTracker::disabled()
+        };
+        let devices = (0..n_devices)
+            .map(|d| {
+                let mut dev = Device::build(d, &cfg, l1_retry, l1, bank);
+                dev.instrument(d, &cfg, M::bank_scope, &sanitizer, &spans);
+                dev
+            })
+            .collect();
+        let (mem, crash_faults) = mem(&sanitizer);
+        let sampler = IntervalSampler::new(if cfg.trace.is_enabled() {
+            cfg.trace.sample_interval
+        } else {
+            0
+        });
+        let sizes = MsgSizes::new(cfg.noc.control_bytes, cfg.ts_bits, cfg.l1.block_size());
+        Sim {
+            cfg,
+            devices,
+            mem,
+            crash_faults,
+            recoveries: 0,
+            sizes,
+            now: Cycle(0),
+            epoch: 0,
+            checker: Checker::new(),
+            sampler,
+            sanitizer,
+            spans,
+            steps: 0,
+        }
+    }
+
+    /// Current simulation time.
+    #[must_use]
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// The current global reset epoch (Section V-D, shared by every bank
+    /// and the memory side).
+    #[must_use]
+    pub fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
+    fn sms(&self) -> impl Iterator<Item = &Sm> {
+        self.devices.iter().flat_map(|d| d.sms.iter())
+    }
+
+    fn banks(&self) -> impl Iterator<Item = &M::Bank> {
+        self.devices.iter().flat_map(|d| d.l2.iter().map(|b| &**b))
+    }
+
+    /// Runs `kernel` to completion (dispatching CTAs as SMs free up),
+    /// then flushes the private caches (kernel boundary, Section V-D).
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::InvalidKernel`] if a CTA is wider than an SM.
+    /// * [`SimError::Stalled`] if `cfg.watchdog_cycles` pass without any
+    ///   completion, instruction issue, or CTA dispatch — with a
+    ///   [`StallDiagnosis`] explaining where work is stuck.
+    /// * [`SimError::CycleLimit`] if `cfg.max_cycles` elapses first.
+    pub fn run_kernel(&mut self, kernel: &dyn Kernel) -> Result<RunReport, SimError> {
+        let mut progress = KernelProgress::new(kernel);
+        let report = self.advance_kernel(kernel, &mut progress, 0)?;
+        // A zero budget is unbounded: advance_kernel only parks (None) on
+        // an exhausted budget, so the report is always present here.
+        report.ok_or_else(|| {
+            SimError::InvalidConfig("unbounded advance_kernel yielded no report".to_owned())
+        })
+    }
+
+    /// Advances `kernel` by at most `max_cycles` cycles (`0` =
+    /// unbounded), carrying dispatch and watchdog state in `progress` so
+    /// a run can be executed in slices — and checkpointed between them
+    /// via [`Sim::save_snapshot`]. Slicing is *invisible* to the
+    /// simulation: any sequence of budgets produces the machine state,
+    /// stats, and report of one uninterrupted run.
+    ///
+    /// Returns `Ok(Some(report))` when the kernel drained (private caches
+    /// flushed, kernel boundary of Section V-D), or `Ok(None)` when the
+    /// budget elapsed with work still pending.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::InvalidKernel`] if a CTA is wider than an SM, or if
+    ///   `progress` belongs to a different kernel.
+    /// * [`SimError::Stalled`] / [`SimError::CycleLimit`] as for
+    ///   [`Sim::run_kernel`].
+    pub fn advance_kernel(
+        &mut self,
+        kernel: &dyn Kernel,
+        progress: &mut KernelProgress,
+        max_cycles: u64,
+    ) -> Result<Option<RunReport>, SimError> {
+        if kernel.warps_per_cta() > self.cfg.warps_per_sm {
+            return Err(SimError::InvalidKernel(format!(
+                "CTA wider than an SM: kernel '{}' needs {} warps per CTA but SMs have {} slots",
+                kernel.name(),
+                kernel.warps_per_cta(),
+                self.cfg.warps_per_sm
+            )));
+        }
+        if !progress.matches(kernel) {
+            return Err(SimError::InvalidKernel(format!(
+                "progress for kernel '{}' ({} CTAs × {} warps) cannot resume kernel '{}' \
+                 ({} CTAs × {} warps)",
+                progress.kernel_name,
+                progress.n_ctas,
+                progress.warps_per_cta,
+                kernel.name(),
+                kernel.n_ctas(),
+                kernel.warps_per_cta()
+            )));
+        }
+        let n_ctas = kernel.n_ctas();
+        let n_devices = self.devices.len();
+        let mut budget = max_cycles;
+        loop {
+            // CTA dispatch: CTA c is pinned to device c % n_devices (a
+            // deterministic spread that puts true sharing on the memory
+            // side), round-robin across that device's SMs (as GPGPU-Sim
+            // does, so the grid spreads over the whole chip instead of
+            // packing the first SMs). One cursor serves every device.
+            // Dispatch is in-order: a full device parks the grid tail
+            // until it drains.
+            'dispatch: while progress.next_cta < n_ctas {
+                let cta = CtaId(progress.next_cta as u32);
+                let sms = &mut self.devices[progress.next_cta % n_devices].sms;
+                let warps = kernel.warps_per_cta();
+                let n_sms = sms.len();
+                let Some(offset) = (0..n_sms)
+                    .find(|k| sms[(progress.sm_cursor + k) % n_sms].can_accept_cta(warps))
+                else {
+                    break 'dispatch;
+                };
+                let picked = (progress.sm_cursor + offset) % n_sms;
+                progress.sm_cursor = (picked + 1) % n_sms;
+                let programs = (0..warps).map(|w| kernel.program(cta, w)).collect();
+                sms[picked].assign_cta(cta, programs);
+                progress.next_cta += 1;
+            }
+
+            self.step();
+
+            if self.sampler.due(self.now) {
+                let cumulative = self.cumulative_stats();
+                self.sampler.sample(self.now, &cumulative);
+            }
+
+            // Bound the checker's memory on soaks: prune globally visible
+            // history once the retained set is large (never on the short
+            // litmus runs whose tests read exact observations).
+            if self.now.0.is_multiple_of(COMPACT_POLL_CYCLES)
+                && self.checker.retained_events() >= COMPACT_RETAINED_THRESHOLD
+            {
+                self.checker.compact();
+            }
+
+            if progress.next_cta == n_ctas && self.all_idle() {
+                break;
+            }
+            // Forward-progress watchdog: a fingerprint that moves whenever
+            // the machine does useful work. Completions and issues cover
+            // draining; dispatch covers the ramp-up; resident covers
+            // retirement; the transport mark (deliveries + acks + flow
+            // resets — deliberately not retransmits, which can spin
+            // forever) keeps lossy runs alive while recovery is genuinely
+            // advancing.
+            let fingerprint = (
+                self.checker.n_events(),
+                self.sms().map(Sm::issued_count).sum::<u64>(),
+                progress.next_cta,
+                self.resident_warps(),
+                self.devices
+                    .iter()
+                    .map(|d| d.req_net.progress_mark() + d.resp_net.progress_mark())
+                    .sum::<u64>()
+                    + self.mem.progress_mark(),
+            );
+            if fingerprint != progress.last_fingerprint {
+                progress.last_fingerprint = fingerprint;
+                progress.last_progress = self.now;
+            } else if self.cfg.watchdog_cycles > 0
+                && self.now - progress.last_progress >= self.cfg.watchdog_cycles
+            {
+                return Err(SimError::Stalled {
+                    at: self.now,
+                    diagnosis: Box::new(self.diagnose_stall(self.now - progress.last_progress)),
+                });
+            }
+            self.now += 1;
+            if self.cfg.max_cycles > 0 && self.now.0 > self.cfg.max_cycles {
+                return Err(SimError::CycleLimit {
+                    at: self.now,
+                    resident_warps: self.resident_warps(),
+                });
+            }
+            if max_cycles > 0 {
+                budget -= 1;
+                if budget == 0 {
+                    return Ok(None);
+                }
+            }
+        }
+        for dev in &mut self.devices {
+            for sm in &mut dev.sms {
+                sm.l1_mut().flush();
+            }
+        }
+        let cumulative = self.cumulative_stats();
+        self.sampler.finish(self.now, &cumulative);
+        Ok(Some(self.report()))
+    }
+
+    /// Runs several kernels back to back (private caches flushed between).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SimError`] encountered.
+    pub fn run_kernels(&mut self, kernels: &[&dyn Kernel]) -> Result<RunReport, SimError> {
+        let mut last = None;
+        for k in kernels {
+            last = Some(self.run_kernel(*k)?);
+        }
+        Ok(last.unwrap_or_else(|| self.report()))
+    }
+
+    /// The current aggregated statistics and violations. When tracing is
+    /// enabled and the checker found violations, the flight-recorder tail
+    /// rides along for the post-mortem.
+    #[must_use]
+    pub fn report(&self) -> RunReport {
+        let mut violations = self.checker.finish_capped(self.cfg.max_violations_reported);
+        // Sanitizer findings (transition-level invariant breaks) ride in
+        // the same report, after the end-to-end checker's.
+        violations.extend(self.sanitizer.violations().into_iter().map(Violation));
+        let suppressed = self.sanitizer.suppressed();
+        if suppressed > 0 {
+            violations.push(Violation(format!(
+                "…and {suppressed} more sanitizer violation(s) suppressed (retention cap)"
+            )));
+        }
+        let stats = self.cumulative_stats();
+        // The cycle-accounting invariant rides in the same report: every
+        // SM's reason buckets must tile the stepped cycles exactly — a
+        // mismatch means a step classified a cycle twice or not at all.
+        for (i, sm) in stats.per_sm.iter().enumerate() {
+            let sum = sm.cycle_buckets.sum();
+            if sum != stats.accounted_cycles {
+                violations.push(Violation(format!(
+                    "cycle accounting broken on sm{i}: reason buckets sum to {sum} \
+                     but {} cycles were stepped",
+                    stats.accounted_cycles
+                )));
+            }
+        }
+        let trace_tail = if violations.is_empty() || !self.cfg.trace.is_enabled() {
+            Vec::new()
+        } else {
+            self.flight_tail()
+        };
+        RunReport {
+            stats,
+            violations,
+            trace_tail,
+        }
+    }
+
+    /// Cumulative counters at `now`: merged totals plus the per-component
+    /// breakdowns ([`SimStats::per_sm`] and friends, indexed by SM / bank
+    /// / partition; device banks first, the memory side's last).
+    fn cumulative_stats(&self) -> SimStats {
+        let mut stats = SimStats {
+            cycles: self.now,
+            accounted_cycles: self.steps,
+            ..SimStats::default()
+        };
+        for dev in &self.devices {
+            for sm in &dev.sms {
+                let s = sm.stats();
+                let l1 = sm.l1().stats();
+                stats.sm.merge(&s);
+                stats.l1.merge(&l1);
+                stats.per_sm.push(s);
+                stats.per_l1.push(l1);
+            }
+            for bank in &dev.l2 {
+                let s = bank.stats();
+                stats.l2.merge(&s);
+                stats.per_l2.push(s);
+            }
+            stats.noc.merge(&dev.req_net.stats());
+            stats.noc.merge(&dev.resp_net.stats());
+            stats.transport.merge(&dev.req_net.transport_stats());
+            stats.transport.merge(&dev.resp_net.transport_stats());
+        }
+        self.mem.add_stats(&mut stats);
+        stats.transport.bank_recoveries = self.recoveries;
+        stats
+    }
+
+    /// Every component's recorder under `view`, devices first.
+    fn trace(&self, view: TraceView) -> Vec<Vec<TraceEvent>> {
+        let mut out = Vec::new();
+        for dev in &self.devices {
+            dev.trace(view, &mut out);
+        }
+        self.mem.trace(view, &mut out);
+        out
+    }
+
+    /// Every retained trace event across all components, cycle-ordered
+    /// (empty unless [`gtsc_types::TraceMode::Full`]).
+    #[must_use]
+    pub fn trace_events(&self) -> Vec<TraceEvent> {
+        let mut all = self.trace(TraceView::Full).concat();
+        all.sort_by_key(|e| e.cycle);
+        all
+    }
+
+    /// The merged flight-recorder tail across all components, oldest
+    /// first — the post-mortem view dumped into [`StallDiagnosis`] and
+    /// violation-carrying [`RunReport`]s.
+    #[must_use]
+    pub fn flight_tail(&self) -> Vec<TraceEvent> {
+        merge_tails(&self.trace(TraceView::Tail))
+    }
+
+    /// The retained causal-span records (empty unless
+    /// [`gtsc_types::TraceConfig::spans_enabled`]). Hits open and close
+    /// in the same cycle; in-flight spans are not included.
+    #[must_use]
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        self.spans.spans()
+    }
+
+    /// Sampled spans dropped by the retention cap (deterministic
+    /// first-N retention keeps the kept set stable across runs).
+    #[must_use]
+    pub fn spans_suppressed(&self) -> u64 {
+        self.spans.suppressed()
+    }
+
+    /// The interval sampler's time-series (empty unless
+    /// [`gtsc_types::TraceConfig::sample_interval`] is set and tracing is
+    /// enabled).
+    #[must_use]
+    pub fn samples(&self) -> &[IntervalSample] {
+        self.sampler.samples()
+    }
+
+    /// The full event log and time-series as Chrome `trace_event` JSON
+    /// (load via `chrome://tracing` or <https://ui.perfetto.dev>).
+    #[must_use]
+    pub fn chrome_trace(&self) -> String {
+        gtsc_trace::to_chrome_trace(&self.trace_events(), self.samples())
+    }
+
+    fn resident_warps(&self) -> usize {
+        self.sms().map(Sm::resident_warps).sum()
+    }
+
+    /// Snapshot of every stalled warp, queue, and MSHR, taken when the
+    /// watchdog fires.
+    fn diagnose_stall(&self, stalled_for: u64) -> StallDiagnosis {
+        let now = self.now;
+        let nets = |f: fn(&Device<M::Bank>) -> usize| self.devices.iter().map(f).sum::<usize>();
+        let mut diag = StallDiagnosis {
+            stalled_for,
+            resident_warps: self.resident_warps(),
+            warps: self
+                .sms()
+                .enumerate()
+                .flat_map(|(i, sm)| sm.stalled_warps(now).into_iter().map(move |w| (i, w)))
+                .collect(),
+            l1: self.sms().map(|sm| sm.l1().pressure()).collect(),
+            l2: self.banks().map(L2Controller::pressure).collect(),
+            req_net_in_flight: nets(|d| d.req_net.in_flight()),
+            req_net_queued: nets(|d| d.req_net.queued()),
+            resp_net_in_flight: nets(|d| d.resp_net.in_flight()),
+            resp_net_queued: nets(|d| d.resp_net.queued()),
+            transport_unacked: nets(|d| d.req_net.unacked() + d.resp_net.unacked()),
+            req_transport_flows: self
+                .devices
+                .iter()
+                .flat_map(|d| d.req_net.flow_diagnostics(now))
+                .collect(),
+            resp_transport_flows: self
+                .devices
+                .iter()
+                .flat_map(|d| d.resp_net.flow_diagnostics(now))
+                .collect(),
+            retransmits: self
+                .devices
+                .iter()
+                .map(|d| {
+                    d.req_net.transport_stats().retransmits
+                        + d.resp_net.transport_stats().retransmits
+                })
+                .sum(),
+            epoch: self.epoch,
+            ts_rollovers: self.banks().map(|b| b.stats().ts_rollovers).sum(),
+            recent_events: self.flight_tail(),
+            ..StallDiagnosis::default()
+        };
+        self.mem.diagnose(&self.devices, now, &mut diag);
+        diag
+    }
+
+    /// Aggregated fault-injection counters across every network and the
+    /// memory side's injectors and crash schedulers; `None` when the run
+    /// is fault-free.
+    #[must_use]
+    pub fn fault_stats(&self) -> Option<FaultStats> {
+        let mut any = false;
+        let mut total = FaultStats::default();
+        for s in self
+            .devices
+            .iter()
+            .flat_map(|d| [d.req_net.fault_stats(), d.resp_net.fault_stats()])
+            .flatten()
+            .chain(self.mem.fault_stats())
+            .chain(self.crash_faults.iter().flatten().map(BankFaults::stats))
+        {
+            total.merge(&s);
+            any = true;
+        }
+        any.then_some(total)
+    }
+
+    /// Read-only access to the coherence checker (litmus assertions in
+    /// tests use its load observations).
+    #[must_use]
+    pub fn checker(&self) -> &Checker {
+        &self.checker
+    }
+
+    /// The root handle on the transition sanitizer (disabled unless the
+    /// config set [`gtsc_types::GpuConfig::sanitize`]).
+    #[must_use]
+    pub fn sanitizer(&self) -> &Sanitizer {
+        &self.sanitizer
+    }
+
+    /// The functional memory image (for cross-protocol equivalence tests
+    /// on data-race-free workloads): the banks' on a single GPU, the
+    /// home node's — always authoritative under write-through — behind a
+    /// fabric.
+    #[must_use]
+    pub fn memory_image(&self) -> BTreeMap<BlockAddr, Version> {
+        self.banks()
+            .flat_map(L2Controller::memory_image)
+            .chain(self.mem.memory_image())
+            .collect()
+    }
+
+    /// Serializes the complete dynamic state of the machine — SMs and
+    /// warp slots, L1/L2 tag arrays and leases, MSHRs, queues, transport
+    /// flows, the memory side (DRAM, or fabric and home directory),
+    /// fault-injector RNG streams, checker, sampler, and cumulative
+    /// counters — into a versioned, per-section-CRC'd snapshot
+    /// (DESIGN.md §14). Pass the in-flight [`KernelProgress`] to
+    /// checkpoint mid-kernel; `None` snapshots a machine at a kernel
+    /// boundary.
+    ///
+    /// Structure that is derivable from the configuration (geometries,
+    /// timing parameters, tracer and sanitizer wiring, fault arming) is
+    /// *not* serialized: [`Sim::restore_snapshot`] requires a target
+    /// freshly built from the same config. Flight-recorder rings restart
+    /// empty after a restore — they only feed post-mortem displays, never
+    /// results.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Unsupported`] if a cache controller in this build
+    /// does not implement checkpointing (the non-G-TSC baselines).
+    pub fn save_snapshot(
+        &self,
+        progress: Option<&KernelProgress>,
+    ) -> Result<Vec<u8>, SnapshotError> {
+        let mut b = SnapshotBuilder::new();
+        put(&mut b, "meta", |w| {
+            self.mem.config_fingerprint(&self.cfg).save(w);
+        });
+        put(&mut b, "sim", |w| {
+            self.now.save(w);
+            self.epoch.save(w);
+            self.recoveries.save(w);
+            self.crash_faults.save(w);
+            self.sanitizer.save_state(w);
+            self.steps.save(w);
+        });
+        let mut w = SnapWriter::new();
+        w.usize(self.devices.len());
+        for dev in &self.devices {
+            dev.save(&mut w)?;
+        }
+        b.section("devices", w.into_bytes());
+        self.mem.save(&mut b);
+        put(&mut b, "checker", |w| self.checker.save(w));
+        put(&mut b, "sampler", |w| self.sampler.save(w));
+        if let Some(p) = progress {
+            put(&mut b, "progress", |w| p.save(w));
+        }
+        Ok(b.finish())
+    }
+
+    /// Restores a snapshot produced by [`Sim::save_snapshot`] into this
+    /// machine, which must have been freshly built from the same
+    /// configuration (checked via a config fingerprint). Returns the
+    /// [`KernelProgress`] embedded in mid-kernel checkpoints, to be
+    /// passed back to [`Sim::advance_kernel`].
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`] on a damaged, truncated, or mismatched
+    /// snapshot — always an error, never a panic. On error the target may
+    /// be partially overwritten: discard it and rebuild from config
+    /// (falling back to an older checkpoint if one exists).
+    pub fn restore_snapshot(
+        &mut self,
+        bytes: &[u8],
+    ) -> Result<Option<KernelProgress>, SnapshotError> {
+        let file = SnapshotFile::parse(bytes)?;
+        let fingerprint: u64 = get(&file, "meta", Snap::load)?;
+        if fingerprint != self.mem.config_fingerprint(&self.cfg) {
+            return Err(SnapshotError::Mismatch {
+                what: "config fingerprint".into(),
+            });
+        }
+        get(&file, "sim", |r| {
+            self.now = Snap::load(r)?;
+            self.epoch = Snap::load(r)?;
+            self.recoveries = Snap::load(r)?;
+            let crash_faults: Vec<Option<BankFaults>> = Snap::load(r)?;
+            if crash_faults.len() != self.crash_faults.len() {
+                return Err(SnapshotError::Mismatch {
+                    what: "crash scheduler count".into(),
+                });
+            }
+            self.crash_faults = crash_faults;
+            self.sanitizer.load_state(r)?;
+            self.steps = Snap::load(r)?;
+            Ok(())
+        })?;
+        get(&file, "devices", |r| {
+            expect_count(r, self.devices.len(), "device count")?;
+            self.devices.iter_mut().try_for_each(|dev| dev.restore(r))
+        })?;
+        self.mem.restore(&file)?;
+        self.checker = get(&file, "checker", Snap::load)?;
+        self.sampler = get(&file, "sampler", Snap::load)?;
+        file.section_names()
+            .contains(&"progress")
+            .then(|| get(&file, "progress", KernelProgress::load))
+            .transpose()
+    }
+
+    fn all_idle(&self) -> bool {
+        self.devices.iter().all(Device::is_idle) && self.mem.is_idle()
+    }
+
+    /// One global clock cycle (phase list in the module docs).
+    fn step(&mut self) {
+        let now = self.now;
+        for (d, dev) in self.devices.iter_mut().enumerate() {
+            dev.front_half(now, &self.sizes, &self.spans, &mut self.checker);
+            self.mem.serve(d, &mut dev.l2, now);
+        }
+        self.mem.exchange(&mut self.devices, now);
+        for (unit, faults) in self.crash_faults.iter_mut().enumerate() {
+            let due = faults.as_mut().is_some_and(|f| f.due(now.0));
+            if due && self.mem.crash(unit, &mut self.devices, now) {
+                self.recoveries += 1;
+            }
+        }
+
+        // Timestamp rollover: an overflowing bank, a crashed one, or the
+        // memory side triggers the global reset broadcast of Section V-D.
+        let rollover = self.mem.needs_reset() || self.banks().any(L2Controller::needs_reset);
+        if rollover {
+            self.epoch += 1;
+            self.mem.apply_reset(self.epoch);
+            for dev in &mut self.devices {
+                for bank in &mut dev.l2 {
+                    bank.apply_reset(self.epoch);
+                }
+            }
+        }
+
+        for dev in &mut self.devices {
+            dev.back_half(now, rollover, &self.sizes, &self.spans, &mut self.checker);
+        }
+        self.steps += 1;
+    }
+}
+
+/// Engine behaviour that does not depend on the memory side, stated once
+/// and run over both topologies.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GpuSim, MultiGpuSim};
+    use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
+    use gtsc_types::{Addr, MultiGpuConfig, ProtocolKind, TraceConfig};
+
+    /// Data-race-free traffic: each CTA stores to its own blocks then
+    /// reads them back, enough cycles to slice and checkpoint.
+    fn drf_traffic_kernel(name: &str, n_ctas: usize) -> VecKernel {
+        let ctas = (0..n_ctas)
+            .map(|c| {
+                let base = (c as u64) * 1024;
+                vec![WarpProgram(
+                    (0..6)
+                        .flat_map(|i| {
+                            [
+                                WarpOp::store_coalesced(Addr(base + i * 128), 32),
+                                WarpOp::Fence,
+                                WarpOp::load_coalesced(Addr(base + i * 128), 32),
+                            ]
+                        })
+                        .collect(),
+                )]
+            })
+            .collect();
+        VecKernel::new(name, 1, ctas)
+    }
+
+    /// Adjusts the per-device config before a build.
+    type Tweak = fn(&mut GpuConfig);
+    const AS_IS: Tweak = |_| {};
+
+    fn single(tweak: Tweak) -> GpuSim {
+        let mut cfg = GpuConfig::test_small().with_protocol(ProtocolKind::Gtsc);
+        tweak(&mut cfg);
+        GpuSim::new(cfg)
+    }
+
+    fn multi(tweak: Tweak) -> MultiGpuSim {
+        let mut cfg = MultiGpuConfig::test_small(2);
+        tweak(&mut cfg.gpu);
+        MultiGpuSim::new(cfg)
+    }
+
+    /// Slicing the run loop must be invisible: any budget sequence
+    /// yields the stats of one uninterrupted run.
+    fn slices_match_one_run<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let kernel = drf_traffic_kernel("drf-traffic", 6);
+        let mut whole = build(AS_IS);
+        let want = whole.run_kernel(&kernel).expect("whole run");
+
+        let mut sliced = build(AS_IS);
+        let mut progress = KernelProgress::new(&kernel);
+        let mut report = None;
+        for _ in 0..100_000 {
+            if let Some(r) = sliced
+                .advance_kernel(&kernel, &mut progress, 37)
+                .expect("slice")
+            {
+                report = Some(r);
+                break;
+            }
+        }
+        let got = report.expect("sliced run completes");
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(sliced.memory_image(), whole.memory_image());
+    }
+
+    #[test]
+    fn advance_kernel_in_slices_matches_run_kernel() {
+        slices_match_one_run(single);
+        slices_match_one_run(multi);
+    }
+
+    fn foreign_progress_is_rejected<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let mut sim = build(AS_IS);
+        let mut progress = KernelProgress::new(&drf_traffic_kernel("first", 4));
+        let other = drf_traffic_kernel("second", 2);
+        match sim.advance_kernel(&other, &mut progress, 10) {
+            Err(SimError::InvalidKernel(msg)) => {
+                assert!(msg.contains("cannot resume"), "{msg}");
+            }
+            other => panic!("expected InvalidKernel, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn advance_kernel_rejects_foreign_progress() {
+        foreign_progress_is_rejected(single);
+        foreign_progress_is_rejected(multi);
+    }
+
+    /// Truncation at every eighth boundary and a bit flip in every 97th
+    /// byte: all must fail cleanly.
+    fn corruption_is_an_error<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let mut sim = build(AS_IS);
+        sim.run_kernel(&drf_traffic_kernel("drf-traffic", 2))
+            .expect("completes");
+        let snap = sim.save_snapshot(None).expect("snapshot");
+        for cut in (0..8).map(|i| snap.len() * i / 8) {
+            assert!(build(AS_IS).restore_snapshot(&snap[..cut]).is_err());
+        }
+        for i in (0..snap.len()).step_by(97) {
+            let mut bad = snap.clone();
+            bad[i] ^= 0x40;
+            assert!(
+                build(AS_IS).restore_snapshot(&bad).is_err(),
+                "bit flip at byte {i} must be detected"
+            );
+        }
+        assert!(build(AS_IS).restore_snapshot(&snap).is_ok());
+    }
+
+    #[test]
+    fn snapshot_corruption_is_an_error_never_a_panic() {
+        corruption_is_an_error(single);
+        corruption_is_an_error(multi);
+    }
+
+    fn config_mismatch_is_rejected<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let mut sim = build(AS_IS);
+        sim.run_kernel(&drf_traffic_kernel("drf-traffic", 2))
+            .expect("completes");
+        let snap = sim.save_snapshot(None).expect("snapshot");
+        match build(|cfg| cfg.warps_per_sm += 1).restore_snapshot(&snap) {
+            Err(SnapshotError::Mismatch { what }) => {
+                assert!(what.contains("fingerprint"), "{what}");
+            }
+            other => panic!("expected Mismatch, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn snapshot_config_mismatch_is_rejected() {
+        config_mismatch_is_rejected(single);
+        config_mismatch_is_rejected(multi);
+    }
+
+    fn sampler_covers_the_run<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let mut sim = build(|cfg| cfg.trace = TraceConfig::full().with_interval(64));
+        let report = sim
+            .run_kernel(&drf_traffic_kernel("drf-traffic", 4))
+            .expect("completes");
+        let samples = sim.samples();
+        assert!(!samples.is_empty());
+        // Contiguous coverage from 0 to the final cycle...
+        assert_eq!(samples[0].start, Cycle(0));
+        assert!(samples.windows(2).all(|w| w[0].end == w[1].start));
+        // ...whose deltas sum back to the cumulative totals.
+        let issued: u64 = samples.iter().map(|s| s.delta.sm.issued).sum();
+        assert_eq!(issued, report.stats.sm.issued);
+        let flits: u64 = samples.iter().map(|s| s.delta.noc.flits).sum();
+        assert_eq!(flits, report.stats.noc.flits);
+    }
+
+    #[test]
+    fn interval_sampler_covers_the_whole_run() {
+        sampler_covers_the_run(single);
+        sampler_covers_the_run(multi);
+    }
+
+    /// A checkpoint is tied to its topology, and a format-version-1
+    /// image (the pre-unification layouts) is refused by its header.
+    #[test]
+    fn snapshots_do_not_cross_topologies_or_format_versions() {
+        let snap = single(AS_IS).save_snapshot(None).expect("snapshot");
+        assert!(matches!(
+            multi(AS_IS).restore_snapshot(&snap),
+            Err(SnapshotError::Mismatch { .. })
+        ));
+        // The version is the little-endian u32 after the 8-byte magic.
+        let mut v1 = snap.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            single(AS_IS).restore_snapshot(&v1).map(|_| ()),
+            Err(SnapshotError::BadVersion { found: 1 })
+        );
+    }
+}

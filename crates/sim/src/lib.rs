@@ -1,6 +1,6 @@
-//! The full-GPU simulator: SMs + NoC + L2 banks + DRAM, wired around any
-//! of the workspace's coherence protocols, with built-in correctness
-//! checking.
+//! The full-GPU simulator: SMs + NoC + L2 banks + a memory side, wired
+//! around any of the workspace's coherence protocols, with built-in
+//! correctness checking.
 //!
 //! This is the reproduction of the paper's evaluation vehicle (GPGPU-Sim
 //! 3.2.2 with the authors' protocol patches, Section VI-A). A
@@ -9,6 +9,16 @@
 //! and runs [`gtsc_gpu::Kernel`]s to completion, producing
 //! [`gtsc_types::SimStats`] plus any coherence violations found by the
 //! [`check::Checker`].
+//!
+//! There is one cycle engine, [`Sim`], and two machines built on it
+//! that differ only in what lies behind the L2 banks (DESIGN.md §17.1):
+//! [`GpuSim`] is one device whose banks miss into local DRAM partitions
+//! — the paper's machine — and [`MultiGpuSim`] is N devices whose banks
+//! miss into an inter-GPU fabric to a home-node directory. Running,
+//! slicing ([`Sim::advance_kernel`]), reporting, stall diagnosis, spans,
+//! sampling and snapshots are the engine's, so both machines have all of
+//! them; [`SimBuilder`] plugs custom cache controllers into the
+//! single-GPU machine.
 //!
 //! # Examples
 //!
@@ -35,15 +45,17 @@
 pub mod build;
 pub mod check;
 pub mod checkpoint;
-pub mod gpu;
-pub mod multi;
+mod engine;
+mod gpu;
+mod multi;
 pub mod profile;
+mod report;
 
 pub use build::{build_l1, build_l2};
 pub use check::{Checker, LoadObservation, Violation};
 pub use checkpoint::{CheckpointError, CheckpointSource, CheckpointStore};
-pub use gpu::{
-    DeviceStall, GpuSim, KernelProgress, RunReport, SimBuilder, SimError, StallDiagnosis,
-};
+pub use engine::Sim;
+pub use gpu::{GpuSim, SimBuilder};
 pub use multi::MultiGpuSim;
 pub use profile::{render_folded, render_profile, spans_to_chrome_trace};
+pub use report::{DeviceStall, KernelProgress, RunReport, SimError, StallDiagnosis};

@@ -1,11 +1,11 @@
-//! The multi-GPU simulator: N on-die GPU hierarchies joined by an
-//! inter-GPU fabric to a home-node directory (DESIGN.md §17).
+//! The multi-GPU machine: the engine's N-device topology, whose memory
+//! side is an inter-GPU fabric to a home-node directory (DESIGN.md §17).
 //!
-//! Each device is a full [`GpuSim`](crate::GpuSim)-shaped hierarchy —
-//! SMs with G-TSC L1s, two on-die crossbars, and banked
-//! [`DeviceL2`]s — except that the device L2 owns no timestamps of its
-//! own: it serves local L1s out of inter-GPU grants delegated by the
-//! [`HomeNode`], and every L1 lease it hands out is `nest_rts`-clamped
+//! Each device is the same on-die hierarchy the single-GPU machine
+//! steps — SMs with G-TSC L1s, two crossbars, banked L2 — except that
+//! its banks are [`DeviceL2`]s, which own no timestamps of their own:
+//! they serve local L1s out of inter-GPU grants delegated by the
+//! [`HomeNode`], and every L1 lease they hand out is `nest_rts`-clamped
 //! inside a live grant. The fabric reuses [`ReliableNet`] as the link
 //! layer, configured lossier and longer-latency than the on-die NoC
 //! (`FabricConfig`), with scheduled link-down windows (partitions) and
@@ -20,645 +20,110 @@
 //! store-replay filter re-acks duplicates with the original
 //! acknowledgement so retried stores stay idempotent.
 
-use std::collections::BTreeMap;
-
 use gtsc_fabric::{DeviceL2, DeviceParams, HomeNode, HomeParams};
-use gtsc_faults::{BankFaults, FaultPlan};
-use gtsc_gpu::{Kernel, Sm, SmParams};
+use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
 use gtsc_noc::ReliableNet;
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
-use gtsc_trace::{merge_tails, Sanitizer, Scope, TraceEvent, Tracer};
-use gtsc_types::snap::{crc32, Snap, SnapWriter, SnapshotBuilder, SnapshotError, SnapshotFile};
-use gtsc_types::{
-    BlockAddr, CtaId, Cycle, CycleReason, FaultConfig, MultiGpuConfig, ProtocolKind, SimStats,
-    SmId, Version,
-};
+use gtsc_protocol::L2Controller;
+use gtsc_trace::{Sanitizer, Scope, TraceEvent, Tracer};
+use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
+use gtsc_types::{BlockAddr, Cycle, GpuConfig, MultiGpuConfig, ProtocolKind, SimStats, Version};
 
 use crate::build::build_l1;
-use crate::check::{Checker, Violation};
-use crate::gpu::{DeviceStall, KernelProgress, RunReport, SimError, StallDiagnosis};
+use crate::engine::{fingerprint_of, get, put, Device, MemorySide, Sim, TraceView};
+use crate::report::{DeviceStall, SimError, StallDiagnosis};
 
-/// One GPU device of the multi-GPU system: its SMs (each with a G-TSC
-/// L1), its on-die request/response crossbars, and its banked device L2.
-struct Device {
-    sms: Vec<Sm>,
-    l2: Vec<DeviceL2>,
-    req_net: ReliableNet<(usize, L1ToL2)>,
-    resp_net: ReliableNet<L2ToL1>,
-}
+/// The assembled multi-GPU system: the N-device instantiation of the
+/// [`Sim`] engine, whose device L2s miss into a fabric to the home node.
+pub type MultiGpuSim = Sim<FabricToHome>;
 
-/// The assembled multi-GPU system.
-pub struct MultiGpuSim {
+/// Memory side of the multi-GPU machine: the inter-GPU fabric and the
+/// home directory behind it. Its crash domain is the whole device.
+pub struct FabricToHome {
     cfg: MultiGpuConfig,
-    devices: Vec<Device>,
     home: HomeNode,
     /// Fabric, device → home. Payloads are `(device, request)`; the
     /// single destination is the home node.
     up_net: ReliableNet<(usize, L1ToL2)>,
     /// Fabric, home → device.
     down_net: ReliableNet<L2ToL1>,
-    /// Per-device crash schedulers; `None` when device crashes are off.
-    device_faults: Vec<Option<BankFaults>>,
-    /// Devices crash-recovered so far.
-    device_recoveries: u64,
-    /// On-die message sizes (per-device crossbars).
-    sizes: MsgSizes,
     /// Fabric message sizes (inter-GPU links).
-    fabric_sizes: MsgSizes,
-    now: Cycle,
-    epoch: Epoch,
-    checker: Checker,
-    sanitizer: Sanitizer,
-    steps: u64,
+    sizes: MsgSizes,
 }
 
-impl std::fmt::Debug for MultiGpuSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiGpuSim")
-            .field("config", &self.cfg.label())
-            .field("now", &self.now)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Retained checker events above which [`Checker::compact`] runs.
-const COMPACT_RETAINED_THRESHOLD: usize = 1 << 20;
-/// How often (in cycles) the run loop polls the checker's footprint.
-const COMPACT_POLL_CYCLES: u64 = 4096;
-
-impl MultiGpuSim {
-    /// Assembles the system per `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is degenerate; use [`MultiGpuSim::try_build`] for
-    /// a structured error.
-    #[must_use]
-    pub fn new(cfg: MultiGpuConfig) -> Self {
-        // lint: allow(panic): the documented infallible shorthand.
-        Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Assembles the system, validating the configuration and arming the
-    /// fault plans: per-device on-die plans draw from device-decorrelated
-    /// seeds, the fabric plan (loss, partitions, device crashes) from
-    /// `cfg.fabric.faults`. Whenever the fabric can lose traffic
-    /// (`FabricConfig::lossy_active`) the fabric transport and every
-    /// L1's end-to-end retry are armed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if the config is degenerate
-    /// or selects a non-G-TSC protocol (the fabric speaks timestamps).
-    pub fn try_build(cfg: MultiGpuConfig) -> Result<Self, SimError> {
-        let mut cfg = cfg;
-        if cfg.n_devices == 0 || cfg.gpu.n_sms == 0 || cfg.gpu.l2_banks == 0 {
-            return Err(SimError::InvalidConfig(format!(
-                "multi-GPU config must have devices, SMs, and banks \
-                 (n_devices={}, n_sms={}, l2_banks={})",
-                cfg.n_devices, cfg.gpu.n_sms, cfg.gpu.l2_banks
-            )));
-        }
-        if cfg.gpu.protocol != ProtocolKind::Gtsc {
-            return Err(SimError::InvalidConfig(format!(
-                "the inter-GPU fabric delegates timestamp grants and only \
-                 speaks G-TSC (got {:?})",
-                cfg.gpu.protocol
-            )));
-        }
-        let gpu_plan = FaultPlan::new(cfg.gpu.faults);
-        cfg.gpu.ts_bits = gpu_plan.effective_ts_bits(cfg.gpu.ts_bits);
-        // A Section V-D reset rebases every home grant to `[INIT,
-        // grant_lease]`; if that already consumes most of the timestamp
-        // budget, the next extension overflows again and the system
-        // livelocks in perpetual resets. Demand at least 2× headroom.
-        if cfg.gpu.ts_bits < 64
-            && cfg.fabric.grant_lease.0.saturating_mul(2) >= 1u64 << cfg.gpu.ts_bits
-        {
-            return Err(SimError::InvalidConfig(format!(
-                "inter-GPU grant lease {} cannot roll over inside {} timestamp bits \
-                 (a reset rebases grants to the full lease; shrink the lease or widen ts_bits)",
-                cfg.fabric.grant_lease.0, cfg.gpu.ts_bits
-            )));
-        }
+impl FabricToHome {
+    /// Arms the fabric plan (loss, partitions, device crashes) from
+    /// `cfg.fabric.faults`; `cfg.gpu.ts_bits` is the effective width.
+    fn new(cfg: MultiGpuConfig, sanitizer: &Sanitizer) -> (Self, Vec<Option<BankFaults>>) {
         let n_devices = cfg.n_devices;
-        let n_sms = cfg.gpu.n_sms;
-        let n_banks = cfg.gpu.l2_banks;
-        let l1_retry = cfg.gpu.faults.lossy_active() || cfg.fabric.lossy_active();
-        let mut devices: Vec<Device> = (0..n_devices)
-            .map(|d| {
-                // Decorrelate each device's on-die fault streams while
-                // keeping the whole system a pure function of the seeds.
-                let dev_faults = FaultConfig {
-                    seed: cfg
-                        .gpu
-                        .faults
-                        .seed
-                        .wrapping_add((d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ..cfg.gpu.faults
-                };
-                let plan = FaultPlan::new(dev_faults);
-                let mut sms: Vec<Sm> = (0..n_sms)
-                    .map(|i| {
-                        let global = d * n_sms + i;
-                        Sm::new(
-                            SmParams {
-                                id: SmId(global as u16),
-                                n_warp_slots: cfg.gpu.warps_per_sm,
-                                block_shift: cfg.gpu.l1.block_shift(),
-                                consistency: cfg.gpu.consistency,
-                                max_outstanding_per_warp: cfg.gpu.max_outstanding_per_warp,
-                                max_ctas: cfg.gpu.max_ctas_per_sm,
-                                issue_width: 1,
-                                scheduler: cfg.gpu.scheduler,
-                            },
-                            // Globally-unique SM index: version minting
-                            // must not collide across devices.
-                            build_l1(&cfg.gpu, global),
-                        )
-                    })
-                    .collect();
-                let l2: Vec<DeviceL2> = (0..n_banks)
-                    .map(|_| {
-                        DeviceL2::new(DeviceParams {
-                            lease: cfg.gpu.lease,
-                            latency: cfg.gpu.l2_latency,
-                            ports: 2,
-                        })
-                    })
-                    .collect();
-                let mut req_net = ReliableNet::new(n_sms, n_banks, cfg.gpu.noc, cfg.gpu.transport);
-                let mut resp_net = ReliableNet::new(n_banks, n_sms, cfg.gpu.noc, cfg.gpu.transport);
-                req_net.set_faults(plan.noc(0), plan.noc(2));
-                resp_net.set_faults(plan.noc(1), plan.noc(3));
-                if dev_faults.lossy_active() {
-                    req_net.enable(dev_faults.seed ^ 0x5245_515F);
-                    resp_net.enable(dev_faults.seed ^ 0x5245_5350);
-                }
-                if l1_retry {
-                    for sm in &mut sms {
-                        sm.l1_mut().enable_retry(cfg.gpu.transport.retry_timeout);
-                    }
-                }
-                Device {
-                    sms,
-                    l2,
-                    req_net,
-                    resp_net,
-                }
-            })
-            .collect();
+        let fabric = cfg.fabric;
         let mut home = HomeNode::new(HomeParams {
-            lease: cfg.fabric.grant_lease,
+            lease: fabric.grant_lease,
             ts_bits: cfg.gpu.ts_bits,
-            latency: cfg.fabric.home_latency,
+            latency: fabric.home_latency,
         });
-        let mut up_net = ReliableNet::new(n_devices, 1, cfg.fabric.noc, cfg.fabric.transport);
-        let mut down_net = ReliableNet::new(1, n_devices, cfg.fabric.noc, cfg.fabric.transport);
-        let fabric_plan = FaultPlan::new(cfg.fabric.faults);
-        up_net.set_faults(fabric_plan.fabric(0), fabric_plan.fabric(2));
-        down_net.set_faults(fabric_plan.fabric(1), fabric_plan.fabric(3));
-        if cfg.fabric.partitions_active() {
+        let mut up_net = ReliableNet::new(n_devices, 1, fabric.noc, fabric.transport);
+        let mut down_net = ReliableNet::new(1, n_devices, fabric.noc, fabric.transport);
+        let plan = FaultPlan::new(fabric.faults);
+        up_net.set_faults(plan.fabric(0), plan.fabric(2));
+        down_net.set_faults(plan.fabric(1), plan.fabric(3));
+        if fabric.partitions_active() {
             // A partition takes the whole cable down: the same window
             // schedule severs the device's up and down links together.
             for d in 0..n_devices {
-                let lf = fabric_plan.link_down(
+                let lf = plan.link_down(
                     d as u64,
-                    cfg.fabric.partition_count,
-                    cfg.fabric.partition_window,
-                    cfg.fabric.partition_len,
+                    fabric.partition_count,
+                    fabric.partition_window,
+                    fabric.partition_len,
                 );
                 up_net.set_link_faults(d, 0, lf.clone());
                 down_net.set_link_faults(0, d, lf);
             }
         }
-        if cfg.fabric.lossy_active() {
-            up_net.enable(cfg.fabric.faults.seed ^ 0x4641_5550);
-            down_net.enable(cfg.fabric.faults.seed ^ 0x4641_444E);
+        if fabric.lossy_active() {
+            up_net.enable(fabric.faults.seed ^ 0x4641_5550);
+            down_net.enable(fabric.faults.seed ^ 0x4641_444E);
         }
-        let device_faults: Vec<Option<BankFaults>> = (0..n_devices)
+        let device_faults = (0..n_devices)
             .map(|d| {
-                fabric_plan.device_crashes(
+                plan.device_crashes(
                     d as u64,
                     n_devices as u64,
-                    cfg.fabric.device_crash_count,
-                    cfg.fabric.device_crash_window,
+                    fabric.device_crash_count,
+                    fabric.device_crash_window,
                 )
             })
             .collect();
         if cfg.gpu.trace.is_enabled() {
-            for (d, dev) in devices.iter_mut().enumerate() {
-                for (i, sm) in dev.sms.iter_mut().enumerate() {
-                    let g = (d * n_sms + i) as u16;
-                    sm.set_tracer(Tracer::new(Scope::Sm(g), &cfg.gpu.trace));
-                    sm.l1_mut()
-                        .set_tracer(Tracer::new(Scope::Sm(g), &cfg.gpu.trace));
-                }
-                for bank in dev.l2.iter_mut() {
-                    bank.set_tracer(Tracer::new(Scope::Device(d as u16), &cfg.gpu.trace));
-                }
-                dev.req_net
-                    .set_tracer(Tracer::new(Scope::Noc(2 * d as u16), &cfg.gpu.trace));
-                dev.resp_net
-                    .set_tracer(Tracer::new(Scope::Noc(2 * d as u16 + 1), &cfg.gpu.trace));
-            }
+            let fabric_scope = 2 * n_devices as u16;
             home.set_tracer(Tracer::new(Scope::Home(0), &cfg.gpu.trace));
-            up_net.set_tracer(Tracer::new(
-                Scope::Noc(2 * n_devices as u16),
-                &cfg.gpu.trace,
-            ));
-            down_net.set_tracer(Tracer::new(
-                Scope::Noc(2 * n_devices as u16 + 1),
-                &cfg.gpu.trace,
-            ));
+            up_net.set_tracer(Tracer::new(Scope::Noc(fabric_scope), &cfg.gpu.trace));
+            down_net.set_tracer(Tracer::new(Scope::Noc(fabric_scope + 1), &cfg.gpu.trace));
         }
-        let sanitizer = if cfg.gpu.sanitize {
-            Sanitizer::enabled(Scope::Sm(0))
-        } else {
-            Sanitizer::disabled()
-        };
         if sanitizer.is_enabled() {
-            for (d, dev) in devices.iter_mut().enumerate() {
-                for (i, sm) in dev.sms.iter_mut().enumerate() {
-                    sm.l1_mut()
-                        .set_sanitizer(sanitizer.for_scope(Scope::Sm((d * n_sms + i) as u16)));
-                }
-                for bank in dev.l2.iter_mut() {
-                    bank.set_sanitizer(sanitizer.for_scope(Scope::Device(d as u16)));
-                }
-            }
             home.set_sanitizer(sanitizer.for_scope(Scope::Home(0)));
         }
         let sizes = MsgSizes::new(
-            cfg.gpu.noc.control_bytes,
+            fabric.noc.control_bytes,
             cfg.gpu.ts_bits,
             cfg.gpu.l1.block_size(),
         );
-        let fabric_sizes = MsgSizes::new(
-            cfg.fabric.noc.control_bytes,
-            cfg.gpu.ts_bits,
-            cfg.gpu.l1.block_size(),
-        );
-        Ok(MultiGpuSim {
+        let fabric = FabricToHome {
             cfg,
-            devices,
             home,
             up_net,
             down_net,
-            device_faults,
-            device_recoveries: 0,
             sizes,
-            fabric_sizes,
-            now: Cycle(0),
-            epoch: 0,
-            checker: Checker::new(),
-            sanitizer,
-            steps: 0,
-        })
-    }
-
-    /// The configuration this system was built with.
-    #[must_use]
-    pub fn config(&self) -> &MultiGpuConfig {
-        &self.cfg
-    }
-
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Devices crash-recovered so far.
-    #[must_use]
-    pub fn device_recoveries(&self) -> u64 {
-        self.device_recoveries
-    }
-
-    /// The current global reset epoch (Section V-D, shared by the home
-    /// node and every device).
-    #[must_use]
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// Read-only access to the coherence checker.
-    #[must_use]
-    pub fn checker(&self) -> &Checker {
-        &self.checker
-    }
-
-    /// The root handle on the transition sanitizer (disabled unless
-    /// `cfg.gpu.sanitize`).
-    #[must_use]
-    pub fn sanitizer(&self) -> &Sanitizer {
-        &self.sanitizer
-    }
-
-    /// The functional memory image — the home node's, which is always
-    /// authoritative under write-through.
-    #[must_use]
-    pub fn memory_image(&self) -> BTreeMap<BlockAddr, Version> {
-        self.home.memory_image().into_iter().collect()
-    }
-
-    /// Runs `kernel` to completion across all devices (CTA `c` is pinned
-    /// to device `c % n_devices`, round-robin across that device's SMs),
-    /// then flushes every private cache.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::GpuSim::run_kernel`].
-    pub fn run_kernel(&mut self, kernel: &dyn Kernel) -> Result<RunReport, SimError> {
-        let mut progress = KernelProgress::new(kernel);
-        let report = self.advance_kernel(kernel, &mut progress, 0)?;
-        report.map_or_else(
-            || {
-                Err(SimError::InvalidConfig(
-                    "unbounded advance_kernel yielded no report".to_owned(),
-                ))
-            },
-            Ok,
-        )
-    }
-
-    /// Advances `kernel` by at most `max_cycles` cycles (`0` =
-    /// unbounded), carrying dispatch and watchdog state in `progress` so
-    /// a run can be sliced and checkpointed via
-    /// [`MultiGpuSim::save_snapshot`]. Slicing is invisible: any budget
-    /// sequence reproduces one uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::GpuSim::advance_kernel`].
-    pub fn advance_kernel(
-        &mut self,
-        kernel: &dyn Kernel,
-        progress: &mut KernelProgress,
-        max_cycles: u64,
-    ) -> Result<Option<RunReport>, SimError> {
-        if kernel.warps_per_cta() > self.cfg.gpu.warps_per_sm {
-            return Err(SimError::InvalidKernel(format!(
-                "CTA wider than an SM: kernel '{}' needs {} warps per CTA but SMs have {} slots",
-                kernel.name(),
-                kernel.warps_per_cta(),
-                self.cfg.gpu.warps_per_sm
-            )));
-        }
-        if !progress.matches(kernel) {
-            return Err(SimError::InvalidKernel(format!(
-                "progress for kernel '{}' cannot resume kernel '{}'",
-                progress.kernel_name,
-                kernel.name(),
-            )));
-        }
-        let n_ctas = kernel.n_ctas();
-        let n_devices = self.devices.len();
-        let mut budget = max_cycles;
-        loop {
-            // CTA dispatch: CTA c is pinned to device c % n_devices (a
-            // deterministic spread that puts true sharing on the fabric),
-            // round-robin across that device's SMs. Dispatch is in-order:
-            // a full device parks the grid tail until it drains.
-            'dispatch: while progress.next_cta < n_ctas {
-                let cta = CtaId(progress.next_cta as u32);
-                let dev = progress.next_cta % n_devices;
-                let warps = kernel.warps_per_cta();
-                let n_sms = self.devices[dev].sms.len();
-                let Some(offset) = (0..n_sms).find(|k| {
-                    self.devices[dev].sms[(progress.sm_cursor + k) % n_sms].can_accept_cta(warps)
-                }) else {
-                    break 'dispatch;
-                };
-                let picked = (progress.sm_cursor + offset) % n_sms;
-                progress.sm_cursor = (picked + 1) % n_sms;
-                let programs = (0..warps).map(|w| kernel.program(cta, w)).collect();
-                self.devices[dev].sms[picked].assign_cta(cta, programs);
-                progress.next_cta += 1;
-            }
-
-            self.step();
-
-            if self.now.0.is_multiple_of(COMPACT_POLL_CYCLES)
-                && self.checker.retained_events() >= COMPACT_RETAINED_THRESHOLD
-            {
-                self.checker.compact();
-            }
-
-            if progress.next_cta == n_ctas && self.all_idle() {
-                break;
-            }
-            let fingerprint = (
-                self.checker.n_events(),
-                self.devices
-                    .iter()
-                    .flat_map(|d| d.sms.iter().map(Sm::issued_count))
-                    .sum::<u64>(),
-                progress.next_cta,
-                self.devices
-                    .iter()
-                    .flat_map(|d| d.sms.iter().map(Sm::resident_warps))
-                    .sum::<usize>(),
-                self.devices
-                    .iter()
-                    .map(|d| d.req_net.progress_mark() + d.resp_net.progress_mark())
-                    .sum::<u64>()
-                    + self.up_net.progress_mark()
-                    + self.down_net.progress_mark(),
-            );
-            if fingerprint != progress.last_fingerprint {
-                progress.last_fingerprint = fingerprint;
-                progress.last_progress = self.now;
-            } else if self.cfg.gpu.watchdog_cycles > 0
-                && self.now - progress.last_progress >= self.cfg.gpu.watchdog_cycles
-            {
-                return Err(SimError::Stalled {
-                    at: self.now,
-                    diagnosis: Box::new(self.diagnose_stall(self.now - progress.last_progress)),
-                });
-            }
-            self.now += 1;
-            if self.cfg.gpu.max_cycles > 0 && self.now.0 > self.cfg.gpu.max_cycles {
-                return Err(SimError::CycleLimit {
-                    at: self.now,
-                    resident_warps: self
-                        .devices
-                        .iter()
-                        .flat_map(|d| d.sms.iter().map(Sm::resident_warps))
-                        .sum(),
-                });
-            }
-            if max_cycles > 0 {
-                budget -= 1;
-                if budget == 0 {
-                    return Ok(None);
-                }
-            }
-        }
-        for dev in &mut self.devices {
-            for sm in &mut dev.sms {
-                sm.l1_mut().flush();
-            }
-        }
-        Ok(Some(self.report()))
-    }
-
-    /// The current aggregated statistics and violations.
-    #[must_use]
-    pub fn report(&self) -> RunReport {
-        let mut violations = self
-            .checker
-            .finish_capped(self.cfg.gpu.max_violations_reported);
-        violations.extend(self.sanitizer.violations().into_iter().map(Violation));
-        let suppressed = self.sanitizer.suppressed();
-        if suppressed > 0 {
-            violations.push(Violation(format!(
-                "…and {suppressed} more sanitizer violation(s) suppressed (retention cap)"
-            )));
-        }
-        let stats = self.cumulative_stats();
-        for (i, sm) in stats.per_sm.iter().enumerate() {
-            let sum = sm.cycle_buckets.sum();
-            if sum != stats.accounted_cycles {
-                violations.push(Violation(format!(
-                    "cycle accounting broken on sm{i}: reason buckets sum to {sum} \
-                     but {} cycles were stepped",
-                    stats.accounted_cycles
-                )));
-            }
-        }
-        let trace_tail = if violations.is_empty() || !self.cfg.gpu.trace.is_enabled() {
-            Vec::new()
-        } else {
-            self.flight_tail()
         };
-        RunReport {
-            stats,
-            violations,
-            trace_tail,
-        }
+        (fabric, device_faults)
     }
 
-    fn cumulative_stats(&self) -> SimStats {
-        let mut stats = SimStats {
-            cycles: self.now,
-            accounted_cycles: self.steps,
-            ..SimStats::default()
-        };
-        for dev in &self.devices {
-            for sm in &dev.sms {
-                let s = sm.stats();
-                let l1 = sm.l1().stats();
-                stats.sm.merge(&s);
-                stats.l1.merge(&l1);
-                stats.per_sm.push(s);
-                stats.per_l1.push(l1);
-            }
-            for bank in &dev.l2 {
-                let s = bank.stats();
-                stats.l2.merge(&s);
-                stats.per_l2.push(s);
-            }
-            stats.noc.merge(&dev.req_net.stats());
-            stats.noc.merge(&dev.resp_net.stats());
-        }
-        // The home directory reports in the L2 column too — it is the
-        // system's outermost shared cache level.
-        let home = self.home.stats();
-        stats.l2.merge(&home);
-        stats.per_l2.push(home);
-        stats.noc.merge(&self.up_net.stats());
-        stats.noc.merge(&self.down_net.stats());
-        let mut transport = self.up_net.transport_stats();
-        transport.merge(&self.down_net.transport_stats());
-        for dev in &self.devices {
-            transport.merge(&dev.req_net.transport_stats());
-            transport.merge(&dev.resp_net.transport_stats());
-        }
-        transport.bank_recoveries = self.device_recoveries;
-        stats.transport = transport;
-        stats
-    }
-
-    /// Every retained trace event across all components, cycle-ordered.
-    #[must_use]
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        for dev in &self.devices {
-            for sm in &dev.sms {
-                all.extend_from_slice(sm.tracer().events());
-                if let Some(t) = sm.l1().tracer() {
-                    all.extend_from_slice(t.events());
-                }
-            }
-            for bank in &dev.l2 {
-                all.extend_from_slice(bank.tracer().events());
-            }
-            all.extend(dev.req_net.events());
-            all.extend(dev.resp_net.events());
-        }
-        all.extend_from_slice(self.home.tracer().events());
-        all.extend(self.up_net.events());
-        all.extend(self.down_net.events());
-        all.sort_by_key(|e| e.cycle);
-        all
-    }
-
-    /// The merged flight-recorder tail across every component, oldest
-    /// first — including the fabric nets, so a post-mortem on a lossy
-    /// soak shows per-device fabric hotspots.
-    #[must_use]
-    pub fn flight_tail(&self) -> Vec<TraceEvent> {
-        let mut tails = Vec::new();
-        for dev in &self.devices {
-            for sm in &dev.sms {
-                tails.push(sm.tracer().flight_tail());
-                if let Some(t) = sm.l1().tracer() {
-                    tails.push(t.flight_tail());
-                }
-            }
-            for bank in &dev.l2 {
-                tails.push(bank.tracer().flight_tail());
-            }
-            tails.push(dev.req_net.flight_tail());
-            tails.push(dev.resp_net.flight_tail());
-        }
-        tails.push(self.home.tracer().flight_tail());
-        tails.push(self.up_net.flight_tail());
-        tails.push(self.down_net.flight_tail());
-        merge_tails(&tails)
-    }
-
-    /// Aggregated fault-injection counters across the on-die networks,
-    /// the fabric, and the device-crash schedulers; `None` when the run
-    /// is fault-free.
-    #[must_use]
-    pub fn fault_stats(&self) -> Option<gtsc_faults::FaultStats> {
-        let mut any = false;
-        let mut total = gtsc_faults::FaultStats::default();
-        let nets = self
-            .devices
-            .iter()
-            .flat_map(|d| [d.req_net.fault_stats(), d.resp_net.fault_stats()])
-            .chain([self.up_net.fault_stats(), self.down_net.fault_stats()]);
-        for s in nets
-            .flatten()
-            .chain(self.device_faults.iter().flatten().map(BankFaults::stats))
-        {
-            total.merge(&s);
-            any = true;
-        }
-        any.then_some(total)
-    }
-
-    /// Device-scoped stall attribution, always available (not only when
-    /// the watchdog fires) — `stress_faults` mines it on failures.
-    #[must_use]
-    pub fn device_stalls(&self) -> Vec<DeviceStall> {
-        let now = self.now;
+    /// Device-scoped stall attribution of `devices` at `now`.
+    fn device_stalls(&self, devices: &[Device<DeviceL2>], now: Cycle) -> Vec<DeviceStall> {
         let up_flows = self.up_net.flow_diagnostics(now);
         let down_flows = self.down_net.flow_diagnostics(now);
-        self.devices
+        devices
             .iter()
             .enumerate()
             .map(|(d, dev)| {
@@ -689,416 +154,236 @@ impl MultiGpuSim {
             })
             .collect()
     }
+}
 
-    fn diagnose_stall(&self, stalled_for: u64) -> StallDiagnosis {
-        let now = self.now;
-        let n_sms = self.cfg.gpu.n_sms;
-        StallDiagnosis {
-            stalled_for,
-            resident_warps: self
-                .devices
-                .iter()
-                .flat_map(|d| d.sms.iter().map(Sm::resident_warps))
-                .sum(),
-            warps: self
-                .devices
-                .iter()
-                .enumerate()
-                .flat_map(|(d, dev)| {
-                    dev.sms.iter().enumerate().flat_map(move |(i, sm)| {
-                        sm.stalled_warps(now)
-                            .into_iter()
-                            .map(move |w| (d * n_sms + i, w))
-                    })
-                })
-                .collect(),
-            l1: self
-                .devices
-                .iter()
-                .flat_map(|d| d.sms.iter().map(|sm| sm.l1().pressure()))
-                .collect(),
-            l2: self
-                .devices
-                .iter()
-                .flat_map(|d| d.l2.iter().map(DeviceL2::pressure))
-                .collect(),
-            req_net_in_flight: self
-                .devices
-                .iter()
-                .map(|d| d.req_net.in_flight())
-                .sum::<usize>()
-                + self.up_net.in_flight(),
-            req_net_queued: self
-                .devices
-                .iter()
-                .map(|d| d.req_net.queued())
-                .sum::<usize>()
-                + self.up_net.queued(),
-            resp_net_in_flight: self
-                .devices
-                .iter()
-                .map(|d| d.resp_net.in_flight())
-                .sum::<usize>()
-                + self.down_net.in_flight(),
-            resp_net_queued: self
-                .devices
-                .iter()
-                .map(|d| d.resp_net.queued())
-                .sum::<usize>()
-                + self.down_net.queued(),
-            transport_unacked: self
-                .devices
-                .iter()
-                .map(|d| d.req_net.unacked() + d.resp_net.unacked())
-                .sum::<usize>()
-                + self.up_net.unacked()
-                + self.down_net.unacked(),
-            req_transport_flows: self.up_net.flow_diagnostics(now),
-            resp_transport_flows: self.down_net.flow_diagnostics(now),
-            retransmits: self
-                .devices
-                .iter()
-                .map(|d| {
-                    d.req_net.transport_stats().retransmits
-                        + d.resp_net.transport_stats().retransmits
-                })
-                .sum::<u64>()
-                + self.up_net.transport_stats().retransmits
-                + self.down_net.transport_stats().retransmits,
-            dram_queued: 0,
-            dram_in_flight: 0,
-            epoch: self.epoch,
-            ts_rollovers: self.home.stats().ts_rollovers,
-            devices: self.device_stalls(),
-            recent_events: self.flight_tail(),
+impl MemorySide for FabricToHome {
+    type Bank = DeviceL2;
+
+    fn bank_scope(d: usize, _b: usize) -> Scope {
+        Scope::Device(d as u16)
+    }
+
+    fn serve(&mut self, d: usize, banks: &mut [Box<DeviceL2>], now: Cycle) {
+        for bank in banks {
+            bank.tick(now);
+            while let Some(req) = bank.take_fabric_request() {
+                let bytes = self.sizes.request_bytes(&req);
+                self.up_net.send(d, 0, bytes, (d, req), now);
+            }
         }
     }
 
-    fn all_idle(&self) -> bool {
-        self.devices.iter().all(|dev| {
-            dev.sms.iter().all(Sm::is_idle)
-                && dev.l2.iter().all(DeviceL2::is_idle)
-                && dev.req_net.is_idle()
-                && dev.resp_net.is_idle()
-        }) && self.home.is_idle()
-            && self.up_net.is_idle()
-            && self.down_net.is_idle()
-    }
-
-    /// Crashes device `d` whole: every bank's grants and in-flight
-    /// transactions vanish, and all transport flows touching the device
-    /// — fabric *and* on-die — are generation-reset in the same cycle,
-    /// so pre-crash sequence state can never collide with the rejoined
-    /// device. The crash sets `needs_reset` on every bank, folding
-    /// recovery into the Section V-D global epoch bump.
-    fn crash_device(&mut self, d: usize, now: Cycle) {
-        let dev = &mut self.devices[d];
-        for (b, bank) in dev.l2.iter_mut().enumerate() {
-            bank.crash(now);
-            dev.req_net.reset_flows_to_dst(b, now);
-            dev.resp_net.reset_flows_from_src(b, now);
-        }
-        self.up_net.reset_flows_from_src(d, now);
-        self.down_net.reset_flows_to_dst(d, now);
-        self.device_recoveries += 1;
-    }
-
-    /// One global clock cycle.
-    fn step(&mut self) {
-        let now = self.now;
-        let n_banks = self.cfg.gpu.l2_banks;
-        let n_sms = self.cfg.gpu.n_sms;
-
-        // 1–4. Per device: SM issue, L1 housekeeping, on-die request
-        // delivery, device-L2 service, fabric egress.
-        for (d, dev) in self.devices.iter_mut().enumerate() {
-            for (i, sm) in dev.sms.iter_mut().enumerate() {
-                for c in sm.cycle(now) {
-                    self.checker.on_completion(d * n_sms + i, &c, now);
-                }
-            }
-            for (i, sm) in dev.sms.iter_mut().enumerate() {
-                for c in sm.l1_mut().tick(now) {
-                    sm.on_completion_at(&c, Some(now));
-                    self.checker.on_completion(d * n_sms + i, &c, now);
-                }
-                while let Some(req) = sm.l1_mut().take_request() {
-                    let bank = req.block().bank(n_banks);
-                    let bytes = self.sizes.request_bytes(&req);
-                    dev.req_net.send(i, bank, bytes, (i, req), now);
-                }
-            }
-            for (bank, (src, msg)) in dev.req_net.tick(now) {
-                dev.l2[bank].on_request(src, msg, now);
-            }
-            for bank in dev.l2.iter_mut() {
-                bank.tick(now);
-                while let Some(req) = bank.take_fabric_request() {
-                    let bytes = self.fabric_sizes.request_bytes(&req);
-                    self.up_net.send(d, 0, bytes, (d, req), now);
-                }
-            }
-        }
-
-        // 5. Fabric deliveries → home node directory.
+    /// Fabric deliveries → home directory → fabric → device banks.
+    fn exchange(&mut self, devices: &mut [Device<DeviceL2>], now: Cycle) {
         for (_, (d, msg)) in self.up_net.tick(now) {
             self.home.on_request(d, msg, now);
         }
         self.home.tick(now);
         while let Some((d, resp)) = self.home.take_response() {
-            let bytes = self.fabric_sizes.response_bytes(&resp);
+            let bytes = self.sizes.response_bytes(&resp);
             self.down_net.send(0, d, bytes, resp, now);
         }
-
-        // 6. Fabric deliveries → device L2 banks.
         for (d, msg) in self.down_net.tick(now) {
-            let bank = msg.block().bank(n_banks);
-            self.devices[d].l2[bank].on_fabric_response(msg, now);
+            let banks = &mut devices[d].l2;
+            let bank = msg.block().bank(banks.len());
+            banks[bank].on_fabric_response(msg, now);
         }
-
-        // 7. Scheduled whole-device crashes.
-        for d in 0..self.devices.len() {
-            let due = self
-                .device_faults
-                .get_mut(d)
-                .and_then(Option::as_mut)
-                .is_some_and(|f| f.due(now.0));
-            if due {
-                self.crash_device(d, now);
-            }
-        }
-
-        // 8. Global Section V-D reset: a home-side timestamp overflow or
-        // any crashed device bumps the shared epoch everywhere at once.
-        let rollover = self.home.needs_reset()
-            || self
-                .devices
-                .iter()
-                .any(|dev| dev.l2.iter().any(DeviceL2::needs_reset));
-        if rollover {
-            self.epoch += 1;
-            self.home.apply_reset(self.epoch);
-            for dev in &mut self.devices {
-                for bank in &mut dev.l2 {
-                    bank.apply_reset(self.epoch);
-                }
-            }
-        }
-
-        // 9–10. Per device: L2 responses → on-die response network → L1s;
-        // cycle-reason accounting.
-        for (d, dev) in self.devices.iter_mut().enumerate() {
-            for (b, bank) in dev.l2.iter_mut().enumerate() {
-                while let Some((dst, msg)) = bank.take_response() {
-                    let bytes = self.sizes.response_bytes(&msg);
-                    dev.resp_net.send(b, dst, bytes, msg, now);
-                }
-            }
-            for (dst, msg) in dev.resp_net.tick(now) {
-                let sm = &mut dev.sms[dst];
-                for c in sm.l1_mut().on_response(msg, now) {
-                    sm.on_completion_at(&c, Some(now));
-                    self.checker.on_completion(d * n_sms + dst, &c, now);
-                }
-            }
-            for sm in dev.sms.iter_mut() {
-                let reason = if sm.issued_last_cycle() {
-                    CycleReason::Issue
-                } else if rollover {
-                    CycleReason::RolloverFreeze
-                } else if !sm.has_resident_warps() {
-                    CycleReason::Idle
-                } else {
-                    match sm.l1().wait_hint() {
-                        gtsc_protocol::WaitHint::LeaseExpired => CycleReason::LeaseExpiredWait,
-                        gtsc_protocol::WaitHint::MshrFull => CycleReason::MshrFull,
-                        gtsc_protocol::WaitHint::NocBackpressure => CycleReason::NocBackpressure,
-                        gtsc_protocol::WaitHint::Downstream => CycleReason::DramWait,
-                        gtsc_protocol::WaitHint::None => CycleReason::Idle,
-                    }
-                };
-                sm.account_cycle(reason);
-            }
-        }
-        self.steps += 1;
     }
 
-    fn config_fingerprint(&self) -> u64 {
-        let repr = format!("{:?}", self.cfg);
-        (u64::from(crc32(repr.as_bytes())) << 32) | u64::from(crc32(self.cfg.label().as_bytes()))
+    /// A whole-device crash: every bank's grants and in-flight
+    /// transactions vanish, and all transport flows touching the device
+    /// — fabric *and* on-die — are generation-reset in the same cycle,
+    /// so pre-crash sequence state can never collide with the rejoined
+    /// device. The crash sets `needs_reset` on every bank, folding
+    /// recovery into the Section V-D global epoch bump.
+    fn crash(&mut self, d: usize, devices: &mut [Device<DeviceL2>], now: Cycle) -> bool {
+        for b in 0..devices[d].l2.len() {
+            devices[d].crash_bank(b, now);
+        }
+        self.up_net.reset_flows_from_src(d, now);
+        self.down_net.reset_flows_to_dst(d, now);
+        true
     }
 
-    /// Serializes the complete dynamic state of the multi-GPU machine —
-    /// every device's SMs, L1s, device-L2 grants and waiters, on-die and
-    /// fabric transport flows, the home directory, the checker, and the
-    /// fault schedulers — into a versioned, per-section-CRC'd snapshot
-    /// (DESIGN.md §14). Pass the in-flight [`KernelProgress`] to
-    /// checkpoint mid-kernel.
+    fn needs_reset(&self) -> bool {
+        self.home.needs_reset()
+    }
+
+    fn apply_reset(&mut self, epoch: Epoch) {
+        self.home.apply_reset(epoch);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.home.is_idle() && self.up_net.is_idle() && self.down_net.is_idle()
+    }
+
+    fn progress_mark(&self) -> u64 {
+        self.up_net.progress_mark() + self.down_net.progress_mark()
+    }
+
+    /// The home directory reports in the L2 column too — it is the
+    /// system's outermost shared cache level.
+    fn add_stats(&self, stats: &mut SimStats) {
+        let home = self.home.stats();
+        stats.l2.merge(&home);
+        stats.per_l2.push(home);
+        stats.noc.merge(&self.up_net.stats());
+        stats.noc.merge(&self.down_net.stats());
+        stats.transport.merge(&self.up_net.transport_stats());
+        stats.transport.merge(&self.down_net.transport_stats());
+    }
+
+    fn trace(&self, view: TraceView, out: &mut Vec<Vec<TraceEvent>>) {
+        out.push(view.of(self.home.tracer()));
+        out.push(view.of_net(&self.up_net));
+        out.push(view.of_net(&self.down_net));
+    }
+
+    fn fault_stats(&self) -> Vec<FaultStats> {
+        [self.up_net.fault_stats(), self.down_net.fault_stats()]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
+        self.home.memory_image()
+    }
+
+    /// Folds the fabric into the request/response columns and reports
+    /// the fabric flows — where a multi-GPU stall is decided — in place
+    /// of the on-die ones.
+    fn diagnose(&self, devices: &[Device<DeviceL2>], now: Cycle, diag: &mut StallDiagnosis) {
+        diag.req_net_in_flight += self.up_net.in_flight();
+        diag.req_net_queued += self.up_net.queued();
+        diag.resp_net_in_flight += self.down_net.in_flight();
+        diag.resp_net_queued += self.down_net.queued();
+        diag.transport_unacked += self.up_net.unacked() + self.down_net.unacked();
+        diag.req_transport_flows = self.up_net.flow_diagnostics(now);
+        diag.resp_transport_flows = self.down_net.flow_diagnostics(now);
+        diag.retransmits +=
+            self.up_net.transport_stats().retransmits + self.down_net.transport_stats().retransmits;
+        diag.ts_rollovers = self.home.stats().ts_rollovers;
+        diag.devices = self.device_stalls(devices, now);
+    }
+
+    fn config_fingerprint(&self, _gpu: &GpuConfig) -> u64 {
+        fingerprint_of(&self.cfg, &self.cfg.label())
+    }
+
+    fn save(&self, b: &mut SnapshotBuilder) {
+        put(b, "fabric", |w| {
+            self.up_net.save_state(w);
+            self.down_net.save_state(w);
+        });
+        put(b, "home", |w| self.home.save_state(w));
+    }
+
+    fn restore(&mut self, file: &SnapshotFile<'_>) -> Result<(), SnapshotError> {
+        get(file, "fabric", |r| {
+            self.up_net.load_state(r)?;
+            self.down_net.load_state(r)
+        })?;
+        get(file, "home", |r| self.home.load_state(r))
+    }
+}
+
+impl MultiGpuSim {
+    /// Assembles the system per `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is degenerate; use [`MultiGpuSim::try_build`] for
+    /// a structured error.
+    #[must_use]
+    pub fn new(cfg: MultiGpuConfig) -> Self {
+        // lint: allow(panic): the documented infallible shorthand.
+        Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Assembles the system, validating the configuration and arming the
+    /// fault plans: per-device on-die plans draw from device-decorrelated
+    /// seeds, the fabric plan (loss, partitions, device crashes) from
+    /// `cfg.fabric.faults`. Whenever the fabric can lose traffic
+    /// (`FabricConfig::lossy_active`) the fabric transport and every
+    /// L1's end-to-end retry are armed. CTA `c` runs on device
+    /// `c % n_devices`.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Unsupported`] if a controller cannot checkpoint.
-    pub fn save_snapshot(
-        &self,
-        progress: Option<&KernelProgress>,
-    ) -> Result<Vec<u8>, SnapshotError> {
-        let mut b = SnapshotBuilder::new();
-
-        let mut w = SnapWriter::new();
-        self.config_fingerprint().save(&mut w);
-        b.section("meta", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.now.save(&mut w);
-        self.epoch.save(&mut w);
-        self.device_recoveries.save(&mut w);
-        self.device_faults.save(&mut w);
-        self.sanitizer.save_state(&mut w);
-        self.steps.save(&mut w);
-        b.section("sim", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        w.usize(self.devices.len());
-        for dev in &self.devices {
-            w.usize(dev.sms.len());
-            for sm in &dev.sms {
-                sm.save_state(&mut w)?;
-            }
-            w.usize(dev.l2.len());
-            for bank in &dev.l2 {
-                bank.save_state(&mut w);
-            }
+    /// Returns [`SimError::InvalidConfig`] if the config is degenerate
+    /// or selects a non-G-TSC protocol (the fabric speaks timestamps).
+    pub fn try_build(cfg: MultiGpuConfig) -> Result<Self, SimError> {
+        let mut cfg = cfg;
+        if cfg.n_devices == 0 || cfg.gpu.n_sms == 0 || cfg.gpu.l2_banks == 0 {
+            return Err(SimError::InvalidConfig(format!(
+                "multi-GPU config must have devices, SMs, and banks \
+                 (n_devices={}, n_sms={}, l2_banks={})",
+                cfg.n_devices, cfg.gpu.n_sms, cfg.gpu.l2_banks
+            )));
         }
-        b.section("devices", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        for dev in &self.devices {
-            dev.req_net.save_state(&mut w);
-            dev.resp_net.save_state(&mut w);
+        if cfg.gpu.protocol != ProtocolKind::Gtsc {
+            return Err(SimError::InvalidConfig(format!(
+                "the inter-GPU fabric delegates timestamp grants and only \
+                 speaks G-TSC (got {:?})",
+                cfg.gpu.protocol
+            )));
         }
-        b.section("nets", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.up_net.save_state(&mut w);
-        self.down_net.save_state(&mut w);
-        b.section("fabric", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.home.save_state(&mut w);
-        b.section("home", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.checker.save(&mut w);
-        b.section("checker", w.into_bytes());
-
-        if let Some(p) = progress {
-            let mut w = SnapWriter::new();
-            p.save(&mut w);
-            b.section("progress", w.into_bytes());
+        cfg.gpu.ts_bits = FaultPlan::new(cfg.gpu.faults).effective_ts_bits(cfg.gpu.ts_bits);
+        // A Section V-D reset rebases every home grant to `[INIT,
+        // grant_lease]`; if that already consumes most of the timestamp
+        // budget, the next extension overflows again and the system
+        // livelocks in perpetual resets. Demand at least 2× headroom.
+        if cfg.gpu.ts_bits < 64
+            && cfg.fabric.grant_lease.0.saturating_mul(2) >= 1u64 << cfg.gpu.ts_bits
+        {
+            return Err(SimError::InvalidConfig(format!(
+                "inter-GPU grant lease {} cannot roll over inside {} timestamp bits \
+                 (a reset rebases grants to the full lease; shrink the lease or widen ts_bits)",
+                cfg.fabric.grant_lease.0, cfg.gpu.ts_bits
+            )));
         }
-        Ok(b.finish())
+        let l1_retry = cfg.gpu.faults.lossy_active() || cfg.fabric.lossy_active();
+        Ok(Sim::assemble(
+            cfg.gpu.clone(),
+            cfg.n_devices,
+            l1_retry,
+            &|gpu, sm| build_l1(gpu, sm),
+            &|gpu| {
+                Box::new(DeviceL2::new(DeviceParams {
+                    lease: gpu.lease,
+                    latency: gpu.l2_latency,
+                    ports: 2,
+                }))
+            },
+            |sanitizer| FabricToHome::new(cfg, sanitizer),
+        ))
     }
 
-    /// Restores a snapshot produced by [`MultiGpuSim::save_snapshot`]
-    /// into this machine, which must have been freshly built from the
-    /// same [`MultiGpuConfig`]. Returns the embedded [`KernelProgress`]
-    /// for mid-kernel checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] on a damaged, truncated, or mismatched
-    /// snapshot. On error the target may be partially overwritten:
-    /// discard it and rebuild from config.
-    pub fn restore_snapshot(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<Option<KernelProgress>, SnapshotError> {
-        let file = SnapshotFile::parse(bytes)?;
+    /// The configuration this system was built with.
+    #[must_use]
+    pub fn config(&self) -> &MultiGpuConfig {
+        &self.mem.cfg
+    }
 
-        let mut r = file.section("meta")?;
-        let fingerprint: u64 = Snap::load(&mut r)?;
-        r.expect_end("meta section")?;
-        if fingerprint != self.config_fingerprint() {
-            return Err(SnapshotError::Mismatch {
-                what: "multi-GPU config fingerprint".into(),
-            });
-        }
+    /// Devices crash-recovered so far.
+    #[must_use]
+    pub fn device_recoveries(&self) -> u64 {
+        self.recoveries
+    }
 
-        let mut r = file.section("sim")?;
-        self.now = Snap::load(&mut r)?;
-        self.epoch = Snap::load(&mut r)?;
-        self.device_recoveries = Snap::load(&mut r)?;
-        let device_faults: Vec<Option<BankFaults>> = Snap::load(&mut r)?;
-        if device_faults.len() != self.device_faults.len() {
-            return Err(SnapshotError::Mismatch {
-                what: "device-crash scheduler count".into(),
-            });
-        }
-        self.device_faults = device_faults;
-        self.sanitizer.load_state(&mut r)?;
-        self.steps = Snap::load(&mut r)?;
-        r.expect_end("sim section")?;
-
-        let mut r = file.section("devices")?;
-        if r.usize()? != self.devices.len() {
-            return Err(SnapshotError::Mismatch {
-                what: "device count".into(),
-            });
-        }
-        for dev in &mut self.devices {
-            if r.usize()? != dev.sms.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: "SM count".into(),
-                });
-            }
-            for sm in &mut dev.sms {
-                sm.load_state(&mut r)?;
-            }
-            if r.usize()? != dev.l2.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: "device-L2 bank count".into(),
-                });
-            }
-            for bank in &mut dev.l2 {
-                bank.load_state(&mut r)?;
-            }
-        }
-        r.expect_end("devices section")?;
-
-        let mut r = file.section("nets")?;
-        for dev in &mut self.devices {
-            dev.req_net.load_state(&mut r)?;
-            dev.resp_net.load_state(&mut r)?;
-        }
-        r.expect_end("nets section")?;
-
-        let mut r = file.section("fabric")?;
-        self.up_net.load_state(&mut r)?;
-        self.down_net.load_state(&mut r)?;
-        r.expect_end("fabric section")?;
-
-        let mut r = file.section("home")?;
-        self.home.load_state(&mut r)?;
-        r.expect_end("home section")?;
-
-        let mut r = file.section("checker")?;
-        self.checker = Snap::load(&mut r)?;
-        r.expect_end("checker section")?;
-
-        if file.section_names().contains(&"progress") {
-            let mut r = file.section("progress")?;
-            let p = KernelProgress::load(&mut r)?;
-            r.expect_end("progress section")?;
-            Ok(Some(p))
-        } else {
-            Ok(None)
-        }
+    /// Device-scoped stall attribution, always available (not only when
+    /// the watchdog fires) — `stress_faults` mines it on failures.
+    #[must_use]
+    pub fn device_stalls(&self) -> Vec<DeviceStall> {
+        self.mem.device_stalls(&self.devices, self.now())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelProgress;
     use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
     use gtsc_types::{Addr, FabricConfig};
 

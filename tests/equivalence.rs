@@ -77,3 +77,27 @@ fn gtsc_parameters_do_not_change_results() {
         assert_eq!(img, reference, "lease={lease} ts_bits={ts_bits}");
     }
 }
+
+/// TC-Strong parks requests behind stalled writes in per-block queues
+/// and drains them by walking the queue map; that walk must not depend
+/// on a per-process hash seed. It only shows once several blocks of one
+/// bank stall at once, which takes the paper's 16-SM machine at full
+/// scale: there, two runs of a sharing kernel disagreed on cycles until
+/// the queue map became ordered.
+#[test]
+fn tc_strong_is_run_to_run_deterministic() {
+    let run = || {
+        let cfg = GpuConfig::paper_default()
+            .with_protocol(ProtocolKind::Tc)
+            .with_consistency(ConsistencyModel::Sc);
+        let kernel = Benchmark::Dlp.build(Scale::Full);
+        let mut sim = GpuSim::new(cfg);
+        let report = sim.run_kernel(kernel.as_ref()).expect("completes");
+        (
+            report.stats.cycles,
+            report.stats.sm.issued,
+            sim.memory_image(),
+        )
+    };
+    assert_eq!(run(), run(), "TC-Strong runs diverged");
+}

@@ -4,7 +4,8 @@
 //! The span contract under test (see DESIGN.md §15):
 //!
 //! * every sampled span **closes exactly once**, even when its request
-//!   is dropped by a lossy NoC or orphaned by an L2 bank crash;
+//!   is dropped by a lossy NoC or orphaned by an L2 bank crash — or, on
+//!   the multi-GPU topology, by a lossy fabric or a whole-device crash;
 //! * chain hops tile `[opened, closed]`, so the sum of per-hop
 //!   durations equals the end-to-end latency — always, for every close
 //!   reason;
@@ -15,8 +16,12 @@
 //! * the default `profile_report` output derives solely from snapshotted
 //!   stats, so a mid-kernel restore reproduces it byte-identically.
 
-use gtsc::sim::{render_folded, render_profile, GpuSim, KernelProgress, RunReport, SimBuilder};
-use gtsc::types::{ConsistencyModel, FaultConfig, GpuConfig, ProtocolKind};
+use gtsc::sim::{
+    render_folded, render_profile, GpuSim, KernelProgress, MultiGpuSim, RunReport, SimBuilder,
+};
+use gtsc::types::{
+    ConsistencyModel, FabricConfig, FaultConfig, GpuConfig, MultiGpuConfig, ProtocolKind,
+};
 use gtsc::workloads::{Benchmark, Scale};
 use gtsc_trace::{CloseReason, SpanRecord};
 use proptest::prelude::*;
@@ -48,6 +53,38 @@ fn spanned_config(seed: u64, lossy_permille: u16, bank_crashes: u16) -> GpuConfi
 fn run_spanned(cfg: &GpuConfig, bench: Benchmark) -> (RunReport, Vec<SpanRecord>) {
     let kernel = bench.build(Scale::Tiny);
     let mut sim = SimBuilder::new(cfg.clone()).build();
+    let report = sim.run_kernel(kernel.as_ref()).expect("kernel runs");
+    let spans = sim.spans();
+    (report, spans)
+}
+
+/// The same run on two devices behind the fabric: `lossy_permille` also
+/// drops fabric packets, and the crash budget becomes whole-device
+/// crashes (the on-die bank schedulers belong to the single-GPU memory
+/// side).
+fn run_spanned_multi(
+    seed: u64,
+    lossy_permille: u16,
+    device_crashes: u16,
+    bench: Benchmark,
+) -> (RunReport, Vec<SpanRecord>) {
+    let mut fabric = FabricConfig::default();
+    if lossy_permille > 0 {
+        fabric = fabric.lossy(seed, lossy_permille);
+    }
+    if device_crashes > 0 {
+        fabric = fabric.with_device_crashes(device_crashes, 2_000);
+    }
+    // Crash schedules are drawn from the fault seed even when the loss
+    // layer is off.
+    fabric.faults.seed = seed;
+    let cfg = MultiGpuConfig {
+        n_devices: 2,
+        gpu: spanned_config(seed, lossy_permille, 0),
+        fabric,
+    };
+    let kernel = bench.build(Scale::Tiny);
+    let mut sim = MultiGpuSim::new(cfg);
     let report = sim.run_kernel(kernel.as_ref()).expect("kernel runs");
     let spans = sim.spans();
     (report, spans)
@@ -107,19 +144,27 @@ proptest! {
     /// 100 randomized (seed, faults, benchmark) runs: every sampled
     /// span closes exactly once with tiling hops, and every SM's cycle
     /// buckets sum to the stepped cycles — reliable, lossy, and
-    /// bank-crash machines alike.
+    /// crashing machines alike, on one GPU (bank crashes) and on two
+    /// behind the fabric (device crashes).
     #[test]
     fn every_span_closes_once_with_tiling_hops(
         seed in 0u64..10_000,
         lossy_ix in 0usize..3,
         crashes in 0u16..3,
         bench_ix in 0usize..3,
+        n_devices in 1usize..3,
     ) {
         let lossy = [0u16, 30, 60][lossy_ix];
         let bench = [Benchmark::Km, Benchmark::Hs, Benchmark::Bh][bench_ix];
-        let cfg = spanned_config(seed, lossy, crashes);
-        let (report, spans) = run_spanned(&cfg, bench);
-        let ctx = format!("seed={seed} lossy={lossy} crashes={crashes} {}", bench.name());
+        let (report, spans) = if n_devices == 1 {
+            run_spanned(&spanned_config(seed, lossy, crashes), bench)
+        } else {
+            run_spanned_multi(seed, lossy, crashes, bench)
+        };
+        let ctx = format!(
+            "seed={seed} lossy={lossy} crashes={crashes} devices={n_devices} {}",
+            bench.name()
+        );
         assert_span_contract(&spans, &ctx);
         assert_cycle_accounting(&report, &ctx);
         // Close reasons stay within the machine's fault envelope: a
@@ -129,7 +174,7 @@ proptest! {
             if crashes == 0 {
                 prop_assert_eq!(
                     reason, CloseReason::Completed,
-                    "{}: span {:?} closed {:?} with no bank crashes",
+                    "{}: span {:?} closed {:?} with no crashes",
                     &ctx, s.id, reason
                 );
             }
@@ -137,30 +182,36 @@ proptest! {
     }
 }
 
-/// Bank crashes must close orphaned spans with `BankReset` (at the L2)
-/// or `Dropped` (in-flight NoC payloads abandoned by the flow reset) —
-/// and some seed in the sweep must actually exercise those paths.
+/// Bank crashes — and, behind the fabric, whole-device crashes — must
+/// close orphaned spans with `BankReset` (at the L2) or `Dropped`
+/// (in-flight NoC payloads abandoned by the flow reset) — and some seed
+/// in each sweep must actually exercise those paths.
 #[test]
 fn bank_crashes_close_spans_with_fault_reasons() {
-    let mut fault_closes = 0u64;
-    for seed in 0..30u64 {
-        let cfg = spanned_config(seed, 0, 2);
-        let (report, spans) = run_spanned(&cfg, Benchmark::Km);
-        let ctx = format!("crash seed={seed}");
-        assert_span_contract(&spans, &ctx);
-        assert_cycle_accounting(&report, &ctx);
-        for s in &spans {
-            match s.closed.expect("checked").1 {
-                CloseReason::Completed => {}
-                CloseReason::BankReset | CloseReason::Dropped => fault_closes += 1,
+    for multi in [false, true] {
+        let mut fault_closes = 0u64;
+        for seed in 0..30u64 {
+            let (report, spans) = if multi {
+                run_spanned_multi(seed, 0, 2, Benchmark::Km)
+            } else {
+                run_spanned(&spanned_config(seed, 0, 2), Benchmark::Km)
+            };
+            let ctx = format!("crash seed={seed} multi={multi}");
+            assert_span_contract(&spans, &ctx);
+            assert_cycle_accounting(&report, &ctx);
+            for s in &spans {
+                match s.closed.expect("checked").1 {
+                    CloseReason::Completed => {}
+                    CloseReason::BankReset | CloseReason::Dropped => fault_closes += 1,
+                }
             }
         }
+        assert!(
+            fault_closes > 0,
+            "multi={multi}: 30 crash seeds never closed a span via BankReset/Dropped — \
+             the fault paths are not wired"
+        );
     }
-    assert!(
-        fault_closes > 0,
-        "30 bank-crash seeds never closed a span via BankReset/Dropped — \
-         the fault paths are not wired"
-    );
 }
 
 /// Sampling is deterministic: the same (config, seed) twice produces
@@ -228,9 +279,16 @@ fn restored_run_reproduces_profile_report_byte_identically() {
 }
 
 /// Spans off (the default config) leaves the tracker disabled: no span
-/// is ever recorded, so the hot path carries no observatory work.
+/// is ever recorded, so the hot path carries no observatory work — on
+/// either topology.
 #[test]
 fn spans_off_records_nothing() {
+    let mut multi = MultiGpuSim::new(MultiGpuConfig::test_small(2));
+    let kernel = Benchmark::Km.build(Scale::Tiny);
+    let report = multi.run_kernel(&*kernel).expect("kernel runs");
+    assert!(multi.spans().is_empty(), "spans recorded with sampling off");
+    assert_cycle_accounting(&report, "spans-off multi");
+
     let cfg = GpuConfig::test_small()
         .with_protocol(ProtocolKind::Gtsc)
         .with_consistency(ConsistencyModel::Rc);
