@@ -4,6 +4,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use gtsc_protocol::msg::{L1ToL2, L2ToL1};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
 use gtsc_trace::{CloseReason, EventKind, SpanTracker, Tracer};
 use gtsc_types::{
@@ -93,6 +94,34 @@ impl WarpSlot {
     }
 }
 
+/// What a warp slot is waiting on: the one classification behind the
+/// issue guards, the stall accounting and the dormancy decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WaitOn {
+    /// Nothing: it can issue (or release its CTA's barrier) now.
+    Nothing,
+    /// A compute burst that ends at this cycle.
+    Compute(Cycle),
+    /// Something the SM is told about: a completion, a barrier arrival or
+    /// retirement (both side effects of a scan), a dispatch into the slot.
+    Event,
+    /// The L1's verdict on the head of `mem_blocks`.
+    L1,
+    /// Something only a retry observes: the protocol's fence clock
+    /// (TC-Weak's GWCT is a function of `now`), or retirement itself.
+    Poll,
+}
+
+/// What each skipped cycle of a dormant SM books, and when the skipping
+/// ends: per-cycle `[memory, fence, barrier, structural]` stall counts —
+/// the last is also the number of rejected L1 attempts, each of which
+/// consumes an access ordinal.
+#[derive(Debug, Clone, Copy)]
+struct Dormant {
+    until: Cycle,
+    stalls: [u64; 4],
+}
+
 #[derive(Debug, Clone, Copy)]
 struct CtaSlot {
     warps_total: usize,
@@ -103,10 +132,10 @@ struct CtaSlot {
 
 /// One Streaming Multiprocessor driving a pluggable L1 controller.
 ///
-/// Per cycle the owning simulator calls [`Sm::cycle`] (issue), drains the
-/// L1's outgoing requests, and feeds L1 completions back through
-/// [`Sm::on_completion`]. CTAs are dispatched with [`Sm::assign_cta`] when
-/// [`Sm::can_accept_cta`] allows.
+/// Per cycle the owning simulator calls [`Sm::cycle`] (issue), then
+/// [`Sm::tick_l1`], drains [`Sm::take_request`] into the request network
+/// and delivers arriving responses through [`Sm::on_response`]. CTAs are
+/// dispatched with [`Sm::assign_cta`] when [`Sm::can_accept_cta`] allows.
 pub struct Sm {
     p: SmParams,
     warps: Vec<WarpSlot>,
@@ -116,10 +145,18 @@ pub struct Sm {
     /// Warp the GTO scheduler is currently greedy on.
     greedy_warp: Option<usize>,
     next_age: u64,
-    /// Census of `warps` slots with `active == true`, maintained at the
-    /// dispatch/retire sites (and recomputed on restore) so the
-    /// per-cycle accounting path never scans the warp table.
-    active_warps: usize,
+    /// The active warp slots, oldest first — GTO's fallback order. Ages
+    /// are minted monotonically, so dispatch appends and retirement
+    /// removes; its length is the resident-warp census.
+    by_age: Vec<usize>,
+    /// Set while no warp can issue before `until` unless the SM is told
+    /// something first (DESIGN.md §15.2). Derived state, never
+    /// snapshotted: the first cycle after a restore scans.
+    dormant: Option<Dormant>,
+    /// Debug builds only: the warps whose access was rejected when the SM
+    /// went dormant, kept across a wake-up by the horizon alone to check
+    /// the `L1Outcome::Reject` stability contract.
+    still_rejected: Vec<usize>,
     next_access: u64,
     /// Issue time of each in-flight access (latency accounting).
     issue_time: HashMap<AccessId, Cycle>,
@@ -168,7 +205,9 @@ impl Sm {
             rr_cursor: 0,
             greedy_warp: None,
             next_age: 0,
-            active_warps: 0,
+            by_age: Vec::new(),
+            dormant: None,
+            still_rejected: Vec::new(),
             next_access: 0,
             issue_time: HashMap::new(),
             stats: SmStats::default(),
@@ -206,6 +245,7 @@ impl Sm {
     /// Installs a configured tracer (the pipeline's warp-issue and
     /// warp-stall events; the L1 carries its own).
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.dormant = None; // a traced SM scans every cycle
         self.tracer = tracer;
     }
 
@@ -228,10 +268,41 @@ impl Sm {
         self.l1.as_ref()
     }
 
-    /// Exclusive access to the private cache controller (the simulator
-    /// drains requests and delivers responses through this).
+    /// Exclusive access to the private cache controller, for wiring and
+    /// kernel-boundary flushes. Whatever the caller does may change what
+    /// the L1 accepts, so this wakes a dormant SM; per-cycle traffic goes
+    /// through [`Sm::tick_l1`], [`Sm::take_request`] and
+    /// [`Sm::on_response`] instead.
     pub fn l1_mut(&mut self) -> &mut dyn L1Controller {
+        self.dormant = None;
         self.l1.as_mut()
+    }
+
+    /// The L1's per-cycle housekeeping; anything it completes is applied
+    /// to the issuing warps before being returned.
+    pub fn tick_l1(&mut self, now: Cycle) -> Vec<Completion> {
+        let done = self.l1.tick(now);
+        for c in &done {
+            self.on_completion_at(c, Some(now));
+        }
+        done
+    }
+
+    /// Removes the L1's next request destined for the L2, if any.
+    pub fn take_request(&mut self) -> Option<L1ToL2> {
+        self.l1.take_request()
+    }
+
+    /// Delivers a response from the L2 to the L1 and applies what it
+    /// completed. Even a response that completes nothing can free an MSHR
+    /// entry or move the epoch, so it always wakes a dormant SM.
+    pub fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
+        self.dormant = None;
+        let done = self.l1.on_response(msg, now);
+        for c in &done {
+            self.on_completion_at(c, Some(now));
+        }
+        done
     }
 
     /// Counters accumulated so far.
@@ -243,22 +314,19 @@ impl Sm {
     /// Number of currently resident (unretired) warps.
     #[must_use]
     pub fn resident_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.active).count()
+        self.by_age.len()
     }
 
-    /// Whether any warp is resident — the short-circuit form of
-    /// [`Sm::resident_warps`]` > 0` for the per-cycle accounting path.
+    /// Whether any warp is resident.
     #[must_use]
     pub fn has_resident_warps(&self) -> bool {
-        self.active_warps > 0
+        !self.by_age.is_empty()
     }
 
     /// Whether a CTA of `warps` warps can be dispatched here now.
     #[must_use]
     pub fn can_accept_cta(&self, warps: usize) -> bool {
-        let free_warps = self.warps.iter().filter(|w| !w.active).count();
-        let free_cta = self.ctas.iter().any(|c| !c.occupied);
-        free_warps >= warps && free_cta
+        self.warps.len() - self.by_age.len() >= warps && self.ctas.iter().any(|c| !c.occupied)
     }
 
     /// Dispatches a CTA onto this SM.
@@ -284,8 +352,9 @@ impl Sm {
             at_barrier: 0,
             occupied: true,
         };
+        self.dormant = None;
         let mut programs = programs.into_iter();
-        for slot in self.warps.iter_mut() {
+        for (i, slot) in self.warps.iter_mut().enumerate() {
             if !slot.active {
                 let Some(prog) = programs.next() else { break };
                 self.next_age += 1;
@@ -296,7 +365,7 @@ impl Sm {
                     age: self.next_age,
                     ..WarpSlot::empty()
                 };
-                self.active_warps += 1;
+                self.by_age.push(i);
             }
         }
         assert!(programs.next().is_none(), "capacity checked");
@@ -305,7 +374,7 @@ impl Sm {
     /// Whether every dispatched warp has retired and the L1 is drained.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.resident_warps() == 0 && self.l1.is_idle()
+        self.by_age.is_empty() && self.l1.is_idle()
     }
 
     /// Delivers a completed access (decrements the issuing warp's
@@ -317,6 +386,7 @@ impl Sm {
     /// Like [`Sm::on_completion`], additionally recording the access's
     /// issue→completion latency in the stats histogram.
     pub fn on_completion_at(&mut self, c: &Completion, now: Option<Cycle>) {
+        self.dormant = None;
         let t0 = self.issue_time.remove(&c.id);
         if let (Some(t0), Some(now)) = (t0, now) {
             self.stats.mem_latency.record(now - t0);
@@ -351,8 +421,44 @@ impl Sm {
     }
 
     /// Runs one scheduler cycle; returns completions produced by L1 hits.
+    ///
+    /// While the SM is dormant this replays what the scan would have
+    /// booked and returns: every skipped scan would find the same warps in
+    /// the same states. The rejected accesses' tag probes are not replayed
+    /// — they would re-stamp the same resident lines in the same order
+    /// every cycle, and nothing else touches the tag array without waking
+    /// the SM first, so only the absolute LRU counter differs, never the
+    /// relative order that picks victims.
     pub fn cycle(&mut self, now: Cycle) -> Vec<Completion> {
+        match self.dormant {
+            Some(d) if now < d.until => {
+                let [memory, fence, barrier, structural] = d.stalls;
+                self.stats.memory_stall_cycles += memory;
+                self.stats.fence_stall_cycles += fence;
+                self.stats.barrier_stall_cycles += barrier;
+                self.stats.structural_stall_cycles += structural;
+                self.next_access += structural;
+                self.stats.idle_cycles += u64::from(!self.by_age.is_empty());
+                self.issued_last_cycle = false;
+                return Vec::new();
+            }
+            // Woken by the horizon alone: the L1 heard nothing since, and
+            // the warps still waiting on its verdict are those it rejected
+            // (a warp with blocks left to present is never mid-burst).
+            Some(_) if cfg!(debug_assertions) => {
+                let rejected = |&i: &usize| self.wait_of(i, now).0 == WaitOn::L1;
+                self.still_rejected = (0..self.warps.len()).filter(rejected).collect();
+            }
+            _ => {}
+        }
+        self.scan(now)
+    }
+
+    /// The full per-cycle pass: retire, issue, classify stalls — and
+    /// decide whether the next cycles can skip it.
+    fn scan(&mut self, now: Cycle) -> Vec<Completion> {
         let mut done = Vec::new();
+        let before = self.stall_counters();
         self.retire_finished();
         let mut any_issued = false;
         for _ in 0..self.p.issue_width {
@@ -361,32 +467,54 @@ impl Sm {
             }
             any_issued = true;
         }
-        self.account_stalls(now);
+        let horizon = self.account_stalls(now);
+        self.still_rejected.clear();
         self.issued_last_cycle = any_issued;
-        if self.resident_warps() > 0 {
-            if any_issued {
-                self.stats.active_cycles += 1;
-            } else {
-                self.stats.idle_cycles += 1;
-            }
+        if any_issued {
+            self.stats.active_cycles += 1;
+        } else if !self.by_age.is_empty() {
+            self.stats.idle_cycles += 1;
         }
+        // A scan that issued nothing changed no warp, so until the
+        // horizon every cycle books exactly what this one did. With the
+        // tracer on the per-warp stall events must keep appearing.
+        self.dormant = horizon
+            .filter(|_| !any_issued && !self.tracer.is_enabled())
+            .map(|until| {
+                let after = self.stall_counters();
+                Dormant {
+                    until,
+                    stalls: std::array::from_fn(|k| after[k] - before[k]),
+                }
+            });
         done
     }
 
+    fn stall_counters(&self) -> [u64; 4] {
+        let s = &self.stats;
+        [
+            s.memory_stall_cycles,
+            s.fence_stall_cycles,
+            s.barrier_stall_cycles,
+            s.structural_stall_cycles,
+        ]
+    }
+
     fn retire_finished(&mut self) {
-        for i in 0..self.warps.len() {
-            let w = &self.warps[i];
-            if w.active && w.ops.is_empty() && w.mem_blocks.is_empty() && w.outstanding == 0 {
-                let cta_slot = w.cta_slot;
-                self.warps[i].active = false;
-                self.active_warps -= 1;
-                let cta = &mut self.ctas[cta_slot];
-                cta.warps_done += 1;
-                if cta.warps_done == cta.warps_total {
-                    cta.occupied = false;
-                }
+        let (warps, ctas) = (&mut self.warps, &mut self.ctas);
+        self.by_age.retain(|&i| {
+            let w = &mut warps[i];
+            if !(w.ops.is_empty() && w.mem_blocks.is_empty() && w.outstanding == 0) {
+                return true;
             }
-        }
+            w.active = false;
+            let cta = &mut ctas[w.cta_slot];
+            cta.warps_done += 1;
+            if cta.warps_done == cta.warps_total {
+                cta.occupied = false;
+            }
+            false
+        });
     }
 
     /// Finds one issuable warp per the scheduling policy and issues a
@@ -407,16 +535,13 @@ impl Sm {
             WarpScheduler::Gto => {
                 // Greedy: stick with the current warp while it issues.
                 if let Some(i) = self.greedy_warp {
-                    if self.warps[i].active && self.try_issue_warp(i, now, done) {
+                    if self.try_issue_warp(i, now, done) {
                         return true;
                     }
                 }
                 // Then-oldest: fall back to the oldest ready warp.
-                let mut order: Vec<usize> = (0..self.warps.len())
-                    .filter(|&i| self.warps[i].active)
-                    .collect();
-                order.sort_by_key(|&i| self.warps[i].age);
-                for i in order {
+                for k in 0..self.by_age.len() {
+                    let i = self.by_age[k];
                     if Some(i) != self.greedy_warp && self.try_issue_warp(i, now, done) {
                         self.greedy_warp = Some(i);
                         return true;
@@ -427,124 +552,114 @@ impl Sm {
         }
     }
 
+    /// What warp slot `i` is waiting on at `now`, and the stall kind a
+    /// cycle spent in that state books against it.
+    fn wait_of(&self, i: usize, now: Cycle) -> (WaitOn, Option<StallKind>) {
+        use StallKind::{Barrier, Fence, Memory};
+        use WaitOn::{Compute, Event, Nothing, Poll, L1};
+        let w = &self.warps[i];
+        let event_if = |blocked: bool| if blocked { Event } else { Nothing };
+        if !w.active {
+            return (Event, None);
+        }
+        if w.compute_until > now {
+            return (Compute(w.compute_until), None);
+        }
+        if w.at_barrier {
+            let cta = &self.ctas[w.cta_slot];
+            let live = cta.warps_total - cta.warps_done;
+            return (event_if(cta.at_barrier < live), Some(Barrier));
+        }
+        // SC: memory instructions are blocking. RC: a bounded window.
+        let sc = self.p.consistency == ConsistencyModel::Sc;
+        let sc_blocked = sc && w.outstanding > 0;
+        let window_full = !sc && w.outstanding as usize >= self.p.max_outstanding_per_warp;
+        if !w.mem_blocks.is_empty() {
+            // Continue a partially issued memory instruction.
+            return (if window_full { Event } else { L1 }, Some(Memory));
+        }
+        if w.atomic_pending {
+            // An in-flight atomic blocks the warp: its result is needed.
+            return (Event, Some(Memory));
+        }
+        // Behind the warp's own accesses a fence waits for completions;
+        // after them, on the protocol (TC-Weak: globally visible per GWCT).
+        let fence = |pending: u32| match pending {
+            0 if self.l1.fence_ready(WarpId(i as u16), now) => Nothing,
+            0 => Poll,
+            _ => Event,
+        };
+        match w.ops.front() {
+            None if w.outstanding > 0 => (Event, Some(Memory)),
+            None => (Poll, None), // retires at the next scan
+            Some(WarpOp::Compute(_)) => (event_if(sc_blocked), sc_blocked.then_some(Memory)),
+            Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_)) => {
+                let closed = sc_blocked || window_full;
+                (event_if(closed), closed.then_some(Memory))
+            }
+            Some(WarpOp::Fence) => (fence(w.outstanding), Some(Fence)),
+            // Only prior stores/atomics must be performed.
+            Some(WarpOp::ReleaseFence) => (fence(w.outstanding_writes), Some(Fence)),
+            // Only prior loads/atomics must have returned.
+            Some(WarpOp::AcquireFence) => (event_if(w.outstanding_reads > 0), Some(Fence)),
+            // A barrier implies memory visibility.
+            Some(WarpOp::Barrier) => (event_if(w.outstanding > 0), None),
+        }
+    }
+
     /// Counts one issued instruction from warp slot `i` and traces it.
     fn note_issue(&mut self, i: usize, now: Cycle) {
+        self.warps[i].issued_at = now;
         self.stats.issued += 1;
         self.tracer
             .record_with(now, || EventKind::WarpIssue { warp: i as u16 });
     }
 
-    fn window_open(&self, slot: &WarpSlot) -> bool {
-        match self.p.consistency {
-            // SC: memory instructions are blocking.
-            ConsistencyModel::Sc => slot.outstanding == 0,
-            ConsistencyModel::Rc => (slot.outstanding as usize) < self.p.max_outstanding_per_warp,
-        }
-    }
-
     fn try_issue_warp(&mut self, i: usize, now: Cycle, done: &mut Vec<Completion>) -> bool {
-        if !self.warps[i].active || self.warps[i].compute_until > now || self.warps[i].at_barrier {
-            return self.warps[i].at_barrier && self.try_release_barrier(i);
+        match self.wait_of(i, now).0 {
+            WaitOn::Nothing => {}
+            WaitOn::L1 => return self.issue_mem_access(i, now, done),
+            _ => return false,
         }
-        // Continue a partially issued memory instruction.
-        if !self.warps[i].mem_blocks.is_empty() {
-            return self.issue_mem_access(i, now, done);
+        let cta_slot = self.warps[i].cta_slot;
+        if self.warps[i].at_barrier {
+            self.release_barrier(cta_slot);
+            return true;
         }
-        // An in-flight atomic blocks the warp: its result is needed.
-        if self.warps[i].atomic_pending {
-            return false;
+        if self.warps[i].ops.front() == Some(&WarpOp::Barrier) {
+            // The op stays at the front until the whole CTA is released.
+            self.warps[i].at_barrier = true;
+            self.ctas[cta_slot].at_barrier += 1;
+            self.note_issue(i, now);
+            if self.wait_of(i, now).0 == WaitOn::Nothing {
+                self.release_barrier(cta_slot);
+            }
+            return true;
         }
-        let front_is_mem = matches!(
-            self.warps[i].ops.front(),
-            Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_))
-        );
-        match self.warps[i].ops.front() {
-            None => false,
-            Some(WarpOp::Compute(c)) => {
-                if self.p.consistency == ConsistencyModel::Sc && self.warps[i].outstanding > 0 {
-                    return false; // SC: the warp is blocked on memory
-                }
-                let c = *c;
-                self.warps[i].ops.pop_front();
+        let op = self.warps[i].ops.pop_front();
+        self.note_issue(i, now);
+        let (kind, addrs) = match op.expect("an issuable warp has a next instruction") {
+            WarpOp::Compute(c) => {
                 self.warps[i].compute_until = now + u64::from(c);
-                self.warps[i].issued_at = now;
-                self.note_issue(i, now);
-                true
+                return true;
             }
-            Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_)) if front_is_mem => {
-                if !self.window_open(&self.warps[i]) {
-                    return false;
-                }
-                let op = self.warps[i].ops.pop_front().expect("front checked");
-                let (kind, addrs) = match op {
-                    WarpOp::Load(a) => (AccessKind::Load, a),
-                    WarpOp::Store(a) => (AccessKind::Store, a),
-                    WarpOp::Atomic(a) => (AccessKind::Atomic, a),
-                    _ => unreachable!("matched memory op"),
-                };
-                if kind == AccessKind::Atomic {
-                    self.warps[i].atomic_pending = true;
-                }
-                self.warps[i].mem_kind = kind;
-                self.warps[i].mem_blocks = coalesce(&addrs, self.p.block_shift).into();
-                self.warps[i].issued_at = now;
-                self.note_issue(i, now);
-                self.stats.mem_issued += 1;
-                if self.warps[i].mem_blocks.is_empty() {
-                    return true; // fully divergent-empty instruction
-                }
-                self.issue_mem_access(i, now, done);
-                true
-            }
-            Some(WarpOp::Fence)
-                if self.warps[i].outstanding == 0 && self.l1.fence_ready(WarpId(i as u16), now) => {
-                    self.warps[i].ops.pop_front();
-                    self.warps[i].issued_at = now;
-                    self.note_issue(i, now);
-                    true
-                }
-            Some(WarpOp::ReleaseFence)
-                // Only prior stores/atomics must be performed (and, for
-                // TC-Weak, globally visible per GWCT).
-                if self.warps[i].outstanding_writes == 0
-                    && self.l1.fence_ready(WarpId(i as u16), now)
-                => {
-                    self.warps[i].ops.pop_front();
-                    self.warps[i].issued_at = now;
-                    self.note_issue(i, now);
-                    true
-                }
-            Some(WarpOp::AcquireFence)
-                // Only prior loads/atomics must have returned.
-                if self.warps[i].outstanding_reads == 0 => {
-                    self.warps[i].ops.pop_front();
-                    self.warps[i].issued_at = now;
-                    self.note_issue(i, now);
-                    true
-                }
-            Some(WarpOp::Barrier) => {
-                if self.warps[i].outstanding > 0 {
-                    return false; // barrier implies memory visibility
-                }
-                self.warps[i].at_barrier = true;
-                self.warps[i].issued_at = now;
-                self.ctas[self.warps[i].cta_slot].at_barrier += 1;
-                self.note_issue(i, now);
-                self.try_release_barrier(i);
-                true
-            }
-            Some(_) => false,
+            WarpOp::Load(a) => (AccessKind::Load, a),
+            WarpOp::Store(a) => (AccessKind::Store, a),
+            WarpOp::Atomic(a) => (AccessKind::Atomic, a),
+            _ => return true, // a fence whose condition held
+        };
+        self.warps[i].atomic_pending |= kind == AccessKind::Atomic;
+        self.warps[i].mem_kind = kind;
+        self.warps[i].mem_blocks = coalesce(&addrs, self.p.block_shift).into();
+        self.stats.mem_issued += 1;
+        if !self.warps[i].mem_blocks.is_empty() {
+            self.issue_mem_access(i, now, done);
         }
+        true
     }
 
-    /// Releases the CTA barrier once every live warp of the CTA arrived.
-    fn try_release_barrier(&mut self, i: usize) -> bool {
-        let cta_slot = self.warps[i].cta_slot;
-        let cta = self.ctas[cta_slot];
-        let live = cta.warps_total - cta.warps_done;
-        if cta.at_barrier < live {
-            return false;
-        }
+    /// Releases the CTA barrier every live warp of the CTA has reached.
+    fn release_barrier(&mut self, cta_slot: usize) {
         for w in self.warps.iter_mut() {
             if w.active && w.cta_slot == cta_slot && w.at_barrier {
                 w.at_barrier = false;
@@ -552,19 +667,11 @@ impl Sm {
             }
         }
         self.ctas[cta_slot].at_barrier = 0;
-        true
     }
 
+    /// Presents the head of warp `i`'s coalesced blocks to the L1.
     fn issue_mem_access(&mut self, i: usize, now: Cycle, done: &mut Vec<Completion>) -> bool {
-        if !self.warps[i].mem_blocks.is_empty()
-            && self.p.consistency == ConsistencyModel::Rc
-            && (self.warps[i].outstanding as usize) >= self.p.max_outstanding_per_warp
-        {
-            return false;
-        }
-        let Some(&block) = self.warps[i].mem_blocks.front() else {
-            return false;
-        };
+        let block = self.warps[i].mem_blocks[0];
         self.next_access += 1;
         // Sampling decides at mint time from the snapshotted ordinal, so
         // the sampled set is deterministic per seed and restore-safe.
@@ -583,87 +690,70 @@ impl Sm {
             block,
             span,
         };
-        match self.l1.access(acc, now) {
-            L1Outcome::Hit(c) => {
-                self.warps[i].mem_blocks.pop_front();
-                self.warps[i].issued_at = now;
-                self.stats.mem_latency.record(1); // L1 hit latency
-                self.spans.open(span, now);
-                self.spans.close(span, CloseReason::Completed, now);
-                done.push(c);
-                true
-            }
-            L1Outcome::Queued => {
-                self.warps[i].mem_blocks.pop_front();
-                self.issue_time.insert(acc.id, now);
-                if !span.is_none() {
-                    self.spans.open(span, now);
-                    self.span_of.insert(acc.id, span);
-                }
-                self.warps[i].outstanding += 1;
-                match self.warps[i].mem_kind {
-                    AccessKind::Load => self.warps[i].outstanding_reads += 1,
-                    AccessKind::Store => self.warps[i].outstanding_writes += 1,
-                    AccessKind::Atomic => {
-                        self.warps[i].outstanding_reads += 1;
-                        self.warps[i].outstanding_writes += 1;
-                    }
-                }
-                self.warps[i].issued_at = now;
-                true
-            }
-            L1Outcome::Reject => {
-                self.stats.record_stall(StallKind::Structural);
-                false
-            }
+        let outcome = self.l1.access(acc, now);
+        if outcome == L1Outcome::Reject {
+            self.stats.record_stall(StallKind::Structural);
+            return false;
         }
+        debug_assert!(
+            !self.still_rejected.contains(&i),
+            "L1 accepted warp {i}'s rejected access although nothing reached it in between: \
+             L1Outcome::Reject must stay Reject until on_response, flush or a completing tick"
+        );
+        // An accepted access may legitimately change what the L1 accepts.
+        self.still_rejected.clear();
+        self.warps[i].mem_blocks.pop_front();
+        self.warps[i].issued_at = now;
+        if let L1Outcome::Hit(c) = outcome {
+            self.stats.mem_latency.record(1); // L1 hit latency
+            self.spans.open(span, now);
+            self.spans.close(span, CloseReason::Completed, now);
+            done.push(c);
+            return true;
+        }
+        self.issue_time.insert(acc.id, now);
+        if !span.is_none() {
+            self.spans.open(span, now);
+            self.span_of.insert(acc.id, span);
+        }
+        let w = &mut self.warps[i];
+        w.outstanding += 1;
+        w.outstanding_reads += u32::from(acc.kind != AccessKind::Store);
+        w.outstanding_writes += u32::from(acc.kind != AccessKind::Load);
+        true
     }
 
     /// Why warp slot `i` cannot issue at `now`, or `None` if it is idle,
     /// freshly issued, or still computing.
     fn stall_reason(&self, i: usize, now: Cycle) -> Option<StallKind> {
-        let w = &self.warps[i];
-        if !w.active || w.issued_at == now || w.compute_until > now {
-            return None;
-        }
-        if w.at_barrier {
-            Some(StallKind::Barrier)
-        } else if !w.mem_blocks.is_empty() {
-            Some(StallKind::Memory)
-        } else {
-            match w.ops.front() {
-                _ if w.atomic_pending => Some(StallKind::Memory),
-                Some(WarpOp::Fence | WarpOp::ReleaseFence | WarpOp::AcquireFence) => {
-                    Some(StallKind::Fence)
-                }
-                Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_))
-                    if !self.window_open(w) =>
-                {
-                    Some(StallKind::Memory)
-                }
-                Some(WarpOp::Compute(_))
-                    if self.p.consistency == ConsistencyModel::Sc && w.outstanding > 0 =>
-                {
-                    Some(StallKind::Memory)
-                }
-                None if w.outstanding > 0 => Some(StallKind::Memory),
-                _ => None,
-            }
-        }
+        let stall = self.wait_of(i, now).1;
+        stall.filter(|_| self.warps[i].issued_at != now)
     }
 
     /// Per-cycle warp-stall classification (the Figure 13 metric counts
-    /// `Memory` warp-cycles).
-    fn account_stalls(&mut self, now: Cycle) {
+    /// `Memory` warp-cycles). Returns the earliest end of a compute burst
+    /// (`Cycle(u64::MAX)` with none running) when every slot is waiting on
+    /// that, on an event, or on the L1 — which in a scan that issued
+    /// nothing means it was just rejected — and `None` if any must be
+    /// retried next cycle.
+    fn account_stalls(&mut self, now: Cycle) -> Option<Cycle> {
+        let mut horizon = Some(Cycle(u64::MAX));
         for i in 0..self.warps.len() {
-            if let Some(k) = self.stall_reason(i, now) {
+            let (on, stall) = self.wait_of(i, now);
+            if let Some(k) = stall.filter(|_| self.warps[i].issued_at != now) {
                 self.stats.record_stall(k);
                 self.tracer.record_with(now, || EventKind::WarpStall {
                     warp: i as u16,
                     kind: k,
                 });
             }
+            horizon = match on {
+                WaitOn::Compute(until) => horizon.map(|h| h.min(until)),
+                WaitOn::Event | WaitOn::L1 => horizon,
+                WaitOn::Nothing | WaitOn::Poll => None,
+            };
         }
+        horizon
     }
 
     /// Instructions issued so far (the watchdog's cheap progress signal).
@@ -757,7 +847,11 @@ impl Sm {
             });
         }
         self.warps = warps;
-        self.active_warps = self.warps.iter().filter(|w| w.active).count();
+        self.by_age = (0..self.warps.len())
+            .filter(|&i| self.warps[i].active)
+            .collect();
+        self.by_age.sort_by_key(|&i| self.warps[i].age);
+        self.dormant = None;
         self.ctas = ctas;
         self.rr_cursor = Snap::load(r)?;
         self.greedy_warp = Snap::load(r)?;
@@ -798,8 +892,8 @@ impl std::fmt::Display for WarpStallInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtsc_protocol::msg::{L1ToL2, L2ToL1};
     use gtsc_types::{Addr, CacheStats, Version};
+    use proptest::prelude::*;
     use std::cell::RefCell;
     use std::collections::VecDeque as Dq;
     use std::rc::Rc;
@@ -1193,5 +1287,211 @@ mod tests {
         }
         assert_eq!(sm.stats().memory_stall_cycles, 10);
         assert_eq!(sm.stats().idle_cycles, 10);
+    }
+    /// An L1 model for the dormancy differential below: blocks whose
+    /// number is `≡ hit_class (mod 3)` hit, every other access needs one
+    /// of `capacity` MSHR entries or is rejected. Entries free only when
+    /// the script completes an access (a `Renew` response, or a `tick`
+    /// with `tick_due` set), and `hit_class` moves only on an
+    /// `Invalidate` response — so a `Reject` is stable in the sense of
+    /// the `L1Outcome::Reject` contract. Fences open on a clock.
+    struct ScriptedL1 {
+        capacity: usize,
+        hit_class: u64,
+        pending: Dq<MemAccess>,
+        tick_due: Rc<RefCell<u32>>,
+        accepted: Rc<RefCell<Vec<(MemAccess, Cycle)>>>,
+    }
+
+    impl ScriptedL1 {
+        fn complete_oldest(&mut self) -> Vec<Completion> {
+            self.pending
+                .pop_front()
+                .iter()
+                .map(completion_for)
+                .collect()
+        }
+    }
+
+    impl L1Controller for ScriptedL1 {
+        fn access(&mut self, acc: MemAccess, now: Cycle) -> L1Outcome {
+            let hit = acc.kind == AccessKind::Load && acc.block.0 % 3 == self.hit_class;
+            if !hit && self.pending.len() >= self.capacity {
+                return L1Outcome::Reject;
+            }
+            self.accepted.borrow_mut().push((acc, now));
+            if hit {
+                return L1Outcome::Hit(completion_for(&acc));
+            }
+            self.pending.push_back(acc);
+            L1Outcome::Queued
+        }
+        fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> Vec<Completion> {
+            match msg {
+                L2ToL1::Invalidate { .. } => {
+                    self.hit_class = (self.hit_class + 1) % 3;
+                    Vec::new()
+                }
+                _ => self.complete_oldest(),
+            }
+        }
+        fn take_request(&mut self) -> Option<L1ToL2> {
+            None
+        }
+        fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
+            let due = std::mem::take(&mut *self.tick_due.borrow_mut());
+            (0..due).flat_map(|_| self.complete_oldest()).collect()
+        }
+        fn fence_ready(&self, _warp: WarpId, now: Cycle) -> bool {
+            now.0 % 16 >= 5
+        }
+        fn flush(&mut self) {}
+        fn is_idle(&self) -> bool {
+            self.pending.is_empty()
+        }
+        fn stats(&self) -> CacheStats {
+            CacheStats::default()
+        }
+    }
+
+    /// The contract guard itself: an L1 whose rejection lapses with time
+    /// alone is caught when the SM's horizon wakes it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must stay Reject")]
+    fn unstable_reject_trips_the_contract_guard() {
+        struct FlakyL1(TestL1);
+        impl L1Controller for FlakyL1 {
+            fn access(&mut self, acc: MemAccess, now: Cycle) -> L1Outcome {
+                if now < Cycle(5) {
+                    return L1Outcome::Reject;
+                }
+                self.0.access(acc, now)
+            }
+            fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
+                self.0.on_response(msg, now)
+            }
+            fn take_request(&mut self) -> Option<L1ToL2> {
+                None
+            }
+            fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+                self.0.tick(now)
+            }
+            fn flush(&mut self) {}
+            fn is_idle(&self) -> bool {
+                true
+            }
+            fn stats(&self) -> CacheStats {
+                CacheStats::default()
+            }
+        }
+        let mut sm = Sm::new(SmParams::default(), Box::new(FlakyL1(TestL1::new().0)));
+        sm.assign_cta(
+            CtaId(0),
+            vec![
+                WarpProgram(vec![WarpOp::load_coalesced(Addr(0), 32)]),
+                WarpProgram(vec![WarpOp::Compute(5), WarpOp::Compute(1)]),
+            ],
+        );
+        for c in 0..8 {
+            sm.cycle(Cycle(c));
+        }
+    }
+
+    fn decode_op((sel, block, extra): (u8, u64, u8)) -> WarpOp {
+        let addr = Addr(block * 128);
+        match sel {
+            0..=2 => WarpOp::load_coalesced(addr, 32),
+            3 => WarpOp::store_coalesced(addr, 32),
+            4 => WarpOp::atomic_coalesced(addr, 32),
+            5 => WarpOp::Compute(u32::from(extra) + 1),
+            6 => WarpOp::Compute(u32::from(extra) * 9 + 1),
+            7 => WarpOp::Fence,
+            8 => WarpOp::ReleaseFence,
+            9 => WarpOp::AcquireFence,
+            10 => WarpOp::Barrier,
+            _ => WarpOp::Load((0..3).map(|k| Addr((block + k * 5) * 128)).collect()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Dormancy is invisible: an SM stepped through `cycle()` and one
+        /// that runs the full scan every cycle book the same stats,
+        /// consume the same access ordinals and present the same accesses
+        /// to the L1 in the same cycles, whatever the program and whenever
+        /// responses arrive. In this (debug) build the first SM also
+        /// checks the `Reject` stability contract on every horizon wake.
+        #[test]
+        fn dormant_cycles_match_a_scan_every_cycle(
+            ops in proptest::collection::vec((0u8..12, 0u64..9, 0u8..6), 24..120),
+            script in proptest::collection::vec(0u8..10, 32..64),
+            sc in proptest::bool::ANY,
+            gto in proptest::bool::ANY,
+            capacity in 1usize..4,
+            issue_width in 1usize..3,
+        ) {
+            let p = SmParams {
+                n_warp_slots: 6,
+                max_ctas: 3,
+                max_outstanding_per_warp: 2,
+                issue_width,
+                consistency: if sc { ConsistencyModel::Sc } else { ConsistencyModel::Rc },
+                scheduler: if gto { WarpScheduler::Gto } else { WarpScheduler::RoundRobin },
+                ..SmParams::default()
+            };
+            let build = || {
+                let tick_due = Rc::new(RefCell::new(0));
+                let accepted = Rc::new(RefCell::new(Vec::new()));
+                let l1 = ScriptedL1 {
+                    capacity,
+                    hit_class: 0,
+                    pending: Dq::new(),
+                    tick_due: tick_due.clone(),
+                    accepted: accepted.clone(),
+                };
+                (Sm::new(p, Box::new(l1)), tick_due, accepted)
+            };
+            let (mut dormant, dormant_due, dormant_log) = build();
+            let (mut scanned, scanned_due, scanned_log) = build();
+            let mut programs = ops.chunks(6).map(|c| WarpProgram(c.iter().copied().map(decode_op).collect()));
+            for now in 0..600u64 {
+                let now = Cycle(now);
+                let step = script[now.0 as usize % script.len()];
+                if (step == 0 || now.0 == 0) && dormant.can_accept_cta(2) {
+                    let cta: Vec<WarpProgram> = programs.by_ref().take(2).collect();
+                    if cta.len() == 2 {
+                        dormant.assign_cta(CtaId(0), cta.clone());
+                        scanned.assign_cta(CtaId(0), cta);
+                    }
+                }
+                prop_assert_eq!(dormant.cycle(now), scanned.scan(now), "L1 hits at {}", now);
+                if step == 1 {
+                    *dormant_due.borrow_mut() = 1;
+                    *scanned_due.borrow_mut() = 1;
+                }
+                prop_assert_eq!(dormant.tick_l1(now), scanned.tick_l1(now));
+                let response = match step {
+                    2 | 3 => Some(L2ToL1::Renew {
+                        block: BlockAddr(0),
+                        lease: gtsc_protocol::msg::LeaseInfo::Physical { expires: now },
+                        epoch: 0,
+                        span: SpanId::NONE,
+                    }),
+                    4 => Some(L2ToL1::Invalidate { block: BlockAddr(0), epoch: 0, span: SpanId::NONE }),
+                    _ => None,
+                };
+                if let Some(msg) = response {
+                    prop_assert_eq!(dormant.on_response(msg, now), scanned.on_response(msg, now));
+                }
+                prop_assert_eq!(dormant.stats(), scanned.stats(), "stats at {}", now);
+                prop_assert_eq!(dormant.next_access, scanned.next_access, "ordinal at {}", now);
+                prop_assert_eq!(dormant.issued_last_cycle(), scanned.issued_last_cycle());
+                prop_assert_eq!(dormant.resident_warps(), scanned.resident_warps());
+            }
+            prop_assert_eq!(&*dormant_log.borrow(), &*scanned_log.borrow());
+            prop_assert!(dormant.stats().issued > 0);
+        }
     }
 }

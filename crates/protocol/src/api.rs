@@ -120,6 +120,18 @@ pub enum L1Outcome {
     Queued,
     /// Structural hazard (MSHR full, line locked and policy forbids
     /// queueing): the SM must retry the access on a later cycle.
+    ///
+    /// **Stability contract.** A rejection must be *stable* and *silent*:
+    /// the same access stays rejected until the controller next returns
+    /// from [`L1Controller::on_response`] or [`L1Controller::flush`], or
+    /// [`L1Controller::tick`] returns a completion; and rejecting leaves
+    /// no trace in the controller (counters, events, queues) beyond
+    /// refreshing replacement order. The SM relies on both: while nothing
+    /// of the kind has happened it does not re-present the access, it
+    /// books the retry (DESIGN.md §15.2) — and, in debug builds, asserts
+    /// that the access is still refused when it next does. The passing of
+    /// time alone may turn an accepted access into a rejected one (a
+    /// physical lease expiring), never the reverse.
     Reject,
 }
 
@@ -149,7 +161,8 @@ pub enum WaitHint {
 ///
 /// 1. The SM calls [`access`](L1Controller::access) once per coalesced
 ///    block access. `Hit` completes immediately (the SM applies the L1 hit
-///    latency); `Queued` completes later; `Reject` must be retried.
+///    latency); `Queued` completes later; `Reject` is retried once the
+///    controller has heard from the L2 or completed something.
 /// 2. Each cycle, the simulator drains
 ///    [`take_request`](L1Controller::take_request) into the request NoC,
 ///    feeds arriving responses to
@@ -161,7 +174,8 @@ pub enum WaitHint {
 /// 4. [`flush`](L1Controller::flush) is invoked at kernel boundaries
 ///    (GPU caches are flushed between kernels; Section V-D).
 pub trait L1Controller {
-    /// Presents a coalesced access; may complete, queue, or reject it.
+    /// Presents a coalesced access; may complete, queue, or reject it
+    /// (see the stability contract on [`L1Outcome::Reject`]).
     fn access(&mut self, acc: MemAccess, now: Cycle) -> L1Outcome;
 
     /// Delivers a response that arrived over the response NoC. Returns the

@@ -348,11 +348,10 @@ impl<B: L2Controller + ?Sized> Device<B> {
             }
         }
         for (i, sm) in self.sms.iter_mut().enumerate() {
-            for c in sm.l1_mut().tick(now) {
-                sm.on_completion_at(&c, Some(now));
+            for c in sm.tick_l1(now) {
                 checker.on_completion(self.sm_base + i, &c, now);
             }
-            while let Some(req) = sm.l1_mut().take_request() {
+            while let Some(req) = sm.take_request() {
                 let bank = req.block().bank(n_banks);
                 let bytes = sizes.request_bytes(&req);
                 spans.hop_enter(req.span(), HopKind::NocReq, now);
@@ -386,10 +385,8 @@ impl<B: L2Controller + ?Sized> Device<B> {
             }
         }
         for (dst, msg) in self.resp_net.tick(now) {
-            let sm = &mut self.sms[dst];
             spans.hop_enter(msg.span(), HopKind::L1Fill, now);
-            for c in sm.l1_mut().on_response(msg, now) {
-                sm.on_completion_at(&c, Some(now));
+            for c in self.sms[dst].on_response(msg, now) {
                 checker.on_completion(self.sm_base + dst, &c, now);
             }
         }

@@ -6,8 +6,12 @@
 
 use std::collections::BTreeMap;
 
-use gtsc::sim::GpuSim;
-use gtsc::types::{BlockAddr, ConsistencyModel, GpuConfig, ProtocolKind, Version};
+use gtsc::sim::{GpuSim, MultiGpuSim};
+use gtsc::types::snap::{crc32, Snap, SnapWriter};
+use gtsc::types::{
+    BlockAddr, ConsistencyModel, FabricConfig, FaultConfig, GpuConfig, MultiGpuConfig,
+    ProtocolKind, SimStats, Version, WarpScheduler,
+};
 use gtsc::workloads::{Benchmark, Scale};
 
 fn image_for(b: Benchmark, p: ProtocolKind, m: ConsistencyModel) -> BTreeMap<BlockAddr, Version> {
@@ -100,4 +104,150 @@ fn tc_strong_is_run_to_run_deterministic() {
         )
     };
     assert_eq!(run(), run(), "TC-Strong runs diverged");
+}
+
+/// CRC32 over the snap encoding of the full `SimStats` — every counter,
+/// histogram bucket and cycle-reason bucket, not just the golden triple.
+fn stats_crc(stats: &SimStats) -> u32 {
+    let mut w = SnapWriter::new();
+    stats.save(&mut w);
+    crc32(&w.into_bytes())
+}
+
+const PINNED_BENCHES: [Benchmark; 4] =
+    [Benchmark::Ccp, Benchmark::Bp, Benchmark::Bh, Benchmark::Stn];
+
+/// The paper platform with a 4-entry L1 MSHR: Small kernels then spend
+/// most cycles re-presenting rejected accesses, as the Full ones do.
+fn tight_mshr(mut cfg: GpuConfig) -> GpuConfig {
+    cfg.l1_mshr_entries = 4;
+    cfg
+}
+
+/// A dormant SM (DESIGN.md §15.2) replays what its skipped scans would
+/// have booked, so no simulated statistic may move. These CRCs were
+/// computed by the per-cycle-scan implementation that preceded dormancy;
+/// they cover the issue rules (RC window, SC blocking), fences polled on
+/// TC-Weak's GWCT clock (BH, STN under TC-RC), a lossy NoC with the
+/// sanitizer armed, and MSHR rejection storms under both schedulers and
+/// under physical-time leases.
+#[test]
+fn full_stats_match_the_per_cycle_scan_pins() {
+    use ConsistencyModel::{Rc, Sc};
+    use ProtocolKind::{Gtsc, Tc, TcWeak};
+    type Tweak = fn(GpuConfig) -> GpuConfig;
+    let systems: [(&str, Tweak, [u32; 4]); 8] = [
+        (
+            "G-TSC-RC",
+            |c| c,
+            [0xff0534c4, 0x4c420248, 0x1454a5a4, 0x92db10c0],
+        ),
+        (
+            "G-TSC-SC",
+            |c| c.with_consistency(Sc),
+            [0x112e1843, 0x99006a05, 0x64e39244, 0x8b45af01],
+        ),
+        (
+            "TC-RC",
+            |c| c.with_protocol(TcWeak).with_consistency(Rc),
+            [0x336f7f65, 0x2e3bc457, 0xa45cb291, 0xb81a62a0],
+        ),
+        (
+            "TC-SC",
+            |c| c.with_protocol(Tc).with_consistency(Sc),
+            [0xbb976c68, 0x6638ec19, 0xdd8badd2, 0x534b95a9],
+        ),
+        (
+            "G-TSC-RC lossy",
+            |c| c.with_faults(FaultConfig::lossy(1, 10)).with_sanitize(true),
+            [0x74a90ef2, 0x28a81f53, 0xf77c0d5a, 0x24a80a10],
+        ),
+        (
+            "G-TSC-RC tight MSHR",
+            tight_mshr,
+            [0x9b0687ca, 0x333859a9, 0xcaca1f11, 0x8578240c],
+        ),
+        (
+            "G-TSC-RC tight MSHR round-robin",
+            |c| {
+                let mut c = tight_mshr(c);
+                c.scheduler = WarpScheduler::RoundRobin;
+                c
+            },
+            [0xc42e742d, 0x3c0e59d6, 0xe48c5c3f, 0x4a3591b1],
+        ),
+        (
+            "TC-RC tight MSHR",
+            |c| tight_mshr(c.with_protocol(TcWeak).with_consistency(Rc)),
+            [0xf43264ef, 0xe8a9bc14, 0x0077dc16, 0x85d55e3c],
+        ),
+    ];
+    for (label, tweak, pins) in systems {
+        for (b, pin) in PINNED_BENCHES.into_iter().zip(pins) {
+            let cfg = tweak(GpuConfig::paper_default().with_protocol(Gtsc));
+            let mut sim = GpuSim::new(cfg);
+            let report = sim
+                .run_kernel(b.build(Scale::Small).as_ref())
+                .expect("completes");
+            assert!(report.violations.is_empty(), "{} {label}", b.name());
+            assert_eq!(
+                stats_crc(&report.stats),
+                pin,
+                "{} under {label}: full SimStats moved ({:#010x})",
+                b.name(),
+                stats_crc(&report.stats)
+            );
+        }
+    }
+}
+
+/// The same pin on the two-device fabric topology, where most SMs of
+/// the second device sit without warps.
+#[test]
+fn multi_gpu_full_stats_match_the_per_cycle_scan_pins() {
+    for (b, pin) in PINNED_BENCHES
+        .into_iter()
+        .zip([0x84fcc7d1, 0x0a24cc6e, 0x7e5dad86, 0xee00f0ba])
+    {
+        let cfg = MultiGpuConfig {
+            n_devices: 2,
+            gpu: GpuConfig::paper_default(),
+            fabric: FabricConfig::default(),
+        };
+        let mut sim = MultiGpuSim::new(cfg);
+        let report = sim
+            .run_kernel(b.build(Scale::Small).as_ref())
+            .expect("completes");
+        assert!(report.violations.is_empty(), "{}", b.name());
+        assert_eq!(
+            stats_crc(&report.stats),
+            pin,
+            "{} on 2 devices: full SimStats moved ({:#010x})",
+            b.name(),
+            stats_crc(&report.stats)
+        );
+    }
+}
+
+/// Span sampling hashes the access ordinal, and every rejected attempt
+/// consumes one: a dormant SM that did not advance `next_access` by its
+/// rejected count would sample a different set of accesses.
+#[test]
+fn sampled_span_ids_match_the_per_cycle_scan_pin() {
+    let mut cfg = tight_mshr(GpuConfig::paper_default());
+    cfg.trace = cfg.trace.with_spans(4, 3);
+    let mut sim = GpuSim::new(cfg);
+    sim.run_kernel(Benchmark::Ccp.build(Scale::Small).as_ref())
+        .expect("completes");
+    let mut ids: Vec<u64> = sim.spans().iter().map(|s| s.id.0).collect();
+    ids.sort_unstable();
+    let mut w = SnapWriter::new();
+    ids.save(&mut w);
+    let crc = crc32(&w.into_bytes());
+    assert_eq!(
+        (ids.len(), crc),
+        (87, 0xad57_e49b),
+        "sampled span set moved ({}, {crc:#010x})",
+        ids.len()
+    );
 }
