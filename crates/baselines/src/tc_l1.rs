@@ -320,12 +320,13 @@ impl L1Controller for TcL1 {
         Vec::new()
     }
 
-    fn fence_ready(&self, warp: WarpId, now: Cycle) -> bool {
+    fn fence_ready_at(&self, warp: WarpId) -> Cycle {
         match self.p.mode {
-            TcMode::Strong => true,
+            TcMode::Strong => Cycle(0),
             // The TC-Weak fence rule: stall until every prior write by the
-            // warp is globally visible.
-            TcMode::Weak => now >= self.gwct[warp.0 as usize],
+            // warp is globally visible. The GWCT moves only on a write
+            // ack (`on_response`) and in `flush`.
+            TcMode::Weak => self.gwct[warp.0 as usize],
         }
     }
 
@@ -460,10 +461,9 @@ mod tests {
             Cycle(60),
         );
         assert_eq!(c.gwct(WarpId(0)), Cycle(500));
-        assert!(!c.fence_ready(WarpId(0), Cycle(499)));
-        assert!(c.fence_ready(WarpId(0), Cycle(500)));
+        assert_eq!(c.fence_ready_at(WarpId(0)), Cycle(500));
         // Other warps' fences are unaffected.
-        assert!(c.fence_ready(WarpId(1), Cycle(0)));
+        assert_eq!(c.fence_ready_at(WarpId(1)), Cycle(0));
     }
 
     #[test]
@@ -472,7 +472,7 @@ mod tests {
             mode: TcMode::Strong,
             ..TcL1Params::default()
         });
-        assert!(c.fence_ready(WarpId(0), Cycle(0)));
+        assert_eq!(c.fence_ready_at(WarpId(0)), Cycle(0));
     }
 
     #[test]
@@ -510,6 +510,6 @@ mod tests {
             Cycle(10),
         );
         c.flush();
-        assert!(c.fence_ready(WarpId(0), Cycle(0)));
+        assert_eq!(c.fence_ready_at(WarpId(0)), Cycle(0));
     }
 }

@@ -5,6 +5,8 @@
 //! cache block produce a single access. Order follows first touch, which
 //! keeps the generated traffic deterministic.
 
+use std::collections::VecDeque;
+
 use gtsc_types::{Addr, BlockAddr};
 
 /// Coalesces per-lane byte addresses into unique cache blocks
@@ -26,14 +28,21 @@ use gtsc_types::{Addr, BlockAddr};
 /// ```
 #[must_use]
 pub fn coalesce(addrs: &[Addr], block_shift: u32) -> Vec<BlockAddr> {
-    let mut out: Vec<BlockAddr> = Vec::new();
+    let mut out = VecDeque::new();
+    coalesce_into(addrs, block_shift, &mut out);
+    out.into()
+}
+
+/// [`coalesce`] into a warp's own block queue (emptied first), which is
+/// reused instead of allocating per memory instruction.
+pub(crate) fn coalesce_into(addrs: &[Addr], block_shift: u32, out: &mut VecDeque<BlockAddr>) {
+    out.clear();
     for a in addrs {
         let b = BlockAddr(a.0 >> block_shift);
         if !out.contains(&b) {
-            out.push(b);
+            out.push_back(b);
         }
     }
-    out
 }
 
 #[cfg(test)]

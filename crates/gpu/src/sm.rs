@@ -1,6 +1,7 @@
-//! The Streaming Multiprocessor model: warp slots, a round-robin warp
-//! scheduler, the LDST path into the private cache, CTA barriers, and the
-//! consistency-model issue rules.
+//! The Streaming Multiprocessor model: warp slots, the warp scheduler
+//! (round-robin or greedy-then-oldest, fed by an incrementally kept
+//! census of what each warp waits on), the LDST path into the private
+//! cache, CTA barriers, and the consistency-model issue rules.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -12,7 +13,7 @@ use gtsc_types::{
     WarpId, WarpScheduler,
 };
 
-use crate::coalesce::coalesce;
+use crate::coalesce::coalesce_into;
 use crate::kernel::{WarpOp, WarpProgram};
 
 /// Construction parameters for [`Sm`].
@@ -100,26 +101,65 @@ impl WarpSlot {
 enum WaitOn {
     /// Nothing: it can issue (or release its CTA's barrier) now.
     Nothing,
-    /// A compute burst that ends at this cycle.
-    Compute(Cycle),
+    /// A known cycle: the end of a compute burst, or the cycle at which
+    /// the protocol opens a fence whose own accesses have drained.
+    Until(Cycle),
     /// Something the SM is told about: a completion, a barrier arrival or
     /// retirement (both side effects of a scan), a dispatch into the slot.
     Event,
     /// The L1's verdict on the head of `mem_blocks`.
     L1,
-    /// Something only a retry observes: the protocol's fence clock
-    /// (TC-Weak's GWCT is a function of `now`), or retirement itself.
-    Poll,
+    /// The next scan: the warp has finished and retires there.
+    Retire,
 }
 
-/// What each skipped cycle of a dormant SM books, and when the skipping
-/// ends: per-cycle `[memory, fence, barrier, structural]` stall counts —
-/// the last is also the number of rejected L1 attempts, each of which
-/// consumes an access ordinal.
-#[derive(Debug, Clone, Copy)]
-struct Dormant {
-    until: Cycle,
-    stalls: [u64; 4],
+/// [`Sm::classify`]'s answer for one slot: what it waits on, and the
+/// stall kind a cycle spent in that state books against it.
+type Verdict = (WaitOn, Option<StallKind>);
+
+/// The kept verdicts of all slots, summed: what a cycle in which no warp
+/// changes books, whom the scheduler needs to visit, and until when a
+/// scan that issued nothing stays true (DESIGN.md §15.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Census {
+    /// Warps whose verdict books a stall, indexed by `StallKind`
+    /// (`Memory`, `Fence`, `Barrier`).
+    stalled: [u64; 3],
+    /// Warps waiting on nothing: one of them issues at the next scan.
+    ready: u64,
+    /// Warps waiting on the L1. After a scan that issued nothing, each
+    /// was just rejected — a structural stall and an access ordinal apiece.
+    at_l1: u64,
+    /// Finished warps the next scan retires.
+    retiring: u64,
+    /// No `Until` verdict ends before this cycle (a lower bound: exact
+    /// after `refresh`, and it only moves down in between).
+    horizon: Cycle,
+}
+
+impl Census {
+    const EMPTY: Census = Census {
+        stalled: [0; 3],
+        ready: 0,
+        at_l1: 0,
+        retiring: 0,
+        horizon: Cycle(u64::MAX),
+    };
+
+    /// Counts a slot's verdict in (`entering`) or out.
+    fn tally(&mut self, (on, stall): Verdict, entering: bool) {
+        let step = |n: &mut u64| *n = if entering { *n + 1 } else { *n - 1 };
+        if let Some(kind) = stall {
+            step(&mut self.stalled[kind as usize]);
+        }
+        match on {
+            WaitOn::Nothing => step(&mut self.ready),
+            WaitOn::L1 => step(&mut self.at_l1),
+            WaitOn::Retire => step(&mut self.retiring),
+            WaitOn::Until(until) if entering => self.horizon = self.horizon.min(until),
+            WaitOn::Until(_) | WaitOn::Event => {}
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -149,10 +189,24 @@ pub struct Sm {
     /// are minted monotonically, so dispatch appends and retirement
     /// removes; its length is the resident-warp census.
     by_age: Vec<usize>,
-    /// Set while no warp can issue before `until` unless the SM is told
-    /// something first (DESIGN.md §15.2). Derived state, never
-    /// snapshotted: the first cycle after a restore scans.
-    dormant: Option<Dormant>,
+    /// Each slot's kept [`Sm::classify`] verdict as of `clock`, re-derived
+    /// only where something that feeds it changes, and `census`, their
+    /// sum. Derived state like `by_age`: rebuilt by `load_state`.
+    waits: Vec<Verdict>,
+    census: Census,
+    /// The cycle of the latest scan.
+    clock: Cycle,
+    /// The L1 heard something since the last scan, so the horizons it
+    /// gave drained fences may have moved (see `L1Outcome::Reject`).
+    fences_stale: bool,
+    /// The warps that issued in the current scan: their verdict's stall
+    /// is not booked for this cycle.
+    issued_now: Vec<usize>,
+    /// The cycle before which no warp can issue unless the SM is told
+    /// something first (DESIGN.md §15.2): until then each cycle books the
+    /// census and returns. Derived state, never snapshotted: the first
+    /// cycle after a restore scans.
+    dormant: Option<Cycle>,
     /// Debug builds only: the warps whose access was rejected when the SM
     /// went dormant, kept across a wake-up by the horizon alone to check
     /// the `L1Outcome::Reject` stability contract.
@@ -206,6 +260,11 @@ impl Sm {
             greedy_warp: None,
             next_age: 0,
             by_age: Vec::new(),
+            waits: vec![(WaitOn::Event, None); p.n_warp_slots],
+            census: Census::EMPTY,
+            clock: Cycle(0),
+            fences_stale: false,
+            issued_now: Vec::new(),
             dormant: None,
             still_rejected: Vec::new(),
             next_access: 0,
@@ -274,14 +333,24 @@ impl Sm {
     /// through [`Sm::tick_l1`], [`Sm::take_request`] and
     /// [`Sm::on_response`] instead.
     pub fn l1_mut(&mut self) -> &mut dyn L1Controller {
-        self.dormant = None;
+        self.l1_heard();
         self.l1.as_mut()
+    }
+
+    /// The L1 was told something that may lapse a rejection or move a
+    /// fence horizon: wake, and re-ask about fences at the next scan.
+    fn l1_heard(&mut self) {
+        self.dormant = None;
+        self.fences_stale = true;
     }
 
     /// The L1's per-cycle housekeeping; anything it completes is applied
     /// to the issuing warps before being returned.
     pub fn tick_l1(&mut self, now: Cycle) -> Vec<Completion> {
         let done = self.l1.tick(now);
+        if !done.is_empty() {
+            self.l1_heard();
+        }
         for c in &done {
             self.on_completion_at(c, Some(now));
         }
@@ -297,7 +366,7 @@ impl Sm {
     /// completed. Even a response that completes nothing can free an MSHR
     /// entry or move the epoch, so it always wakes a dormant SM.
     pub fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
-        self.dormant = None;
+        self.l1_heard();
         let done = self.l1.on_response(msg, now);
         for c in &done {
             self.on_completion_at(c, Some(now));
@@ -362,6 +431,8 @@ impl Sm {
                     active: true,
                     cta_slot,
                     ops: prog.0.into(),
+                    // Retired empty: the buffer is reused, not reallocated.
+                    mem_blocks: std::mem::take(&mut slot.mem_blocks),
                     age: self.next_age,
                     ..WarpSlot::empty()
                 };
@@ -369,6 +440,7 @@ impl Sm {
             }
         }
         assert!(programs.next().is_none(), "capacity checked");
+        self.rederive_cta(cta_slot);
     }
 
     /// Whether every dispatched warp has retired and the L1 is drained.
@@ -418,35 +490,32 @@ impl Sm {
         if slot.outstanding == 0 {
             slot.atomic_pending = false;
         }
+        self.rederive(c.warp.0 as usize);
     }
 
     /// Runs one scheduler cycle; returns completions produced by L1 hits.
     ///
-    /// While the SM is dormant this replays what the scan would have
-    /// booked and returns: every skipped scan would find the same warps in
-    /// the same states. The rejected accesses' tag probes are not replayed
-    /// — they would re-stamp the same resident lines in the same order
-    /// every cycle, and nothing else touches the tag array without waking
-    /// the SM first, so only the absolute LRU counter differs, never the
-    /// relative order that picks victims.
+    /// While the SM is dormant this books what the scan would have and
+    /// returns: every skipped scan would find the same warps in the same
+    /// states, which is the census. The rejected accesses' tag probes are
+    /// not replayed — they would re-stamp the same resident lines in the
+    /// same order every cycle, and nothing else touches the tag array
+    /// without waking the SM first, so only the absolute LRU counter
+    /// differs, never the relative order that picks victims.
     pub fn cycle(&mut self, now: Cycle) -> Vec<Completion> {
         match self.dormant {
-            Some(d) if now < d.until => {
-                let [memory, fence, barrier, structural] = d.stalls;
-                self.stats.memory_stall_cycles += memory;
-                self.stats.fence_stall_cycles += fence;
-                self.stats.barrier_stall_cycles += barrier;
-                self.stats.structural_stall_cycles += structural;
-                self.next_access += structural;
+            Some(until) if now < until => {
+                // Every warp at the L1 was rejected by the last scan and
+                // would be again: a structural stall and an ordinal each.
+                self.book_stalls(self.census.stalled, self.census.at_l1);
                 self.stats.idle_cycles += u64::from(!self.by_age.is_empty());
                 self.issued_last_cycle = false;
                 return Vec::new();
             }
             // Woken by the horizon alone: the L1 heard nothing since, and
-            // the warps still waiting on its verdict are those it rejected
-            // (a warp with blocks left to present is never mid-burst).
+            // the warps still waiting on its verdict are those it rejected.
             Some(_) if cfg!(debug_assertions) => {
-                let rejected = |&i: &usize| self.wait_of(i, now).0 == WaitOn::L1;
+                let rejected = |&i: &usize| self.waits[i].0 == WaitOn::L1;
                 self.still_rejected = (0..self.warps.len()).filter(rejected).collect();
             }
             _ => {}
@@ -454,12 +523,16 @@ impl Sm {
         self.scan(now)
     }
 
-    /// The full per-cycle pass: retire, issue, classify stalls — and
-    /// decide whether the next cycles can skip it.
+    /// The per-cycle pass: bring the kept verdicts up to `now`, retire,
+    /// issue, book the census — and decide whether the next cycles can
+    /// skip all of it.
     fn scan(&mut self, now: Cycle) -> Vec<Completion> {
         let mut done = Vec::new();
-        let before = self.stall_counters();
-        self.retire_finished();
+        self.refresh(now);
+        if self.census.retiring > 0 {
+            self.retire_finished();
+        }
+        self.issued_now.clear();
         let mut any_issued = false;
         for _ in 0..self.p.issue_width {
             if !self.issue_one(now, &mut done) {
@@ -467,7 +540,7 @@ impl Sm {
             }
             any_issued = true;
         }
-        let horizon = self.account_stalls(now);
+        self.account_stalls(now);
         self.still_rejected.clear();
         self.issued_last_cycle = any_issued;
         if any_issued {
@@ -475,51 +548,126 @@ impl Sm {
         } else if !self.by_age.is_empty() {
             self.stats.idle_cycles += 1;
         }
-        // A scan that issued nothing changed no warp, so until the
-        // horizon every cycle books exactly what this one did. With the
-        // tracer on the per-warp stall events must keep appearing.
-        self.dormant = horizon
-            .filter(|_| !any_issued && !self.tracer.is_enabled())
-            .map(|until| {
-                let after = self.stall_counters();
-                Dormant {
-                    until,
-                    stalls: std::array::from_fn(|k| after[k] - before[k]),
-                }
-            });
+        debug_assert!(
+            self.census_is_current(now),
+            "SM {}: kept verdicts {:?} / {:?} are not what classify says at {now}",
+            self.p.id,
+            self.waits,
+            self.census
+        );
+        // A scan that issued nothing changed no warp, and each is then
+        // waiting on a horizon, an event or an access the L1 just rejected
+        // (a ready warp always issues, a finished one was retired above):
+        // until the earliest horizon every cycle books exactly what this
+        // one did. With the tracer on the per-warp stall events must keep
+        // appearing.
+        let quiet = !any_issued && !self.tracer.is_enabled();
+        self.dormant = quiet.then_some(self.census.horizon);
         done
     }
 
-    fn stall_counters(&self) -> [u64; 4] {
-        let s = &self.stats;
-        [
-            s.memory_stall_cycles,
-            s.fence_stall_cycles,
-            s.barrier_stall_cycles,
-            s.structural_stall_cycles,
-        ]
+    /// Adds one cycle's `[memory, fence, barrier]` warp stalls and
+    /// `rejected` structural ones, each a consumed access ordinal.
+    fn book_stalls(&mut self, [memory, fence, barrier]: [u64; 3], rejected: u64) {
+        self.stats.memory_stall_cycles += memory;
+        self.stats.fence_stall_cycles += fence;
+        self.stats.barrier_stall_cycles += barrier;
+        self.stats.structural_stall_cycles += rejected;
+        self.next_access += rejected;
+    }
+
+    /// Replaces slot `i`'s kept verdict with what [`Sm::classify`] says
+    /// now. Everything that changes an input of `classify` for a slot
+    /// ends here: an issue or an accepted access by that warp, a
+    /// completion for it, a barrier release or a retirement in its CTA,
+    /// its dispatch, `load_state`, and — through [`Sm::refresh`] — a
+    /// horizon that passed or that the L1 may have moved.
+    fn rederive(&mut self, i: usize) {
+        let verdict = self.classify(i, self.clock);
+        self.census.tally(self.waits[i], false);
+        self.census.tally(verdict, true);
+        self.waits[i] = verdict;
+    }
+
+    /// Re-derives every slot holding a warp of the CTA in `cta_slot`:
+    /// barrier verdicts depend on how many CTA-mates arrived and retired.
+    fn rederive_cta(&mut self, cta_slot: usize) {
+        for i in 0..self.warps.len() {
+            if self.warps[i].active && self.warps[i].cta_slot == cta_slot {
+                self.rederive(i);
+            }
+        }
+    }
+
+    /// Brings the kept verdicts up to `now`: `Until` verdicts whose cycle
+    /// has come are re-derived, and fence verdicts too if the L1 heard
+    /// something since they were. Both are rare, and the common call
+    /// returns on two compares.
+    fn refresh(&mut self, now: Cycle) {
+        self.clock = now;
+        let fence = StallKind::Fence;
+        let fences =
+            std::mem::take(&mut self.fences_stale) && self.census.stalled[fence as usize] > 0;
+        if !fences && now < self.census.horizon {
+            return;
+        }
+        self.census.horizon = Cycle(u64::MAX);
+        for i in 0..self.warps.len() {
+            let (on, stall) = self.waits[i];
+            let expired = matches!(on, WaitOn::Until(until) if until <= now);
+            if expired || (fences && stall == Some(fence)) {
+                self.rederive(i);
+            } else if let WaitOn::Until(until) = on {
+                self.census.horizon = self.census.horizon.min(until);
+            }
+        }
+    }
+
+    /// Whether every kept verdict is what `classify` says at `now`, and
+    /// the census their sum: the oracle behind the debug assertion in
+    /// `scan` and the differential test.
+    fn census_is_current(&self, now: Cycle) -> bool {
+        let mut recount = Census::EMPTY;
+        for i in 0..self.warps.len() {
+            if self.waits[i] != self.classify(i, now) {
+                return false;
+            }
+            recount.tally(self.waits[i], true);
+        }
+        let exact = recount.horizon;
+        recount.horizon = self.census.horizon;
+        recount == self.census && self.census.horizon <= exact
     }
 
     fn retire_finished(&mut self) {
-        let (warps, ctas) = (&mut self.warps, &mut self.ctas);
-        self.by_age.retain(|&i| {
-            let w = &mut warps[i];
-            if !(w.ops.is_empty() && w.mem_blocks.is_empty() && w.outstanding == 0) {
+        let mut by_age = std::mem::take(&mut self.by_age);
+        by_age.retain(|&i| {
+            if self.waits[i].0 != WaitOn::Retire {
                 return true;
             }
+            let w = &mut self.warps[i];
             w.active = false;
-            let cta = &mut ctas[w.cta_slot];
+            let cta_slot = w.cta_slot;
+            let cta = &mut self.ctas[cta_slot];
             cta.warps_done += 1;
             if cta.warps_done == cta.warps_total {
                 cta.occupied = false;
             }
+            // The barrier its CTA-mates wait at now needs one arrival fewer.
+            self.rederive(i);
+            self.rederive_cta(cta_slot);
             false
         });
+        self.by_age = by_age;
     }
 
     /// Finds one issuable warp per the scheduling policy and issues a
-    /// micro-op. Returns whether anything issued.
+    /// micro-op. Returns whether anything issued. Only slots whose kept
+    /// verdict makes them candidates are tried, in the policy's order.
     fn issue_one(&mut self, now: Cycle, done: &mut Vec<Completion>) -> bool {
+        if self.census.ready + self.census.at_l1 == 0 {
+            return false;
+        }
         match self.p.scheduler {
             WarpScheduler::RoundRobin => {
                 let n = self.warps.len();
@@ -553,17 +701,21 @@ impl Sm {
     }
 
     /// What warp slot `i` is waiting on at `now`, and the stall kind a
-    /// cycle spent in that state books against it.
-    fn wait_of(&self, i: usize, now: Cycle) -> (WaitOn, Option<StallKind>) {
+    /// cycle spent in that state books against it. A pure function of the
+    /// slot, its CTA's barrier counts and the L1's fence horizon.
+    fn classify(&self, i: usize, now: Cycle) -> Verdict {
         use StallKind::{Barrier, Fence, Memory};
-        use WaitOn::{Compute, Event, Nothing, Poll, L1};
+        use WaitOn::{Event, Nothing, Retire, Until, L1};
         let w = &self.warps[i];
         let event_if = |blocked: bool| if blocked { Event } else { Nothing };
         if !w.active {
             return (Event, None);
         }
+        if w.ops.is_empty() && w.mem_blocks.is_empty() && w.outstanding == 0 {
+            return (Retire, None); // even mid-burst: nothing follows it
+        }
         if w.compute_until > now {
-            return (Compute(w.compute_until), None);
+            return (Until(w.compute_until), None);
         }
         if w.at_barrier {
             let cta = &self.ctas[w.cta_slot];
@@ -583,15 +735,17 @@ impl Sm {
             return (Event, Some(Memory));
         }
         // Behind the warp's own accesses a fence waits for completions;
-        // after them, on the protocol (TC-Weak: globally visible per GWCT).
+        // after them, for the cycle the protocol names (TC-Weak: the GWCT,
+        // when every prior write is globally visible).
         let fence = |pending: u32| match pending {
-            0 if self.l1.fence_ready(WarpId(i as u16), now) => Nothing,
-            0 => Poll,
+            0 => match self.l1.fence_ready_at(WarpId(i as u16)) {
+                at if at > now => Until(at),
+                _ => Nothing,
+            },
             _ => Event,
         };
         match w.ops.front() {
-            None if w.outstanding > 0 => (Event, Some(Memory)),
-            None => (Poll, None), // retires at the next scan
+            None => (Event, Some(Memory)), // its last accesses are in flight
             Some(WarpOp::Compute(_)) => (event_if(sc_blocked), sc_blocked.then_some(Memory)),
             Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_)) => {
                 let closed = sc_blocked || window_full;
@@ -607,18 +761,32 @@ impl Sm {
         }
     }
 
+    /// Marks warp slot `i` as having issued at `now`.
+    fn mark_issued(&mut self, i: usize, now: Cycle) {
+        if self.warps[i].issued_at != now {
+            self.warps[i].issued_at = now;
+            self.issued_now.push(i);
+        }
+    }
+
     /// Counts one issued instruction from warp slot `i` and traces it.
     fn note_issue(&mut self, i: usize, now: Cycle) {
-        self.warps[i].issued_at = now;
+        self.mark_issued(i, now);
         self.stats.issued += 1;
         self.tracer
             .record_with(now, || EventKind::WarpIssue { warp: i as u16 });
     }
 
     fn try_issue_warp(&mut self, i: usize, now: Cycle, done: &mut Vec<Completion>) -> bool {
-        match self.wait_of(i, now).0 {
+        match self.waits[i].0 {
             WaitOn::Nothing => {}
-            WaitOn::L1 => return self.issue_mem_access(i, now, done),
+            WaitOn::L1 => {
+                let accepted = self.issue_mem_access(i, now, done);
+                if accepted {
+                    self.rederive(i);
+                }
+                return accepted;
+            }
             _ => return false,
         }
         let cta_slot = self.warps[i].cta_slot;
@@ -631,30 +799,35 @@ impl Sm {
             self.warps[i].at_barrier = true;
             self.ctas[cta_slot].at_barrier += 1;
             self.note_issue(i, now);
-            if self.wait_of(i, now).0 == WaitOn::Nothing {
+            self.rederive(i);
+            if self.waits[i].0 == WaitOn::Nothing {
                 self.release_barrier(cta_slot);
             }
             return true;
         }
         let op = self.warps[i].ops.pop_front();
         self.note_issue(i, now);
-        let (kind, addrs) = match op.expect("an issuable warp has a next instruction") {
+        let mem = match op.expect("an issuable warp has a next instruction") {
             WarpOp::Compute(c) => {
                 self.warps[i].compute_until = now + u64::from(c);
-                return true;
+                None
             }
-            WarpOp::Load(a) => (AccessKind::Load, a),
-            WarpOp::Store(a) => (AccessKind::Store, a),
-            WarpOp::Atomic(a) => (AccessKind::Atomic, a),
-            _ => return true, // a fence whose condition held
+            WarpOp::Load(a) => Some((AccessKind::Load, a)),
+            WarpOp::Store(a) => Some((AccessKind::Store, a)),
+            WarpOp::Atomic(a) => Some((AccessKind::Atomic, a)),
+            _ => None, // a fence whose condition held
         };
-        self.warps[i].atomic_pending |= kind == AccessKind::Atomic;
-        self.warps[i].mem_kind = kind;
-        self.warps[i].mem_blocks = coalesce(&addrs, self.p.block_shift).into();
-        self.stats.mem_issued += 1;
-        if !self.warps[i].mem_blocks.is_empty() {
-            self.issue_mem_access(i, now, done);
+        if let Some((kind, addrs)) = mem {
+            let w = &mut self.warps[i];
+            w.atomic_pending |= kind == AccessKind::Atomic;
+            w.mem_kind = kind;
+            coalesce_into(&addrs, self.p.block_shift, &mut w.mem_blocks);
+            self.stats.mem_issued += 1;
+            if !self.warps[i].mem_blocks.is_empty() {
+                self.issue_mem_access(i, now, done);
+            }
         }
+        self.rederive(i);
         true
     }
 
@@ -667,6 +840,7 @@ impl Sm {
             }
         }
         self.ctas[cta_slot].at_barrier = 0;
+        self.rederive_cta(cta_slot);
     }
 
     /// Presents the head of warp `i`'s coalesced blocks to the L1.
@@ -703,7 +877,7 @@ impl Sm {
         // An accepted access may legitimately change what the L1 accepts.
         self.still_rejected.clear();
         self.warps[i].mem_blocks.pop_front();
-        self.warps[i].issued_at = now;
+        self.mark_issued(i, now);
         if let L1Outcome::Hit(c) = outcome {
             self.stats.mem_latency.record(1); // L1 hit latency
             self.spans.open(span, now);
@@ -723,37 +897,28 @@ impl Sm {
         true
     }
 
-    /// Why warp slot `i` cannot issue at `now`, or `None` if it is idle,
-    /// freshly issued, or still computing.
-    fn stall_reason(&self, i: usize, now: Cycle) -> Option<StallKind> {
-        let stall = self.wait_of(i, now).1;
-        stall.filter(|_| self.warps[i].issued_at != now)
-    }
-
-    /// Per-cycle warp-stall classification (the Figure 13 metric counts
-    /// `Memory` warp-cycles). Returns the earliest end of a compute burst
-    /// (`Cycle(u64::MAX)` with none running) when every slot is waiting on
-    /// that, on an event, or on the L1 — which in a scan that issued
-    /// nothing means it was just rejected — and `None` if any must be
-    /// retried next cycle.
-    fn account_stalls(&mut self, now: Cycle) -> Option<Cycle> {
-        let mut horizon = Some(Cycle(u64::MAX));
-        for i in 0..self.warps.len() {
-            let (on, stall) = self.wait_of(i, now);
-            if let Some(k) = stall.filter(|_| self.warps[i].issued_at != now) {
-                self.stats.record_stall(k);
-                self.tracer.record_with(now, || EventKind::WarpStall {
-                    warp: i as u16,
-                    kind: k,
-                });
+    /// Per-cycle warp-stall accounting (the Figure 13 metric counts
+    /// `Memory` warp-cycles): every warp books its verdict's stall, except
+    /// those that issued this cycle — the census minus `issued_now`. With
+    /// the tracer on, the same verdicts also appear as per-warp events.
+    fn account_stalls(&mut self, now: Cycle) {
+        let mut stalled = self.census.stalled;
+        for &i in &self.issued_now {
+            if let Some(kind) = self.waits[i].1 {
+                stalled[kind as usize] -= 1;
             }
-            horizon = match on {
-                WaitOn::Compute(until) => horizon.map(|h| h.min(until)),
-                WaitOn::Event | WaitOn::L1 => horizon,
-                WaitOn::Nothing | WaitOn::Poll => None,
-            };
         }
-        horizon
+        self.book_stalls(stalled, 0);
+        if self.tracer.is_enabled() {
+            for (i, w) in self.warps.iter().enumerate() {
+                if let Some(kind) = self.waits[i].1.filter(|_| w.issued_at != now) {
+                    self.tracer.record_with(now, || EventKind::WarpStall {
+                        warp: i as u16,
+                        kind,
+                    });
+                }
+            }
+        }
     }
 
     /// Instructions issued so far (the watchdog's cheap progress signal).
@@ -769,8 +934,9 @@ impl Sm {
     pub fn stalled_warps(&self, now: Cycle) -> Vec<WarpStallInfo> {
         (0..self.warps.len())
             .filter_map(|i| {
-                let stall = self.stall_reason(i, now)?;
                 let w = &self.warps[i];
+                // Not a stall for a warp that issued this very cycle.
+                let stall = self.classify(i, now).1.filter(|_| w.issued_at != now)?;
                 Some(WarpStallInfo {
                     warp: WarpId(i as u16),
                     stall,
@@ -859,7 +1025,16 @@ impl Sm {
         self.next_access = Snap::load(r)?;
         self.issue_time = Snap::load(r)?;
         self.stats = Snap::load(r)?;
-        self.l1.load_state(r)
+        let l1_loaded = self.l1.load_state(r);
+        // The verdicts are kept "as of" a cycle no later than the next
+        // scan's, which then catches up; the image may predate `clock`.
+        self.clock = Cycle(0);
+        self.census = Census::EMPTY;
+        for i in 0..self.warps.len() {
+            self.waits[i] = self.classify(i, self.clock);
+            self.census.tally(self.waits[i], true);
+        }
+        l1_loaded
     }
 }
 
@@ -932,8 +1107,8 @@ mod tests {
         fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
             Vec::new()
         }
-        fn fence_ready(&self, _warp: WarpId, now: Cycle) -> bool {
-            now >= self.fence_ready_at
+        fn fence_ready_at(&self, _warp: WarpId) -> Cycle {
+            self.fence_ready_at
         }
         fn flush(&mut self) {}
         fn is_idle(&self) -> bool {
@@ -1288,28 +1463,134 @@ mod tests {
         assert_eq!(sm.stats().memory_stall_cycles, 10);
         assert_eq!(sm.stats().idle_cycles, 10);
     }
+    /// A traced SM reports every stalled warp every cycle, in slot order,
+    /// from the verdicts the census sums — and never goes dormant, or the
+    /// events would stop.
+    #[test]
+    fn traced_sm_emits_warp_stalls_every_cycle_in_slot_order() {
+        use gtsc_trace::Scope;
+        use gtsc_types::TraceConfig;
+        let (l1, _q) = TestL1::new();
+        let mut sm = Sm::new(SmParams::default(), Box::new(l1));
+        sm.set_tracer(Tracer::new(Scope::Sm(0), &TraceConfig::full()));
+        let cta = vec![
+            WarpProgram(vec![
+                WarpOp::atomic_coalesced(Addr(0), 32),
+                WarpOp::Compute(1),
+            ]),
+            WarpProgram(vec![WarpOp::Compute(40)]),
+            WarpProgram(vec![WarpOp::store_coalesced(Addr(128), 32), WarpOp::Fence]),
+        ];
+        sm.assign_cta(CtaId(0), cta);
+        for c in 0..12 {
+            sm.cycle(Cycle(c));
+            assert_eq!(sm.dormant, None);
+        }
+        let stalls_at = |c: u64| -> Vec<(u16, StallKind)> {
+            let stall = |e: &gtsc_trace::TraceEvent| match e.kind {
+                EventKind::WarpStall { warp, kind } if e.cycle == Cycle(c) => Some((warp, kind)),
+                _ => None,
+            };
+            sm.tracer().events().iter().filter_map(stall).collect()
+        };
+        // Round-robin issues one warp a cycle: 0, 1, 2. Warp 1 computes;
+        // warp 2 reaches its fence at cycle 2 but issued there.
+        assert_eq!(stalls_at(0), vec![]);
+        assert_eq!(stalls_at(1), vec![(0, StallKind::Memory)]);
+        assert_eq!(stalls_at(2), vec![(0, StallKind::Memory)]);
+        for c in 3..12 {
+            let expected = vec![(0, StallKind::Memory), (2, StallKind::Fence)];
+            assert_eq!(stalls_at(c), expected, "cycle {c}");
+        }
+        let stats = sm.stats();
+        assert_eq!(
+            (stats.memory_stall_cycles, stats.fence_stall_cycles),
+            (11, 9)
+        );
+    }
+
+    /// TC-Weak's fence rule is a horizon, not a poll: a warp whose store
+    /// was acknowledged with a GWCT 400 cycles away sleeps through them,
+    /// books each as a fence stall, and issues on the first cycle
+    /// `now >= GWCT` holds.
+    #[test]
+    fn tc_weak_fence_sleeps_until_the_gwct() {
+        use gtsc_baselines::{TcL1, TcL1Params, TcMode};
+        use gtsc_protocol::msg::{LeaseInfo, WriteAckResp};
+        let l1 = TcL1::new(TcL1Params {
+            mode: TcMode::Weak,
+            ..TcL1Params::default()
+        });
+        let mut sm = Sm::new(SmParams::default(), Box::new(l1));
+        sm.assign_cta(
+            CtaId(0),
+            one_warp_kernel(vec![
+                WarpOp::store_coalesced(Addr(0), 32),
+                WarpOp::Fence,
+                WarpOp::Compute(1),
+            ]),
+        );
+        for c in 0..10 {
+            sm.cycle(Cycle(c)); // the store, then the fence behind it
+        }
+        let Some(L1ToL2::Write(w)) = sm.take_request() else {
+            panic!("the store is written through")
+        };
+        let ack = L2ToL1::WriteAck(WriteAckResp {
+            block: w.block,
+            lease: LeaseInfo::Physical {
+                expires: Cycle(410),
+            },
+            version: w.version,
+            epoch: 0,
+            span: SpanId::NONE,
+        });
+        assert_eq!(sm.on_response(ack, Cycle(9)).len(), 1);
+        let parked = sm.stats();
+        assert_eq!((parked.issued, parked.fence_stall_cycles), (1, 9));
+        for c in 10..410 {
+            assert!(c == 10 || sm.dormant == Some(Cycle(410)), "asleep at {c}");
+            sm.cycle(Cycle(c));
+        }
+        let woke = sm.stats().diff(&parked);
+        assert_eq!((woke.issued, woke.fence_stall_cycles), (0, 400));
+        assert_eq!(woke.idle_cycles, 400);
+        sm.cycle(Cycle(410));
+        assert_eq!(
+            sm.stats().diff(&parked).issued,
+            1,
+            "the fence issues at its GWCT"
+        );
+        assert_eq!(sm.stats().fence_stall_cycles, 409);
+    }
+
     /// An L1 model for the dormancy differential below: blocks whose
     /// number is `≡ hit_class (mod 3)` hit, every other access needs one
     /// of `capacity` MSHR entries or is rejected. Entries free only when
     /// the script completes an access (a `Renew` response, or a `tick`
     /// with `tick_due` set), and `hit_class` moves only on an
     /// `Invalidate` response — so a `Reject` is stable in the sense of
-    /// the `L1Outcome::Reject` contract. Fences open on a clock.
+    /// the `L1Outcome::Reject` contract. Fences open at a per-warp cycle
+    /// that moves at the same two points only: a completed store or
+    /// atomic pushes its warp's out GWCT-style, an `Invalidate` pushes
+    /// every warp's without completing anything.
     struct ScriptedL1 {
         capacity: usize,
         hit_class: u64,
         pending: Dq<MemAccess>,
+        fence_at: Vec<Cycle>,
         tick_due: Rc<RefCell<u32>>,
         accepted: Rc<RefCell<Vec<(MemAccess, Cycle)>>>,
     }
 
     impl ScriptedL1 {
-        fn complete_oldest(&mut self) -> Vec<Completion> {
-            self.pending
-                .pop_front()
-                .iter()
-                .map(completion_for)
-                .collect()
+        fn complete_oldest(&mut self, now: Cycle) -> Vec<Completion> {
+            let oldest = self.pending.pop_front();
+            if let Some(acc) = oldest.filter(|acc| acc.kind != AccessKind::Load) {
+                let at = &mut self.fence_at[acc.warp.0 as usize];
+                *at = (*at).max(now + 5 + 9 * (acc.block.0 % 4));
+            }
+            oldest.iter().map(completion_for).collect()
         }
     }
 
@@ -1326,24 +1607,27 @@ mod tests {
             self.pending.push_back(acc);
             L1Outcome::Queued
         }
-        fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> Vec<Completion> {
+        fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
             match msg {
                 L2ToL1::Invalidate { .. } => {
                     self.hit_class = (self.hit_class + 1) % 3;
+                    for at in &mut self.fence_at {
+                        *at = (*at).max(now + 12);
+                    }
                     Vec::new()
                 }
-                _ => self.complete_oldest(),
+                _ => self.complete_oldest(now),
             }
         }
         fn take_request(&mut self) -> Option<L1ToL2> {
             None
         }
-        fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
+        fn tick(&mut self, now: Cycle) -> Vec<Completion> {
             let due = std::mem::take(&mut *self.tick_due.borrow_mut());
-            (0..due).flat_map(|_| self.complete_oldest()).collect()
+            (0..due).flat_map(|_| self.complete_oldest(now)).collect()
         }
-        fn fence_ready(&self, _warp: WarpId, now: Cycle) -> bool {
-            now.0 % 16 >= 5
+        fn fence_ready_at(&self, warp: WarpId) -> Cycle {
+            self.fence_at[warp.0 as usize]
         }
         fn flush(&mut self) {}
         fn is_idle(&self) -> bool {
@@ -1352,6 +1636,30 @@ mod tests {
         fn stats(&self) -> CacheStats {
             CacheStats::default()
         }
+        fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+            self.hit_class.save(w);
+            self.pending.save(w);
+            self.fence_at.save(w);
+            Ok(())
+        }
+        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+            self.hit_class = Snap::load(r)?;
+            self.pending = Snap::load(r)?;
+            self.fence_at = Snap::load(r)?;
+            Ok(())
+        }
+    }
+
+    /// The stall accounting the census replaces, verbatim: walk every
+    /// slot, classify it, and skip the warps that issued this cycle.
+    fn stalls_by_walk(sm: &Sm, now: Cycle) -> [u64; 3] {
+        let mut stalled = [0; 3];
+        for (i, w) in sm.warps.iter().enumerate() {
+            if let Some(kind) = sm.classify(i, now).1.filter(|_| w.issued_at != now) {
+                stalled[kind as usize] += 1;
+            }
+        }
+        stalled
     }
 
     /// The contract guard itself: an L1 whose rejection lapses with time
@@ -1418,10 +1726,14 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
         /// Dormancy is invisible: an SM stepped through `cycle()` and one
-        /// that runs the full scan every cycle book the same stats,
-        /// consume the same access ordinals and present the same accesses
-        /// to the L1 in the same cycles, whatever the program and whenever
-        /// responses arrive. In this (debug) build the first SM also
+        /// that runs the scan every cycle book the same stats, consume the
+        /// same access ordinals and present the same accesses to the L1 in
+        /// the same cycles, whatever the program and whenever responses
+        /// arrive. So is the census: after every cycle each kept verdict
+        /// is what a fresh `classify` says and the counters are their sum,
+        /// the stalls a scan books are what a walk over all slots would,
+        /// and an SM rebuilt from a mid-run snapshot carries on
+        /// indistinguishably. In this (debug) build the first SM also
         /// checks the `Reject` stability contract on every horizon wake.
         #[test]
         fn dormant_cycles_match_a_scan_every_cycle(
@@ -1448,12 +1760,13 @@ mod tests {
                     capacity,
                     hit_class: 0,
                     pending: Dq::new(),
+                    fence_at: vec![Cycle(0); p.n_warp_slots],
                     tick_due: tick_due.clone(),
                     accepted: accepted.clone(),
                 };
                 (Sm::new(p, Box::new(l1)), tick_due, accepted)
             };
-            let (mut dormant, dormant_due, dormant_log) = build();
+            let (mut dormant, mut dormant_due, mut dormant_log) = build();
             let (mut scanned, scanned_due, scanned_log) = build();
             let mut programs = ops.chunks(6).map(|c| WarpProgram(c.iter().copied().map(decode_op).collect()));
             for now in 0..600u64 {
@@ -1466,7 +1779,29 @@ mod tests {
                         scanned.assign_cta(CtaId(0), cta);
                     }
                 }
+                let before = scanned.stats();
+                // Fences the L1 holds closed, by what is left behind them.
+                let closed = |&i: &usize| {
+                    let held = scanned.l1().fence_ready_at(WarpId(i as u16)) > now;
+                    let front = scanned.warps[i].ops.front();
+                    held && matches!(front, Some(WarpOp::Fence | WarpOp::ReleaseFence))
+                };
+                let closed: Vec<(usize, usize)> = (0..p.n_warp_slots)
+                    .filter(closed)
+                    .map(|i| (i, scanned.warps[i].ops.len()))
+                    .collect();
                 prop_assert_eq!(dormant.cycle(now), scanned.scan(now), "L1 hits at {}", now);
+                for (i, left) in closed {
+                    prop_assert_eq!(scanned.warps[i].ops.len(), left, "warp {} passed a closed fence at {}", i, now);
+                }
+                prop_assert!(dormant.census_is_current(now), "census at {}: {:?}", now, dormant.waits);
+                prop_assert!(scanned.census_is_current(now), "census at {}: {:?}", now, scanned.waits);
+                let booked = scanned.stats().diff(&before);
+                prop_assert_eq!(
+                    [booked.memory_stall_cycles, booked.fence_stall_cycles, booked.barrier_stall_cycles],
+                    stalls_by_walk(&scanned, now),
+                    "stalls booked at {}", now
+                );
                 if step == 1 {
                     *dormant_due.borrow_mut() = 1;
                     *scanned_due.borrow_mut() = 1;
@@ -1489,8 +1824,15 @@ mod tests {
                 prop_assert_eq!(dormant.next_access, scanned.next_access, "ordinal at {}", now);
                 prop_assert_eq!(dormant.issued_last_cycle(), scanned.issued_last_cycle());
                 prop_assert_eq!(dormant.resident_warps(), scanned.resident_warps());
+                prop_assert_eq!(dormant_log.take(), scanned_log.take(), "accesses at {}", now);
+                if step == 5 {
+                    // Crash here: a fresh SM restored from the image carries on.
+                    let mut image = SnapWriter::new();
+                    dormant.save_state(&mut image).expect("the scripted L1 checkpoints");
+                    (dormant, dormant_due, dormant_log) = build();
+                    dormant.load_state(&mut SnapReader::new(&image.into_bytes())).expect("same geometry");
+                }
             }
-            prop_assert_eq!(&*dormant_log.borrow(), &*scanned_log.borrow());
             prop_assert!(dormant.stats().issued > 0);
         }
     }

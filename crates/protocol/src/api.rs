@@ -132,6 +132,10 @@ pub enum L1Outcome {
     /// that the access is still refused when it next does. The passing of
     /// time alone may turn an accepted access into a rejected one (a
     /// physical lease expiring), never the reverse.
+    ///
+    /// **Fence horizon.** [`L1Controller::fence_ready_at`] is held to the
+    /// same rule: its answer for a warp changes only across those calls,
+    /// so the SM asks once and waits for that cycle instead of polling.
     Reject,
 }
 
@@ -169,8 +173,9 @@ pub enum WaitHint {
 ///    [`on_response`](L1Controller::on_response), and calls
 ///    [`tick`](L1Controller::tick); both of the latter may yield
 ///    completions.
-/// 3. Fences additionally gate on
-///    [`fence_ready`](L1Controller::fence_ready) (TC-Weak's GWCT rule).
+/// 3. Fences additionally wait for the cycle
+///    [`fence_ready_at`](L1Controller::fence_ready_at) names (TC-Weak's
+///    GWCT rule).
 /// 4. [`flush`](L1Controller::flush) is invoked at kernel boundaries
 ///    (GPU caches are flushed between kernels; Section V-D).
 pub trait L1Controller {
@@ -190,12 +195,15 @@ pub trait L1Controller {
     /// May complete accesses (e.g. waiters whose lease arrived earlier).
     fn tick(&mut self, now: Cycle) -> Vec<Completion>;
 
-    /// Whether `warp` may complete a fence *from the protocol's point of
-    /// view* (the SM separately requires all of the warp's accesses to
-    /// have completed). TC-Weak overrides this with the GWCT check.
-    fn fence_ready(&self, warp: WarpId, now: Cycle) -> bool {
-        let _ = (warp, now);
-        true
+    /// The first cycle at which `warp` may complete a fence *from the
+    /// protocol's point of view* (the SM separately requires all of the
+    /// warp's accesses to have completed). The default never holds a
+    /// fence back; TC-Weak overrides this with the warp's GWCT. The answer
+    /// may change only where a rejection may lapse (see
+    /// [`L1Outcome::Reject`]), so the SM treats it as a known horizon.
+    fn fence_ready_at(&self, warp: WarpId) -> Cycle {
+        let _ = warp;
+        Cycle(0)
     }
 
     /// Arms end-to-end retry: requests unanswered for `timeout` cycles
@@ -493,7 +501,7 @@ mod tests {
         assert_eq!(AccessId::default(), AccessId(0));
     }
 
-    /// The default `fence_ready` lets fences through (only the SM's
+    /// The default `fence_ready_at` lets fences through (only the SM's
     /// outstanding-access rule applies), and default reset hooks are inert.
     #[test]
     fn trait_defaults() {
@@ -520,7 +528,7 @@ mod tests {
             }
         }
         let d = Dummy;
-        assert!(d.fence_ready(WarpId(0), Cycle(0)));
+        assert_eq!(d.fence_ready_at(WarpId(0)), Cycle(0));
 
         struct DummyL2;
         impl L2Controller for DummyL2 {

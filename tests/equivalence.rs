@@ -127,10 +127,11 @@ fn tight_mshr(mut cfg: GpuConfig) -> GpuConfig {
 /// A dormant SM (DESIGN.md §15.2) replays what its skipped scans would
 /// have booked, so no simulated statistic may move. These CRCs were
 /// computed by the per-cycle-scan implementation that preceded dormancy;
-/// they cover the issue rules (RC window, SC blocking), fences polled on
-/// TC-Weak's GWCT clock (BH, STN under TC-RC), a lossy NoC with the
-/// sanitizer armed, and MSHR rejection storms under both schedulers and
-/// under physical-time leases.
+/// they cover the issue rules (RC window, SC blocking), fences held to
+/// TC-Weak's GWCT — polled every cycle then, a horizon the SM sleeps to
+/// now (BH, STN under TC-RC, which must keep stalling on it) — a lossy
+/// NoC with the sanitizer armed, and MSHR rejection storms under both
+/// schedulers and under physical-time leases.
 #[test]
 fn full_stats_match_the_per_cycle_scan_pins() {
     use ConsistencyModel::{Rc, Sc};
@@ -197,8 +198,34 @@ fn full_stats_match_the_per_cycle_scan_pins() {
                 b.name(),
                 stats_crc(&report.stats)
             );
+            if label == "TC-RC" && matches!(b, Benchmark::Bh | Benchmark::Stn) {
+                let fence_stalls = report.stats.sm.fence_stall_cycles;
+                assert!(fence_stalls > 0, "{} no longer waits on a GWCT", b.name());
+            }
         }
     }
+}
+
+/// DLP is the fence-heaviest generator: under TC-RC its warps spend more
+/// cycles parked at a fence behind their GWCT than the kernel has cycles
+/// per SM. Pinned at the last commit that polled those fences.
+#[test]
+fn tc_weak_fence_horizons_match_the_polled_pin() {
+    let cfg = GpuConfig::paper_default()
+        .with_protocol(ProtocolKind::TcWeak)
+        .with_consistency(ConsistencyModel::Rc);
+    let mut sim = GpuSim::new(cfg);
+    let report = sim
+        .run_kernel(Benchmark::Dlp.build(Scale::Small).as_ref())
+        .expect("completes");
+    assert!(report.violations.is_empty());
+    assert!(report.stats.sm.fence_stall_cycles > report.stats.cycles.0);
+    assert_eq!(
+        stats_crc(&report.stats),
+        0x8414_c3d4,
+        "DLP under TC-RC: full SimStats moved ({:#010x})",
+        stats_crc(&report.stats)
+    );
 }
 
 /// The same pin on the two-device fabric topology, where most SMs of
