@@ -1,11 +1,12 @@
 //! Exhaustive litmus model checking of the G-TSC controllers.
 //!
-//! Runs every schedule of every suite shape (including IRIW) through
-//! the real `GtscL1`/`GtscL2` controllers and the operational reference
-//! model, then every cross-GPU shape (threads pinned to devices under a
-//! shared home node, including IRIW-across-devices and a device-crash
-//! variant) through the hierarchical fabric harness. Prints per-shape
-//! schedule counts and outcome sets. Exits nonzero if any shape fails
+//! Runs every schedule of every catalog shape through the real
+//! controllers and the operational reference model: the on-die shapes
+//! (including IRIW) over one `GtscL2` bank, the cross-GPU ones (threads
+//! pinned to devices under a shared home node, including
+//! IRIW-across-devices and a device-crash variant) over the fabric
+//! memory side of the same harness. Prints per-shape schedule counts
+//! and outcome sets. Exits nonzero if any shape fails
 //! soundness (`impl ⊆ spec`), shows a forbidden outcome, misses a
 //! required outcome, trips the transition sanitizer, or is flagged by
 //! the happens-before race oracle on any schedule. `--races` prints the
@@ -15,7 +16,7 @@
 //! model_check [--verbose] [--races] [--max-schedules N]
 //! ```
 
-use gtsc_check::litmus::{all_litmus, all_litmus_multi, run_litmus, run_litmus_multi, LitmusRun};
+use gtsc_check::litmus::{all_litmus, run_litmus, LitmusRun};
 
 fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -89,12 +90,6 @@ fn main() {
     println!();
     for litmus in all_litmus() {
         let r = run_litmus(&litmus, max_schedules);
-        failed += usize::from(report(&r, verbose, races));
-    }
-    println!();
-    println!("cross-GPU shapes (devices under a shared home node, flat reference model):");
-    for litmus in all_litmus_multi() {
-        let r = run_litmus_multi(&litmus, max_schedules);
         failed += usize::from(report(&r, verbose, races));
     }
     println!();

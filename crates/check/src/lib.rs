@@ -1,6 +1,6 @@
 //! Correctness analyses for the G-TSC reproduction.
 //!
-//! Three layers, each catching bugs the others cannot:
+//! Four layers, each catching bugs the others cannot:
 //!
 //! * **Online transition sanitizer** — re-exported from
 //!   [`gtsc_trace::sanitize`]: per-transition invariant checks hooked
@@ -14,16 +14,16 @@
 //!   sanitizer was off.
 //! * **Exhaustive litmus model checking** ([`litmus`], [`harness`],
 //!   [`spec`], [`explore`]) — every schedule of tiny two-to-four-thread
-//!   programs driven through the real `GtscL1`/`GtscL2` controllers and
-//!   compared against an operational reference model of the paper's
-//!   timestamp rules. Catches ordering bugs that need a particular
-//!   interleaving the random-traffic tests never draw. The [`multi`]
-//!   harness extends this to the multi-GPU topology: threads pinned to
-//!   devices, one `DeviceL2` per device, a shared `HomeNode`, with
-//!   cross-GPU shapes (`xmp-sc`, `xiriw-sc`, a device-crash variant)
-//!   checked against the same flat reference model — hierarchical
-//!   lease delegation must not admit anything single-level G-TSC
-//!   forbids.
+//!   programs driven through the real controllers and compared against
+//!   an operational reference model of the paper's timestamp rules.
+//!   Catches ordering bugs that need a particular interleaving the
+//!   random-traffic tests never draw. One harness, two memory sides
+//!   ([`Topology`]): a `GtscL2` bank over instant DRAM, or threads
+//!   pinned to devices with one `DeviceL2` each under a shared
+//!   `HomeNode`. The cross-GPU shapes (`xmp-sc`, `xiriw-sc`, a
+//!   device-crash variant) sit in the same catalog and are checked
+//!   against the same flat reference model — hierarchical lease
+//!   delegation must not admit anything single-level G-TSC forbids.
 //! * **Happens-before race oracle** ([`races`]) — an independent
 //!   ordering checker that derives happens-before from message
 //!   causality alone (vector clocks over send/receive edges, never the
@@ -34,7 +34,7 @@
 //!   recorded event streams.
 //!
 //! The crate also ships two binaries: `model_check` (runs the litmus
-//! suites, including IRIW, with the race oracle attached) and
+//! catalog, including IRIW, with the race oracle attached) and
 //! `src_lint` (the AST-driven source lint from `gtsc-lint`, keeping raw
 //! timestamp arithmetic confined to `gtsc_core::rules` and simulator
 //! state deterministic).
@@ -43,19 +43,14 @@ pub mod explore;
 pub mod harness;
 pub mod lint;
 pub mod litmus;
-pub mod multi;
 pub mod races;
 pub mod spec;
 
 pub use explore::{explore_all, Explored, Schedulable};
 pub use gtsc_trace::{Sanitizer, Transition};
-pub use harness::{HarnessCfg, MicroGtsc};
+pub use harness::{HarnessCfg, MicroGtsc, Topology};
 pub use lint::{lint_events, Finding, LintReport, LintSpec, Severity, LINTS};
-pub use litmus::{
-    all_litmus, all_litmus_multi, run_litmus, run_litmus_multi, Litmus, LitmusRun, Mode,
-    MultiLitmus, Op,
-};
-pub use multi::{MicroMultiGtsc, MultiHarnessCfg};
+pub use litmus::{all_litmus, run_litmus, Litmus, LitmusRun, Mode, Op};
 pub use races::{
     scan_trace, RaceEventKind, RaceFinding, RaceOracle, RaceReport, RespMeta, MAX_RACE_FINDINGS,
 };

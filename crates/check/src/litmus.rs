@@ -4,8 +4,9 @@
 //! shapes: message passing, store buffering, load buffering, coherent
 //! read-read, IRIW) plus the outcomes its consistency model forbids.
 //! [`run_litmus`] explores **every** schedule of the shape through the
-//! real controllers ([`crate::MicroGtsc`]) and through the reference
-//! model ([`crate::SpecMachine`]), then checks:
+//! real controllers ([`crate::MicroGtsc`], over the memory side the
+//! shape's configuration names) and through the reference model
+//! ([`crate::SpecMachine`]), then checks:
 //!
 //! * **soundness** — every implementation outcome is producible by the
 //!   reference model (`impl ⊆ spec`);
@@ -29,8 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::explore::explore_all;
-use crate::harness::{HarnessCfg, MicroGtsc};
-use crate::multi::{MicroMultiGtsc, MultiHarnessCfg};
+use crate::harness::{HarnessCfg, MicroGtsc, Topology};
 use crate::spec::SpecMachine;
 
 /// One thread operation in a litmus program.
@@ -72,15 +72,24 @@ pub enum Mode {
 }
 
 /// A litmus shape.
+///
+/// Each thread is pinned to a device: device 0 everywhere for the
+/// on-die shapes, and spread over the devices of the inter-GPU fabric
+/// for the cross-device ones (`x…`), whose nondeterminism under test is
+/// the home's serialization of cross-device traffic. The reference model
+/// stays the *flat* [`SpecMachine`] either way — hierarchical delegation
+/// must not admit any outcome the single-level timestamp rules forbid,
+/// so `impl ⊆ spec` is checked against the flat model with
+/// [`HarnessCfg::spec_lease`].
 #[derive(Debug, Clone)]
 pub struct Litmus {
-    /// Shape name (e.g. `mp-sc`).
+    /// Shape name (e.g. `mp-sc`, `xmp-sc`).
     pub name: &'static str,
-    /// One program per thread.
-    pub threads: Vec<Vec<Op>>,
+    /// One `(device, program)` pair per thread.
+    pub threads: Vec<(u16, Vec<Op>)>,
     /// Issue model.
     pub mode: Mode,
-    /// Harness configuration (lease, timestamp width).
+    /// Harness configuration (topology, leases, timestamp width, crash).
     pub cfg: HarnessCfg,
     /// Outcomes that must never appear.
     pub forbidden: Vec<OutcomePred>,
@@ -220,8 +229,11 @@ fn thread_orders(prog: &[Op], mode: Mode) -> Vec<Vec<Op>> {
 #[must_use]
 pub fn run_litmus(l: &Litmus, max_schedules: u64) -> LitmusRun {
     // Cross product of per-thread issue orders.
-    let per_thread: Vec<Vec<Vec<Op>>> =
-        l.threads.iter().map(|p| thread_orders(p, l.mode)).collect();
+    let per_thread: Vec<Vec<Vec<Op>>> = l
+        .threads
+        .iter()
+        .map(|(_, p)| thread_orders(p, l.mode))
+        .collect();
     let mut combos: Vec<Vec<Vec<Op>>> = vec![Vec::new()];
     for orders in &per_thread {
         let mut next = Vec::with_capacity(combos.len() * orders.len());
@@ -243,7 +255,13 @@ pub fn run_litmus(l: &Litmus, max_schedules: u64) -> LitmusRun {
     let mut spec_schedules = 0;
     let mut truncated = false;
     for programs in &combos {
-        let r = explore_all(|| MicroGtsc::new(programs, l.cfg), max_schedules);
+        let placed: Vec<(u16, Vec<Op>)> = l
+            .threads
+            .iter()
+            .zip(programs)
+            .map(|((device, _), p)| (*device, p.clone()))
+            .collect();
+        let r = explore_all(|| MicroGtsc::new(&placed, l.cfg), max_schedules);
         truncated |= r.truncated;
         schedules += r.schedules;
         for (obs, violations, races) in r.outcomes {
@@ -251,7 +269,10 @@ pub fn run_litmus(l: &Litmus, max_schedules: u64) -> LitmusRun {
             sanitizer_violations.extend(violations);
             race_findings.extend(races);
         }
-        let s = explore_all(|| SpecMachine::new(programs, l.cfg.lease), max_schedules);
+        let s = explore_all(
+            || SpecMachine::new(programs, l.cfg.spec_lease()),
+            max_schedules,
+        );
         truncated |= s.truncated;
         spec_schedules += s.schedules;
         spec_outcomes.extend(s.outcomes);
@@ -294,13 +315,20 @@ fn st(block: u64, label: u32) -> Op {
     Op::Store { block, label }
 }
 
+/// Places every program on device 0 — the placement of every on-die
+/// shape.
+#[must_use]
+pub fn on_die<const N: usize>(programs: [Vec<Op>; N]) -> Vec<(u16, Vec<Op>)> {
+    programs.into_iter().map(|p| (0, p)).collect()
+}
+
 /// Message passing: T0 stores data (x=1) then flag (y=2); T1 loads flag
 /// then data. Seeing the flag without the data is forbidden under SC.
 #[must_use]
 pub fn mp_sc() -> Litmus {
     Litmus {
         name: "mp-sc",
-        threads: vec![vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]],
+        threads: on_die([vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg::default(),
         forbidden: vec![("flag-without-data", |o| o[&10] == 2 && o[&11] == 0)],
@@ -317,10 +345,10 @@ pub fn mp_sc() -> Litmus {
 pub fn mp_rc_fenced() -> Litmus {
     Litmus {
         name: "mp-rc-fenced",
-        threads: vec![
+        threads: on_die([
             vec![st(0, 1), Op::Fence, st(1, 2)],
             vec![ld(10, 1), Op::Fence, ld(11, 0)],
-        ],
+        ]),
         mode: Mode::Rc,
         cfg: HarnessCfg::default(),
         forbidden: vec![("flag-without-data", |o| o[&10] == 2 && o[&11] == 0)],
@@ -334,7 +362,7 @@ pub fn mp_rc_fenced() -> Litmus {
 pub fn mp_rc_relaxed() -> Litmus {
     Litmus {
         name: "mp-rc-relaxed",
-        threads: vec![vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]],
+        threads: on_die([vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]]),
         mode: Mode::Rc,
         cfg: HarnessCfg::default(),
         forbidden: vec![],
@@ -351,7 +379,7 @@ pub fn mp_rc_relaxed() -> Litmus {
 pub fn sb_sc() -> Litmus {
     Litmus {
         name: "sb-sc",
-        threads: vec![vec![st(0, 1), ld(20, 1)], vec![st(1, 2), ld(21, 0)]],
+        threads: on_die([vec![st(0, 1), ld(20, 1)], vec![st(1, 2), ld(21, 0)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg::default(),
         forbidden: vec![("both-zero", |o| o[&20] == 0 && o[&21] == 0)],
@@ -364,7 +392,7 @@ pub fn sb_sc() -> Litmus {
 pub fn sb_rc_relaxed() -> Litmus {
     Litmus {
         name: "sb-rc-relaxed",
-        threads: vec![vec![st(0, 1), ld(20, 1)], vec![st(1, 2), ld(21, 0)]],
+        threads: on_die([vec![st(0, 1), ld(20, 1)], vec![st(1, 2), ld(21, 0)]]),
         mode: Mode::Rc,
         cfg: HarnessCfg::default(),
         forbidden: vec![],
@@ -378,7 +406,7 @@ pub fn sb_rc_relaxed() -> Litmus {
 pub fn lb_sc() -> Litmus {
     Litmus {
         name: "lb-sc",
-        threads: vec![vec![ld(30, 0), st(1, 3)], vec![ld(31, 1), st(0, 4)]],
+        threads: on_die([vec![ld(30, 0), st(1, 3)], vec![ld(31, 1), st(0, 4)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg::default(),
         forbidden: vec![("both-late", |o| o[&30] == 4 && o[&31] == 3)],
@@ -401,7 +429,7 @@ pub fn corr_rc() -> Litmus {
     }
     Litmus {
         name: "corr-rc",
-        threads: vec![vec![st(0, 5), st(0, 6)], vec![ld(40, 0), ld(41, 0)]],
+        threads: on_die([vec![st(0, 5), st(0, 6)], vec![ld(40, 0), ld(41, 0)]]),
         mode: Mode::Rc,
         cfg: HarnessCfg::default(),
         forbidden: vec![("read-backwards", |o| rank(o[&41]) < rank(o[&40]))],
@@ -420,12 +448,12 @@ pub fn corr_rc() -> Litmus {
 pub fn iriw_sc() -> Litmus {
     Litmus {
         name: "iriw-sc",
-        threads: vec![
+        threads: on_die([
             vec![st(0, 7)],
             vec![st(1, 8)],
             vec![ld(50, 0), ld(51, 1)],
             vec![ld(52, 1), ld(53, 0)],
-        ],
+        ]),
         mode: Mode::Sc,
         cfg: HarnessCfg::default(),
         forbidden: vec![("readers-disagree", |o| {
@@ -445,7 +473,7 @@ pub fn iriw_sc() -> Litmus {
 pub fn mp_rollover_sc() -> Litmus {
     Litmus {
         name: "mp-rollover-sc",
-        threads: vec![vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]],
+        threads: on_die([vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg {
             lease: 10,
@@ -474,10 +502,10 @@ pub fn corr_rollover_sc() -> Litmus {
     }
     Litmus {
         name: "corr-rollover-sc",
-        threads: vec![
+        threads: on_die([
             vec![st(0, 5), st(0, 6), st(0, 7), st(0, 8)],
             vec![ld(40, 0), ld(41, 0), ld(42, 0)],
-        ],
+        ]),
         mode: Mode::Sc,
         cfg: HarnessCfg {
             lease: 10,
@@ -501,10 +529,10 @@ pub fn corr_rollover_sc() -> Litmus {
 pub fn mp_bank_crash_sc() -> Litmus {
     Litmus {
         name: "mp-crash-sc",
-        threads: vec![vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]],
+        threads: on_die([vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg {
-            crash_after_serves: Some(2),
+            crash_after_serves: Some((2, 0)),
             ..HarnessCfg::default()
         },
         forbidden: vec![("flag-without-data", |o| o[&10] == 2 && o[&11] == 0)],
@@ -528,10 +556,10 @@ pub fn corr_bank_crash_sc() -> Litmus {
     }
     Litmus {
         name: "corr-crash-sc",
-        threads: vec![vec![st(0, 5), st(0, 6)], vec![ld(40, 0), ld(41, 0)]],
+        threads: on_die([vec![st(0, 5), st(0, 6)], vec![ld(40, 0), ld(41, 0)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg {
-            crash_after_serves: Some(2),
+            crash_after_serves: Some((2, 0)),
             ..HarnessCfg::default()
         },
         forbidden: vec![("read-backwards", |o| rank(o[&41]) < rank(o[&40]))],
@@ -548,10 +576,12 @@ pub fn corr_bank_crash_sc() -> Litmus {
 pub fn mp_retransmit_storm_sc() -> Litmus {
     Litmus {
         name: "mp-dup-sc",
-        threads: vec![vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]],
+        threads: on_die([vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]]),
         mode: Mode::Sc,
         cfg: HarnessCfg {
-            duplicate_serves: true,
+            topology: Topology::OnDie {
+                duplicate_serves: true,
+            },
             ..HarnessCfg::default()
         },
         forbidden: vec![("flag-without-data", |o| o[&10] == 2 && o[&11] == 0)],
@@ -562,99 +592,20 @@ pub fn mp_retransmit_storm_sc() -> Litmus {
     }
 }
 
-/// A litmus shape over multiple devices joined by the inter-GPU fabric:
-/// each thread is pinned to a device, and the whole shape runs through
-/// [`MicroMultiGtsc`] (per-device `DeviceL2`s under a shared
-/// `HomeNode`). The reference model stays the *flat* [`SpecMachine`] —
-/// hierarchical delegation must not admit any outcome the single-level
-/// timestamp rules forbid, so `impl ⊆ spec` is checked against the flat
-/// model with the grant lease (the widest interval any copy can hold).
-///
-/// Multi-device shapes are SC-only: per-thread issue stays in program
-/// order, and the nondeterminism under test is the home's serialization
-/// of cross-device traffic.
-#[derive(Debug, Clone)]
-pub struct MultiLitmus {
-    /// Shape name (e.g. `xmp-sc`).
-    pub name: &'static str,
-    /// One `(device, program)` pair per thread.
-    pub threads: Vec<(u16, Vec<Op>)>,
-    /// Harness configuration (leases, timestamp width, device crash).
-    pub cfg: MultiHarnessCfg,
-    /// Outcomes that must never appear.
-    pub forbidden: Vec<OutcomePred>,
-    /// Outcomes that must appear in the implementation's explored set.
-    pub required: Vec<OutcomePred>,
-}
-
-/// Explores every schedule of a multi-device litmus on the hierarchical
-/// implementation and the flat reference model, and evaluates the same
-/// checks as [`run_litmus`].
-#[must_use]
-pub fn run_litmus_multi(l: &MultiLitmus, max_schedules: u64) -> LitmusRun {
-    let mut impl_outcomes = BTreeSet::new();
-    let mut sanitizer_violations = BTreeSet::new();
-    let mut race_findings = BTreeSet::new();
-    let r = explore_all(|| MicroMultiGtsc::new(&l.threads, l.cfg), max_schedules);
-    let mut truncated = r.truncated;
-    let schedules = r.schedules;
-    for (obs, violations, races) in r.outcomes {
-        impl_outcomes.insert(obs);
-        sanitizer_violations.extend(violations);
-        race_findings.extend(races);
-    }
-    let flat: Vec<Vec<Op>> = l.threads.iter().map(|(_, p)| p.clone()).collect();
-    let s = explore_all(
-        || SpecMachine::new(&flat, l.cfg.grant_lease.max(l.cfg.lease)),
-        max_schedules,
-    );
-    truncated |= s.truncated;
-    let spec_schedules = s.schedules;
-    let spec_outcomes = s.outcomes;
-
-    let unexplained: Vec<Outcome> = impl_outcomes.difference(&spec_outcomes).cloned().collect();
-    let mut forbidden_hits = Vec::new();
-    for (name, pred) in &l.forbidden {
-        for o in &impl_outcomes {
-            if pred(o) {
-                forbidden_hits.push((*name, o.clone()));
-            }
-        }
-    }
-    let missing_required: Vec<&'static str> = l
-        .required
-        .iter()
-        .filter(|(_, pred)| !impl_outcomes.iter().any(pred))
-        .map(|(name, _)| *name)
-        .collect();
-    LitmusRun {
-        name: l.name,
-        impl_outcomes,
-        spec_outcomes,
-        schedules,
-        spec_schedules,
-        truncated,
-        unexplained,
-        forbidden_hits,
-        missing_required,
-        sanitizer_violations: sanitizer_violations.into_iter().collect(),
-        race_findings: race_findings.into_iter().collect(),
-    }
-}
-
 /// Cross-device message passing: the writer's two stores commit at the
 /// home via device 0, the reader observes through device 1's grants.
 /// Seeing the flag without the data is forbidden — hierarchical leases
 /// must keep the SC guarantee across the fabric.
 #[must_use]
-pub fn xmp_sc() -> MultiLitmus {
-    MultiLitmus {
+pub fn xmp_sc() -> Litmus {
+    Litmus {
         name: "xmp-sc",
         threads: vec![
             (0, vec![st(0, 1), st(1, 2)]),
             (1, vec![ld(10, 1), ld(11, 0)]),
         ],
-        cfg: MultiHarnessCfg::default(),
+        mode: Mode::Sc,
+        cfg: HarnessCfg::fabric(),
         forbidden: vec![("flag-without-data", |o| o[&10] == 2 && o[&11] == 0)],
         required: vec![
             ("sequential", |o| o[&10] == 2 && o[&11] == 1),
@@ -668,14 +619,15 @@ pub fn xmp_sc() -> MultiLitmus {
 /// forbidden under SC even with each thread's traffic flowing through a
 /// different device.
 #[must_use]
-pub fn xsb_sc() -> MultiLitmus {
-    MultiLitmus {
+pub fn xsb_sc() -> Litmus {
+    Litmus {
         name: "xsb-sc",
         threads: vec![
             (0, vec![st(0, 1), ld(20, 1)]),
             (1, vec![st(1, 2), ld(21, 0)]),
         ],
-        cfg: MultiHarnessCfg::default(),
+        mode: Mode::Sc,
+        cfg: HarnessCfg::fabric(),
         forbidden: vec![("both-zero", |o| o[&20] == 0 && o[&21] == 0)],
         required: vec![("one-sided", |o| o[&20] == 2 || o[&21] == 1)],
     }
@@ -687,8 +639,8 @@ pub fn xsb_sc() -> MultiLitmus {
 /// timestamp serialization must look like one total order to every
 /// device, however grants are delegated.
 #[must_use]
-pub fn xiriw_sc() -> MultiLitmus {
-    MultiLitmus {
+pub fn xiriw_sc() -> Litmus {
+    Litmus {
         name: "xiriw-sc",
         threads: vec![
             (0, vec![st(0, 7)]),
@@ -696,7 +648,8 @@ pub fn xiriw_sc() -> MultiLitmus {
             (2, vec![ld(50, 0), ld(51, 1)]),
             (3, vec![ld(52, 1), ld(53, 0)]),
         ],
-        cfg: MultiHarnessCfg::default(),
+        mode: Mode::Sc,
+        cfg: HarnessCfg::fabric(),
         forbidden: vec![("readers-disagree", |o| {
             o[&50] == 7 && o[&51] == 0 && o[&52] == 8 && o[&53] == 0
         })],
@@ -713,30 +666,25 @@ pub fn xiriw_sc() -> MultiLitmus {
 /// the forbidden MP outcome through nor manufacture any outcome the
 /// never-crashing flat model cannot produce.
 #[must_use]
-pub fn xmp_device_crash_sc() -> MultiLitmus {
-    MultiLitmus {
+pub fn xmp_device_crash_sc() -> Litmus {
+    Litmus {
         name: "xmp-crash-sc",
         threads: vec![
             (0, vec![st(0, 1), st(1, 2)]),
             (1, vec![ld(10, 1), ld(11, 0)]),
         ],
-        cfg: MultiHarnessCfg {
-            crash_device_after_serves: Some((2, 0)),
-            ..MultiHarnessCfg::default()
+        mode: Mode::Sc,
+        cfg: HarnessCfg {
+            crash_after_serves: Some((2, 0)),
+            ..HarnessCfg::fabric()
         },
         forbidden: vec![("flag-without-data", |o| o[&10] == 2 && o[&11] == 0)],
         required: vec![("sequential", |o| o[&10] == 2 && o[&11] == 1)],
     }
 }
 
-/// The cross-GPU suite, cheapest first (the `model_check` binary and
-/// the exhaustive tests both run it alongside [`all_litmus`]).
-#[must_use]
-pub fn all_litmus_multi() -> Vec<MultiLitmus> {
-    vec![xmp_sc(), xsb_sc(), xmp_device_crash_sc(), xiriw_sc()]
-}
-
-/// The full suite, cheapest first (the `model_check` binary and the
+/// The full suite — the on-die shapes cheapest first, then the
+/// cross-device ones likewise (the `model_check` binary and the
 /// exhaustive tests both run it).
 #[must_use]
 pub fn all_litmus() -> Vec<Litmus> {
@@ -754,6 +702,10 @@ pub fn all_litmus() -> Vec<Litmus> {
         corr_bank_crash_sc(),
         mp_retransmit_storm_sc(),
         iriw_sc(),
+        xmp_sc(),
+        xsb_sc(),
+        xmp_device_crash_sc(),
+        xiriw_sc(),
     ]
 }
 

@@ -2,23 +2,23 @@
 //!
 //! Each [`ProtocolMutation`] disables exactly one protocol guard in the
 //! real controllers (behind a test-only hook; production code never
-//! sets it). These tests assert the contract the race oracle claims:
+//! sets it). [`witness`] names, for every mutant, the litmus shape that
+//! kills it, and one loop asserts the contract the race oracle claims:
 //!
 //! * every mutant is flagged on at least one exhaustively-explored
-//!   schedule of a small litmus shape, and
-//! * at least one mutant is invisible to the online transition
-//!   sanitizer on *every* schedule — the oracle catches bugs the
-//!   sanitizer structurally cannot see, because the sanitizer checks
-//!   local transition invariants while the oracle checks global
-//!   ordering against message causality.
+//!   schedule of its shape, and
+//! * some mutants are invisible to the online transition sanitizer on
+//!   *every* schedule — the oracle catches bugs the sanitizer
+//!   structurally cannot see, because the sanitizer checks local
+//!   transition invariants while the oracle checks global ordering
+//!   against message causality.
 //!
-//! A healthy control run of every shape is included so a flag can never
-//! be a false positive of the shape itself.
+//! The healthy control of each shape runs in the same loop, so a flag
+//! can never be a false positive of the shape itself.
 
 use gtsc_check::explore::explore_all;
-use gtsc_check::harness::{HarnessCfg, MicroGtsc};
-use gtsc_check::litmus::Op;
-use gtsc_check::multi::{MicroMultiGtsc, MultiHarnessCfg};
+use gtsc_check::harness::{HarnessCfg, MicroGtsc, Topology};
+use gtsc_check::litmus::{on_die, Op};
 use gtsc_core::ProtocolMutation;
 
 fn ld(id: u32, block: u64) -> Op {
@@ -28,167 +28,117 @@ fn st(block: u64, label: u32) -> Op {
     Op::Store { block, label }
 }
 
-/// Explores every schedule; returns (any schedule had a race finding
-/// matching `rule`, any schedule had a sanitizer violation).
-fn explore(progs: &[Vec<Op>], cfg: HarnessCfg, rule: &str) -> (bool, bool) {
-    let r = explore_all(|| MicroGtsc::new(progs, cfg), 200_000);
-    assert!(!r.truncated, "mutant exploration must stay exhaustive");
-    let flagged = r
-        .outcomes
-        .iter()
-        .any(|(_, _, races)| races.iter().any(|f| f.contains(rule)));
-    let sanitizer_fired = r.outcomes.iter().any(|(_, v, _)| !v.is_empty());
-    (flagged, sanitizer_fired)
-}
+/// Every seeded mutant. [`witness`] is exhaustive over the enum, so a
+/// new variant does not compile until it has a killing shape there —
+/// add it here in the same edit.
+const MUTANTS: [ProtocolMutation; 4] = [
+    ProtocolMutation::ServeReadPastRts,
+    ProtocolMutation::SkipLeaseExpiryOnStore,
+    ProtocolMutation::SkipEpochBumpOnRecovery,
+    ProtocolMutation::ServePastGrantRts,
+];
 
-/// A reader whose third load hits a resident-but-expired line: T1
-/// re-reads block 0 after its warp timestamp was dragged past the
-/// original lease by T0's stores.
-fn expired_hit_shape() -> Vec<Vec<Op>> {
-    vec![
-        vec![st(0, 1), st(1, 2)],
-        vec![ld(10, 0), ld(11, 1), ld(12, 0)],
-    ]
-}
+/// Threads, healthy configuration, the oracle rule that must fire, and
+/// whether the sanitizer must stay silent on every schedule.
+type Witness = (Vec<(u16, Vec<Op>)>, HarnessCfg, &'static str, bool);
 
-/// A reader leases a block, then a writer stores to it.
-fn lease_then_store_shape() -> Vec<Vec<Op>> {
-    vec![vec![st(0, 9)], vec![ld(10, 0), ld(11, 0)]]
-}
-
-/// Message passing across a bank crash (the crash lands before the
-/// second serve on every schedule).
-fn crash_shape() -> (Vec<Vec<Op>>, HarnessCfg) {
-    (
-        vec![vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]],
-        HarnessCfg {
-            crash_after_serves: Some(2),
-            ..HarnessCfg::default()
-        },
-    )
+/// The shape that kills mutant `m`.
+fn witness(m: ProtocolMutation) -> Witness {
+    match m {
+        ProtocolMutation::None => unreachable!("the control, not a mutant"),
+        // The L1 serves hits past the lease's `rts`. The reader's third
+        // load hits a resident-but-expired line: T1 re-reads block 0
+        // after its warp timestamp was dragged past the original lease
+        // by T0's stores. The sanitizer (which only checks
+        // warp-timestamp monotonicity and per-line invariants) stays
+        // silent; the oracle flags the read serialized outside its
+        // granted interval.
+        ProtocolMutation::ServeReadPastRts => (
+            on_die([
+                vec![st(0, 1), st(1, 2)],
+                vec![ld(10, 0), ld(11, 1), ld(12, 0)],
+            ]),
+            HarnessCfg::default(),
+            "read-past-lease",
+            true,
+        ),
+        // The L2 stamps stores with `max(wts+1, warp_ts)` instead of
+        // `max(rts+1, warp_ts)`, landing commits inside outstanding read
+        // leases: a reader leases a block, then a writer stores to it.
+        // Per-block `wts` stays strictly increasing, so the sanitizer's
+        // monotonicity checks pass; the oracle compares the commit
+        // against the granted-lease high-water mark and flags it.
+        ProtocolMutation::SkipLeaseExpiryOnStore => (
+            on_die([vec![st(0, 9)], vec![ld(10, 0), ld(11, 0)]]),
+            HarnessCfg::default(),
+            "store-inside-lease",
+            true,
+        ),
+        // Bank recovery keeps the old epoch, so orphaned L1 leases are
+        // never invalidated. Message passing across a bank crash (it
+        // lands before the second serve on every schedule): the oracle's
+        // crash rule demands a strictly newer epoch on the bank's first
+        // post-crash grant.
+        ProtocolMutation::SkipEpochBumpOnRecovery => (
+            on_die([vec![st(0, 1), st(1, 2)], vec![ld(10, 1), ld(11, 0)]]),
+            HarnessCfg {
+                crash_after_serves: Some((2, 0)),
+                ..HarnessCfg::default()
+            },
+            "missing-epoch-bump",
+            false,
+        ),
+        // The device serves local reads with the uncapped lease
+        // extension instead of nesting it inside its inter-GPU grant.
+        // With L1 leases longer than the grant, a healthy device must
+        // clamp every lease it hands out (`nest_rts`) while the mutant's
+        // escapes the grant on the very first forwarded read; the
+        // oracle's `lease-outside-grant` rule — which models the
+        // device's held grants from its own install stream — flags it.
+        ProtocolMutation::ServePastGrantRts => (
+            vec![(0, vec![st(0, 1)]), (1, vec![ld(10, 0), ld(11, 0)])],
+            HarnessCfg {
+                lease: 64,
+                topology: Topology::Fabric { grant_lease: 16 },
+                ..HarnessCfg::default()
+            },
+            "lease-outside-grant",
+            false,
+        ),
+    }
 }
 
 #[test]
-fn healthy_controls_are_clean() {
-    for (progs, cfg) in [
-        (expired_hit_shape(), HarnessCfg::default()),
-        (lease_then_store_shape(), HarnessCfg::default()),
-        crash_shape(),
-    ] {
-        let r = explore_all(|| MicroGtsc::new(&progs, cfg), 200_000);
-        assert!(!r.truncated);
-        for (_, violations, races) in &r.outcomes {
-            assert!(violations.is_empty(), "{violations:?}");
-            assert!(races.is_empty(), "{races:?}");
+fn every_mutant_is_killed_by_the_oracle_and_every_control_is_clean() {
+    for m in MUTANTS {
+        let (threads, healthy, rule, sanitizer_must_stay_silent) = witness(m);
+
+        let control = explore_all(|| MicroGtsc::new(&threads, healthy), 200_000);
+        assert!(!control.truncated);
+        for (_, violations, races) in &control.outcomes {
+            assert!(violations.is_empty(), "{m:?} control: {violations:?}");
+            assert!(races.is_empty(), "{m:?} control: {races:?}");
+        }
+
+        let cfg = HarnessCfg {
+            mutation: m,
+            ..healthy
+        };
+        let r = explore_all(|| MicroGtsc::new(&threads, cfg), 200_000);
+        assert!(!r.truncated, "mutant exploration must stay exhaustive");
+        let flagged = r
+            .outcomes
+            .iter()
+            .any(|(_, _, races)| races.iter().any(|f| f.contains(rule)));
+        assert!(flagged, "{m:?}: the oracle must raise `{rule}`");
+        if sanitizer_must_stay_silent {
+            let sanitizer_fired = r.outcomes.iter().any(|(_, v, _)| !v.is_empty());
+            assert!(
+                !sanitizer_fired,
+                "{m:?} must be invisible to the sanitizer — if it became \
+                 visible, the 'oracle catches what the sanitizer misses' \
+                 claim needs a new witness"
+            );
         }
     }
-}
-
-/// Mutant 1: the L1 serves hits past the lease's `rts`. The sanitizer
-/// (which only checks warp-timestamp monotonicity and per-line
-/// invariants) stays silent on every schedule; the oracle flags the
-/// read serialized outside its granted interval.
-#[test]
-fn serve_read_past_rts_is_flagged_by_oracle_not_sanitizer() {
-    let cfg = HarnessCfg {
-        mutation: ProtocolMutation::ServeReadPastRts,
-        ..HarnessCfg::default()
-    };
-    let (flagged, sanitizer_fired) = explore(&expired_hit_shape(), cfg, "read-past-lease");
-    assert!(flagged, "oracle must flag the expired-lease hit");
-    assert!(
-        !sanitizer_fired,
-        "this mutant must be invisible to the sanitizer — if it became \
-         visible, the 'oracle catches what the sanitizer misses' claim \
-         needs a new witness"
-    );
-}
-
-/// Mutant 2: the L2 stamps stores with `max(wts+1, warp_ts)` instead of
-/// `max(rts+1, warp_ts)`, landing commits inside outstanding read
-/// leases. Per-block `wts` stays strictly increasing, so the sanitizer's
-/// monotonicity checks pass on every schedule; the oracle compares the
-/// commit against the granted-lease high-water mark and flags it.
-#[test]
-fn skip_lease_expiry_on_store_is_flagged_by_oracle_not_sanitizer() {
-    let cfg = HarnessCfg {
-        mutation: ProtocolMutation::SkipLeaseExpiryOnStore,
-        ..HarnessCfg::default()
-    };
-    let (flagged, sanitizer_fired) = explore(&lease_then_store_shape(), cfg, "store-inside-lease");
-    assert!(
-        flagged,
-        "oracle must flag the commit inside a granted lease"
-    );
-    assert!(
-        !sanitizer_fired,
-        "this mutant must be invisible to the sanitizer — if it became \
-         visible, the 'oracle catches what the sanitizer misses' claim \
-         needs a new witness"
-    );
-}
-
-/// Cross-GPU shape for the delegation mutant: device L1 leases longer
-/// than the inter-GPU grant, so a healthy device must clamp every lease
-/// it hands out (`nest_rts`) while the mutant's uncapped extension
-/// escapes the grant on the very first forwarded read.
-fn delegation_shape() -> (Vec<(u16, Vec<Op>)>, MultiHarnessCfg) {
-    (
-        vec![(0, vec![st(0, 1)]), (1, vec![ld(10, 0), ld(11, 0)])],
-        MultiHarnessCfg {
-            lease: 64,
-            grant_lease: 16,
-            ..MultiHarnessCfg::default()
-        },
-    )
-}
-
-#[test]
-fn healthy_delegation_control_is_clean() {
-    let (threads, cfg) = delegation_shape();
-    let r = explore_all(|| MicroMultiGtsc::new(&threads, cfg), 200_000);
-    assert!(!r.truncated);
-    for (_, violations, races) in &r.outcomes {
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(races.is_empty(), "{races:?}");
-    }
-}
-
-/// Mutant 4 (multi-GPU): the device serves local reads with the
-/// uncapped lease extension instead of nesting it inside its inter-GPU
-/// grant, handing L1s leases the home never promised to protect. The
-/// race oracle's `lease-outside-grant` rule — which models the device's
-/// held grants from its own install stream — must flag it on some
-/// exhaustively-explored schedule.
-#[test]
-fn serve_past_grant_rts_is_flagged_by_oracle() {
-    let (threads, cfg) = delegation_shape();
-    let cfg = MultiHarnessCfg {
-        mutation: ProtocolMutation::ServePastGrantRts,
-        ..cfg
-    };
-    let r = explore_all(|| MicroMultiGtsc::new(&threads, cfg), 200_000);
-    assert!(!r.truncated, "mutant exploration must stay exhaustive");
-    let flagged = r
-        .outcomes
-        .iter()
-        .any(|(_, _, races)| races.iter().any(|f| f.contains("lease-outside-grant")));
-    assert!(
-        flagged,
-        "oracle must flag the lease escaping its inter-GPU grant"
-    );
-}
-
-/// Mutant 3: bank recovery keeps the old epoch, so orphaned L1 leases
-/// are never invalidated. The oracle's crash rule demands a strictly
-/// newer epoch on the bank's first post-crash grant.
-#[test]
-fn skip_epoch_bump_on_recovery_is_flagged_by_oracle() {
-    let (progs, cfg) = crash_shape();
-    let cfg = HarnessCfg {
-        mutation: ProtocolMutation::SkipEpochBumpOnRecovery,
-        ..cfg
-    };
-    let (flagged, _) = explore(&progs, cfg, "missing-epoch-bump");
-    assert!(flagged, "oracle must flag the un-bumped recovery epoch");
 }

@@ -13,11 +13,13 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use gtsc_check::explore::{explore_all, run_schedule};
-use gtsc_check::harness::{HarnessCfg, MicroGtsc};
-use gtsc_check::litmus::Op;
-use gtsc_check::multi::{MicroMultiGtsc, MultiHarnessCfg};
+use gtsc_check::harness::{HarnessCfg, MicroGtsc, Topology};
+use gtsc_check::litmus::{on_die, Op};
 use gtsc_check::spec::SpecMachine;
 use proptest::prelude::*;
+
+type Threads = Vec<(u16, Vec<Op>)>;
+type Outcomes = std::collections::BTreeSet<BTreeMap<u32, u32>>;
 
 fn ld(id: u32, block: u64) -> Op {
     Op::Load { id, block }
@@ -29,112 +31,111 @@ fn st(block: u64, label: u32) -> Op {
 /// Three threads hammering blocks 0 and 1: a writer, a reader, and a
 /// mixed thread that reads then overwrites. 1680 serve orders — beyond
 /// what the exhaustive suite runs per shape, ideal for sampling.
-fn shape() -> Vec<Vec<Op>> {
-    vec![
+fn shape() -> Threads {
+    on_die([
         vec![st(0, 1), st(1, 2), st(0, 3)],
         vec![ld(10, 0), ld(11, 1), ld(12, 0)],
         vec![ld(20, 1), st(1, 4), ld(21, 0)],
-    ]
+    ])
 }
 
-/// All outcomes the reference model allows for the shape, computed once.
-fn spec_outcomes() -> &'static std::collections::BTreeSet<BTreeMap<u32, u32>> {
-    static SPEC: OnceLock<std::collections::BTreeSet<BTreeMap<u32, u32>>> = OnceLock::new();
-    SPEC.get_or_init(|| {
-        let r = explore_all(
-            || SpecMachine::new(&shape(), HarnessCfg::default().lease),
-            1_000_000,
-        );
-        assert!(!r.truncated, "reference exploration must be exhaustive");
-        r.outcomes
-    })
+/// The multi-GPU twin of [`shape`]: the same three threads spread over
+/// two devices, contending on blocks 0 and 1 through the shared home
+/// node.
+fn multi_shape() -> Threads {
+    let mut threads = shape();
+    threads[1].0 = 1;
+    threads[2].0 = 1;
+    threads
 }
 
-proptest! {
-    /// Any serve order of the real controllers lands inside the
-    /// reference model's outcome set, with a clean sanitizer.
-    #[test]
-    fn random_impl_schedule_is_within_spec(choices in proptest::collection::vec(0usize..4, 0..24)) {
-        let mut m = MicroGtsc::new(&shape(), HarnessCfg::default());
-        let (observations, violations, races) = run_schedule(&mut m, &choices);
-        prop_assert!(violations.is_empty(), "sanitizer violations: {violations:?}");
-        prop_assert!(races.is_empty(), "race-oracle findings: {races:?}");
-        prop_assert!(
-            spec_outcomes().contains(&observations),
-            "outcome not producible by the reference model: {observations:?}"
-        );
-    }
-
-    /// Replay determinism at the harness level: the same choice vector
-    /// must yield the same outcome (the explorer's core assumption).
-    #[test]
-    fn same_choices_same_outcome(choices in proptest::collection::vec(0usize..4, 0..24)) {
-        let mut a = MicroGtsc::new(&shape(), HarnessCfg::default());
-        let mut b = MicroGtsc::new(&shape(), HarnessCfg::default());
-        prop_assert_eq!(run_schedule(&mut a, &choices), run_schedule(&mut b, &choices));
-    }
-}
-
-/// The multi-GPU twin of [`shape`]: three threads spread over two
-/// devices contending on blocks 0 and 1 through the shared home node.
-fn multi_shape() -> Vec<(u16, Vec<Op>)> {
-    vec![
-        (0, vec![st(0, 1), st(1, 2), st(0, 3)]),
-        (1, vec![ld(10, 0), ld(11, 1), ld(12, 0)]),
-        (1, vec![ld(20, 1), st(1, 4), ld(21, 0)]),
-    ]
-}
-
-/// Reference outcomes for the multi-GPU shape: the flat spec with the
-/// effective lease (grant and L1 leases both bound read visibility).
-fn multi_spec_outcomes(cfg: MultiHarnessCfg) -> std::collections::BTreeSet<BTreeMap<u32, u32>> {
-    let flat: Vec<Vec<Op>> = multi_shape().into_iter().map(|(_, p)| p).collect();
-    let r = explore_all(
-        || SpecMachine::new(&flat, cfg.grant_lease.max(cfg.lease)),
-        1_000_000,
-    );
+/// All outcomes the flat reference model allows for the shape under
+/// `cfg`'s effective lease (over the fabric, grant and L1 leases both
+/// bound read visibility). Placement does not reach the flat model.
+fn spec_outcomes(cfg: HarnessCfg) -> Outcomes {
+    let flat: Vec<Vec<Op>> = shape().into_iter().map(|(_, p)| p).collect();
+    let r = explore_all(|| SpecMachine::new(&flat, cfg.spec_lease()), 1_000_000);
     assert!(!r.truncated, "reference exploration must be exhaustive");
     r.outcomes
 }
 
-fn multi_spec_default() -> &'static std::collections::BTreeSet<BTreeMap<u32, u32>> {
-    static SPEC: OnceLock<std::collections::BTreeSet<BTreeMap<u32, u32>>> = OnceLock::new();
-    SPEC.get_or_init(|| multi_spec_outcomes(MultiHarnessCfg::default()))
+/// Computed once per topology.
+fn spec_default() -> &'static Outcomes {
+    static SPEC: OnceLock<Outcomes> = OnceLock::new();
+    SPEC.get_or_init(|| spec_outcomes(HarnessCfg::default()))
+}
+
+fn multi_spec_default() -> &'static Outcomes {
+    static SPEC: OnceLock<Outcomes> = OnceLock::new();
+    SPEC.get_or_init(|| spec_outcomes(HarnessCfg::fabric()))
+}
+
+/// One serve order of the real controllers lands inside the reference
+/// model's outcome set with a clean sanitizer and oracle; across the
+/// fabric that includes every L2 lease handed to an L1 nesting inside a
+/// live inter-GPU grant (the oracle's `lease-outside-grant` rule fires
+/// otherwise).
+fn check_within_spec(
+    threads: &Threads,
+    cfg: HarnessCfg,
+    spec: &Outcomes,
+    choices: &[usize],
+) -> TestCaseResult {
+    let mut m = MicroGtsc::new(threads, cfg);
+    let (observations, violations, races) = run_schedule(&mut m, choices);
+    prop_assert!(
+        violations.is_empty(),
+        "sanitizer violations: {violations:?}"
+    );
+    prop_assert!(
+        !races.iter().any(|f| f.contains("lease-outside-grant")),
+        "an L2 lease escaped its inter-GPU grant: {races:?}"
+    );
+    prop_assert!(races.is_empty(), "race-oracle findings: {races:?}");
+    prop_assert!(
+        spec.contains(&observations),
+        "outcome not producible by the reference model: {observations:?}"
+    );
+    Ok(())
+}
+
+/// Replay determinism at the harness level: the same choice vector must
+/// yield the same outcome (the explorer's core assumption; its
+/// resume/caching machinery depends on it).
+fn check_replay_is_deterministic(
+    threads: &Threads,
+    cfg: HarnessCfg,
+    choices: &[usize],
+) -> TestCaseResult {
+    let mut a = MicroGtsc::new(threads, cfg);
+    let mut b = MicroGtsc::new(threads, cfg);
+    prop_assert_eq!(run_schedule(&mut a, choices), run_schedule(&mut b, choices));
+    Ok(())
 }
 
 proptest! {
-    /// Satellite property for hierarchical delegation: on any random
-    /// serve order of the multi-GPU harness, every L2 lease handed to an
-    /// L1 nests inside a live inter-GPU grant (the race oracle's
-    /// `lease-outside-grant` rule fires otherwise), the sanitizer stays
-    /// clean, and the outcome is one the flat reference model allows.
+    #[test]
+    fn random_impl_schedule_is_within_spec(choices in proptest::collection::vec(0usize..4, 0..24)) {
+        check_within_spec(&shape(), HarnessCfg::default(), spec_default(), &choices)?;
+    }
+
+    #[test]
+    fn same_choices_same_outcome(choices in proptest::collection::vec(0usize..4, 0..24)) {
+        check_replay_is_deterministic(&shape(), HarnessCfg::default(), &choices)?;
+    }
+
     #[test]
     fn random_multi_gpu_schedule_nests_leases_and_stays_within_spec(
         choices in proptest::collection::vec(0usize..4, 0..24),
     ) {
-        let mut m = MicroMultiGtsc::new(&multi_shape(), MultiHarnessCfg::default());
-        let (observations, violations, races) = run_schedule(&mut m, &choices);
-        prop_assert!(violations.is_empty(), "sanitizer violations: {violations:?}");
-        prop_assert!(
-            !races.iter().any(|f| f.contains("lease-outside-grant")),
-            "an L2 lease escaped its inter-GPU grant: {races:?}"
-        );
-        prop_assert!(races.is_empty(), "race-oracle findings: {races:?}");
-        prop_assert!(
-            multi_spec_default().contains(&observations),
-            "outcome not producible by the reference model: {observations:?}"
-        );
+        check_within_spec(&multi_shape(), HarnessCfg::fabric(), multi_spec_default(), &choices)?;
     }
 
-    /// Replay determinism holds for the multi-GPU harness too — the
-    /// explorer's resume/caching machinery depends on it.
     #[test]
     fn same_choices_same_multi_gpu_outcome(
         choices in proptest::collection::vec(0usize..4, 0..24),
     ) {
-        let mut a = MicroMultiGtsc::new(&multi_shape(), MultiHarnessCfg::default());
-        let mut b = MicroMultiGtsc::new(&multi_shape(), MultiHarnessCfg::default());
-        prop_assert_eq!(run_schedule(&mut a, &choices), run_schedule(&mut b, &choices));
+        check_replay_is_deterministic(&multi_shape(), HarnessCfg::fabric(), &choices)?;
     }
 }
 
@@ -146,20 +147,20 @@ proptest! {
 #[test]
 fn multi_gpu_lease_nesting_holds_under_stress_configs() {
     let cfgs = [
-        MultiHarnessCfg {
+        HarnessCfg {
             lease: 64,
-            grant_lease: 16,
-            ..MultiHarnessCfg::default()
+            topology: Topology::Fabric { grant_lease: 16 },
+            ..HarnessCfg::default()
         },
-        MultiHarnessCfg {
+        HarnessCfg {
             lease: 10,
-            grant_lease: 16,
             ts_bits: 6,
-            ..MultiHarnessCfg::default()
+            topology: Topology::Fabric { grant_lease: 16 },
+            ..HarnessCfg::default()
         },
-        MultiHarnessCfg {
-            crash_device_after_serves: Some((3, 0)),
-            ..MultiHarnessCfg::default()
+        HarnessCfg {
+            crash_after_serves: Some((3, 0)),
+            ..HarnessCfg::fabric()
         },
     ];
     for seed in 0u64..60 {
@@ -169,7 +170,7 @@ fn multi_gpu_lease_nesting_holds_under_stress_configs() {
                 ((seed.wrapping_mul(2_654_435_761).wrapping_add(i * 97_453)) >> 11) as usize % 4
             })
             .collect();
-        let mut m = MicroMultiGtsc::new(&multi_shape(), cfg);
+        let mut m = MicroGtsc::new(&multi_shape(), cfg);
         let (_, violations, races) = run_schedule(&mut m, &choices);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         assert!(races.is_empty(), "seed {seed}: {races:?}");
@@ -186,11 +187,7 @@ fn random_rollover_schedules_stay_within_spec() {
         ts_bits: 4,
         ..HarnessCfg::default()
     };
-    let spec = {
-        let r = explore_all(|| SpecMachine::new(&shape(), cfg.lease), 1_000_000);
-        assert!(!r.truncated);
-        r.outcomes
-    };
+    let spec = spec_outcomes(cfg);
     // A fixed spread of deterministic pseudo-schedules (no wall-clock or
     // RNG dependence keeps failures reproducible byte-for-byte).
     for seed in 0u64..64 {
@@ -223,11 +220,13 @@ fn race_oracle_clean_on_100_random_schedules() {
             ..HarnessCfg::default()
         },
         HarnessCfg {
-            crash_after_serves: Some(3),
+            crash_after_serves: Some((3, 0)),
             ..HarnessCfg::default()
         },
         HarnessCfg {
-            duplicate_serves: true,
+            topology: Topology::OnDie {
+                duplicate_serves: true,
+            },
             ..HarnessCfg::default()
         },
     ];

@@ -17,8 +17,8 @@
 //! by default: every hot-path hook goes through [`Tracer::record_with`]
 //! (or [`Tracer::record`] off the fast paths), which compiles to a
 //! single predicted-not-taken branch when disabled — the event payload
-//! is never even built (the `trace_overhead` benches in `gtsc-bench`
-//! hold this to <2% on the protocol fast paths).
+//! is never even built (the benchmark's `bench.trace_overhead_pct` and
+//! `trace.record_disabled_ns` hold this to <2%).
 //!
 //! # Examples
 //!

@@ -554,9 +554,9 @@ impl Sanitizer {
     /// Checks the transition built by `t`, which only runs when the
     /// sanitizer is enabled. This is the per-transition hot-path hook:
     /// a disabled sanitizer pays one predicted-not-taken branch and
-    /// never materialises the payload (the `sanitize_overhead` benches
-    /// in `gtsc-bench` hold the protocol fast paths to the same <2%
-    /// budget as tracing).
+    /// never materialises the payload (the benchmark's
+    /// `trace.sanitize_check_{disabled,enabled}_ns` rungs time it, inside
+    /// the same <2% budget as tracing).
     #[inline]
     pub fn check_with(&self, cycle: Cycle, t: impl FnOnce() -> Transition) {
         if self.shared.is_none() {

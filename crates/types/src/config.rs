@@ -419,7 +419,7 @@ impl Default for TransportConfig {
 ///
 /// The hot-path hooks compile to a single branch on this enum when
 /// tracing is [`TraceMode::Off`], so the default costs nothing on the
-/// protocol fast paths (verified by the `trace_overhead` benches).
+/// protocol fast paths (the benchmark's `trace.record_disabled_ns` rung).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TraceMode {
     /// No events recorded (the default).
