@@ -29,16 +29,17 @@
 //! per-device fabric hotspots from the flight-recorder tail and prints
 //! each device's stall attribution.
 //!
-//! Every storm's flight-recorder tail is additionally swept by the
-//! happens-before race oracle's trace-tier scan
-//! ([`gtsc_check::scan_trace`]) — an ordering check independent of the
-//! online sanitizer, so a storm that perturbs timing into an ordering
-//! bug is caught even when every transition invariant still holds.
+//! The soak runs with the sanitizer off (it measures the protocol, not
+//! the checker), so every storm that ends violation-free has its
+//! flight-recorder tail replayed through the invariant catalog's
+//! offline driver ([`gtsc_check::lint_events`]): the per-event rules
+//! still get a look at what each component last did, crashes and
+//! rollovers included.
 //!
-//! Exits nonzero if any run produced a checker violation, a race-oracle
+//! Exits nonzero if any run produced a checker violation, a trace-rule
 //! finding, stalled, or hit the cycle limit.
 
-use gtsc_check::scan_trace;
+use gtsc_check::lint_events;
 use gtsc_faults::FaultStats;
 use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
 use gtsc_sim::{GpuSim, MultiGpuSim};
@@ -203,14 +204,26 @@ fn transport_hotspots(tail: &[TraceEvent]) -> Option<String> {
     ))
 }
 
-/// Runs one (seed, scenario) storm; returns an error description if the
-/// run violated coherence or failed to complete. `drop_permille` swaps
-/// the chaos storm for a lossy one (drops + corruption + transport).
-fn run_one(
-    seed: u64,
-    sc: &Scenario,
-    drop_permille: Option<u16>,
-) -> (Option<String>, Option<FaultStats>) {
+/// Replays a finished storm's flight-recorder tail through the offline
+/// rule driver. `Ok` carries the number of facts the rules examined (a
+/// zero would mean the audit looked at nothing); `Err` says what fired.
+fn audit_tail(tail: &[TraceEvent]) -> Result<u64, String> {
+    let lint = lint_events(tail);
+    if lint.is_clean() {
+        return Ok(lint.scanned);
+    }
+    let mut why = format!(
+        "trace rules flagged {} distinct finding(s) in the flight-recorder tail:",
+        lint.findings.len()
+    );
+    for l in lint.lines() {
+        why.push_str(&format!("\n    {l}"));
+    }
+    Err(why)
+}
+
+/// The single-GPU machine of one (seed, scenario) storm.
+fn single_sim(seed: u64, sc: &Scenario, drop_permille: Option<u16>) -> GpuSim {
     let mut faults = match drop_permille {
         Some(p) => FaultConfig::lossy(seed, p),
         None => FaultConfig::chaos(seed),
@@ -223,28 +236,25 @@ fn run_one(
         .with_consistency(sc.model)
         .with_faults(faults)
         // Flight recorder on: a failing storm prints the event tail that
-        // led up to it, not just counters (stall diagnoses carry theirs).
+        // led up to it, not just counters (stall diagnoses carry theirs),
+        // and a passing one has its tail audited.
         .with_trace(TraceConfig::flight());
-    let mut sim = GpuSim::new(cfg);
+    GpuSim::new(cfg)
+}
+
+/// Runs one (seed, scenario) storm; returns an error description if the
+/// run violated coherence or failed to complete. `drop_permille` swaps
+/// the chaos storm for a lossy one (drops + corruption + transport).
+fn run_one(
+    seed: u64,
+    sc: &Scenario,
+    drop_permille: Option<u16>,
+) -> (Option<String>, Option<FaultStats>) {
+    let mut sim = single_sim(seed, sc, drop_permille);
     let failure = match sim.run_kernel(&sc.kernel) {
-        Ok(report) if report.violations.is_empty() => {
-            // Sanitizer-clean is necessary, not sufficient: sweep the
-            // flight-recorder tail with the independent ordering oracle.
-            let races = scan_trace(&report.trace_tail);
-            if races.is_clean() {
-                None
-            } else {
-                let mut why = format!(
-                    "race oracle flagged {} distinct ordering finding(s) in the trace tail:",
-                    races.findings.len()
-                );
-                for l in races.lines() {
-                    why.push_str(&format!("\n    {l}"));
-                }
-                why.push_str(&format!("\n  {}", hotspots(&report.stats)));
-                Some(why)
-            }
-        }
+        Ok(report) if report.violations.is_empty() => audit_tail(&sim.flight_tail())
+            .err()
+            .map(|why| format!("{why}\n  {}", hotspots(&report.stats))),
         Ok(report) => {
             let mut why = format!(
                 "{} violation(s): {:?}",
@@ -335,15 +345,10 @@ fn device_fabric_hotspots(tail: &[TraceEvent], n_devices: usize) -> Option<Strin
     Some(format!("fabric hotspots by device: [{}]", shown.join(" ")))
 }
 
-/// Runs one (seed, scenario) multi-GPU storm. On-die faults mirror the
-/// single-GPU sweep; the fabric gets its own seed-pure fault stream
-/// (loss, partitions, device crashes) from the multi knobs.
-fn run_one_multi(
-    seed: u64,
-    sc: &Scenario,
-    opts: MultiOpts,
-    drop_permille: Option<u16>,
-) -> (Option<String>, Option<FaultStats>) {
+/// The multi-GPU machine of one (seed, scenario) storm. On-die faults
+/// mirror the single-GPU sweep; the fabric gets its own seed-pure fault
+/// stream (loss, partitions, device crashes) from the multi knobs.
+fn multi_sim(seed: u64, sc: &Scenario, opts: MultiOpts, drop_permille: Option<u16>) -> MultiGpuSim {
     let mut faults = match drop_permille {
         Some(p) => FaultConfig::lossy(seed, p),
         None => FaultConfig::chaos(seed),
@@ -370,7 +375,7 @@ fn run_one_multi(
     if sc.device_crashes {
         fabric = fabric.with_device_crashes(2, 2_000);
     }
-    let cfg = MultiGpuConfig {
+    MultiGpuSim::new(MultiGpuConfig {
         n_devices: opts.gpus,
         gpu: GpuConfig::test_small()
             .with_protocol(ProtocolKind::Gtsc)
@@ -378,24 +383,19 @@ fn run_one_multi(
             .with_faults(faults)
             .with_trace(TraceConfig::flight()),
         fabric,
-    };
-    let mut sim = MultiGpuSim::new(cfg);
+    })
+}
+
+/// Runs one (seed, scenario) multi-GPU storm.
+fn run_one_multi(
+    seed: u64,
+    sc: &Scenario,
+    opts: MultiOpts,
+    drop_permille: Option<u16>,
+) -> (Option<String>, Option<FaultStats>) {
+    let mut sim = multi_sim(seed, sc, opts, drop_permille);
     let failure = match sim.run_kernel(&sc.kernel) {
-        Ok(report) if report.violations.is_empty() => {
-            let races = scan_trace(&report.trace_tail);
-            if races.is_clean() {
-                None
-            } else {
-                let mut why = format!(
-                    "race oracle flagged {} distinct ordering finding(s) in the trace tail:",
-                    races.findings.len()
-                );
-                for l in races.lines() {
-                    why.push_str(&format!("\n    {l}"));
-                }
-                Some(why)
-            }
-        }
+        Ok(report) if report.violations.is_empty() => audit_tail(&sim.flight_tail()).err(),
         Ok(report) => {
             let mut why = format!(
                 "{} violation(s): {:?}",
@@ -562,5 +562,74 @@ fn main() {
     } else {
         println!("{} FAILING storm(s): {failures:?}", failures.len());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The audit is not vacuous: a clean storm's tail yields facts.
+    #[test]
+    fn audit_of_a_clean_storm_examines_facts() {
+        let sc = &scenarios()[0];
+        let mut sim = single_sim(1, sc, Some(10));
+        let report = sim.run_kernel(&sc.kernel).expect("completes");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(
+            report.trace_tail.is_empty(),
+            "a clean report carries no tail — the audit must read the sim's"
+        );
+        let examined = audit_tail(&sim.flight_tail()).expect("clean");
+        assert!(examined > 0, "the audit looked at nothing");
+    }
+
+    /// Healthy crash recovery comes back clean: a bank records the epoch
+    /// it crashed in, then the rollover into the next.
+    #[test]
+    fn audit_passes_healthy_bank_and_device_crash_storms() {
+        for seed in 0..6 {
+            let cfg = GpuConfig::test_small()
+                .with_protocol(ProtocolKind::Gtsc)
+                .with_consistency(ConsistencyModel::Rc)
+                .with_faults(FaultConfig::lossy(seed, 10).with_bank_crashes(2, 400))
+                .with_trace(TraceConfig::flight());
+            let mut sim = GpuSim::new(cfg);
+            let report = sim
+                .run_kernel(&micro::message_passing(3))
+                .expect("completes");
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            let tail = sim.flight_tail();
+            assert!(
+                tail.iter()
+                    .any(|e| matches!(e.kind, EventKind::BankReset { .. })),
+                "seed {seed}: no crash reached the tail"
+            );
+            let examined = audit_tail(&tail).unwrap_or_else(|why| panic!("seed {seed}: {why}"));
+            assert!(examined > 0);
+        }
+
+        let scenarios = multi_scenarios();
+        let sc = scenarios.iter().find(|s| s.device_crashes).expect("listed");
+        let opts = MultiOpts {
+            gpus: 2,
+            fabric_drop: None,
+            partition: false,
+        };
+        for seed in 0..6 {
+            let mut sim = multi_sim(seed, sc, opts, None);
+            let report = sim.run_kernel(&sc.kernel).expect("completes");
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            let tail = sim.flight_tail();
+            assert!(
+                tail.iter().any(|e| matches!(
+                    (e.scope, e.kind),
+                    (Scope::Device(_), EventKind::BankReset { .. })
+                )),
+                "seed {seed}: no device crash reached the tail"
+            );
+            let examined = audit_tail(&tail).unwrap_or_else(|why| panic!("seed {seed}: {why}"));
+            assert!(examined > 0);
+        }
     }
 }

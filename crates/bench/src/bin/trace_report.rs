@@ -8,22 +8,18 @@
 //! sampled IPC / expired-miss-rate series as counter tracks.
 //!
 //! The run executes with the online transition sanitizer armed;
-//! `--lint` additionally runs the declarative trace lints from
-//! `gtsc-check` over the collected event log and exits nonzero on any
-//! sanitizer violation or error-severity lint finding, making this the
-//! CI sanitize-smoke as well as the worked tracing example. `--races`
-//! runs the happens-before race oracle's trace-tier scan
-//! ([`gtsc_check::scan_trace`]) over the same log and exits nonzero on
-//! any ordering finding.
+//! `--lint` additionally replays the collected event log through the
+//! invariant catalog's offline driver ([`gtsc_check::lint_events`] —
+//! every per-event rule recorded events can feed) and exits nonzero on
+//! any sanitizer violation or error-severity finding, making this the
+//! CI sanitize-smoke as well as the worked tracing example.
 //!
 //! Run: `cargo run --release -p gtsc-bench --bin trace_report
-//!       [-- --chrome trace.json] [-- --lines trace.txt] [-- --lint]
-//!       [-- --races]`
+//!       [-- --chrome trace.json] [-- --lines trace.txt] [-- --lint]`
 
 use std::collections::BTreeMap;
 
-use gtsc_check::lint::lint_events;
-use gtsc_check::scan_trace;
+use gtsc_check::lint_events;
 use gtsc_sim::GpuSim;
 use gtsc_trace::to_lines;
 use gtsc_types::{ConsistencyModel, GpuConfig, ProtocolKind, TraceConfig};
@@ -122,29 +118,16 @@ fn main() {
         }
         let lint = lint_events(&events);
         println!(
-            "\ntrace lints: {} event(s) scanned, {} error(s), {} warning(s)",
+            "\ntrace lints: {} fact(s) checked in {} event(s), {} error(s), {} warning(s)",
             lint.scanned,
+            events.len(),
             lint.errors(),
-            lint.warnings()
+            lint.findings.len() - lint.errors()
         );
         for l in lint.lines() {
             println!("  {l}");
         }
-        if lint.errors() > 0 {
-            std::process::exit(1);
-        }
-    }
-    if std::env::args().any(|a| a == "--races") {
-        let races = scan_trace(&events);
-        println!(
-            "\nrace oracle (trace tier): {} event(s) scanned, {} distinct finding(s)",
-            races.events,
-            races.findings.len()
-        );
-        for l in races.lines() {
-            println!("  {l}");
-        }
-        if !races.is_clean() {
+        if !lint.is_clean() {
             std::process::exit(1);
         }
     }

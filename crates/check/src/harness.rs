@@ -55,12 +55,12 @@ use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, LeaseInfo};
 use gtsc_protocol::{
     AccessId, AccessKind, Completion, L1Controller, L1Outcome, L2Controller, MemAccess,
 };
-use gtsc_trace::{Sanitizer, Scope};
+use gtsc_trace::{Finding, Report, Sanitizer, Scope};
 use gtsc_types::{BlockAddr, Cycle, Lease, Version, WarpId};
 
 use crate::explore::Schedulable;
 use crate::litmus::Op;
-use crate::races::{RaceEventKind, RaceOracle, RaceReport, RespMeta};
+use crate::races::{RaceEventKind, RaceOracle, RespMeta};
 
 /// Iteration guard for one serve pump; generously above the bank, device
 /// and home latencies plus a rollover or grant-refetch round.
@@ -505,15 +505,9 @@ impl MicroGtsc {
             .collect()
     }
 
-    /// Sanitizer violations recorded so far across all components.
-    #[must_use]
-    pub fn sanitizer_violations(&self) -> Vec<String> {
-        self.sanitizer.violations()
-    }
-
     /// The race oracle's verdict over everything observed so far.
     #[must_use]
-    pub fn race_report(&self) -> RaceReport {
+    pub fn race_report(&self) -> Report {
         self.wire.oracle.report()
     }
 
@@ -718,10 +712,10 @@ pub(crate) fn resp_meta(resp: L2ToL1) -> Option<RespMeta> {
 }
 
 impl Schedulable for MicroGtsc {
-    /// Load observations, sanitizer violations, and race-oracle
+    /// Load observations, sanitizer findings, and race-oracle
     /// findings — the two checkers' verdicts are part of the outcome so
     /// a breach on any schedule surfaces in the explored set.
-    type Outcome = (BTreeMap<u32, u32>, Vec<String>, Vec<String>);
+    type Outcome = (BTreeMap<u32, u32>, Vec<Finding>, Vec<Finding>);
 
     fn fanout(&self) -> usize {
         self.enabled().len()
@@ -743,8 +737,8 @@ impl Schedulable for MicroGtsc {
         }
         (
             self.observed.clone(),
-            self.sanitizer.violations(),
-            self.wire.oracle.report().lines(),
+            self.sanitizer.report().findings,
+            self.wire.oracle.report().findings,
         )
     }
 }

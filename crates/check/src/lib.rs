@@ -1,17 +1,18 @@
 //! Correctness analyses for the G-TSC reproduction.
 //!
-//! Four layers, each catching bugs the others cannot:
+//! Three layers, each catching bugs the others cannot:
 //!
-//! * **Online transition sanitizer** — re-exported from
-//!   [`gtsc_trace::sanitize`]: per-transition invariant checks hooked
-//!   into every GtscL1/GtscL2 (and TC baseline) state change, enabled
-//!   with `GpuConfig::sanitize`. Catches *transient* violations that
-//!   self-heal before the end-of-run value checker looks.
-//! * **Declarative trace lints** ([`lint`]) — an offline rule pass over
-//!   recorded [`gtsc_trace::TraceEvent`] streams. Catches protocol-flow
-//!   mistakes (a hit past its lease, a store scheduled inside one) in
-//!   any trace, including ones captured from full-scale runs where the
-//!   sanitizer was off.
+//! * **The invariant catalog, two drivers** — every per-event protocol
+//!   rule is stated once, in [`gtsc_trace::rules`] ([`RULES`] names
+//!   them; one [`gtsc_trace::RuleMachine`] evaluates them). The *online*
+//!   driver is the transition [`Sanitizer`], hooked into every
+//!   GtscL1/GtscL2 (and TC baseline, device, home) state change and
+//!   enabled with `GpuConfig::sanitize`: it catches *transient*
+//!   violations that self-heal before the end-of-run value checker
+//!   looks. The *offline* driver is [`lint_events`] ([`lint`]), which
+//!   replays any recorded [`gtsc_trace::TraceEvent`] stream through the
+//!   same machine — including traces captured from full-scale runs
+//!   where the sanitizer was off.
 //! * **Exhaustive litmus model checking** ([`litmus`], [`harness`],
 //!   [`spec`], [`explore`]) — every schedule of tiny two-to-four-thread
 //!   programs driven through the real controllers and compared against
@@ -29,9 +30,9 @@
 //!   causality alone (vector clocks over send/receive edges, never the
 //!   protocol's own timestamps) and verifies that every load is covered
 //!   by a genuinely exclusive lease interval and that timestamp order
-//!   extends happens-before. Runs inside every litmus exploration and,
-//!   in a lenient trace-tier form ([`races::scan_trace`]), over
-//!   recorded event streams.
+//!   extends happens-before. Runs inside every litmus exploration.
+//!   `results/kill_matrix.txt` (asserted by the `mutants` test) records
+//!   which seeded protocol mutant each layer's rules kill.
 //!
 //! The crate also ships two binaries: `model_check` (runs the litmus
 //! catalog, including IRIW, with the race oracle attached) and
@@ -47,11 +48,9 @@ pub mod races;
 pub mod spec;
 
 pub use explore::{explore_all, Explored, Schedulable};
-pub use gtsc_trace::{Sanitizer, Transition};
+pub use gtsc_trace::{Finding, Report, Sanitizer, Severity, Transition, RULES};
 pub use harness::{HarnessCfg, MicroGtsc, Topology};
-pub use lint::{lint_events, Finding, LintReport, LintSpec, Severity, LINTS};
+pub use lint::lint_events;
 pub use litmus::{all_litmus, run_litmus, Litmus, LitmusRun, Mode, Op};
-pub use races::{
-    scan_trace, RaceEventKind, RaceFinding, RaceOracle, RaceReport, RespMeta, MAX_RACE_FINDINGS,
-};
+pub use races::{RaceEventKind, RaceOracle, RespMeta};
 pub use spec::SpecMachine;

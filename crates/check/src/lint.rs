@@ -1,377 +1,126 @@
-//! Declarative lints over recorded protocol trace streams.
+//! The offline driver of the invariant catalog.
 //!
 //! The online sanitizer checks transitions as they happen, but it must
-//! be enabled *before* the run. Trace lints close the other half: any
+//! be enabled *before* the run. This driver closes the other half: any
 //! event stream captured by `gtsc-trace` (full logs, flight-recorder
 //! tails, merged multi-component dumps) can be checked after the fact
 //! with [`lint_events`] — including traces from runs where nobody
-//! anticipated a problem. The `trace_report --lint` flag and the
-//! crate's integration tests both go through this pass.
+//! anticipated a problem. `trace_report --lint`, the `stress_faults`
+//! soak and the crate's integration tests all go through this pass.
 //!
-//! Each lint is a named rule with a fixed severity (see [`LINTS`]);
-//! state is tracked per [`Scope`] and reset at that scope's rollover
-//! events, mirroring the Section V-D timestamp reset.
+//! It holds no rule: [`fact`] translates each recorded event into the
+//! [`Transition`] it witnesses and a [`RuleMachine`] — the one the
+//! sanitizer feeds — judges it ([`gtsc_trace::RULES`]). Events record
+//! less than transitions do; a rule whose facts the stream cannot supply
+//! stays silent rather than guess. Assumes a G-TSC trace.
 
 use std::collections::HashMap;
 
-use gtsc_trace::{EventKind, Scope, TraceEvent};
-use gtsc_types::{BlockAddr, Cycle};
+use gtsc_trace::{EventKind, Report, RuleMachine, Scope, TraceEvent, Transition};
+use gtsc_types::Timestamp;
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suspicious but potentially benign (e.g. wasted work).
-    Warning,
-    /// A protocol invariant was violated.
-    Error,
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// A lint rule's identity: name, severity, and what it means.
-#[derive(Debug, Clone, Copy)]
-pub struct LintSpec {
-    /// Stable kebab-case rule name.
-    pub name: &'static str,
-    /// Fixed severity of its findings.
-    pub severity: Severity,
-    /// One-line description.
-    pub description: &'static str,
-}
-
-/// The lint catalog.
-pub const LINTS: &[LintSpec] = &[
-    LintSpec {
-        name: "load-past-rts",
-        severity: Severity::Error,
-        description: "a hit was served to a warp whose timestamp exceeds the line's rts \
-                      (Figure 2 hit condition violated)",
-    },
-    LintSpec {
-        name: "wts-gt-rts",
-        severity: Severity::Error,
-        description: "a lease was granted with wts > rts (inverted interval)",
-    },
-    LintSpec {
-        name: "store-before-lease-expiry",
-        severity: Severity::Error,
-        description: "a store committed at a wts inside a previously granted read lease \
-                      (Figure 5 requires wts > every granted rts)",
-    },
-    LintSpec {
-        name: "rollover-ordering",
-        severity: Severity::Error,
-        description: "a component's rollover epochs did not strictly increase",
-    },
-    LintSpec {
-        name: "evict-live-lease",
-        severity: Severity::Warning,
-        description: "an L1 evicted a line whose lease still covered every local warp \
-                      (renewal traffic will follow; tune geometry or lease)",
-    },
-    LintSpec {
-        name: "retransmit-without-timeout",
-        severity: Severity::Error,
-        description: "the transport re-sent a segment that had neither timed out nor been \
-                      NACKed (a spurious retransmission masks timer bugs and wastes NoC \
-                      bandwidth)",
-    },
-];
-
-/// Cap on distinct findings a rendered report keeps (see
-/// [`LintReport::lines`]); matches the race oracle's cap so stuck-run
-/// logs stay bounded everywhere.
-pub const MAX_LINT_FINDINGS: usize = 256;
-
-/// One lint finding.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// Rule that fired (a [`LINTS`] name).
-    pub lint: &'static str,
-    /// The rule's severity.
-    pub severity: Severity,
-    /// Cycle of the offending event.
-    pub cycle: Cycle,
-    /// Component that recorded it.
-    pub scope: Scope,
-    /// Block the finding is about, when the event names one — the
-    /// dedup key for rendered reports, and structured context for
-    /// diagnosis tooling (which block, which SM/bank, which cycle).
-    pub block: Option<BlockAddr>,
-    /// Human explanation with the relevant timestamps.
-    pub message: String,
-}
-
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: [{}] {}: {} ({})",
-            self.severity, self.cycle, self.scope, self.message, self.lint
-        )
-    }
-}
-
-/// The result of linting one event stream.
-#[derive(Debug, Clone, Default)]
-pub struct LintReport {
-    /// Findings in event order.
-    pub findings: Vec<Finding>,
-    /// Events examined.
-    pub scanned: usize,
-}
-
-impl LintReport {
-    /// Number of error-severity findings.
-    #[must_use]
-    pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    /// Number of warning-severity findings.
-    #[must_use]
-    pub fn warnings(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warning)
-            .count()
-    }
-
-    /// Whether no *errors* were found (warnings allowed).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.errors() == 0
-    }
-
-    /// Renders the findings with duplicates collapsed *before* the
-    /// [`MAX_LINT_FINDINGS`] cap: a stuck protocol repeating one
-    /// violation per access must not evict distinct findings from the
-    /// report. Findings are deduplicated by (rule, scope, block) with a
-    /// `(xN)` multiplicity on the first occurrence; distinct findings
-    /// past the cap are summarized in a final line.
-    #[must_use]
-    pub fn lines(&self) -> Vec<String> {
-        let mut index: std::collections::BTreeMap<(&str, Scope, Option<BlockAddr>), usize> =
-            std::collections::BTreeMap::new();
-        let mut kept: Vec<(&Finding, u64)> = Vec::new();
-        for f in &self.findings {
-            match index.entry((f.lint, f.scope, f.block)) {
-                std::collections::btree_map::Entry::Occupied(e) => kept[*e.get()].1 += 1,
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(kept.len());
-                    kept.push((f, 1));
-                }
-            }
-        }
-        let mut out: Vec<String> = kept
-            .iter()
-            .take(MAX_LINT_FINDINGS)
-            .map(|(f, n)| {
-                if *n > 1 {
-                    format!("{f} (x{n})")
-                } else {
-                    f.to_string()
-                }
-            })
-            .collect();
-        if kept.len() > MAX_LINT_FINDINGS {
-            out.push(format!(
-                "... {} further distinct finding(s) suppressed past the {MAX_LINT_FINDINGS}-entry cap",
-                kept.len() - MAX_LINT_FINDINGS
-            ));
-        }
-        out
-    }
-}
-
-#[derive(Debug, Default)]
-struct LintState {
-    /// Per (scope, block): the largest rts granted (fill or renewal)
-    /// since that scope's last rollover.
-    granted_rts: HashMap<(Scope, BlockAddr), u64>,
-    /// Per scope: last rollover epoch seen.
-    last_epoch: HashMap<Scope, u64>,
-    /// Per SM scope: the largest warp timestamp observed in a hit since
-    /// the last rollover (a lower bound on how far the SM's warps have
-    /// advanced).
-    max_warp_ts: HashMap<Scope, u64>,
-    /// Transport flows (scope, flow src, flow dst) that have been NACKed
-    /// at least once — the only flows allowed NACK-driven retransmits.
-    nacked_flows: std::collections::HashSet<(Scope, u16, u16)>,
-}
-
-/// Runs every lint over `events` (one pass, event order).
+/// Runs every offline-fed rule over `events` (one pass, event order).
+/// [`Report::scanned`] counts the facts the stream yielded, so a stream
+/// the rules could read nothing from shows as zero, not as clean.
 ///
 /// The stream may interleave scopes (e.g. [`gtsc_trace::merge_tails`]
-/// output); all state is scope-keyed. Events the rules do not consume
-/// are skipped, so partial streams (filtered classes, flight-recorder
-/// tails) are fine — lints simply see less.
+/// output). Events carry no epoch, so each scope's is reconstructed
+/// from its own `Rollover` events (epoch 0 until the first one — a
+/// truncated tail may start later, which only shifts that scope's
+/// epochs by a constant: the offline-fed rules compare epochs within
+/// one scope, never across two).
 #[must_use]
-pub fn lint_events(events: &[TraceEvent]) -> LintReport {
-    let mut st = LintState::default();
-    let mut report = LintReport {
-        findings: Vec::new(),
-        scanned: events.len(),
-    };
-    let mut emit =
-        |lint: &'static str, e: &TraceEvent, block: Option<BlockAddr>, message: String| {
-            let spec = LINTS
-                .iter()
-                .find(|s| s.name == lint)
-                .expect("emit uses a catalogued lint name");
-            report.findings.push(Finding {
-                lint,
-                severity: spec.severity,
-                cycle: e.cycle,
-                scope: e.scope,
-                block,
-                message,
-            });
-        };
+pub fn lint_events(events: &[TraceEvent]) -> Report {
+    let mut machine = RuleMachine::default();
+    let mut epochs: HashMap<Scope, u64> = HashMap::new();
     for e in events {
-        match e.kind {
-            EventKind::Hit {
-                block,
-                warp,
-                warp_ts,
-                rts,
-            } => {
-                if warp_ts > rts {
-                    emit(
-                        "load-past-rts",
-                        e,
-                        Some(block),
-                        format!(
-                            "hit on block {block} served to warp {warp} at warp_ts \
-                             {warp_ts} past the line's rts {rts}"
-                        ),
-                    );
-                }
-                let m = st.max_warp_ts.entry(e.scope).or_insert(warp_ts);
-                *m = (*m).max(warp_ts);
-            }
-            EventKind::LeaseGrant { block, wts, rts } => {
-                if wts > rts {
-                    emit(
-                        "wts-gt-rts",
-                        e,
-                        Some(block),
-                        format!("lease on block {block} granted with wts {wts} > rts {rts}"),
-                    );
-                }
-                let g = st.granted_rts.entry((e.scope, block)).or_insert(rts);
-                *g = (*g).max(rts);
-            }
-            EventKind::Renewal { block, rts } => {
-                let g = st.granted_rts.entry((e.scope, block)).or_insert(rts);
-                *g = (*g).max(rts);
-            }
-            EventKind::StoreCommit { block, wts } => {
-                if let Some(&granted) = st.granted_rts.get(&(e.scope, block)) {
-                    if wts <= granted {
-                        emit(
-                            "store-before-lease-expiry",
-                            e,
-                            Some(block),
-                            format!(
-                                "store on block {block} committed at wts {wts} inside \
-                                 the granted read lease (rts high-water {granted})"
-                            ),
-                        );
-                    }
-                }
-            }
-            // L1 scopes only: an L2 eviction folding a live lease
-            // into mem_ts is the designed non-inclusion mechanism.
-            EventKind::Eviction { block, rts } if matches!(e.scope, Scope::Sm(_)) && rts > 0 => {
-                let seen = st.max_warp_ts.get(&e.scope).copied().unwrap_or(0);
-                if rts > seen {
-                    emit(
-                        "evict-live-lease",
-                        e,
-                        Some(block),
-                        format!(
-                            "evicted block {block} with rts {rts} still covering \
-                             every local warp (max observed warp_ts {seen})"
-                        ),
-                    );
-                }
-            }
-            EventKind::Nack { src, dst, .. } => {
-                st.nacked_flows.insert((e.scope, src, dst));
-            }
-            EventKind::Retransmit {
-                src,
-                dst,
-                seq,
-                age,
-                timeout,
-                nack,
-            } => {
-                if nack {
-                    // NACK-driven: legitimate only after the receiver
-                    // actually asked (a Nack on the same flow, earlier in
-                    // the stream).
-                    if !st.nacked_flows.contains(&(e.scope, src, dst)) {
-                        emit(
-                            "retransmit-without-timeout",
-                            e,
-                            None,
-                            format!(
-                                "nack-driven retransmit of {src} -> {dst} seq {seq} with \
-                                 no preceding NACK on that flow"
-                            ),
-                        );
-                    }
-                } else if timeout == 0 || age < timeout {
-                    // Timer-driven: the (backed-off) deadline must really
-                    // have elapsed.
-                    emit(
-                        "retransmit-without-timeout",
-                        e,
-                        None,
-                        format!(
-                            "retransmit of {src} -> {dst} seq {seq} at age {age}, before \
-                             its timeout {timeout} elapsed"
-                        ),
-                    );
-                }
-            }
-            EventKind::Rollover { epoch } => {
-                if let Some(&prev) = st.last_epoch.get(&e.scope) {
-                    if epoch <= prev {
-                        emit(
-                            "rollover-ordering",
-                            e,
-                            None,
-                            format!("rollover to epoch {epoch} after epoch {prev}"),
-                        );
-                    }
-                }
-                st.last_epoch.insert(e.scope, epoch);
-                // The reset rebases every timestamp in this scope.
-                st.granted_rts.retain(|(s, _), _| *s != e.scope);
-                st.max_warp_ts.remove(&e.scope);
-            }
-            _ => {}
+        if let EventKind::Rollover { epoch } = e.kind {
+            epochs.insert(e.scope, epoch);
+        }
+        let epoch = epochs.get(&e.scope).copied().unwrap_or(0);
+        if let Some(t) = fact(e, epoch) {
+            machine.check(e.cycle, e.scope, t);
         }
     }
-    report
+    machine.report
+}
+
+/// The fact `e` witnesses, given the epoch its scope is in — `None`
+/// when the event carries nothing a rule reads. Total over
+/// [`EventKind`]: a new event kind must decide here what it proves.
+fn fact(e: &TraceEvent, epoch: u64) -> Option<Transition> {
+    // The side that serves leases for a block on its own authority: its
+    // bank on die, the home across the fabric. A device's grants and
+    // serves are judged against the home's, and two independently
+    // truncated rings cannot be aligned epoch for epoch — its lease
+    // events are left to the online driver.
+    let serves = matches!(e.scope, Scope::L2Bank(_) | Scope::Home(_));
+    let l1 = matches!(e.scope, Scope::Sm(_));
+    match e.kind {
+        EventKind::Hit {
+            block,
+            warp,
+            warp_ts,
+            rts,
+        } if l1 => Some(Transition::L1Hit {
+            block,
+            warp,
+            warp_ts: Timestamp(warp_ts),
+            rts: Timestamp(rts),
+        }),
+        EventKind::LeaseGrant { block, wts, rts } if serves => Some(Transition::L2Grant {
+            block,
+            wts: Timestamp(wts),
+            rts: Timestamp(rts),
+            epoch,
+        }),
+        EventKind::Renewal { block, rts } if serves => Some(Transition::L2Renew {
+            block,
+            rts: Timestamp(rts),
+            epoch,
+        }),
+        // The event records the commit `wts` only: `[wts, wts]` is the
+        // part of the new version's lease it proves.
+        EventKind::StoreCommit { block, wts } if serves => Some(Transition::L2Store {
+            block,
+            wts: Timestamp(wts),
+            rts: Timestamp(wts),
+            epoch,
+        }),
+        // L1 scopes only (an L2 eviction folding a live lease into
+        // mem_ts is the designed non-inclusion mechanism, and its event
+        // lacks the mem_ts the fold rule reads); rts 0 means unknown.
+        EventKind::Eviction { rts, .. } if l1 && rts > 0 => Some(Transition::Recorded(e.kind)),
+        EventKind::Rollover { epoch } => Some(Transition::EpochEnter { epoch }),
+        EventKind::BankReset { epoch, .. } => Some(Transition::BankReset { epoch }),
+        EventKind::Retransmit { .. } => Some(Transition::Recorded(e.kind)),
+        EventKind::Hit { .. }
+        | EventKind::LeaseGrant { .. }
+        | EventKind::Renewal { .. }
+        | EventKind::StoreCommit { .. }
+        | EventKind::Eviction { .. }
+        | EventKind::ColdMiss { .. }
+        | EventKind::ExpiredMiss { .. }
+        | EventKind::BlockedOnWrite { .. }
+        | EventKind::FillApplied { .. }
+        | EventKind::WriteAck { .. }
+        | EventKind::ReplayDrop { .. }
+        | EventKind::WarpIssue { .. }
+        | EventKind::WarpStall { .. }
+        | EventKind::PacketSend { .. }
+        | EventKind::PacketDeliver { .. }
+        | EventKind::PacketDrop { .. }
+        | EventKind::PacketCorrupt { .. }
+        | EventKind::Nack { .. }
+        | EventKind::DramEnqueue { .. }
+        | EventKind::DramService { .. } => None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtsc_types::{BlockAddr, Cycle};
 
     fn ev(cycle: u64, scope: Scope, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -383,392 +132,105 @@ mod tests {
     fn b(n: u64) -> BlockAddr {
         BlockAddr(n)
     }
-
-    #[test]
-    fn lines_dedup_before_the_cap() {
-        // One repeated finding (same rule/scope/block, MAX+10 times)
-        // plus MAX+4 distinct ones: the repeats must collapse to a
-        // single counted line *before* the cap, so distinct findings
-        // survive and only the true overflow is suppressed.
-        let mut events = Vec::new();
-        for i in 0..u64::try_from(MAX_LINT_FINDINGS).unwrap() + 10 {
-            events.push(ev(
-                i,
-                Scope::Sm(0),
-                EventKind::Hit {
-                    block: b(7),
-                    warp: 0,
-                    warp_ts: 99,
-                    rts: 10,
-                },
-            ));
+    fn grant(block: u64, wts: u64, rts: u64) -> EventKind {
+        EventKind::LeaseGrant {
+            block: b(block),
+            wts,
+            rts,
         }
-        for i in 0..u64::try_from(MAX_LINT_FINDINGS).unwrap() + 4 {
-            events.push(ev(
-                1000 + i,
-                Scope::Sm(1),
-                EventKind::Hit {
-                    block: b(i),
-                    warp: 0,
-                    warp_ts: 99,
-                    rts: 10,
-                },
-            ));
-        }
-        let r = lint_events(&events);
-        let lines = r.lines();
-        assert_eq!(lines.len(), MAX_LINT_FINDINGS + 1, "cap plus summary");
-        assert!(
-            lines[0].ends_with(&format!("(x{})", MAX_LINT_FINDINGS + 10)),
-            "repeats collapse with a multiplicity: {}",
-            lines[0]
-        );
-        assert!(
-            lines.last().unwrap().contains("5 further distinct"),
-            "overflow summarized: {}",
-            lines.last().unwrap()
-        );
     }
-
-    #[test]
-    fn catalog_names_are_unique() {
-        for (i, a) in LINTS.iter().enumerate() {
-            for b in &LINTS[i + 1..] {
-                assert_ne!(a.name, b.name);
-            }
+    fn commit(block: u64, wts: u64) -> EventKind {
+        EventKind::StoreCommit {
+            block: b(block),
+            wts,
         }
     }
 
+    /// Each scope's epoch is reconstructed from its own rollovers: the
+    /// bank that reset restarts its timestamps small without a finding,
+    /// the bank that did not still holds its lease.
     #[test]
-    fn clean_stream_yields_no_findings() {
-        let l2 = Scope::L2Bank(0);
+    fn epochs_are_reconstructed_per_scope_from_rollovers() {
+        let (rolled, other) = (Scope::L2Bank(0), Scope::L2Bank(1));
         let events = vec![
-            ev(
-                1,
-                l2,
-                EventKind::LeaseGrant {
-                    block: b(1),
-                    wts: 1,
-                    rts: 11,
-                },
-            ),
-            ev(
-                2,
-                Scope::Sm(0),
-                EventKind::Hit {
-                    block: b(1),
-                    warp: 0,
-                    warp_ts: 5,
-                    rts: 11,
-                },
-            ),
-            ev(
-                3,
-                l2,
-                EventKind::StoreCommit {
-                    block: b(1),
-                    wts: 12,
-                },
-            ),
-            ev(4, l2, EventKind::Rollover { epoch: 1 }),
-            ev(5, l2, EventKind::Rollover { epoch: 2 }),
+            ev(1, rolled, grant(1, 1, 30)),
+            ev(1, other, grant(2, 1, 30)),
+            ev(2, rolled, EventKind::Rollover { epoch: 1 }),
+            ev(3, rolled, commit(1, 11)),
+            ev(4, other, commit(2, 11)),
         ];
         let r = lint_events(&events);
+        assert_eq!(r.errors(), 1, "{r}");
+        assert_eq!(
+            (r.findings[0].rule, r.findings[0].scope),
+            ("store-before-lease-expiry", other)
+        );
         assert_eq!(r.scanned, 5);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert!(r.is_clean());
     }
 
+    /// A tail that starts after its scope's last rollover labels that
+    /// scope epoch 0 throughout — consistently, so nothing fires; and a
+    /// rollover seen later still restarts the scope's marks.
     #[test]
-    fn hit_past_rts_is_an_error() {
-        let events = vec![ev(
-            3,
-            Scope::Sm(1),
-            EventKind::Hit {
-                block: b(2),
-                warp: 1,
-                warp_ts: 20,
-                rts: 10,
-            },
-        )];
-        let r = lint_events(&events);
-        assert_eq!(r.errors(), 1);
-        assert_eq!(r.findings[0].lint, "load-past-rts");
-        assert!(r.findings[0].to_string().contains("warp_ts 20"));
-    }
-
-    #[test]
-    fn store_inside_granted_lease_is_an_error() {
-        let l2 = Scope::L2Bank(0);
+    fn a_truncated_tail_is_judged_only_on_what_it_shows() {
+        let bank = Scope::L2Bank(0);
         let events = vec![
-            ev(
-                1,
-                l2,
-                EventKind::LeaseGrant {
-                    block: b(3),
-                    wts: 1,
-                    rts: 15,
-                },
-            ),
-            ev(
-                2,
-                l2,
-                EventKind::Renewal {
-                    block: b(3),
-                    rts: 25,
-                },
-            ),
-            ev(
-                3,
-                l2,
-                EventKind::StoreCommit {
-                    block: b(3),
-                    wts: 20,
-                },
-            ),
+            // Really epoch 3; the tail cannot know.
+            ev(100, bank, grant(1, 40, 60)),
+            ev(101, bank, commit(1, 61)),
+            ev(102, bank, EventKind::Rollover { epoch: 4 }),
+            ev(103, bank, commit(1, 11)),
         ];
         let r = lint_events(&events);
-        assert_eq!(r.errors(), 1);
-        assert_eq!(r.findings[0].lint, "store-before-lease-expiry");
-        // A store safely past the high-water lease is fine.
-        let ok = vec![
-            ev(
-                1,
-                l2,
-                EventKind::LeaseGrant {
-                    block: b(3),
-                    wts: 1,
-                    rts: 15,
-                },
-            ),
-            ev(
-                2,
-                l2,
-                EventKind::StoreCommit {
-                    block: b(3),
-                    wts: 16,
-                },
-            ),
-        ];
-        assert!(lint_events(&ok).is_clean());
+        assert!(r.findings.is_empty(), "{r}");
     }
 
+    /// What an event does *not* prove is not a fact: an unknown (`0`) or
+    /// L2-side eviction rts, a hit outside an L1, a device's lease
+    /// events (judged against the home's grants, online), and event
+    /// kinds no rule reads.
     #[test]
-    fn rollover_resets_lease_state_per_scope() {
-        let l2 = Scope::L2Bank(0);
-        let other = Scope::L2Bank(1);
-        let events = vec![
+    fn events_that_prove_nothing_yield_no_fact() {
+        let silent = [
             ev(
                 1,
-                l2,
-                EventKind::LeaseGrant {
-                    block: b(1),
-                    wts: 1,
-                    rts: 30,
-                },
-            ),
-            ev(
-                1,
-                other,
-                EventKind::LeaseGrant {
-                    block: b(1),
-                    wts: 1,
-                    rts: 30,
-                },
-            ),
-            ev(2, l2, EventKind::Rollover { epoch: 1 }),
-            // Post-reset timestamps restart small: not a violation here...
-            ev(
-                3,
-                l2,
-                EventKind::StoreCommit {
-                    block: b(1),
-                    wts: 11,
-                },
-            ),
-            // ...but the bank that did not roll over still holds its lease.
-            ev(
-                4,
-                other,
-                EventKind::StoreCommit {
-                    block: b(1),
-                    wts: 11,
-                },
-            ),
-        ];
-        let r = lint_events(&events);
-        assert_eq!(r.errors(), 1, "{:?}", r.findings);
-        assert_eq!(r.findings[0].scope, other);
-    }
-
-    #[test]
-    fn rollover_epochs_must_strictly_increase() {
-        let l2 = Scope::L2Bank(0);
-        let events = vec![
-            ev(1, l2, EventKind::Rollover { epoch: 1 }),
-            ev(2, l2, EventKind::Rollover { epoch: 1 }),
-            ev(3, Scope::L2Bank(1), EventKind::Rollover { epoch: 1 }),
-        ];
-        let r = lint_events(&events);
-        assert_eq!(r.errors(), 1);
-        assert_eq!(r.findings[0].lint, "rollover-ordering");
-    }
-
-    #[test]
-    fn retransmit_lint_demands_a_timeout_or_a_nack() {
-        let noc = Scope::Noc(0);
-        // Legitimate: a timer-driven retransmit past its deadline, and a
-        // NACK-driven one preceded by the receiver's NACK.
-        let clean = vec![
-            ev(
-                300,
-                noc,
-                EventKind::Retransmit {
-                    src: 0,
-                    dst: 1,
-                    seq: 4,
-                    age: 280,
-                    timeout: 256,
-                    nack: false,
-                },
-            ),
-            ev(
-                310,
-                noc,
-                EventKind::Nack {
-                    src: 2,
-                    dst: 1,
-                    expected: 9,
-                },
-            ),
-            ev(
-                311,
-                noc,
-                EventKind::Retransmit {
-                    src: 2,
-                    dst: 1,
-                    seq: 9,
-                    age: 20,
-                    timeout: 0,
-                    nack: true,
-                },
-            ),
-        ];
-        assert!(
-            lint_events(&clean).is_clean(),
-            "{:?}",
-            lint_events(&clean).findings
-        );
-
-        // Spurious: fired before the deadline.
-        let early = vec![ev(
-            100,
-            noc,
-            EventKind::Retransmit {
-                src: 0,
-                dst: 1,
-                seq: 4,
-                age: 100,
-                timeout: 256,
-                nack: false,
-            },
-        )];
-        let r = lint_events(&early);
-        assert_eq!(r.errors(), 1);
-        assert_eq!(r.findings[0].lint, "retransmit-without-timeout");
-        assert!(
-            r.findings[0].message.contains("before"),
-            "{:?}",
-            r.findings[0]
-        );
-
-        // Spurious: claims a NACK that never happened (or on another flow).
-        let phantom = vec![
-            ev(
-                50,
-                noc,
-                EventKind::Nack {
-                    src: 0,
-                    dst: 2,
-                    expected: 1,
-                },
-            ),
-            ev(
-                60,
-                noc,
-                EventKind::Retransmit {
-                    src: 0,
-                    dst: 1,
-                    seq: 4,
-                    age: 10,
-                    timeout: 0,
-                    nack: true,
-                },
-            ),
-        ];
-        let r = lint_events(&phantom);
-        assert_eq!(r.errors(), 1);
-        assert!(
-            r.findings[0].message.contains("no preceding NACK"),
-            "{:?}",
-            r.findings[0]
-        );
-    }
-
-    #[test]
-    fn wts_above_rts_and_live_eviction_fire() {
-        let events = vec![
-            ev(
-                1,
-                Scope::L2Bank(0),
-                EventKind::LeaseGrant {
-                    block: b(9),
-                    wts: 12,
-                    rts: 4,
-                },
-            ),
-            ev(
-                2,
-                Scope::Sm(0),
-                EventKind::Hit {
-                    block: b(1),
-                    warp: 0,
-                    warp_ts: 3,
-                    rts: 50,
-                },
-            ),
-            ev(
-                3,
-                Scope::Sm(0),
-                EventKind::Eviction {
-                    block: b(1),
-                    rts: 50,
-                },
-            ),
-            // rts 0 means unknown: never flagged.
-            ev(
-                4,
                 Scope::Sm(0),
                 EventKind::Eviction {
                     block: b(2),
                     rts: 0,
                 },
             ),
-            // L2 evictions are the designed non-inclusion path.
             ev(
-                5,
+                2,
                 Scope::L2Bank(0),
                 EventKind::Eviction {
                     block: b(1),
                     rts: 50,
                 },
             ),
+            ev(3, Scope::Device(0), grant(1, 1, 30)),
+            ev(
+                4,
+                Scope::Device(0),
+                EventKind::Renewal {
+                    block: b(1),
+                    rts: 40,
+                },
+            ),
+            ev(
+                5,
+                Scope::Sm(0),
+                EventKind::Renewal {
+                    block: b(1),
+                    rts: 40,
+                },
+            ),
+            ev(6, Scope::Sm(0), EventKind::FillApplied { block: b(1) }),
+            ev(7, Scope::Noc(0), EventKind::PacketDrop { src: 0, dst: 1 }),
         ];
-        let r = lint_events(&events);
-        assert_eq!(r.errors(), 1);
-        assert_eq!(r.warnings(), 1);
-        assert_eq!(r.findings[0].lint, "wts-gt-rts");
-        assert_eq!(r.findings[1].lint, "evict-live-lease");
-        assert!(!r.is_clean());
+        for e in &silent {
+            assert_eq!(fact(e, 0), None, "{e}");
+        }
+        assert_eq!(lint_events(&silent).scanned, 0);
     }
 }

@@ -29,6 +29,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use gtsc_trace::Finding;
+
 use crate::explore::explore_all;
 use crate::harness::{HarnessCfg, MicroGtsc, Topology};
 use crate::spec::SpecMachine;
@@ -118,10 +120,10 @@ pub struct LitmusRun {
     pub forbidden_hits: Vec<(&'static str, Outcome)>,
     /// Names of required outcomes that never appeared.
     pub missing_required: Vec<&'static str>,
-    /// Sanitizer violations from any schedule (deduplicated).
-    pub sanitizer_violations: Vec<String>,
+    /// Sanitizer findings from any schedule (deduplicated).
+    pub sanitizer_violations: Vec<Finding>,
     /// Race-oracle findings from any schedule (deduplicated).
-    pub race_findings: Vec<String>,
+    pub race_findings: Vec<Finding>,
 }
 
 impl LitmusRun {

@@ -44,21 +44,16 @@
 //! `wts_v < wts_C <= ts_R` — i.e. the lease the read relied on was not
 //! actually exclusive up to its serialization point.
 //!
-//! Findings are deduplicated by `(rule, actor, block)` with an
-//! occurrence count *before* the [`MAX_RACE_FINDINGS`] cap, so a
-//! pathological run cannot crowd distinct failure modes out of the
-//! report.
+//! Findings go through the accumulator every checker shares
+//! ([`gtsc_trace::Report`]): deduplicated by `(rule, actor, block)`
+//! with an occurrence count *before* the [`gtsc_trace::MAX_FINDINGS`]
+//! cap, so a pathological run cannot crowd distinct failure modes out
+//! of the report.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use gtsc_trace::{EventKind, Scope, TraceEvent};
+use gtsc_trace::{Report, Scope};
 use gtsc_types::{BlockAddr, Cycle};
-
-/// Cap on *distinct* findings kept in a report. Duplicates of an
-/// already-reported `(rule, actor, block)` key only bump its count and
-/// never consume a slot.
-pub const MAX_RACE_FINDINGS: usize = 256;
 
 /// A vector clock over protocol actors.
 pub type VClock = BTreeMap<Scope, u64>;
@@ -209,128 +204,6 @@ pub enum RaceEventKind {
     Crash,
 }
 
-/// One deduplicated oracle finding, with the block/actor/cycle context
-/// a post-mortem needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RaceFinding {
-    /// Stable rule name (`read-past-lease`, `write-write-order`, ...).
-    pub rule: &'static str,
-    /// Cycle of the first occurrence.
-    pub cycle: Cycle,
-    /// Component the first occurrence happened at.
-    pub actor: Scope,
-    /// Block involved, when the rule is block-scoped.
-    pub block: Option<BlockAddr>,
-    /// Occurrences folded into this entry.
-    pub count: u64,
-    /// Human-readable detail of the first occurrence.
-    pub detail: String,
-}
-
-impl fmt::Display for RaceFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.cycle, self.actor, self.rule)?;
-        if let Some(b) = self.block {
-            write!(f, " block {b}")?;
-        }
-        write!(f, ": {}", self.detail)?;
-        if self.count > 1 {
-            write!(f, " (x{})", self.count)?;
-        }
-        Ok(())
-    }
-}
-
-/// The oracle's verdict over everything it observed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RaceReport {
-    /// Distinct findings, deduplicated by `(rule, actor, block)` and
-    /// sorted by first-occurrence cycle.
-    pub findings: Vec<RaceFinding>,
-    /// Distinct findings dropped after [`MAX_RACE_FINDINGS`] was hit.
-    pub suppressed: u64,
-    /// Events observed.
-    pub events: u64,
-}
-
-impl RaceReport {
-    /// Whether no ordering violation was found.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.suppressed == 0
-    }
-
-    /// The findings rendered one per line (plus a suppression note),
-    /// for embedding in an explored outcome.
-    #[must_use]
-    pub fn lines(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.findings.iter().map(ToString::to_string).collect();
-        if self.suppressed > 0 {
-            out.push(format!(
-                "... {} further distinct finding(s) suppressed past the {MAX_RACE_FINDINGS}-entry cap",
-                self.suppressed
-            ));
-        }
-        out
-    }
-}
-
-impl fmt::Display for RaceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_clean() {
-            return write!(f, "race oracle: clean ({} events)", self.events);
-        }
-        writeln!(
-            f,
-            "race oracle: {} finding(s) over {} events",
-            self.findings.len(),
-            self.events
-        )?;
-        for line in self.lines() {
-            writeln!(f, "  {line}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Dedup-before-cap accumulator shared by the online and batch passes.
-#[derive(Debug, Clone, Default)]
-struct FindingSet {
-    by_key: BTreeMap<(&'static str, Scope, Option<BlockAddr>), usize>,
-    findings: Vec<RaceFinding>,
-    suppressed: u64,
-}
-
-impl FindingSet {
-    fn push(
-        &mut self,
-        rule: &'static str,
-        cycle: Cycle,
-        actor: Scope,
-        block: Option<BlockAddr>,
-        detail: String,
-    ) {
-        let key = (rule, actor, block);
-        if let Some(&i) = self.by_key.get(&key) {
-            self.findings[i].count += 1;
-            return;
-        }
-        if self.findings.len() >= MAX_RACE_FINDINGS {
-            self.suppressed += 1;
-            return;
-        }
-        self.by_key.insert(key, self.findings.len());
-        self.findings.push(RaceFinding {
-            rule,
-            cycle,
-            actor,
-            block,
-            count: 1,
-            detail,
-        });
-    }
-}
-
 /// A committed store as the bank serialized it.
 #[derive(Debug, Clone)]
 struct Commit {
@@ -391,7 +264,7 @@ pub struct RaceOracle {
     sms: BTreeMap<Scope, SmState>,
     banks: BTreeMap<Scope, BankState>,
     reads: BTreeMap<(u64, BlockAddr), Vec<ReadRec>>,
-    findings: FindingSet,
+    findings: Report,
     events: u64,
 }
 
@@ -740,7 +613,7 @@ impl RaceOracle {
     /// returns the full verdict. Callable mid-run; the oracle keeps
     /// accumulating afterwards.
     #[must_use]
-    pub fn report(&self) -> RaceReport {
+    pub fn report(&self) -> Report {
         let mut f = self.findings.clone();
         for ((epoch, block), reads) in &self.reads {
             // In a flat run a block is owned by exactly one bank; in a
@@ -813,118 +686,10 @@ impl RaceOracle {
                 }
             }
         }
-        let mut findings = f.findings;
-        findings.sort_by(|a, b| a.cycle.cmp(&b.cycle).then(a.rule.cmp(b.rule)));
-        RaceReport {
-            findings,
-            suppressed: f.suppressed,
-            events: self.events,
-        }
-    }
-}
-
-/// Offline trace-tier scan: the same ordering rules, reconstructed from
-/// a recorded [`TraceEvent`] stream (best-effort — traces may be
-/// sampled, so this tier is lenient and per-scope; the harness tier is
-/// the exhaustive one). Assumes a timestamp-coherence (G-TSC) trace.
-#[must_use]
-pub fn scan_trace(events: &[TraceEvent]) -> RaceReport {
-    let mut f = FindingSet::default();
-    let mut epochs: BTreeMap<Scope, u64> = BTreeMap::new();
-    // (bank scope, block) → (last commit wts, granted rts high-water),
-    // reset whenever the scope rolls over.
-    let mut blocks: BTreeMap<(Scope, BlockAddr), (Option<u64>, u64)> = BTreeMap::new();
-    for e in events {
-        match e.kind {
-            EventKind::Hit {
-                block,
-                warp_ts,
-                rts,
-                ..
-            } if matches!(e.scope, Scope::Sm(_)) && warp_ts > rts => {
-                f.push(
-                    "read-past-lease",
-                    e.cycle,
-                    e.scope,
-                    Some(block),
-                    format!("hit served at warp_ts {warp_ts} past the lease rts {rts}"),
-                );
-            }
-            EventKind::Rollover { epoch } => {
-                let cur = epochs.entry(e.scope).or_insert(0);
-                if epoch < *cur {
-                    f.push(
-                        "epoch-regression",
-                        e.cycle,
-                        e.scope,
-                        None,
-                        format!("rollover into epoch {epoch} after reaching {cur}"),
-                    );
-                } else {
-                    *cur = epoch;
-                }
-                blocks.retain(|(s, _), _| *s != e.scope);
-            }
-            EventKind::BankReset { epoch, .. } => {
-                let cur = epochs.entry(e.scope).or_insert(0);
-                if epoch <= *cur {
-                    f.push(
-                        "missing-epoch-bump",
-                        e.cycle,
-                        e.scope,
-                        None,
-                        format!("bank reset re-entered epoch {epoch} (already at {cur})"),
-                    );
-                } else {
-                    *cur = epoch;
-                }
-                blocks.retain(|(s, _), _| *s != e.scope);
-            }
-            EventKind::LeaseGrant { block, rts, .. } | EventKind::Renewal { block, rts } => {
-                if matches!(e.scope, Scope::L2Bank(_)) {
-                    let s = blocks.entry((e.scope, block)).or_default();
-                    s.1 = s.1.max(rts);
-                }
-            }
-            EventKind::StoreCommit { block, wts } => {
-                if matches!(e.scope, Scope::L2Bank(_)) {
-                    let s = blocks.entry((e.scope, block)).or_default();
-                    if let Some(w0) = s.0 {
-                        if wts <= w0 {
-                            f.push(
-                                "write-write-order",
-                                e.cycle,
-                                e.scope,
-                                Some(block),
-                                format!("commit wts {wts} not after the previous commit wts {w0}"),
-                            );
-                        }
-                    }
-                    if wts <= s.1 {
-                        f.push(
-                            "store-inside-lease",
-                            e.cycle,
-                            e.scope,
-                            Some(block),
-                            format!(
-                                "commit wts {wts} is inside a granted read lease \
-                                 (rts high-water {})",
-                                s.1
-                            ),
-                        );
-                    }
-                    s.0 = Some(s.0.unwrap_or(0).max(wts));
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut findings = f.findings;
-    findings.sort_by(|a, b| a.cycle.cmp(&b.cycle).then(a.rule.cmp(b.rule)));
-    RaceReport {
-        findings,
-        suppressed: f.suppressed,
-        events: events.len() as u64,
+        f.findings
+            .sort_by(|a, b| a.cycle.cmp(&b.cycle).then(a.rule.cmp(b.rule)));
+        f.scanned = self.events;
+        f
     }
 }
 
@@ -966,7 +731,7 @@ mod tests {
         o.observe(Cycle(c + 1), sm, RaceEventKind::Install(meta));
     }
 
-    fn rules(r: &RaceReport) -> Vec<&'static str> {
+    fn rules(r: &Report) -> Vec<&'static str> {
         r.findings.iter().map(|f| f.rule).collect()
     }
 
@@ -1002,7 +767,7 @@ mod tests {
         deliver(&mut o, 3, SM1, ack(9, 11, 21, 0), 2);
         let r = o.report();
         assert!(r.is_clean(), "{r}");
-        assert!(r.events > 0);
+        assert!(r.scanned > 0);
     }
 
     #[test]
@@ -1204,32 +969,6 @@ mod tests {
         assert!(past[0].to_string().contains("(x300)"), "{}", past[0]);
     }
 
-    #[test]
-    fn distinct_findings_past_cap_are_counted_not_dropped_silently() {
-        let mut f = FindingSet::default();
-        for i in 0..(MAX_RACE_FINDINGS as u64 + 40) {
-            f.push(
-                "read-unleased",
-                Cycle(i),
-                SM0,
-                Some(BlockAddr(i)),
-                String::new(),
-            );
-        }
-        assert_eq!(f.findings.len(), MAX_RACE_FINDINGS);
-        assert_eq!(f.suppressed, 40);
-        let r = RaceReport {
-            findings: f.findings,
-            suppressed: f.suppressed,
-            events: 0,
-        };
-        assert!(!r.is_clean());
-        assert!(
-            r.lines().last().expect("has lines").contains("suppressed"),
-            "{r}"
-        );
-    }
-
     const DEV: Scope = Scope::Device(0);
     const HOME: Scope = Scope::Home(0);
 
@@ -1325,93 +1064,5 @@ mod tests {
             },
         );
         assert!(o.report().is_clean(), "{}", o.report());
-    }
-
-    #[test]
-    fn scan_trace_flags_synthetic_violations_and_passes_clean_stream() {
-        use gtsc_trace::TraceEvent;
-        let clean = [
-            TraceEvent {
-                cycle: Cycle(1),
-                scope: BANK,
-                kind: EventKind::LeaseGrant {
-                    block: B,
-                    wts: 0,
-                    rts: 10,
-                },
-            },
-            TraceEvent {
-                cycle: Cycle(2),
-                scope: SM0,
-                kind: EventKind::Hit {
-                    block: B,
-                    warp: 0,
-                    warp_ts: 4,
-                    rts: 10,
-                },
-            },
-            TraceEvent {
-                cycle: Cycle(3),
-                scope: BANK,
-                kind: EventKind::StoreCommit { block: B, wts: 11 },
-            },
-            TraceEvent {
-                cycle: Cycle(4),
-                scope: BANK,
-                kind: EventKind::Rollover { epoch: 1 },
-            },
-            TraceEvent {
-                cycle: Cycle(5),
-                scope: BANK,
-                kind: EventKind::StoreCommit { block: B, wts: 1 },
-            },
-        ];
-        assert!(scan_trace(&clean).is_clean(), "{}", scan_trace(&clean));
-
-        let dirty = [
-            TraceEvent {
-                cycle: Cycle(1),
-                scope: BANK,
-                kind: EventKind::LeaseGrant {
-                    block: B,
-                    wts: 0,
-                    rts: 10,
-                },
-            },
-            TraceEvent {
-                cycle: Cycle(2),
-                scope: BANK,
-                kind: EventKind::StoreCommit { block: B, wts: 5 },
-            },
-            TraceEvent {
-                cycle: Cycle(3),
-                scope: BANK,
-                kind: EventKind::StoreCommit { block: B, wts: 5 },
-            },
-            TraceEvent {
-                cycle: Cycle(4),
-                scope: SM0,
-                kind: EventKind::Hit {
-                    block: B,
-                    warp: 0,
-                    warp_ts: 12,
-                    rts: 10,
-                },
-            },
-            TraceEvent {
-                cycle: Cycle(5),
-                scope: BANK,
-                kind: EventKind::BankReset { bank: 0, epoch: 0 },
-            },
-        ];
-        let r = scan_trace(&dirty);
-        for rule in [
-            "store-inside-lease",
-            "write-write-order",
-            "read-past-lease",
-            "missing-epoch-bump",
-        ] {
-            assert!(rules(&r).contains(&rule), "missing {rule} in {r}");
-        }
     }
 }

@@ -88,7 +88,7 @@ fn check_within_spec(
         "sanitizer violations: {violations:?}"
     );
     prop_assert!(
-        !races.iter().any(|f| f.contains("lease-outside-grant")),
+        !races.iter().any(|f| f.rule == "lease-outside-grant"),
         "an L2 lease escaped its inter-GPU grant: {races:?}"
     );
     prop_assert!(races.is_empty(), "race-oracle findings: {races:?}");

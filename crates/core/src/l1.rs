@@ -644,6 +644,12 @@ impl L1Controller for GtscL1 {
                                     warp_ts: warp_now.0,
                                     rts: old.rts.0,
                                 });
+                                self.sanitizer.check_with(now, || Transition::L1Hit {
+                                    block: acc.block,
+                                    warp: acc.warp.0,
+                                    warp_ts: warp_now,
+                                    rts: old.rts,
+                                });
                                 let w = Waiter {
                                     id: acc.id,
                                     warp: acc.warp,
@@ -674,6 +680,12 @@ impl L1Controller for GtscL1 {
                         warp: acc.warp.0,
                         warp_ts: warp_now.0,
                         rts: line_rts.0,
+                    });
+                    self.sanitizer.check_with(now, || Transition::L1Hit {
+                        block: acc.block,
+                        warp: acc.warp.0,
+                        warp_ts: warp_now,
+                        rts: line_rts,
                     });
                     let (wts, version) = (line.meta.wts, line.meta.version);
                     let w = Waiter {

@@ -333,8 +333,8 @@ impl GtscL2 {
                 let prev = line.meta.version;
                 let wts = if self.mutation == ProtocolMutation::SkipLeaseExpiryOnStore {
                     // Mutant: ignore outstanding read leases; keep only
-                    // per-block monotonicity so the sanitizer's wts check
-                    // stays silent and the race oracle must catch it.
+                    // per-block monotonicity so the write-order rules
+                    // stay silent and only the lease-expiry ones fire.
                     // lint: allow(raw-ts-arith): deliberate broken variant of store_wts.
                     line.meta.wts.succ().max(w.warp_ts)
                 } else {

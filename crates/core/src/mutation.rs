@@ -1,11 +1,12 @@
-//! Seeded protocol mutants for oracle validation.
+//! Seeded protocol mutants for checker validation.
 //!
-//! The race oracle in `gtsc-check` claims to catch coherence bugs the
-//! online sanitizer cannot see. That claim needs teeth: each variant
-//! here disables exactly one protocol guard, and the mutation tests in
-//! `crates/check/tests/mutants.rs` assert that the oracle flags every
-//! mutant on some exhaustively-explored schedule — and that the
-//! sanitizer alone stays silent on at least one of them.
+//! A checking layer that has never caught anything proves nothing.
+//! Each variant here disables exactly one protocol guard, and the
+//! mutation test in `crates/check/tests/mutants.rs` asserts — over
+//! every exhaustively-explored schedule of a killing shape — exactly
+//! which per-event rules (the invariant catalog, through the sanitizer)
+//! and which race-oracle rules each mutant raises; the table is
+//! committed as `results/kill_matrix.txt`.
 //!
 //! The hooks are `#[doc(hidden)]` and default to [`ProtocolMutation::None`]:
 //! production code never sets them, and the `None` arm compiles to the

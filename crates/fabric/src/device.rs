@@ -533,6 +533,8 @@ impl L2Controller for DeviceL2 {
         }
         self.tracer
             .record_with(self.clock, || EventKind::Rollover { epoch });
+        self.sanitizer
+            .check_with(self.clock, || Transition::EpochEnter { epoch });
     }
 
     /// Crashes the whole device: every grant, parked request, and queued
@@ -564,7 +566,7 @@ impl L2Controller for DeviceL2 {
         self.tracer
             .record_with(self.clock, || EventKind::BankReset { bank: dev, epoch });
         self.sanitizer
-            .check_with(self.clock, || Transition::DeviceCrash { epoch });
+            .check_with(self.clock, || Transition::BankReset { epoch });
         self.needs_reset = true;
         true
     }
@@ -714,6 +716,23 @@ mod tests {
     }
 
     #[test]
+    fn device_epochs_are_reported_to_the_sanitizer() {
+        let root = Sanitizer::enabled(Scope::Sm(0));
+        let mut dev = DeviceL2::new(DeviceParams::default());
+        dev.set_sanitizer(root.for_scope(Scope::Device(0)));
+        // Two banks of one device report under one scope, so entering
+        // the same epoch twice is legal...
+        dev.apply_reset(2);
+        dev.apply_reset(2);
+        assert!(root.violations().is_empty(), "{:?}", root.violations());
+        // ...moving backwards is not.
+        dev.apply_reset(1);
+        let f = root.report().findings;
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].scope), ("epoch-order", Scope::Device(0)));
+    }
+
+    #[test]
     fn serve_past_grant_mutant_is_flagged_by_sanitizer() {
         let root = Sanitizer::enabled(Scope::Sm(0));
         let mut dev = DeviceL2::new(DeviceParams {
@@ -735,7 +754,7 @@ mod tests {
         settle(&mut dev, &mut home, Cycle(500));
         let v = root.violations();
         assert!(
-            v.iter().any(|m| m.contains("L2-lease ⊄ device-grant")),
+            v.iter().any(|m| m.contains("serve-outside-device-grant")),
             "mutant must be caught: {v:?}"
         );
     }

@@ -767,12 +767,6 @@ impl<M: MemorySide> Sim<M> {
         // Sanitizer findings (transition-level invariant breaks) ride in
         // the same report, after the end-to-end checker's.
         violations.extend(self.sanitizer.violations().into_iter().map(Violation));
-        let suppressed = self.sanitizer.suppressed();
-        if suppressed > 0 {
-            violations.push(Violation(format!(
-                "…and {suppressed} more sanitizer violation(s) suppressed (retention cap)"
-            )));
-        }
         let stats = self.cumulative_stats();
         // The cycle-accounting invariant rides in the same report: every
         // SM's reason buckets must tile the stepped cycles exactly — a

@@ -156,8 +156,7 @@ pub enum EventKind {
         warp_ts: u64,
         /// The hit line's read-timestamp upper bound (lease expiry
         /// cycle for the TC baselines). A live hit requires
-        /// `warp_ts <= rts`; the `load-past-rts` trace lint enforces
-        /// this offline.
+        /// `warp_ts <= rts` (the `load-past-rts` rule).
         rts: u64,
     },
     /// Lookup missed: tag absent.
@@ -228,7 +227,7 @@ pub enum EventKind {
         block: BlockAddr,
         /// The evicted line's read-timestamp upper bound (lease expiry
         /// cycle for the TC baselines); `0` when unknown. Lets the
-        /// `evict-live-lease` trace lint spot evictions that dropped an
+        /// `evict-live-lease` rule spot evictions that dropped an
         /// unexpired lease.
         rts: u64,
     },
@@ -306,11 +305,14 @@ pub enum EventKind {
         /// The sequence number the receiver expects next.
         expected: u64,
     },
-    /// An L2 bank crashed and re-entered service empty at `epoch`.
+    /// An L2 bank (or, under a [`Scope::Device`], a whole device)
+    /// crashed while in `epoch`; the recovery's epoch bump follows as a
+    /// [`EventKind::Rollover`].
     BankReset {
-        /// Crashed bank.
+        /// Crashed bank (the device index for a device crash).
         bank: u16,
-        /// The reset epoch the recovery bumped the system into.
+        /// The epoch the unit was in when it crashed — recovery must
+        /// leave it behind.
         epoch: u64,
     },
     /// A request entered a DRAM partition queue.
@@ -486,7 +488,7 @@ impl std::fmt::Display for EventKind {
                 write!(f, "nack flow {src} -> {dst}, expected seq {expected}")
             }
             EventKind::BankReset { bank, epoch } => {
-                write!(f, "bank {bank} crash/reset -> epoch {epoch}")
+                write!(f, "bank {bank} crash/reset in epoch {epoch}")
             }
             EventKind::DramEnqueue { block, write } => write!(
                 f,

@@ -37,6 +37,7 @@
 pub mod event;
 pub mod export;
 pub mod recorder;
+pub mod rules;
 pub mod sampler;
 pub mod sanitize;
 pub mod span;
@@ -44,6 +45,7 @@ pub mod span;
 pub use event::{EventClass, EventKind, Scope, TraceEvent};
 pub use export::{json_escape, to_chrome_trace, to_lines};
 pub use recorder::FlightRecorder;
+pub use rules::{Fed, Finding, Report, Rule, RuleMachine, Severity, MAX_FINDINGS, RULES};
 pub use sampler::{IntervalSample, IntervalSampler};
 pub use sanitize::{Sanitizer, Transition};
 pub use span::{CloseReason, Hop, HopKind, ServeClass, SpanRecord, SpanTracker};

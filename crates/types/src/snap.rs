@@ -26,7 +26,7 @@ use std::hash::{BuildHasher, Hash};
 pub const SNAP_MAGIC: [u8; 8] = *b"GTSCSNAP";
 /// Snapshot container format version. Bump on any incompatible change
 /// to the section framing *or* to any component's [`Snap`] encoding.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Why a snapshot could not be written, parsed, or applied.
 ///
