@@ -216,6 +216,11 @@ impl L1Controller for NonCoherentL1 {
         Vec::new()
     }
 
+    /// Nothing here is timed: only a request waiting to be taken is due.
+    fn next_event_at(&self) -> Cycle {
+        Cycle(if self.out.is_empty() { u64::MAX } else { 0 })
+    }
+
     fn flush(&mut self) {
         self.tags.flush();
     }

@@ -61,8 +61,14 @@ pub struct PlainL2 {
     backing: HashMap<BlockAddr, Version>,
     pending: Mshr<PendingReq>,
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
+    /// The head of `in_queue` is a miss that found no MSHR slot; only a
+    /// DRAM fill frees one, so until then `tick` has nothing to ask again.
+    head_stalled: bool,
     out_resp: VecDeque<(usize, L2ToL1)>,
     dram_out: VecDeque<(BlockAddr, bool)>,
+    /// What `dram_ready` last said: while DRAM cannot accept, a waiting
+    /// `dram_out` is not due.
+    dram_ready: bool,
     stats: CacheStats,
 }
 
@@ -75,8 +81,10 @@ impl PlainL2 {
             backing: HashMap::new(),
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
             in_queue: VecDeque::new(),
+            head_stalled: false,
             out_resp: VecDeque::new(),
             dram_out: VecDeque::new(),
+            dram_ready: true,
             stats: CacheStats::default(),
             p,
         }
@@ -170,10 +178,15 @@ impl L2Controller for PlainL2 {
         self.dram_out.pop_front()
     }
 
+    fn dram_ready(&mut self, ready: bool) {
+        self.dram_ready = ready;
+    }
+
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, _now: Cycle) {
         if is_write {
             return;
         }
+        self.head_stalled = false;
         let version = self.backing.get(&block).copied().unwrap_or(Version::ZERO);
         if let Some(ev) = self.tags.fill(
             block,
@@ -193,12 +206,31 @@ impl L2Controller for PlainL2 {
         }
     }
 
+    fn next_event_at(&self) -> Cycle {
+        if !self.out_resp.is_empty() || (self.dram_ready && !self.dram_out.is_empty()) {
+            return Cycle(0);
+        }
+        match self.in_queue.front() {
+            Some(&(ready, ..)) if !self.head_stalled => ready,
+            _ => Cycle(u64::MAX),
+        }
+    }
+
     fn tick(&mut self, now: Cycle) {
+        if self.head_stalled {
+            debug_assert!(
+                (self.in_queue.front()).is_some_and(|(_, _, msg)| !self.can_handle(msg)),
+                "L2 head-of-line stall lapsed without a fill"
+            );
+            return;
+        }
         for _ in 0..self.p.ports {
             match self.in_queue.front() {
                 Some((ready, _, msg)) if *ready <= now => {
                     if !self.can_handle(msg) {
-                        break; // head-of-line stall until an MSHR frees
+                        // Head-of-line stall until an MSHR frees.
+                        self.head_stalled = true;
+                        break;
                     }
                     let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
                     self.handle(src, msg, now);

@@ -320,6 +320,11 @@ impl L1Controller for TcL1 {
         Vec::new()
     }
 
+    /// Nothing here is timed: only a request waiting to be taken is due.
+    fn next_event_at(&self) -> Cycle {
+        Cycle(if self.out.is_empty() { u64::MAX } else { 0 })
+    }
+
     fn fence_ready_at(&self, warp: WarpId) -> Cycle {
         match self.p.mode {
             TcMode::Strong => Cycle(0),

@@ -77,6 +77,10 @@ pub struct TcL2 {
     backing: HashMap<BlockAddr, Version>,
     pending: Mshr<PendingReq>,
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
+    /// The head of `in_queue` is a miss that found no MSHR slot; only an
+    /// installed fill frees one, so until then the input queue has
+    /// nothing to ask again.
+    head_stalled: bool,
     /// Per-block queues headed by a stalled (strong) write; later requests
     /// to the block wait behind it. BTreeMap: `drain_blocked` walks the
     /// keys, and that order decides which block's queue is served first.
@@ -86,6 +90,9 @@ pub struct TcL2 {
     install_wait: Vec<BlockAddr>,
     out_resp: VecDeque<(usize, L2ToL1)>,
     dram_out: VecDeque<(BlockAddr, bool)>,
+    /// What `dram_ready` last said: while DRAM cannot accept, a waiting
+    /// `dram_out` is not due.
+    dram_ready: bool,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -100,10 +107,12 @@ impl TcL2 {
             backing: HashMap::new(),
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
             in_queue: VecDeque::new(),
+            head_stalled: false,
             blocked: BTreeMap::new(),
             install_wait: Vec::new(),
             out_resp: VecDeque::new(),
             dram_out: VecDeque::new(),
+            dram_ready: true,
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -272,6 +281,7 @@ impl TcL2 {
                         self.dram_out.push_back((ev.block, true));
                     }
                 }
+                self.head_stalled = false;
                 // Serve everything that waited for the fetch.
                 for w in self.pending.take(block) {
                     self.handle_present(w.src, w.msg, now);
@@ -403,12 +413,32 @@ impl L2Controller for TcL2 {
         self.dram_out.pop_front()
     }
 
+    fn dram_ready(&mut self, ready: bool) {
+        self.dram_ready = ready;
+    }
+
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, now: Cycle) {
         if is_write {
             return;
         }
         if !self.try_install(block, now) {
             self.install_wait.push(block);
+        }
+    }
+
+    /// While a write waits out a lease or a fill waits for a victim, every
+    /// tick books a `write_stall_cycles` / `eviction_stall_cycles` count:
+    /// the bank is then due every cycle, and the stretch is stepped, not
+    /// booked in one go (DESIGN.md §15.2).
+    fn next_event_at(&self) -> Cycle {
+        let counting = !self.blocked.is_empty() || !self.install_wait.is_empty();
+        let to_dram = self.dram_ready && !self.dram_out.is_empty();
+        if counting || to_dram || !self.out_resp.is_empty() {
+            return Cycle(0);
+        }
+        match self.in_queue.front() {
+            Some(&(ready, ..)) if !self.head_stalled => ready,
+            _ => Cycle(u64::MAX),
         }
     }
 
@@ -423,11 +453,20 @@ impl L2Controller for TcL2 {
             }
         }
         self.drain_blocked(now);
+        if self.head_stalled {
+            debug_assert!(
+                (self.in_queue.front()).is_some_and(|(_, _, msg)| !self.can_handle(msg)),
+                "L2 head-of-line stall lapsed without a fill"
+            );
+            return;
+        }
         for _ in 0..self.p.ports {
             match self.in_queue.front() {
                 Some((ready, _, msg)) if *ready <= now => {
                     if !self.can_handle(msg) {
-                        break; // head-of-line stall until an MSHR frees
+                        // Head-of-line stall until an MSHR frees.
+                        self.head_stalled = true;
+                        break;
                     }
                     let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
                     self.handle(src, msg, now);

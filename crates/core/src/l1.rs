@@ -153,6 +153,12 @@ pub struct GtscL1 {
     /// Idempotency makes the re-send safe: duplicate reads are
     /// natural renewals, duplicate stores hit the L2 replay filter.
     retry_timeout: Option<u64>,
+    /// No request is overdue before this cycle: a lower bound on
+    /// `min(sent) + retry_timeout` over `rd_inflight` and `store_acks`,
+    /// lowered wherever a `sent` stamp is set and made exact by the retry
+    /// scan that gets past it (`u64::MAX` with retry off). Derived state,
+    /// never snapshotted: `load_state` recomputes it.
+    retry_due: Cycle,
     out: VecDeque<L1ToL2>,
     epoch: Epoch,
     version_ctr: Vec<u64>,
@@ -177,6 +183,7 @@ impl GtscL1 {
             renewals_inflight: 0,
             store_acks: BTreeMap::new(),
             retry_timeout: None,
+            retry_due: Cycle(u64::MAX),
             out: VecDeque::new(),
             epoch: 0,
             version_ctr: vec![0; p.n_warps],
@@ -222,6 +229,25 @@ impl GtscL1 {
     /// with an endless retry stream.
     pub fn enable_retry(&mut self, timeout: u64) {
         self.retry_timeout = Some(timeout.max(1));
+        self.retry_due = self.earliest_retry();
+    }
+
+    /// A request stamped `sent` is in flight: its timer may be the next.
+    fn note_sent(&mut self, sent: Cycle) {
+        if let Some(timeout) = self.retry_timeout {
+            self.retry_due = self.retry_due.min(sent + timeout);
+        }
+    }
+
+    /// The cycle the oldest unanswered request becomes overdue, computed
+    /// from scratch; `u64::MAX` with nothing in flight or retry off.
+    fn earliest_retry(&self) -> Cycle {
+        let Some(timeout) = self.retry_timeout else {
+            return Cycle(u64::MAX);
+        };
+        let reads = self.rd_inflight.values().map(|&(sent, _)| sent);
+        let stores = self.store_acks.values().flatten().map(|sw| sw.sent);
+        (reads.chain(stores).min()).map_or(Cycle(u64::MAX), |sent| sent + timeout)
     }
 
     /// Mints a version id stable across protocols and timings: it encodes
@@ -415,6 +441,7 @@ impl GtscL1 {
     /// Tracks an in-flight read, keeping the renewal census exact even
     /// when a retry overwrites an entry that was a renewal.
     fn rd_insert(&mut self, block: BlockAddr, now: Cycle, renewal: bool) {
+        self.note_sent(now);
         if let Some((_, was_renewal)) = self.rd_inflight.insert(block, (now, renewal)) {
             if was_renewal {
                 self.renewals_inflight -= 1;
@@ -596,6 +623,7 @@ impl L1Controller for GtscL1 {
             u32::try_from(self.rd_inflight.values().filter(|&&(_, r)| r).count()).unwrap_or(0);
         self.store_acks = Snap::load(r)?;
         self.retry_timeout = Snap::load(r)?;
+        self.retry_due = self.earliest_retry();
         self.out = Snap::load(r)?;
         self.epoch = Snap::load(r)?;
         let version_ctr: Vec<u64> = Snap::load(r)?;
@@ -738,6 +766,7 @@ impl L1Controller for GtscL1 {
                     epoch: self.epoch,
                     span: acc.span,
                 };
+                self.note_sent(now);
                 self.out.push_back(if acc.kind == AccessKind::Atomic {
                     L1ToL2::Atomic(req)
                 } else {
@@ -905,7 +934,23 @@ impl L1Controller for GtscL1 {
         self.out.pop_front()
     }
 
+    fn next_event_at(&self) -> Cycle {
+        if self.out.is_empty() {
+            self.retry_due
+        } else {
+            Cycle(0)
+        }
+    }
+
     fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+        if now < self.retry_due {
+            debug_assert!(
+                now < self.earliest_retry(),
+                "L1 retry horizon {} is late: a request is overdue at {now}",
+                self.retry_due
+            );
+            return Vec::new();
+        }
         let Some(timeout) = self.retry_timeout else {
             return Vec::new();
         };
@@ -960,6 +1005,7 @@ impl L1Controller for GtscL1 {
             }
         }
         self.out.extend(resend);
+        self.retry_due = self.earliest_retry();
         Vec::new()
     }
 
@@ -1655,5 +1701,91 @@ mod tests {
         let loads: Vec<_> = done.iter().filter(|d| d.kind == AccessKind::Load).collect();
         assert!(!loads.is_empty(), "wb's ack serves the parked loads");
         assert!(loads.iter().all(|l| l.version == wb.version));
+    }
+    /// One cycle of the engine's L1 housekeeping: the tick, then every
+    /// request it or an earlier input queued.
+    fn pump(c: &mut GtscL1, now: Cycle) -> (Vec<Completion>, Vec<L1ToL2>) {
+        let done = c.tick(now);
+        (done, std::iter::from_fn(|| c.take_request()).collect())
+    }
+
+    proptest::proptest! {
+        /// The retry horizon is invisible: an L1 with end-to-end retry
+        /// armed, ticked only from `next_event_at()` on, re-sends what one
+        /// ticked every cycle does, in the same cycles, and is byte for
+        /// byte the same controller whenever it is ticked — while a
+        /// scripted L2 answers late, twice or never, through a restore
+        /// into a twin that has already idled, and when a caller ticks
+        /// ahead of time and then comes back.
+        #[test]
+        fn horizon_ticks_match_a_tick_every_cycle(
+            script in proptest::collection::vec((0u64..40, 0u8..12, 0u64..6, 0u16..4), 1..80),
+            timeout in 20u64..120,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let build = || {
+                let mut c = l1();
+                c.enable_retry(timeout);
+                c
+            };
+            let image = |c: &GtscL1| {
+                let mut w = SnapWriter::new();
+                c.save_state(&mut w).expect("GtscL1 checkpoints");
+                w.into_bytes()
+            };
+            let (mut eager, mut lazy) = (build(), build());
+            // Requests on their way to the scripted L2, oldest first.
+            let mut wire: VecDeque<L1ToL2> = VecDeque::new();
+            let mut now = 0u64;
+            let idle_tail = [(600, u8::MAX, 0, 0)];
+            for (i, &(gap, what, block, warp)) in script.iter().chain(&idle_tail).enumerate() {
+                for c in now..=now + gap {
+                    let at = Cycle(c);
+                    let ts = Timestamp(1 + c / 7);
+                    let lease = LeaseInfo::Logical { wts: ts, rts: Timestamp(ts.0 + 15) };
+                    match what {
+                        _ if c < now + gap => {}
+                        0 => {
+                            // Crash here: a twin that sat idle takes the image over.
+                            let bytes = image(&lazy);
+                            lazy = build();
+                            lazy.tick(Cycle(0));
+                            lazy.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                        }
+                        1 => {
+                            let want = pump(&mut eager, Cycle(c + 15));
+                            prop_assert_eq!(pump(&mut lazy, Cycle(c + 15)), want.clone());
+                            wire.extend(want.1);
+                        }
+                        2..=6 => {
+                            let acc = if what < 5 { load(i as u64, warp, block) } else { store(i as u64, warp, block) };
+                            prop_assert_eq!(lazy.access(acc, at), eager.access(acc, at));
+                        }
+                        u8::MAX => {}
+                        // The scripted L2 answers the oldest request on the wire.
+                        _ => if let Some(req) = wire.pop_front() {
+                            let resp = match req {
+                                L1ToL2::Read(r) if r.wts == ts => L2ToL1::Renew { block: r.block, lease, epoch: 0, span: SpanId::NONE },
+                                L1ToL2::Read(r) => fill(r.block.0, ts.0, ts.0 + 15, Version(c)),
+                                L1ToL2::Write(w) | L1ToL2::Atomic(w) => L2ToL1::WriteAck(WriteAckResp {
+                                    block: w.block, lease, version: w.version, epoch: 0, span: SpanId::NONE,
+                                }),
+                            };
+                            prop_assert_eq!(lazy.on_response(resp, at), eager.on_response(resp, at));
+                        },
+                    }
+                    let want = pump(&mut eager, at);
+                    if at < lazy.next_event_at() {
+                        prop_assert!(want.0.is_empty() && want.1.is_empty(), "cycle {}: slept through {:?}", c, want);
+                    } else {
+                        prop_assert_eq!(pump(&mut lazy, at), want.clone(), "cycle {}", c);
+                        prop_assert!(image(&lazy) == image(&eager), "cycle {}", c);
+                    }
+                    wire.extend(want.1);
+                }
+                now += gap + 1;
+            }
+            prop_assert_eq!(lazy.stats(), eager.stats());
+        }
     }
 }

@@ -120,8 +120,17 @@ pub struct GtscL2 {
     /// Input queue: requests become serviceable `latency` cycles after
     /// arrival.
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
+    /// The head of `in_queue` is a miss that found no MSHR slot. Only a
+    /// DRAM fill (or a crash) frees one, so until then `tick` has nothing
+    /// to ask again. Derived state, never snapshotted: the first tick
+    /// after a restore re-derives it.
+    head_stalled: bool,
     out_resp: VecDeque<(usize, L2ToL1)>,
     dram_out: VecDeque<(BlockAddr, bool)>,
+    /// What `dram_ready` last said. While DRAM cannot accept, a waiting
+    /// `dram_out` is not due: only being told otherwise moves it. Derived
+    /// state, never snapshotted: `true` until told, which errs early.
+    dram_ready: bool,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -150,8 +159,10 @@ impl GtscL2 {
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
             applied_stores: HashMap::new(),
             in_queue: VecDeque::new(),
+            head_stalled: false,
             out_resp: VecDeque::new(),
             dram_out: VecDeque::new(),
+            dram_ready: true,
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -504,6 +515,8 @@ impl L2Controller for GtscL2 {
         self.dram_out = Snap::load(r)?;
         self.stats = Snap::load(r)?;
         self.clock = Snap::load(r)?;
+        self.head_stalled = false;
+        self.dram_ready = true;
         Ok(())
     }
 
@@ -520,11 +533,16 @@ impl L2Controller for GtscL2 {
         self.dram_out.pop_front()
     }
 
+    fn dram_ready(&mut self, ready: bool) {
+        self.dram_ready = ready;
+    }
+
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, now: Cycle) {
         self.clock = self.clock.max(now);
         if is_write {
             return; // write-back completion needs no action
         }
+        self.head_stalled = false;
         // Install the fill with the mem_ts lease of Figure 6.
         let version = self.backing.get(&block).copied().unwrap_or(Version::ZERO);
         let meta = L2Meta {
@@ -557,13 +575,33 @@ impl L2Controller for GtscL2 {
         let _ = now;
     }
 
+    fn next_event_at(&self) -> Cycle {
+        if !self.out_resp.is_empty() || (self.dram_ready && !self.dram_out.is_empty()) {
+            return Cycle(0);
+        }
+        match self.in_queue.front() {
+            Some(&(ready, ..)) if !self.head_stalled => ready,
+            _ => Cycle(u64::MAX),
+        }
+    }
+
     fn tick(&mut self, now: Cycle) {
+        // Above the early return: `apply_reset` and `evict` stamp with it.
         self.clock = self.clock.max(now);
+        if self.head_stalled {
+            debug_assert!(
+                (self.in_queue.front()).is_some_and(|(_, _, msg)| !self.can_handle(msg)),
+                "L2 head-of-line stall lapsed without a fill or a crash"
+            );
+            return;
+        }
         for _ in 0..self.p.ports {
             match self.in_queue.front() {
                 Some((ready, _, msg)) if *ready <= now => {
                     if !self.can_handle(msg) {
-                        break; // head-of-line stall until an MSHR frees
+                        // Head-of-line stall until an MSHR frees.
+                        self.head_stalled = true;
+                        break;
                     }
                     let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
                     self.handle(src, msg, now);
@@ -623,6 +661,7 @@ impl L2Controller for GtscL2 {
         for (_, _, msg) in self.in_queue.drain(..) {
             self.spans.close(msg.span(), CloseReason::BankReset, now);
         }
+        self.head_stalled = false;
         for (_, resp) in self.out_resp.drain(..) {
             self.spans.close(resp.span(), CloseReason::BankReset, now);
         }

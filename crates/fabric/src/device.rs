@@ -491,8 +491,19 @@ impl L2Controller for DeviceL2 {
 
     fn on_dram_response(&mut self, _block: BlockAddr, _is_write: bool, _now: Cycle) {}
 
+    /// The device never stalls head-of-line: the head of `in_queue` is
+    /// served the cycle it becomes ready, and anything queued toward the
+    /// L1s or the fabric is due now.
+    fn next_event_at(&self) -> Cycle {
+        if !self.out_resp.is_empty() || !self.fabric_out.is_empty() {
+            return Cycle(0);
+        }
+        (self.in_queue.front()).map_or(Cycle(u64::MAX), |&(ready, ..)| ready)
+    }
+
     /// Serves ready L1 requests (up to `ports` per cycle).
     fn tick(&mut self, now: Cycle) {
+        // Above everything: `apply_reset` and `serve` stamp with it.
         self.clock = self.clock.max(now);
         for _ in 0..self.p.ports {
             match self.in_queue.front() {

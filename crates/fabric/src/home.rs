@@ -179,8 +179,21 @@ impl HomeNode {
         self.out.pop_front()
     }
 
+    /// The earliest cycle at which [`HomeNode::tick`] could serve
+    /// anything, provided no request arrives first: the `ready` of the
+    /// queue's head (the directory never stalls); a response waiting to
+    /// be taken is due now. May be early, never late.
+    #[must_use]
+    pub fn next_event_at(&self) -> Cycle {
+        if !self.out.is_empty() {
+            return Cycle(0);
+        }
+        (self.in_queue.front()).map_or(Cycle(u64::MAX), |&(ready, ..)| ready)
+    }
+
     /// Serves every request whose latency has elapsed.
     pub fn tick(&mut self, now: Cycle) {
+        // Above everything: `apply_reset` and `serve` stamp with it.
         self.clock = self.clock.max(now);
         while let Some((ready, _, _)) = self.in_queue.front() {
             if *ready > now {

@@ -239,6 +239,13 @@ impl BankFaults {
         false
     }
 
+    /// The cycle of the next crash [`BankFaults::due`] will fire, if any
+    /// is left (the engine does not step past it).
+    #[must_use]
+    pub fn next_due(&self) -> Option<u64> {
+        self.schedule.first().copied()
+    }
+
     /// Crash events not yet fired.
     #[must_use]
     pub fn pending(&self) -> usize {

@@ -301,6 +301,27 @@ impl Sm {
         self.stats.cycle_buckets.record(reason);
     }
 
+    /// The earliest cycle at which [`Sm::cycle`] or [`Sm::tick_l1`] could
+    /// do more than replay the census, provided the SM is told nothing
+    /// first: its dormancy horizon, or the L1's own horizon if that comes
+    /// sooner. `Cycle(0)` — always due — while the SM is awake.
+    #[must_use]
+    pub fn next_event_at(&self) -> Cycle {
+        match self.dormant {
+            Some(until) => until.min(self.l1.next_event_at()),
+            None => Cycle(0),
+        }
+    }
+
+    /// Books `k` cycles the engine does not step, all before
+    /// [`Sm::next_event_at`]: what [`Sm::cycle`] books for each while
+    /// dormant, and `reason` for each as [`Sm::account_cycle`] would.
+    pub fn skip(&mut self, k: u64, reason: CycleReason) {
+        debug_assert!(self.dormant.is_some(), "only a dormant SM skips");
+        self.book_dormant(k);
+        self.stats.cycle_buckets.record_n(reason, k);
+    }
+
     /// Installs a configured tracer (the pipeline's warp-issue and
     /// warp-stall events; the L1 carries its own).
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -505,11 +526,7 @@ impl Sm {
     pub fn cycle(&mut self, now: Cycle) -> Vec<Completion> {
         match self.dormant {
             Some(until) if now < until => {
-                // Every warp at the L1 was rejected by the last scan and
-                // would be again: a structural stall and an ordinal each.
-                self.book_stalls(self.census.stalled, self.census.at_l1);
-                self.stats.idle_cycles += u64::from(!self.by_age.is_empty());
-                self.issued_last_cycle = false;
+                self.book_dormant(1);
                 return Vec::new();
             }
             // Woken by the horizon alone: the L1 heard nothing since, and
@@ -566,8 +583,19 @@ impl Sm {
         done
     }
 
-    /// Adds one cycle's `[memory, fence, barrier]` warp stalls and
-    /// `rejected` structural ones, each a consumed access ordinal.
+    /// Books `k` dormant cycles: each is the scan that found every warp
+    /// where the census has it. Every warp at the L1 was rejected by the
+    /// last scan and would be again: a structural stall and an ordinal
+    /// each, per cycle.
+    fn book_dormant(&mut self, k: u64) {
+        let stalled = self.census.stalled.map(|warps| warps * k);
+        self.book_stalls(stalled, self.census.at_l1 * k);
+        self.stats.idle_cycles += k * u64::from(!self.by_age.is_empty());
+        self.issued_last_cycle = false;
+    }
+
+    /// Adds `[memory, fence, barrier]` warp-cycle stalls and `rejected`
+    /// structural ones, each a consumed access ordinal.
     fn book_stalls(&mut self, [memory, fence, barrier]: [u64; 3], rejected: u64) {
         self.stats.memory_stall_cycles += memory;
         self.stats.fence_stall_cycles += fence;

@@ -81,6 +81,12 @@ pub struct Dram<P> {
     /// Last cycle observed in [`Dram::tick`] (stamps enqueue events —
     /// [`Dram::enqueue`] itself is clock-less).
     clock: Cycle,
+    /// No tick before this cycle can issue or complete anything unless a
+    /// request is enqueued first (see [`Dram::next_event_at`]). Derived
+    /// state, never snapshotted: [`Dram::enqueue`] and
+    /// [`Dram::load_state`] clear it, the tick that gets past it
+    /// recomputes it.
+    idle_until: Cycle,
 }
 
 impl<P> Dram<P> {
@@ -110,6 +116,7 @@ impl<P> Dram<P> {
             faults: None,
             tracer: Tracer::disabled(),
             clock: Cycle(0),
+            idle_until: Cycle(0),
             cfg,
         }
     }
@@ -173,6 +180,7 @@ impl<P> Dram<P> {
                 write: req.is_write,
             });
         self.queue.push_back(req);
+        self.idle_until = Cycle(0);
         true
     }
 
@@ -186,7 +194,17 @@ impl<P> Dram<P> {
     /// banks (FR-FCFS) and returns every response whose data burst has
     /// completed by `now`.
     pub fn tick(&mut self, now: Cycle) -> Vec<DramResponse<P>> {
+        // Above the early return: an enqueue event raised after a skipped
+        // tick must still carry this cycle's stamp.
         self.clock = self.clock.max(now);
+        if now < self.idle_until {
+            debug_assert!(
+                now < self.earliest_event(),
+                "DRAM horizon {} is late: a full pass at {now} finds work",
+                self.idle_until
+            );
+            return Vec::new();
+        }
         self.issue(now);
         let mut done = Vec::new();
         let mut i = 0;
@@ -197,7 +215,29 @@ impl<P> Dram<P> {
                 i += 1;
             }
         }
+        self.idle_until = self.earliest_event();
         done
+    }
+
+    /// The earliest cycle at which [`Dram::tick`] could return a response
+    /// or change any state, counter or trace output, provided nothing is
+    /// enqueued first: the earliest `busy_until` among banks that have a
+    /// queued request, or the earliest burst completion in flight. May be
+    /// early, never late; `Cycle(u64::MAX)` when only an enqueue can wake
+    /// the partition.
+    #[must_use]
+    pub fn next_event_at(&self) -> Cycle {
+        self.idle_until
+    }
+
+    /// [`Dram::next_event_at`], computed from scratch.
+    fn earliest_event(&self) -> Cycle {
+        let issue = self
+            .queue
+            .iter()
+            .map(|r| self.banks[self.bank_of(r.block)].busy_until);
+        let complete = self.inflight.iter().map(|f| f.ready_at);
+        issue.chain(complete).min().unwrap_or(Cycle(u64::MAX))
     }
 
     fn issue(&mut self, now: Cycle) {
@@ -368,6 +408,7 @@ impl<P: Snap> Dram<P> {
         self.stats = Snap::load(r)?;
         self.faults = Snap::load(r)?;
         self.clock = Snap::load(r)?;
+        self.idle_until = Cycle(0);
         Ok(())
     }
 }
@@ -633,6 +674,65 @@ mod tests {
             }
             got.sort_unstable();
             prop_assert_eq!(expected, got);
+        }
+
+        /// The horizon is invisible: a partition ticked only from
+        /// `next_event_at()` on returns the responses of one ticked every
+        /// cycle, in the same cycles, and is byte for byte the same
+        /// partition whenever it is ticked — under latency faults,
+        /// through a restore into a twin that has already idled, and when
+        /// a caller ticks ahead of time and then comes back (the
+        /// benchmark's rungs do).
+        #[test]
+        fn horizon_ticks_match_a_tick_every_cycle(
+            script in proptest::collection::vec((0u64..60, 0u64..700, 0u8..12), 1..60),
+            fault_seed in 0u64..3,
+        ) {
+            use gtsc_faults::FaultPlan;
+            use gtsc_types::FaultConfig;
+            let build = || {
+                let mut d: Dram<u32> = Dram::new(DramConfig { queue_depth: 6, ..DramConfig::default() });
+                d.set_faults(FaultPlan::new(FaultConfig::chaos(fault_seed)).dram(0).filter(|_| fault_seed > 0));
+                d
+            };
+            let image = |d: &Dram<u32>| {
+                let mut w = SnapWriter::new();
+                d.save_state(&mut w);
+                w.into_bytes()
+            };
+            let (mut eager, mut lazy) = (build(), build());
+            let mut now = 0u64;
+            let idle_tail = [(4000, 0, u8::MAX)];
+            for (i, &(gap, block, what)) in script.iter().chain(&idle_tail).enumerate() {
+                for c in now..=now + gap {
+                    if c == now + gap {
+                        match what {
+                            0 => {
+                                // Crash here: a twin that sat idle takes the image over.
+                                let bytes = image(&lazy);
+                                lazy = build();
+                                lazy.tick(Cycle(0));
+                                lazy.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                            }
+                            1 => prop_assert_eq!(lazy.tick(Cycle(c + 15)), eager.tick(Cycle(c + 15))),
+                            u8::MAX => {}
+                            _ => {
+                                let req = DramRequest { block: BlockAddr(block), is_write: what == 2, payload: i as u32 };
+                                prop_assert_eq!(lazy.enqueue(req.clone()), eager.enqueue(req));
+                            }
+                        }
+                    }
+                    let want = eager.tick(Cycle(c));
+                    if Cycle(c) < lazy.next_event_at() {
+                        prop_assert!(want.is_empty(), "cycle {}: slept through {:?}", c, want);
+                    } else {
+                        prop_assert_eq!(lazy.tick(Cycle(c)), want, "cycle {}", c);
+                        prop_assert!(image(&lazy) == image(&eager), "cycle {}", c);
+                    }
+                }
+                now += gap + 1;
+            }
+            prop_assert!(eager.is_idle() && lazy.is_idle());
         }
     }
 }

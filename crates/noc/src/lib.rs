@@ -104,6 +104,13 @@ pub struct Network<T> {
     /// Packets that vanished inside a link-down window.
     link_dropped: u64,
     tracer: Tracer,
+    /// No tick before this cycle can inject or deliver anything unless a
+    /// packet is sent first (see [`Network::next_event_at`]). Derived
+    /// state, never snapshotted: [`Network::send`] and
+    /// [`Network::load_state`] clear it, the tick that gets past it
+    /// recomputes it — a cached minimum *beside* `queues` and `inflight`,
+    /// whose order is a simulated result and stays as it is.
+    idle_until: Cycle,
 }
 
 impl<T> Network<T> {
@@ -135,6 +142,7 @@ impl<T> Network<T> {
             link_faults: Vec::new(),
             link_dropped: 0,
             tracer: Tracer::disabled(),
+            idle_until: Cycle(0),
         }
     }
 
@@ -280,6 +288,28 @@ impl<T> Network<T> {
             payload,
             enqueued: now,
         });
+        self.idle_until = Cycle(0);
+    }
+
+    /// The earliest cycle at which [`Network::tick`] could deliver or
+    /// inject anything, or change any counter or trace output, provided
+    /// nothing is sent first: the earliest arrival on a wire, or the cycle
+    /// the head of a non-empty source queue gets its port. May be early,
+    /// never late; `Cycle(u64::MAX)` when only a send can wake the network.
+    #[must_use]
+    pub fn next_event_at(&self) -> Cycle {
+        self.idle_until
+    }
+
+    /// [`Network::next_event_at`], computed from scratch.
+    fn earliest_event(&self) -> Cycle {
+        let inject = self
+            .queues
+            .iter()
+            .zip(&self.port_free)
+            .filter_map(|(q, &free)| q.front().map(|head| free.max(head.enqueued)));
+        let arrive = self.inflight.iter().map(|p| p.arrives);
+        inject.chain(arrive).min().unwrap_or(Cycle(u64::MAX))
     }
 
     /// Whether all queues and wires are drained.
@@ -304,6 +334,14 @@ impl<T: Clone> Network<T> {
     /// packet twice (duplicate-delivery fault); the fault-free path
     /// never clones.
     pub fn tick(&mut self, now: Cycle) -> Vec<(usize, T)> {
+        if now < self.idle_until {
+            debug_assert!(
+                now < self.earliest_event(),
+                "NoC horizon {} is late: a full pass at {now} finds work",
+                self.idle_until
+            );
+            return Vec::new();
+        }
         let (cfg, n_srcs, n_dsts) = (self.cfg, self.n_srcs, self.n_dsts);
         let wire = |src: usize, dst: usize| match cfg.topology {
             NocTopology::Crossbar => cfg.latency,
@@ -313,13 +351,19 @@ impl<T: Clone> Network<T> {
                 cfg.latency + hops * hop_latency
             }
         };
+        // Both passes visit everything that stays behind, so the next
+        // horizon is folded as they go: a second walk over the wires costs
+        // a busy crossbar a tenth of its tick.
+        let mut idle_until = Cycle(u64::MAX);
         // Injection: each source port serializes its queue head-of-line.
         for (src, q) in self.queues.iter_mut().enumerate() {
             while let Some(head) = q.front() {
-                let start = self.port_free[src].max(head.enqueued).max(now);
-                if start > now {
+                let ready = self.port_free[src].max(head.enqueued);
+                if ready > now {
+                    idle_until = idle_until.min(ready);
                     break;
                 }
+                let start = now;
                 let flits = (head.bytes.max(1)).div_ceil(self.cfg.flit_bytes) as u64;
                 let inject_cycles = flits.div_ceil(self.cfg.flits_per_cycle as u64);
                 let pkt = q.pop_front().expect("front checked above");
@@ -414,9 +458,11 @@ impl<T: Clone> Network<T> {
                 }
                 out.push((p.dst, p.payload));
             } else {
+                idle_until = idle_until.min(self.inflight[i].arrives);
                 i += 1;
             }
         }
+        self.idle_until = idle_until;
         out
     }
 }
@@ -517,6 +563,7 @@ impl<T: Snap> Network<T> {
         self.flow_last = flow_last;
         self.corrupted = corrupted;
         self.link_dropped = link_dropped;
+        self.idle_until = Cycle(0);
         Ok(())
     }
 }
@@ -767,6 +814,68 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// The horizon is invisible: a network ticked only from
+        /// `next_event_at()` on delivers what one ticked every cycle does,
+        /// in the same cycles, and is byte for byte the same network at
+        /// every cycle — under injected jitter, duplicates and loss,
+        /// through a restore into a twin that has already idled, and when
+        /// a caller ticks ahead of time and then comes back (the
+        /// benchmark's rungs do).
+        #[test]
+        fn horizon_ticks_match_a_tick_every_cycle(
+            script in proptest::collection::vec((0u64..50, 0usize..3, 0usize..3, 1usize..200, 0u8..12), 1..60),
+            fault_seed in 0u64..4,
+        ) {
+            use gtsc_faults::FaultPlan;
+            use gtsc_types::FaultConfig;
+            let build = || {
+                let mut net: Network<usize> = Network::new(3, 3, NocConfig::default());
+                let faults = if fault_seed % 2 == 0 { FaultConfig::chaos(fault_seed) } else { FaultConfig::lossy(fault_seed, 100) };
+                net.set_faults(FaultPlan::new(faults).noc(0).filter(|_| fault_seed > 0));
+                net
+            };
+            let image = |net: &Network<usize>| {
+                let mut w = SnapWriter::new();
+                net.save_state(&mut w);
+                w.into_bytes()
+            };
+            let (mut eager, mut lazy) = (build(), build());
+            let mut now = 0u64;
+            let idle_tail = [(2000, 0, 0, 1, u8::MAX)];
+            for (i, &(gap, src, dst, bytes, what)) in script.iter().chain(&idle_tail).enumerate() {
+                for c in now..=now + gap {
+                    if c == now + gap {
+                        match what {
+                            0 => {
+                                // Crash here: a twin that sat idle takes the image over.
+                                let bytes = image(&lazy);
+                                lazy = build();
+                                lazy.tick(Cycle(0));
+                                lazy.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                            }
+                            1 => prop_assert_eq!(lazy.tick(Cycle(c + 15)), eager.tick(Cycle(c + 15))),
+                            u8::MAX => {}
+                            _ => {
+                                lazy.send(src, dst, bytes, i, Cycle(c));
+                                eager.send(src, dst, bytes, i, Cycle(c));
+                            }
+                        }
+                    }
+                    let want = eager.tick(Cycle(c));
+                    if Cycle(c) < lazy.next_event_at() {
+                        prop_assert!(want.is_empty(), "cycle {}: slept through {:?}", c, want);
+                    } else {
+                        prop_assert_eq!(lazy.tick(Cycle(c)), want, "cycle {}", c);
+                    }
+                    prop_assert!(image(&lazy) == image(&eager), "cycle {}", c);
+                }
+                now += gap + 1;
+            }
+            prop_assert!(eager.is_idle() && lazy.is_idle());
         }
     }
 

@@ -192,6 +192,11 @@ pub struct ReliableNet<T> {
     /// over payloads that know nothing about spans).
     spans: SpanTracker,
     span_probe: Option<fn(&T) -> SpanId>,
+    /// No retransmit timer fires before this cycle: a lower bound on
+    /// every unacked segment's `deadline`, lowered wherever one is set
+    /// and made exact by the timer scan that gets past it. Derived state,
+    /// never snapshotted ([`ReliableNet::load_state`] clears it).
+    next_deadline: Cycle,
 }
 
 impl<T: Clone> ReliableNet<T> {
@@ -214,6 +219,7 @@ impl<T: Clone> ReliableNet<T> {
             tracer: Tracer::disabled(),
             spans: SpanTracker::disabled(),
             span_probe: None,
+            next_deadline: Cycle(u64::MAX),
         }
     }
 
@@ -461,6 +467,7 @@ impl<T: Clone> ReliableNet<T> {
             payload: payload.clone(),
         };
         let deadline = now + self.tcfg.retransmit_timeout + self.jitter();
+        self.next_deadline = self.next_deadline.min(deadline);
         self.tx[flow].unacked.push_back(Sent {
             seq,
             bytes,
@@ -532,6 +539,7 @@ impl<T: Clone> ReliableNet<T> {
             self.stats.max_backoff_hits += 1;
         }
         entry.deadline = now + (base << entry.retries.min(max_exp)) + jitter;
+        self.next_deadline = self.next_deadline.min(entry.deadline);
         let age = now.0.saturating_sub(entry.first_sent.0);
         let (bytes, payload) = (entry.bytes, entry.payload.clone());
         if let Some(probe) = self.span_probe {
@@ -558,6 +566,20 @@ impl<T: Clone> ReliableNet<T> {
         self.data.send(src, dst, bytes, seg, now);
     }
 
+    /// The earliest cycle at which [`ReliableNet::tick`] could release,
+    /// inject or re-send anything, or change any counter or trace output,
+    /// provided nothing is sent and no flow is reset first: the earlier
+    /// of the two planes' own horizons and, when reliable delivery is on,
+    /// the earliest retransmit deadline. May be early, never late.
+    #[must_use]
+    pub fn next_event_at(&self) -> Cycle {
+        let data = self.data.next_event_at();
+        if !self.enabled {
+            return data;
+        }
+        data.min(self.ctl.next_event_at()).min(self.next_deadline)
+    }
+
     /// Advances both networks to `now` and returns the payloads the
     /// transport releases this cycle: exactly once each, in per-flow
     /// FIFO order, as `(dst, payload)`.
@@ -569,6 +591,16 @@ impl<T: Clone> ReliableNet<T> {
                 .into_iter()
                 .map(|(dst, seg)| (dst, seg.payload))
                 .collect();
+        }
+        if now < self.next_event_at() {
+            debug_assert!(
+                now < self.data.earliest_event()
+                    && now < self.ctl.earliest_event()
+                    && (self.tx.iter().flat_map(|f| &f.unacked)).all(|s| now < s.deadline),
+                "transport horizon {} is late: a full pass at {now} finds work",
+                self.next_event_at()
+            );
+            return Vec::new();
         }
         // 1. Control plane first: ACKs retire retransmit state before
         //    the timer scan below, NACKs trigger immediate resends.
@@ -643,17 +675,23 @@ impl<T: Clone> ReliableNet<T> {
             self.send_nack(src, dst, now);
         }
         // 4. Retransmit timers (after ACK processing so nothing just
-        //    acked re-fires).
-        let mut due: Vec<(usize, u64)> = Vec::new();
-        for (flow, f) in self.tx.iter().enumerate() {
-            for s in &f.unacked {
-                if now >= s.deadline {
-                    due.push((flow, s.seq));
+        //    acked re-fires). The scan runs only once a deadline may have
+        //    come, and leaves the exact earliest one behind.
+        if now >= self.next_deadline {
+            let mut due: Vec<(usize, u64)> = Vec::new();
+            self.next_deadline = Cycle(u64::MAX);
+            for (flow, f) in self.tx.iter().enumerate() {
+                for s in &f.unacked {
+                    if now >= s.deadline {
+                        due.push((flow, s.seq));
+                    } else {
+                        self.next_deadline = self.next_deadline.min(s.deadline);
+                    }
                 }
             }
-        }
-        for (flow, seq) in due {
-            self.retransmit(flow, seq, now, false);
+            for (flow, seq) in due {
+                self.retransmit(flow, seq, now, false);
+            }
         }
         out
     }
@@ -812,6 +850,7 @@ impl<T: Snap> ReliableNet<T> {
         self.rx = rx;
         self.rng = rng;
         self.stats = stats;
+        self.next_deadline = Cycle(0);
         Ok(())
     }
 }
@@ -1179,6 +1218,72 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The horizon is invisible: a lossy transport ticked only from
+        /// `next_event_at()` on releases what one ticked every cycle does,
+        /// in the same cycles — so every ACK, NACK and retransmit timer
+        /// fired when it should — and is byte for byte the same transport
+        /// at every cycle, through flow resets, a restore into a twin that
+        /// has already idled, and when a caller ticks ahead of time and
+        /// then comes back (the benchmark's rungs do).
+        #[test]
+        fn horizon_ticks_match_a_tick_every_cycle(
+            script in proptest::collection::vec((0u64..80, 0usize..3, 0usize..3, 1usize..200, 0u8..14), 1..50),
+            seed in 0u64..10_000,
+            drop in 1u16..300,
+        ) {
+            use gtsc_types::snap::{SnapReader, SnapWriter};
+            let image = |net: &ReliableNet<usize>| {
+                let mut w = SnapWriter::new();
+                net.save_state(&mut w);
+                w.into_bytes()
+            };
+            let (mut eager, mut lazy) = (lossy_net(seed, drop), lossy_net(seed, drop));
+            let mut now = 0u64;
+            let idle_tail = [(60_000, 0, 0, 1, u8::MAX)];
+            for (i, &(gap, src, dst, bytes, what)) in script.iter().chain(&idle_tail).enumerate() {
+                for c in now..=now + gap {
+                    if c == now + gap {
+                        match what {
+                            0 => {
+                                // Crash here: a twin that sat idle takes the image over.
+                                let bytes = image(&lazy);
+                                lazy = lossy_net(seed, drop);
+                                lazy.tick(Cycle(0));
+                                lazy.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                            }
+                            1 => prop_assert_eq!(lazy.tick(Cycle(c + 15)), eager.tick(Cycle(c + 15))),
+                            2 => {
+                                let reset = lazy.reset_flows_to_dst(dst, Cycle(c));
+                                prop_assert_eq!(reset, eager.reset_flows_to_dst(dst, Cycle(c)));
+                            }
+                            u8::MAX => {}
+                            _ => {
+                                lazy.send(src, dst, bytes, i, Cycle(c));
+                                eager.send(src, dst, bytes, i, Cycle(c));
+                            }
+                        }
+                    }
+                    let want = eager.tick(Cycle(c));
+                    if Cycle(c) < lazy.next_event_at() {
+                        prop_assert!(want.is_empty(), "cycle {}: slept through {:?}", c, want);
+                    } else {
+                        prop_assert_eq!(lazy.tick(Cycle(c)), want, "cycle {}", c);
+                    }
+                    prop_assert!(image(&lazy) == image(&eager), "cycle {}", c);
+                    if what == u8::MAX && eager.is_idle() {
+                        break;
+                    }
+                }
+                now += gap + 1;
+            }
+            prop_assert!(eager.is_idle() && lazy.is_idle());
+            prop_assert_eq!(lazy.fault_stats(), eager.fault_stats());
         }
     }
 

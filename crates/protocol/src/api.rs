@@ -136,6 +136,23 @@ pub enum L1Outcome {
     /// **Fence horizon.** [`L1Controller::fence_ready_at`] is held to the
     /// same rule: its answer for a warp changes only across those calls,
     /// so the SM asks once and waits for that cycle instead of polling.
+    ///
+    /// **Event horizon.** [`L1Controller::next_event_at`] and
+    /// [`L2Controller::next_event_at`] are the same idea for time itself:
+    /// the earliest cycle at which the controller's `tick` could return
+    /// anything or change any state, counter or trace output, *provided
+    /// none of its input methods is called first* — for an L1 that is
+    /// `access`, `on_response`, `flush`, `enable_retry`, `load_state`; for
+    /// an L2 `on_request`, `on_dram_response`, `dram_ready`, `apply_reset`,
+    /// `crash`, `load_state`. Anything waiting to be taken
+    /// (`take_request`, `take_response`, and — unless `dram_ready(false)`
+    /// was the last word — `take_dram_request`) counts as due now. The
+    /// answer may be early, never late;
+    /// `Cycle(u64::MAX)` means "only an input wakes me". The engine folds
+    /// these over the whole machine and does not step the cycles before
+    /// the minimum (DESIGN.md §15.2), so a late answer silently drops
+    /// work, while the default — `Cycle(0)`, always due — merely keeps the
+    /// engine stepping every cycle while the controller is installed.
     Reject,
 }
 
@@ -203,6 +220,16 @@ pub trait L1Controller {
     /// [`L1Outcome::Reject`]), so the SM treats it as a known horizon.
     fn fence_ready_at(&self, warp: WarpId) -> Cycle {
         let _ = warp;
+        Cycle(0)
+    }
+
+    /// The earliest cycle at which [`tick`](L1Controller::tick) could
+    /// complete anything or change any state, counter or trace output if
+    /// no input method is called first; a queued request counts as due
+    /// now (see the event-horizon contract on [`L1Outcome::Reject`]). The
+    /// default is always due: correct for any controller, at the price of
+    /// an engine that steps every cycle.
+    fn next_event_at(&self) -> Cycle {
         Cycle(0)
     }
 
@@ -329,7 +356,11 @@ pub trait L2Controller {
     fn take_dram_request(&mut self) -> Option<(BlockAddr, bool)>;
 
     /// Informs the controller whether DRAM can currently accept requests
-    /// (so `tick` can decide to retry stalled evictions).
+    /// (so `tick` can decide to retry stalled evictions, and so a bank
+    /// holding DRAM requests back knows they are not due until it hears
+    /// `true`). Called each cycle once the partition has been ticked —
+    /// the one point where room opens — so it still holds at the next
+    /// `tick`; a bank that has not been told yet assumes room.
     fn dram_ready(&mut self, ready: bool) {
         let _ = ready;
     }
@@ -340,6 +371,16 @@ pub trait L2Controller {
 
     /// Per-cycle housekeeping (TC write-stall expiry, deferred work).
     fn tick(&mut self, now: Cycle);
+
+    /// The earliest cycle at which [`tick`](L2Controller::tick) could do
+    /// anything if no input method is called first; a queued response, or
+    /// a DRAM request while DRAM is ready, counts as due now (see the
+    /// event-horizon contract on
+    /// [`crate::L1Outcome::Reject`]). The default is always due: correct
+    /// for any bank, at the price of an engine that steps every cycle.
+    fn next_event_at(&self) -> Cycle {
+        Cycle(0)
+    }
 
     /// Whether this bank wants a global timestamp reset (G-TSC rollover,
     /// Section V-D). The simulator polls this and, if any bank requests a
@@ -529,6 +570,7 @@ mod tests {
         }
         let d = Dummy;
         assert_eq!(d.fence_ready_at(WarpId(0)), Cycle(0));
+        assert_eq!(d.next_event_at(), Cycle(0), "always due by default");
 
         struct DummyL2;
         impl L2Controller for DummyL2 {
@@ -549,6 +591,7 @@ mod tests {
             }
         }
         let mut d2 = DummyL2;
+        assert_eq!(d2.next_event_at(), Cycle(0), "always due by default");
         assert!(!d2.needs_reset());
         d2.apply_reset(1);
         d2.dram_ready(true);

@@ -20,7 +20,18 @@
 //! 3. scheduled crashes ([`MemorySide::crash`]);
 //! 4. the global reset: memory side first, then every bank;
 //! 5. per device, back half: banks → response network → L1s, then the
-//!    cycle-reason accounting.
+//!    cycle-reason accounting;
+//! 6. fold and jump (between steps, in `advance_kernel`): every stepped
+//!    component names the first cycle at which it could do anything
+//!    unprompted (`next_event_at`: SMs with their L1s, both crossbars,
+//!    the banks, the memory side), the engine adds its own timers — the
+//!    next scheduled crash, the interval sampler, the checker's
+//!    compaction poll when it is over its threshold, the watchdog
+//!    deadline, `max_cycles`, the end of the slice, and a parked grid tail
+//!    an SM can now take — and the cycles before the minimum are not
+//!    stepped: `now` moves there and each SM books them in O(1)
+//!    (DESIGN.md §15.2). A stepped empty cycle and a jumped one leave the
+//!    same machine behind, which is why slicing stays invisible.
 
 use std::collections::BTreeMap;
 
@@ -115,6 +126,11 @@ pub trait MemorySide {
 
     /// Whether nothing is pending beyond the banks.
     fn is_idle(&self) -> bool;
+
+    /// The earliest cycle at which anything beyond the banks could act
+    /// unprompted — the min over what the memory side owns (the engine
+    /// folds the banks themselves).
+    fn next_event_at(&self) -> Cycle;
 
     /// Transport progress beyond the on-die networks (watchdog input).
     fn progress_mark(&self) -> u64 {
@@ -368,7 +384,8 @@ impl<B: L2Controller + ?Sized> Device<B> {
     /// accesses), then the cycle-reason accounting: this cycle is
     /// attributed, for every SM, to exactly one bucket. The buckets
     /// therefore tile elapsed time — `sum(buckets) == steps` per SM, the
-    /// invariant the report and the profile both assert.
+    /// invariant the report and the profile both assert. Returns whether
+    /// any SM issued (such an SM is awake, so the next cycle is stepped).
     fn back_half(
         &mut self,
         now: Cycle,
@@ -376,7 +393,7 @@ impl<B: L2Controller + ?Sized> Device<B> {
         sizes: &MsgSizes,
         spans: &SpanTracker,
         checker: &mut Checker,
-    ) {
+    ) -> bool {
         for (b, bank) in self.l2.iter_mut().enumerate() {
             while let Some((dst, msg)) = bank.take_response() {
                 let bytes = sizes.response_bytes(&msg);
@@ -390,24 +407,26 @@ impl<B: L2Controller + ?Sized> Device<B> {
                 checker.on_completion(self.sm_base + dst, &c, now);
             }
         }
+        let mut issued = false;
         for sm in &mut self.sms {
             let reason = if sm.issued_last_cycle() {
+                issued = true;
                 CycleReason::Issue
             } else if rollover {
                 CycleReason::RolloverFreeze
-            } else if !sm.has_resident_warps() {
-                CycleReason::Idle
             } else {
-                match sm.l1().wait_hint() {
-                    WaitHint::LeaseExpired => CycleReason::LeaseExpiredWait,
-                    WaitHint::MshrFull => CycleReason::MshrFull,
-                    WaitHint::NocBackpressure => CycleReason::NocBackpressure,
-                    WaitHint::Downstream => CycleReason::DramWait,
-                    WaitHint::None => CycleReason::Idle,
-                }
+                waiting_reason(sm)
             };
             sm.account_cycle(reason);
         }
+        issued
+    }
+
+    /// The horizons of everything on the die but the SMs.
+    fn horizons(&self) -> impl Iterator<Item = Cycle> + '_ {
+        [self.req_net.next_event_at(), self.resp_net.next_event_at()]
+            .into_iter()
+            .chain(self.l2.iter().map(|bank| bank.next_event_at()))
     }
 
     fn is_idle(&self) -> bool {
@@ -460,6 +479,23 @@ impl<B: L2Controller + ?Sized> Device<B> {
     }
 }
 
+/// The bucket of a cycle in which `sm` issued nothing and no rollover
+/// froze it: a function of what the SM holds and what its L1 waits on,
+/// so it is the same for every cycle of a stretch nobody touched either.
+#[inline]
+fn waiting_reason(sm: &Sm) -> CycleReason {
+    if !sm.has_resident_warps() {
+        return CycleReason::Idle;
+    }
+    match sm.l1().wait_hint() {
+        WaitHint::LeaseExpired => CycleReason::LeaseExpiredWait,
+        WaitHint::MshrFull => CycleReason::MshrFull,
+        WaitHint::NocBackpressure => CycleReason::NocBackpressure,
+        WaitHint::Downstream => CycleReason::DramWait,
+        WaitHint::None => CycleReason::Idle,
+    }
+}
+
 /// The assembled machine: one or more devices (SMs, crossbars, L2
 /// banks) stepped by one loop against a memory side `M`. Named through
 /// its two instantiations, [`GpuSim`](crate::GpuSim) (local DRAM) and
@@ -490,11 +526,17 @@ pub struct Sim<M: MemorySide> {
     /// `cfg.trace.spans_enabled()`); every layer holds a clone. Volatile
     /// observability state — excluded from snapshots like the tracer.
     spans: SpanTracker,
-    /// Cycles actually stepped by this machine (the denominator of the
-    /// cycle-reason accounting invariant: every per-SM bucket set sums to
-    /// exactly this). Snapshotted, unlike the span state, because the
-    /// accounting lives in `SmStats` which is snapshotted too.
+    /// Cycles accounted by this machine, stepped or jumped (the
+    /// denominator of the cycle-reason accounting invariant: every per-SM
+    /// bucket set sums to exactly this). Snapshotted, unlike the span
+    /// state, because the accounting lives in `SmStats` which is
+    /// snapshotted too.
     steps: u64,
+    /// Cycles this machine ran [`Sim::step`] for, and stretches it jumped
+    /// instead. Host-side: they depend on how the run was sliced, so they
+    /// are neither statistics nor snapshotted.
+    stepped: u64,
+    jumps: u64,
 }
 
 impl<M: MemorySide> std::fmt::Debug for Sim<M> {
@@ -558,6 +600,8 @@ impl<M: MemorySide> Sim<M> {
             sanitizer,
             spans,
             steps: 0,
+            stepped: 0,
+            jumps: 0,
         }
     }
 
@@ -572,6 +616,22 @@ impl<M: MemorySide> Sim<M> {
     #[must_use]
     pub fn epoch(&self) -> Epoch {
         self.epoch
+    }
+
+    /// Cycles this machine object actually stepped; the rest of
+    /// [`Sim::now`] it jumped over (DESIGN.md §15.2). A host-side count of
+    /// how the run was executed, not a simulated result: it depends on
+    /// slicing and restarts from zero after a restore.
+    #[must_use]
+    pub fn stepped_cycles(&self) -> u64 {
+        self.stepped
+    }
+
+    /// Stretches of cycles jumped over so far (see
+    /// [`Sim::stepped_cycles`]).
+    #[must_use]
+    pub fn jumps(&self) -> u64 {
+        self.jumps
     }
 
     fn sms(&self) -> impl Iterator<Item = &Sm> {
@@ -673,7 +733,7 @@ impl<M: MemorySide> Sim<M> {
                 progress.next_cta += 1;
             }
 
-            self.step();
+            let issued = self.step();
 
             if self.sampler.due(self.now) {
                 let cumulative = self.cumulative_stats();
@@ -721,6 +781,19 @@ impl<M: MemorySide> Sim<M> {
                     diagnosis: Box::new(self.diagnose_stall(self.now - progress.last_progress)),
                 });
             }
+            // Fold and jump: the cycles before anything can happen are
+            // booked, not stepped. A slice ends where its budget does. An
+            // SM that issued is awake, which the fold would find out only
+            // after asking every sleeper in front of it.
+            let slice_end = match max_cycles {
+                0 => Cycle(u64::MAX),
+                _ => Cycle(self.now.0.saturating_add(budget)),
+            };
+            let skipped = if issued {
+                0
+            } else {
+                self.jump_to(self.next_step_at(progress, kernel).min(slice_end))
+            };
             self.now += 1;
             if self.cfg.max_cycles > 0 && self.now.0 > self.cfg.max_cycles {
                 return Err(SimError::CycleLimit {
@@ -729,7 +802,7 @@ impl<M: MemorySide> Sim<M> {
                 });
             }
             if max_cycles > 0 {
-                budget -= 1;
+                budget -= 1 + skipped;
                 if budget == 0 {
                     return Ok(None);
                 }
@@ -1087,8 +1160,77 @@ impl<M: MemorySide> Sim<M> {
         self.devices.iter().all(Device::is_idle) && self.mem.is_idle()
     }
 
-    /// One global clock cycle (phase list in the module docs).
-    fn step(&mut self) {
+    /// The first cycle after `now` that has to be stepped: the earliest
+    /// `next_event_at` over every component, or an engine timer if one
+    /// comes sooner. SMs are asked first and the fold stops at the first
+    /// answer of "next cycle", so a busy machine pays one compare.
+    fn next_step_at(&self, progress: &KernelProgress, kernel: &dyn Kernel) -> Cycle {
+        let next = self.now + 1;
+        let components = (self.sms().map(Sm::next_event_at))
+            .chain(self.devices.iter().flat_map(Device::horizons))
+            .chain(std::iter::once_with(|| self.mem.next_event_at()));
+        let mut horizon = Cycle(u64::MAX);
+        for at in components {
+            horizon = horizon.min(at);
+            if horizon <= next {
+                return next;
+            }
+        }
+        // The engine's own timers. Each names the cycle whose step does
+        // something no component announces: a crash, a sample, the
+        // watchdog firing (the fingerprint cannot move before a component
+        // does), and the first cycle past `max_cycles`, which errors out.
+        let crashes = self.crash_faults.iter().flatten();
+        for at in crashes.filter_map(BankFaults::next_due) {
+            horizon = horizon.min(Cycle(at));
+        }
+        if let Some(at) = self.sampler.next_due() {
+            horizon = horizon.min(at);
+        }
+        if self.cfg.watchdog_cycles > 0 {
+            horizon = horizon.min(progress.last_progress + self.cfg.watchdog_cycles);
+        }
+        if self.cfg.max_cycles > 0 {
+            horizon = horizon.min(Cycle(self.cfg.max_cycles + 1));
+        }
+        // A parked grid tail dispatches at the top of the next cycle if
+        // this one's step freed a slot on the device it is pinned to.
+        if progress.next_cta < kernel.n_ctas() {
+            let sms = &self.devices[progress.next_cta % self.devices.len()].sms;
+            if (sms.iter()).any(|sm| sm.can_accept_cta(kernel.warps_per_cta())) {
+                return next;
+            }
+        }
+        // The compaction poll runs on multiples of `COMPACT_POLL_CYCLES`,
+        // and does something only while the checker is over its threshold;
+        // its footprint is counted only if the jump would cross one.
+        let poll = Cycle((self.now.0 / COMPACT_POLL_CYCLES + 1) * COMPACT_POLL_CYCLES);
+        if poll < horizon && self.checker.retained_events() >= COMPACT_RETAINED_THRESHOLD {
+            horizon = poll;
+        }
+        horizon.max(next)
+    }
+
+    /// Moves `now` to the cycle before `next_step`, booking the cycles in
+    /// between as each SM's dormant path and the back half's accounting
+    /// would have, one at a time: no SM issues, no rollover freezes, and
+    /// nobody touched what `waiting_reason` reads. Returns how many.
+    fn jump_to(&mut self, next_step: Cycle) -> u64 {
+        let skipped = next_step - self.now - 1;
+        if skipped > 0 {
+            for sm in self.devices.iter_mut().flat_map(|d| d.sms.iter_mut()) {
+                sm.skip(skipped, waiting_reason(sm));
+            }
+            self.steps += skipped;
+            self.now += skipped;
+            self.jumps += 1;
+        }
+        skipped
+    }
+
+    /// One global clock cycle (phase list in the module docs). Returns
+    /// whether any SM issued.
+    fn step(&mut self) -> bool {
         let now = self.now;
         for (d, dev) in self.devices.iter_mut().enumerate() {
             dev.front_half(now, &self.sizes, &self.spans, &mut self.checker);
@@ -1115,10 +1257,13 @@ impl<M: MemorySide> Sim<M> {
             }
         }
 
+        let mut issued = false;
         for dev in &mut self.devices {
-            dev.back_half(now, rollover, &self.sizes, &self.spans, &mut self.checker);
+            issued |= dev.back_half(now, rollover, &self.sizes, &self.spans, &mut self.checker);
         }
         self.steps += 1;
+        self.stepped += 1;
+        issued
     }
 }
 
@@ -1129,7 +1274,7 @@ mod tests {
     use super::*;
     use crate::{GpuSim, MultiGpuSim};
     use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
-    use gtsc_types::{Addr, MultiGpuConfig, ProtocolKind, TraceConfig};
+    use gtsc_types::{Addr, FaultConfig, MultiGpuConfig, ProtocolKind, TraceConfig};
 
     /// Data-race-free traffic: each CTA stores to its own blocks then
     /// reads them back, enough cycles to slice and checkpoint.
@@ -1166,37 +1311,107 @@ mod tests {
     fn multi(tweak: Tweak) -> MultiGpuSim {
         let mut cfg = MultiGpuConfig::test_small(2);
         tweak(&mut cfg.gpu);
+        if cfg.gpu.faults.lossy_active() {
+            cfg.fabric = cfg.fabric.with_device_crashes(2, 2_000);
+        }
+        if cfg.gpu.faults.noc_drop_permille > 0 {
+            cfg.fabric = cfg.fabric.lossy(42, 60);
+        }
         MultiGpuSim::new(cfg)
     }
 
-    /// Slicing the run loop must be invisible: any budget sequence
-    /// yields the stats of one uninterrupted run.
-    fn slices_match_one_run<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
-        let kernel = drf_traffic_kernel("drf-traffic", 6);
-        let mut whole = build(AS_IS);
-        let want = whole.run_kernel(&kernel).expect("whole run");
+    /// A lossy NoC with bank crashes; behind a fabric, a lossy fabric with
+    /// device crashes on top.
+    const LOSSY_CRASHY: Tweak =
+        |cfg| cfg.faults = FaultConfig::lossy(42, 80).with_bank_crashes(2, 400);
 
-        let mut sliced = build(AS_IS);
-        let mut progress = KernelProgress::new(&kernel);
-        let mut report = None;
-        for _ in 0..100_000 {
-            if let Some(r) = sliced
-                .advance_kernel(&kernel, &mut progress, 37)
-                .expect("slice")
-            {
-                report = Some(r);
-                break;
+    /// DRAM that is slow and one request deep, so banks hold requests back
+    /// and the machine waits in long jumps — with the crashes landing
+    /// inside them.
+    const STARVED_CRASHY: Tweak = |cfg| {
+        cfg.dram.queue_depth = 1;
+        cfg.dram.row_hit = 150;
+        cfg.dram.row_miss = 300;
+        cfg.faults = FaultConfig::default().with_bank_crashes(3, 900);
+    };
+
+    /// Slicing the run loop must be invisible: any budget sequence yields
+    /// the stats, memory image and final snapshot of one uninterrupted
+    /// run — although the uninterrupted run jumps over its empty cycles,
+    /// the slice ends fall inside those jumps, and at budget 1 nothing is
+    /// jumped at all, which makes that row the step-every-cycle reference.
+    /// At one budget the machine is also thrown away at every slice end
+    /// and rebuilt from its snapshot. More CTAs than the machine holds, so
+    /// the grid tail parks and dispatches into slots that free up.
+    fn slices_match_one_run<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let kernel = drf_traffic_kernel("drf-traffic", 20);
+        for tweak in [AS_IS, LOSSY_CRASHY, STARVED_CRASHY] {
+            let mut whole = build(tweak);
+            let want = whole.run_kernel(&kernel).expect("whole run");
+            let want_snap = whole.save_snapshot(None).expect("snapshot");
+            assert!(whole.jumps() > 0, "the uninterrupted run never jumped");
+            for budget in [1, 7, 37, 500, 4001] {
+                let mut sliced = build(tweak);
+                let mut progress = KernelProgress::new(&kernel);
+                let got = loop {
+                    let slice = sliced.advance_kernel(&kernel, &mut progress, budget);
+                    if let Some(report) = slice.expect("slice") {
+                        break report;
+                    }
+                    if budget == 37 {
+                        let snap = sliced.save_snapshot(Some(&progress)).expect("snapshot");
+                        sliced = build(tweak);
+                        let restored = sliced.restore_snapshot(&snap).expect("restore");
+                        progress = restored.expect("a mid-kernel snapshot carries progress");
+                        let again = sliced.save_snapshot(Some(&progress)).expect("snapshot");
+                        assert!(again == snap, "save, restore, save moved a byte");
+                    }
+                };
+                assert_eq!(got.stats, want.stats, "budget {budget}");
+                assert_eq!(sliced.memory_image(), whole.memory_image());
+                let snap = sliced.save_snapshot(None).expect("snapshot");
+                assert!(snap == want_snap, "budget {budget}: final snapshot differs");
+                if budget == 1 {
+                    assert_eq!((sliced.jumps(), sliced.stepped_cycles()), (0, sliced.steps));
+                }
             }
         }
-        let got = report.expect("sliced run completes");
-        assert_eq!(got.stats, want.stats);
-        assert_eq!(sliced.memory_image(), whole.memory_image());
     }
 
     #[test]
     fn advance_kernel_in_slices_matches_run_kernel() {
         slices_match_one_run(single);
         slices_match_one_run(multi);
+    }
+
+    /// Ten 1 000-cycle compute bursts on one warp: the machine holds
+    /// nothing else, so all but the cycles that issue are jumped.
+    fn idle_machine_is_jumped_not_stepped<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let bursts = WarpProgram(vec![WarpOp::Compute(1000); 10]);
+        let kernel = VecKernel::new("bursts", 1, vec![vec![bursts]]);
+        let mut sim = build(AS_IS);
+        let report = sim.run_kernel(&kernel).expect("completes");
+        assert_eq!(report.stats.cycles, Cycle(9001));
+        assert_eq!((sim.stepped_cycles(), sim.jumps()), (20, 9));
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    /// The guard against the skip silently turning off: these are exact
+    /// counts of a deterministic run, so a component that starts reporting
+    /// the always-due default horizon moves them — here, not in a
+    /// benchmark. The bounds they sit under are the contract: fewer than
+    /// 50 stepped cycles for the bursts, fewer than 60 % for CCP Small.
+    #[test]
+    fn horizon_jumps_leave_few_cycles_to_step() {
+        idle_machine_is_jumped_not_stepped(single);
+        idle_machine_is_jumped_not_stepped(multi);
+        let cfg = GpuConfig::paper_default().with_protocol(ProtocolKind::Gtsc);
+        let mut sim = GpuSim::new(cfg);
+        let kernel = gtsc_workloads::Benchmark::Ccp.build(gtsc_workloads::Scale::Small);
+        let report = sim.run_kernel(kernel.as_ref()).expect("completes");
+        let (cycles, stepped) = (report.stats.accounted_cycles, sim.stepped_cycles());
+        assert_eq!((cycles, stepped, sim.jumps()), (5865, 2328, 778));
+        assert!(stepped * 100 < cycles * 60, "stepped {stepped} of {cycles}");
     }
 
     fn foreign_progress_is_rejected<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {

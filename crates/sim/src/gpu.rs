@@ -56,7 +56,6 @@ impl MemorySide for LocalDram {
 
     fn serve(&mut self, _d: usize, banks: &mut [Box<dyn L2Controller>], now: Cycle) {
         for (bank, dram) in banks.iter_mut().zip(&mut self.drams) {
-            bank.dram_ready(dram.can_accept());
             bank.tick(now);
             while dram.can_accept() {
                 let Some((block, is_write)) = bank.take_dram_request() else {
@@ -72,6 +71,9 @@ impl MemorySide for LocalDram {
             for resp in dram.tick(now) {
                 bank.on_dram_response(resp.block, resp.is_write, now);
             }
+            // Only the tick above opens room in the partition: a bank
+            // holding DRAM requests back is due next cycle exactly if it did.
+            bank.dram_ready(dram.can_accept());
         }
     }
 
@@ -84,6 +86,11 @@ impl MemorySide for LocalDram {
 
     fn is_idle(&self) -> bool {
         self.drams.iter().all(Dram::is_idle)
+    }
+
+    fn next_event_at(&self) -> Cycle {
+        let partitions = self.drams.iter().map(Dram::next_event_at);
+        partitions.min().unwrap_or(Cycle(u64::MAX))
     }
 
     fn add_stats(&self, stats: &mut SimStats) {
@@ -463,6 +470,16 @@ mod tests {
         assert!(report.stats.sm.mem_latency.percentile(0.99) >= 32.0);
     }
 
+    /// The rendering of the starved-DRAM wedge below, as the engine
+    /// printed it when it stepped every cycle up to the watchdog.
+    const STARVED_DRAM_DIAGNOSIS: &str = "\
+1 warps resident, no progress for 2000 cycles (epoch 0, 0 rollovers)
+  sm0: warp 0 stalled on Memory (outstanding=1, blocks_pending=0, ops_left=0)
+  l1[0]: mshr=1 out_queue=0 waiting=0
+  l2[0]: mshr=1 out_queue=0 waiting=0
+  noc: req 0 in flight / 0 queued, resp 0 in flight / 0 queued
+  dram: 0 queued, 1 in service";
+
     #[test]
     fn watchdog_fires_with_diagnosis_on_starved_dram() {
         use gtsc_types::StallKind;
@@ -481,8 +498,11 @@ mod tests {
         let mut sim = GpuSim::new(cfg);
         match sim.run_kernel(&kernel) {
             Err(SimError::Stalled { at, diagnosis }) => {
-                assert!(at.0 < 10_000, "fired well before the cycle limit (at {at})");
-                assert!(diagnosis.stalled_for >= 2_000);
+                // Where and what the engine that stepped all 2 000 cycles
+                // reported; this one lands there in a handful of jumps.
+                assert_eq!((at, diagnosis.stalled_for), (Cycle(2_000), 2_000));
+                assert_eq!(diagnosis.to_string(), STARVED_DRAM_DIAGNOSIS);
+                assert!(sim.stepped_cycles() < 100, "{}", sim.stepped_cycles());
                 assert_eq!(diagnosis.resident_warps, 1);
                 assert!(
                     diagnosis
@@ -517,10 +537,14 @@ mod tests {
             vec![vec![WarpProgram(vec![WarpOp::load_coalesced(Addr(0), 32)])]],
         );
         let mut sim = GpuSim::new(cfg);
-        assert!(matches!(
-            sim.run_kernel(&kernel),
-            Err(SimError::CycleLimit { .. })
-        ));
+        match sim.run_kernel(&kernel) {
+            // The first cycle past the limit, reached by jumping.
+            Err(SimError::CycleLimit { at, resident_warps }) => {
+                assert_eq!((at, resident_warps), (Cycle(3_001), 1));
+                assert!(sim.stepped_cycles() < 100, "{}", sim.stepped_cycles());
+            }
+            other => panic!("expected CycleLimit, got {other:?}"),
+        }
     }
 
     #[test]

@@ -217,6 +217,12 @@ impl MemorySide for FabricToHome {
         self.home.is_idle() && self.up_net.is_idle() && self.down_net.is_idle()
     }
 
+    fn next_event_at(&self) -> Cycle {
+        (self.home.next_event_at())
+            .min(self.up_net.next_event_at())
+            .min(self.down_net.next_event_at())
+    }
+
     fn progress_mark(&self) -> u64 {
         self.up_net.progress_mark() + self.down_net.progress_mark()
     }

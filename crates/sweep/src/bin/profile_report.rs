@@ -138,6 +138,15 @@ fn run(args: &[String]) -> Result<(), String> {
     let report = sim.run_kernel(kernel.as_ref()).map_err(|e| e.to_string())?;
     if !cli.quiet {
         print!("{}", render_profile(&report.stats));
+        // How the cycles above were executed, not what they were
+        // (DESIGN.md §15.2): N near M on an idle-heavy kernel means some
+        // component reports the always-due default horizon.
+        println!(
+            "stepped {} of {} cycles ({} jumps)",
+            sim.stepped_cycles(),
+            report.stats.accounted_cycles,
+            sim.jumps()
+        );
     }
     if let Some(path) = &cli.folded {
         write_file(path, &render_folded(&report.stats))?;

@@ -85,6 +85,13 @@ impl IntervalSampler {
         self.interval > 0 && now.0 - self.last.0 >= self.interval
     }
 
+    /// The first cycle at which [`IntervalSampler::due`] holds, if the
+    /// sampler fires at all (the engine does not step past it).
+    #[must_use]
+    pub fn next_due(&self) -> Option<Cycle> {
+        (self.interval > 0).then(|| self.last + self.interval)
+    }
+
     /// Records the delta since the previous snapshot. `current` must be
     /// the *cumulative* stats at `now`.
     pub fn sample(&mut self, now: Cycle, current: &SimStats) {

@@ -104,7 +104,12 @@ pub struct CycleBuckets {
 impl CycleBuckets {
     /// Attributes one cycle to `reason`.
     pub fn record(&mut self, reason: CycleReason) {
-        self.counts[reason.index()] += 1;
+        self.record_n(reason, 1);
+    }
+
+    /// Attributes a stretch of `cycles` cycles to `reason`.
+    pub fn record_n(&mut self, reason: CycleReason, cycles: u64) {
+        self.counts[reason.index()] += cycles;
     }
 
     /// Cycles attributed to `reason`.

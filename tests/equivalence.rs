@@ -10,7 +10,7 @@ use gtsc::sim::{GpuSim, MultiGpuSim};
 use gtsc::types::snap::{crc32, Snap, SnapWriter};
 use gtsc::types::{
     BlockAddr, ConsistencyModel, FabricConfig, FaultConfig, GpuConfig, MultiGpuConfig,
-    ProtocolKind, SimStats, Version, WarpScheduler,
+    ProtocolKind, SimStats, TraceConfig, Version, WarpScheduler,
 };
 use gtsc::workloads::{Benchmark, Scale};
 
@@ -276,5 +276,32 @@ fn sampled_span_ids_match_the_per_cycle_scan_pin() {
         (87, 0xad57_e49b),
         "sampled span set moved ({}, {crc:#010x})",
         ids.len()
+    );
+}
+
+/// A fully traced run emits every per-cycle event through the same path
+/// as before the engine learnt to jump (a traced SM never sleeps, so its
+/// horizon is always the next cycle) — and the components whose `tick`
+/// now returns early must still stamp what clock-less methods raise
+/// (`Dram::enqueue`, `apply_reset`, `evict`) with the cycle they happen
+/// in. Pinned at the last commit that ticked everything every cycle:
+/// a lossy NoC, 8-bit timestamps rolling over, and two bank crashes.
+#[test]
+fn full_trace_matches_the_tick_every_cycle_pin() {
+    let cfg = GpuConfig::paper_default()
+        .with_protocol(ProtocolKind::Gtsc)
+        .with_faults(FaultConfig::lossy(1, 10).with_bank_crashes(2, 400))
+        .with_trace(TraceConfig::full());
+    let mut sim = GpuSim::new(cfg);
+    sim.run_kernel(Benchmark::Ccp.build(Scale::Small).as_ref())
+        .expect("completes");
+    let events = sim.trace_events();
+    let text: String = events.iter().map(|e| format!("{e}\n")).collect();
+    let crc = crc32(text.as_bytes());
+    assert_eq!(
+        (events.len(), crc),
+        (194_475, 0x9837_40bc),
+        "trace moved ({}, {crc:#010x})",
+        events.len()
     );
 }
