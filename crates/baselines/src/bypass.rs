@@ -3,11 +3,11 @@
 //! coherence (Section I). There are no tags and no MSHRs on the SM side;
 //! each access crosses the NoC individually.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_protocol::msg::{L1ToL2, L2ToL1, ReadReq, WriteReq};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
-use gtsc_types::{BlockAddr, CacheStats, Cycle, Timestamp, Version, WarpId};
+use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Timestamp, Version, WarpId};
 
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
@@ -47,9 +47,12 @@ struct StoreWaiter {
 pub struct BypassL1 {
     sm_index: usize,
     /// FIFO of outstanding loads per block (each `BusRd` yields one fill).
-    read_waiters: HashMap<BlockAddr, VecDeque<Waiter>>,
-    store_acks: HashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    read_waiters: FxHashMap<BlockAddr, VecDeque<Waiter>>,
+    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
     out: VecDeque<L1ToL2>,
+    /// What the latest `on_response` completed: emptied on entry, lent
+    /// out until the next call (see `L1Outcome::Reject`).
+    done: Vec<Completion>,
     version_ctr: Vec<u64>,
     stats: CacheStats,
 }
@@ -60,9 +63,10 @@ impl BypassL1 {
     pub fn new(sm_index: usize) -> Self {
         BypassL1 {
             sm_index,
-            read_waiters: HashMap::new(),
-            store_acks: HashMap::new(),
+            read_waiters: FxHashMap::default(),
+            store_acks: FxHashMap::default(),
             out: VecDeque::new(),
+            done: Vec::new(),
             version_ctr: Vec::new(),
             stats: CacheStats::default(),
         }
@@ -128,13 +132,13 @@ impl L1Controller for BypassL1 {
         L1Outcome::Queued
     }
 
-    fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
+    fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> &[Completion] {
+        self.done.clear();
         match msg {
             L2ToL1::Fill(f) => {
                 if let Some(q) = self.read_waiters.get_mut(&f.block) {
                     if let Some(w) = q.pop_front() {
-                        done.push(Completion {
+                        self.done.push(Completion {
                             id: w.id,
                             warp: w.warp,
                             kind: AccessKind::Load,
@@ -162,7 +166,7 @@ impl L1Controller for BypassL1 {
                         if q.is_empty() {
                             self.store_acks.remove(&a.block);
                         }
-                        done.push(Completion {
+                        self.done.push(Completion {
                             id: sw.id,
                             warp: sw.warp,
                             kind: sw.kind,
@@ -177,15 +181,15 @@ impl L1Controller for BypassL1 {
             }
             L2ToL1::Renew { .. } | L2ToL1::Invalidate { .. } => {}
         }
-        done
+        &self.done
     }
 
     fn take_request(&mut self) -> Option<L1ToL2> {
         self.out.pop_front()
     }
 
-    fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
-        Vec::new()
+    fn tick(&mut self, _now: Cycle) -> &[Completion] {
+        &[]
     }
 
     /// Nothing here is timed: only a request waiting to be taken is due.

@@ -4,12 +4,14 @@
 //! workloads that do not need coherence (the right cluster of Figure 12);
 //! the simulator's checker will rightly flag it on sharing workloads.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
-use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, Timestamp, Version, WarpId};
+use gtsc_types::{
+    BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, Timestamp, Version, WarpId,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlainMeta {
@@ -36,7 +38,10 @@ pub struct NonCoherentL1 {
     sm_index: usize,
     tags: TagArray<PlainMeta>,
     mshr: Mshr<Waiter>,
-    store_acks: HashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    /// What the latest `on_response` completed: emptied on entry, lent
+    /// out until the next call (see `L1Outcome::Reject`).
+    done: Vec<Completion>,
     out: VecDeque<L1ToL2>,
     version_ctr: Vec<u64>,
     stats: CacheStats,
@@ -55,7 +60,8 @@ impl NonCoherentL1 {
             sm_index,
             tags: TagArray::new(geometry),
             mshr: Mshr::new(mshr_entries, mshr_merges),
-            store_acks: HashMap::new(),
+            store_acks: FxHashMap::default(),
+            done: Vec::new(),
             out: VecDeque::new(),
             version_ctr: Vec::new(),
             stats: CacheStats::default(),
@@ -150,8 +156,8 @@ impl L1Controller for NonCoherentL1 {
         }
     }
 
-    fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
+    fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> &[Completion] {
+        self.done.clear();
         match msg {
             L2ToL1::Fill(f) => {
                 debug_assert_eq!(f.lease, LeaseInfo::None, "plain L2 grants no leases");
@@ -162,8 +168,9 @@ impl L1Controller for NonCoherentL1 {
                 {
                     self.stats.evictions += 1;
                 }
-                for w in self.mshr.take(f.block) {
-                    done.push(Completion {
+                let mut waiters = self.mshr.take(f.block);
+                for w in waiters.drain(..) {
+                    self.done.push(Completion {
                         id: w.id,
                         warp: w.warp,
                         kind: AccessKind::Load,
@@ -174,6 +181,7 @@ impl L1Controller for NonCoherentL1 {
                         prev: None,
                     });
                 }
+                self.mshr.recycle(waiters);
             }
             L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
                 let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
@@ -187,7 +195,7 @@ impl L1Controller for NonCoherentL1 {
                         if q.is_empty() {
                             self.store_acks.remove(&a.block);
                         }
-                        done.push(Completion {
+                        self.done.push(Completion {
                             id: sw.id,
                             warp: sw.warp,
                             kind: sw.kind,
@@ -205,15 +213,15 @@ impl L1Controller for NonCoherentL1 {
                 self.tags.invalidate(block);
             }
         }
-        done
+        &self.done
     }
 
     fn take_request(&mut self) -> Option<L1ToL2> {
         self.out.pop_front()
     }
 
-    fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
-        Vec::new()
+    fn tick(&mut self, _now: Cycle) -> &[Completion] {
+        &[]
     }
 
     /// Nothing here is timed: only a request waiting to be taken is due.

@@ -7,12 +7,12 @@
 //! it reproduces the incoherent baseline the paper only runs on workloads
 //! that need no coherence.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
 use gtsc_protocol::L2Controller;
-use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, Version};
+use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, Version};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlainMeta {
@@ -58,7 +58,7 @@ struct PendingReq {
 pub struct PlainL2 {
     p: PlainL2Params,
     tags: TagArray<PlainMeta>,
-    backing: HashMap<BlockAddr, Version>,
+    backing: FxHashMap<BlockAddr, Version>,
     pending: Mshr<PendingReq>,
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
     /// The head of `in_queue` is a miss that found no MSHR slot; only a
@@ -78,7 +78,7 @@ impl PlainL2 {
     pub fn new(p: PlainL2Params) -> Self {
         PlainL2 {
             tags: TagArray::new(p.geometry),
-            backing: HashMap::new(),
+            backing: FxHashMap::default(),
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
             in_queue: VecDeque::new(),
             head_stalled: false,
@@ -201,9 +201,11 @@ impl L2Controller for PlainL2 {
                 self.dram_out.push_back((ev.block, true));
             }
         }
-        for w in self.pending.take(block) {
+        let mut waiters = self.pending.take(block);
+        for w in waiters.drain(..) {
             self.serve_hit(w.src, w.msg);
         }
+        self.pending.recycle(waiters);
     }
 
     fn next_event_at(&self) -> Cycle {

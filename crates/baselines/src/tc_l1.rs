@@ -12,13 +12,15 @@
 //!   atomicity); the ack carries the GWCT, accumulated per warp and
 //!   consumed by fences.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
 use gtsc_trace::{EventKind, Tracer};
-use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, Timestamp, Version, WarpId};
+use gtsc_types::{
+    BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, Timestamp, Version, WarpId,
+};
 
 use crate::TcMode;
 
@@ -78,7 +80,13 @@ pub struct TcL1 {
     p: TcL1Params,
     tags: TagArray<TcMeta>,
     mshr: Mshr<Waiter>,
-    store_acks: HashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    /// Emptied per-block queues of `store_acks`, reused by the next block
+    /// with a store in flight.
+    spare_acks: Vec<VecDeque<StoreWaiter>>,
+    /// What the latest `on_response` completed: emptied on entry, lent
+    /// out until the next call (see `L1Outcome::Reject`).
+    done: Vec<Completion>,
     /// Global Write Completion Time per warp (TC-Weak fences).
     gwct: Vec<Cycle>,
     out: VecDeque<L1ToL2>,
@@ -94,7 +102,9 @@ impl TcL1 {
         TcL1 {
             tags: TagArray::new(p.geometry),
             mshr: Mshr::new(p.mshr_entries, p.mshr_merges),
-            store_acks: HashMap::new(),
+            store_acks: FxHashMap::default(),
+            spare_acks: Vec::new(),
+            done: Vec::new(),
             gwct: vec![Cycle(0); p.n_warps],
             out: VecDeque::new(),
             version_ctr: vec![0; p.n_warps],
@@ -234,9 +244,10 @@ impl L1Controller for TcL1 {
                 } else {
                     L1ToL2::Write(req)
                 });
+                let spare = &mut self.spare_acks;
                 self.store_acks
                     .entry(acc.block)
-                    .or_default()
+                    .or_insert_with(|| spare.pop().unwrap_or_default())
                     .push_back(StoreWaiter {
                         id: acc.id,
                         warp: acc.warp,
@@ -248,8 +259,8 @@ impl L1Controller for TcL1 {
         }
     }
 
-    fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
+    fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion] {
+        self.done.clear();
         match msg {
             L2ToL1::Fill(f) => {
                 let LeaseInfo::Physical { expires } = f.lease else {
@@ -268,9 +279,11 @@ impl L1Controller for TcL1 {
                 }
                 self.tracer
                     .record_with(now, || EventKind::FillApplied { block: f.block });
-                for w in self.mshr.take(f.block) {
-                    done.push(self.completion(w, f.block, f.version));
+                let mut waiters = self.mshr.take(f.block);
+                for w in waiters.drain(..) {
+                    self.done.push(self.completion(w, f.block, f.version));
                 }
+                self.mshr.recycle(waiters);
             }
             L2ToL1::Renew { .. } => unreachable!("TC has no renewal responses"),
             L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
@@ -283,7 +296,7 @@ impl L1Controller for TcL1 {
                     if let Some(pos) = q.iter().position(|s| s.version == a.version) {
                         let sw = q.remove(pos).expect("position valid");
                         if q.is_empty() {
-                            self.store_acks.remove(&a.block);
+                            self.spare_acks.extend(self.store_acks.remove(&a.block));
                         }
                         if let LeaseInfo::Physical { expires } = a.lease {
                             // TC-Weak: the ack carries the GWCT.
@@ -292,7 +305,7 @@ impl L1Controller for TcL1 {
                         }
                         self.tracer
                             .record_with(now, || EventKind::WriteAck { block: a.block });
-                        done.push(Completion {
+                        self.done.push(Completion {
                             id: sw.id,
                             warp: sw.warp,
                             kind: sw.kind,
@@ -309,15 +322,15 @@ impl L1Controller for TcL1 {
                 self.tags.invalidate(block);
             }
         }
-        done
+        &self.done
     }
 
     fn take_request(&mut self) -> Option<L1ToL2> {
         self.out.pop_front()
     }
 
-    fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
-        Vec::new()
+    fn tick(&mut self, _now: Cycle) -> &[Completion] {
+        &[]
     }
 
     /// Nothing here is timed: only a request waiting to be taken is due.

@@ -13,13 +13,13 @@
 //! TC forces an **inclusive** L2 (Section II-D2): a victim whose lease is
 //! still live cannot be evicted, stalling the fill until it expires.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
 use gtsc_protocol::L2Controller;
 use gtsc_trace::{EventKind, Sanitizer, Tracer, Transition};
-use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, SpanId, Version};
+use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, SpanId, Version};
 
 use crate::TcMode;
 
@@ -74,7 +74,7 @@ struct PendingReq {
 pub struct TcL2 {
     p: TcL2Params,
     tags: TagArray<TcL2Meta>,
-    backing: HashMap<BlockAddr, Version>,
+    backing: FxHashMap<BlockAddr, Version>,
     pending: Mshr<PendingReq>,
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
     /// The head of `in_queue` is a miss that found no MSHR slot; only an
@@ -104,7 +104,7 @@ impl TcL2 {
     pub fn new(p: TcL2Params) -> Self {
         TcL2 {
             tags: TagArray::new(p.geometry),
-            backing: HashMap::new(),
+            backing: FxHashMap::default(),
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
             in_queue: VecDeque::new(),
             head_stalled: false,
@@ -283,9 +283,11 @@ impl TcL2 {
                 }
                 self.head_stalled = false;
                 // Serve everything that waited for the fetch.
-                for w in self.pending.take(block) {
+                let mut waiters = self.pending.take(block);
+                for w in waiters.drain(..) {
                     self.handle_present(w.src, w.msg, now);
                 }
+                self.pending.recycle(waiters);
                 true
             }
             Err(_) => {

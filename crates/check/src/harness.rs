@@ -611,7 +611,7 @@ impl MicroGtsc {
             self.maybe_reset();
             while let Some((dst, resp)) = self.mem.take_response(unit, self.now, &mut self.wire) {
                 delivered = true;
-                for c in self.l1s[dst].on_response(resp, self.now) {
+                for c in self.l1s[dst].on_response(resp, self.now).to_vec() {
                     self.record(dst, &c);
                 }
             }

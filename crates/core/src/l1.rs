@@ -15,7 +15,7 @@
 //!   `ForwardAll` policy sends every request instead (ablation).
 //! * **Write-through, write-no-allocate** L1, as in GPGPU-Sim.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
@@ -26,8 +26,8 @@ use gtsc_protocol::{
 use gtsc_trace::span::ServeClass;
 use gtsc_trace::{EventKind, Sanitizer, SpanTracker, Tracer, Transition};
 use gtsc_types::{
-    BlockAddr, CacheGeometry, CacheStats, CombinePolicy, Cycle, SpanId, Timestamp, Version,
-    VisibilityPolicy, WarpId,
+    BlockAddr, CacheGeometry, CacheStats, CombinePolicy, Cycle, FxHashMap, SpanId, Timestamp,
+    Version, VisibilityPolicy, WarpId,
 };
 
 use crate::mutation::ProtocolMutation;
@@ -136,16 +136,23 @@ pub struct GtscL1 {
     /// Blocks with a `BusRd` currently in flight, with the cycle it (or
     /// its latest retry) was sent and whether it was a renewal / expired
     /// refetch (`wts != 0` — feeds the lease-expired wait hint; an MSHR
-    /// entry without one is waiting on a store ack instead). Ordered
-    /// map: the retry scan in [`GtscL1::tick`] iterates it, and the
-    /// emission order must be identical across processes for checkpoint
-    /// determinism.
-    rd_inflight: BTreeMap<BlockAddr, (Cycle, bool)>,
+    /// entry without one is waiting on a store ack instead). Hashed like
+    /// the MSHR it shadows — entries come and go with every miss, and an
+    /// ordered map pays a node for each; the one walk whose order shows
+    /// (the retry scan in [`GtscL1::tick`]) sorts first.
+    rd_inflight: FxHashMap<BlockAddr, (Cycle, bool)>,
     /// How many `rd_inflight` entries are renewals — kept in lockstep by
     /// [`GtscL1::rd_insert`]/[`GtscL1::rd_remove`] so the per-cycle
     /// [`GtscL1::wait_hint`] never scans the map.
     renewals_inflight: u32,
-    store_acks: BTreeMap<BlockAddr, VecDeque<StoreWaiter>>,
+    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    /// Emptied per-block queues of `store_acks`, reused by the next block
+    /// with a store in flight. Volatile, never snapshotted.
+    spare_acks: Vec<VecDeque<StoreWaiter>>,
+    /// The (empty) `writers` lists of evicted lines, reused by the next
+    /// line that is stored to: at most one per line of the cache.
+    /// Volatile, never snapshotted.
+    spare_writers: Vec<Vec<WarpId>>,
     /// End-to-end retry timer: requests unanswered this many cycles are
     /// re-sent. `None` (the default) disables retry — only enabled when
     /// the run injects loss faults, where a request can vanish with its
@@ -160,6 +167,10 @@ pub struct GtscL1 {
     /// never snapshotted: `load_state` recomputes it.
     retry_due: Cycle,
     out: VecDeque<L1ToL2>,
+    /// What the latest `on_response` / `tick` completed: emptied on entry
+    /// to either, lent out until the next call (see `L1Outcome::Reject`).
+    /// Volatile, never snapshotted.
+    done: Vec<Completion>,
     epoch: Epoch,
     version_ctr: Vec<u64>,
     stats: CacheStats,
@@ -179,12 +190,15 @@ impl GtscL1 {
             tags: TagArray::new(p.geometry),
             warp_ts: vec![Timestamp::INIT; p.n_warps],
             mshr: Mshr::new(p.mshr_entries, p.mshr_merges),
-            rd_inflight: BTreeMap::new(),
+            rd_inflight: FxHashMap::default(),
             renewals_inflight: 0,
-            store_acks: BTreeMap::new(),
+            store_acks: FxHashMap::default(),
+            spare_acks: Vec::new(),
+            spare_writers: Vec::new(),
             retry_timeout: None,
             retry_due: Cycle(u64::MAX),
             out: VecDeque::new(),
+            done: Vec::new(),
             epoch: 0,
             version_ctr: vec![0; p.n_warps],
             stats: CacheStats::default(),
@@ -245,6 +259,7 @@ impl GtscL1 {
         let Some(timeout) = self.retry_timeout else {
             return Cycle(u64::MAX);
         };
+        // lint: allow(hash-iter): a minimum (of both) does not depend on the order.
         let reads = self.rd_inflight.values().map(|&(sent, _)| sent);
         let stores = self.store_acks.values().flatten().map(|sw| sw.sent);
         (reads.chain(stores).min()).map_or(Cycle(u64::MAX), |sent| sent + timeout)
@@ -342,41 +357,37 @@ impl GtscL1 {
 
     /// Serves the MSHR waiters of `block` against lease `[wts, rts]`
     /// supplying `version`. Waiters the lease does not cover are
-    /// re-queued, and — unless a read is already in flight — a renewal is
-    /// sent on behalf of the first of them (Section V-B).
+    /// re-queued — the entry's own list, partitioned in place — and,
+    /// unless a read is already in flight, a renewal is sent on behalf of
+    /// one of them (Section V-B).
     fn serve_waiters(
         &mut self,
         block: BlockAddr,
         wts: Timestamp,
         rts: Timestamp,
         version: Version,
-        done: &mut Vec<Completion>,
         now: Cycle,
     ) {
-        let waiters = self.mshr.take(block);
-        if waiters.is_empty() {
+        let mut waiters = self.mshr.take(block);
+        waiters.retain(|&w| {
+            let covered = lease_covers(rts, self.warp_ts[w.warp.0 as usize]);
+            if covered {
+                let c = self.complete_load(w, block, wts, version, now);
+                self.done.push(c);
+            }
+            !covered
+        });
+        // Renew on behalf of the waiter with the *largest* warp
+        // timestamp: the L2 extends the lease to cover it (Figure 4),
+        // which covers every other uncovered waiter in one trip.
+        let furthest = (waiters.iter().copied()).max_by_key(|w| self.warp_ts[w.warp.0 as usize]);
+        let Some(furthest) = furthest else {
+            self.mshr.recycle(waiters);
             return;
-        }
-        let mut uncovered = Vec::new();
-        for w in waiters {
-            if lease_covers(rts, self.warp_ts[w.warp.0 as usize]) {
-                done.push(self.complete_load(w, block, wts, version, now));
-            } else {
-                uncovered.push(w);
-            }
-        }
-        if !uncovered.is_empty() {
-            // Renew on behalf of the waiter with the *largest* warp
-            // timestamp: the L2 extends the lease to cover it (Figure 4),
-            // which covers every other uncovered waiter in one trip.
-            let furthest = *uncovered
-                .iter()
-                .max_by_key(|w| self.warp_ts[w.warp.0 as usize])
-                .expect("nonempty");
-            self.mshr.requeue(block, uncovered);
-            if !self.rd_inflight.contains_key(&block) {
-                self.send_read(block, wts, furthest.warp, SpanId::NONE, now);
-            }
+        };
+        self.mshr.requeue(block, waiters);
+        if !self.rd_inflight.contains_key(&block) {
+            self.send_read(block, wts, furthest.warp, SpanId::NONE, now);
         }
     }
 
@@ -389,6 +400,7 @@ impl GtscL1 {
         // install a lease into) whatever line is re-installed in the new
         // epoch — a stale `locked_line` would steal a *post*-flush
         // store's lock and expose its uncommitted data to parked loads.
+        // lint: allow(hash-iter): every waiter gets the same flag, in any order.
         for q in self.store_acks.values_mut() {
             for sw in q.iter_mut() {
                 sw.locked_line = false;
@@ -413,7 +425,7 @@ impl GtscL1 {
     /// store ack still certifies a commit at `(old epoch, wts)` — that
     /// key must reach the checker, or loads that observed the version
     /// would be flagged. Loads are retried from scratch.
-    fn on_stale_response(&mut self, msg: L2ToL1, done: &mut Vec<Completion>, now: Cycle) {
+    fn on_stale_response(&mut self, msg: L2ToL1, now: Cycle) {
         match msg {
             L2ToL1::Fill(f) => self.retry_reads_fresh(f.block, now),
             L2ToL1::Renew { block, .. } => self.retry_reads_fresh(block, now),
@@ -430,7 +442,7 @@ impl GtscL1 {
                 if let Some(c) =
                     self.finish_store_at(a.block, a.version, stale_lease, a.epoch, prev, false, now)
                 {
-                    done.push(c);
+                    self.done.push(c);
                 }
                 self.retry_reads_fresh(a.block, now);
             }
@@ -503,7 +515,7 @@ impl GtscL1 {
         let pos = q.iter().position(|s| s.version == version)?;
         let sw = q.remove(pos).expect("position valid");
         if q.is_empty() {
-            self.store_acks.remove(&block);
+            self.spare_acks.extend(self.store_acks.remove(&block));
         }
         let mut completion_ts = None;
         if let Some((wts, _)) = lease {
@@ -619,8 +631,9 @@ impl L1Controller for GtscL1 {
         self.warp_ts = warp_ts;
         self.mshr.load_state(r)?;
         self.rd_inflight = Snap::load(r)?;
-        self.renewals_inflight =
-            u32::try_from(self.rd_inflight.values().filter(|&&(_, r)| r).count()).unwrap_or(0);
+        // lint: allow(hash-iter): a count does not depend on the order.
+        let renewals = self.rd_inflight.values().filter(|&&(_, r)| r).count();
+        self.renewals_inflight = u32::try_from(renewals).unwrap_or(0);
         self.store_acks = Snap::load(r)?;
         self.retry_timeout = Snap::load(r)?;
         self.retry_due = self.earliest_retry();
@@ -659,11 +672,12 @@ impl L1Controller for GtscL1 {
                 };
                 if line.meta.locked() {
                     // Update visibility (Section V-A).
-                    let meta = line.meta.clone();
+                    // The pre-store copy, unless the warp is one of the
+                    // writers (it must observe its own store).
+                    let old = (line.meta.old).filter(|_| !line.meta.writers.contains(&acc.warp));
                     if self.p.visibility == VisibilityPolicy::DualCopy {
-                        if let Some(old) = meta.old {
-                            let is_writer = meta.writers.contains(&acc.warp);
-                            if !is_writer && lease_covers(old.rts, warp_now) {
+                        if let Some(old) = old {
+                            if lease_covers(old.rts, warp_now) {
                                 self.stats.accesses += 1;
                                 self.stats.hits += 1;
                                 self.tracer.record_with(now, || EventKind::Hit {
@@ -756,6 +770,9 @@ impl L1Controller for GtscL1 {
                     }
                     line.meta.pending_stores += 1;
                     line.meta.version = version;
+                    if line.meta.writers.capacity() == 0 {
+                        line.meta.writers = self.spare_writers.pop().unwrap_or_default();
+                    }
                     line.meta.writers.push(acc.warp);
                     locked_line = true;
                 }
@@ -772,9 +789,10 @@ impl L1Controller for GtscL1 {
                 } else {
                     L1ToL2::Write(req)
                 });
+                let spare = &mut self.spare_acks;
                 self.store_acks
                     .entry(acc.block)
-                    .or_default()
+                    .or_insert_with(|| spare.pop().unwrap_or_default())
                     .push_back(StoreWaiter {
                         id: acc.id,
                         warp: acc.warp,
@@ -788,14 +806,14 @@ impl L1Controller for GtscL1 {
         }
     }
 
-    fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
+    fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion] {
+        self.done.clear();
         let e = msg.epoch();
         if e > self.epoch {
             self.enter_epoch(e, now);
         } else if e < self.epoch {
-            self.on_stale_response(msg, &mut done, now);
-            return done;
+            self.on_stale_response(msg, now);
+            return &self.done;
         }
         match msg {
             L2ToL1::Fill(f) => {
@@ -807,16 +825,27 @@ impl L1Controller for GtscL1 {
                 if !locked {
                     // Install (Figure 8); locked lines keep their pending
                     // store data and waiters are served from the message.
+                    // The new line starts with no writers, in the list
+                    // (emptied) of the resident copy it replaces; an
+                    // evicted line's goes to the next line stored to.
+                    let mut writers = (self.tags.peek_mut(f.block))
+                        .map_or_else(Vec::new, |l| std::mem::take(&mut l.meta.writers));
+                    writers.clear();
                     let meta = L1Meta {
                         wts,
                         rts,
                         version: f.version,
                         pending_stores: 0,
                         old: None,
-                        writers: Vec::new(),
+                        writers,
                     };
                     match self.tags.fill_if(f.block, meta, |l| !l.meta.locked()) {
-                        Ok(Some(evicted)) => {
+                        Ok(Some(mut evicted)) => {
+                            let mut writers = std::mem::take(&mut evicted.meta.writers);
+                            writers.clear();
+                            if writers.capacity() > 0 {
+                                self.spare_writers.push(writers);
+                            }
                             self.stats.evictions += 1;
                             self.tracer.record_with(now, || EventKind::Eviction {
                                 block: evicted.block,
@@ -835,7 +864,7 @@ impl L1Controller for GtscL1 {
                         epoch: f.epoch,
                     });
                 }
-                self.serve_waiters(f.block, wts, rts, f.version, &mut done, now);
+                self.serve_waiters(f.block, wts, rts, f.version, now);
             }
             L2ToL1::Renew { block, lease, .. } => {
                 self.rd_remove(block);
@@ -867,7 +896,7 @@ impl L1Controller for GtscL1 {
                 });
                 match state {
                     Some((false, wts, new_rts, version)) => {
-                        self.serve_waiters(block, wts, new_rts, version, &mut done, now);
+                        self.serve_waiters(block, wts, new_rts, version, now);
                     }
                     Some((true, ..)) => {}
                     None => {
@@ -891,7 +920,7 @@ impl L1Controller for GtscL1 {
                 {
                     self.tracer
                         .record_with(now, || EventKind::WriteAck { block: a.block });
-                    done.push(c);
+                    self.done.push(c);
                 }
                 // The ack may unlock the line: serve parked readers.
                 let line_state = self
@@ -900,7 +929,7 @@ impl L1Controller for GtscL1 {
                     .map(|l| (l.meta.locked(), l.meta.wts, l.meta.rts, l.meta.version));
                 match line_state {
                     Some((false, lwts, lrts, lver)) => {
-                        self.serve_waiters(a.block, lwts, lrts, lver, &mut done, now);
+                        self.serve_waiters(a.block, lwts, lrts, lver, now);
                     }
                     Some((true, ..)) => {} // still locked by another store
                     None => {
@@ -927,7 +956,7 @@ impl L1Controller for GtscL1 {
                 }
             }
         }
-        done
+        &self.done
     }
 
     fn take_request(&mut self) -> Option<L1ToL2> {
@@ -942,29 +971,31 @@ impl L1Controller for GtscL1 {
         }
     }
 
-    fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+    fn tick(&mut self, now: Cycle) -> &[Completion] {
+        self.done.clear();
         if now < self.retry_due {
             debug_assert!(
                 now < self.earliest_retry(),
                 "L1 retry horizon {} is late: a request is overdue at {now}",
                 self.retry_due
             );
-            return Vec::new();
+            return &self.done;
         }
         let Some(timeout) = self.retry_timeout else {
-            return Vec::new();
+            return &self.done;
         };
         // End-to-end retry: requests unanswered past the timeout are
         // re-sent. Overdue reads restart from scratch (wts = 0 — the
         // lease situation may have changed arbitrarily since); the fill
         // they fetch serves the parked MSHR waiters, with renewals
         // covering any the lease misses.
-        let overdue: Vec<BlockAddr> = self
+        let mut overdue: Vec<BlockAddr> = self
             .rd_inflight
-            .iter()
+            .iter() // lint: allow(hash-iter): sorted below, before anything is emitted.
             .filter(|&(_, &(sent, _))| now.0.saturating_sub(sent.0) >= timeout)
             .map(|(&b, _)| b)
             .collect();
+        overdue.sort_unstable();
         for block in overdue {
             self.stats.retries += 1;
             self.rd_insert(block, now, false);
@@ -982,9 +1013,11 @@ impl L1Controller for GtscL1 {
         // way. The warp timestamp is re-read (>= the original; the L2
         // takes the max anyway) and the epoch is current — a request
         // from a pre-crash epoch would only be degraded by the L2.
-        let mut resend: Vec<L1ToL2> = Vec::new();
-        for (&block, q) in &mut self.store_acks {
-            for sw in q.iter_mut() {
+        // lint: allow(hash-iter): sorted below, before anything is emitted.
+        let mut blocks: Vec<BlockAddr> = self.store_acks.keys().copied().collect();
+        blocks.sort_unstable();
+        for block in blocks {
+            for sw in self.store_acks.get_mut(&block).into_iter().flatten() {
                 if now.0.saturating_sub(sw.sent.0) < timeout {
                     continue;
                 }
@@ -997,16 +1030,15 @@ impl L1Controller for GtscL1 {
                     epoch: self.epoch,
                     span: SpanId::NONE,
                 };
-                resend.push(if sw.kind == AccessKind::Atomic {
+                self.out.push_back(if sw.kind == AccessKind::Atomic {
                     L1ToL2::Atomic(req)
                 } else {
                     L1ToL2::Write(req)
                 });
             }
         }
-        self.out.extend(resend);
         self.retry_due = self.earliest_retry();
-        Vec::new()
+        &self.done
     }
 
     fn flush(&mut self) {
@@ -1030,7 +1062,7 @@ impl L1Controller for GtscL1 {
             out_queue: self.out.len(),
             waiting: self
                 .store_acks
-                .values()
+                .values() // lint: allow(hash-iter): a sum does not depend on the order.
                 .map(std::collections::VecDeque::len)
                 .sum(),
         }
@@ -1705,7 +1737,7 @@ mod tests {
     /// One cycle of the engine's L1 housekeeping: the tick, then every
     /// request it or an earlier input queued.
     fn pump(c: &mut GtscL1, now: Cycle) -> (Vec<Completion>, Vec<L1ToL2>) {
-        let done = c.tick(now);
+        let done = c.tick(now).to_vec();
         (done, std::iter::from_fn(|| c.take_request()).collect())
     }
 
@@ -1716,7 +1748,10 @@ mod tests {
         /// byte the same controller whenever it is ticked — while a
         /// scripted L2 answers late, twice or never, through a restore
         /// into a twin that has already idled, and when a caller ticks
-        /// ahead of time and then comes back.
+        /// ahead of time and then comes back. A third twin drops every
+        /// other `on_response` result unread: what it reads is still
+        /// exactly that response's completions, so the reused buffer never
+        /// replays one.
         #[test]
         fn horizon_ticks_match_a_tick_every_cycle(
             script in proptest::collection::vec((0u64..40, 0u8..12, 0u64..6, 0u16..4), 1..80),
@@ -1733,7 +1768,7 @@ mod tests {
                 c.save_state(&mut w).expect("GtscL1 checkpoints");
                 w.into_bytes()
             };
-            let (mut eager, mut lazy) = (build(), build());
+            let (mut eager, mut lazy, mut sloppy) = (build(), build(), build());
             // Requests on their way to the scripted L2, oldest first.
             let mut wire: VecDeque<L1ToL2> = VecDeque::new();
             let mut now = 0u64;
@@ -1747,19 +1782,23 @@ mod tests {
                         _ if c < now + gap => {}
                         0 => {
                             // Crash here: a twin that sat idle takes the image over.
-                            let bytes = image(&lazy);
-                            lazy = build();
-                            lazy.tick(Cycle(0));
-                            lazy.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                            for twin in [&mut lazy, &mut sloppy] {
+                                let bytes = image(twin);
+                                *twin = build();
+                                twin.tick(Cycle(0));
+                                twin.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                            }
                         }
                         1 => {
                             let want = pump(&mut eager, Cycle(c + 15));
                             prop_assert_eq!(pump(&mut lazy, Cycle(c + 15)), want.clone());
+                            prop_assert_eq!(pump(&mut sloppy, Cycle(c + 15)), want.clone());
                             wire.extend(want.1);
                         }
                         2..=6 => {
                             let acc = if what < 5 { load(i as u64, warp, block) } else { store(i as u64, warp, block) };
                             prop_assert_eq!(lazy.access(acc, at), eager.access(acc, at));
+                            sloppy.access(acc, at);
                         }
                         u8::MAX => {}
                         // The scripted L2 answers the oldest request on the wire.
@@ -1772,6 +1811,8 @@ mod tests {
                                 }),
                             };
                             prop_assert_eq!(lazy.on_response(resp, at), eager.on_response(resp, at));
+                            let got = sloppy.on_response(resp, at);
+                            prop_assert!(i.is_multiple_of(2) || got == eager.done, "cycle {}: replayed a completion", c);
                         },
                     }
                     let want = pump(&mut eager, at);
@@ -1781,6 +1822,8 @@ mod tests {
                         prop_assert_eq!(pump(&mut lazy, at), want.clone(), "cycle {}", c);
                         prop_assert!(image(&lazy) == image(&eager), "cycle {}", c);
                     }
+                    prop_assert_eq!(pump(&mut sloppy, at), want.clone(), "cycle {}", c);
+                    prop_assert!(image(&sloppy) == image(&eager), "cycle {}", c);
                     wire.extend(want.1);
                 }
                 now += gap + 1;

@@ -6,7 +6,7 @@
 //! timestamp `mem_ts` (Figure 6, enabling the non-inclusive hierarchy of
 //! Section V-C), and runs the timestamp-rollover reset of Section V-D.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{
@@ -17,7 +17,8 @@ use gtsc_trace::{
     CloseReason, EventKind, HopKind, Sanitizer, ServeClass, SpanTracker, Tracer, Transition,
 };
 use gtsc_types::{
-    BlockAddr, CacheGeometry, CacheStats, Cycle, InclusionPolicy, Lease, SpanId, Timestamp, Version,
+    BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, InclusionPolicy, Lease, SpanId,
+    Timestamp, Version,
 };
 
 use crate::mutation::ProtocolMutation;
@@ -103,7 +104,7 @@ pub struct GtscL2 {
     epoch: Epoch,
     overflow: bool,
     /// DRAM contents model: last written-back version per block.
-    backing: HashMap<BlockAddr, Version>,
+    backing: FxHashMap<BlockAddr, Version>,
     /// Requests waiting on an outstanding DRAM fetch.
     pending: Mshr<PendingReq>,
     /// Replay filter: the most recently applied store versions per block.
@@ -116,7 +117,7 @@ pub struct GtscL2 {
     /// the last few applied per block makes the write path idempotent —
     /// the duplicate is recognized and dropped, and the original ack
     /// (which is never dropped, only delayed) satisfies the L1.
-    applied_stores: HashMap<BlockAddr, VecDeque<Version>>,
+    applied_stores: FxHashMap<BlockAddr, VecDeque<Version>>,
     /// Input queue: requests become serviceable `latency` cycles after
     /// arrival.
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
@@ -155,9 +156,9 @@ impl GtscL2 {
             mem_ts: Timestamp::INIT,
             epoch: 0,
             overflow: false,
-            backing: HashMap::new(),
+            backing: FxHashMap::default(),
             pending: Mshr::new(p.mshr_entries, p.mshr_merges),
-            applied_stores: HashMap::new(),
+            applied_stores: FxHashMap::default(),
             in_queue: VecDeque::new(),
             head_stalled: false,
             out_resp: VecDeque::new(),
@@ -566,12 +567,14 @@ impl L2Controller for GtscL2 {
             Err(_) => unreachable!("G-TSC L2 never refuses eviction"),
         }
         // Serve the requests that were waiting on this fetch, in order.
-        for w in self.pending.take(block) {
+        let mut waiters = self.pending.take(block);
+        for w in waiters.drain(..) {
             // They were already counted on arrival; serve directly.
             let msg = self.sanitize(w.msg);
             self.spans.overlay_exit(msg.span(), HopKind::DramWait, now);
             self.serve_hit(w.src, msg);
         }
+        self.pending.recycle(waiters);
         let _ = now;
     }
 

@@ -22,7 +22,7 @@
 //!   write ack still certifies commit at the L1, it just installs no
 //!   lease.)
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gtsc_core::rules::{extend_rts, grant_rts, store_wts};
 use gtsc_protocol::msg::{
@@ -30,7 +30,7 @@ use gtsc_protocol::msg::{
 };
 use gtsc_trace::{EventKind, Sanitizer, Tracer, Transition};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
-use gtsc_types::{BlockAddr, CacheStats, Cycle, Lease, Timestamp, Version};
+use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Lease, Timestamp, Version};
 
 /// Construction parameters for [`HomeNode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub struct HomeNode {
     epoch: Epoch,
     overflow: bool,
     /// Store-replay filter (see module docs): recent acks per block.
-    applied: HashMap<BlockAddr, VecDeque<AppliedStore>>,
+    applied: FxHashMap<BlockAddr, VecDeque<AppliedStore>>,
     /// Requests become serviceable `latency` cycles after arrival.
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
     out: VecDeque<(usize, L2ToL1)>,
@@ -118,7 +118,7 @@ impl HomeNode {
             blocks: BTreeMap::new(),
             epoch: 0,
             overflow: false,
-            applied: HashMap::new(),
+            applied: FxHashMap::default(),
             in_queue: VecDeque::new(),
             out: VecDeque::new(),
             stats: CacheStats::default(),

@@ -37,11 +37,15 @@ pub fn coalesce(addrs: &[Addr], block_shift: u32) -> Vec<BlockAddr> {
 /// reused instead of allocating per memory instruction.
 pub(crate) fn coalesce_into(addrs: &[Addr], block_shift: u32, out: &mut VecDeque<BlockAddr>) {
     out.clear();
+    let mut previous = None;
     for a in addrs {
         let b = BlockAddr(a.0 >> block_shift);
-        if !out.contains(&b) {
+        // A lane almost always falls in the block of the lane before it,
+        // which is in `out` already: only a change of block is looked up.
+        if previous != Some(b) && !out.contains(&b) {
             out.push_back(b);
         }
+        previous = Some(b);
     }
 }
 
@@ -89,6 +93,32 @@ mod tests {
             }
             // Never more transactions than lanes.
             prop_assert!(blocks.len() <= addrs.len().max(1));
+        }
+
+        /// Skipping the lookup for a lane in its predecessor's block
+        /// changes nothing: first-touch order is what the naive walk
+        /// gives, on lane vectors with runs, revisits and strides.
+        #[test]
+        fn fast_path_equals_the_naive_walk(
+            lanes in proptest::collection::vec((0u64..6, 0u64..3, 0u64..128), 0..64),
+            shift in 5u32..9,
+        ) {
+            // (block, run length, offset): runs of lanes in one block, with
+            // blocks coming back after other blocks were touched.
+            let addrs: Vec<Addr> = lanes
+                .iter()
+                .flat_map(|&(block, run, offset)| {
+                    (0..=run).map(move |k| Addr((block << shift) + (offset + k) % (1 << shift)))
+                })
+                .collect();
+            let mut naive: Vec<BlockAddr> = Vec::new();
+            for a in &addrs {
+                let b = BlockAddr(a.0 >> shift);
+                if !naive.contains(&b) {
+                    naive.push(b);
+                }
+            }
+            prop_assert_eq!(coalesce(&addrs, shift), naive);
         }
     }
 }

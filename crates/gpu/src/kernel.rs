@@ -6,6 +6,8 @@
 //! (the quantity that drives coherence studies), not a functional ISA:
 //! arithmetic appears only as [`WarpOp::Compute`] delays.
 
+use std::sync::Arc;
+
 use gtsc_types::{Addr, CtaId};
 
 /// One warp-level operation.
@@ -97,10 +99,45 @@ impl FromIterator<WarpOp> for WarpProgram {
     }
 }
 
+/// A warp's place in its program: what a warp slot holds. The program is
+/// shared with the kernel — dispatch copies a handle, issue advances `pc`
+/// — so no instruction (and no lane-address vector) is cloned or freed
+/// while it runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProgramCursor {
+    /// `None` in a slot that was never dispatched into.
+    program: Option<Arc<WarpProgram>>,
+    pc: usize,
+}
+
+impl ProgramCursor {
+    pub(crate) fn new(program: Arc<WarpProgram>) -> Self {
+        ProgramCursor {
+            program: Some(program),
+            pc: 0,
+        }
+    }
+
+    /// Consumes the first remaining instruction (there must be one).
+    pub(crate) fn advance(&mut self) {
+        debug_assert!(!self.is_empty(), "advanced past the end of the program");
+        self.pc += 1;
+    }
+}
+
+/// The instructions not yet issued.
+impl std::ops::Deref for ProgramCursor {
+    type Target = [WarpOp];
+
+    fn deref(&self) -> &[WarpOp] {
+        self.program.as_deref().map_or(&[], |p| &p.0[self.pc..])
+    }
+}
+
 /// A GPU kernel: a grid of CTAs, each of `warps_per_cta` warps.
 ///
-/// Implementations must be deterministic: `program(cta, w)` is called once
-/// per warp when the CTA is dispatched to an SM.
+/// Implementations must be deterministic: `shared_program(cta, w)` is
+/// called once per warp when the CTA is dispatched to an SM.
 pub trait Kernel {
     /// Human-readable kernel name (used in experiment output).
     fn name(&self) -> &str;
@@ -113,6 +150,12 @@ pub trait Kernel {
 
     /// The instruction stream of warp `warp_in_cta` of CTA `cta`.
     fn program(&self, cta: CtaId, warp_in_cta: usize) -> WarpProgram;
+
+    /// The same stream as a handle dispatch can give a warp slot. A
+    /// kernel that keeps its programs overrides this to share them.
+    fn shared_program(&self, cta: CtaId, warp_in_cta: usize) -> Arc<WarpProgram> {
+        Arc::new(self.program(cta, warp_in_cta))
+    }
 }
 
 /// A kernel described by an explicit table of programs — handy for tests
@@ -148,7 +191,8 @@ pub trait Kernel {
 pub struct VecKernel {
     name: String,
     warps_per_cta: usize,
-    ctas: Vec<Vec<WarpProgram>>,
+    /// Each program once, shared with every warp slot running it.
+    ctas: Vec<Vec<Arc<WarpProgram>>>,
 }
 
 impl VecKernel {
@@ -164,10 +208,12 @@ impl VecKernel {
             ctas.iter().all(|c| c.len() == warps_per_cta),
             "every CTA must have exactly warps_per_cta programs"
         );
+        // Wraps each program where it is: no instruction is copied.
+        let share = |cta: Vec<WarpProgram>| cta.into_iter().map(Arc::new).collect();
         VecKernel {
             name: name.to_owned(),
             warps_per_cta,
-            ctas,
+            ctas: ctas.into_iter().map(share).collect(),
         }
     }
 }
@@ -186,11 +232,29 @@ impl Kernel for VecKernel {
     }
 
     fn program(&self, cta: CtaId, warp_in_cta: usize) -> WarpProgram {
-        self.ctas[cta.0 as usize][warp_in_cta].clone()
+        WarpProgram::clone(&self.ctas[cta.0 as usize][warp_in_cta])
+    }
+
+    fn shared_program(&self, cta: CtaId, warp_in_cta: usize) -> Arc<WarpProgram> {
+        Arc::clone(&self.ctas[cta.0 as usize][warp_in_cta])
     }
 }
 
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+
+/// A cursor is saved as the instructions it has left, `(len, items)` —
+/// byte for byte what the `VecDeque<WarpOp>` it replaced wrote — and
+/// restored as a program of its own that starts there.
+impl Snap for ProgramCursor {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|op| op.save(w));
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ProgramCursor::new(Arc::new(WarpProgram(Snap::load(r)?))))
+    }
+}
 
 impl Snap for WarpOp {
     fn save(&self, w: &mut SnapWriter) {

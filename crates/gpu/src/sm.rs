@@ -3,18 +3,19 @@
 //! census of what each warp waits on), the LDST path into the private
 //! cache, CTA barriers, and the consistency-model issue rules.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use gtsc_protocol::msg::{L1ToL2, L2ToL1};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
 use gtsc_trace::{CloseReason, EventKind, SpanTracker, Tracer};
 use gtsc_types::{
-    BlockAddr, ConsistencyModel, CtaId, Cycle, CycleReason, SmId, SmStats, SpanId, StallKind,
-    WarpId, WarpScheduler,
+    BlockAddr, ConsistencyModel, CtaId, Cycle, CycleReason, FxHashMap, SmId, SmStats, SpanId,
+    StallKind, WarpId, WarpScheduler,
 };
 
 use crate::coalesce::coalesce_into;
-use crate::kernel::{WarpOp, WarpProgram};
+use crate::kernel::{ProgramCursor, WarpOp, WarpProgram};
 
 /// Construction parameters for [`Sm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +57,7 @@ impl Default for SmParams {
 struct WarpSlot {
     active: bool,
     cta_slot: usize,
-    ops: VecDeque<WarpOp>,
+    ops: ProgramCursor,
     /// Remaining coalesced accesses of the in-flight memory instruction.
     mem_blocks: VecDeque<BlockAddr>,
     mem_kind: AccessKind,
@@ -80,7 +81,7 @@ impl WarpSlot {
         WarpSlot {
             active: false,
             cta_slot: 0,
-            ops: VecDeque::new(),
+            ops: ProgramCursor::default(),
             mem_blocks: VecDeque::new(),
             mem_kind: AccessKind::Load,
             outstanding: 0,
@@ -176,6 +177,8 @@ struct CtaSlot {
 /// [`Sm::tick_l1`], drains [`Sm::take_request`] into the request network
 /// and delivers arriving responses through [`Sm::on_response`]. CTAs are
 /// dispatched with [`Sm::assign_cta`] when [`Sm::can_accept_cta`] allows.
+/// The three that return completions lend out one buffer the SM keeps:
+/// a slice holds what that call completed and is valid until the next.
 pub struct Sm {
     p: SmParams,
     warps: Vec<WarpSlot>,
@@ -213,7 +216,7 @@ pub struct Sm {
     still_rejected: Vec<usize>,
     next_access: u64,
     /// Issue time of each in-flight access (latency accounting).
-    issue_time: HashMap<AccessId, Cycle>,
+    issue_time: FxHashMap<AccessId, Cycle>,
     stats: SmStats,
     tracer: Tracer,
     /// Causal-span sampling: every `1/span_rate`-th minted access (a pure
@@ -225,7 +228,11 @@ pub struct Sm {
     span_seed: u64,
     spans: SpanTracker,
     /// Span of each in-flight sampled access (close-on-completion).
-    span_of: HashMap<AccessId, SpanId>,
+    span_of: FxHashMap<AccessId, SpanId>,
+    /// What the latest `cycle` / `tick_l1` / `on_response` completed:
+    /// emptied on entry to each, lent out until the next call
+    /// (DESIGN.md §15.4). Volatile, never snapshotted.
+    done: Vec<Completion>,
     /// Whether the most recent [`Sm::cycle`] call issued anything
     /// (consumed by the simulator's cycle-reason accounting).
     issued_last_cycle: bool,
@@ -268,13 +275,14 @@ impl Sm {
             dormant: None,
             still_rejected: Vec::new(),
             next_access: 0,
-            issue_time: HashMap::new(),
+            issue_time: FxHashMap::default(),
             stats: SmStats::default(),
             tracer: Tracer::disabled(),
             span_rate: 0,
             span_seed: 0,
             spans: SpanTracker::disabled(),
-            span_of: HashMap::new(),
+            span_of: FxHashMap::default(),
+            done: Vec::new(),
             issued_last_cycle: false,
             p,
         }
@@ -367,15 +375,22 @@ impl Sm {
 
     /// The L1's per-cycle housekeeping; anything it completes is applied
     /// to the issuing warps before being returned.
-    pub fn tick_l1(&mut self, now: Cycle) -> Vec<Completion> {
-        let done = self.l1.tick(now);
-        if !done.is_empty() {
+    pub fn tick_l1(&mut self, now: Cycle) -> &[Completion] {
+        self.done.clear();
+        self.done.extend_from_slice(self.l1.tick(now));
+        if !self.done.is_empty() {
             self.l1_heard();
         }
-        for c in &done {
-            self.on_completion_at(c, Some(now));
+        self.apply_done(now)
+    }
+
+    /// Applies the completions gathered in `done` to their warps.
+    fn apply_done(&mut self, now: Cycle) -> &[Completion] {
+        for k in 0..self.done.len() {
+            let c = self.done[k];
+            self.on_completion_at(&c, Some(now));
         }
-        done
+        &self.done
     }
 
     /// Removes the L1's next request destined for the L2, if any.
@@ -386,13 +401,11 @@ impl Sm {
     /// Delivers a response from the L2 to the L1 and applies what it
     /// completed. Even a response that completes nothing can free an MSHR
     /// entry or move the epoch, so it always wakes a dormant SM.
-    pub fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
+    pub fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion] {
         self.l1_heard();
-        let done = self.l1.on_response(msg, now);
-        for c in &done {
-            self.on_completion_at(c, Some(now));
-        }
-        done
+        self.done.clear();
+        self.done.extend_from_slice(self.l1.on_response(msg, now));
+        self.apply_done(now)
     }
 
     /// Counters accumulated so far.
@@ -425,7 +438,7 @@ impl Sm {
     ///
     /// Panics if capacity is insufficient (check
     /// [`Sm::can_accept_cta`] first).
-    pub fn assign_cta(&mut self, cta: CtaId, programs: Vec<WarpProgram>) {
+    pub fn assign_cta<P: Into<Arc<WarpProgram>>>(&mut self, cta: CtaId, programs: Vec<P>) {
         assert!(
             self.can_accept_cta(programs.len()),
             "SM lacks capacity for CTA {cta}"
@@ -451,7 +464,7 @@ impl Sm {
                 *slot = WarpSlot {
                     active: true,
                     cta_slot,
-                    ops: prog.0.into(),
+                    ops: ProgramCursor::new(prog.into()),
                     // Retired empty: the buffer is reused, not reallocated.
                     mem_blocks: std::mem::take(&mut slot.mem_blocks),
                     age: self.next_age,
@@ -523,11 +536,12 @@ impl Sm {
     /// same order every cycle, and nothing else touches the tag array
     /// without waking the SM first, so only the absolute LRU counter
     /// differs, never the relative order that picks victims.
-    pub fn cycle(&mut self, now: Cycle) -> Vec<Completion> {
+    pub fn cycle(&mut self, now: Cycle) -> &[Completion] {
+        self.done.clear();
         match self.dormant {
             Some(until) if now < until => {
                 self.book_dormant(1);
-                return Vec::new();
+                return &self.done;
             }
             // Woken by the horizon alone: the L1 heard nothing since, and
             // the warps still waiting on its verdict are those it rejected.
@@ -543,8 +557,7 @@ impl Sm {
     /// The per-cycle pass: bring the kept verdicts up to `now`, retire,
     /// issue, book the census — and decide whether the next cycles can
     /// skip all of it.
-    fn scan(&mut self, now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
+    fn scan(&mut self, now: Cycle) -> &[Completion] {
         self.refresh(now);
         if self.census.retiring > 0 {
             self.retire_finished();
@@ -552,7 +565,7 @@ impl Sm {
         self.issued_now.clear();
         let mut any_issued = false;
         for _ in 0..self.p.issue_width {
-            if !self.issue_one(now, &mut done) {
+            if !self.issue_one(now) {
                 break;
             }
             any_issued = true;
@@ -580,7 +593,7 @@ impl Sm {
         // appearing.
         let quiet = !any_issued && !self.tracer.is_enabled();
         self.dormant = quiet.then_some(self.census.horizon);
-        done
+        &self.done
     }
 
     /// Books `k` dormant cycles: each is the scan that found every warp
@@ -692,7 +705,7 @@ impl Sm {
     /// Finds one issuable warp per the scheduling policy and issues a
     /// micro-op. Returns whether anything issued. Only slots whose kept
     /// verdict makes them candidates are tried, in the policy's order.
-    fn issue_one(&mut self, now: Cycle, done: &mut Vec<Completion>) -> bool {
+    fn issue_one(&mut self, now: Cycle) -> bool {
         if self.census.ready + self.census.at_l1 == 0 {
             return false;
         }
@@ -701,7 +714,7 @@ impl Sm {
                 let n = self.warps.len();
                 for k in 0..n {
                     let i = (self.rr_cursor + k) % n;
-                    if self.try_issue_warp(i, now, done) {
+                    if self.try_issue_warp(i, now) {
                         self.rr_cursor = (i + 1) % n;
                         return true;
                     }
@@ -711,14 +724,14 @@ impl Sm {
             WarpScheduler::Gto => {
                 // Greedy: stick with the current warp while it issues.
                 if let Some(i) = self.greedy_warp {
-                    if self.try_issue_warp(i, now, done) {
+                    if self.try_issue_warp(i, now) {
                         return true;
                     }
                 }
                 // Then-oldest: fall back to the oldest ready warp.
                 for k in 0..self.by_age.len() {
                     let i = self.by_age[k];
-                    if Some(i) != self.greedy_warp && self.try_issue_warp(i, now, done) {
+                    if Some(i) != self.greedy_warp && self.try_issue_warp(i, now) {
                         self.greedy_warp = Some(i);
                         return true;
                     }
@@ -772,7 +785,7 @@ impl Sm {
             },
             _ => Event,
         };
-        match w.ops.front() {
+        match w.ops.first() {
             None => (Event, Some(Memory)), // its last accesses are in flight
             Some(WarpOp::Compute(_)) => (event_if(sc_blocked), sc_blocked.then_some(Memory)),
             Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_)) => {
@@ -805,11 +818,11 @@ impl Sm {
             .record_with(now, || EventKind::WarpIssue { warp: i as u16 });
     }
 
-    fn try_issue_warp(&mut self, i: usize, now: Cycle, done: &mut Vec<Completion>) -> bool {
+    fn try_issue_warp(&mut self, i: usize, now: Cycle) -> bool {
         match self.waits[i].0 {
             WaitOn::Nothing => {}
             WaitOn::L1 => {
-                let accepted = self.issue_mem_access(i, now, done);
+                let accepted = self.issue_mem_access(i, now);
                 if accepted {
                     self.rederive(i);
                 }
@@ -822,7 +835,7 @@ impl Sm {
             self.release_barrier(cta_slot);
             return true;
         }
-        if self.warps[i].ops.front() == Some(&WarpOp::Barrier) {
+        if self.warps[i].ops.first() == Some(&WarpOp::Barrier) {
             // The op stays at the front until the whole CTA is released.
             self.warps[i].at_barrier = true;
             self.ctas[cta_slot].at_barrier += 1;
@@ -833,11 +846,12 @@ impl Sm {
             }
             return true;
         }
-        let op = self.warps[i].ops.pop_front();
         self.note_issue(i, now);
-        let mem = match op.expect("an issuable warp has a next instruction") {
+        let w = &mut self.warps[i];
+        let op = (w.ops.first()).expect("an issuable warp has a next instruction");
+        let mem = match op {
             WarpOp::Compute(c) => {
-                self.warps[i].compute_until = now + u64::from(c);
+                w.compute_until = now + u64::from(*c);
                 None
             }
             WarpOp::Load(a) => Some((AccessKind::Load, a)),
@@ -846,14 +860,15 @@ impl Sm {
             _ => None, // a fence whose condition held
         };
         if let Some((kind, addrs)) = mem {
-            let w = &mut self.warps[i];
             w.atomic_pending |= kind == AccessKind::Atomic;
             w.mem_kind = kind;
-            coalesce_into(&addrs, self.p.block_shift, &mut w.mem_blocks);
+            coalesce_into(addrs, self.p.block_shift, &mut w.mem_blocks);
             self.stats.mem_issued += 1;
-            if !self.warps[i].mem_blocks.is_empty() {
-                self.issue_mem_access(i, now, done);
-            }
+        }
+        w.ops.advance();
+        // Empty unless a memory instruction was just coalesced into it.
+        if !w.mem_blocks.is_empty() {
+            self.issue_mem_access(i, now);
         }
         self.rederive(i);
         true
@@ -864,7 +879,7 @@ impl Sm {
         for w in self.warps.iter_mut() {
             if w.active && w.cta_slot == cta_slot && w.at_barrier {
                 w.at_barrier = false;
-                w.ops.pop_front(); // consume the Barrier op
+                w.ops.advance(); // consume the Barrier op
             }
         }
         self.ctas[cta_slot].at_barrier = 0;
@@ -872,7 +887,7 @@ impl Sm {
     }
 
     /// Presents the head of warp `i`'s coalesced blocks to the L1.
-    fn issue_mem_access(&mut self, i: usize, now: Cycle, done: &mut Vec<Completion>) -> bool {
+    fn issue_mem_access(&mut self, i: usize, now: Cycle) -> bool {
         let block = self.warps[i].mem_blocks[0];
         self.next_access += 1;
         // Sampling decides at mint time from the snapshotted ordinal, so
@@ -910,7 +925,7 @@ impl Sm {
             self.stats.mem_latency.record(1); // L1 hit latency
             self.spans.open(span, now);
             self.spans.close(span, CloseReason::Completed, now);
-            done.push(c);
+            self.done.push(c);
             return true;
         }
         self.issue_time.insert(acc.id, now);
@@ -1126,14 +1141,14 @@ mod tests {
             self.queued.borrow_mut().push_back(acc);
             L1Outcome::Queued
         }
-        fn on_response(&mut self, _msg: L2ToL1, _now: Cycle) -> Vec<Completion> {
-            Vec::new()
+        fn on_response(&mut self, _msg: L2ToL1, _now: Cycle) -> &[Completion] {
+            &[]
         }
         fn take_request(&mut self) -> Option<L1ToL2> {
             None
         }
-        fn tick(&mut self, _now: Cycle) -> Vec<Completion> {
-            Vec::new()
+        fn tick(&mut self, _now: Cycle) -> &[Completion] {
+            &[]
         }
         fn fence_ready_at(&self, _warp: WarpId) -> Cycle {
             self.fence_ready_at
@@ -1609,16 +1624,17 @@ mod tests {
         fence_at: Vec<Cycle>,
         tick_due: Rc<RefCell<u32>>,
         accepted: Rc<RefCell<Vec<(MemAccess, Cycle)>>>,
+        done: Vec<Completion>,
     }
 
     impl ScriptedL1 {
-        fn complete_oldest(&mut self, now: Cycle) -> Vec<Completion> {
+        fn complete_oldest(&mut self, now: Cycle) {
             let oldest = self.pending.pop_front();
             if let Some(acc) = oldest.filter(|acc| acc.kind != AccessKind::Load) {
                 let at = &mut self.fence_at[acc.warp.0 as usize];
                 *at = (*at).max(now + 5 + 9 * (acc.block.0 % 4));
             }
-            oldest.iter().map(completion_for).collect()
+            self.done.extend(oldest.iter().map(completion_for));
         }
     }
 
@@ -1635,24 +1651,27 @@ mod tests {
             self.pending.push_back(acc);
             L1Outcome::Queued
         }
-        fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
+        fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion] {
+            self.done.clear();
             match msg {
                 L2ToL1::Invalidate { .. } => {
                     self.hit_class = (self.hit_class + 1) % 3;
                     for at in &mut self.fence_at {
                         *at = (*at).max(now + 12);
                     }
-                    Vec::new()
                 }
                 _ => self.complete_oldest(now),
             }
+            &self.done
         }
         fn take_request(&mut self) -> Option<L1ToL2> {
             None
         }
-        fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+        fn tick(&mut self, now: Cycle) -> &[Completion] {
+            self.done.clear();
             let due = std::mem::take(&mut *self.tick_due.borrow_mut());
-            (0..due).flat_map(|_| self.complete_oldest(now)).collect()
+            (0..due).for_each(|_| self.complete_oldest(now));
+            &self.done
         }
         fn fence_ready_at(&self, warp: WarpId) -> Cycle {
             self.fence_at[warp.0 as usize]
@@ -1704,13 +1723,13 @@ mod tests {
                 }
                 self.0.access(acc, now)
             }
-            fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion> {
+            fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion] {
                 self.0.on_response(msg, now)
             }
             fn take_request(&mut self) -> Option<L1ToL2> {
                 None
             }
-            fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+            fn tick(&mut self, now: Cycle) -> &[Completion] {
                 self.0.tick(now)
             }
             fn flush(&mut self) {}
@@ -1763,6 +1782,9 @@ mod tests {
         /// and an SM rebuilt from a mid-run snapshot carries on
         /// indistinguishably. In this (debug) build the first SM also
         /// checks the `Reject` stability contract on every horizon wake.
+        /// A third SM drops every other result unread: what it reads is
+        /// still exactly that call's completions, so the reused buffer
+        /// never replays one.
         #[test]
         fn dormant_cycles_match_a_scan_every_cycle(
             ops in proptest::collection::vec((0u8..12, 0u64..9, 0u8..6), 24..120),
@@ -1791,11 +1813,13 @@ mod tests {
                     fence_at: vec![Cycle(0); p.n_warp_slots],
                     tick_due: tick_due.clone(),
                     accepted: accepted.clone(),
+                    done: Vec::new(),
                 };
                 (Sm::new(p, Box::new(l1)), tick_due, accepted)
             };
             let (mut dormant, mut dormant_due, mut dormant_log) = build();
             let (mut scanned, scanned_due, scanned_log) = build();
+            let (mut sloppy, mut sloppy_due, _) = build();
             let mut programs = ops.chunks(6).map(|c| WarpProgram(c.iter().copied().map(decode_op).collect()));
             for now in 0..600u64 {
                 let now = Cycle(now);
@@ -1804,6 +1828,7 @@ mod tests {
                     let cta: Vec<WarpProgram> = programs.by_ref().take(2).collect();
                     if cta.len() == 2 {
                         dormant.assign_cta(CtaId(0), cta.clone());
+                        sloppy.assign_cta(CtaId(0), cta.clone());
                         scanned.assign_cta(CtaId(0), cta);
                     }
                 }
@@ -1811,14 +1836,18 @@ mod tests {
                 // Fences the L1 holds closed, by what is left behind them.
                 let closed = |&i: &usize| {
                     let held = scanned.l1().fence_ready_at(WarpId(i as u16)) > now;
-                    let front = scanned.warps[i].ops.front();
+                    let front = scanned.warps[i].ops.first();
                     held && matches!(front, Some(WarpOp::Fence | WarpOp::ReleaseFence))
                 };
                 let closed: Vec<(usize, usize)> = (0..p.n_warp_slots)
                     .filter(closed)
                     .map(|i| (i, scanned.warps[i].ops.len()))
                     .collect();
-                prop_assert_eq!(dormant.cycle(now), scanned.scan(now), "L1 hits at {}", now);
+                let reads = now.0.is_multiple_of(2);
+                scanned.dormant = None; // awake: `cycle` is the scan
+                let hits = scanned.cycle(now).to_vec();
+                prop_assert_eq!(dormant.cycle(now), &hits[..], "L1 hits at {}", now);
+                prop_assert!(sloppy.cycle(now) == hits || !reads, "replayed L1 hits at {}", now);
                 for (i, left) in closed {
                     prop_assert_eq!(scanned.warps[i].ops.len(), left, "warp {} passed a closed fence at {}", i, now);
                 }
@@ -1833,8 +1862,10 @@ mod tests {
                 if step == 1 {
                     *dormant_due.borrow_mut() = 1;
                     *scanned_due.borrow_mut() = 1;
+                    *sloppy_due.borrow_mut() = 1;
                 }
                 prop_assert_eq!(dormant.tick_l1(now), scanned.tick_l1(now));
+                prop_assert!(sloppy.tick_l1(now) == scanned.done || !reads, "replayed at {}", now);
                 let response = match step {
                     2 | 3 => Some(L2ToL1::Renew {
                         block: BlockAddr(0),
@@ -1847,8 +1878,10 @@ mod tests {
                 };
                 if let Some(msg) = response {
                     prop_assert_eq!(dormant.on_response(msg, now), scanned.on_response(msg, now));
+                    prop_assert!(sloppy.on_response(msg, now) == scanned.done || !reads, "replayed at {}", now);
                 }
                 prop_assert_eq!(dormant.stats(), scanned.stats(), "stats at {}", now);
+                prop_assert_eq!(sloppy.stats(), scanned.stats(), "stats at {}", now);
                 prop_assert_eq!(dormant.next_access, scanned.next_access, "ordinal at {}", now);
                 prop_assert_eq!(dormant.issued_last_cycle(), scanned.issued_last_cycle());
                 prop_assert_eq!(dormant.resident_warps(), scanned.resident_warps());
@@ -1858,7 +1891,10 @@ mod tests {
                     let mut image = SnapWriter::new();
                     dormant.save_state(&mut image).expect("the scripted L1 checkpoints");
                     (dormant, dormant_due, dormant_log) = build();
-                    dormant.load_state(&mut SnapReader::new(&image.into_bytes())).expect("same geometry");
+                    (sloppy, sloppy_due, _) = build();
+                    let image = image.into_bytes();
+                    dormant.load_state(&mut SnapReader::new(&image)).expect("same geometry");
+                    sloppy.load_state(&mut SnapReader::new(&image)).expect("same geometry");
                 }
             }
             prop_assert!(dormant.stats().issued > 0);

@@ -26,9 +26,14 @@
 //! replay, the property the model checker, snapshot/restore, and the
 //! race oracle all stand on:
 //!
-//! * `hash-iter` — iterating a `HashMap`/`HashSet` binding (their
-//!   order is randomized per process). Sort first, or key the state
-//!   with a BTree collection.
+//! * `hash-iter` — iterating a hash-container binding (`HashMap`,
+//!   `HashSet`, or the fixed-hasher `FxHashMap`/`FxHashSet` aliases
+//!   simulation state uses): the order is no simulated result. Sort
+//!   first, or key the state with a BTree collection.
+//! * `std-hasher` — `HashMap::new()` / `HashSet::new()` /
+//!   `RandomState`: std's hasher is seeded per process, so an order
+//!   that leaked would not even repeat. Simulation state declares its
+//!   maps through `gtsc_types::{FxHashMap, FxHashSet}`.
 //! * `std-time` — `std::time` / `Instant` / `SystemTime`: sim time is
 //!   `Cycle`, never the wall clock.
 //! * `unseeded-rng` — `thread_rng` / `from_entropy` / `OsRng` /
@@ -60,7 +65,8 @@ pub struct RuleSet {
     pub noc_inject: bool,
     /// `raw-network`.
     pub raw_network: bool,
-    /// `hash-iter`, `std-time`, `unseeded-rng`, `thread-id`.
+    /// `hash-iter`, `std-hasher`, `std-time`, `unseeded-rng`,
+    /// `thread-id`.
     pub determinism: bool,
 }
 

@@ -6,10 +6,10 @@
 //!   `noc-inject`, `raw-network`). These are evaluated a line at a time,
 //!   but over token patterns instead of substrings — a `panic!(` inside
 //!   a string literal or comment cannot fire.
-//! * **Stream determinism rules** (`hash-iter`, `std-time`,
-//!   `unseeded-rng`, `thread-id`) that walk the whole token stream, so
-//!   a method chain split across lines (`self.entries\n.keys()`) is
-//!   still caught.
+//! * **Stream determinism rules** (`hash-iter`, `std-hasher`,
+//!   `std-time`, `unseeded-rng`, `thread-id`) that walk the whole token
+//!   stream, so a method chain split across lines
+//!   (`self.entries\n.keys()`) is still caught.
 //!
 //! Shared conventions:
 //!
@@ -42,6 +42,11 @@ const ITER_METHODS: &[&str] = &[
     "drain",
     "retain",
 ];
+
+/// The hash containers `hash-iter` tracks: std's, and the fixed-hasher
+/// aliases of `gtsc_types::hash` simulation state declares them through
+/// (a fixed seed makes a leaked order reproducible, not meaningful).
+const HASH_CONTAINERS: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
 
 /// Timestamp-bearing identifiers whose combination with arithmetic
 /// marks a line as timestamp math.
@@ -279,6 +284,15 @@ fn path_rules(code: &[Tok<'_>], out: &mut Vec<RawFinding>) {
                 "thread-id",
                 "thread identity varies across runs; results must not depend on it",
             )
+        } else if t.is_ident("RandomState")
+            || ((t.is_ident("HashMap") || t.is_ident("HashSet"))
+                && (path_next("new") || path_next("with_capacity")))
+        {
+            (
+                "std-hasher",
+                "std's hasher is seeded per process; simulation state uses \
+                 gtsc_types::{FxHashMap, FxHashSet} (`default()`)",
+            )
         } else {
             continue;
         };
@@ -291,22 +305,27 @@ fn path_rules(code: &[Tok<'_>], out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Flags iteration over `HashMap`/`HashSet` bindings: their order is
-/// randomized per process, so any result-affecting walk makes runs
-/// irreproducible. Bindings are collected from type ascriptions and
-/// initializers (`name: HashMap<..>`, `let name = HashMap::new()`),
-/// then every `recv.iter()`-family call and `for … in` expression is
-/// checked against that set.
+/// Flags iteration over hash-container bindings ([`HASH_CONTAINERS`]):
+/// their order is no property of the simulated machine, so any
+/// result-affecting walk makes runs irreproducible or layout-dependent.
+/// Bindings are collected from type ascriptions and initializers
+/// (`name: FxHashMap<..>`, `let name = HashMap::new()`), then every
+/// `recv.iter()`-family call and `for … in` expression is checked
+/// against that set.
 fn hash_iter(code: &[Tok<'_>], out: &mut Vec<RawFinding>) {
     let mut bindings: Vec<&str> = Vec::new();
     for (i, t) in code.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
+        if !HASH_CONTAINERS.iter().any(|name| t.is_ident(name)) {
             continue;
         }
         // Walk back over the `path::to::` prefix, if any.
         let mut k = i;
         while k >= 2 && code[k - 1].is_punct("::") && code[k - 2].kind == TokKind::Ident {
             k -= 2;
+        }
+        // …and over the `&` / `&mut` of a borrowed parameter.
+        while k >= 1 && (code[k - 1].is_punct("&") || code[k - 1].is_ident("mut")) {
+            k -= 1;
         }
         if k < 2 {
             continue;
@@ -328,7 +347,7 @@ fn hash_iter(code: &[Tok<'_>], out: &mut Vec<RawFinding>) {
             col: t.col,
             rule: "hash-iter",
             message: format!(
-                "iteration order of the hash-keyed `{recv}` is randomized per process; \
+                "iteration order of the hash-keyed `{recv}` is not a simulated result; \
                  sort first or key the state with a BTree collection"
             ),
         });

@@ -76,6 +76,16 @@ fn hash_iter() {
         "hash-iter",
         "fn f(seen: HashSet<u64>) { for b in &seen { use_block(b); } }",
     );
+    // The fixed-hasher aliases are hash containers all the same.
+    assert_fires(
+        "hash-iter",
+        "struct S { entries: FxHashMap<u64, u32> }\n\
+         fn f(s: &S) -> Vec<u64> { s.entries.keys().copied().collect() }",
+    );
+    assert_fires(
+        "hash-iter",
+        "fn keys(map: &mut FxHashMap<u64, u32>) -> Vec<u64> { map.keys().copied().collect() }",
+    );
     // BTree collections iterate in key order: deterministic, allowed.
     assert_clean(
         "struct S { waiters: BTreeMap<u64, u32> }\n\
@@ -86,6 +96,22 @@ fn hash_iter() {
         "struct S { waiters: HashMap<u64, u32> }\n\
          fn f(s: &mut S) { s.waiters.insert(1, 2); s.waiters.remove(&1); }",
     );
+}
+
+#[test]
+fn std_hasher() {
+    assert_fires("std-hasher", "let mut seen = HashSet::new();");
+    assert_fires(
+        "std-hasher",
+        "let m: HashMap<u64, u32, RandomState> = Default::default();",
+    );
+    assert_fires(
+        "std-hasher",
+        "let m = std::collections::HashMap::with_capacity(8);",
+    );
+    // The fixed-seed aliases are what simulation state is built from.
+    assert_clean("let mut issue_time: FxHashMap<u64, u64> = FxHashMap::default();");
+    assert_clean("struct S { backing: FxHashMap<u64, u64> }");
 }
 
 #[test]

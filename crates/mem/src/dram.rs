@@ -87,6 +87,10 @@ pub struct Dram<P> {
     /// [`Dram::load_state`] clear it, the tick that gets past it
     /// recomputes it.
     idle_until: Cycle,
+    /// What the latest [`Dram::tick`] completed, lent out as a `Drain`
+    /// — which leaves it empty however it is dropped (DESIGN.md §15.4).
+    /// Volatile, never snapshotted.
+    done: Vec<DramResponse<P>>,
 }
 
 impl<P> Dram<P> {
@@ -117,6 +121,7 @@ impl<P> Dram<P> {
             tracer: Tracer::disabled(),
             clock: Cycle(0),
             idle_until: Cycle(0),
+            done: Vec::new(),
             cfg,
         }
     }
@@ -192,8 +197,10 @@ impl<P> Dram<P> {
 
     /// Advances the model to `now`: issues eligible queued requests to free
     /// banks (FR-FCFS) and returns every response whose data burst has
-    /// completed by `now`.
-    pub fn tick(&mut self, now: Cycle) -> Vec<DramResponse<P>> {
+    /// completed by `now`. The responses live in a buffer the partition
+    /// keeps: whatever the caller leaves unread is dropped, never
+    /// returned by a later tick.
+    pub fn tick(&mut self, now: Cycle) -> std::vec::Drain<'_, DramResponse<P>> {
         // Above the early return: an enqueue event raised after a skipped
         // tick must still carry this cycle's stamp.
         self.clock = self.clock.max(now);
@@ -203,20 +210,19 @@ impl<P> Dram<P> {
                 "DRAM horizon {} is late: a full pass at {now} finds work",
                 self.idle_until
             );
-            return Vec::new();
+            return self.done.drain(..);
         }
         self.issue(now);
-        let mut done = Vec::new();
         let mut i = 0;
         while i < self.inflight.len() {
             if self.inflight[i].ready_at <= now {
-                done.push(self.inflight.swap_remove(i).resp);
+                self.done.push(self.inflight.swap_remove(i).resp);
             } else {
                 i += 1;
             }
         }
         self.idle_until = self.earliest_event();
-        done
+        self.done.drain(..)
     }
 
     /// The earliest cycle at which [`Dram::tick`] could return a response
@@ -682,7 +688,9 @@ mod tests {
         /// partition whenever it is ticked — under latency faults,
         /// through a restore into a twin that has already idled, and when
         /// a caller ticks ahead of time and then comes back (the
-        /// benchmark's rungs do).
+        /// benchmark's rungs do). So is the reused response buffer: a
+        /// third twin drops every other result unread or half-read, and
+        /// what it does read is still exactly that cycle's responses.
         #[test]
         fn horizon_ticks_match_a_tick_every_cycle(
             script in proptest::collection::vec((0u64..60, 0u64..700, 0u8..12), 1..60),
@@ -700,7 +708,7 @@ mod tests {
                 d.save_state(&mut w);
                 w.into_bytes()
             };
-            let (mut eager, mut lazy) = (build(), build());
+            let (mut eager, mut lazy, mut sloppy) = (build(), build(), build());
             let mut now = 0u64;
             let idle_tail = [(4000, 0, u8::MAX)];
             for (i, &(gap, block, what)) in script.iter().chain(&idle_tail).enumerate() {
@@ -709,30 +717,41 @@ mod tests {
                         match what {
                             0 => {
                                 // Crash here: a twin that sat idle takes the image over.
-                                let bytes = image(&lazy);
-                                lazy = build();
-                                lazy.tick(Cycle(0));
-                                lazy.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                                for twin in [&mut lazy, &mut sloppy] {
+                                    let bytes = image(twin);
+                                    *twin = build();
+                                    twin.tick(Cycle(0));
+                                    twin.load_state(&mut SnapReader::new(&bytes)).expect("same geometry");
+                                }
                             }
-                            1 => prop_assert_eq!(lazy.tick(Cycle(c + 15)), eager.tick(Cycle(c + 15))),
+                            1 => {
+                                let want: Vec<_> = eager.tick(Cycle(c + 15)).collect();
+                                prop_assert_eq!(lazy.tick(Cycle(c + 15)).collect::<Vec<_>>(), want);
+                                sloppy.tick(Cycle(c + 15));
+                            }
                             u8::MAX => {}
                             _ => {
                                 let req = DramRequest { block: BlockAddr(block), is_write: what == 2, payload: i as u32 };
-                                prop_assert_eq!(lazy.enqueue(req.clone()), eager.enqueue(req));
+                                prop_assert_eq!(lazy.enqueue(req.clone()), eager.enqueue(req.clone()));
+                                sloppy.enqueue(req);
                             }
                         }
                     }
-                    let want = eager.tick(Cycle(c));
+                    let want: Vec<_> = eager.tick(Cycle(c)).collect();
                     if Cycle(c) < lazy.next_event_at() {
                         prop_assert!(want.is_empty(), "cycle {}: slept through {:?}", c, want);
                     } else {
-                        prop_assert_eq!(lazy.tick(Cycle(c)), want, "cycle {}", c);
+                        prop_assert_eq!(lazy.tick(Cycle(c)).collect::<Vec<_>>(), &want[..], "cycle {}", c);
                         prop_assert!(image(&lazy) == image(&eager), "cycle {}", c);
                     }
+                    let read = [0, want.len() / 2, want.len()][(c % 3) as usize];
+                    let got: Vec<_> = sloppy.tick(Cycle(c)).take(read).collect();
+                    prop_assert_eq!(got, &want[..read], "cycle {}: a dropped response resurfaced", c);
+                    prop_assert!(image(&sloppy) == image(&eager), "cycle {}", c);
                 }
                 now += gap + 1;
             }
-            prop_assert!(eager.is_idle() && lazy.is_idle());
+            prop_assert!(eager.is_idle() && lazy.is_idle() && sloppy.is_idle());
         }
     }
 }

@@ -8,9 +8,7 @@
 //! request-combining policy (Section V-B) lives: merged waiters whose
 //! `warp_ts` falls outside the returned lease re-issue a renewal.
 
-use std::collections::HashMap;
-
-use gtsc_types::BlockAddr;
+use gtsc_types::{BlockAddr, FxHashMap};
 
 /// Result of attempting to register a miss in the MSHR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +40,16 @@ pub enum MshrAlloc {
 /// assert_eq!(m.register(BlockAddr(1), "w2"), MshrAlloc::Full); // merge cap
 /// let waiters = m.take(BlockAddr(1));
 /// assert_eq!(waiters, vec!["w0", "w1"]);
+/// m.recycle(waiters); // the next entry reuses the list's storage
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr<W> {
-    entries: HashMap<BlockAddr, Vec<W>>,
+    entries: FxHashMap<BlockAddr, Vec<W>>,
+    /// Emptied waiter lists of retired entries, handed back through
+    /// [`Mshr::recycle`]: a fixed-size table reuses its registers, so a
+    /// new entry takes one of these instead of allocating. At most
+    /// `max_entries` are kept. Volatile, never snapshotted.
+    spare: Vec<Vec<W>>,
     max_entries: usize,
     max_merges: usize,
 }
@@ -64,7 +68,8 @@ impl<W> Mshr<W> {
             "MSHR limits must be nonzero"
         );
         Mshr {
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
+            spare: Vec::new(),
             max_entries,
             max_merges,
         }
@@ -82,7 +87,9 @@ impl<W> Mshr<W> {
         if self.entries.len() >= self.max_entries {
             return MshrAlloc::Full;
         }
-        self.entries.insert(block, vec![waiter]);
+        let mut list = self.spare.pop().unwrap_or_default();
+        list.push(waiter);
+        self.entries.insert(block, list);
         MshrAlloc::AllocatedNew
     }
 
@@ -93,9 +100,20 @@ impl<W> Mshr<W> {
     }
 
     /// Removes the entry for `block` and returns its waiters in arrival
-    /// order (empty if no entry existed).
+    /// order (empty if no entry existed). The list is the entry's own:
+    /// hand it back through [`Mshr::recycle`] or [`Mshr::requeue`] once
+    /// served, and the table stops allocating.
     pub fn take(&mut self, block: BlockAddr) -> Vec<W> {
         self.entries.remove(&block).unwrap_or_default()
+    }
+
+    /// Takes back a list [`Mshr::take`] handed out (whatever is still in
+    /// it is dropped) for the next entry to reuse.
+    pub fn recycle(&mut self, mut list: Vec<W>) {
+        list.clear();
+        if list.capacity() > 0 && self.spare.len() < self.max_entries {
+            self.spare.push(list);
+        }
     }
 
     /// Re-registers waiters on an *existing or new* entry without the
@@ -106,10 +124,11 @@ impl<W> Mshr<W> {
     ///
     /// Unlike [`Mshr::register`], this never refuses: re-queued waiters
     /// were already admitted once and dropping them would lose requests.
-    pub fn requeue(&mut self, block: BlockAddr, waiters: Vec<W>) -> bool {
+    pub fn requeue(&mut self, block: BlockAddr, mut waiters: Vec<W>) -> bool {
         match self.entries.get_mut(&block) {
             Some(list) => {
-                list.extend(waiters);
+                list.append(&mut waiters);
+                self.recycle(waiters);
                 false
             }
             None => {
@@ -206,6 +225,30 @@ mod tests {
         assert!(m.requeue(BlockAddr(3), vec![7, 8]));
         assert!(!m.requeue(BlockAddr(3), vec![9]));
         assert_eq!(m.take(BlockAddr(3)), vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn recycled_lists_are_reused_and_never_leak_waiters() {
+        let mut m: Mshr<u32> = Mshr::new(2, 4);
+        m.register(BlockAddr(1), 10);
+        m.register(BlockAddr(1), 11);
+        let mut list = m.take(BlockAddr(1));
+        let storage = list.as_ptr();
+        list.truncate(1); // served half-way: the rest must not resurface
+        m.recycle(list);
+        assert_eq!(m.register(BlockAddr(2), 20), MshrAlloc::AllocatedNew);
+        let list = m.take(BlockAddr(2));
+        assert_eq!(list, vec![20]);
+        assert_eq!(
+            list.as_ptr(),
+            storage,
+            "the retired entry's list is the new entry's"
+        );
+        // Bounded like the table: it never holds more lists than entries.
+        for _ in 0..5 {
+            m.recycle(Vec::with_capacity(4));
+        }
+        assert_eq!(m.spare.len(), 2);
     }
 
     #[test]

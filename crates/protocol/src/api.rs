@@ -153,6 +153,14 @@ pub enum L1Outcome {
     /// the minimum (DESIGN.md §15.2), so a late answer silently drops
     /// work, while the default — `Cycle(0)`, always due — merely keeps the
     /// engine stepping every cycle while the controller is installed.
+    ///
+    /// **Returned completions.** [`L1Controller::on_response`] and
+    /// [`L1Controller::tick`] lend out a buffer the controller keeps
+    /// (DESIGN.md §15.4): the slice holds exactly what *that* call
+    /// completed — the controller empties the buffer on entry to either
+    /// method, also when it returns early on its horizon — and is valid
+    /// until the controller is next borrowed. A caller that drops it
+    /// unread loses those completions; none is ever reported twice.
     Reject,
 }
 
@@ -201,16 +209,19 @@ pub trait L1Controller {
     fn access(&mut self, acc: MemAccess, now: Cycle) -> L1Outcome;
 
     /// Delivers a response that arrived over the response NoC. Returns the
-    /// accesses it completed.
-    fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> Vec<Completion>;
+    /// accesses it completed (see the validity rule on
+    /// [`L1Outcome::Reject`]).
+    fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion];
 
     /// Removes the next request destined for the L2, if any. The simulator
     /// routes it by [`L1ToL2::block`].
     fn take_request(&mut self) -> Option<L1ToL2>;
 
     /// Per-cycle housekeeping (expiry scans, retry of deferred renewals).
-    /// May complete accesses (e.g. waiters whose lease arrived earlier).
-    fn tick(&mut self, now: Cycle) -> Vec<Completion>;
+    /// May complete accesses (e.g. waiters whose lease arrived earlier);
+    /// the slice follows the same validity rule as
+    /// [`on_response`](L1Controller::on_response)'s.
+    fn tick(&mut self, now: Cycle) -> &[Completion];
 
     /// The first cycle at which `warp` may complete a fence *from the
     /// protocol's point of view* (the SM separately requires all of the
@@ -551,14 +562,14 @@ mod tests {
             fn access(&mut self, _: MemAccess, _: Cycle) -> L1Outcome {
                 L1Outcome::Reject
             }
-            fn on_response(&mut self, _: L2ToL1, _: Cycle) -> Vec<Completion> {
-                Vec::new()
+            fn on_response(&mut self, _: L2ToL1, _: Cycle) -> &[Completion] {
+                &[]
             }
             fn take_request(&mut self) -> Option<L1ToL2> {
                 None
             }
-            fn tick(&mut self, _: Cycle) -> Vec<Completion> {
-                Vec::new()
+            fn tick(&mut self, _: Cycle) -> &[Completion] {
+                &[]
             }
             fn flush(&mut self) {}
             fn is_idle(&self) -> bool {

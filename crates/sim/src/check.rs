@@ -16,11 +16,11 @@
 //! stored to that block. (TC-specific ordering is exercised by the litmus
 //! integration tests instead.)
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use gtsc_protocol::msg::Epoch;
 use gtsc_protocol::{AccessKind, Completion};
-use gtsc_types::{BlockAddr, Cycle, Timestamp, Version};
+use gtsc_types::{BlockAddr, Cycle, FxHashMap, FxHashSet, Timestamp, Version};
 
 /// One detected inconsistency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,16 +55,19 @@ type LoadEv = LoadObservation;
 /// complete — from the checker's viewpoint — after the load).
 #[derive(Debug, Default)]
 pub struct Checker {
-    /// Committed stores per block, keyed by `(epoch, wts)`. Ordered maps
-    /// throughout so violation reports come out in a deterministic order
-    /// (the fault-injection tests compare reports byte for byte).
-    stores: BTreeMap<BlockAddr, BTreeMap<(Epoch, Timestamp), Version>>,
+    /// Committed stores per block, keyed by `(epoch, wts)`. The per-block
+    /// maps are hashed — every completion looks one or two of them up,
+    /// none walks them — and whatever does walk (`finish`, `compact`, a
+    /// snapshot) goes in block order, so violation reports come out in a
+    /// deterministic order (the fault-injection tests compare reports byte
+    /// for byte). The inner map stays ordered: it serves range queries.
+    stores: FxHashMap<BlockAddr, BTreeMap<(Epoch, Timestamp), Version>>,
     /// All versions ever stored per block (functional fallback).
-    written: BTreeMap<BlockAddr, HashSet<Version>>,
-    loads: BTreeMap<BlockAddr, Vec<LoadEv>>,
+    written: FxHashMap<BlockAddr, FxHashSet<Version>>,
+    loads: FxHashMap<BlockAddr, Vec<LoadEv>>,
     n_events: u64,
     /// Highest completion key observed per SM (drives [`Checker::compact`]).
-    frontier: BTreeMap<usize, (Epoch, Timestamp)>,
+    frontier: FxHashMap<usize, (Epoch, Timestamp)>,
     /// Per block: the store key history was pruned up to. Loads arriving
     /// below it can no longer be validated exactly.
     horizon: BTreeMap<BlockAddr, (Epoch, Timestamp)>,
@@ -166,11 +169,13 @@ impl Checker {
     #[must_use]
     pub fn finish(&self) -> Vec<Violation> {
         let mut out = self.early.clone();
-        for (block, loads) in &self.loads {
+        let blocks = sorted_blocks(&self.loads);
+        for block in &blocks {
+            let observed = &self.loads[block];
             let stores = self.stores.get(block);
             let written = self.written.get(block);
             let horizon = self.horizon.get(block).copied();
-            for ld in loads {
+            for ld in observed {
                 match ld.key {
                     Some(key) => {
                         if horizon.is_some_and(|h| key < h) {
@@ -210,7 +215,7 @@ impl Checker {
     #[must_use]
     pub fn finish_capped(&self, cap: usize) -> Vec<Violation> {
         let mut out: Vec<Violation> = Vec::new();
-        let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+        let mut index: FxHashMap<String, usize> = FxHashMap::default();
         let mut counts: Vec<usize> = Vec::new();
         for v in self.finish() {
             if let Some(&i) = index.get(&v.0) {
@@ -241,6 +246,7 @@ impl Checker {
     /// footprint, which [`Checker::compact`] bounds on long soaks).
     #[must_use]
     pub fn retained_events(&self) -> usize {
+        // lint: allow(hash-iter): a sum (of both) does not depend on the order.
         self.stores.values().map(BTreeMap::len).sum::<usize>()
             + self.loads.values().map(Vec::len).sum::<usize>()
     }
@@ -270,41 +276,53 @@ impl Checker {
     /// the documented incompleteness that buys bounded memory; `finish`
     /// on an uncompacted checker is exact.
     ///
-    /// Everything here iterates ordered maps, so a compacted run remains
+    /// Blocks are visited in address order, so a compacted run remains
     /// byte-for-byte reproducible for a given seed.
     pub fn compact(&mut self) {
+        // lint: allow(hash-iter): a minimum does not depend on the order.
         let Some(visible) = self.frontier.values().min().copied() else {
             return;
         };
-        for (block, stores) in &mut self.stores {
-            let Some((&base, _)) = stores.range(..=visible).next_back() else {
+        let blocks = sorted_blocks(&self.stores);
+        for block in &blocks {
+            let history = self.stores.get_mut(block).expect("listed above");
+            let Some((&base, _)) = history.range(..=visible).next_back() else {
                 continue;
             };
-            if let Some(loads) = self.loads.get_mut(block) {
-                let mut kept = Vec::with_capacity(loads.len());
-                for ld in loads.drain(..) {
+            if let Some(observed) = self.loads.get_mut(block) {
+                let mut kept = Vec::with_capacity(observed.len());
+                for ld in observed.drain(..) {
                     match ld.key {
                         Some(key) if key < base => {
                             self.early
-                                .extend(keyed_violation(*block, &ld, key, Some(stores)));
+                                .extend(keyed_violation(*block, &ld, key, Some(&*history)));
                         }
                         _ => kept.push(ld),
                     }
                 }
-                *loads = kept;
+                *observed = kept;
             }
             // Retain the base store itself: it is the expected value for
             // every remaining load at or above the horizon.
-            let keep = stores.split_off(&base);
+            let keep = history.split_off(&base);
             if let Some(w) = self.written.get_mut(block) {
-                for v in stores.values() {
+                for v in history.values() {
                     w.remove(v);
                 }
             }
-            *stores = keep;
+            *history = keep;
             self.horizon.insert(*block, base);
         }
     }
+}
+
+/// The keys of a per-block map in address order: the only order in which
+/// anything walks one.
+fn sorted_blocks<V>(map: &FxHashMap<BlockAddr, V>) -> Vec<BlockAddr> {
+    // lint: allow(hash-iter): sorted before anything observes the order.
+    let mut blocks: Vec<BlockAddr> = map.keys().copied().collect();
+    blocks.sort_unstable();
+    blocks
 }
 
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};

@@ -360,12 +360,12 @@ impl<B: L2Controller + ?Sized> Device<B> {
         let n_banks = self.l2.len();
         for (i, sm) in self.sms.iter_mut().enumerate() {
             for c in sm.cycle(now) {
-                checker.on_completion(self.sm_base + i, &c, now);
+                checker.on_completion(self.sm_base + i, c, now);
             }
         }
         for (i, sm) in self.sms.iter_mut().enumerate() {
             for c in sm.tick_l1(now) {
-                checker.on_completion(self.sm_base + i, &c, now);
+                checker.on_completion(self.sm_base + i, c, now);
             }
             while let Some(req) = sm.take_request() {
                 let bank = req.block().bank(n_banks);
@@ -404,7 +404,7 @@ impl<B: L2Controller + ?Sized> Device<B> {
         for (dst, msg) in self.resp_net.tick(now) {
             spans.hop_enter(msg.span(), HopKind::L1Fill, now);
             for c in self.sms[dst].on_response(msg, now) {
-                checker.on_completion(self.sm_base + dst, &c, now);
+                checker.on_completion(self.sm_base + dst, c, now);
             }
         }
         let mut issued = false;
@@ -728,8 +728,8 @@ impl<M: MemorySide> Sim<M> {
                 };
                 let picked = (progress.sm_cursor + offset) % n_sms;
                 progress.sm_cursor = (picked + 1) % n_sms;
-                let programs = (0..warps).map(|w| kernel.program(cta, w)).collect();
-                sms[picked].assign_cta(cta, programs);
+                let programs = (0..warps).map(|w| kernel.shared_program(cta, w));
+                sms[picked].assign_cta(cta, programs.collect());
                 progress.next_cta += 1;
             }
 

@@ -9,10 +9,13 @@
 //! The default report derives solely from [`gtsc_types::SimStats`] —
 //! state that rides in snapshots — so a run restored from a mid-kernel
 //! checkpoint reproduces it byte-identically (proved in
-//! `tests/spans.rs`).
+//! `tests/spans.rs`). The two host-side lines under it (`stepped …`,
+//! `host allocations: …`) describe how this process executed the run.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gtsc_sim::{render_folded, render_profile, spans_to_chrome_trace, GpuSim, SimBuilder};
 use gtsc_sweep::{
@@ -39,6 +42,34 @@ usage: profile_report [flags]
     --quiet             suppress the table (exports only)
     --help              this text
 ";
+
+/// `alloc` + `realloc` calls so far: the count `tests/alloc.rs` bounds
+/// (DESIGN.md §15.4), readable here for any kernel and configuration.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a relaxed atomic statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 struct Cli {
     spec: JobSpec,
@@ -135,7 +166,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let cli = parse_args(args)?;
     let mut sim = build_sim(&cli)?;
     let kernel = cli.spec.kernel();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
     let report = sim.run_kernel(kernel.as_ref()).map_err(|e| e.to_string())?;
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     if !cli.quiet {
         print!("{}", render_profile(&report.stats));
         // How the cycles above were executed, not what they were
@@ -146,6 +179,13 @@ fn run(args: &[String]) -> Result<(), String> {
             sim.stepped_cycles(),
             report.stats.accounted_cycles,
             sim.jumps()
+        );
+        // What `run_kernel` asked of the allocator (DESIGN.md §15.4):
+        // dispatch, first touch and growth — a per-cycle figure near the
+        // accesses per cycle means a hot path allocates again.
+        println!(
+            "host allocations: {allocations} ({:.2} per simulated cycle)",
+            allocations as f64 / report.stats.cycles.0.max(1) as f64
         );
     }
     if let Some(path) = &cli.folded {

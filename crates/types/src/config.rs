@@ -905,7 +905,8 @@ impl GpuConfig {
 
     /// A scaled-down configuration for unit and property tests: 2 SMs,
     /// 4 warps/SM, tiny caches, 2 L2 banks. Protocol behaviour is identical;
-    /// only capacities shrink.
+    /// only capacities shrink (and the watchdog fires sooner; `max_cycles`
+    /// is the paper platform's).
     #[must_use]
     pub fn test_small() -> Self {
         GpuConfig {
@@ -919,7 +920,6 @@ impl GpuConfig {
             l1_mshr_merges: 4,
             l2_mshr_entries: 8,
             max_ctas_per_sm: 4,
-            max_cycles: 5_000_000,
             watchdog_cycles: 200_000,
             ..GpuConfig::paper_default()
         }

@@ -20,6 +20,7 @@
 
 pub mod addr;
 pub mod config;
+pub mod hash;
 pub mod ids;
 pub mod snap;
 pub mod stats;
@@ -32,6 +33,7 @@ pub use config::{
     InclusionPolicy, MultiGpuConfig, NocConfig, NocTopology, PagePolicy, ProtocolKind, TraceConfig,
     TraceMode, TransportConfig, VisibilityPolicy, WarpScheduler,
 };
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BankId, CtaId, GlobalWarpId, KernelId, LaneId, SmId, SpanId, WarpId};
 pub use snap::{
     crc32, Snap, SnapReader, SnapWriter, SnapshotBuilder, SnapshotError, SnapshotFile, SNAP_MAGIC,

@@ -30,6 +30,10 @@ struct EpochFlushL1 {
     mshr: Mshr<(AccessId, WarpId)>,
     store_acks: HashMap<BlockAddr, VecDeque<(AccessId, WarpId, AccessKind, Version)>>,
     out: VecDeque<L1ToL2>,
+    /// The completions of the latest `on_response`: the controller keeps
+    /// the buffer and lends it out, so a response allocates nothing (see
+    /// the validity rule on `L1Outcome::Reject`).
+    done: Vec<Completion>,
     version_ctr: u64,
     stats: CacheStats,
 }
@@ -44,6 +48,7 @@ impl EpochFlushL1 {
             mshr: Mshr::new(cfg.l1_mshr_entries, cfg.l1_mshr_merges),
             store_acks: HashMap::new(),
             out: VecDeque::new(),
+            done: Vec::new(),
             version_ctr: 0,
             stats: CacheStats::default(),
         }
@@ -116,14 +121,17 @@ impl L1Controller for EpochFlushL1 {
         }
     }
 
-    fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
+    fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> &[Completion] {
+        // Emptied on entry: the slice handed out holds this call's
+        // completions and nothing older.
+        self.done.clear();
         match msg {
             L2ToL1::Fill(f) => {
                 debug_assert_eq!(f.lease, LeaseInfo::None);
                 self.tags.fill(f.block, f.version);
-                for (id, warp) in self.mshr.take(f.block) {
-                    done.push(Completion {
+                let mut waiters = self.mshr.take(f.block);
+                for (id, warp) in waiters.drain(..) {
+                    self.done.push(Completion {
                         id,
                         warp,
                         kind: AccessKind::Load,
@@ -134,6 +142,8 @@ impl L1Controller for EpochFlushL1 {
                         prev: None,
                     });
                 }
+                // The entry's list goes back for the next miss to reuse.
+                self.mshr.recycle(waiters);
             }
             L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
                 let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
@@ -147,7 +157,7 @@ impl L1Controller for EpochFlushL1 {
                         if q.is_empty() {
                             self.store_acks.remove(&a.block);
                         }
-                        done.push(Completion {
+                        self.done.push(Completion {
                             id,
                             warp,
                             kind,
@@ -162,20 +172,20 @@ impl L1Controller for EpochFlushL1 {
             }
             L2ToL1::Renew { .. } | L2ToL1::Invalidate { .. } => {}
         }
-        done
+        &self.done
     }
 
     fn take_request(&mut self) -> Option<L1ToL2> {
         self.out.pop_front()
     }
 
-    fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+    fn tick(&mut self, now: Cycle) -> &[Completion] {
         // The whole point: periodic self-flush.
         if now - self.last_flush >= self.period {
             self.tags.flush();
             self.last_flush = now;
         }
-        Vec::new()
+        &[] // a flush completes nothing
     }
 
     /// When `tick` next does something unprompted: the next flush, or now

@@ -66,9 +66,7 @@ impl Pair {
     /// Advances one cycle, moving messages across the channels.
     fn step(&mut self) {
         let now = self.now;
-        for c in self.l1.tick(now) {
-            self.completions.push(c);
-        }
+        self.completions.extend_from_slice(self.l1.tick(now));
         while let Some(req) = self.l1.take_request() {
             self.req_ch.push_back((now + self.delay, req));
         }
@@ -89,9 +87,8 @@ impl Pair {
         }
         while self.resp_ch.front().is_some_and(|(t, _)| *t <= now) {
             let (_, resp) = self.resp_ch.pop_front().expect("front checked");
-            for c in self.l1.on_response(resp, now) {
-                self.completions.push(c);
-            }
+            self.completions
+                .extend_from_slice(self.l1.on_response(resp, now));
         }
         self.now += 1;
     }

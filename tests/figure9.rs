@@ -85,7 +85,7 @@ impl Rig {
                 self.l2.on_dram_response(b, w, self.now);
             }
             self.l2.tick(self.now);
-            let mut done = Vec::new();
+            let mut done: Vec<Completion> = Vec::new();
             while let Some((dst, resp)) = self.l2.take_response() {
                 done.extend(self.l1[dst].on_response(resp, self.now));
             }

@@ -10,10 +10,13 @@ use proptest::prelude::*;
 
 use gtsc::gpu::Kernel;
 use gtsc::sim::{
-    CheckpointError, CheckpointSource, CheckpointStore, GpuSim, KernelProgress, SimBuilder,
+    CheckpointError, CheckpointSource, CheckpointStore, GpuSim, KernelProgress, MultiGpuSim,
+    SimBuilder,
 };
-use gtsc::types::snap::SnapshotError;
-use gtsc::types::{ConsistencyModel, FaultConfig, GpuConfig, ProtocolKind};
+use gtsc::types::snap::{crc32, Snap, SnapWriter, SnapshotError};
+use gtsc::types::{
+    ConsistencyModel, FabricConfig, FaultConfig, GpuConfig, MultiGpuConfig, ProtocolKind,
+};
 use gtsc::workloads::{Benchmark, Scale};
 
 fn faulty_config(seed: u64, drop_permille: u16) -> GpuConfig {
@@ -235,4 +238,82 @@ fn checkpoint_store_falls_back_to_previous_good_image() {
         other => panic!("expected AllCorrupt, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn snap_crc(v: &impl Snap) -> u32 {
+    let mut w = SnapWriter::new();
+    v.save(&mut w);
+    crc32(&w.into_bytes())
+}
+
+/// Restores a fixture image into `$sim`, re-saves it, runs the kernel
+/// out and returns `(cycles, stats CRC, memory-image CRC, final
+/// snapshot CRC)` — what the build that wrote the image recorded.
+macro_rules! land_fixture {
+    ($file:literal, $sim:expr, $bench:expr) => {{
+        let image: &[u8] = include_bytes!(concat!("fixtures/", $file));
+        let kernel = $bench.build(Scale::Small);
+        let mut sim = $sim;
+        let mut progress = sim
+            .restore_snapshot(image)
+            .expect("a SNAP_VERSION 3 image still loads")
+            .expect("the fixture is a mid-kernel checkpoint");
+        let resaved = sim.save_snapshot(Some(&progress)).expect("re-save");
+        assert!(resaved == image, "{}: restore -> save changed bytes", $file);
+        let report = loop {
+            let slice = sim.advance_kernel(&*kernel, &mut progress, 997);
+            if let Some(report) = slice.expect("advance") {
+                break report;
+            }
+        };
+        assert!(report.violations.is_empty(), "{}", $file);
+        let last = sim.save_snapshot(None).expect("final snapshot");
+        (
+            report.stats.cycles.0,
+            snap_crc(&report.stats),
+            snap_crc(&sim.memory_image()),
+            crc32(&last),
+        )
+    }};
+}
+
+/// Snapshots **written by the parent build** of the change that shared
+/// warp programs, swapped the hasher of simulation-state maps and hashed
+/// the checker's outer maps (commit 91d45cf; `tests/fixtures/README.md`
+/// has the recipe) restore, re-save byte for byte, and land on the four
+/// numbers that build landed on when it restored them itself: the
+/// `pc`-relative program encoding, the hasher and the checker's
+/// representation are invisible on disk.
+#[test]
+fn parent_written_snapshots_restore_resave_and_land_where_the_parent_did() {
+    // The whole configuration is fingerprinted: `max_cycles` is what
+    // `test_small()` said when the images were written.
+    let gtsc_rc = GpuConfig {
+        max_cycles: 5_000_000,
+        ..GpuConfig::test_small()
+    }
+    .with_protocol(ProtocolKind::Gtsc)
+    .with_consistency(ConsistencyModel::Rc);
+    assert_eq!(
+        land_fixture!(
+            "ccp_small_lossy.snap",
+            GpuSim::new(gtsc_rc.clone().with_faults(FaultConfig::lossy(3, 10))),
+            Benchmark::Ccp
+        ),
+        (23_926, 0x1d4a_1064, 0xc1a9_a6ea, 0xe0f3_1310),
+        "CCP Small, lossy(3, 10), checkpointed at cycle 1500"
+    );
+    assert_eq!(
+        land_fixture!(
+            "stn_small_2dev_fabric_loss.snap",
+            MultiGpuSim::new(MultiGpuConfig {
+                n_devices: 2,
+                gpu: gtsc_rc,
+                fabric: FabricConfig::default().lossy(5, 10),
+            }),
+            Benchmark::Stn
+        ),
+        (12_634, 0x24f8_3848, 0xd26b_c31d, 0x4a1f_bfb3),
+        "STN Small on 2 devices, fabric lossy(5, 10), checkpointed at cycle 1500"
+    );
 }
