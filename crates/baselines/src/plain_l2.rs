@@ -7,12 +7,10 @@
 //! it reproduces the incoherent baseline the paper only runs on workloads
 //! that need no coherence.
 
-use std::collections::{BTreeMap, VecDeque};
-
-use gtsc_mem::{Mshr, MshrAlloc, TagArray};
+use gtsc_mem::TagArray;
 use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
-use gtsc_protocol::L2Controller;
-use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, Version};
+use gtsc_protocol::{BankShell, ControllerPressure, L2Controller};
+use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, Version};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlainMeta {
@@ -47,28 +45,12 @@ impl Default for PlainL2Params {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    src: usize,
-    msg: L1ToL2,
-}
-
 /// One coherence-free shared-cache bank.
 #[derive(Debug)]
 pub struct PlainL2 {
-    p: PlainL2Params,
     tags: TagArray<PlainMeta>,
-    backing: FxHashMap<BlockAddr, Version>,
-    pending: Mshr<PendingReq>,
-    in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
-    /// The head of `in_queue` is a miss that found no MSHR slot; only a
-    /// DRAM fill frees one, so until then `tick` has nothing to ask again.
-    head_stalled: bool,
-    out_resp: VecDeque<(usize, L2ToL1)>,
-    dram_out: VecDeque<(BlockAddr, bool)>,
-    /// What `dram_ready` last said: while DRAM cannot accept, a waiting
-    /// `dram_out` is not due.
-    dram_ready: bool,
+    /// Queues, MSHR, DRAM handshake and the written-back image.
+    shell: BankShell,
     stats: CacheStats,
 }
 
@@ -78,15 +60,8 @@ impl PlainL2 {
     pub fn new(p: PlainL2Params) -> Self {
         PlainL2 {
             tags: TagArray::new(p.geometry),
-            backing: FxHashMap::default(),
-            pending: Mshr::new(p.mshr_entries, p.mshr_merges),
-            in_queue: VecDeque::new(),
-            head_stalled: false,
-            out_resp: VecDeque::new(),
-            dram_out: VecDeque::new(),
-            dram_ready: true,
+            shell: BankShell::new(p.latency, p.ports, p.mshr_entries, p.mshr_merges),
             stats: CacheStats::default(),
-            p,
         }
     }
 
@@ -98,17 +73,14 @@ impl PlainL2 {
             .expect("caller checked residency");
         match msg {
             L1ToL2::Read(r) => {
-                let version = line.meta.version;
-                self.out_resp.push_back((
-                    src,
-                    L2ToL1::Fill(FillResp {
-                        block,
-                        lease: LeaseInfo::None,
-                        version,
-                        epoch: 0,
-                        span: r.span,
-                    }),
-                ));
+                let fill = FillResp {
+                    block,
+                    lease: LeaseInfo::None,
+                    version: line.meta.version,
+                    epoch: 0,
+                    span: r.span,
+                };
+                self.shell.respond(src, L2ToL1::Fill(fill));
             }
             L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
                 let prev = line.meta.version;
@@ -127,144 +99,92 @@ impl PlainL2 {
                 } else {
                     L2ToL1::WriteAck(ack)
                 };
-                self.out_resp.push_back((src, resp));
+                self.shell.respond(src, resp);
             }
         }
     }
 
-    fn handle(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        let block = msg.block();
+    fn handle(&mut self, src: usize, msg: L1ToL2) {
         self.stats.accesses += 1;
-        if self.tags.peek(block).is_some() {
+        if self.tags.peek(msg.block()).is_some() {
             self.stats.hits += 1;
             self.serve_hit(src, msg);
             return;
         }
         self.stats.cold_misses += 1;
-        match self.pending.register(block, PendingReq { src, msg }) {
-            MshrAlloc::AllocatedNew => self.dram_out.push_back((block, false)),
-            MshrAlloc::Merged => self.stats.mshr_merges += 1,
-            MshrAlloc::Full => {
-                unreachable!("tick() admits requests only when the MSHR can take them")
-            }
+        if self.shell.miss(src, msg) {
+            self.stats.mshr_merges += 1;
         }
-        let _ = now;
-    }
-
-    /// Head-of-line admission check: a miss that cannot get an MSHR slot
-    /// stalls the queue (younger same-block requests must not overtake).
-    fn can_handle(&self, msg: &L1ToL2) -> bool {
-        let block = msg.block();
-        if self.tags.peek(block).is_some() {
-            return true;
-        }
-        if self.pending.contains(block) {
-            return self.pending.waiters(block) < 256;
-        }
-        !self.pending.is_full()
     }
 }
 
 impl L2Controller for PlainL2 {
     fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        self.in_queue.push_back((now + self.p.latency, src, msg));
+        self.shell.arrive(src, msg, now);
     }
 
     fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
-        self.out_resp.pop_front()
+        self.shell.take_response()
     }
 
     fn take_dram_request(&mut self) -> Option<(BlockAddr, bool)> {
-        self.dram_out.pop_front()
+        self.shell.take_dram_request()
     }
 
     fn dram_ready(&mut self, ready: bool) {
-        self.dram_ready = ready;
+        self.shell.dram_ready(ready);
     }
 
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, _now: Cycle) {
         if is_write {
             return;
         }
-        self.head_stalled = false;
-        let version = self.backing.get(&block).copied().unwrap_or(Version::ZERO);
-        if let Some(ev) = self.tags.fill(
-            block,
-            PlainMeta {
-                version,
-                dirty: false,
-            },
-        ) {
+        let meta = PlainMeta {
+            version: self.shell.fetched(block),
+            dirty: false,
+        };
+        if let Some(ev) = self.tags.fill(block, meta) {
             self.stats.evictions += 1;
             if ev.meta.dirty {
-                self.backing.insert(ev.block, ev.meta.version);
-                self.dram_out.push_back((ev.block, true));
+                self.shell.write_back(ev.block, ev.meta.version);
             }
         }
-        let mut waiters = self.pending.take(block);
-        for w in waiters.drain(..) {
-            self.serve_hit(w.src, w.msg);
+        let mut waiters = self.shell.installed(block);
+        for (src, msg) in waiters.drain(..) {
+            self.serve_hit(src, msg);
         }
-        self.pending.recycle(waiters);
+        self.shell.recycle(waiters);
     }
 
     fn next_event_at(&self) -> Cycle {
-        if !self.out_resp.is_empty() || (self.dram_ready && !self.dram_out.is_empty()) {
-            return Cycle(0);
-        }
-        match self.in_queue.front() {
-            Some(&(ready, ..)) if !self.head_stalled => ready,
-            _ => Cycle(u64::MAX),
-        }
+        self.shell.next_event_at()
     }
 
     fn tick(&mut self, now: Cycle) {
-        if self.head_stalled {
-            debug_assert!(
-                (self.in_queue.front()).is_some_and(|(_, _, msg)| !self.can_handle(msg)),
-                "L2 head-of-line stall lapsed without a fill"
-            );
-            return;
-        }
-        for _ in 0..self.p.ports {
-            match self.in_queue.front() {
-                Some((ready, _, msg)) if *ready <= now => {
-                    if !self.can_handle(msg) {
-                        // Head-of-line stall until an MSHR frees.
-                        self.head_stalled = true;
-                        break;
-                    }
-                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
-                    self.handle(src, msg, now);
-                }
-                _ => break,
-            }
+        for _ in 0..self.shell.ports() {
+            let resident = |m: &L1ToL2| self.tags.peek(m.block()).is_some();
+            let Some((src, msg)) = self.shell.pop_ready(now, resident) else {
+                break;
+            };
+            self.handle(src, msg);
         }
     }
 
     fn is_idle(&self) -> bool {
-        self.in_queue.is_empty()
-            && self.pending.is_empty()
-            && self.out_resp.is_empty()
-            && self.dram_out.is_empty()
+        self.shell.is_idle()
     }
 
     fn stats(&self) -> CacheStats {
         self.stats
     }
 
+    fn pressure(&self) -> ControllerPressure {
+        self.shell.pressure()
+    }
+
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        // BTreeMap so the returned image is sorted by block address and
-        // never leaks the hash-keyed backing store's iteration order.
-        let mut img: BTreeMap<BlockAddr, Version> = self
-            .backing
-            .iter() // lint: allow(hash-iter): re-keyed into a BTreeMap before anything observes the order.
-            .map(|(b, v)| (*b, *v))
-            .collect();
-        for line in self.tags.iter() {
-            img.insert(line.block, line.meta.version);
-        }
-        img.into_iter().collect()
+        let resident = self.tags.iter().map(|l| (l.block, l.meta.version));
+        self.shell.memory_image(resident)
     }
 }
 

@@ -15,11 +15,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gtsc_mem::{Mshr, MshrAlloc, TagArray};
-use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
-use gtsc_protocol::L2Controller;
+use gtsc_mem::TagArray;
+use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteAckResp, WriteReq};
+use gtsc_protocol::{BankShell, ControllerPressure, L2Controller};
 use gtsc_trace::{EventKind, Sanitizer, Tracer, Transition};
-use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, SpanId, Version};
+use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, Version};
 
 use crate::TcMode;
 
@@ -63,24 +63,13 @@ impl Default for TcL2Params {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    src: usize,
-    msg: L1ToL2,
-}
-
 /// One Temporal-Coherence shared-cache bank.
 #[derive(Debug)]
 pub struct TcL2 {
     p: TcL2Params,
     tags: TagArray<TcL2Meta>,
-    backing: FxHashMap<BlockAddr, Version>,
-    pending: Mshr<PendingReq>,
-    in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
-    /// The head of `in_queue` is a miss that found no MSHR slot; only an
-    /// installed fill frees one, so until then the input queue has
-    /// nothing to ask again.
-    head_stalled: bool,
+    /// Queues, MSHR, DRAM handshake and the written-back image.
+    shell: BankShell,
     /// Per-block queues headed by a stalled (strong) write; later requests
     /// to the block wait behind it. BTreeMap: `drain_blocked` walks the
     /// keys, and that order decides which block's queue is served first.
@@ -88,11 +77,6 @@ pub struct TcL2 {
     /// Fills that could not install because every victim's lease is live
     /// (the inclusive-L2 replacement stall).
     install_wait: Vec<BlockAddr>,
-    out_resp: VecDeque<(usize, L2ToL1)>,
-    dram_out: VecDeque<(BlockAddr, bool)>,
-    /// What `dram_ready` last said: while DRAM cannot accept, a waiting
-    /// `dram_out` is not due.
-    dram_ready: bool,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -104,15 +88,9 @@ impl TcL2 {
     pub fn new(p: TcL2Params) -> Self {
         TcL2 {
             tags: TagArray::new(p.geometry),
-            backing: FxHashMap::default(),
-            pending: Mshr::new(p.mshr_entries, p.mshr_merges),
-            in_queue: VecDeque::new(),
-            head_stalled: false,
+            shell: BankShell::new(p.latency, p.ports, p.mshr_entries, p.mshr_merges),
             blocked: BTreeMap::new(),
             install_wait: Vec::new(),
-            out_resp: VecDeque::new(),
-            dram_out: VecDeque::new(),
-            dram_ready: true,
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -120,7 +98,8 @@ impl TcL2 {
         }
     }
 
-    fn perform_read(&mut self, src: usize, block: BlockAddr, span: SpanId, now: Cycle) {
+    fn perform_read(&mut self, src: usize, r: ReadReq, now: Cycle) {
+        let block = r.block;
         let lease = self.p.lease_cycles;
         let line = self
             .tags
@@ -140,27 +119,18 @@ impl TcL2 {
             now,
             expires,
         });
-        self.out_resp.push_back((
-            src,
-            L2ToL1::Fill(FillResp {
-                block,
-                lease: LeaseInfo::Physical { expires },
-                version,
-                epoch: 0,
-                span,
-            }),
-        ));
+        let fill = FillResp {
+            block,
+            lease: LeaseInfo::Physical { expires },
+            version,
+            epoch: 0,
+            span: r.span,
+        };
+        self.shell.respond(src, L2ToL1::Fill(fill));
     }
 
-    fn perform_write(
-        &mut self,
-        src: usize,
-        block: BlockAddr,
-        version: Version,
-        span: SpanId,
-        now: Cycle,
-        is_atomic: bool,
-    ) {
+    fn perform_write(&mut self, src: usize, w: WriteReq, is_atomic: bool, now: Cycle) {
+        let block = w.block;
         let line = self
             .tags
             .probe_mut(block)
@@ -168,7 +138,7 @@ impl TcL2 {
         let prev = line.meta.version;
         let pre_expires = line.meta.expires;
         let gwct = pre_expires.max(now);
-        line.meta.version = version;
+        line.meta.version = w.version;
         line.meta.dirty = true;
         self.stats.stores += 1;
         self.tracer
@@ -191,70 +161,76 @@ impl TcL2 {
         let ack = WriteAckResp {
             block,
             lease,
-            version,
+            version: w.version,
             epoch: 0,
-            span,
+            span: w.span,
         };
         let resp = if is_atomic {
             L2ToL1::AtomicAck { ack, prev }
         } else {
             L2ToL1::WriteAck(ack)
         };
-        self.out_resp.push_back((src, resp));
+        self.shell.respond(src, resp);
     }
 
-    /// Whether a (strong) write to a resident `block` may be performed now.
-    fn write_may_proceed(&self, block: BlockAddr, now: Cycle) -> bool {
-        match self.p.mode {
-            TcMode::Weak => true,
-            TcMode::Strong => self
-                .tags
-                .peek(block)
-                .is_none_or(|line| now >= line.meta.expires),
+    /// Whether `msg`, to a resident block, can be performed now: a read
+    /// always, a weak write too, a strong write or atomic only once no
+    /// lease on the block is live — the RMW cannot be performed while
+    /// private copies may still be read.
+    fn performable(&self, msg: &L1ToL2, now: Cycle) -> bool {
+        matches!(msg, L1ToL2::Read(_))
+            || self.p.mode == TcMode::Weak
+            || (self.tags.peek(msg.block())).is_none_or(|line| now >= line.meta.expires)
+    }
+
+    fn perform(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
+        match msg {
+            L1ToL2::Read(r) => self.perform_read(src, r, now),
+            L1ToL2::Write(w) => self.perform_write(src, w, false, now),
+            L1ToL2::Atomic(w) => self.perform_write(src, w, true, now),
+        }
+    }
+
+    /// Queues `msg` behind the stalled write that owns its block, or as
+    /// that write. `drain_blocked` counts it in `accesses` when it leaves.
+    fn park(&mut self, src: usize, msg: L1ToL2) {
+        let queue = self.blocked.entry(msg.block()).or_default();
+        queue.push_back((src, msg));
+    }
+
+    /// Serves a request to a resident block: performed at once unless a
+    /// stalled write owns the block, or it is itself a write that must
+    /// wait out a lease (the lease-induced write stall) — then it parks,
+    /// blocking the block.
+    fn perform_or_park(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
+        let block = msg.block();
+        if self.blocked.contains_key(&block) {
+            self.park(src, msg);
+        } else if self.performable(&msg, now) {
+            self.perform(src, msg, now);
+        } else {
+            self.tracer
+                .record_with(now, || EventKind::BlockedOnWrite { block });
+            self.park(src, msg);
         }
     }
 
     fn handle(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
         let block = msg.block();
-        // A stalled write owns the block: queue behind it in order.
-        if let Some(q) = self.blocked.get_mut(&block) {
-            q.push_back((src, msg));
+        // A stalled write owns the block: queue behind it in order,
+        // resident or not.
+        if self.blocked.contains_key(&block) {
+            self.park(src, msg);
             return;
         }
         self.stats.accesses += 1;
         if self.tags.peek(block).is_some() {
             self.stats.hits += 1;
+            self.perform_or_park(src, msg, now);
         } else {
             self.stats.cold_misses += 1;
-            match self.pending.register(block, PendingReq { src, msg }) {
-                MshrAlloc::AllocatedNew => self.dram_out.push_back((block, false)),
-                MshrAlloc::Merged => self.stats.mshr_merges += 1,
-                MshrAlloc::Full => {
-                    unreachable!("tick() admits requests only when the MSHR can take them")
-                }
-            }
-            return;
-        }
-        match msg {
-            L1ToL2::Read(r) => self.perform_read(src, block, r.span, now),
-            L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
-                if self.write_may_proceed(block, now) {
-                    self.perform_write(
-                        src,
-                        block,
-                        w.version,
-                        w.span,
-                        now,
-                        matches!(msg, L1ToL2::Atomic(_)),
-                    );
-                } else {
-                    // Lease-induced write stall: park, blocking the block.
-                    // Atomics stall too — the RMW cannot be performed
-                    // while private copies may still be read.
-                    self.tracer
-                        .record_with(now, || EventKind::BlockedOnWrite { block });
-                    self.blocked.entry(block).or_default().push_back((src, msg));
-                }
+            if self.shell.miss(src, msg) {
+                self.stats.mshr_merges += 1;
             }
         }
     }
@@ -262,10 +238,9 @@ impl TcL2 {
     /// Tries to install a DRAM fill; under inclusion, only expired victims
     /// may be evicted.
     fn try_install(&mut self, block: BlockAddr, now: Cycle) -> bool {
-        let version = self.backing.get(&block).copied().unwrap_or(Version::ZERO);
         let meta = TcL2Meta {
             expires: Cycle(0),
-            version,
+            version: self.shell.fetched(block),
             dirty: false,
         };
         match self.tags.fill_if(block, meta, |l| now >= l.meta.expires) {
@@ -277,17 +252,16 @@ impl TcL2 {
                         rts: ev.meta.expires.0,
                     });
                     if ev.meta.dirty {
-                        self.backing.insert(ev.block, ev.meta.version);
-                        self.dram_out.push_back((ev.block, true));
+                        self.shell.write_back(ev.block, ev.meta.version);
                     }
                 }
-                self.head_stalled = false;
-                // Serve everything that waited for the fetch.
-                let mut waiters = self.pending.take(block);
-                for w in waiters.drain(..) {
-                    self.handle_present(w.src, w.msg, now);
+                // Serve everything that waited for the fetch (counted on
+                // arrival).
+                let mut waiters = self.shell.installed(block);
+                for (src, msg) in waiters.drain(..) {
+                    self.perform_or_park(src, msg, now);
                 }
-                self.pending.recycle(waiters);
+                self.shell.recycle(waiters);
                 true
             }
             Err(_) => {
@@ -295,51 +269,6 @@ impl TcL2 {
                 false
             }
         }
-    }
-
-    /// Like [`TcL2::handle`] but for requests already counted on arrival
-    /// (the block is now resident).
-    fn handle_present(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        if let Some(q) = self.blocked.get_mut(&msg.block()) {
-            q.push_back((src, msg));
-            return;
-        }
-        match msg {
-            L1ToL2::Read(r) => self.perform_read(src, msg.block(), r.span, now),
-            L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
-                if self.write_may_proceed(msg.block(), now) {
-                    self.perform_write(
-                        src,
-                        msg.block(),
-                        w.version,
-                        w.span,
-                        now,
-                        matches!(msg, L1ToL2::Atomic(_)),
-                    );
-                } else {
-                    self.tracer
-                        .record_with(now, || EventKind::BlockedOnWrite { block: msg.block() });
-                    self.blocked
-                        .entry(msg.block())
-                        .or_default()
-                        .push_back((src, msg));
-                }
-            }
-        }
-    }
-
-    /// Head-of-line admission check: a miss that cannot get an MSHR slot
-    /// stalls the queue (younger same-block requests must not overtake).
-    /// Requests destined for a blocked-block queue are always admitted.
-    fn can_handle(&self, msg: &L1ToL2) -> bool {
-        let block = msg.block();
-        if self.blocked.contains_key(&block) || self.tags.peek(block).is_some() {
-            return true;
-        }
-        if self.pending.contains(block) {
-            return self.pending.waiters(block) < 256;
-        }
-        !self.pending.is_full()
     }
 
     /// Drains per-block stall queues whose head write has become
@@ -352,48 +281,20 @@ impl TcL2 {
             // write's wait condition), re-handle the whole queue through
             // the normal miss path, preserving order.
             if self.tags.peek(block).is_none() {
-                if let Some(q) = self.blocked.remove(&block) {
-                    for (src, msg) in q {
-                        self.in_queue.push_back((now, src, msg));
-                    }
+                for (src, msg) in self.blocked.remove(&block).unwrap_or_default() {
+                    self.shell.requeue(src, msg, now);
                 }
                 continue;
             }
-            #[allow(clippy::while_let_loop)] // two let-else exits; a while-let cannot express both
-            loop {
-                let Some(q) = self.blocked.get_mut(&block) else {
-                    break;
-                };
-                let Some((src, msg)) = q.front().copied() else {
-                    self.blocked.remove(&block);
-                    break;
-                };
-                let ok = match msg {
-                    L1ToL2::Read(_) => true,
-                    L1ToL2::Write(_) | L1ToL2::Atomic(_) => self.write_may_proceed(block, now),
-                };
-                if !ok {
+            while let Some(&(src, msg)) = self.blocked.get(&block).and_then(VecDeque::front) {
+                if !self.performable(&msg, now) {
                     self.stats.write_stall_cycles += 1;
                     break;
                 }
-                self.blocked
-                    .get_mut(&block)
-                    .expect("queue exists")
-                    .pop_front();
+                let queue = self.blocked.get_mut(&block).expect("queue exists");
+                queue.pop_front();
                 self.stats.accesses += 1;
-                match msg {
-                    L1ToL2::Read(r) => self.perform_read(src, block, r.span, now),
-                    L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
-                        self.perform_write(
-                            src,
-                            block,
-                            w.version,
-                            w.span,
-                            now,
-                            matches!(msg, L1ToL2::Atomic(_)),
-                        );
-                    }
-                }
+                self.perform(src, msg, now);
             }
             if self.blocked.get(&block).is_some_and(VecDeque::is_empty) {
                 self.blocked.remove(&block);
@@ -404,19 +305,19 @@ impl TcL2 {
 
 impl L2Controller for TcL2 {
     fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        self.in_queue.push_back((now + self.p.latency, src, msg));
+        self.shell.arrive(src, msg, now);
     }
 
     fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
-        self.out_resp.pop_front()
+        self.shell.take_response()
     }
 
     fn take_dram_request(&mut self) -> Option<(BlockAddr, bool)> {
-        self.dram_out.pop_front()
+        self.shell.take_dram_request()
     }
 
     fn dram_ready(&mut self, ready: bool) {
-        self.dram_ready = ready;
+        self.shell.dram_ready(ready);
     }
 
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, now: Cycle) {
@@ -433,15 +334,10 @@ impl L2Controller for TcL2 {
     /// the bank is then due every cycle, and the stretch is stepped, not
     /// booked in one go (DESIGN.md §15.2).
     fn next_event_at(&self) -> Cycle {
-        let counting = !self.blocked.is_empty() || !self.install_wait.is_empty();
-        let to_dram = self.dram_ready && !self.dram_out.is_empty();
-        if counting || to_dram || !self.out_resp.is_empty() {
+        if !self.blocked.is_empty() || !self.install_wait.is_empty() {
             return Cycle(0);
         }
-        match self.in_queue.front() {
-            Some(&(ready, ..)) if !self.head_stalled => ready,
-            _ => Cycle(u64::MAX),
-        }
+        self.shell.next_event_at()
     }
 
     fn tick(&mut self, now: Cycle) {
@@ -455,40 +351,28 @@ impl L2Controller for TcL2 {
             }
         }
         self.drain_blocked(now);
-        if self.head_stalled {
-            debug_assert!(
-                (self.in_queue.front()).is_some_and(|(_, _, msg)| !self.can_handle(msg)),
-                "L2 head-of-line stall lapsed without a fill"
-            );
-            return;
-        }
-        for _ in 0..self.p.ports {
-            match self.in_queue.front() {
-                Some((ready, _, msg)) if *ready <= now => {
-                    if !self.can_handle(msg) {
-                        // Head-of-line stall until an MSHR frees.
-                        self.head_stalled = true;
-                        break;
-                    }
-                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
-                    self.handle(src, msg, now);
-                }
-                _ => break,
-            }
+        for _ in 0..self.shell.ports() {
+            // A request for a parked queue needs no MSHR either.
+            let resident = |m: &L1ToL2| {
+                self.blocked.contains_key(&m.block()) || self.tags.peek(m.block()).is_some()
+            };
+            let Some((src, msg)) = self.shell.pop_ready(now, resident) else {
+                break;
+            };
+            self.handle(src, msg, now);
         }
     }
 
     fn is_idle(&self) -> bool {
-        self.in_queue.is_empty()
-            && self.pending.is_empty()
-            && self.out_resp.is_empty()
-            && self.dram_out.is_empty()
-            && self.blocked.is_empty()
-            && self.install_wait.is_empty()
+        self.shell.is_idle() && self.blocked.is_empty() && self.install_wait.is_empty()
     }
 
     fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    fn pressure(&self) -> ControllerPressure {
+        self.shell.pressure()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -504,25 +388,15 @@ impl L2Controller for TcL2 {
     }
 
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        // BTreeMap so the returned image is sorted by block address and
-        // never leaks the hash-keyed backing store's iteration order.
-        let mut img: BTreeMap<BlockAddr, Version> = self
-            .backing
-            .iter() // lint: allow(hash-iter): re-keyed into a BTreeMap before anything observes the order.
-            .map(|(b, v)| (*b, *v))
-            .collect();
-        for line in self.tags.iter() {
-            img.insert(line.block, line.meta.version);
-        }
-        img.into_iter().collect()
+        let resident = self.tags.iter().map(|l| (l.block, l.meta.version));
+        self.shell.memory_image(resident)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtsc_protocol::msg::{ReadReq, WriteReq};
-    use gtsc_types::Timestamp;
+    use gtsc_types::{SpanId, Timestamp};
 
     fn read(block: u64) -> L1ToL2 {
         L1ToL2::Read(ReadReq {

@@ -8,14 +8,10 @@
 
 use std::collections::VecDeque;
 
-use gtsc_mem::{Mshr, MshrAlloc, TagArray};
-use gtsc_protocol::msg::{
-    Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteAckResp, WriteReq,
-};
-use gtsc_protocol::{ControllerPressure, L2Controller};
-use gtsc_trace::{
-    CloseReason, EventKind, HopKind, Sanitizer, ServeClass, SpanTracker, Tracer, Transition,
-};
+use gtsc_mem::TagArray;
+use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
+use gtsc_protocol::{BankShell, ControllerPressure, L2Controller};
+use gtsc_trace::{EventKind, HopKind, Sanitizer, ServeClass, SpanTracker, Tracer, Transition};
 use gtsc_types::{
     BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, InclusionPolicy, Lease, SpanId,
     Timestamp, Version,
@@ -86,12 +82,6 @@ impl Default for L2Params {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    src: usize,
-    msg: L1ToL2,
-}
-
 /// One G-TSC shared-cache bank.
 ///
 /// See the crate-level example for end-to-end usage; the
@@ -103,10 +93,8 @@ pub struct GtscL2 {
     mem_ts: Timestamp,
     epoch: Epoch,
     overflow: bool,
-    /// DRAM contents model: last written-back version per block.
-    backing: FxHashMap<BlockAddr, Version>,
-    /// Requests waiting on an outstanding DRAM fetch.
-    pending: Mshr<PendingReq>,
+    /// Queues, MSHR, DRAM handshake and the written-back image.
+    shell: BankShell,
     /// Replay filter: the most recently applied store versions per block.
     ///
     /// A lossy-but-reliable interconnect may deliver a write request
@@ -118,20 +106,6 @@ pub struct GtscL2 {
     /// the duplicate is recognized and dropped, and the original ack
     /// (which is never dropped, only delayed) satisfies the L1.
     applied_stores: FxHashMap<BlockAddr, VecDeque<Version>>,
-    /// Input queue: requests become serviceable `latency` cycles after
-    /// arrival.
-    in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
-    /// The head of `in_queue` is a miss that found no MSHR slot. Only a
-    /// DRAM fill (or a crash) frees one, so until then `tick` has nothing
-    /// to ask again. Derived state, never snapshotted: the first tick
-    /// after a restore re-derives it.
-    head_stalled: bool,
-    out_resp: VecDeque<(usize, L2ToL1)>,
-    dram_out: VecDeque<(BlockAddr, bool)>,
-    /// What `dram_ready` last said. While DRAM cannot accept, a waiting
-    /// `dram_out` is not due: only being told otherwise moves it. Derived
-    /// state, never snapshotted: `true` until told, which errs early.
-    dram_ready: bool,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -156,14 +130,8 @@ impl GtscL2 {
             mem_ts: Timestamp::INIT,
             epoch: 0,
             overflow: false,
-            backing: FxHashMap::default(),
-            pending: Mshr::new(p.mshr_entries, p.mshr_merges),
+            shell: BankShell::new(p.latency, p.ports, p.mshr_entries, p.mshr_merges),
             applied_stores: FxHashMap::default(),
-            in_queue: VecDeque::new(),
-            head_stalled: false,
-            out_resp: VecDeque::new(),
-            dram_out: VecDeque::new(),
-            dram_ready: true,
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -196,32 +164,6 @@ impl GtscL2 {
     fn note_ts(&mut self, ts: Timestamp) {
         if ts.overflows(self.p.ts_bits) {
             self.overflow = true;
-        }
-    }
-
-    /// Brings a request from an older epoch into the current epoch: its
-    /// timestamps are meaningless after a reset, so it degrades to a
-    /// fresh-warp request (Section V-D: the L2 answers stale requests
-    /// with full fills).
-    fn sanitize(&self, msg: L1ToL2) -> L1ToL2 {
-        match msg {
-            L1ToL2::Read(r) if r.epoch < self.epoch => L1ToL2::Read(ReadReq {
-                wts: Timestamp(0),
-                warp_ts: Timestamp::INIT,
-                epoch: self.epoch,
-                ..r
-            }),
-            L1ToL2::Write(w) if w.epoch < self.epoch => L1ToL2::Write(WriteReq {
-                warp_ts: Timestamp::INIT,
-                epoch: self.epoch,
-                ..w
-            }),
-            L1ToL2::Atomic(w) if w.epoch < self.epoch => L1ToL2::Atomic(WriteReq {
-                warp_ts: Timestamp::INIT,
-                epoch: self.epoch,
-                ..w
-            }),
-            other => other,
         }
     }
 
@@ -336,7 +278,7 @@ impl GtscL2 {
                         rts: new_rts,
                         epoch,
                     });
-                self.out_resp.push_back((src, resp));
+                self.shell.respond(src, resp);
             }
             L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
                 // Figure 5 — and the reason G-TSC never stalls on writes:
@@ -386,16 +328,16 @@ impl GtscL2 {
                 } else {
                     L2ToL1::WriteAck(ack)
                 };
-                self.out_resp.push_back((src, resp));
+                self.shell.respond(src, resp);
             }
         }
     }
 
-    fn handle(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        let msg = self.sanitize(msg);
-        let block = msg.block();
+    fn handle(&mut self, src: usize, msg: L1ToL2) {
+        // Section V-D: a stale-epoch request is answered as a fresh one.
+        let msg = msg.rebased(self.epoch);
         self.stats.accesses += 1;
-        if self.tags.peek(block).is_some() {
+        if self.tags.peek(msg.block()).is_some() {
             self.stats.hits += 1;
             self.serve_hit(src, msg);
             return;
@@ -403,37 +345,11 @@ impl GtscL2 {
         // Miss: both loads and stores fetch the block from DRAM first
         // (write-allocate; Figure 5's miss path).
         self.stats.cold_misses += 1;
-        let span = msg.span();
-        match self.pending.register(block, PendingReq { src, msg }) {
-            MshrAlloc::AllocatedNew => {
-                self.spans
-                    .overlay_enter(span, HopKind::DramWait, self.clock);
-                self.dram_out.push_back((block, false));
-            }
-            MshrAlloc::Merged => {
-                self.spans
-                    .overlay_enter(span, HopKind::DramWait, self.clock);
-                self.stats.mshr_merges += 1;
-            }
-            MshrAlloc::Full => {
-                unreachable!("tick() admits requests only when the MSHR can take them")
-            }
+        self.spans
+            .overlay_enter(msg.span(), HopKind::DramWait, self.clock);
+        if self.shell.miss(src, msg) {
+            self.stats.mshr_merges += 1;
         }
-        let _ = now;
-    }
-
-    /// Whether the bank can service `msg` this cycle without dropping or
-    /// reordering it. A miss that cannot get an MSHR slot stalls the input
-    /// queue head-of-line (younger same-block requests must not overtake).
-    fn can_handle(&self, msg: &L1ToL2) -> bool {
-        let block = self.sanitize(*msg).block();
-        if self.tags.peek(block).is_some() {
-            return true;
-        }
-        if self.pending.contains(block) {
-            return self.pending.waiters(block) < 256; // merge capacity
-        }
-        !self.pending.is_full()
     }
 
     fn evict(&mut self, evicted: gtsc_mem::EvictedLine<L2Meta>) {
@@ -453,22 +369,19 @@ impl GtscL2 {
                 mem_ts,
             });
         if evicted.meta.dirty {
-            self.backing.insert(evicted.block, evicted.meta.version);
-            self.dram_out.push_back((evicted.block, true));
+            self.shell.write_back(evicted.block, evicted.meta.version);
         }
         if self.p.inclusion == InclusionPolicy::Inclusive {
             // Ablation of Section V-C: an inclusive L2 must recall every
             // private copy on eviction (broadcast — there is no sharer
             // tracking), costing NoC traffic G-TSC avoids.
             for sm in 0..self.p.n_sms {
-                self.out_resp.push_back((
-                    sm,
-                    L2ToL1::Invalidate {
-                        block: evicted.block,
-                        epoch: self.epoch,
-                        span: SpanId::NONE,
-                    },
-                ));
+                let recall = L2ToL1::Invalidate {
+                    block: evicted.block,
+                    epoch: self.epoch,
+                    span: SpanId::NONE,
+                };
+                self.shell.respond(sm, recall);
             }
         }
     }
@@ -484,20 +397,15 @@ gtsc_types::snap_fields!(L2Meta {
     renew_streak,
 });
 
-gtsc_types::snap_fields!(PendingReq { src, msg });
-
 impl L2Controller for GtscL2 {
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
         self.tags.save_state(w);
         self.mem_ts.save(w);
         self.epoch.save(w);
         self.overflow.save(w);
-        self.backing.save(w);
-        self.pending.save_state(w);
+        self.shell.save_memory(w);
         self.applied_stores.save(w);
-        self.in_queue.save(w);
-        self.out_resp.save(w);
-        self.dram_out.save(w);
+        self.shell.save_queues(w);
         self.stats.save(w);
         self.clock.save(w);
         Ok(())
@@ -508,34 +416,29 @@ impl L2Controller for GtscL2 {
         self.mem_ts = Snap::load(r)?;
         self.epoch = Snap::load(r)?;
         self.overflow = Snap::load(r)?;
-        self.backing = Snap::load(r)?;
-        self.pending.load_state(r)?;
+        self.shell.load_memory(r)?;
         self.applied_stores = Snap::load(r)?;
-        self.in_queue = Snap::load(r)?;
-        self.out_resp = Snap::load(r)?;
-        self.dram_out = Snap::load(r)?;
+        self.shell.load_queues(r)?;
         self.stats = Snap::load(r)?;
         self.clock = Snap::load(r)?;
-        self.head_stalled = false;
-        self.dram_ready = true;
         Ok(())
     }
 
     fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
         self.clock = self.clock.max(now);
-        self.in_queue.push_back((now + self.p.latency, src, msg));
+        self.shell.arrive(src, msg, now);
     }
 
     fn take_response(&mut self) -> Option<(usize, L2ToL1)> {
-        self.out_resp.pop_front()
+        self.shell.take_response()
     }
 
     fn take_dram_request(&mut self) -> Option<(BlockAddr, bool)> {
-        self.dram_out.pop_front()
+        self.shell.take_dram_request()
     }
 
     fn dram_ready(&mut self, ready: bool) {
-        self.dram_ready = ready;
+        self.shell.dram_ready(ready);
     }
 
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, now: Cycle) {
@@ -543,13 +446,11 @@ impl L2Controller for GtscL2 {
         if is_write {
             return; // write-back completion needs no action
         }
-        self.head_stalled = false;
         // Install the fill with the mem_ts lease of Figure 6.
-        let version = self.backing.get(&block).copied().unwrap_or(Version::ZERO);
         let meta = L2Meta {
             wts: self.mem_ts,
             rts: grant_rts(self.mem_ts, self.p.lease),
-            version,
+            version: self.shell.fetched(block),
             dirty: false,
             renew_streak: 0,
         };
@@ -567,50 +468,30 @@ impl L2Controller for GtscL2 {
             Err(_) => unreachable!("G-TSC L2 never refuses eviction"),
         }
         // Serve the requests that were waiting on this fetch, in order.
-        let mut waiters = self.pending.take(block);
-        for w in waiters.drain(..) {
-            // They were already counted on arrival; serve directly.
-            let msg = self.sanitize(w.msg);
+        let mut waiters = self.shell.installed(block);
+        for (src, msg) in waiters.drain(..) {
+            // They were already counted on arrival; serve directly. The
+            // epoch may have moved while they waited.
+            let msg = msg.rebased(self.epoch);
             self.spans.overlay_exit(msg.span(), HopKind::DramWait, now);
-            self.serve_hit(w.src, msg);
+            self.serve_hit(src, msg);
         }
-        self.pending.recycle(waiters);
-        let _ = now;
+        self.shell.recycle(waiters);
     }
 
     fn next_event_at(&self) -> Cycle {
-        if !self.out_resp.is_empty() || (self.dram_ready && !self.dram_out.is_empty()) {
-            return Cycle(0);
-        }
-        match self.in_queue.front() {
-            Some(&(ready, ..)) if !self.head_stalled => ready,
-            _ => Cycle(u64::MAX),
-        }
+        self.shell.next_event_at()
     }
 
     fn tick(&mut self, now: Cycle) {
-        // Above the early return: `apply_reset` and `evict` stamp with it.
+        // `apply_reset` and `evict` stamp with it.
         self.clock = self.clock.max(now);
-        if self.head_stalled {
-            debug_assert!(
-                (self.in_queue.front()).is_some_and(|(_, _, msg)| !self.can_handle(msg)),
-                "L2 head-of-line stall lapsed without a fill or a crash"
-            );
-            return;
-        }
-        for _ in 0..self.p.ports {
-            match self.in_queue.front() {
-                Some((ready, _, msg)) if *ready <= now => {
-                    if !self.can_handle(msg) {
-                        // Head-of-line stall until an MSHR frees.
-                        self.head_stalled = true;
-                        break;
-                    }
-                    let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
-                    self.handle(src, msg, now);
-                }
-                _ => break,
-            }
+        for _ in 0..self.shell.ports() {
+            let resident = |m: &L1ToL2| self.tags.peek(m.block()).is_some();
+            let Some((src, msg)) = self.shell.pop_ready(now, resident) else {
+                break;
+            };
+            self.handle(src, msg);
         }
     }
 
@@ -652,23 +533,11 @@ impl L2Controller for GtscL2 {
         // from DRAM). Resident versions fold into the backing store so
         // post-recovery fetches observe them.
         for line in self.tags.flush() {
-            self.backing.insert(line.block, line.meta.version);
+            self.shell.store_back(line.block, line.meta.version);
         }
-        // Every in-flight transaction dies with the bank: close their
-        // sampled spans so no span leaks open across the reset.
-        for block in self.pending.blocks() {
-            for w in self.pending.take(block) {
-                self.spans.close(w.msg.span(), CloseReason::BankReset, now);
-            }
-        }
-        for (_, _, msg) in self.in_queue.drain(..) {
-            self.spans.close(msg.span(), CloseReason::BankReset, now);
-        }
-        self.head_stalled = false;
-        for (_, resp) in self.out_resp.drain(..) {
-            self.spans.close(resp.span(), CloseReason::BankReset, now);
-        }
-        self.dram_out.clear();
+        // Every in-flight transaction dies with the bank, its sampled
+        // spans closed so none leaks open across the reset.
+        self.shell.crash(&self.spans, now);
         // The replay filter dies with the bank. Safe only because the
         // transport resets the bank's flows in the same cycle: a store
         // duplicate from before the crash can no longer be delivered
@@ -695,10 +564,7 @@ impl L2Controller for GtscL2 {
     }
 
     fn is_idle(&self) -> bool {
-        self.in_queue.is_empty()
-            && self.pending.is_empty()
-            && self.out_resp.is_empty()
-            && self.dram_out.is_empty()
+        self.shell.is_idle()
     }
 
     fn stats(&self) -> CacheStats {
@@ -706,11 +572,7 @@ impl L2Controller for GtscL2 {
     }
 
     fn pressure(&self) -> ControllerPressure {
-        ControllerPressure {
-            mshr: self.pending.len(),
-            out_queue: self.in_queue.len() + self.dram_out.len(),
-            waiting: self.out_resp.len(),
-        }
+        self.shell.pressure()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -730,24 +592,15 @@ impl L2Controller for GtscL2 {
     }
 
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        // BTreeMap so the returned image is sorted by block address and
-        // never leaks the hash-keyed backing store's iteration order.
-        let mut img: std::collections::BTreeMap<BlockAddr, Version> = self
-            .backing
-            .iter() // lint: allow(hash-iter): re-keyed into a BTreeMap before anything observes the order.
-            .map(|(b, v)| (*b, *v))
-            .collect();
-        for line in self.tags.iter() {
-            img.insert(line.block, line.meta.version);
-        }
-        img.into_iter().collect()
+        let resident = self.tags.iter().map(|l| (l.block, l.meta.version));
+        self.shell.memory_image(resident)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtsc_protocol::msg::ReadReq;
+    use gtsc_protocol::msg::{ReadReq, WriteReq};
 
     fn read(block: u64, wts: u64, warp_ts: u64) -> L1ToL2 {
         L1ToL2::Read(ReadReq {
@@ -1180,7 +1033,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use gtsc_protocol::msg::ReadReq;
+    use gtsc_protocol::msg::{ReadReq, WriteReq};
     use proptest::prelude::*;
     use std::collections::HashMap;
 

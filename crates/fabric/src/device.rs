@@ -526,8 +526,8 @@ impl L2Controller for DeviceL2 {
     /// time coordinate system and is discarded (re-acquired on demand).
     /// Parked requests survive — their fabric round trips are answered
     /// in the new epoch — but their timestamps are in dead coordinates,
-    /// so they degrade to fresh-warp requests (Section V-D, mirroring
-    /// the home's `sanitize`). Without the degrade, a refetch would
+    /// so they degrade to fresh-warp requests (Section V-D,
+    /// `ReadReq::rebased`). Without the degrade, a refetch would
     /// replay a near-overflow `warp_ts` at the *new* epoch, the home
     /// would overflow again, and the reset would livelock.
     fn apply_reset(&mut self, epoch: Epoch) {
@@ -537,9 +537,7 @@ impl L2Controller for DeviceL2 {
         self.stats.ts_rollovers += 1;
         for parked in self.read_waiters.values_mut() {
             for (_, r) in parked.iter_mut() {
-                r.wts = Timestamp(0);
-                r.warp_ts = Timestamp::INIT;
-                r.epoch = epoch;
+                *r = r.rebased(epoch);
             }
         }
         self.tracer

@@ -25,9 +25,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gtsc_core::rules::{extend_rts, grant_rts, store_wts};
-use gtsc_protocol::msg::{
-    Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteAckResp, WriteReq,
-};
+use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
 use gtsc_trace::{EventKind, Sanitizer, Tracer, Transition};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Lease, Timestamp, Version};
@@ -239,31 +237,6 @@ impl HomeNode {
         }
     }
 
-    /// Brings a stale-epoch request into the current epoch (Section V-D:
-    /// its timestamps are meaningless, so it degrades to a fresh-warp
-    /// request). Mirrors `GtscL2::sanitize`.
-    fn sanitize(&self, msg: L1ToL2) -> L1ToL2 {
-        match msg {
-            L1ToL2::Read(r) if r.epoch < self.epoch => L1ToL2::Read(ReadReq {
-                wts: Timestamp(0),
-                warp_ts: Timestamp::INIT,
-                epoch: self.epoch,
-                ..r
-            }),
-            L1ToL2::Write(w) if w.epoch < self.epoch => L1ToL2::Write(WriteReq {
-                warp_ts: Timestamp::INIT,
-                epoch: self.epoch,
-                ..w
-            }),
-            L1ToL2::Atomic(w) if w.epoch < self.epoch => L1ToL2::Atomic(WriteReq {
-                warp_ts: Timestamp::INIT,
-                epoch: self.epoch,
-                ..w
-            }),
-            other => other,
-        }
-    }
-
     /// The replay filter: if this exact store was already applied,
     /// returns its recorded ack for re-emission; otherwise records the
     /// ack being applied now. Bounded far deeper than any retry lag.
@@ -288,7 +261,8 @@ impl HomeNode {
     }
 
     fn serve(&mut self, dev: usize, msg: L1ToL2) {
-        let msg = self.sanitize(msg);
+        // Section V-D: a stale-epoch request is answered as a fresh one.
+        let msg = msg.rebased(self.epoch);
         let block = msg.block();
         self.stats.accesses += 1;
         let lease = self.p.lease;
@@ -465,6 +439,7 @@ impl HomeNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtsc_protocol::msg::{ReadReq, WriteReq};
     use gtsc_types::SpanId;
 
     fn read(block: u64, wts: u64, warp_ts: u64) -> L1ToL2 {

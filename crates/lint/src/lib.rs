@@ -21,7 +21,7 @@
 //!   `crates/sim/src` (the simulator must use `ReliableNet`).
 //!
 //! Determinism rules, scanned over every simulation-state crate
-//! (`crates/{core,baselines,sim,noc,fabric,mem,gpu}/src`) —
+//! (`crates/{core,baselines,protocol,sim,noc,fabric,mem,gpu}/src`) —
 //! each bans a nondeterminism source that would break bit-identical
 //! replay, the property the model checker, snapshot/restore, and the
 //! race oracle all stand on:
@@ -150,6 +150,7 @@ const RAW_NETWORK_DIRS: &[&str] = &["crates/sim/src"];
 const DETERMINISM_DIRS: &[&str] = &[
     "crates/core/src",
     "crates/baselines/src",
+    "crates/protocol/src",
     "crates/sim/src",
     "crates/noc/src",
     "crates/fabric/src",

@@ -93,6 +93,16 @@ impl<W> Mshr<W> {
         MshrAlloc::AllocatedNew
     }
 
+    /// Whether [`Mshr::register`] would take a miss on `block` (merge it
+    /// or allocate for it) rather than answer [`MshrAlloc::Full`].
+    #[must_use]
+    pub fn can_register(&self, block: BlockAddr) -> bool {
+        match self.entries.get(&block) {
+            Some(list) => list.len() < self.max_merges,
+            None => self.entries.len() < self.max_entries,
+        }
+    }
+
     /// Whether an entry for `block` is outstanding.
     #[must_use]
     pub fn contains(&self, block: BlockAddr) -> bool {
@@ -136,12 +146,6 @@ impl<W> Mshr<W> {
                 true
             }
         }
-    }
-
-    /// Waiters currently registered for `block`.
-    #[must_use]
-    pub fn waiters(&self, block: BlockAddr) -> usize {
-        self.entries.get(&block).map_or(0, Vec::len)
     }
 
     /// Number of live entries.
@@ -204,10 +208,12 @@ mod tests {
     #[test]
     fn allocate_merge_full_cycle() {
         let mut m: Mshr<u32> = Mshr::new(1, 8);
+        assert!(m.can_register(BlockAddr(1)));
         assert_eq!(m.register(BlockAddr(1), 0), MshrAlloc::AllocatedNew);
+        assert!(!m.can_register(BlockAddr(2)));
         assert_eq!(m.register(BlockAddr(2), 1), MshrAlloc::Full); // entry cap
+        assert!(m.can_register(BlockAddr(1)));
         assert_eq!(m.register(BlockAddr(1), 2), MshrAlloc::Merged);
-        assert_eq!(m.waiters(BlockAddr(1)), 2);
         assert_eq!(m.take(BlockAddr(1)), vec![0, 2]);
         assert!(m.is_empty());
         assert!(!m.contains(BlockAddr(1)));

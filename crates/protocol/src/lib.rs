@@ -9,7 +9,9 @@
 //!   exact on-wire sizes (used for NoC traffic accounting);
 //! * [`api`] — the [`api::L1Controller`] and
 //!   [`api::L2Controller`] traits implemented by G-TSC
-//!   (`gtsc-core`), TC/TC-Weak and the baselines (`gtsc-baselines`).
+//!   (`gtsc-core`), TC/TC-Weak and the baselines (`gtsc-baselines`);
+//! * [`shell`] — the [`shell::BankShell`] every one of those L2 banks
+//!   queues its requests, fetches and responses in.
 //!
 //! The same SM pipeline, NoC, and DRAM models drive every protocol through
 //! these traits, so measured differences are attributable to the protocol
@@ -17,6 +19,7 @@
 
 pub mod api;
 pub mod msg;
+pub mod shell;
 
 pub use api::{
     AccessId, AccessKind, Completion, ControllerPressure, L1Controller, L1Outcome, L2Controller,
@@ -25,3 +28,4 @@ pub use api::{
 pub use msg::{
     Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, MsgSizes, ReadReq, WriteAckResp, WriteReq,
 };
+pub use shell::BankShell;

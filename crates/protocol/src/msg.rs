@@ -63,6 +63,24 @@ pub struct ReadReq {
     pub span: SpanId,
 }
 
+impl ReadReq {
+    /// The request as a bank in `epoch` must read it (see
+    /// [`L1ToL2::rebased`]): from an older epoch it also forgets the copy
+    /// it holds, `wts` 0, so the answer is a full fill.
+    #[must_use]
+    pub fn rebased(self, epoch: Epoch) -> ReadReq {
+        if self.epoch >= epoch {
+            return self;
+        }
+        ReadReq {
+            wts: Timestamp(0),
+            warp_ts: Timestamp::INIT,
+            epoch,
+            ..self
+        }
+    }
+}
+
 /// Write request (`BusWr`), L1 → L2. L1 is write-through, so every store
 /// reaches the L2 (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +96,22 @@ pub struct WriteReq {
     /// Causal-span identity ([`SpanId::NONE`] when unsampled); zero
     /// wire bytes.
     pub span: SpanId,
+}
+
+impl WriteReq {
+    /// The request as a bank in `epoch` must read it (see
+    /// [`L1ToL2::rebased`]).
+    #[must_use]
+    pub fn rebased(self, epoch: Epoch) -> WriteReq {
+        if self.epoch >= epoch {
+            return self;
+        }
+        WriteReq {
+            warp_ts: Timestamp::INIT,
+            epoch,
+            ..self
+        }
+    }
 }
 
 /// Fill response (`BusFill`), L2 → L1: data plus its lease.
@@ -144,6 +178,21 @@ impl L1ToL2 {
         match self {
             L1ToL2::Read(r) => r.span,
             L1ToL2::Write(w) | L1ToL2::Atomic(w) => w.span,
+        }
+    }
+
+    /// The request as a bank in `epoch` must read it (Section V-D). The
+    /// timestamps of a request from an older epoch are in coordinates
+    /// the reset discarded, so it degrades to a fresh-warp request of
+    /// `epoch` — `warp_ts` [`Timestamp::INIT`], and for a read `wts` 0 —
+    /// which the bank answers with a full fill. A request of `epoch`
+    /// itself is untouched.
+    #[must_use]
+    pub fn rebased(self, epoch: Epoch) -> L1ToL2 {
+        match self {
+            L1ToL2::Read(r) => L1ToL2::Read(r.rebased(epoch)),
+            L1ToL2::Write(w) => L1ToL2::Write(w.rebased(epoch)),
+            L1ToL2::Atomic(w) => L1ToL2::Atomic(w.rebased(epoch)),
         }
     }
 }
@@ -565,6 +614,50 @@ mod tests {
             span: SpanId::NONE,
         });
         assert_eq!(rd.block(), BlockAddr(4));
+    }
+
+    /// Section V-D, per variant: an older epoch's timestamps are dropped
+    /// and the request enters the bank's epoch; nothing else moves, and a
+    /// request of the bank's own epoch is untouched.
+    #[test]
+    fn stale_epoch_requests_rebase_per_variant() {
+        let r = ReadReq {
+            block: BlockAddr(4),
+            wts: Timestamp(7),
+            warp_ts: Timestamp(9),
+            epoch: 1,
+            span: SpanId(3),
+        };
+        let w = WriteReq {
+            block: BlockAddr(4),
+            warp_ts: Timestamp(9),
+            version: Version(5),
+            epoch: 1,
+            span: SpanId(3),
+        };
+        let fresh_r = ReadReq {
+            wts: Timestamp(0),
+            warp_ts: Timestamp::INIT,
+            epoch: 2,
+            ..r
+        };
+        let fresh_w = WriteReq {
+            warp_ts: Timestamp::INIT,
+            epoch: 2,
+            ..w
+        };
+        assert_eq!(r.rebased(2), fresh_r);
+        assert_eq!(L1ToL2::Read(r).rebased(2), L1ToL2::Read(fresh_r));
+        assert_eq!(L1ToL2::Write(w).rebased(2), L1ToL2::Write(fresh_w));
+        assert_eq!(L1ToL2::Atomic(w).rebased(2), L1ToL2::Atomic(fresh_w));
+        for msg in [L1ToL2::Read(r), L1ToL2::Write(w), L1ToL2::Atomic(w)] {
+            assert_eq!(msg.rebased(1), msg, "same epoch");
+            assert_eq!(
+                msg.rebased(0),
+                msg,
+                "a newer request is not the bank's to rewrite"
+            );
+        }
     }
 
     #[test]

@@ -290,47 +290,99 @@ impl LatencyHist {
     }
 }
 
-/// Per-SM pipeline counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SmStats {
-    /// Instructions issued (all classes).
-    pub issued: u64,
-    /// Memory instructions issued.
-    pub mem_issued: u64,
-    /// Warp-cycles stalled on memory delays (the Figure 13 metric).
-    pub memory_stall_cycles: u64,
-    /// Warp-cycles stalled at fences.
-    pub fence_stall_cycles: u64,
-    /// Warp-cycles stalled at barriers.
-    pub barrier_stall_cycles: u64,
-    /// Warp-cycles stalled for structural hazards.
-    pub structural_stall_cycles: u64,
-    /// Cycles in which the SM issued nothing although warps were resident.
-    pub idle_cycles: u64,
-    /// Cycles in which the SM issued at least one instruction.
-    pub active_cycles: u64,
-    /// Histogram of memory-access latencies (issue → completion).
-    pub mem_latency: LatencyHist,
-    /// Top-down attribution of every simulated cycle (DESIGN.md §15);
-    /// sums exactly to the elapsed cycle count.
-    pub cycle_buckets: CycleBuckets,
+/// What a counter field does for its struct's `merge` and `diff`.
+trait Counter {
+    fn add(&mut self, rhs: &Self);
+    fn delta(&self, rhs: &Self) -> Self;
+}
+
+impl Counter for u64 {
+    fn add(&mut self, rhs: &u64) {
+        *self += rhs;
+    }
+    fn delta(&self, rhs: &u64) -> u64 {
+        self.saturating_sub(*rhs)
+    }
+}
+
+impl Counter for LatencyHist {
+    fn add(&mut self, rhs: &LatencyHist) {
+        self.merge(rhs);
+    }
+    fn delta(&self, rhs: &LatencyHist) -> LatencyHist {
+        self.diff(rhs)
+    }
+}
+
+impl Counter for CycleBuckets {
+    fn add(&mut self, rhs: &CycleBuckets) {
+        self.merge(rhs);
+    }
+    fn delta(&self, rhs: &CycleBuckets) -> CycleBuckets {
+        self.diff(rhs)
+    }
+}
+
+/// Declares a counter struct once: the public fields as listed, `merge`,
+/// `diff` and the snapshot encoding (DESIGN.md §14), each over every
+/// field in declaration order — a counter cannot be merged but not
+/// diffed, or counted but not checkpointed.
+macro_rules! counters {
+    ($(#[$meta:meta])* $name:ident { $($(#[$fmeta:meta])* $field:ident: $ty:ty,)+ }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)+
+        }
+
+        impl $name {
+            /// Adds `rhs` into `self`.
+            pub fn merge(&mut self, rhs: &$name) {
+                $(Counter::add(&mut self.$field, &rhs.$field);)+
+            }
+
+            /// Field-wise `self - rhs` (saturating), for interval deltas
+            /// where `rhs` is an earlier snapshot of the same counters.
+            #[must_use]
+            pub fn diff(&self, rhs: &$name) -> $name {
+                $name {
+                    $($field: Counter::delta(&self.$field, &rhs.$field),)+
+                }
+            }
+        }
+
+        crate::snap_fields!($name { $($field),+ });
+    };
+}
+
+counters! {
+    /// Per-SM pipeline counters.
+    SmStats {
+        /// Instructions issued (all classes).
+        issued: u64,
+        /// Memory instructions issued.
+        mem_issued: u64,
+        /// Warp-cycles stalled on memory delays (the Figure 13 metric).
+        memory_stall_cycles: u64,
+        /// Warp-cycles stalled at fences.
+        fence_stall_cycles: u64,
+        /// Warp-cycles stalled at barriers.
+        barrier_stall_cycles: u64,
+        /// Warp-cycles stalled for structural hazards.
+        structural_stall_cycles: u64,
+        /// Cycles in which the SM issued nothing although warps were resident.
+        idle_cycles: u64,
+        /// Cycles in which the SM issued at least one instruction.
+        active_cycles: u64,
+        /// Histogram of memory-access latencies (issue → completion).
+        mem_latency: LatencyHist,
+        /// Top-down attribution of every simulated cycle (DESIGN.md §15);
+        /// sums exactly to the elapsed cycle count.
+        cycle_buckets: CycleBuckets,
+    }
 }
 
 impl SmStats {
-    /// Adds `rhs` into `self`.
-    pub fn merge(&mut self, rhs: &SmStats) {
-        self.issued += rhs.issued;
-        self.mem_issued += rhs.mem_issued;
-        self.memory_stall_cycles += rhs.memory_stall_cycles;
-        self.fence_stall_cycles += rhs.fence_stall_cycles;
-        self.barrier_stall_cycles += rhs.barrier_stall_cycles;
-        self.structural_stall_cycles += rhs.structural_stall_cycles;
-        self.idle_cycles += rhs.idle_cycles;
-        self.active_cycles += rhs.active_cycles;
-        self.mem_latency.merge(&rhs.mem_latency);
-        self.cycle_buckets.merge(&rhs.cycle_buckets);
-    }
-
     /// Records one stalled warp-cycle of the given kind.
     pub fn record_stall(&mut self, kind: StallKind) {
         match kind {
@@ -349,92 +401,49 @@ impl SmStats {
             + self.barrier_stall_cycles
             + self.structural_stall_cycles
     }
-
-    /// Field-wise `self - rhs` (saturating), for interval deltas where
-    /// `rhs` is an earlier snapshot of the same counters.
-    #[must_use]
-    pub fn diff(&self, rhs: &SmStats) -> SmStats {
-        SmStats {
-            issued: self.issued.saturating_sub(rhs.issued),
-            mem_issued: self.mem_issued.saturating_sub(rhs.mem_issued),
-            memory_stall_cycles: self
-                .memory_stall_cycles
-                .saturating_sub(rhs.memory_stall_cycles),
-            fence_stall_cycles: self
-                .fence_stall_cycles
-                .saturating_sub(rhs.fence_stall_cycles),
-            barrier_stall_cycles: self
-                .barrier_stall_cycles
-                .saturating_sub(rhs.barrier_stall_cycles),
-            structural_stall_cycles: self
-                .structural_stall_cycles
-                .saturating_sub(rhs.structural_stall_cycles),
-            idle_cycles: self.idle_cycles.saturating_sub(rhs.idle_cycles),
-            active_cycles: self.active_cycles.saturating_sub(rhs.active_cycles),
-            mem_latency: self.mem_latency.diff(&rhs.mem_latency),
-            cycle_buckets: self.cycle_buckets.diff(&rhs.cycle_buckets),
-        }
-    }
 }
 
-/// Counters for one cache (an L1 or an L2 bank).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Total lookups (loads + stores).
-    pub accesses: u64,
-    /// Lookups that hit with a valid (unexpired) line.
-    pub hits: u64,
-    /// Lookups that missed because the tag was absent.
-    pub cold_misses: u64,
-    /// Tag matched but the lease had expired / `warp_ts` exceeded `rts`
-    /// (a *coherence miss*, Section II-D).
-    pub expired_misses: u64,
-    /// Lookups blocked on a line awaiting a write ack (update visibility,
-    /// Section V-A).
-    pub blocked_on_pending_write: u64,
-    /// Renewal requests sent (L1) or served (L2).
-    pub renewals: u64,
-    /// Store operations processed.
-    pub stores: u64,
-    /// Lines evicted.
-    pub evictions: u64,
-    /// Cycles a write sat stalled waiting for leases to expire (TC only).
-    pub write_stall_cycles: u64,
-    /// Cycles replacement stalled because every victim had a live lease
-    /// (TC inclusive-L2 only).
-    pub eviction_stall_cycles: u64,
-    /// Timestamp rollover events handled (G-TSC, Section V-D).
-    pub ts_rollovers: u64,
-    /// Requests merged into an existing MSHR entry.
-    pub mshr_merges: u64,
-    /// Duplicate store/atomic requests dropped by the L2 replay filter
-    /// (nonzero only under fault injection's at-least-once delivery).
-    pub replayed_stores: u64,
-    /// End-to-end retries: requests re-issued by the L1 after the
-    /// `TransportConfig::retry_timeout` elapsed without an answer
-    /// (nonzero only under loss-fault injection).
-    pub retries: u64,
+counters! {
+    /// Counters for one cache (an L1 or an L2 bank).
+    CacheStats {
+        /// Total lookups (loads + stores).
+        accesses: u64,
+        /// Lookups that hit with a valid (unexpired) line.
+        hits: u64,
+        /// Lookups that missed because the tag was absent.
+        cold_misses: u64,
+        /// Tag matched but the lease had expired / `warp_ts` exceeded `rts`
+        /// (a *coherence miss*, Section II-D).
+        expired_misses: u64,
+        /// Lookups blocked on a line awaiting a write ack (update visibility,
+        /// Section V-A).
+        blocked_on_pending_write: u64,
+        /// Renewal requests sent (L1) or served (L2).
+        renewals: u64,
+        /// Store operations processed.
+        stores: u64,
+        /// Lines evicted.
+        evictions: u64,
+        /// Cycles a write sat stalled waiting for leases to expire (TC only).
+        write_stall_cycles: u64,
+        /// Cycles replacement stalled because every victim had a live lease
+        /// (TC inclusive-L2 only).
+        eviction_stall_cycles: u64,
+        /// Timestamp rollover events handled (G-TSC, Section V-D).
+        ts_rollovers: u64,
+        /// Requests merged into an existing MSHR entry.
+        mshr_merges: u64,
+        /// Duplicate store/atomic requests dropped by the L2 replay filter
+        /// (nonzero only under fault injection's at-least-once delivery).
+        replayed_stores: u64,
+        /// End-to-end retries: requests re-issued by the L1 after the
+        /// `TransportConfig::retry_timeout` elapsed without an answer
+        /// (nonzero only under loss-fault injection).
+        retries: u64,
+    }
 }
 
 impl CacheStats {
-    /// Adds `rhs` into `self`.
-    pub fn merge(&mut self, rhs: &CacheStats) {
-        self.accesses += rhs.accesses;
-        self.hits += rhs.hits;
-        self.cold_misses += rhs.cold_misses;
-        self.expired_misses += rhs.expired_misses;
-        self.blocked_on_pending_write += rhs.blocked_on_pending_write;
-        self.renewals += rhs.renewals;
-        self.stores += rhs.stores;
-        self.evictions += rhs.evictions;
-        self.write_stall_cycles += rhs.write_stall_cycles;
-        self.eviction_stall_cycles += rhs.eviction_stall_cycles;
-        self.ts_rollovers += rhs.ts_rollovers;
-        self.mshr_merges += rhs.mshr_merges;
-        self.replayed_stores += rhs.replayed_stores;
-        self.retries += rhs.retries;
-    }
-
     /// All misses (cold + expired).
     #[must_use]
     pub fn misses(&self) -> u64 {
@@ -450,123 +459,55 @@ impl CacheStats {
             self.hits as f64 / self.accesses as f64
         }
     }
+}
 
-    /// Field-wise `self - rhs` (saturating), for interval deltas where
-    /// `rhs` is an earlier snapshot of the same counters.
-    #[must_use]
-    pub fn diff(&self, rhs: &CacheStats) -> CacheStats {
-        CacheStats {
-            accesses: self.accesses.saturating_sub(rhs.accesses),
-            hits: self.hits.saturating_sub(rhs.hits),
-            cold_misses: self.cold_misses.saturating_sub(rhs.cold_misses),
-            expired_misses: self.expired_misses.saturating_sub(rhs.expired_misses),
-            blocked_on_pending_write: self
-                .blocked_on_pending_write
-                .saturating_sub(rhs.blocked_on_pending_write),
-            renewals: self.renewals.saturating_sub(rhs.renewals),
-            stores: self.stores.saturating_sub(rhs.stores),
-            evictions: self.evictions.saturating_sub(rhs.evictions),
-            write_stall_cycles: self
-                .write_stall_cycles
-                .saturating_sub(rhs.write_stall_cycles),
-            eviction_stall_cycles: self
-                .eviction_stall_cycles
-                .saturating_sub(rhs.eviction_stall_cycles),
-            ts_rollovers: self.ts_rollovers.saturating_sub(rhs.ts_rollovers),
-            mshr_merges: self.mshr_merges.saturating_sub(rhs.mshr_merges),
-            replayed_stores: self.replayed_stores.saturating_sub(rhs.replayed_stores),
-            retries: self.retries.saturating_sub(rhs.retries),
-        }
+counters! {
+    /// Reliable-transport counters (`gtsc_noc::ReliableNet`), all zero on
+    /// the fault-free fast path where the transport runs in passthrough
+    /// mode. `bank_recoveries` is filled in by the simulator (crash events
+    /// are injected above the NoC).
+    TransportStats {
+        /// Payloads delivered to the protocol exactly once, in per-flow
+        /// FIFO order (the transport's contract).
+        delivered: u64,
+        /// Data segments re-sent (timeout- or NACK-driven).
+        retransmits: u64,
+        /// Retransmits triggered by a timeout expiry specifically.
+        timeouts: u64,
+        /// NACKs sent by receivers (gap observed or payload corrupted).
+        nacks: u64,
+        /// Unacked segments retired by cumulative ACKs.
+        acks: u64,
+        /// Duplicate or stale segments discarded by the receive window.
+        dup_dropped: u64,
+        /// Retransmits that hit the exponential-backoff cap.
+        max_backoff_hits: u64,
+        /// Per-flow transport resets (both ends), e.g. around a bank crash.
+        flows_reset: u64,
+        /// L2-bank crash/recovery events completed.
+        bank_recoveries: u64,
     }
 }
 
-/// Reliable-transport counters (`gtsc_noc::ReliableNet`), all zero on
-/// the fault-free fast path where the transport runs in passthrough
-/// mode. `bank_recoveries` is filled in by the simulator (crash events
-/// are injected above the NoC).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Payloads delivered to the protocol exactly once, in per-flow
-    /// FIFO order (the transport's contract).
-    pub delivered: u64,
-    /// Data segments re-sent (timeout- or NACK-driven).
-    pub retransmits: u64,
-    /// Retransmits triggered by a timeout expiry specifically.
-    pub timeouts: u64,
-    /// NACKs sent by receivers (gap observed or payload corrupted).
-    pub nacks: u64,
-    /// Unacked segments retired by cumulative ACKs.
-    pub acks: u64,
-    /// Duplicate or stale segments discarded by the receive window.
-    pub dup_dropped: u64,
-    /// Retransmits that hit the exponential-backoff cap.
-    pub max_backoff_hits: u64,
-    /// Per-flow transport resets (both ends), e.g. around a bank crash.
-    pub flows_reset: u64,
-    /// L2-bank crash/recovery events completed.
-    pub bank_recoveries: u64,
-}
-
-impl TransportStats {
-    /// Adds `rhs` into `self`.
-    pub fn merge(&mut self, rhs: &TransportStats) {
-        self.delivered += rhs.delivered;
-        self.retransmits += rhs.retransmits;
-        self.timeouts += rhs.timeouts;
-        self.nacks += rhs.nacks;
-        self.acks += rhs.acks;
-        self.dup_dropped += rhs.dup_dropped;
-        self.max_backoff_hits += rhs.max_backoff_hits;
-        self.flows_reset += rhs.flows_reset;
-        self.bank_recoveries += rhs.bank_recoveries;
+counters! {
+    /// Interconnect counters (the Figure 15 metric).
+    NocStats {
+        /// Packets injected (both networks).
+        packets: u64,
+        /// Flits transferred — the paper's "NoC traffic".
+        flits: u64,
+        /// Control-only packets (requests, renewals, acks without data).
+        control_packets: u64,
+        /// Packets carrying a data block.
+        data_packets: u64,
+        /// Sum of per-packet latencies, for averaging.
+        total_packet_latency: u64,
+        /// Cycles packets spent queued awaiting injection bandwidth.
+        queue_cycles: u64,
     }
-
-    /// Field-wise `self - rhs` (saturating), for interval deltas where
-    /// `rhs` is an earlier snapshot of the same counters.
-    #[must_use]
-    pub fn diff(&self, rhs: &TransportStats) -> TransportStats {
-        TransportStats {
-            delivered: self.delivered.saturating_sub(rhs.delivered),
-            retransmits: self.retransmits.saturating_sub(rhs.retransmits),
-            timeouts: self.timeouts.saturating_sub(rhs.timeouts),
-            nacks: self.nacks.saturating_sub(rhs.nacks),
-            acks: self.acks.saturating_sub(rhs.acks),
-            dup_dropped: self.dup_dropped.saturating_sub(rhs.dup_dropped),
-            max_backoff_hits: self.max_backoff_hits.saturating_sub(rhs.max_backoff_hits),
-            flows_reset: self.flows_reset.saturating_sub(rhs.flows_reset),
-            bank_recoveries: self.bank_recoveries.saturating_sub(rhs.bank_recoveries),
-        }
-    }
-}
-
-/// Interconnect counters (the Figure 15 metric).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NocStats {
-    /// Packets injected (both networks).
-    pub packets: u64,
-    /// Flits transferred — the paper's "NoC traffic".
-    pub flits: u64,
-    /// Control-only packets (requests, renewals, acks without data).
-    pub control_packets: u64,
-    /// Packets carrying a data block.
-    pub data_packets: u64,
-    /// Sum of per-packet latencies, for averaging.
-    pub total_packet_latency: u64,
-    /// Cycles packets spent queued awaiting injection bandwidth.
-    pub queue_cycles: u64,
 }
 
 impl NocStats {
-    /// Adds `rhs` into `self`.
-    pub fn merge(&mut self, rhs: &NocStats) {
-        self.packets += rhs.packets;
-        self.flits += rhs.flits;
-        self.control_packets += rhs.control_packets;
-        self.data_packets += rhs.data_packets;
-        self.total_packet_latency += rhs.total_packet_latency;
-        self.queue_cycles += rhs.queue_cycles;
-    }
-
     /// Mean end-to-end packet latency; `0` with no packets.
     #[must_use]
     pub fn avg_latency(&self) -> f64 {
@@ -576,60 +517,21 @@ impl NocStats {
             self.total_packet_latency as f64 / self.packets as f64
         }
     }
-
-    /// Field-wise `self - rhs` (saturating), for interval deltas where
-    /// `rhs` is an earlier snapshot of the same counters.
-    #[must_use]
-    pub fn diff(&self, rhs: &NocStats) -> NocStats {
-        NocStats {
-            packets: self.packets.saturating_sub(rhs.packets),
-            flits: self.flits.saturating_sub(rhs.flits),
-            control_packets: self.control_packets.saturating_sub(rhs.control_packets),
-            data_packets: self.data_packets.saturating_sub(rhs.data_packets),
-            total_packet_latency: self
-                .total_packet_latency
-                .saturating_sub(rhs.total_packet_latency),
-            queue_cycles: self.queue_cycles.saturating_sub(rhs.queue_cycles),
-        }
-    }
 }
 
-/// DRAM counters (per partition, merged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Read bursts serviced.
-    pub reads: u64,
-    /// Write bursts serviced.
-    pub writes: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row-buffer misses (activations).
-    pub row_misses: u64,
-    /// Requests rejected for a full queue (back-pressure events).
-    pub queue_full_events: u64,
-}
-
-impl DramStats {
-    /// Adds `rhs` into `self`.
-    pub fn merge(&mut self, rhs: &DramStats) {
-        self.reads += rhs.reads;
-        self.writes += rhs.writes;
-        self.row_hits += rhs.row_hits;
-        self.row_misses += rhs.row_misses;
-        self.queue_full_events += rhs.queue_full_events;
-    }
-
-    /// Field-wise `self - rhs` (saturating), for interval deltas where
-    /// `rhs` is an earlier snapshot of the same counters.
-    #[must_use]
-    pub fn diff(&self, rhs: &DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads.saturating_sub(rhs.reads),
-            writes: self.writes.saturating_sub(rhs.writes),
-            row_hits: self.row_hits.saturating_sub(rhs.row_hits),
-            row_misses: self.row_misses.saturating_sub(rhs.row_misses),
-            queue_full_events: self.queue_full_events.saturating_sub(rhs.queue_full_events),
-        }
+counters! {
+    /// DRAM counters (per partition, merged).
+    DramStats {
+        /// Read bursts serviced.
+        reads: u64,
+        /// Write bursts serviced.
+        writes: u64,
+        /// Row-buffer hits.
+        row_hits: u64,
+        /// Row-buffer misses (activations).
+        row_misses: u64,
+        /// Requests rejected for a full queue (back-pressure events).
+        queue_full_events: u64,
     }
 }
 
@@ -711,7 +613,7 @@ impl SimStats {
 
 // Snapshot encodings (DESIGN.md §14). `LatencyHist`'s impl must live in
 // this module because its fields are private; the plain counter structs
-// ride along for locality.
+// get theirs from `counters!`.
 impl crate::snap::Snap for LatencyHist {
     fn save(&self, w: &mut crate::snap::SnapWriter) {
         crate::snap::Snap::save(&self.buckets, w);
@@ -735,65 +637,6 @@ impl crate::snap::Snap for CycleBuckets {
         })
     }
 }
-
-crate::snap_fields!(SmStats {
-    issued,
-    mem_issued,
-    memory_stall_cycles,
-    fence_stall_cycles,
-    barrier_stall_cycles,
-    structural_stall_cycles,
-    idle_cycles,
-    active_cycles,
-    mem_latency,
-    cycle_buckets,
-});
-
-crate::snap_fields!(CacheStats {
-    accesses,
-    hits,
-    cold_misses,
-    expired_misses,
-    blocked_on_pending_write,
-    renewals,
-    stores,
-    evictions,
-    write_stall_cycles,
-    eviction_stall_cycles,
-    ts_rollovers,
-    mshr_merges,
-    replayed_stores,
-    retries,
-});
-
-crate::snap_fields!(TransportStats {
-    delivered,
-    retransmits,
-    timeouts,
-    nacks,
-    acks,
-    dup_dropped,
-    max_backoff_hits,
-    flows_reset,
-    bank_recoveries,
-});
-
-crate::snap_fields!(NocStats {
-    packets,
-    flits,
-    control_packets,
-    data_packets,
-    total_packet_latency,
-    queue_cycles,
-});
-
-crate::snap_fields!(DramStats {
-    reads,
-    writes,
-    row_hits,
-    row_misses,
-    queue_full_events,
-});
 
 crate::snap_fields!(SimStats {
     cycles,

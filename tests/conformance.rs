@@ -369,3 +369,78 @@ fn mshr_overflow_rejects_cleanly() {
         pair.drain(5000);
     }
 }
+
+/// Scenario: more misses to one block than its fetch can merge. The bank
+/// must hold the rest at the head of its queue — behind exactly one DRAM
+/// request, asleep until the fill — and then answer everyone in arrival
+/// order. Every bank at its `::default()` merge cap (64).
+#[test]
+fn l2_merge_cap_holds_the_queue_until_the_fill() {
+    use gtsc::baselines::{PlainL2, PlainL2Params, TcL2, TcL2Params};
+    use gtsc::core::{GtscL2, L2Params};
+    use gtsc::protocol::msg::ReadReq;
+    use gtsc::types::Timestamp;
+
+    let (latency, ports) = (0, 4);
+    let banks: [(&str, Box<dyn L2Controller>); 3] = [
+        (
+            "G-TSC",
+            Box::new(GtscL2::new(L2Params {
+                latency,
+                ports,
+                ..L2Params::default()
+            })),
+        ),
+        (
+            "plain",
+            Box::new(PlainL2::new(PlainL2Params {
+                latency,
+                ports,
+                ..PlainL2Params::default()
+            })),
+        ),
+        (
+            "TC",
+            Box::new(TcL2::new(TcL2Params {
+                latency,
+                ports,
+                ..TcL2Params::default()
+            })),
+        ),
+    ];
+    let block = BlockAddr(9);
+    for (name, mut l2) in banks {
+        for src in 0..70 {
+            let read = ReadReq {
+                block,
+                wts: Timestamp(0),
+                warp_ts: Timestamp(1),
+                epoch: 0,
+                span: SpanId::NONE,
+            };
+            l2.on_request(src, L1ToL2::Read(read), Cycle(0));
+        }
+        for c in 0..20 {
+            l2.tick(Cycle(c));
+        }
+        assert_eq!(l2.take_dram_request(), Some((block, false)), "{name}");
+        assert_eq!(l2.take_dram_request(), None, "{name}: one fetch");
+        assert_eq!(l2.stats().mshr_merges, 63, "{name}: 64 waiters");
+        let p = l2.pressure();
+        assert_eq!((p.mshr, p.out_queue, p.waiting), (1, 6, 0), "{name}");
+        assert_eq!(
+            l2.next_event_at(),
+            Cycle(u64::MAX),
+            "{name}: only the fill wakes it"
+        );
+
+        l2.on_dram_response(block, false, Cycle(20));
+        let mut answered = Vec::new();
+        for c in 20..30 {
+            l2.tick(Cycle(c));
+            answered.extend(std::iter::from_fn(|| l2.take_response()).map(|(dst, _)| dst));
+        }
+        assert_eq!(answered, (0..70).collect::<Vec<_>>(), "{name}");
+        assert!(l2.is_idle(), "{name}");
+    }
+}
