@@ -38,12 +38,20 @@ pub fn coalesce(addrs: &[Addr], block_shift: u32) -> Vec<BlockAddr> {
 pub(crate) fn coalesce_into(addrs: &[Addr], block_shift: u32, out: &mut VecDeque<BlockAddr>) {
     out.clear();
     let mut previous = None;
+    // One bit per low block address seen so far: a clear bit means a new
+    // block without the search (a gather's 32 lanes in 32 blocks would
+    // otherwise pay 32 × 32 compares), a set bit proves nothing.
+    let mut seen = 0u64;
     for a in addrs {
         let b = BlockAddr(a.0 >> block_shift);
         // A lane almost always falls in the block of the lane before it,
         // which is in `out` already: only a change of block is looked up.
-        if previous != Some(b) && !out.contains(&b) {
-            out.push_back(b);
+        if previous != Some(b) {
+            let bit = 1u64 << (b.0 % 64);
+            if seen & bit == 0 || !out.contains(&b) {
+                out.push_back(b);
+            }
+            seen |= bit;
         }
         previous = Some(b);
     }
@@ -76,6 +84,18 @@ mod tests {
         );
     }
 
+    /// A gather: 32 lanes in 32 distinct blocks come out as they went in,
+    /// whether their filter bits are all different or all the same.
+    #[test]
+    fn a_gather_keeps_lane_order() {
+        for stride in [1, 3, 64, 128] {
+            let blocks: Vec<u64> = (0..32).map(|lane| 5 + lane * stride).collect();
+            let addrs: Vec<Addr> = blocks.iter().map(|b| Addr((b << 7) + 4)).collect();
+            let want: Vec<BlockAddr> = blocks.into_iter().map(BlockAddr).collect();
+            assert_eq!(coalesce(&addrs, 7), want, "stride {stride}");
+        }
+    }
+
     proptest! {
         /// Output blocks are unique and every input lane is covered.
         #[test]
@@ -95,12 +115,16 @@ mod tests {
             prop_assert!(blocks.len() <= addrs.len().max(1));
         }
 
-        /// Skipping the lookup for a lane in its predecessor's block
-        /// changes nothing: first-touch order is what the naive walk
-        /// gives, on lane vectors with runs, revisits and strides.
+        /// Skipping the lookup for a lane in its predecessor's block, or
+        /// in a block whose filter bit is clear, changes nothing:
+        /// first-touch order is what the naive walk gives, on lane vectors
+        /// with runs, revisits and strides — over a few blocks, over a
+        /// gather's worth of distinct ones, and over blocks 64 apart, which
+        /// share a filter bit.
         #[test]
         fn fast_path_equals_the_naive_walk(
-            lanes in proptest::collection::vec((0u64..6, 0u64..3, 0u64..128), 0..64),
+            lanes in proptest::collection::vec((0u64..40, 0u64..3, 0u64..128), 0..64),
+            spread in 0usize..3,
             shift in 5u32..9,
         ) {
             // (block, run length, offset): runs of lanes in one block, with
@@ -108,6 +132,7 @@ mod tests {
             let addrs: Vec<Addr> = lanes
                 .iter()
                 .flat_map(|&(block, run, offset)| {
+                    let block = [block % 6, block, block % 4 * 64 + block % 2][spread];
                     (0..=run).map(move |k| Addr((block << shift) + (offset + k) % (1 << shift)))
                 })
                 .collect();

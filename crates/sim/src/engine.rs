@@ -11,32 +11,43 @@
 //! the watchdog, reports, stall diagnosis, snapshots — exists once.
 //!
 //! One cycle, in order (the checker, the shared sanitizer and the fault
-//! streams all observe this order, so it is part of the contract):
+//! streams all observe this order, so it is part of the contract). Each
+//! phase visits the *due* components of its class, in index order: the
+//! active set ([`Wake`], DESIGN.md §15.2) keeps a never-late lower bound
+//! of every component's `next_event_at`, and one that is not due is not
+//! touched — below its horizon its tick would do nothing.
 //!
-//! 1. per device, front half: SM issue, L1 housekeeping, L1 → request
+//! 1. per device, front half: due SMs issue, their L1s — those with
+//!    something queued or timed — keep house and feed the request
 //!    network, request deliveries → banks, then the memory side's
-//!    per-device bank service ([`MemorySide::serve`]);
+//!    service of the due banks ([`MemorySide::serve`]);
 //! 2. one cross-device exchange ([`MemorySide::exchange`]);
 //! 3. scheduled crashes ([`MemorySide::crash`]);
-//! 4. the global reset: memory side first, then every bank;
-//! 5. per device, back half: banks → response network → L1s, then the
-//!    cycle-reason accounting;
-//! 6. fold and jump (between steps, in `advance_kernel`): every stepped
-//!    component names the first cycle at which it could do anything
-//!    unprompted (`next_event_at`: SMs with their L1s, both crossbars,
-//!    the banks, the memory side), the engine adds its own timers — the
-//!    next scheduled crash, the interval sampler, the checker's
-//!    compaction poll when it is over its threshold, the watchdog
-//!    deadline, `max_cycles`, the end of the slice, and a parked grid tail
-//!    an SM can now take — and the cycles before the minimum are not
-//!    stepped: `now` moves there and each SM books them in O(1)
-//!    (DESIGN.md §15.2). A stepped empty cycle and a jumped one leave the
-//!    same machine behind, which is why slicing stays invisible.
+//! 4. the global reset: memory side first, then every bank (the one
+//!    cycle that touches everything: skipped components are ticked first
+//!    for the `clock` they stamp with, sleeping SMs book a freeze);
+//! 5. per device, back half: due banks → response network → L1s (a
+//!    response wakes a sleeping SM), then the cycle-reason accounting of
+//!    the SMs this cycle touched;
+//! 6. fold and jump (between steps, in `advance_kernel`): the minimum
+//!    over the wake entries — SMs with their L1s, both crossbars, the
+//!    banks, the memory side's own — is the first cycle at which any
+//!    component could do anything unprompted; the engine adds its own
+//!    timers — the next scheduled crash, the interval sampler, the
+//!    checker's compaction poll when it is over its threshold, the
+//!    watchdog deadline, `max_cycles`, the end of the slice, and a parked
+//!    grid tail an SM can now take — and the cycles before the minimum
+//!    are not stepped: only `now` moves. An SM books the cycles it slept
+//!    through, stepped or jumped, in O(1) when something next touches it
+//!    — at the latest on the way out of `advance_kernel` — so a stepped
+//!    empty cycle, a jumped one and a slept-through one leave the same
+//!    machine behind, which is why slicing stays invisible.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
-use gtsc_gpu::{Kernel, Sm, SmParams};
+use gtsc_gpu::{Kernel, Sm, SmParams, WarpProgram};
 use gtsc_noc::ReliableNet;
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
 use gtsc_protocol::{L1Controller, L2Controller, WaitHint};
@@ -104,8 +115,10 @@ pub trait MemorySide {
     fn bank_scope(d: usize, b: usize) -> Scope;
 
     /// Front half, per device, after request delivery: tick device
-    /// `d`'s banks and move their memory-side traffic.
-    fn serve(&mut self, d: usize, banks: &mut [Box<Self::Bank>], now: Cycle);
+    /// `d`'s due banks, move their memory-side traffic and refresh their
+    /// wake entries. Returns whether a bank it visited wants the Section
+    /// V-D reset (`needs_reset` turns true only inside a visit or a crash).
+    fn serve(&mut self, d: usize, dev: &mut Device<Self::Bank>, now: Cycle) -> bool;
 
     /// Once per cycle, after every device's front half: whatever crosses
     /// between devices.
@@ -124,13 +137,21 @@ pub trait MemorySide {
     /// Enters `epoch` (called before the banks').
     fn apply_reset(&mut self, _epoch: Epoch) {}
 
+    /// Ticks, at `at`, what the memory side owns and did not visit in
+    /// that cycle: nothing happens below a horizon, but the `clock` some
+    /// components stamp events and snapshots with moves (DESIGN.md §14.1).
+    fn stamp(&mut self, _at: Cycle) {}
+
     /// Whether nothing is pending beyond the banks.
     fn is_idle(&self) -> bool;
 
-    /// The earliest cycle at which anything beyond the banks could act
-    /// unprompted — the min over what the memory side owns (the engine
-    /// folds the banks themselves).
-    fn next_event_at(&self) -> Cycle;
+    /// The memory side's part of the active set: one entry per component
+    /// it owns beyond the banks (the engine folds these into the horizon
+    /// like the devices' own).
+    fn wake(&self) -> &Wake;
+
+    /// Mutable access to [`MemorySide::wake`] (a restore clears it).
+    fn wake_mut(&mut self) -> &mut Wake;
 
     /// Transport progress beyond the on-die networks (watchdog input).
     fn progress_mark(&self) -> u64 {
@@ -204,6 +225,99 @@ pub fn expect_count(r: &mut SnapReader<'_>, built: usize, what: &str) -> Result<
     }
 }
 
+/// One class of components' part of the active set (DESIGN.md §15.2):
+/// per component a lower bound — early allowed, late never — on its
+/// `next_event_at()`, refreshed when the component is visited and zeroed
+/// where one of its input methods is called. A stepped cycle scans these
+/// few contiguous words and touches only the components that are due.
+pub struct Wake {
+    at: Vec<Cycle>,
+    /// Every entry counts as due whatever it holds: a traced machine (the
+    /// `clock` a component stamps events with moves only when it is
+    /// ticked), and the saturated-set differential.
+    saturated: bool,
+    /// Visits counted so far — host-side, like [`Sim::stepped_cycles`].
+    visits: u64,
+}
+
+impl Wake {
+    /// `n` components, all due.
+    pub(crate) fn new(n: usize, saturated: bool) -> Self {
+        Wake {
+            at: vec![Cycle(0); n],
+            saturated,
+            visits: 0,
+        }
+    }
+
+    /// Whether component `i` has to be visited at `now`.
+    #[inline]
+    pub(crate) fn due(&self, i: usize, now: Cycle) -> bool {
+        self.at[i] <= now || self.saturated
+    }
+
+    /// An input of component `i` was called: it is due.
+    #[inline]
+    pub(crate) fn touch(&mut self, i: usize) {
+        self.at[i] = Cycle(0);
+    }
+
+    /// The due components at `now`, in index order, into `out` (emptied
+    /// first). Counted as their visit: a phase that loops more than once
+    /// over its class collects once, so the loops carry no per-entry
+    /// compare — or the branch it would take unpredictably.
+    pub(crate) fn due_into(&mut self, now: Cycle, out: &mut Vec<usize>) {
+        let limit = if self.saturated { Cycle(u64::MAX) } else { now };
+        // Branch-free: every index is written, the due ones are kept.
+        out.clear();
+        out.resize(self.at.len(), 0);
+        let mut n = 0;
+        for (i, &at) in self.at.iter().enumerate() {
+            out[n] = i;
+            n += usize::from(at <= limit);
+        }
+        out.truncate(n);
+        self.visits += n as u64;
+    }
+
+    /// Component `i` was visited and is next due at `next`.
+    #[inline]
+    pub(crate) fn visited(&mut self, i: usize, next: Cycle) {
+        self.at[i] = next;
+        self.visits += 1;
+    }
+
+    /// Component `i` is next due at `next` (its visit is counted already).
+    #[inline]
+    pub(crate) fn refresh(&mut self, i: usize, next: Cycle) {
+        self.at[i] = next;
+    }
+
+    /// The earliest entry.
+    #[inline]
+    pub(crate) fn earliest(&self) -> Cycle {
+        Cycle(
+            self.at
+                .iter()
+                .fold(u64::MAX, |earliest, at| earliest.min(at.0)),
+        )
+    }
+
+    /// Everything is due (after a restore: horizons are derived state).
+    pub(crate) fn clear(&mut self) {
+        self.at.fill(Cycle(0));
+    }
+
+    /// `(visits so far, components)`.
+    fn tally(&self) -> (u64, usize) {
+        (self.visits, self.at.len())
+    }
+}
+
+/// Indices of a device's two crossbars in [`Device::net_wake`].
+const REQ: usize = 0;
+const RESP: usize = 1;
+
 /// One GPU die: its SMs (each with a private-cache controller), its
 /// request/response crossbars, and its L2 banks.
 pub struct Device<B: ?Sized> {
@@ -214,6 +328,26 @@ pub struct Device<B: ?Sized> {
     /// Global index of this device's SM 0 (SM ids — and with them
     /// version minting — are unique across devices).
     sm_base: usize,
+    /// The active set: an entry per SM (with its L1), per bank, and for
+    /// the two crossbars (`REQ`, `RESP`).
+    sm_wake: Wake,
+    pub(crate) bank_wake: Wake,
+    net_wake: Wake,
+    /// How many of the machine's accounted cycles each SM has booked. An
+    /// SM that is not due is not touched: it books the stretch through
+    /// [`Sm::skip`] when it is next opened ([`Device::book`]).
+    booked: Vec<u64>,
+    /// The SMs the cycle being stepped touches, in the order it came to
+    /// them: the due ones, then those a response or a reset roused. Kept
+    /// between cycles for its storage only.
+    awake: Vec<usize>,
+    /// `issued_count` and `resident_warps` summed over the SMs — the
+    /// watchdog fingerprint's two terms, kept where a visit moves them.
+    issued: u64,
+    resident: usize,
+    /// Whether an SM may have room for another CTA: set when a visit
+    /// retires warps, cleared when dispatch finds no taker.
+    room: bool,
 }
 
 impl<B: L2Controller + ?Sized> Device<B> {
@@ -273,7 +407,18 @@ impl<B: L2Controller + ?Sized> Device<B> {
                 sm.l1_mut().enable_retry(cfg.transport.retry_timeout);
             }
         }
+        // A traced component stamps events with the `clock` of its last
+        // tick, so a traced machine ticks everything, every cycle.
+        let saturated = cfg.trace.is_enabled();
         Device {
+            sm_wake: Wake::new(cfg.n_sms, saturated),
+            bank_wake: Wake::new(cfg.l2_banks, saturated),
+            net_wake: Wake::new(2, saturated),
+            booked: vec![0; cfg.n_sms],
+            awake: Vec::with_capacity(cfg.n_sms),
+            issued: 0,
+            resident: 0,
+            room: true,
             sms,
             l2,
             req_net,
@@ -339,31 +484,74 @@ impl<B: L2Controller + ?Sized> Device<B> {
     /// recovered by the L1s' end-to-end retry.
     pub fn crash_bank(&mut self, b: usize, now: Cycle) -> bool {
         let crashed = self.l2[b].crash(now);
+        self.bank_wake.touch(b);
         if crashed {
             self.req_net.reset_flows_to_dst(b, now);
             self.resp_net.reset_flows_from_src(b, now);
+            self.net_wake.touch(REQ);
+            self.net_wake.touch(RESP);
         }
         crashed
     }
 
-    /// SM issue (L1 hits complete immediately); L1 housekeeping
-    /// (end-to-end retry scans may re-queue overdue requests and
-    /// complete long-parked waiters); L1 → request network; request
-    /// deliveries → banks.
+    /// Dispatches `cta` onto SM `i` (which [`Device::find_room`] picked).
+    fn assign_cta(&mut self, i: usize, cta: CtaId, programs: Vec<Arc<WarpProgram>>, steps: u64) {
+        book(&mut self.sms[i], &mut self.booked[i], steps);
+        self.resident += programs.len();
+        self.sms[i].assign_cta(cta, programs);
+        self.sm_wake.touch(i);
+    }
+
+    /// The first SM from `cursor` on, round-robin, that can take a CTA
+    /// of `warps` warps. Walks the SMs only while one may have room.
+    fn find_room(&mut self, cursor: usize, warps: usize) -> Option<usize> {
+        if !self.room {
+            return None;
+        }
+        let n_sms = self.sms.len();
+        let taker = (0..n_sms)
+            .map(|k| (cursor + k) % n_sms)
+            .find(|&i| self.sms[i].can_accept_cta(warps));
+        self.room = taker.is_some();
+        taker
+    }
+
+    /// Due SMs issue (L1 hits complete immediately); those of their L1s
+    /// that are due themselves keep house (end-to-end retry scans may
+    /// re-queue overdue requests and complete long-parked waiters) and
+    /// feed the request network; request deliveries → banks.
     fn front_half(
         &mut self,
         now: Cycle,
+        steps: u64,
         sizes: &MsgSizes,
         spans: &SpanTracker,
         checker: &mut Checker,
     ) {
         let n_banks = self.l2.len();
-        for (i, sm) in self.sms.iter_mut().enumerate() {
+        self.sm_wake.due_into(now, &mut self.awake);
+        let (mut issued, mut resident) = (0, 0);
+        for &i in &self.awake {
+            let sm = &mut self.sms[i];
+            book(sm, &mut self.booked[i], steps);
+            // Only a scan issues or retires: the sums move here.
+            let before = (sm.issued_count(), sm.resident_warps());
             for c in sm.cycle(now) {
                 checker.on_completion(self.sm_base + i, c, now);
             }
+            issued += sm.issued_count() - before.0;
+            resident += before.1 - sm.resident_warps();
         }
-        for (i, sm) in self.sms.iter_mut().enumerate() {
+        self.issued += issued;
+        self.resident -= resident;
+        self.room |= resident > 0;
+        for &i in &self.awake {
+            let sm = &mut self.sms[i];
+            // The SM's entry covers its L1; an SM that is up for its own
+            // sake still leaves an L1 with nothing queued or timed alone.
+            if sm.l1().next_event_at() > now && !self.sm_wake.saturated {
+                continue;
+            }
             for c in sm.tick_l1(now) {
                 checker.on_completion(self.sm_base + i, c, now);
             }
@@ -372,65 +560,121 @@ impl<B: L2Controller + ?Sized> Device<B> {
                 let bytes = sizes.request_bytes(&req);
                 spans.hop_enter(req.span(), HopKind::NocReq, now);
                 self.req_net.send(i, bank, bytes, (i, req), now);
+                self.net_wake.touch(REQ);
             }
         }
-        for (bank, (src, msg)) in self.req_net.tick(now) {
-            spans.hop_enter(msg.span(), HopKind::L2Serve, now);
-            self.l2[bank].on_request(src, msg, now);
+        if self.net_wake.due(REQ, now) {
+            for (bank, (src, msg)) in self.req_net.tick(now) {
+                spans.hop_enter(msg.span(), HopKind::L2Serve, now);
+                self.l2[bank].on_request(src, msg, now);
+                self.bank_wake.touch(bank);
+            }
+            self.net_wake.visited(REQ, self.req_net.next_event_at());
         }
     }
 
-    /// Banks → response network → L1s (completions retire warp
-    /// accesses), then the cycle-reason accounting: this cycle is
-    /// attributed, for every SM, to exactly one bucket. The buckets
-    /// therefore tile elapsed time — `sum(buckets) == steps` per SM, the
-    /// invariant the report and the profile both assert. Returns whether
-    /// any SM issued (such an SM is awake, so the next cycle is stepped).
+    /// Due banks → response network → L1s (completions retire warp
+    /// accesses; a response wakes a sleeping SM), then the cycle-reason
+    /// accounting: this cycle is attributed, for every SM it touched, to
+    /// exactly one bucket — an SM it did not touch books the same bucket
+    /// when it is next opened. The buckets therefore tile elapsed time —
+    /// `sum(buckets) == steps` per SM, the invariant the report and the
+    /// profile both assert. Returns whether any SM issued (such an SM is
+    /// awake, so the next cycle is stepped).
     fn back_half(
         &mut self,
         now: Cycle,
+        steps: u64,
         rollover: bool,
         sizes: &MsgSizes,
         spans: &SpanTracker,
         checker: &mut Checker,
     ) -> bool {
-        for (b, bank) in self.l2.iter_mut().enumerate() {
+        for b in 0..self.l2.len() {
+            if !self.bank_wake.due(b, now) {
+                continue;
+            }
+            let bank = &mut self.l2[b];
             while let Some((dst, msg)) = bank.take_response() {
                 let bytes = sizes.response_bytes(&msg);
                 spans.hop_enter(msg.span(), HopKind::NocResp, now);
                 self.resp_net.send(b, dst, bytes, msg, now);
+                self.net_wake.touch(RESP);
             }
+            self.bank_wake.refresh(b, bank.next_event_at());
         }
-        for (dst, msg) in self.resp_net.tick(now) {
-            spans.hop_enter(msg.span(), HopKind::L1Fill, now);
-            for c in self.sms[dst].on_response(msg, now) {
-                checker.on_completion(self.sm_base + dst, c, now);
+        if self.net_wake.due(RESP, now) {
+            for (dst, msg) in self.resp_net.tick(now) {
+                spans.hop_enter(msg.span(), HopKind::L1Fill, now);
+                let sm = &mut self.sms[dst];
+                if !self.sm_wake.due(dst, now) {
+                    rouse(sm, &mut self.booked[dst], now, steps);
+                    self.sm_wake.visited(dst, Cycle(0));
+                    self.awake.push(dst);
+                }
+                for c in sm.on_response(msg, now) {
+                    checker.on_completion(self.sm_base + dst, c, now);
+                }
+            }
+            self.net_wake.visited(RESP, self.resp_net.next_event_at());
+        }
+        if rollover {
+            // The freeze is every SM's bucket for this cycle.
+            for i in 0..self.sms.len() {
+                if !self.sm_wake.due(i, now) {
+                    rouse(&mut self.sms[i], &mut self.booked[i], now, steps);
+                    self.sm_wake.visited(i, Cycle(0));
+                    self.awake.push(i);
+                }
             }
         }
         let mut issued = false;
-        for sm in &mut self.sms {
-            let reason = if sm.issued_last_cycle() {
+        for &i in &self.awake {
+            let sm = &mut self.sms[i];
+            // An SM that issued is awake: due next cycle, nothing to ask.
+            let (reason, next) = if sm.issued_last_cycle() {
                 issued = true;
-                CycleReason::Issue
+                (CycleReason::Issue, Cycle(0))
             } else if rollover {
-                CycleReason::RolloverFreeze
+                (CycleReason::RolloverFreeze, sm.next_event_at())
             } else {
-                waiting_reason(sm)
+                (waiting_reason(sm), sm.next_event_at())
             };
             sm.account_cycle(reason);
+            self.booked[i] = steps + 1;
+            self.sm_wake.refresh(i, next);
         }
         issued
     }
 
-    /// The horizons of everything on the die but the SMs.
-    fn horizons(&self) -> impl Iterator<Item = Cycle> + '_ {
-        [self.req_net.next_event_at(), self.resp_net.next_event_at()]
-            .into_iter()
-            .chain(self.l2.iter().map(|bank| bank.next_event_at()))
+    /// Books every SM up to `steps` accounted cycles: what the report,
+    /// the sampler and a snapshot read.
+    fn book_all(&mut self, steps: u64) {
+        for (sm, booked) in self.sms.iter_mut().zip(&mut self.booked) {
+            book(sm, booked, steps);
+        }
+    }
+
+    /// Ticks, at `at`, the banks that cycle did not visit (see
+    /// [`MemorySide::stamp`]).
+    fn stamp(&mut self, at: Cycle) {
+        for (b, bank) in self.l2.iter_mut().enumerate() {
+            if !self.bank_wake.due(b, at) {
+                bank.tick(at);
+            }
+        }
+    }
+
+    /// The earliest wake entry on the die.
+    fn next_event_at(&self) -> Cycle {
+        (self.sm_wake.earliest())
+            .min(self.bank_wake.earliest())
+            .min(self.net_wake.earliest())
     }
 
     fn is_idle(&self) -> bool {
-        self.sms.iter().all(Sm::is_idle)
+        self.resident == 0
+            && self.sms.iter().all(Sm::is_idle)
             && self.l2.iter().all(|b| b.is_idle())
             && self.req_net.is_idle()
             && self.resp_net.is_idle()
@@ -465,7 +709,10 @@ impl<B: L2Controller + ?Sized> Device<B> {
         Ok(())
     }
 
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    /// Restores the image of a machine that had accounted `steps` cycles
+    /// (and booked them all: every way out of `advance_kernel` settles).
+    /// The active set is derived state: everything is due.
+    fn restore(&mut self, r: &mut SnapReader<'_>, steps: u64) -> Result<(), SnapshotError> {
         expect_count(r, self.sms.len(), "SM count")?;
         for sm in &mut self.sms {
             sm.load_state(r)?;
@@ -475,8 +722,39 @@ impl<B: L2Controller + ?Sized> Device<B> {
             bank.load_state(r)?;
         }
         self.req_net.load_state(r)?;
-        self.resp_net.load_state(r)
+        self.resp_net.load_state(r)?;
+        for wake in [&mut self.sm_wake, &mut self.bank_wake, &mut self.net_wake] {
+            wake.clear();
+        }
+        self.booked.fill(steps);
+        self.issued = self.sms.iter().map(Sm::issued_count).sum();
+        self.resident = self.sms.iter().map(Sm::resident_warps).sum();
+        self.room = true;
+        Ok(())
     }
+}
+
+/// Books the accounted cycles `sm` slept through: `booked` of the
+/// machine's `steps` are on its books already. Nobody touched the SM or
+/// its L1 in that stretch, so every cycle of it is the dormant one, in the
+/// bucket [`waiting_reason`] names *now* — call this before handing the
+/// SM anything.
+fn book(sm: &mut Sm, booked: &mut u64, steps: u64) {
+    if *booked != steps {
+        let reason = waiting_reason(sm);
+        sm.skip(steps - *booked, reason);
+        *booked = steps;
+    }
+}
+
+/// Brings a sleeping SM into the cycle being stepped (the `steps`-th
+/// accounted) from the back half: the stretch it slept through, then this
+/// cycle's front half — the dormant one, it was not due. The caller marks
+/// it due, and the back half accounts it with the SMs that were.
+fn rouse(sm: &mut Sm, booked: &mut u64, now: Cycle, steps: u64) {
+    book(sm, booked, steps);
+    let hits = sm.cycle(now);
+    debug_assert!(hits.is_empty(), "an SM slept past its horizon");
 }
 
 /// The bucket of a cycle in which `sm` issued nothing and no rollover
@@ -634,6 +912,23 @@ impl<M: MemorySide> Sim<M> {
         self.jumps
     }
 
+    /// `(visits, component-cycles)`: how many components the stepped
+    /// cycles visited, of how many a loop that ticks everything in every
+    /// stepped cycle would have — SMs with their L1s, banks, crossbars and
+    /// what the memory side owns, each at most once a cycle. Host-side like
+    /// [`Sim::stepped_cycles`]: a count of how the run was executed, so an
+    /// always-due component on the hot path shows here, not in a result.
+    #[must_use]
+    pub fn component_visits(&self) -> (u64, u64) {
+        let devices = self.devices.iter();
+        let sets = devices.flat_map(|d| [&d.sm_wake, &d.bank_wake, &d.net_wake]);
+        let (visits, components) = sets
+            .chain([self.mem.wake()])
+            .map(Wake::tally)
+            .fold((0, 0), |(v, n), (visits, len)| (v + visits, n + len as u64));
+        (visits, components * self.stepped)
+    }
+
     fn sms(&self) -> impl Iterator<Item = &Sm> {
         self.devices.iter().flat_map(|d| d.sms.iter())
     }
@@ -708,6 +1003,10 @@ impl<M: MemorySide> Sim<M> {
         let n_ctas = kernel.n_ctas();
         let n_devices = self.devices.len();
         let mut budget = max_cycles;
+        // This kernel's CTAs may fit where the last one's did not.
+        for dev in &mut self.devices {
+            dev.room = true;
+        }
         loop {
             // CTA dispatch: CTA c is pinned to device c % n_devices (a
             // deterministic spread that puts true sharing on the memory
@@ -718,24 +1017,23 @@ impl<M: MemorySide> Sim<M> {
             // until it drains.
             'dispatch: while progress.next_cta < n_ctas {
                 let cta = CtaId(progress.next_cta as u32);
-                let sms = &mut self.devices[progress.next_cta % n_devices].sms;
+                let dev = &mut self.devices[progress.next_cta % n_devices];
                 let warps = kernel.warps_per_cta();
-                let n_sms = sms.len();
-                let Some(offset) = (0..n_sms)
-                    .find(|k| sms[(progress.sm_cursor + k) % n_sms].can_accept_cta(warps))
-                else {
+                let Some(picked) = dev.find_room(progress.sm_cursor, warps) else {
                     break 'dispatch;
                 };
-                let picked = (progress.sm_cursor + offset) % n_sms;
-                progress.sm_cursor = (picked + 1) % n_sms;
+                progress.sm_cursor = (picked + 1) % dev.sms.len();
                 let programs = (0..warps).map(|w| kernel.shared_program(cta, w));
-                sms[picked].assign_cta(cta, programs.collect());
+                dev.assign_cta(picked, cta, programs.collect(), self.steps);
                 progress.next_cta += 1;
             }
 
             let issued = self.step();
 
             if self.sampler.due(self.now) {
+                for dev in &mut self.devices {
+                    dev.book_all(self.steps);
+                }
                 let cumulative = self.cumulative_stats();
                 self.sampler.sample(self.now, &cumulative);
             }
@@ -761,7 +1059,7 @@ impl<M: MemorySide> Sim<M> {
             // advancing.
             let fingerprint = (
                 self.checker.n_events(),
-                self.sms().map(Sm::issued_count).sum::<u64>(),
+                self.devices.iter().map(|d| d.issued).sum::<u64>(),
                 progress.next_cta,
                 self.resident_warps(),
                 self.devices
@@ -776,6 +1074,7 @@ impl<M: MemorySide> Sim<M> {
             } else if self.cfg.watchdog_cycles > 0
                 && self.now - progress.last_progress >= self.cfg.watchdog_cycles
             {
+                self.settle(self.now);
                 return Err(SimError::Stalled {
                     at: self.now,
                     diagnosis: Box::new(self.diagnose_stall(self.now - progress.last_progress)),
@@ -789,6 +1088,7 @@ impl<M: MemorySide> Sim<M> {
                 0 => Cycle(u64::MAX),
                 _ => Cycle(self.now.0.saturating_add(budget)),
             };
+            let stepped_at = self.now;
             let skipped = if issued {
                 0
             } else {
@@ -796,6 +1096,7 @@ impl<M: MemorySide> Sim<M> {
             };
             self.now += 1;
             if self.cfg.max_cycles > 0 && self.now.0 > self.cfg.max_cycles {
+                self.settle(stepped_at);
                 return Err(SimError::CycleLimit {
                     at: self.now,
                     resident_warps: self.resident_warps(),
@@ -804,14 +1105,17 @@ impl<M: MemorySide> Sim<M> {
             if max_cycles > 0 {
                 budget -= 1 + skipped;
                 if budget == 0 {
+                    self.settle(stepped_at);
                     return Ok(None);
                 }
             }
         }
+        self.settle(self.now);
         for dev in &mut self.devices {
             for sm in &mut dev.sms {
                 sm.l1_mut().flush();
             }
+            dev.sm_wake.clear();
         }
         let cumulative = self.cumulative_stats();
         self.sampler.finish(self.now, &cumulative);
@@ -957,7 +1261,7 @@ impl<M: MemorySide> Sim<M> {
     }
 
     fn resident_warps(&self) -> usize {
-        self.sms().map(Sm::resident_warps).sum()
+        self.devices.iter().map(|d| d.resident).sum()
     }
 
     /// Snapshot of every stalled warp, queue, and MSHR, taken when the
@@ -1145,9 +1449,11 @@ impl<M: MemorySide> Sim<M> {
         })?;
         get(&file, "devices", |r| {
             expect_count(r, self.devices.len(), "device count")?;
-            self.devices.iter_mut().try_for_each(|dev| dev.restore(r))
+            let steps = self.steps;
+            (self.devices.iter_mut()).try_for_each(|dev| dev.restore(r, steps))
         })?;
         self.mem.restore(&file)?;
+        self.mem.wake_mut().clear();
         self.checker = get(&file, "checker", Snap::load)?;
         self.sampler = get(&file, "sampler", Snap::load)?;
         file.section_names()
@@ -1161,20 +1467,14 @@ impl<M: MemorySide> Sim<M> {
     }
 
     /// The first cycle after `now` that has to be stepped: the earliest
-    /// `next_event_at` over every component, or an engine timer if one
-    /// comes sooner. SMs are asked first and the fold stops at the first
-    /// answer of "next cycle", so a busy machine pays one compare.
+    /// wake entry — no component is asked, the set holds their answers —
+    /// or an engine timer if one comes sooner.
     fn next_step_at(&self, progress: &KernelProgress, kernel: &dyn Kernel) -> Cycle {
         let next = self.now + 1;
-        let components = (self.sms().map(Sm::next_event_at))
-            .chain(self.devices.iter().flat_map(Device::horizons))
-            .chain(std::iter::once_with(|| self.mem.next_event_at()));
-        let mut horizon = Cycle(u64::MAX);
-        for at in components {
-            horizon = horizon.min(at);
-            if horizon <= next {
-                return next;
-            }
+        let devices = self.devices.iter().map(Device::next_event_at);
+        let mut horizon = devices.fold(self.mem.wake().earliest(), Cycle::min);
+        if horizon <= next {
+            return next;
         }
         // The engine's own timers. Each names the cycle whose step does
         // something no component announces: a crash, a sample, the
@@ -1196,8 +1496,9 @@ impl<M: MemorySide> Sim<M> {
         // A parked grid tail dispatches at the top of the next cycle if
         // this one's step freed a slot on the device it is pinned to.
         if progress.next_cta < kernel.n_ctas() {
-            let sms = &self.devices[progress.next_cta % self.devices.len()].sms;
-            if (sms.iter()).any(|sm| sm.can_accept_cta(kernel.warps_per_cta())) {
+            let dev = &self.devices[progress.next_cta % self.devices.len()];
+            let takes = |sm: &Sm| sm.can_accept_cta(kernel.warps_per_cta());
+            if dev.room && dev.sms.iter().any(takes) {
                 return next;
             }
         }
@@ -1211,16 +1512,14 @@ impl<M: MemorySide> Sim<M> {
         horizon.max(next)
     }
 
-    /// Moves `now` to the cycle before `next_step`, booking the cycles in
-    /// between as each SM's dormant path and the back half's accounting
-    /// would have, one at a time: no SM issues, no rollover freezes, and
-    /// nobody touched what `waiting_reason` reads. Returns how many.
+    /// Moves `now` to the cycle before `next_step`: the cycles in between
+    /// are accounted, and every SM is asleep — no SM issues in them, no
+    /// rollover freezes them, nobody touches what `waiting_reason` reads
+    /// — so each books them with the rest of its sleep when it is next
+    /// opened ([`book`]). Returns how many.
     fn jump_to(&mut self, next_step: Cycle) -> u64 {
         let skipped = next_step - self.now - 1;
         if skipped > 0 {
-            for sm in self.devices.iter_mut().flat_map(|d| d.sms.iter_mut()) {
-                sm.skip(skipped, waiting_reason(sm));
-            }
             self.steps += skipped;
             self.now += skipped;
             self.jumps += 1;
@@ -1231,39 +1530,90 @@ impl<M: MemorySide> Sim<M> {
     /// One global clock cycle (phase list in the module docs). Returns
     /// whether any SM issued.
     fn step(&mut self) -> bool {
-        let now = self.now;
+        let (now, steps) = (self.now, self.steps);
+        let mut rollover = false;
         for (d, dev) in self.devices.iter_mut().enumerate() {
-            dev.front_half(now, &self.sizes, &self.spans, &mut self.checker);
-            self.mem.serve(d, &mut dev.l2, now);
+            dev.front_half(now, steps, &self.sizes, &self.spans, &mut self.checker);
+            rollover |= self.mem.serve(d, dev, now);
         }
         self.mem.exchange(&mut self.devices, now);
         for (unit, faults) in self.crash_faults.iter_mut().enumerate() {
             let due = faults.as_mut().is_some_and(|f| f.due(now.0));
             if due && self.mem.crash(unit, &mut self.devices, now) {
                 self.recoveries += 1;
+                rollover = true;
             }
         }
 
         // Timestamp rollover: an overflowing bank, a crashed one, or the
         // memory side triggers the global reset broadcast of Section V-D.
-        let rollover = self.mem.needs_reset() || self.banks().any(L2Controller::needs_reset);
+        rollover |= self.mem.needs_reset();
         if rollover {
             self.epoch += 1;
+            // `apply_reset` has no `now`: it stamps with the `clock` of
+            // the component's last tick, which has to be this cycle's.
+            self.stamp(now);
             self.mem.apply_reset(self.epoch);
             for dev in &mut self.devices {
                 for bank in &mut dev.l2 {
                     bank.apply_reset(self.epoch);
                 }
+                dev.bank_wake.clear();
             }
         }
 
         let mut issued = false;
         for dev in &mut self.devices {
-            issued |= dev.back_half(now, rollover, &self.sizes, &self.spans, &mut self.checker);
+            issued |= dev.back_half(
+                now,
+                steps,
+                rollover,
+                &self.sizes,
+                &self.spans,
+                &mut self.checker,
+            );
         }
         self.steps += 1;
         self.stepped += 1;
         issued
+    }
+
+    /// Ticks, at `at`, every bank and memory-side component that cycle
+    /// did not visit: a no-op below their horizons but for the `clock`
+    /// they stamp clock-less events and their snapshot with.
+    fn stamp(&mut self, at: Cycle) {
+        for dev in &mut self.devices {
+            dev.stamp(at);
+        }
+        self.mem.stamp(at);
+    }
+
+    /// Leaves the machine as one that touched everything in every cycle
+    /// would be, `at` being the last cycle stepped: the `clock`s stand
+    /// there, and every SM has booked every accounted cycle. Run on every
+    /// way out of `advance_kernel`, so `report`, `save_snapshot` and the
+    /// next slice never see a sleeper's unbooked stretch.
+    fn settle(&mut self, at: Cycle) {
+        self.stamp(at);
+        for dev in &mut self.devices {
+            dev.book_all(self.steps);
+        }
+    }
+}
+
+#[cfg(test)]
+impl<M: MemorySide> Sim<M> {
+    /// Marks every component always due: the same loop over a full set,
+    /// which is the machine that ticks everything in every stepped cycle
+    /// — the reference the active set is held to. The entries keep being
+    /// refreshed, so the fold jumps exactly where the live set does.
+    fn saturate(&mut self) {
+        for dev in &mut self.devices {
+            for wake in [&mut dev.sm_wake, &mut dev.bank_wake, &mut dev.net_wake] {
+                wake.saturated = true;
+            }
+        }
+        self.mem.wake_mut().saturated = true;
     }
 }
 
@@ -1353,6 +1703,7 @@ mod tests {
             for budget in [1, 7, 37, 500, 4001] {
                 let mut sliced = build(tweak);
                 let mut progress = KernelProgress::new(&kernel);
+                let (mut slices, mut rewind) = (0, Vec::new());
                 let got = loop {
                     let slice = sliced.advance_kernel(&kernel, &mut progress, budget);
                     if let Some(report) = slice.expect("slice") {
@@ -1365,6 +1716,16 @@ mod tests {
                         progress = restored.expect("a mid-kernel snapshot carries progress");
                         let again = sliced.save_snapshot(Some(&progress)).expect("snapshot");
                         assert!(again == snap, "save, restore, save moved a byte");
+                    }
+                    // And once the machine is wound back into itself: every
+                    // piece of derived state (dormancy, horizons, the active
+                    // set) has to fall back with the image.
+                    slices += 1;
+                    if budget == 500 && slices == 1 {
+                        rewind = sliced.save_snapshot(Some(&progress)).expect("snapshot");
+                    } else if budget == 500 && slices == 4 {
+                        let restored = sliced.restore_snapshot(&rewind).expect("restore");
+                        progress = restored.expect("a mid-kernel snapshot carries progress");
                     }
                 };
                 assert_eq!(got.stats, want.stats, "budget {budget}");
@@ -1386,7 +1747,7 @@ mod tests {
 
     /// Ten 1 000-cycle compute bursts on one warp: the machine holds
     /// nothing else, so all but the cycles that issue are jumped.
-    fn idle_machine_is_jumped_not_stepped<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+    fn idle_machine_is_jumped_not_stepped<M: MemorySide>(build: fn(Tweak) -> Sim<M>) -> u64 {
         let bursts = WarpProgram(vec![WarpOp::Compute(1000); 10]);
         let kernel = VecKernel::new("bursts", 1, vec![vec![bursts]]);
         let mut sim = build(AS_IS);
@@ -1394,17 +1755,27 @@ mod tests {
         assert_eq!(report.stats.cycles, Cycle(9001));
         assert_eq!((sim.stepped_cycles(), sim.jumps()), (20, 9));
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+        // One SM has the warp; everything else sleeps from its first
+        // visit on: at most two visits per stepped cycle.
+        let (visits, of) = sim.component_visits();
+        assert!(visits <= 2 * sim.stepped_cycles(), "{visits} of {of}");
+        visits
     }
 
     /// The guard against the skip silently turning off: these are exact
     /// counts of a deterministic run, so a component that starts reporting
     /// the always-due default horizon moves them — here, not in a
     /// benchmark. The bounds they sit under are the contract: fewer than
-    /// 50 stepped cycles for the bursts, fewer than 60 % for CCP Small.
+    /// 50 stepped cycles for the bursts, fewer than 60 % for CCP Small —
+    /// and, of the cycles that are stepped, at most two component visits
+    /// each for the bursts and a tenth of all component-cycles for CCP.
     #[test]
     fn horizon_jumps_leave_few_cycles_to_step() {
-        idle_machine_is_jumped_not_stepped(single);
-        idle_machine_is_jumped_not_stepped(multi);
+        let idle = [
+            idle_machine_is_jumped_not_stepped(single),
+            idle_machine_is_jumped_not_stepped(multi),
+        ];
+        assert_eq!(idle, [27, 34]);
         let cfg = GpuConfig::paper_default().with_protocol(ProtocolKind::Gtsc);
         let mut sim = GpuSim::new(cfg);
         let kernel = gtsc_workloads::Benchmark::Ccp.build(gtsc_workloads::Scale::Small);
@@ -1412,6 +1783,351 @@ mod tests {
         let (cycles, stepped) = (report.stats.accounted_cycles, sim.stepped_cycles());
         assert_eq!((cycles, stepped, sim.jumps()), (5865, 2328, 778));
         assert!(stepped * 100 < cycles * 60, "stepped {stepped} of {cycles}");
+        // 16 SMs, 8 banks, 8 partitions, 2 crossbars: 34 component-cycles
+        // a stepped cycle, of which CCP visits fewer than a tenth. One
+        // always-due component adds a visit per stepped cycle — 2 328, to
+        // 10.8 % — so it moves the count and breaks the bound.
+        let (visits, of) = sim.component_visits();
+        assert_eq!((visits, of), (6213, 34 * stepped));
+        assert!(
+            visits * 10 < of,
+            "visited {visits} of {of} component-cycles"
+        );
+    }
+
+    /// Crashes that land among transition checks: the sanitizer sees every
+    /// reset, also those of banks that slept through the cycle.
+    const SANITIZED_CRASHY: Tweak = |cfg| {
+        cfg.sanitize = true;
+        cfg.faults = FaultConfig::default().with_bank_crashes(3, 900);
+    };
+
+    const TRACED: Tweak = |cfg| cfg.trace = TraceConfig::full();
+
+    /// Everything a run leaves behind that a caller can get at.
+    struct Seen {
+        stats: SimStats,
+        violations: Vec<Violation>,
+        /// `save_snapshot` at slice ends (every `every`-th), then the
+        /// final image: SM, L1, bank, network, memory-side, checker and
+        /// sanitizer state, byte for byte.
+        images: Vec<Vec<u8>>,
+        loads: Vec<crate::LoadObservation>,
+        trace: Vec<TraceEvent>,
+        sanitizer: gtsc_trace::Report,
+    }
+
+    /// Runs `kernel` in slices of `budget` cycles (0: in one piece).
+    fn watch<M: MemorySide>(sim: &mut Sim<M>, kernel: &VecKernel, budget: u64) -> Seen {
+        let every = if budget == 1 { 101 } else { 1 };
+        let mut progress = KernelProgress::new(kernel);
+        let mut images = Vec::new();
+        let mut slices = 0;
+        let report = loop {
+            let slice = sim.advance_kernel(kernel, &mut progress, budget);
+            if let Some(report) = slice.expect("slice") {
+                break report;
+            }
+            slices += 1;
+            if slices % every == 0 {
+                images.push(sim.save_snapshot(Some(&progress)).expect("snapshot"));
+            }
+        };
+        images.push(sim.save_snapshot(None).expect("snapshot"));
+        let blocks = sim.memory_image().into_keys();
+        Seen {
+            stats: report.stats,
+            violations: report.violations,
+            images,
+            loads: blocks
+                .flat_map(|b| sim.checker().load_observations(b))
+                .collect(),
+            trace: sim.trace_events(),
+            sanitizer: sim.sanitizer().report(),
+        }
+    }
+
+    /// Names the first difference (the images alone run to megabytes).
+    fn assert_same(live: &Seen, full: &Seen, what: &str) {
+        assert_eq!(live.stats, full.stats, "{what}: stats");
+        assert_eq!(live.violations, full.violations, "{what}: violations");
+        assert_eq!(live.images.len(), full.images.len(), "{what}: slices");
+        for (i, (a, b)) in live.images.iter().zip(&full.images).enumerate() {
+            assert!(a == b, "{what}: snapshot {i} of {}", live.images.len());
+        }
+        assert!(live.loads == full.loads, "{what}: load observations");
+        assert!(live.trace == full.trace, "{what}: trace events");
+        assert_eq!(live.sanitizer, full.sanitizer, "{what}: sanitizer report");
+    }
+
+    /// The machine with the active set live against the same machine with
+    /// every component always due (`Sim::saturate`), side by side.
+    fn live_matches_saturated<M: MemorySide>(
+        build: fn(Tweak) -> Sim<M>,
+        tweak: Tweak,
+        kernel: &VecKernel,
+        budget: u64,
+    ) -> Seen {
+        let (mut live, mut full) = (build(tweak), build(tweak));
+        full.saturate();
+        let (seen, want) = (
+            watch(&mut live, kernel, budget),
+            watch(&mut full, kernel, budget),
+        );
+        assert_same(&seen, &want, &format!("budget {budget}"));
+        let ((visits, of), (all, _)) = (live.component_visits(), full.component_visits());
+        assert_eq!(all, of, "a saturated cycle visits every component");
+        assert!(visits <= all);
+        seen
+    }
+
+    fn saturated_set_differential<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let kernel = drf_traffic_kernel("drf-traffic", 20);
+        for tweak in [AS_IS, LOSSY_CRASHY, STARVED_CRASHY, SANITIZED_CRASHY] {
+            for budget in [0, 1, 37] {
+                let seen = live_matches_saturated(build, tweak, &kernel, budget);
+                assert!(seen.violations.is_empty(), "{:?}", seen.violations);
+            }
+        }
+        // A traced machine is saturated to begin with (its components
+        // stamp events with the `clock` of their last tick).
+        let mut traced = build(TRACED);
+        let seen = watch(&mut traced, &kernel, 0);
+        let (visits, of) = traced.component_visits();
+        assert!(!seen.trace.is_empty() && visits == of, "{visits} of {of}");
+        live_matches_saturated(build, TRACED, &kernel, 37);
+    }
+
+    /// The active set is invisible: visiting only the due components
+    /// leaves the statistics, every snapshot byte mid-run and final, the
+    /// checker's observations, the trace and the sanitizer's report of a
+    /// machine that visits everything — plain, lossy with crashes, starved
+    /// of DRAM, sanitized; in one piece, cycle by cycle and in slices that
+    /// end inside jumps.
+    #[test]
+    fn active_set_matches_the_saturated_set() {
+        saturated_set_differential(single);
+        saturated_set_differential(multi);
+    }
+
+    /// One warp, one miss: the SM sleeps on the event, and only the
+    /// response's `touch` brings it back.
+    fn one_miss() -> VecKernel {
+        let ops = vec![
+            WarpOp::load_coalesced(Addr(0), 32),
+            WarpOp::store_coalesced(Addr(4096), 32),
+        ];
+        VecKernel::new("one-miss", 1, vec![vec![WarpProgram(ops)]])
+    }
+
+    /// Wake point: `Sm::on_response` (`sm_wake.touch` in the back half). A
+    /// forgotten wake leaves the SM asleep with its answer delivered.
+    #[test]
+    fn active_set_wakes_an_sm_on_a_response() {
+        live_matches_saturated(single, AS_IS, &one_miss(), 0);
+        live_matches_saturated(multi, AS_IS, &one_miss(), 0);
+    }
+
+    /// Wake point: `Sm::assign_cta` (`Device::assign_cta`). Five waves of
+    /// CTAs over two SMs: all but the first land on SMs that went to sleep
+    /// empty, and only dispatch wakes those.
+    #[test]
+    fn active_set_wakes_an_sm_on_dispatch() {
+        let kernel = drf_traffic_kernel("waves", 40);
+        live_matches_saturated(single, AS_IS, &kernel, 0);
+        live_matches_saturated(multi, AS_IS, &kernel, 0);
+    }
+
+    /// Wake point: `L2Controller::on_request` (`bank_wake.touch` in the
+    /// front half). Compute first, so both banks have been visited idle
+    /// and sleep without a horizon when the first request lands.
+    #[test]
+    fn active_set_wakes_a_bank_on_a_request() {
+        let mut ops = vec![WarpOp::Compute(300)];
+        ops.extend(one_miss().program(CtaId(0), 0).0);
+        let kernel = VecKernel::new("late-miss", 1, vec![vec![WarpProgram(ops)]]);
+        live_matches_saturated(single, AS_IS, &kernel, 0);
+        live_matches_saturated(multi, AS_IS, &kernel, 0);
+    }
+
+    /// Wake point: `DeviceL2::on_fabric_response` (`bank_wake.touch` in
+    /// `exchange`). The grant lands long after the bank forwarded the
+    /// miss and went to sleep; its waiters are answered from there.
+    #[test]
+    fn active_set_wakes_a_bank_on_a_fabric_response() {
+        live_matches_saturated(multi, AS_IS, &one_miss(), 0);
+        live_matches_saturated(multi, AS_IS, &drf_traffic_kernel("drf-traffic", 6), 1);
+    }
+
+    /// Wake point: `L2Controller::dram_ready` (the bank's entry is
+    /// refreshed after it in `LocalDram::serve`). Streams of stores
+    /// through a small L2 into two slow DRAM banks behind a one-deep
+    /// queue: banks hold fetches back, and it is often a write-back that
+    /// makes room — no fill, no response, nothing else that would bring
+    /// the bank up the next cycle to hand a fetch to the bank that is free.
+    #[test]
+    fn active_set_wakes_a_bank_when_dram_makes_room() {
+        let starved: Tweak = |cfg| {
+            cfg.dram.banks = 2;
+            cfg.dram.queue_depth = 1;
+            cfg.dram.row_hit = 150;
+            cfg.dram.row_miss = 300;
+        };
+        let stream = |c: u64| (0..32).map(move |i| Addr((c * 1000 + i * 3) * 128));
+        let stores = |c| stream(c).map(|a| WarpOp::store_coalesced(a, 32));
+        let ctas = (0..8).map(|c| vec![WarpProgram(stores(c).collect())]);
+        let kernel = VecKernel::new("store-streams", 1, ctas.collect());
+        let seen = live_matches_saturated(single, starved, &kernel, 0);
+        assert!(seen.stats.dram.writes > 0, "nothing was written back");
+    }
+
+    /// Wake point: `Sm::l1_mut` (the kernel-boundary flush). The second
+    /// kernel leaves an SM without work: it is awake after the flush all
+    /// the same, and scans before it sleeps again.
+    #[test]
+    fn active_set_wakes_every_sm_at_a_kernel_boundary() {
+        fn back_to_back<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+            let kernels = [drf_traffic_kernel("first", 6), one_miss()];
+            let run = |saturate: bool| {
+                let mut sim = build(AS_IS);
+                if saturate {
+                    sim.saturate();
+                }
+                let kernels: Vec<&dyn Kernel> = kernels.iter().map(|k| k as &dyn Kernel).collect();
+                let report = sim.run_kernels(&kernels).expect("completes");
+                (report.stats, sim.save_snapshot(None).expect("snapshot"))
+            };
+            assert!(run(false) == run(true));
+        }
+        back_to_back(single);
+        back_to_back(multi);
+    }
+
+    /// Settle point: dispatch. The stretch an SM slept through is booked
+    /// *before* `assign_cta` changes what `waiting_reason` and the census
+    /// say about it.
+    #[test]
+    fn active_set_books_a_sleeper_before_dispatch() {
+        // Long CTAs, so an emptied SM sleeps a good while before the
+        // parked tail reaches it.
+        let ctas = (0..12u32).map(|c| {
+            let base = Addr(u64::from(c) * 1024);
+            let ops = [
+                WarpOp::load_coalesced(base, 32),
+                WarpOp::Compute(40 + 90 * (c % 3)),
+            ];
+            vec![WarpProgram(ops.to_vec()); 4]
+        });
+        let kernel = VecKernel::new("uneven", 4, ctas.collect());
+        for budget in [0, 37] {
+            live_matches_saturated(single, AS_IS, &kernel, budget);
+            live_matches_saturated(multi, AS_IS, &kernel, budget);
+        }
+    }
+
+    /// Settle point: a reset cycle. Every SM books it as a freeze, the
+    /// ones the cycle did not visit included.
+    #[test]
+    fn active_set_books_a_freeze_for_sleepers() {
+        let kernel = drf_traffic_kernel("drf-traffic", 6);
+        for build_and_run in [
+            |k: &VecKernel| live_matches_saturated(single, LOSSY_CRASHY, k, 0).stats,
+            |k: &VecKernel| live_matches_saturated(multi, LOSSY_CRASHY, k, 0).stats,
+        ] {
+            let stats = build_and_run(&kernel);
+            let freeze =
+                |sm: &gtsc_types::SmStats| sm.cycle_buckets.get(CycleReason::RolloverFreeze);
+            let frozen = stats.per_sm.iter().map(freeze);
+            let frozen: Vec<u64> = frozen.collect();
+            assert!(
+                frozen[0] > 0 && frozen.iter().all(|&n| n == frozen[0]),
+                "{frozen:?}"
+            );
+        }
+    }
+
+    /// `report()`'s own check: every SM's buckets tile the accounted
+    /// cycles.
+    fn accounting_is_whole<M: MemorySide>(sim: &Sim<M>) {
+        let report = sim.report();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.stats.accounted_cycles > 0);
+    }
+
+    /// Settle points: the four ways out of `advance_kernel`. One CTA on a
+    /// two-SM machine, so an SM sleeps from the first cycle to the last
+    /// and nothing but the exit books it.
+    fn every_exit_settles<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let burst = WarpProgram(vec![
+            WarpOp::Compute(1000),
+            WarpOp::load_coalesced(Addr(0), 32),
+        ]);
+        let kernel = VecKernel::new("burst", 1, vec![vec![burst]]);
+        // Drained, and the budget running out (inside the jump).
+        for budget in [0, 300] {
+            let seen = live_matches_saturated(build, AS_IS, &kernel, budget);
+            assert!(seen.violations.is_empty(), "{:?}", seen.violations);
+        }
+        let mut sim = build(AS_IS);
+        let mut progress = KernelProgress::new(&kernel);
+        let parked = sim.advance_kernel(&kernel, &mut progress, 300);
+        assert!(matches!(parked, Ok(None)));
+        accounting_is_whole(&sim);
+        // The watchdog, and the cycle limit.
+        let mut sim = build(|cfg| cfg.watchdog_cycles = 200);
+        assert!(matches!(
+            sim.run_kernel(&kernel),
+            Err(SimError::Stalled { .. })
+        ));
+        accounting_is_whole(&sim);
+        let mut sim = build(|cfg| cfg.max_cycles = 400);
+        assert!(matches!(
+            sim.run_kernel(&kernel),
+            Err(SimError::CycleLimit { .. })
+        ));
+        accounting_is_whole(&sim);
+    }
+
+    #[test]
+    fn active_set_settles_on_every_way_out() {
+        every_exit_settles(single);
+        every_exit_settles(multi);
+    }
+
+    /// Stamp point: the tick before `apply_reset`. A bank (or the home
+    /// node) that slept through the reset cycle still enters the epoch *at*
+    /// that cycle: traced on their own — the engine saturates a traced
+    /// machine, so this wiring exists only here — the banks of a live
+    /// machine date their resets as a saturated machine's do.
+    fn resets_are_dated_at_their_cycle<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
+        let resets = |saturate: bool| {
+            let mut sim = build(LOSSY_CRASHY);
+            if saturate {
+                sim.saturate();
+            }
+            for (d, dev) in sim.devices.iter_mut().enumerate() {
+                for (b, bank) in dev.l2.iter_mut().enumerate() {
+                    bank.set_tracer(Tracer::new(M::bank_scope(d, b), &TraceConfig::full()));
+                }
+            }
+            let kernel = drf_traffic_kernel("drf-traffic", 6);
+            sim.run_kernel(&kernel).expect("completes");
+            let mut events = Vec::new();
+            for bank in sim.banks() {
+                events.extend(bank.tracer().expect("traced").events().iter().copied());
+            }
+            events.retain(|e| matches!(e.kind, gtsc_trace::EventKind::Rollover { .. }));
+            events
+        };
+        let (live, full) = (resets(false), resets(true));
+        assert!(!full.is_empty(), "no reset to date");
+        assert_eq!(live, full);
+    }
+
+    #[test]
+    fn active_set_dates_a_reset_at_its_cycle() {
+        resets_are_dated_at_their_cycle(single);
+        resets_are_dated_at_their_cycle(multi);
     }
 
     fn foreign_progress_is_rejected<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {

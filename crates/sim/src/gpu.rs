@@ -16,7 +16,9 @@ use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{Cycle, GpuConfig, SimStats};
 
 use crate::build::{build_l1, build_l2};
-use crate::engine::{expect_count, fingerprint_of, get, put, Device, MemorySide, Sim, TraceView};
+use crate::engine::{
+    expect_count, fingerprint_of, get, put, Device, MemorySide, Sim, TraceView, Wake,
+};
 use crate::report::{SimError, StallDiagnosis};
 
 /// The assembled GPU: the one-device instantiation of the [`Sim`]
@@ -27,6 +29,10 @@ pub type GpuSim = Sim<LocalDram>;
 /// Its crash domain is the bank.
 pub struct LocalDram {
     drams: Vec<Dram<()>>,
+    /// The partitions' part of the active set. A due partition brings its
+    /// bank up with it (the fills go there); a due bank only the partition
+    /// it hands a request to.
+    wake: Wake,
 }
 
 impl LocalDram {
@@ -43,7 +49,8 @@ impl LocalDram {
             }
         }
         let bank_faults = (0..n).map(|b| plan.bank(b as u64, n as u64)).collect();
-        (LocalDram { drams }, bank_faults)
+        let wake = Wake::new(n, cfg.trace.is_enabled());
+        (LocalDram { drams, wake }, bank_faults)
     }
 }
 
@@ -54,8 +61,12 @@ impl MemorySide for LocalDram {
         Scope::L2Bank(b as u16)
     }
 
-    fn serve(&mut self, _d: usize, banks: &mut [Box<dyn L2Controller>], now: Cycle) {
-        for (bank, dram) in banks.iter_mut().zip(&mut self.drams) {
+    fn serve(&mut self, _d: usize, dev: &mut Device<dyn L2Controller>, now: Cycle) -> bool {
+        let mut reset = false;
+        for (b, (bank, dram)) in dev.l2.iter_mut().zip(&mut self.drams).enumerate() {
+            if !dev.bank_wake.due(b, now) && !self.wake.due(b, now) {
+                continue;
+            }
             bank.tick(now);
             while dram.can_accept() {
                 let Some((block, is_write)) = bank.take_dram_request() else {
@@ -67,13 +78,31 @@ impl MemorySide for LocalDram {
                     payload: (),
                 });
                 debug_assert!(accepted, "can_accept checked");
+                self.wake.touch(b);
             }
-            for resp in dram.tick(now) {
-                bank.on_dram_response(resp.block, resp.is_write, now);
+            // The partition is its own component: a bank that came up
+            // for a request and handed nothing over leaves it asleep.
+            if self.wake.due(b, now) {
+                for resp in dram.tick(now) {
+                    bank.on_dram_response(resp.block, resp.is_write, now);
+                }
+                // Only the tick above opens room in the partition: a bank
+                // holding DRAM requests back is due next cycle exactly if
+                // it did, and what it was told last still holds otherwise.
+                bank.dram_ready(dram.can_accept());
+                self.wake.visited(b, dram.next_event_at());
             }
-            // Only the tick above opens room in the partition: a bank
-            // holding DRAM requests back is due next cycle exactly if it did.
-            bank.dram_ready(dram.can_accept());
+            dev.bank_wake.visited(b, bank.next_event_at());
+            reset |= bank.needs_reset();
+        }
+        reset
+    }
+
+    fn stamp(&mut self, at: Cycle) {
+        for (b, dram) in self.drams.iter_mut().enumerate() {
+            if !self.wake.due(b, at) {
+                dram.tick(at);
+            }
         }
     }
 
@@ -88,9 +117,12 @@ impl MemorySide for LocalDram {
         self.drams.iter().all(Dram::is_idle)
     }
 
-    fn next_event_at(&self) -> Cycle {
-        let partitions = self.drams.iter().map(Dram::next_event_at);
-        partitions.min().unwrap_or(Cycle(u64::MAX))
+    fn wake(&self) -> &Wake {
+        &self.wake
+    }
+
+    fn wake_mut(&mut self) -> &mut Wake {
+        &mut self.wake
     }
 
     fn add_stats(&self, stats: &mut SimStats) {

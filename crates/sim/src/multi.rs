@@ -30,7 +30,7 @@ use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{BlockAddr, Cycle, GpuConfig, MultiGpuConfig, ProtocolKind, SimStats, Version};
 
 use crate::build::build_l1;
-use crate::engine::{fingerprint_of, get, put, Device, MemorySide, Sim, TraceView};
+use crate::engine::{fingerprint_of, get, put, Device, MemorySide, Sim, TraceView, Wake};
 use crate::report::{DeviceStall, SimError, StallDiagnosis};
 
 /// The assembled multi-GPU system: the N-device instantiation of the
@@ -49,7 +49,14 @@ pub struct FabricToHome {
     down_net: ReliableNet<L2ToL1>,
     /// Fabric message sizes (inter-GPU links).
     sizes: MsgSizes,
+    /// The fabric's part of the active set: `UP`, `HOME`, `DOWN`.
+    wake: Wake,
 }
+
+/// Indices into [`FabricToHome::wake`].
+const UP: usize = 0;
+const HOME: usize = 1;
+const DOWN: usize = 2;
 
 impl FabricToHome {
     /// Arms the fabric plan (loss, partitions, device crashes) from
@@ -110,6 +117,7 @@ impl FabricToHome {
             cfg.gpu.l1.block_size(),
         );
         let fabric = FabricToHome {
+            wake: Wake::new(3, cfg.gpu.trace.is_enabled()),
             cfg,
             home,
             up_net,
@@ -163,30 +171,51 @@ impl MemorySide for FabricToHome {
         Scope::Device(d as u16)
     }
 
-    fn serve(&mut self, d: usize, banks: &mut [Box<DeviceL2>], now: Cycle) {
-        for bank in banks {
+    fn serve(&mut self, d: usize, dev: &mut Device<DeviceL2>, now: Cycle) -> bool {
+        let mut reset = false;
+        for (b, bank) in dev.l2.iter_mut().enumerate() {
+            if !dev.bank_wake.due(b, now) {
+                continue;
+            }
             bank.tick(now);
             while let Some(req) = bank.take_fabric_request() {
                 let bytes = self.sizes.request_bytes(&req);
                 self.up_net.send(d, 0, bytes, (d, req), now);
+                self.wake.touch(UP);
             }
+            dev.bank_wake.visited(b, bank.next_event_at());
+            reset |= bank.needs_reset();
         }
+        reset
     }
 
-    /// Fabric deliveries → home directory → fabric → device banks.
+    /// Fabric deliveries → home directory → fabric → device banks, each
+    /// stage only if it is due.
     fn exchange(&mut self, devices: &mut [Device<DeviceL2>], now: Cycle) {
-        for (_, (d, msg)) in self.up_net.tick(now) {
-            self.home.on_request(d, msg, now);
+        if self.wake.due(UP, now) {
+            for (_, (d, msg)) in self.up_net.tick(now) {
+                self.home.on_request(d, msg, now);
+                self.wake.touch(HOME);
+            }
+            self.wake.visited(UP, self.up_net.next_event_at());
         }
-        self.home.tick(now);
-        while let Some((d, resp)) = self.home.take_response() {
-            let bytes = self.sizes.response_bytes(&resp);
-            self.down_net.send(0, d, bytes, resp, now);
+        if self.wake.due(HOME, now) {
+            self.home.tick(now);
+            while let Some((d, resp)) = self.home.take_response() {
+                let bytes = self.sizes.response_bytes(&resp);
+                self.down_net.send(0, d, bytes, resp, now);
+                self.wake.touch(DOWN);
+            }
+            self.wake.visited(HOME, self.home.next_event_at());
         }
-        for (d, msg) in self.down_net.tick(now) {
-            let banks = &mut devices[d].l2;
-            let bank = msg.block().bank(banks.len());
-            banks[bank].on_fabric_response(msg, now);
+        if self.wake.due(DOWN, now) {
+            for (d, msg) in self.down_net.tick(now) {
+                let dev = &mut devices[d];
+                let bank = msg.block().bank(dev.l2.len());
+                dev.l2[bank].on_fabric_response(msg, now);
+                dev.bank_wake.touch(bank);
+            }
+            self.wake.visited(DOWN, self.down_net.next_event_at());
         }
     }
 
@@ -202,6 +231,8 @@ impl MemorySide for FabricToHome {
         }
         self.up_net.reset_flows_from_src(d, now);
         self.down_net.reset_flows_to_dst(d, now);
+        self.wake.touch(UP);
+        self.wake.touch(DOWN);
         true
     }
 
@@ -211,16 +242,25 @@ impl MemorySide for FabricToHome {
 
     fn apply_reset(&mut self, epoch: Epoch) {
         self.home.apply_reset(epoch);
+        self.wake.touch(HOME);
+    }
+
+    fn stamp(&mut self, at: Cycle) {
+        if !self.wake.due(HOME, at) {
+            self.home.tick(at);
+        }
     }
 
     fn is_idle(&self) -> bool {
         self.home.is_idle() && self.up_net.is_idle() && self.down_net.is_idle()
     }
 
-    fn next_event_at(&self) -> Cycle {
-        (self.home.next_event_at())
-            .min(self.up_net.next_event_at())
-            .min(self.down_net.next_event_at())
+    fn wake(&self) -> &Wake {
+        &self.wake
+    }
+
+    fn wake_mut(&mut self) -> &mut Wake {
+        &mut self.wake
     }
 
     fn progress_mark(&self) -> u64 {

@@ -9,8 +9,9 @@
 //! The default report derives solely from [`gtsc_types::SimStats`] —
 //! state that rides in snapshots — so a run restored from a mid-kernel
 //! checkpoint reproduces it byte-identically (proved in
-//! `tests/spans.rs`). The two host-side lines under it (`stepped …`,
-//! `host allocations: …`) describe how this process executed the run.
+//! `tests/spans.rs`). The three host-side lines under it (`stepped …`,
+//! `visited …`, `host allocations: …`) describe how this process executed
+//! the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -180,6 +181,11 @@ fn run(args: &[String]) -> Result<(), String> {
             report.stats.accounted_cycles,
             sim.jumps()
         );
+        // And what the stepped cycles touched: N near M means components
+        // that are due every cycle — the always-due default again, or a
+        // wake entry that is zeroed and never refreshed.
+        let (visits, of) = sim.component_visits();
+        println!("visited {visits} of {of} component-cycles");
         // What `run_kernel` asked of the allocator (DESIGN.md §15.4):
         // dispatch, first touch and growth — a per-cycle figure near the
         // accesses per cycle means a hot path allocates again.
