@@ -16,7 +16,7 @@
 //! global epoch bump (exactly like `GtscL2::crash`); the device rejoins
 //! empty and re-acquires grants on demand.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_core::rules::{extend_rts, lease_covers, nest_rts};
 use gtsc_core::ProtocolMutation;
@@ -24,7 +24,7 @@ use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq};
 use gtsc_protocol::{ControllerPressure, L2Controller};
 use gtsc_trace::{CloseReason, EventKind, Sanitizer, Scope, SpanTracker, Tracer, Transition};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
-use gtsc_types::{BlockAddr, CacheStats, Cycle, Lease, SpanId, Timestamp, Version};
+use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Lease, SpanId, Timestamp, Version};
 
 /// Construction parameters for [`DeviceL2`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +68,27 @@ gtsc_types::snap_fields!(DevMeta {
     version,
 });
 
+impl DevMeta {
+    /// Serves a read this grant covers: nests the L1 lease for `warp_ts`
+    /// inside the grant, raises the serve high-water to it, and returns
+    /// `(wts, rts, version)` for the response.
+    fn serve(
+        &mut self,
+        warp_ts: Timestamp,
+        lease: Lease,
+        mutation: ProtocolMutation,
+    ) -> (Timestamp, Timestamp, Version) {
+        self.served_rts = if mutation == ProtocolMutation::ServePastGrantRts {
+            // Mutant: drop the nest_rts clamp — the lease may escape the
+            // grant, the bug the `L2-lease ⊆ device-grant` checkers catch.
+            extend_rts(self.served_rts, warp_ts, lease)
+        } else {
+            nest_rts(self.served_rts, warp_ts, lease, self.rts)
+        };
+        (self.wts, self.served_rts, self.version)
+    }
+}
+
 /// The device-side L2 of one GPU in a multi-GPU system. Driven by the
 /// simulator like an `L2Controller` toward its local L1s, plus a fabric
 /// side: [`DeviceL2::take_fabric_request`] drains requests toward the
@@ -75,9 +96,11 @@ gtsc_types::snap_fields!(DevMeta {
 #[derive(Debug)]
 pub struct DeviceL2 {
     p: DeviceParams,
-    /// Installed grants (the device's only coherence state). BTreeMap:
-    /// snapshot bytes and iteration order must be deterministic.
-    tags: BTreeMap<BlockAddr, DevMeta>,
+    /// Installed grants (the device's only coherence state). Hashed like
+    /// all simulation state (DESIGN.md §15.4): a snapshot writes the three
+    /// maps sorted, and every walk over them is an order-free fold or
+    /// sorts before anything reads it.
+    tags: FxHashMap<BlockAddr, DevMeta>,
     epoch: Epoch,
     needs_reset: bool,
     /// L1 requests become serviceable `latency` cycles after arrival.
@@ -87,10 +110,10 @@ pub struct DeviceL2 {
     /// Responses waiting to return to local L1s.
     out_resp: VecDeque<(usize, L2ToL1)>,
     /// Reads parked until a grant covering them is installed.
-    read_waiters: BTreeMap<BlockAddr, Vec<(usize, ReadReq)>>,
+    read_waiters: FxHashMap<BlockAddr, Vec<(usize, ReadReq)>>,
     /// Stores forwarded to the home, keyed by their globally-unique
     /// version: `(local SM, span)`.
-    write_waiters: BTreeMap<Version, (usize, SpanId)>,
+    write_waiters: FxHashMap<Version, (usize, SpanId)>,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -105,14 +128,14 @@ impl DeviceL2 {
     pub fn new(p: DeviceParams) -> Self {
         DeviceL2 {
             p,
-            tags: BTreeMap::new(),
+            tags: FxHashMap::default(),
             epoch: 0,
             needs_reset: false,
             in_queue: VecDeque::new(),
             fabric_out: VecDeque::new(),
             out_resp: VecDeque::new(),
-            read_waiters: BTreeMap::new(),
-            write_waiters: BTreeMap::new(),
+            read_waiters: FxHashMap::default(),
+            write_waiters: FxHashMap::default(),
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -149,6 +172,7 @@ impl DeviceL2 {
     #[must_use]
     pub fn stall_attribution(&self) -> (usize, usize, usize) {
         let (mut expired, mut cold) = (0usize, 0usize);
+        // lint: allow(hash-iter): two counts do not depend on the order.
         for (block, parked) in &self.read_waiters {
             if self.tags.contains_key(block) {
                 expired += parked.len();
@@ -160,15 +184,19 @@ impl DeviceL2 {
     }
 
     /// Blocks whose parked readers outran a still-installed grant, as
-    /// `(block, grant rts)` — named in the stall diagnosis so an expired
-    /// inter-GPU grant is reported as such, not as a generic MSHR stall.
+    /// `(block, grant rts)` in block order — named in the stall diagnosis
+    /// so an expired inter-GPU grant is reported as such, not as a generic
+    /// MSHR stall.
     #[must_use]
     pub fn expired_grant_blocks(&self) -> Vec<(BlockAddr, u64)> {
-        self.read_waiters
-            .iter()
+        let mut blocks: Vec<(BlockAddr, u64)> = self
+            .read_waiters
+            .iter() // lint: allow(hash-iter): sorted below, before anything reads it.
             .filter(|(_, parked)| !parked.is_empty())
             .filter_map(|(block, _)| self.tags.get(block).map(|m| (*block, m.rts.0)))
-            .collect()
+            .collect();
+        blocks.sort_unstable_by_key(|&(block, _)| block);
+        blocks
     }
 
     /// Next request to inject into the fabric toward the home node.
@@ -191,14 +219,12 @@ impl DeviceL2 {
             served_rts: wts,
             version,
         };
-        match self.tags.get_mut(&block) {
-            // Same version: pure grant extension, keep the serve
-            // high-water.
-            Some(m) if m.wts == wts => m.rts = m.rts.max(rts),
-            Some(m) => *m = meta,
-            None => {
-                self.tags.insert(block, meta);
-            }
+        let m = self.tags.entry(block).or_insert(meta);
+        // Same version: pure grant extension, keep the serve high-water.
+        if m.wts == wts {
+            m.rts = m.rts.max(rts);
+        } else {
+            *m = meta;
         }
         let epoch = self.epoch;
         self.tracer
@@ -216,21 +242,16 @@ impl DeviceL2 {
             });
     }
 
-    /// Serves a read locally from the installed grant (caller checked
-    /// coverage): the L1 lease is `nest_rts`-clamped inside the grant.
-    fn serve_local(&mut self, src: usize, r: ReadReq) {
-        let lease = self.p.lease;
-        let mutated = self.mutation == ProtocolMutation::ServePastGrantRts;
-        let meta = self.tags.get_mut(&r.block).expect("caller checked grant");
-        let new_rts = if mutated {
-            // Mutant: drop the nest_rts clamp — the lease may escape the
-            // grant, the bug the `L2-lease ⊆ device-grant` checkers catch.
-            extend_rts(meta.served_rts, r.warp_ts, lease)
-        } else {
-            nest_rts(meta.served_rts, r.warp_ts, lease, meta.rts)
+    /// Serves a read locally if the installed grant covers its warp (one
+    /// probe of `tags`): the L1 lease is `nest_rts`-clamped inside the
+    /// grant. False, and nothing done, if the read must wait for one.
+    fn serve_if_covered(&mut self, src: usize, r: ReadReq) -> bool {
+        let (lease, mutation) = (self.p.lease, self.mutation);
+        let covering = self.tags.get_mut(&r.block);
+        let Some(meta) = covering.filter(|m| lease_covers(m.rts, r.warp_ts)) else {
+            return false;
         };
-        meta.served_rts = new_rts;
-        let (wts, version) = (meta.wts, meta.version);
+        let (wts, new_rts, version) = meta.serve(r.warp_ts, lease, mutation);
         let epoch = self.epoch;
         self.stats.hits += 1;
         self.sanitizer
@@ -262,6 +283,7 @@ impl DeviceL2 {
             })
         };
         self.out_resp.push_back((src, resp));
+        true
     }
 
     /// Sends a read toward the home for `block`, renewing data-lessly
@@ -281,12 +303,7 @@ impl DeviceL2 {
         self.stats.accesses += 1;
         match msg {
             L1ToL2::Read(r) => {
-                let covered = self
-                    .tags
-                    .get(&r.block)
-                    .is_some_and(|m| lease_covers(m.rts, r.warp_ts));
-                if covered {
-                    self.serve_local(src, r);
+                if self.serve_if_covered(src, r) {
                     return;
                 }
                 if self.tags.contains_key(&r.block) {
@@ -321,28 +338,14 @@ impl DeviceL2 {
     /// any remain uncovered, sends one follow-up read extending the
     /// grant to the farthest waiter.
     fn drain_waiters(&mut self, block: BlockAddr) {
-        let Some(parked) = self.read_waiters.get_mut(&block) else {
+        let Some(mut still) = self.read_waiters.remove(&block) else {
             return;
         };
-        let waiting = std::mem::take(parked);
-        let mut still = Vec::new();
-        for (src, r) in waiting {
-            let covered = self
-                .tags
-                .get(&block)
-                .is_some_and(|m| lease_covers(m.rts, r.warp_ts));
-            if covered {
-                self.serve_local(src, r);
-            } else {
-                still.push((src, r));
-            }
-        }
+        still.retain(|&(src, r)| !self.serve_if_covered(src, r));
         if let Some(&(_, far)) = still.iter().max_by_key(|(_, r)| r.warp_ts) {
             self.forward_read(block, far.warp_ts, far.span);
         }
-        if still.is_empty() {
-            self.read_waiters.remove(&block);
-        } else {
+        if !still.is_empty() {
             self.read_waiters.insert(block, still);
         }
     }
@@ -460,6 +463,7 @@ impl L2Controller for DeviceL2 {
         self.in_queue.is_empty()
             && self.fabric_out.is_empty()
             && self.out_resp.is_empty()
+            // lint: allow(hash-iter): "all empty" does not depend on the order.
             && self.read_waiters.values().all(Vec::is_empty)
             && self.write_waiters.is_empty()
     }
@@ -467,6 +471,7 @@ impl L2Controller for DeviceL2 {
     /// Occupancy snapshot for stall diagnosis.
     fn pressure(&self) -> ControllerPressure {
         ControllerPressure {
+            // lint: allow(hash-iter): a sum does not depend on the order.
             mshr: self.read_waiters.values().map(Vec::len).sum::<usize>()
                 + self.write_waiters.len(),
             out_queue: self.in_queue.len() + self.fabric_out.len(),
@@ -535,6 +540,7 @@ impl L2Controller for DeviceL2 {
         self.epoch = epoch;
         self.needs_reset = false;
         self.stats.ts_rollovers += 1;
+        // lint: allow(hash-iter): every parked read is rebased alike, in any order.
         for parked in self.read_waiters.values_mut() {
             for (_, r) in parked.iter_mut() {
                 *r = r.rebased(epoch);
@@ -556,10 +562,13 @@ impl L2Controller for DeviceL2 {
         self.clock = self.clock.max(now);
         self.tags.clear();
         // Every in-flight transaction dies with the device: close their
-        // sampled spans so no span leaks open across the reset.
+        // sampled spans so no span leaks open across the reset. The order
+        // is not observable: a close only stamps its own record, and every
+        // close here carries the same cycle and reason.
         let dead = (self.in_queue.drain(..).map(|(_, _, m)| m.span()))
             .chain(self.fabric_out.drain(..).map(|m| m.span()))
             .chain(self.out_resp.drain(..).map(|(_, m)| m.span()))
+            // lint: allow(hash-iter): order-free, see above (both maps).
             .chain(self.read_waiters.values().flatten().map(|(_, r)| r.span))
             .chain(self.write_waiters.values().map(|&(_, span)| span));
         for span in dead {
@@ -617,6 +626,7 @@ mod tests {
     use super::*;
     use crate::home::{HomeNode, HomeParams};
     use gtsc_protocol::msg::WriteReq;
+    use gtsc_trace::SpanRecord;
 
     fn read(block: u64, wts: u64, warp_ts: u64) -> L1ToL2 {
         L1ToL2::Read(ReadReq {
@@ -636,6 +646,27 @@ mod tests {
             epoch: 0,
             span: SpanId::NONE,
         })
+    }
+
+    fn with_span(msg: L1ToL2, span: SpanId) -> L1ToL2 {
+        match msg {
+            L1ToL2::Read(r) => L1ToL2::Read(ReadReq { span, ..r }),
+            L1ToL2::Write(w) => L1ToL2::Write(WriteReq { span, ..w }),
+            L1ToL2::Atomic(w) => L1ToL2::Atomic(WriteReq { span, ..w }),
+        }
+    }
+
+    /// A seeded Fisher–Yates shuffle (xorshift64): "any other order" for
+    /// the order-independence tests.
+    fn shuffled(mut v: Vec<u64>, seed: u64) -> Vec<u64> {
+        let mut x = seed.max(1);
+        for i in (1..v.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            v.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        v
     }
 
     /// Pumps device ↔ home with zero fabric latency until both idle.
@@ -832,18 +863,13 @@ mod tests {
         for id in ids {
             spans.open(id, Cycle(0));
         }
-        let spanned = |msg: L1ToL2, span: SpanId| match msg {
-            L1ToL2::Read(r) => L1ToL2::Read(ReadReq { span, ..r }),
-            L1ToL2::Write(w) => L1ToL2::Write(WriteReq { span, ..w }),
-            other => other,
-        };
-        dev.on_request(0, spanned(read(5, 0, 1), ids[0]), Cycle(0));
-        dev.on_request(1, spanned(write(7, 1, 42), ids[1]), Cycle(0));
+        dev.on_request(0, with_span(read(5, 0, 1), ids[0]), Cycle(0));
+        dev.on_request(1, with_span(write(7, 1, 42), ids[1]), Cycle(0));
         for c in 0..40 {
             dev.tick(Cycle(c));
         }
         while dev.take_fabric_request().is_some() {} // both now cross the fabric
-        dev.on_request(0, spanned(read(9, 0, 1), ids[2]), Cycle(40));
+        dev.on_request(0, with_span(read(9, 0, 1), ids[2]), Cycle(40));
         dev.crash(Cycle(50));
         let records = spans.spans();
         assert_eq!(records.len(), 3);
@@ -919,5 +945,118 @@ mod tests {
         let a = settle(&mut dev, &mut home, Cycle(300));
         let b = settle(&mut copy, &mut home2, Cycle(300));
         assert_eq!(a, b);
+    }
+
+    /// What a device's hashed state shows, built with its grants, parked
+    /// reads and stores arriving in `order`: snapshot bytes, the expired
+    /// grants, the stall attribution — and, after a crash, the span records.
+    type DeviceView = (
+        Vec<u8>,
+        Vec<(BlockAddr, u64)>,
+        (usize, usize, usize),
+        Vec<SpanRecord>,
+    );
+
+    fn device_built_in(order: impl Fn(Vec<u64>) -> Vec<u64>) -> DeviceView {
+        // Blocks 0..12 hold grants up to rts 40; reads park past them on
+        // 0..6 and on the ungranted 12..18; stores to 18..24 await their
+        // home acks. Every access is sampled: span `b + 1` rides block `b`.
+        let spans = SpanTracker::new(64);
+        let mut dev = DeviceL2::new(DeviceParams::default());
+        dev.set_span_tracker(spans.clone());
+        let requested: Vec<u64> = (0..6).chain(12..24).collect();
+        for &b in &requested {
+            spans.open(SpanId(b + 1), Cycle(0));
+        }
+        for b in order((0..12).collect()) {
+            let grant = FillResp {
+                block: BlockAddr(b),
+                lease: LeaseInfo::Logical {
+                    wts: Timestamp(1),
+                    rts: Timestamp(40),
+                },
+                version: Version(b),
+                epoch: 0,
+                span: SpanId::NONE,
+            };
+            dev.on_fabric_response(L2ToL1::Fill(grant), Cycle(0));
+        }
+        for b in order(requested) {
+            let req = if b < 18 {
+                read(b, 0, 100)
+            } else {
+                write(b, 1, 1000 + b)
+            };
+            dev.on_request(b as usize % 4, with_span(req, SpanId(b + 1)), Cycle(0));
+        }
+        for c in 0..100 {
+            dev.tick(Cycle(c));
+        }
+        while dev.take_fabric_request().is_some() {}
+        let mut w = SnapWriter::new();
+        dev.save_state(&mut w).expect("checkpoints");
+        let (bytes, expired, stalls) = (
+            w.into_bytes(),
+            dev.expired_grant_blocks(),
+            dev.stall_attribution(),
+        );
+        dev.crash(Cycle(200));
+        (bytes, expired, stalls, spans.spans())
+    }
+
+    #[test]
+    fn device_state_is_independent_of_arrival_order() {
+        let ascending = device_built_in(|v| v);
+        let (_, expired, stalls, spans) = &ascending;
+        assert_eq!(expired.len(), 6);
+        assert!(
+            expired.windows(2).all(|w| w[0].0 < w[1].0),
+            "expired grants in block order: {expired:?}"
+        );
+        assert_eq!(*stalls, (6, 6, 6));
+        assert_eq!(spans.len(), 18);
+        assert!(spans
+            .iter()
+            .all(|s| s.closed == Some((Cycle(200), CloseReason::BankReset))));
+        for seed in [7, 13, 0x9E37_79B9] {
+            let other = device_built_in(|v| shuffled(v, seed));
+            assert!(
+                ascending.0 == other.0,
+                "snapshot bytes differ at seed {seed}"
+            );
+            assert_eq!(ascending.1, other.1, "seed {seed}");
+            assert_eq!(ascending.2, other.2, "seed {seed}");
+            assert_eq!(ascending.3, other.3, "seed {seed}");
+        }
+    }
+
+    /// The home's side: stores and reads to 32 blocks, in ascending and in
+    /// shuffled block order, leave the same snapshot and the same image.
+    fn home_built_in(order: impl Fn(Vec<u64>) -> Vec<u64>) -> (Vec<u8>, Vec<(BlockAddr, Version)>) {
+        let mut home = HomeNode::new(HomeParams::default());
+        for b in order((0..32).collect()) {
+            home.on_request(0, write(b, 3, 500 + b), Cycle(0));
+            home.on_request(1, read(b, 0, 70), Cycle(0));
+        }
+        home.tick(Cycle(100));
+        while home.take_response().is_some() {}
+        let mut w = SnapWriter::new();
+        home.save_state(&mut w);
+        (w.into_bytes(), home.memory_image())
+    }
+
+    #[test]
+    fn home_state_is_independent_of_arrival_order() {
+        let (bytes, image) = home_built_in(|v| v);
+        assert_eq!(image.len(), 32);
+        assert!(
+            image.windows(2).all(|w| w[0].0 < w[1].0),
+            "memory image in block order: {image:?}"
+        );
+        for seed in [7, 13, 0x9E37_79B9] {
+            let (other_bytes, other_image) = home_built_in(|v| shuffled(v, seed));
+            assert!(bytes == other_bytes, "snapshot bytes differ at seed {seed}");
+            assert_eq!(image, other_image, "seed {seed}");
+        }
     }
 }

@@ -22,7 +22,7 @@
 //!   write ack still certifies commit at the L1, it just installs no
 //!   lease.)
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc_core::rules::{extend_rts, grant_rts, store_wts};
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
@@ -91,9 +91,10 @@ gtsc_types::snap_fields!(AppliedStore {
 #[derive(Debug)]
 pub struct HomeNode {
     p: HomeParams,
-    /// Master lease state. BTreeMap: the memory image iterates this, and
-    /// it must never leak hash order.
-    blocks: BTreeMap<BlockAddr, HomeMeta>,
+    /// Master lease state. Hashed like all simulation state (DESIGN.md
+    /// §15.4): a snapshot writes it sorted, `memory_image` sorts, and the
+    /// reset's walk is order-free.
+    blocks: FxHashMap<BlockAddr, HomeMeta>,
     epoch: Epoch,
     overflow: bool,
     /// Store-replay filter (see module docs): recent acks per block.
@@ -113,7 +114,7 @@ impl HomeNode {
     pub fn new(p: HomeParams) -> Self {
         HomeNode {
             p,
-            blocks: BTreeMap::new(),
+            blocks: FxHashMap::default(),
             epoch: 0,
             overflow: false,
             applied: FxHashMap::default(),
@@ -212,6 +213,7 @@ impl HomeNode {
     /// grant rebases to `[INIT, lease]`, versions (the data) survive.
     pub fn apply_reset(&mut self, epoch: Epoch) {
         let lease = self.p.lease;
+        // lint: allow(hash-iter): every grant is rebased alike, in any order.
         for meta in self.blocks.values_mut() {
             meta.wts = Timestamp::INIT;
             meta.rts = Timestamp(lease.0);
@@ -228,7 +230,13 @@ impl HomeNode {
     /// The authoritative multi-GPU memory image, sorted by block.
     #[must_use]
     pub fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        self.blocks.iter().map(|(b, m)| (*b, m.version)).collect()
+        let mut image: Vec<(BlockAddr, Version)> = self
+            .blocks
+            .iter() // lint: allow(hash-iter): sorted below, before anything reads it.
+            .map(|(b, m)| (*b, m.version))
+            .collect();
+        image.sort_unstable_by_key(|&(block, _)| block);
+        image
     }
 
     fn note_ts(&mut self, ts: Timestamp) {
@@ -237,26 +245,25 @@ impl HomeNode {
         }
     }
 
-    /// The replay filter: if this exact store was already applied,
-    /// returns its recorded ack for re-emission; otherwise records the
-    /// ack being applied now. Bounded far deeper than any retry lag.
+    /// The replay filter: if a store of this version was already applied
+    /// to `block`, returns its recorded ack for re-emission; otherwise
+    /// records `store`, the ack about to be applied. Bounded far deeper
+    /// than any retry lag. (A function of the filter alone, so `serve`
+    /// can hold the block's entry across it.)
     fn replay_or_record(
-        &mut self,
+        applied: &mut FxHashMap<BlockAddr, VecDeque<AppliedStore>>,
         block: BlockAddr,
-        record: Option<AppliedStore>,
-        version: Version,
+        store: AppliedStore,
     ) -> Option<AppliedStore> {
         const HISTORY: usize = 64;
-        let seen = self.applied.entry(block).or_default();
-        if let Some(prior) = seen.iter().find(|a| a.version == version) {
+        let seen = applied.entry(block).or_default();
+        if let Some(prior) = seen.iter().find(|a| a.version == store.version) {
             return Some(*prior);
         }
-        if let Some(a) = record {
-            if seen.len() == HISTORY {
-                seen.pop_front();
-            }
-            seen.push_back(a);
+        if seen.len() == HISTORY {
+            seen.pop_front();
         }
+        seen.push_back(store);
         None
     }
 
@@ -265,23 +272,24 @@ impl HomeNode {
         let msg = msg.rebased(self.epoch);
         let block = msg.block();
         self.stats.accesses += 1;
-        let lease = self.p.lease;
+        let (lease, epoch) = (self.p.lease, self.epoch);
         // Memory-backed: an untouched block materializes with the
-        // fresh-from-memory grant `[INIT, INIT + lease]`.
-        let entry = *self.blocks.entry(block).or_insert(HomeMeta {
+        // fresh-from-memory grant `[INIT, INIT + lease]`. The one probe of
+        // `blocks` per request.
+        let meta = self.blocks.entry(block).or_insert(HomeMeta {
             wts: Timestamp::INIT,
             rts: grant_rts(Timestamp::INIT, lease),
             version: Version::ZERO,
         });
         match msg {
             L1ToL2::Read(r) => {
-                let new_rts = extend_rts(entry.rts, r.warp_ts, lease);
-                let meta = self.blocks.get_mut(&block).expect("just inserted");
-                meta.rts = new_rts;
-                let grant_wts = meta.wts;
-                let version = meta.version;
+                meta.rts = extend_rts(meta.rts, r.warp_ts, lease);
+                let HomeMeta {
+                    wts: grant_wts,
+                    rts: new_rts,
+                    version,
+                } = *meta;
                 self.note_ts(new_rts);
-                let epoch = self.epoch;
                 self.sanitizer
                     .check_with(self.clock, || Transition::L2Grant {
                         block,
@@ -330,7 +338,19 @@ impl HomeNode {
             }
             L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
                 let atomic = matches!(msg, L1ToL2::Atomic(_));
-                if let Some(prior) = self.replay_or_record(block, None, w.version) {
+                // Figure 5 over the fabric: the store is scheduled after
+                // every outstanding inter-GPU grant; writes never stall.
+                let prev = meta.version;
+                let wts = store_wts(meta.rts, w.warp_ts);
+                let rts = grant_rts(wts, lease);
+                let store = AppliedStore {
+                    version: w.version,
+                    wts,
+                    rts,
+                    prev,
+                    epoch,
+                };
+                if let Some(prior) = Self::replay_or_record(&mut self.applied, block, store) {
                     // A retried store the home already applied: re-emit
                     // the original acknowledgement (see module docs).
                     self.stats.replayed_stores += 1;
@@ -357,27 +377,11 @@ impl HomeNode {
                     self.out.push_back((dev, resp));
                     return;
                 }
-                // Figure 5 over the fabric: the store is scheduled after
-                // every outstanding inter-GPU grant; writes never stall.
-                let prev = entry.version;
-                let wts = store_wts(entry.rts, w.warp_ts);
-                let rts = grant_rts(wts, lease);
-                let meta = self.blocks.get_mut(&block).expect("just inserted");
-                meta.wts = wts;
-                meta.rts = rts;
-                meta.version = w.version;
-                let epoch = self.epoch;
-                let _ = self.replay_or_record(
-                    block,
-                    Some(AppliedStore {
-                        version: w.version,
-                        wts,
-                        rts,
-                        prev,
-                        epoch,
-                    }),
-                    w.version,
-                );
+                *meta = HomeMeta {
+                    wts,
+                    rts,
+                    version: w.version,
+                };
                 self.stats.stores += 1;
                 self.note_ts(rts);
                 self.tracer

@@ -11,18 +11,19 @@
 //! checkpoint reproduces it byte-identically (proved in
 //! `tests/spans.rs`). The three host-side lines under it (`stepped …`,
 //! `visited …`, `host allocations: …`) describe how this process executed
-//! the run.
+//! the run. `--gpus N` runs the kernel on N devices behind the inter-GPU
+//! fabric (`MultiGpuSim`, DESIGN.md §17) and prints the same report.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gtsc_sim::{render_folded, render_profile, spans_to_chrome_trace, GpuSim, SimBuilder};
+use gtsc_sim::{render_folded, render_profile, spans_to_chrome_trace, MultiGpuSim, SimBuilder};
 use gtsc_sweep::{
     benchmark_from_name, consistency_from_name, protocol_from_name, scale_from_name, JobSpec,
 };
-use gtsc_types::ConsistencyModel;
+use gtsc_types::{ConsistencyModel, FabricConfig, GpuConfig, MultiGpuConfig};
 
 const USAGE: &str = "\
 profile_report: run one kernel and report per-SM cycle attribution
@@ -38,6 +39,7 @@ usage: profile_report [flags]
     --bank-crashes N    injected L2 bank crashes (default: 0)
     --cycle-budget N    simulated-cycle timeout, 0 = unbounded (default: 0)
     --spans N           sample 1-in-N accesses as causal spans (default: off)
+    --gpus N            run on N devices behind the inter-GPU fabric (default: 1)
     --folded PATH       write flamegraph-folded cycle buckets to PATH
     --chrome PATH       write a Chrome trace of the sampled spans to PATH
     --quiet             suppress the table (exports only)
@@ -75,6 +77,7 @@ static ALLOCATOR: Counting = Counting;
 struct Cli {
     spec: JobSpec,
     span_rate: u64,
+    gpus: usize,
     folded: Option<PathBuf>,
     chrome: Option<PathBuf>,
     quiet: bool,
@@ -98,6 +101,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             cycle_budget: 0,
         },
         span_rate: 0,
+        gpus: 1,
         folded: None,
         chrome: None,
         quiet: false,
@@ -141,6 +145,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.spec.cycle_budget = parse_num("--cycle-budget", value("--cycle-budget")?)?;
             }
             "--spans" => cli.span_rate = parse_num("--spans", value("--spans")?)?,
+            "--gpus" => {
+                cli.gpus = parse_num("--gpus", value("--gpus")?)?;
+                if cli.gpus == 0 {
+                    return Err("--gpus needs at least one device".to_string());
+                }
+            }
             "--folded" => cli.folded = Some(value("--folded")?.into()),
             "--chrome" => cli.chrome = Some(value("--chrome")?.into()),
             "--quiet" => cli.quiet = true,
@@ -155,61 +165,85 @@ fn write_file(path: &Path, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
-fn build_sim(cli: &Cli) -> Result<GpuSim, String> {
+fn gpu_config(cli: &Cli) -> GpuConfig {
     let mut cfg = cli.spec.config();
     if cli.span_rate > 0 {
         cfg.trace = cfg.trace.with_spans(cli.span_rate, cli.spec.seed);
     }
-    SimBuilder::new(cfg).try_build().map_err(|e| e.to_string())
+    cfg
+}
+
+/// Runs `$kernel` on `$sim`, prints the report and writes the exports,
+/// and evaluates to the `RunReport`. A macro, not a function: `GpuSim` and
+/// `MultiGpuSim` are one `Sim` over a memory side that cannot be named
+/// outside `gtsc-sim`.
+macro_rules! run_and_report {
+    ($sim:ident, $cli:expr, $kernel:expr) => {{
+        let cli: &Cli = $cli;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = $sim.run_kernel($kernel).map_err(|e| e.to_string())?;
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        if !cli.quiet {
+            print!("{}", render_profile(&report.stats));
+            // How the cycles above were executed, not what they were
+            // (DESIGN.md §15.2): N near M on an idle-heavy kernel means
+            // some component reports the always-due default horizon.
+            println!(
+                "stepped {} of {} cycles ({} jumps)",
+                $sim.stepped_cycles(),
+                report.stats.accounted_cycles,
+                $sim.jumps()
+            );
+            // And what the stepped cycles touched: N near M means
+            // components that are due every cycle — the always-due default
+            // again, or a wake entry that is zeroed and never refreshed.
+            let (visits, of) = $sim.component_visits();
+            println!("visited {visits} of {of} component-cycles");
+            // What `run_kernel` asked of the allocator (DESIGN.md §15.4):
+            // dispatch, first touch and growth — a per-cycle figure near
+            // the accesses per cycle means a hot path allocates again.
+            println!(
+                "host allocations: {allocations} ({:.2} per simulated cycle)",
+                allocations as f64 / report.stats.cycles.0.max(1) as f64
+            );
+        }
+        if let Some(path) = &cli.folded {
+            write_file(path, &render_folded(&report.stats))?;
+        }
+        if let Some(path) = &cli.chrome {
+            write_file(path, &spans_to_chrome_trace(&$sim.spans()))?;
+        }
+        if cli.span_rate > 0 && !cli.quiet {
+            let spans = $sim.spans();
+            let closed = spans.iter().filter(|s| s.closed.is_some()).count();
+            println!(
+                "spans: {} sampled, {} closed, {} suppressed by cap",
+                spans.len(),
+                closed,
+                $sim.spans_suppressed()
+            );
+        }
+        report
+    }};
 }
 
 fn run(args: &[String]) -> Result<(), String> {
     let cli = parse_args(args)?;
-    let mut sim = build_sim(&cli)?;
     let kernel = cli.spec.kernel();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = sim.run_kernel(kernel.as_ref()).map_err(|e| e.to_string())?;
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    if !cli.quiet {
-        print!("{}", render_profile(&report.stats));
-        // How the cycles above were executed, not what they were
-        // (DESIGN.md §15.2): N near M on an idle-heavy kernel means some
-        // component reports the always-due default horizon.
-        println!(
-            "stepped {} of {} cycles ({} jumps)",
-            sim.stepped_cycles(),
-            report.stats.accounted_cycles,
-            sim.jumps()
-        );
-        // And what the stepped cycles touched: N near M means components
-        // that are due every cycle — the always-due default again, or a
-        // wake entry that is zeroed and never refreshed.
-        let (visits, of) = sim.component_visits();
-        println!("visited {visits} of {of} component-cycles");
-        // What `run_kernel` asked of the allocator (DESIGN.md §15.4):
-        // dispatch, first touch and growth — a per-cycle figure near the
-        // accesses per cycle means a hot path allocates again.
-        println!(
-            "host allocations: {allocations} ({:.2} per simulated cycle)",
-            allocations as f64 / report.stats.cycles.0.max(1) as f64
-        );
-    }
-    if let Some(path) = &cli.folded {
-        write_file(path, &render_folded(&report.stats))?;
-    }
-    if let Some(path) = &cli.chrome {
-        write_file(path, &spans_to_chrome_trace(&sim.spans()))?;
-    }
-    if cli.span_rate > 0 && !cli.quiet {
-        let spans = sim.spans();
-        let closed = spans.iter().filter(|s| s.closed.is_some()).count();
-        println!(
-            "spans: {} sampled, {} closed, {} suppressed by cap",
-            spans.len(),
-            closed,
-            sim.spans_suppressed()
-        );
-    }
+    let report = if cli.gpus == 1 {
+        let mut sim = SimBuilder::new(gpu_config(&cli))
+            .try_build()
+            .map_err(|e| e.to_string())?;
+        run_and_report!(sim, &cli, kernel.as_ref())
+    } else {
+        let mut sim = MultiGpuSim::try_build(MultiGpuConfig {
+            n_devices: cli.gpus,
+            gpu: gpu_config(&cli),
+            fabric: FabricConfig::default(),
+        })
+        .map_err(|e| e.to_string())?;
+        run_and_report!(sim, &cli, kernel.as_ref())
+    };
     for v in &report.violations {
         eprintln!("violation: {}", v.0);
     }
