@@ -195,13 +195,6 @@ pub fn fingerprint_of(cfg: &dyn std::fmt::Debug, label: &str) -> u64 {
     (u64::from(crc32(repr.as_bytes())) << 32) | u64::from(crc32(label.as_bytes()))
 }
 
-/// Writes snapshot section `name` through `fill`.
-pub fn put(b: &mut SnapshotBuilder, name: &str, fill: impl FnOnce(&mut SnapWriter)) {
-    let mut w = SnapWriter::new();
-    fill(&mut w);
-    b.section(name, w.into_bytes());
-}
-
 /// Decodes snapshot section `name` through `read`, which must consume
 /// the whole payload.
 pub fn get<'a, T>(
@@ -1383,10 +1376,10 @@ impl<M: MemorySide> Sim<M> {
         progress: Option<&KernelProgress>,
     ) -> Result<Vec<u8>, SnapshotError> {
         let mut b = SnapshotBuilder::new();
-        put(&mut b, "meta", |w| {
+        b.section("meta", |w| {
             self.mem.config_fingerprint(&self.cfg).save(w);
         });
-        put(&mut b, "sim", |w| {
+        b.section("sim", |w| {
             self.now.save(w);
             self.epoch.save(w);
             self.recoveries.save(w);
@@ -1394,17 +1387,15 @@ impl<M: MemorySide> Sim<M> {
             self.sanitizer.save_state(w);
             self.steps.save(w);
         });
-        let mut w = SnapWriter::new();
-        w.usize(self.devices.len());
-        for dev in &self.devices {
-            dev.save(&mut w)?;
-        }
-        b.section("devices", w.into_bytes());
+        b.section("devices", |w| {
+            w.usize(self.devices.len());
+            self.devices.iter().try_for_each(|dev| dev.save(w))
+        })?;
         self.mem.save(&mut b);
-        put(&mut b, "checker", |w| self.checker.save(w));
-        put(&mut b, "sampler", |w| self.sampler.save(w));
+        b.section("checker", |w| self.checker.save(w));
+        b.section("sampler", |w| self.sampler.save(w));
         if let Some(p) = progress {
-            put(&mut b, "progress", |w| p.save(w));
+            b.section("progress", |w| p.save(w));
         }
         Ok(b.finish())
     }

@@ -16,9 +16,7 @@ use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{Cycle, GpuConfig, SimStats};
 
 use crate::build::{build_l1, build_l2};
-use crate::engine::{
-    expect_count, fingerprint_of, get, put, Device, MemorySide, Sim, TraceView, Wake,
-};
+use crate::engine::{expect_count, fingerprint_of, get, Device, MemorySide, Sim, TraceView, Wake};
 use crate::report::{SimError, StallDiagnosis};
 
 /// The assembled GPU: the one-device instantiation of the [`Sim`]
@@ -156,7 +154,7 @@ impl MemorySide for LocalDram {
     }
 
     fn save(&self, b: &mut SnapshotBuilder) {
-        put(b, "dram", |w| {
+        b.section("dram", |w| {
             w.usize(self.drams.len());
             for d in &self.drams {
                 d.save_state(w);

@@ -30,7 +30,7 @@ use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{BlockAddr, Cycle, GpuConfig, MultiGpuConfig, ProtocolKind, SimStats, Version};
 
 use crate::build::build_l1;
-use crate::engine::{fingerprint_of, get, put, Device, MemorySide, Sim, TraceView, Wake};
+use crate::engine::{fingerprint_of, get, Device, MemorySide, Sim, TraceView, Wake};
 use crate::report::{DeviceStall, SimError, StallDiagnosis};
 
 /// The assembled multi-GPU system: the N-device instantiation of the
@@ -318,11 +318,11 @@ impl MemorySide for FabricToHome {
     }
 
     fn save(&self, b: &mut SnapshotBuilder) {
-        put(b, "fabric", |w| {
+        b.section("fabric", |w| {
             self.up_net.save_state(w);
             self.down_net.save_state(w);
         });
-        put(b, "home", |w| self.home.save_state(w));
+        b.section("home", |w| self.home.save_state(w));
     }
 
     fn restore(&mut self, file: &SnapshotFile<'_>) -> Result<(), SnapshotError> {

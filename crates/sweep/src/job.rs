@@ -267,6 +267,9 @@ pub struct JobRun {
     /// Wall time of each persisted checkpoint write, in nanoseconds
     /// (encode excluded) — metrics fodder, never journaled.
     pub checkpoint_write_ns: Vec<u64>,
+    /// Wall time of each snapshot encode (`save_snapshot`), in
+    /// nanoseconds, whether or not the image was then written.
+    pub checkpoint_encode_ns: Vec<u64>,
 }
 
 /// Runs one job to a deterministic outcome.
@@ -274,7 +277,8 @@ pub struct JobRun {
 /// The kernel advances in `slice_cycles` slices (0 = one unbounded
 /// shot). Every `checkpoint_every` simulated cycles a whole-machine
 /// snapshot is offered to `allow_checkpoint(size_bytes)`; if the budget
-/// callback approves, it is atomically persisted to `store`. On entry,
+/// callback approves, it is atomically persisted to `store`, and its
+/// first refusal ends checkpointing for the job. On entry,
 /// the newest loadable checkpoint (primary, then `.prev`) is restored —
 /// a corrupt pair silently restarts the job from cycle zero, which is
 /// slower but produces the identical result. Terminal paths clear the
@@ -329,6 +333,7 @@ pub fn run_job(
     let mut checkpointing = store.is_some() && checkpoint_every > 0 && slice_cycles > 0;
     let mut checkpoints_written = 0u32;
     let mut checkpoint_write_ns: Vec<u64> = Vec::new();
+    let mut checkpoint_encode_ns: Vec<u64> = Vec::new();
     loop {
         match sim.advance_kernel(&*kernel, &mut progress, slice_cycles) {
             Ok(Some(report)) => {
@@ -338,26 +343,29 @@ pub fn run_job(
                     resumed_from_checkpoint: resumed,
                     checkpoints_written,
                     checkpoint_write_ns,
+                    checkpoint_encode_ns,
                 };
             }
             Ok(None) => {
                 since_checkpoint += slice_cycles;
                 if checkpointing && since_checkpoint >= checkpoint_every {
                     since_checkpoint = 0;
-                    match sim.save_snapshot(Some(&progress)) {
-                        Ok(bytes) => {
-                            if allow_checkpoint(bytes.len()) {
-                                if let Some(store) = store {
-                                    let t0 = std::time::Instant::now();
-                                    if store.save(&bytes).is_ok() {
-                                        checkpoints_written += 1;
-                                        checkpoint_write_ns.push(t0.elapsed().as_nanos() as u64);
-                                    }
+                    let t0 = std::time::Instant::now();
+                    let encoded = sim.save_snapshot(Some(&progress));
+                    checkpoint_encode_ns.push(t0.elapsed().as_nanos() as u64);
+                    match encoded {
+                        Ok(bytes) if allow_checkpoint(bytes.len()) => {
+                            if let Some(store) = store {
+                                let t0 = std::time::Instant::now();
+                                if store.save(&bytes).is_ok() {
+                                    checkpoints_written += 1;
+                                    checkpoint_write_ns.push(t0.elapsed().as_nanos() as u64);
                                 }
                             }
                         }
-                        // Protocol without snapshot support: stop trying.
-                        Err(_) => checkpointing = false,
+                        // The budget refuses from here on, or the protocol
+                        // cannot snapshot: stop encoding images.
+                        _ => checkpointing = false,
                     }
                 }
             }
@@ -369,6 +377,7 @@ pub fn run_job(
                     resumed_from_checkpoint: resumed,
                     checkpoints_written,
                     checkpoint_write_ns,
+                    checkpoint_encode_ns,
                 };
             }
             Err(e @ SimError::Stalled { .. }) => {
@@ -385,6 +394,7 @@ pub fn run_job(
                     resumed_from_checkpoint: resumed,
                     checkpoints_written,
                     checkpoint_write_ns,
+                    checkpoint_encode_ns,
                 };
             }
             Err(e) => {
@@ -428,6 +438,7 @@ fn finished(
 fn rejected(spec: &JobSpec, err: &SimError) -> JobRun {
     JobRun {
         checkpoint_write_ns: Vec::new(),
+        checkpoint_encode_ns: Vec::new(),
         result: JobResult {
             id: spec.id,
             outcome: JobOutcome::Rejected,

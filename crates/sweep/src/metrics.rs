@@ -1,8 +1,8 @@
 //! The sweep service's metrics registry.
 //!
 //! Counters and log-bucketed histograms for the service-level health
-//! signals (job wall time, checkpoint writes, journal fsyncs, retries,
-//! sheds), rendered in the Prometheus text exposition format — the
+//! signals (job wall time, checkpoint encodes and writes, journal fsyncs,
+//! retries, sheds), rendered in the Prometheus text exposition format — the
 //! `sweep` binary writes it to `--metrics-file` after the run and on
 //! `SIGUSR1` mid-run.
 //!
@@ -39,6 +39,8 @@ pub struct SweepMetrics {
     /// Wall time of one checkpoint write (encode excluded), in
     /// microseconds.
     checkpoint_write_us: Mutex<LatencyHist>,
+    /// Wall time of one snapshot encode, in microseconds.
+    checkpoint_encode_us: Mutex<LatencyHist>,
     /// Wall time of one journal append incl. its fsync, in microseconds.
     journal_fsync_us: Mutex<LatencyHist>,
 }
@@ -75,6 +77,11 @@ impl SweepMetrics {
     pub fn checkpoint_written(&self, write_us: u64) {
         self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
         lock(&self.checkpoint_write_us).record(write_us);
+    }
+
+    /// Records one snapshot encode latency.
+    pub fn checkpoint_encoded(&self, encode_us: u64) {
+        lock(&self.checkpoint_encode_us).record(encode_us);
     }
 
     /// Records one journal append (incl. fsync) latency.
@@ -137,6 +144,11 @@ impl SweepMetrics {
                 &self.checkpoint_write_us,
             ),
             (
+                "gtsc_sweep_checkpoint_encode_microseconds",
+                "Wall time of one snapshot encode",
+                &self.checkpoint_encode_us,
+            ),
+            (
                 "gtsc_sweep_journal_fsync_microseconds",
                 "Wall time of one journal append including its fsync",
                 &self.journal_fsync_us,
@@ -174,6 +186,7 @@ mod tests {
         m.job_retried();
         m.shed();
         m.checkpoint_written(45);
+        m.checkpoint_encoded(150);
         m.journal_fsync(3);
         let text = m.render_prometheus();
         assert!(text.contains("gtsc_sweep_jobs_completed_total 2"), "{text}");
@@ -192,6 +205,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert!(
+            text.contains("gtsc_sweep_checkpoint_encode_microseconds_count 1"),
+            "{text}"
+        );
         // Buckets are cumulative: every bucket count is <= the next.
         let mut last = 0u64;
         for line in text.lines().filter(|l| {
@@ -219,6 +236,7 @@ mod tests {
             "gtsc_sweep_checkpoints_written_total",
             "gtsc_sweep_job_wall_milliseconds",
             "gtsc_sweep_checkpoint_write_microseconds",
+            "gtsc_sweep_checkpoint_encode_microseconds",
             "gtsc_sweep_journal_fsync_microseconds",
         ] {
             assert!(text.contains(family), "missing {family}:\n{text}");

@@ -348,7 +348,12 @@ impl Shared<'_> {
                 return false;
             }
             if !self.plan.fails(spec.id, attempt) {
-                let every = self.checkpoint_every.load(Ordering::Relaxed);
+                // Once the budget is spent a job encodes nothing at all.
+                let every = if self.checkpoints_disabled.load(Ordering::Relaxed) {
+                    0
+                } else {
+                    self.checkpoint_every.load(Ordering::Relaxed)
+                };
                 let t0 = Instant::now();
                 let run = run_job(spec, Some(&store), self.cfg.slice_cycles, every, |size| {
                     self.allow_checkpoint(size)
@@ -365,6 +370,9 @@ impl Shared<'_> {
                     m.job_completed(t0.elapsed().as_millis() as u64);
                     for ns in &run.checkpoint_write_ns {
                         m.checkpoint_written(ns / 1_000);
+                    }
+                    for ns in &run.checkpoint_encode_ns {
+                        m.checkpoint_encoded(ns / 1_000);
                     }
                 }
                 lock(&self.results).push(run.result);
@@ -687,8 +695,12 @@ mod tests {
         let mut cfg = SweepConfig::new(tmp("disk-tight"));
         cfg.slice_cycles = 200;
         cfg.checkpoint_every = 400; // checkpoint eagerly to hit the budget
-        cfg.disk_budget_bytes = 64 * 1024;
-        let tight = run_sweep(&specs, &cfg, &TransientFaultPlan::default()).unwrap();
+        cfg.disk_budget_bytes = 24 * 1024;
+        cfg.workers = 1;
+        let metrics = SweepMetrics::new();
+        let tight =
+            run_sweep_with_metrics(&specs, &cfg, &TransientFaultPlan::default(), Some(&metrics))
+                .unwrap();
         assert_eq!(
             clean.render_aggregates(&specs),
             tight.render_aggregates(&specs),
@@ -699,6 +711,19 @@ mod tests {
             "shed report expected, got {:?}",
             tight.shed
         );
+        // One worker: the budget refuses one image, after which the
+        // running job and every later one encode nothing.
+        let text = metrics.render_prometheus();
+        let count = |family: &str| -> u64 {
+            let prefix = format!("{family}_count ");
+            text.lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .and_then(|v| v.parse().ok())
+                .expect("count line")
+        };
+        let encoded = count("gtsc_sweep_checkpoint_encode_microseconds");
+        let written = count("gtsc_sweep_checkpoint_write_microseconds");
+        assert_eq!(encoded, written + 1, "encodes vs writes");
     }
 
     #[test]

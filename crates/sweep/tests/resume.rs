@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
+use std::time::Instant;
 
 use gtsc_sweep::{replay, Record};
 
@@ -98,25 +98,27 @@ fn assert_no_shard_reruns(records: &[Record], n_jobs: u32) {
 fn kill_dash_nine_mid_batch_then_restart_is_byte_identical() {
     let n_jobs = 12u32;
 
-    // Reference: one uninterrupted run.
+    // Reference: one uninterrupted run, timed.
     let ref_dir = tmp("reference");
+    let t0 = Instant::now();
     run_to_completion(&batch_args(&ref_dir));
+    let batch_time = t0.elapsed();
     let reference = aggregates(&ref_dir);
 
-    // Victim: SIGKILL the service mid-batch several times, at varying
-    // points, then let a final run finish the batch.
+    // Victim: SIGKILL the service mid-batch several times, at fixed
+    // fractions of the reference run's time — so a kill lands mid-batch
+    // however fast the build and the host are — then let a final run
+    // finish the batch.
     let victim_dir = tmp("victim");
     let args = batch_args(&victim_dir);
     let mut interrupted = 0;
-    // Delays sized so the first kill lands mid-batch in both debug
-    // (~2.7 s batch) and release (~0.4 s batch) builds.
-    for (round, delay_ms) in [100u64, 150, 250, 450].into_iter().enumerate() {
+    for (round, percent) in [10u32, 25, 50, 80].into_iter().enumerate() {
         let mut child = Command::new(BIN).args(&args).spawn().expect("spawn sweep");
-        std::thread::sleep(Duration::from_millis(delay_ms));
+        std::thread::sleep(batch_time * percent / 100);
         match child.try_wait().expect("try_wait") {
             Some(status) => {
-                // Finished before the kill (fast machine): that's a
-                // completed batch; later rounds become no-op resumes.
+                // Finished before the kill (earlier rounds left little
+                // to do): later rounds become no-op resumes.
                 assert!(status.success(), "round {round}: sweep failed");
             }
             None => {

@@ -111,9 +111,13 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-const fn crc32_table() -> [u32; 256] {
+/// Slicing-by-16 tables: `t[0]` is the classic bytewise table, and
+/// `t[k][i]` is the CRC register after byte `i` is followed by `k` zero
+/// bytes, so one lookup per byte of a 16-byte block, all independent,
+/// replaces sixteen dependent steps of the bytewise loop.
+const fn crc32_tables() -> [[u32; 256]; 16] {
     // IEEE 802.3 reflected polynomial, the one used by zip/png/ethernet.
-    let mut table = [0u32; 256];
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -126,20 +130,52 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+const CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC32 (IEEE) of `bytes`, as framed into every snapshot section.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    let mut c = 0xFFFF_FFFFu32;
+    for block in blocks {
+        let mut b = *block;
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        b[..4].copy_from_slice(&head.to_le_bytes());
+        c = 0;
+        for (k, &byte) in b.iter().enumerate() {
+            c ^= t[15 - k][usize::from(byte)];
+        }
+    }
+    for &byte in tail {
+        c = t[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// The bytewise table walk: the reference [`crc32`]'s tests compare
+/// against.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -522,12 +558,13 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
 
 // Hash containers are written in sorted key order: the iteration order
 // of a `HashMap` is randomized per process, and a snapshot must encode
-// identical logical state as identical bytes.
+// identical logical state as identical bytes. Keys are unique, so an
+// unstable sort yields that one order.
 impl<K: Snap + Ord + Hash + Eq, V: Snap, S: BuildHasher + Default> Snap for HashMap<K, V, S> {
     fn save(&self, w: &mut SnapWriter) {
         w.usize(self.len());
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         for (k, v) in entries {
             k.save(w);
             v.save(w);
@@ -549,7 +586,7 @@ impl<T: Snap + Ord + Hash + Eq, S: BuildHasher + Default> Snap for HashSet<T, S>
     fn save(&self, w: &mut SnapWriter) {
         w.usize(self.len());
         let mut entries: Vec<&T> = self.iter().collect();
-        entries.sort();
+        entries.sort_unstable();
         for v in entries {
             v.save(w);
         }
@@ -657,11 +694,27 @@ macro_rules! snap_fields {
     };
 }
 
-/// Assembles a sectioned snapshot: magic, format version, then each
-/// section as `name | payload length | payload CRC32 | payload`.
-#[derive(Debug, Default)]
+/// Where the header's section count sits: after the magic and version.
+const SECTION_COUNT_AT: usize = SNAP_MAGIC.len() + 4;
+
+/// Assembles a sectioned snapshot in one buffer: magic, format version,
+/// section count, then each section as `name | payload length | payload
+/// CRC32 | payload`. Payloads are encoded in place and their frames
+/// patched afterwards, so no payload is copied.
+#[derive(Debug)]
 pub struct SnapshotBuilder {
-    sections: Vec<(String, Vec<u8>)>,
+    w: SnapWriter,
+    sections: u32,
+}
+
+impl Default for SnapshotBuilder {
+    fn default() -> Self {
+        let mut w = SnapWriter::new();
+        w.bytes(&SNAP_MAGIC);
+        w.u32(SNAP_VERSION);
+        w.u32(0);
+        SnapshotBuilder { w, sections: 0 }
+    }
 }
 
 impl SnapshotBuilder {
@@ -671,25 +724,30 @@ impl SnapshotBuilder {
         SnapshotBuilder::default()
     }
 
-    /// Appends a named section with the given payload.
-    pub fn section(&mut self, name: &str, payload: Vec<u8>) {
-        self.sections.push((name.to_owned(), payload));
+    /// Appends section `name`, whose payload `fill` encodes, and hands
+    /// back what `fill` returns (a fallible encoder's error, say).
+    pub fn section<T>(&mut self, name: &str, fill: impl FnOnce(&mut SnapWriter) -> T) -> T {
+        self.w.str(name);
+        let frame = self.w.len();
+        self.w.u64(0);
+        self.w.u32(0);
+        let start = self.w.len();
+        let out = fill(&mut self.w);
+        let buf = &mut self.w.buf;
+        let len = (buf.len() - start) as u64;
+        let crc = crc32(&buf[start..]);
+        buf[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
+        buf[frame + 8..start].copy_from_slice(&crc.to_le_bytes());
+        self.sections += 1;
+        out
     }
 
-    /// Encodes the container.
+    /// The finished container.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.bytes(&SNAP_MAGIC);
-        w.u32(SNAP_VERSION);
-        w.u32(self.sections.len() as u32);
-        for (name, payload) in &self.sections {
-            w.str(name);
-            w.usize(payload.len());
-            w.u32(crc32(payload));
-            w.bytes(payload);
-        }
-        w.into_bytes()
+        let mut buf = self.w.into_bytes();
+        buf[SECTION_COUNT_AT..SECTION_COUNT_AT + 4].copy_from_slice(&self.sections.to_le_bytes());
+        buf
     }
 }
 
@@ -761,12 +819,88 @@ impl<'a> SnapshotFile<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_known_vectors() {
         // "123456789" → 0xCBF43926 is the canonical IEEE CRC32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for f in [crc32, crc32_bytewise] {
+            assert_eq!(f(b"123456789"), 0xCBF4_3926);
+            assert_eq!(f(b""), 0);
+            assert_eq!(
+                f(b"The quick brown fox jumps over the lazy dog"),
+                0x414F_A339
+            );
+        }
+    }
+
+    fn bytes_of(xs: &[u16]) -> Vec<u8> {
+        xs.iter().map(|&x| x as u8).collect()
+    }
+
+    /// The container assembled in two passes — payloads encoded first,
+    /// then copied behind their name, length and CRC: the reference the
+    /// in-place builder must equal.
+    fn two_pass_container(sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.bytes(&SNAP_MAGIC);
+        w.u32(SNAP_VERSION);
+        w.u32(sections.len() as u32);
+        for (name, payload) in sections {
+            w.str(name);
+            w.usize(payload.len());
+            w.u32(crc32_bytewise(payload));
+            w.bytes(payload);
+        }
+        w.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Every length mod 16 and every alignment: the 16-byte blocks,
+        /// the bytewise tail, and where the blocks start.
+        #[test]
+        fn crc32_equals_the_bytewise_loop(
+            buf in proptest::collection::vec(0u16..256, 4112..4113),
+            len in 0usize..4096,
+        ) {
+            let buf = bytes_of(&buf);
+            for start in 0..16 {
+                let s = &buf[start..start + len];
+                prop_assert_eq!(crc32(s), crc32_bytewise(s), "len {} start {}", len, start);
+            }
+        }
+
+        /// Empty payloads, odd lengths and repeated names: the builder's
+        /// one buffer equals the two-pass assembly byte for byte.
+        #[test]
+        fn builder_equals_two_pass_assembly(
+            sections in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(0u16..256, 0..300)),
+                0..8,
+            ),
+        ) {
+            let names = ["devices", "", "a", "devices"];
+            let sections: Vec<(&str, Vec<u8>)> =
+                sections.iter().map(|(n, p)| (names[*n], bytes_of(p))).collect();
+            let mut b = SnapshotBuilder::new();
+            for (name, payload) in &sections {
+                b.section(name, |w| payload.iter().for_each(|&x| w.u8(x)));
+            }
+            let bytes = b.finish();
+            let want = two_pass_container(&sections);
+            let first_diff = bytes.iter().zip(&want).position(|(a, b)| a != b);
+            prop_assert!(
+                bytes == want,
+                "{} bytes vs {}, first difference at {:?}",
+                bytes.len(),
+                want.len(),
+                first_diff
+            );
+            let parsed = SnapshotFile::parse(&bytes);
+            prop_assert!(parsed.is_ok(), "{:?}", parsed.err());
+        }
     }
 
     #[test]
@@ -893,8 +1027,8 @@ mod tests {
     #[test]
     fn snapshot_file_detects_all_damage_classes() {
         let mut b = SnapshotBuilder::new();
-        b.section("alpha", vec![1, 2, 3, 4]);
-        b.section("beta", vec![9, 9]);
+        b.section("alpha", |w| w.bytes(&[1, 2, 3, 4]));
+        b.section("beta", |w| w.bytes(&[9, 9]));
         let good = b.finish();
 
         let parsed = SnapshotFile::parse(&good).expect("good parses");
