@@ -6,22 +6,11 @@
 use std::collections::VecDeque;
 
 use gtsc_protocol::msg::{L1ToL2, L2ToL1, ReadReq, WriteReq};
-use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
-use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Timestamp, Version, WarpId};
-
-#[derive(Debug, Clone, Copy)]
-struct Waiter {
-    id: AccessId,
-    warp: WarpId,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct StoreWaiter {
-    id: AccessId,
-    warp: WarpId,
-    kind: AccessKind,
-    version: Version,
-}
+use gtsc_protocol::{
+    AccessKind, Completion, L1Controller, L1Outcome, MemAccess, PendingStore, StoreBook,
+    VersionMint, Waiter,
+};
+use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Timestamp};
 
 /// A pass-through "L1" that forwards every access to the L2.
 ///
@@ -45,15 +34,14 @@ struct StoreWaiter {
 /// ```
 #[derive(Debug)]
 pub struct BypassL1 {
-    sm_index: usize,
     /// FIFO of outstanding loads per block (each `BusRd` yields one fill).
     read_waiters: FxHashMap<BlockAddr, VecDeque<Waiter>>,
-    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    stores: StoreBook<()>,
     out: VecDeque<L1ToL2>,
     /// What the latest `on_response` completed: emptied on entry, lent
     /// out until the next call (see `L1Outcome::Reject`).
     done: Vec<Completion>,
-    version_ctr: Vec<u64>,
+    mint: VersionMint,
     stats: CacheStats,
 }
 
@@ -62,23 +50,13 @@ impl BypassL1 {
     #[must_use]
     pub fn new(sm_index: usize) -> Self {
         BypassL1 {
-            sm_index,
             read_waiters: FxHashMap::default(),
-            store_acks: FxHashMap::default(),
+            stores: StoreBook::default(),
             out: VecDeque::new(),
             done: Vec::new(),
-            version_ctr: Vec::new(),
+            mint: VersionMint::new(sm_index, 0),
             stats: CacheStats::default(),
         }
-    }
-
-    fn mint_version(&mut self, warp: WarpId) -> Version {
-        let w = warp.0 as usize;
-        if self.version_ctr.len() <= w {
-            self.version_ctr.resize(w + 1, 0);
-        }
-        self.version_ctr[w] += 1;
-        Version(((self.sm_index as u64 + 1) << 40) | ((w as u64) << 28) | self.version_ctr[w])
     }
 }
 
@@ -91,10 +69,7 @@ impl L1Controller for BypassL1 {
                 self.read_waiters
                     .entry(acc.block)
                     .or_default()
-                    .push_back(Waiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                    });
+                    .push_back(Waiter::of(&acc));
                 self.out.push_back(L1ToL2::Read(ReadReq {
                     block: acc.block,
                     wts: Timestamp(0),
@@ -105,16 +80,9 @@ impl L1Controller for BypassL1 {
             }
             AccessKind::Store | AccessKind::Atomic => {
                 self.stats.stores += 1;
-                let version = self.mint_version(acc.warp);
-                self.store_acks
-                    .entry(acc.block)
-                    .or_default()
-                    .push_back(StoreWaiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                        kind: acc.kind,
-                        version,
-                    });
+                let version = self.mint.mint(acc.warp);
+                self.stores
+                    .push(acc.block, PendingStore::new(&acc, version, ()));
                 let req = WriteReq {
                     block: acc.block,
                     warp_ts: Timestamp(0),
@@ -122,11 +90,7 @@ impl L1Controller for BypassL1 {
                     epoch: 0,
                     span: acc.span,
                 };
-                self.out.push_back(if acc.kind == AccessKind::Atomic {
-                    L1ToL2::Atomic(req)
-                } else {
-                    L1ToL2::Write(req)
-                });
+                self.out.push_back(L1ToL2::store(acc.kind, req));
             }
         }
         L1Outcome::Queued
@@ -134,52 +98,18 @@ impl L1Controller for BypassL1 {
 
     fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> &[Completion] {
         self.done.clear();
-        match msg {
-            L2ToL1::Fill(f) => {
-                if let Some(q) = self.read_waiters.get_mut(&f.block) {
-                    if let Some(w) = q.pop_front() {
-                        self.done.push(Completion {
-                            id: w.id,
-                            warp: w.warp,
-                            kind: AccessKind::Load,
-                            block: f.block,
-                            version: f.version,
-                            ts: None,
-                            epoch: 0,
-                            prev: None,
-                        });
-                    }
-                    if q.is_empty() {
-                        self.read_waiters.remove(&f.block);
-                    }
+        if let Some((a, prev)) = msg.as_store_ack() {
+            let acked = self.stores.take(a.block, a.version);
+            self.done.extend(acked.map(|s| s.acked(a.block, prev)));
+        } else if let L2ToL1::Fill(f) = msg {
+            if let Some(q) = self.read_waiters.get_mut(&f.block) {
+                let served = q.pop_front();
+                self.done
+                    .extend(served.map(|w| w.loaded(f.block, f.version)));
+                if q.is_empty() {
+                    self.read_waiters.remove(&f.block);
                 }
             }
-            L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
-                let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
-                    Some(prev)
-                } else {
-                    None
-                };
-                if let Some(q) = self.store_acks.get_mut(&a.block) {
-                    if let Some(pos) = q.iter().position(|s| s.version == a.version) {
-                        let sw = q.remove(pos).expect("position valid");
-                        if q.is_empty() {
-                            self.store_acks.remove(&a.block);
-                        }
-                        self.done.push(Completion {
-                            id: sw.id,
-                            warp: sw.warp,
-                            kind: sw.kind,
-                            block: a.block,
-                            version: a.version,
-                            ts: None,
-                            epoch: 0,
-                            prev,
-                        });
-                    }
-                }
-            }
-            L2ToL1::Renew { .. } | L2ToL1::Invalidate { .. } => {}
         }
         &self.done
     }
@@ -200,7 +130,7 @@ impl L1Controller for BypassL1 {
     fn flush(&mut self) {}
 
     fn is_idle(&self) -> bool {
-        self.read_waiters.is_empty() && self.store_acks.is_empty() && self.out.is_empty()
+        self.read_waiters.is_empty() && self.stores.is_empty() && self.out.is_empty()
     }
 
     fn stats(&self) -> CacheStats {
@@ -211,8 +141,9 @@ impl L1Controller for BypassL1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtsc_protocol::msg::LeaseInfo;
-    use gtsc_protocol::msg::{FillResp, WriteAckResp};
+    use gtsc_protocol::msg::{FillResp, LeaseInfo, WriteAckResp};
+    use gtsc_protocol::AccessId;
+    use gtsc_types::{BlockAddr, Version, WarpId};
 
     fn load(id: u64, block: u64) -> MemAccess {
         MemAccess {

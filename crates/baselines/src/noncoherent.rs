@@ -8,42 +8,28 @@ use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
-use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
-use gtsc_types::{
-    BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, Timestamp, Version, WarpId,
+use gtsc_protocol::{
+    AccessKind, Completion, L1Controller, L1Outcome, MemAccess, PendingStore, StoreBook,
+    VersionMint, Waiter,
 };
+use gtsc_types::{CacheGeometry, CacheStats, Cycle, Timestamp, Version};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlainMeta {
     version: Version,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Waiter {
-    id: AccessId,
-    warp: WarpId,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct StoreWaiter {
-    id: AccessId,
-    warp: WarpId,
-    kind: AccessKind,
-    version: Version,
-}
-
 /// A non-coherent write-through private cache.
 #[derive(Debug)]
 pub struct NonCoherentL1 {
-    sm_index: usize,
     tags: TagArray<PlainMeta>,
     mshr: Mshr<Waiter>,
-    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
+    stores: StoreBook<()>,
     /// What the latest `on_response` completed: emptied on entry, lent
     /// out until the next call (see `L1Outcome::Reject`).
     done: Vec<Completion>,
     out: VecDeque<L1ToL2>,
-    version_ctr: Vec<u64>,
+    mint: VersionMint,
     stats: CacheStats,
 }
 
@@ -57,24 +43,14 @@ impl NonCoherentL1 {
         mshr_merges: usize,
     ) -> Self {
         NonCoherentL1 {
-            sm_index,
             tags: TagArray::new(geometry),
             mshr: Mshr::new(mshr_entries, mshr_merges),
-            store_acks: FxHashMap::default(),
+            stores: StoreBook::default(),
             done: Vec::new(),
             out: VecDeque::new(),
-            version_ctr: Vec::new(),
+            mint: VersionMint::new(sm_index, 0),
             stats: CacheStats::default(),
         }
-    }
-
-    fn mint_version(&mut self, warp: WarpId) -> Version {
-        let w = warp.0 as usize;
-        if self.version_ctr.len() <= w {
-            self.version_ctr.resize(w + 1, 0);
-        }
-        self.version_ctr[w] += 1;
-        Version(((self.sm_index as u64 + 1) << 40) | ((w as u64) << 28) | self.version_ctr[w])
     }
 }
 
@@ -85,24 +61,10 @@ impl L1Controller for NonCoherentL1 {
                 if let Some(line) = self.tags.probe(acc.block) {
                     self.stats.accesses += 1;
                     self.stats.hits += 1;
-                    return L1Outcome::Hit(Completion {
-                        id: acc.id,
-                        warp: acc.warp,
-                        kind: AccessKind::Load,
-                        block: acc.block,
-                        version: line.meta.version,
-                        ts: None,
-                        epoch: 0,
-                        prev: None,
-                    });
+                    let version = line.meta.version;
+                    return L1Outcome::Hit(Waiter::of(&acc).loaded(acc.block, version));
                 }
-                let outcome = match self.mshr.register(
-                    acc.block,
-                    Waiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                    },
-                ) {
+                let outcome = match self.mshr.register(acc.block, Waiter::of(&acc)) {
                     MshrAlloc::Full => return L1Outcome::Reject,
                     MshrAlloc::AllocatedNew => {
                         self.out.push_back(L1ToL2::Read(ReadReq {
@@ -126,7 +88,7 @@ impl L1Controller for NonCoherentL1 {
             AccessKind::Store | AccessKind::Atomic => {
                 self.stats.accesses += 1;
                 self.stats.stores += 1;
-                let version = self.mint_version(acc.warp);
+                let version = self.mint.mint(acc.warp);
                 if let Some(line) = self.tags.probe_mut(acc.block) {
                     line.meta.version = version;
                 }
@@ -137,20 +99,9 @@ impl L1Controller for NonCoherentL1 {
                     epoch: 0,
                     span: acc.span,
                 };
-                self.out.push_back(if acc.kind == AccessKind::Atomic {
-                    L1ToL2::Atomic(req)
-                } else {
-                    L1ToL2::Write(req)
-                });
-                self.store_acks
-                    .entry(acc.block)
-                    .or_default()
-                    .push_back(StoreWaiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                        kind: acc.kind,
-                        version,
-                    });
+                self.out.push_back(L1ToL2::store(acc.kind, req));
+                self.stores
+                    .push(acc.block, PendingStore::new(&acc, version, ()));
                 L1Outcome::Queued
             }
         }
@@ -158,60 +109,24 @@ impl L1Controller for NonCoherentL1 {
 
     fn on_response(&mut self, msg: L2ToL1, _now: Cycle) -> &[Completion] {
         self.done.clear();
-        match msg {
-            L2ToL1::Fill(f) => {
-                debug_assert_eq!(f.lease, LeaseInfo::None, "plain L2 grants no leases");
-                if self
-                    .tags
-                    .fill(f.block, PlainMeta { version: f.version })
-                    .is_some()
-                {
-                    self.stats.evictions += 1;
-                }
-                let mut waiters = self.mshr.take(f.block);
-                for w in waiters.drain(..) {
-                    self.done.push(Completion {
-                        id: w.id,
-                        warp: w.warp,
-                        kind: AccessKind::Load,
-                        block: f.block,
-                        version: f.version,
-                        ts: None,
-                        epoch: 0,
-                        prev: None,
-                    });
-                }
-                self.mshr.recycle(waiters);
+        if let Some((a, prev)) = msg.as_store_ack() {
+            let acked = self.stores.take(a.block, a.version);
+            self.done.extend(acked.map(|s| s.acked(a.block, prev)));
+        } else if let L2ToL1::Fill(f) = msg {
+            debug_assert_eq!(f.lease, LeaseInfo::None, "plain L2 grants no leases");
+            if self
+                .tags
+                .fill(f.block, PlainMeta { version: f.version })
+                .is_some()
+            {
+                self.stats.evictions += 1;
             }
-            L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
-                let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
-                    Some(prev)
-                } else {
-                    None
-                };
-                if let Some(q) = self.store_acks.get_mut(&a.block) {
-                    if let Some(pos) = q.iter().position(|s| s.version == a.version) {
-                        let sw = q.remove(pos).expect("position valid");
-                        if q.is_empty() {
-                            self.store_acks.remove(&a.block);
-                        }
-                        self.done.push(Completion {
-                            id: sw.id,
-                            warp: sw.warp,
-                            kind: sw.kind,
-                            block: a.block,
-                            version: a.version,
-                            ts: None,
-                            epoch: 0,
-                            prev,
-                        });
-                    }
-                }
-            }
-            L2ToL1::Renew { .. } => {}
-            L2ToL1::Invalidate { block, .. } => {
-                self.tags.invalidate(block);
-            }
+            let mut waiters = self.mshr.take(f.block);
+            let loaded = waiters.drain(..).map(|w| w.loaded(f.block, f.version));
+            self.done.extend(loaded);
+            self.mshr.recycle(waiters);
+        } else if let L2ToL1::Invalidate { block, .. } = msg {
+            self.tags.invalidate(block);
         }
         &self.done
     }
@@ -234,7 +149,7 @@ impl L1Controller for NonCoherentL1 {
     }
 
     fn is_idle(&self) -> bool {
-        self.mshr.is_empty() && self.store_acks.is_empty() && self.out.is_empty()
+        self.mshr.is_empty() && self.stores.is_empty() && self.out.is_empty()
     }
 
     fn stats(&self) -> CacheStats {
@@ -246,6 +161,8 @@ impl L1Controller for NonCoherentL1 {
 mod tests {
     use super::*;
     use gtsc_protocol::msg::FillResp;
+    use gtsc_protocol::AccessId;
+    use gtsc_types::{BlockAddr, WarpId};
 
     fn cache() -> NonCoherentL1 {
         NonCoherentL1::new(CacheGeometry::new(2 * 1024, 2, 128), 0, 8, 4)

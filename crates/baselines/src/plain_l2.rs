@@ -94,12 +94,9 @@ impl PlainL2 {
                     epoch: 0,
                     span: w.span,
                 };
-                let resp = if matches!(msg, L1ToL2::Atomic(_)) {
-                    L2ToL1::AtomicAck { ack, prev }
-                } else {
-                    L2ToL1::WriteAck(ack)
-                };
-                self.shell.respond(src, resp);
+                let atomic = matches!(msg, L1ToL2::Atomic(_));
+                self.shell
+                    .respond(src, L2ToL1::store_ack(atomic, ack, prev));
             }
         }
     }

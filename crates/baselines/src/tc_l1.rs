@@ -16,31 +16,18 @@ use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
 use gtsc_protocol::msg::{L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
-use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
-use gtsc_trace::{EventKind, Tracer};
-use gtsc_types::{
-    BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, Timestamp, Version, WarpId,
+use gtsc_protocol::{
+    AccessKind, Completion, L1Controller, L1Outcome, MemAccess, PendingStore, StoreBook,
+    VersionMint, Waiter,
 };
+use gtsc_trace::{EventKind, Tracer};
+use gtsc_types::{CacheGeometry, CacheStats, Cycle, Timestamp, Version, WarpId};
 
 use crate::TcMode;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TcMeta {
     expires: Cycle,
-    version: Version,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Waiter {
-    id: AccessId,
-    warp: WarpId,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct StoreWaiter {
-    id: AccessId,
-    warp: WarpId,
-    kind: AccessKind,
     version: Version,
 }
 
@@ -80,17 +67,14 @@ pub struct TcL1 {
     p: TcL1Params,
     tags: TagArray<TcMeta>,
     mshr: Mshr<Waiter>,
-    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
-    /// Emptied per-block queues of `store_acks`, reused by the next block
-    /// with a store in flight.
-    spare_acks: Vec<VecDeque<StoreWaiter>>,
+    stores: StoreBook<()>,
     /// What the latest `on_response` completed: emptied on entry, lent
     /// out until the next call (see `L1Outcome::Reject`).
     done: Vec<Completion>,
     /// Global Write Completion Time per warp (TC-Weak fences).
     gwct: Vec<Cycle>,
     out: VecDeque<L1ToL2>,
-    version_ctr: Vec<u64>,
+    mint: VersionMint,
     stats: CacheStats,
     tracer: Tracer,
 }
@@ -102,12 +86,11 @@ impl TcL1 {
         TcL1 {
             tags: TagArray::new(p.geometry),
             mshr: Mshr::new(p.mshr_entries, p.mshr_merges),
-            store_acks: FxHashMap::default(),
-            spare_acks: Vec::new(),
+            stores: StoreBook::default(),
             done: Vec::new(),
             gwct: vec![Cycle(0); p.n_warps],
             out: VecDeque::new(),
-            version_ctr: vec![0; p.n_warps],
+            mint: VersionMint::new(p.sm_index, p.n_warps),
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             p,
@@ -123,25 +106,6 @@ impl TcL1 {
     pub fn gwct(&self, warp: WarpId) -> Cycle {
         self.gwct[warp.0 as usize]
     }
-
-    fn mint_version(&mut self, warp: WarpId) -> Version {
-        let w = warp.0 as usize;
-        self.version_ctr[w] += 1;
-        Version(((self.p.sm_index as u64 + 1) << 40) | ((w as u64) << 28) | self.version_ctr[w])
-    }
-
-    fn completion(&self, w: Waiter, block: BlockAddr, version: Version) -> Completion {
-        Completion {
-            id: w.id,
-            warp: w.warp,
-            kind: AccessKind::Load,
-            block,
-            version,
-            ts: None,
-            epoch: 0,
-            prev: None,
-        }
-    }
 }
 
 impl L1Controller for TcL1 {
@@ -153,10 +117,6 @@ impl L1Controller for TcL1 {
                     if now < line.meta.expires {
                         self.stats.accesses += 1;
                         self.stats.hits += 1;
-                        let w = Waiter {
-                            id: acc.id,
-                            warp: acc.warp,
-                        };
                         let version = line.meta.version;
                         let expires = line.meta.expires;
                         self.tracer.record_with(now, || EventKind::Hit {
@@ -165,17 +125,13 @@ impl L1Controller for TcL1 {
                             warp_ts: now.0,
                             rts: expires.0,
                         });
-                        return L1Outcome::Hit(self.completion(w, acc.block, version));
+                        return L1Outcome::Hit(Waiter::of(&acc).loaded(acc.block, version));
                     }
                     // Tag match, expired lease: self-invalidated
                     // (coherence miss).
                     expired_lease = Some(line.meta.expires);
                 }
-                let waiter = Waiter {
-                    id: acc.id,
-                    warp: acc.warp,
-                };
-                let outcome = match self.mshr.register(acc.block, waiter) {
+                let outcome = match self.mshr.register(acc.block, Waiter::of(&acc)) {
                     MshrAlloc::Full => return L1Outcome::Reject,
                     MshrAlloc::AllocatedNew => {
                         self.out.push_back(L1ToL2::Read(ReadReq {
@@ -214,7 +170,7 @@ impl L1Controller for TcL1 {
             AccessKind::Store | AccessKind::Atomic => {
                 self.stats.accesses += 1;
                 self.stats.stores += 1;
-                let version = self.mint_version(acc.warp);
+                let version = self.mint.mint(acc.warp);
                 match self.p.mode {
                     TcMode::Strong => {
                         // The new value must not be observable locally
@@ -239,21 +195,9 @@ impl L1Controller for TcL1 {
                     epoch: 0,
                     span: acc.span,
                 };
-                self.out.push_back(if acc.kind == AccessKind::Atomic {
-                    L1ToL2::Atomic(req)
-                } else {
-                    L1ToL2::Write(req)
-                });
-                let spare = &mut self.spare_acks;
-                self.store_acks
-                    .entry(acc.block)
-                    .or_insert_with(|| spare.pop().unwrap_or_default())
-                    .push_back(StoreWaiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                        kind: acc.kind,
-                        version,
-                    });
+                self.out.push_back(L1ToL2::store(acc.kind, req));
+                self.stores
+                    .push(acc.block, PendingStore::new(&acc, version, ()));
                 L1Outcome::Queued
             }
         }
@@ -261,6 +205,19 @@ impl L1Controller for TcL1 {
 
     fn on_response(&mut self, msg: L2ToL1, now: Cycle) -> &[Completion] {
         self.done.clear();
+        if let Some((a, prev)) = msg.as_store_ack() {
+            if let Some(sw) = self.stores.take(a.block, a.version) {
+                if let LeaseInfo::Physical { expires } = a.lease {
+                    // TC-Weak: the ack carries the GWCT.
+                    let g = &mut self.gwct[sw.warp.0 as usize];
+                    *g = (*g).max(expires);
+                }
+                self.tracer
+                    .record_with(now, || EventKind::WriteAck { block: a.block });
+                self.done.push(sw.acked(a.block, prev));
+            }
+            return &self.done;
+        }
         match msg {
             L2ToL1::Fill(f) => {
                 let LeaseInfo::Physical { expires } = f.lease else {
@@ -281,42 +238,13 @@ impl L1Controller for TcL1 {
                     .record_with(now, || EventKind::FillApplied { block: f.block });
                 let mut waiters = self.mshr.take(f.block);
                 for w in waiters.drain(..) {
-                    self.done.push(self.completion(w, f.block, f.version));
+                    self.done.push(w.loaded(f.block, f.version));
                 }
                 self.mshr.recycle(waiters);
             }
             L2ToL1::Renew { .. } => unreachable!("TC has no renewal responses"),
-            L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
-                let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
-                    Some(prev)
-                } else {
-                    None
-                };
-                if let Some(q) = self.store_acks.get_mut(&a.block) {
-                    if let Some(pos) = q.iter().position(|s| s.version == a.version) {
-                        let sw = q.remove(pos).expect("position valid");
-                        if q.is_empty() {
-                            self.spare_acks.extend(self.store_acks.remove(&a.block));
-                        }
-                        if let LeaseInfo::Physical { expires } = a.lease {
-                            // TC-Weak: the ack carries the GWCT.
-                            let g = &mut self.gwct[sw.warp.0 as usize];
-                            *g = (*g).max(expires);
-                        }
-                        self.tracer
-                            .record_with(now, || EventKind::WriteAck { block: a.block });
-                        self.done.push(Completion {
-                            id: sw.id,
-                            warp: sw.warp,
-                            kind: sw.kind,
-                            block: a.block,
-                            version: a.version,
-                            ts: None,
-                            epoch: 0,
-                            prev,
-                        });
-                    }
-                }
+            L2ToL1::WriteAck(_) | L2ToL1::AtomicAck { .. } => {
+                unreachable!("store acks are decoded before the match")
             }
             L2ToL1::Invalidate { block, .. } => {
                 self.tags.invalidate(block);
@@ -356,7 +284,7 @@ impl L1Controller for TcL1 {
     }
 
     fn is_idle(&self) -> bool {
-        self.mshr.is_empty() && self.store_acks.is_empty() && self.out.is_empty()
+        self.mshr.is_empty() && self.stores.is_empty() && self.out.is_empty()
     }
 
     fn stats(&self) -> CacheStats {
@@ -376,6 +304,8 @@ impl L1Controller for TcL1 {
 mod tests {
     use super::*;
     use gtsc_protocol::msg::{FillResp, WriteAckResp};
+    use gtsc_protocol::AccessId;
+    use gtsc_types::BlockAddr;
 
     fn load(id: u64, warp: u16, block: u64) -> MemAccess {
         MemAccess {

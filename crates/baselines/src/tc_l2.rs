@@ -165,12 +165,8 @@ impl TcL2 {
             epoch: 0,
             span: w.span,
         };
-        let resp = if is_atomic {
-            L2ToL1::AtomicAck { ack, prev }
-        } else {
-            L2ToL1::WriteAck(ack)
-        };
-        self.shell.respond(src, resp);
+        self.shell
+            .respond(src, L2ToL1::store_ack(is_atomic, ack, prev));
     }
 
     /// Whether `msg`, to a resident block, can be performed now: a read

@@ -53,7 +53,7 @@ use gtsc_core::{GtscL1, GtscL2, L1Params, L2Params, ProtocolMutation};
 use gtsc_fabric::{DeviceL2, DeviceParams, HomeNode, HomeParams};
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, LeaseInfo};
 use gtsc_protocol::{
-    AccessId, AccessKind, Completion, L1Controller, L1Outcome, L2Controller, MemAccess,
+    AccessId, AccessKind, Completion, L1Controller, L1Outcome, L2Controller, MemAccess, VersionMint,
 };
 use gtsc_trace::{Finding, Report, Sanitizer, Scope};
 use gtsc_types::{BlockAddr, Cycle, Lease, Version, WarpId};
@@ -651,16 +651,16 @@ impl MicroGtsc {
     }
 
     /// Maps an observed [`Version`] back to the litmus store label that
-    /// minted it. `GtscL1::mint_version` encodes
-    /// `((sm + 1) << 40) | (warp << 28) | per-warp store index`, and the
-    /// harness issues thread `t`'s stores through SM `t` warp 0 in
-    /// program order, so the index selects from `store_labels[t]`.
+    /// minted it. [`VersionMint::decode`] names the SM and the per-warp
+    /// store index, and the harness issues thread `t`'s stores through SM
+    /// `t` warp 0 in program order, so the index selects from
+    /// `store_labels[t]`.
     fn decode_label(&self, v: Version) -> u32 {
         if v == Version::ZERO {
             return 0;
         }
-        let sm = usize::try_from((v.0 >> 40) - 1).expect("version encodes a valid SM");
-        let nth = usize::try_from(v.0 & ((1 << 28) - 1)).expect("store index fits");
+        let (sm, _, nth) = VersionMint::decode(v).expect("version encodes a valid SM");
+        let nth = usize::try_from(nth).expect("store index fits");
         assert!(
             sm < self.store_labels.len() && nth >= 1 && nth <= self.store_labels[sm].len(),
             "observed version {v:?} does not decode to an issued store"

@@ -38,10 +38,13 @@ fn hash_iter_rule_is_live_on_the_real_sources() {
         ("crates/mem/src/mshr.rs", 1),
         // `memory_image`'s walk over `backing`, for all three banks.
         ("crates/protocol/src/shell.rs", 1),
-        // Order-independent folds (min, count, sum, set-every-flag) over
-        // `rd_inflight` / `store_acks`, and the retry scan's two sorted
-        // walks.
-        ("crates/core/src/l1.rs", 7),
+        // `StoreBook`, for all four L1s: `blocks`, which sorts (the G-TSC
+        // retry scan's walk), and order-free folds — a sum, a minimum,
+        // the same change applied to every store.
+        ("crates/protocol/src/front.rs", 4),
+        // Order-independent folds (min, count) over `rd_inflight`, and
+        // the retry scan's sorted walk.
+        ("crates/core/src/l1.rs", 3),
         // `sorted_blocks` (every walk of `finish` and `compact` goes
         // through it), the frontier minimum, two footprint sums.
         ("crates/sim/src/check.rs", 4),

@@ -18,10 +18,10 @@
 use std::collections::VecDeque;
 
 use gtsc_mem::{Mshr, MshrAlloc, TagArray};
-use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
+use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteAckResp, WriteReq};
 use gtsc_protocol::{
-    AccessId, AccessKind, Completion, ControllerPressure, L1Controller, L1Outcome, MemAccess,
-    WaitHint,
+    AccessKind, Completion, ControllerPressure, L1Controller, L1Outcome, MemAccess, PendingStore,
+    StoreBook, VersionMint, WaitHint, Waiter,
 };
 use gtsc_trace::span::ServeClass;
 use gtsc_trace::{EventKind, Sanitizer, SpanTracker, Tracer, Transition};
@@ -63,20 +63,13 @@ impl L1Meta {
     }
 }
 
-/// A load waiting in the MSHR for a fill, renewal, or store ack.
+/// G-TSC's own state of a store or atomic waiting for its
+/// `BusWrAck`/`AtomicAck`. Packed: padded, the flag would round it up
+/// to 16 bytes and a booked store from 32 to 40, which shows in peak
+/// memory. Its fields are read and written by value, never borrowed.
 #[derive(Debug, Clone, Copy)]
-struct Waiter {
-    id: AccessId,
-    warp: WarpId,
-}
-
-/// A store or atomic waiting for its `BusWrAck`/`AtomicAck`.
-#[derive(Debug, Clone, Copy)]
-struct StoreWaiter {
-    id: AccessId,
-    warp: WarpId,
-    kind: AccessKind,
-    version: Version,
+#[repr(C, packed)]
+struct StoreState {
     /// Whether this store found the block resident and locked the line
     /// (update visibility). Only such stores may unlock it again: a store
     /// issued while the block was absent must not decrement the lock
@@ -145,10 +138,7 @@ pub struct GtscL1 {
     /// [`GtscL1::rd_insert`]/[`GtscL1::rd_remove`] so the per-cycle
     /// [`GtscL1::wait_hint`] never scans the map.
     renewals_inflight: u32,
-    store_acks: FxHashMap<BlockAddr, VecDeque<StoreWaiter>>,
-    /// Emptied per-block queues of `store_acks`, reused by the next block
-    /// with a store in flight. Volatile, never snapshotted.
-    spare_acks: Vec<VecDeque<StoreWaiter>>,
+    stores: StoreBook<StoreState>,
     /// The (empty) `writers` lists of evicted lines, reused by the next
     /// line that is stored to: at most one per line of the cache.
     /// Volatile, never snapshotted.
@@ -161,7 +151,7 @@ pub struct GtscL1 {
     /// natural renewals, duplicate stores hit the L2 replay filter.
     retry_timeout: Option<u64>,
     /// No request is overdue before this cycle: a lower bound on
-    /// `min(sent) + retry_timeout` over `rd_inflight` and `store_acks`,
+    /// `min(sent) + retry_timeout` over `rd_inflight` and `stores`,
     /// lowered wherever a `sent` stamp is set and made exact by the retry
     /// scan that gets past it (`u64::MAX` with retry off). Derived state,
     /// never snapshotted: `load_state` recomputes it.
@@ -172,7 +162,7 @@ pub struct GtscL1 {
     /// Volatile, never snapshotted.
     done: Vec<Completion>,
     epoch: Epoch,
-    version_ctr: Vec<u64>,
+    mint: VersionMint,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -192,15 +182,14 @@ impl GtscL1 {
             mshr: Mshr::new(p.mshr_entries, p.mshr_merges),
             rd_inflight: FxHashMap::default(),
             renewals_inflight: 0,
-            store_acks: FxHashMap::default(),
-            spare_acks: Vec::new(),
+            stores: StoreBook::default(),
             spare_writers: Vec::new(),
             retry_timeout: None,
             retry_due: Cycle(u64::MAX),
             out: VecDeque::new(),
             done: Vec::new(),
             epoch: 0,
-            version_ctr: vec![0; p.n_warps],
+            mint: VersionMint::new(p.sm_index, p.n_warps),
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -259,19 +248,10 @@ impl GtscL1 {
         let Some(timeout) = self.retry_timeout else {
             return Cycle(u64::MAX);
         };
-        // lint: allow(hash-iter): a minimum (of both) does not depend on the order.
+        // lint: allow(hash-iter): a minimum does not depend on the order.
         let reads = self.rd_inflight.values().map(|&(sent, _)| sent);
-        let stores = self.store_acks.values().flatten().map(|sw| sw.sent);
+        let stores = self.stores.min_of(|s| s.state.sent);
         (reads.chain(stores).min()).map_or(Cycle(u64::MAX), |sent| sent + timeout)
-    }
-
-    /// Mints a version id stable across protocols and timings: it encodes
-    /// (SM, warp slot, per-warp store index), so data-race-free workloads
-    /// produce identical memory images under every protocol.
-    fn mint_version(&mut self, warp: WarpId) -> Version {
-        let w = warp.0 as usize;
-        self.version_ctr[w] += 1;
-        Version(((self.p.sm_index as u64 + 1) << 40) | ((w as u64) << 28) | self.version_ctr[w])
     }
 
     fn complete_load(
@@ -288,14 +268,9 @@ impl GtscL1 {
         self.sanitizer
             .check_with(now, || Transition::WarpTs { warp: w.warp.0, ts });
         Completion {
-            id: w.id,
-            warp: w.warp,
-            kind: AccessKind::Load,
-            block,
-            version,
-            ts: Some(*slot),
+            ts: Some(ts),
             epoch: self.epoch,
-            prev: None,
+            ..w.loaded(block, version)
         }
     }
 
@@ -330,11 +305,7 @@ impl GtscL1 {
         request_wts: Option<Timestamp>,
         now: Cycle,
     ) -> L1Outcome {
-        let waiter = Waiter {
-            id: acc.id,
-            warp: acc.warp,
-        };
-        match self.mshr.register(acc.block, waiter) {
+        match self.mshr.register(acc.block, Waiter::of(&acc)) {
             MshrAlloc::Full => L1Outcome::Reject,
             MshrAlloc::AllocatedNew => {
                 if let Some(wts) = request_wts {
@@ -400,12 +371,7 @@ impl GtscL1 {
         // install a lease into) whatever line is re-installed in the new
         // epoch — a stale `locked_line` would steal a *post*-flush
         // store's lock and expose its uncommitted data to parked loads.
-        // lint: allow(hash-iter): every waiter gets the same flag, in any order.
-        for q in self.store_acks.values_mut() {
-            for sw in q.iter_mut() {
-                sw.locked_line = false;
-            }
-        }
+        self.stores.for_each_mut(|s| s.state.locked_line = false);
         for ts in &mut self.warp_ts {
             *ts = Timestamp::INIT;
         }
@@ -426,27 +392,52 @@ impl GtscL1 {
     /// key must reach the checker, or loads that observed the version
     /// would be flagged. Loads are retried from scratch.
     fn on_stale_response(&mut self, msg: L2ToL1, now: Cycle) {
-        match msg {
-            L2ToL1::Fill(f) => self.retry_reads_fresh(f.block, now),
-            L2ToL1::Renew { block, .. } => self.retry_reads_fresh(block, now),
-            L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
-                let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
-                    Some(prev)
-                } else {
-                    None
-                };
-                let stale_lease = match a.lease {
-                    LeaseInfo::Logical { wts, rts } => Some((wts, rts)),
-                    _ => None,
-                };
-                if let Some(c) =
-                    self.finish_store_at(a.block, a.version, stale_lease, a.epoch, prev, false, now)
-                {
-                    self.done.push(c);
-                }
-                self.retry_reads_fresh(a.block, now);
+        if let Some((a, prev)) = msg.as_store_ack() {
+            let stale_lease = match a.lease {
+                LeaseInfo::Logical { wts, rts } => Some((wts, rts)),
+                _ => None,
+            };
+            if let Some(c) =
+                self.finish_store(a.block, a.version, stale_lease, a.epoch, prev, false, now)
+            {
+                self.done.push(c);
             }
-            L2ToL1::Invalidate { .. } => {}
+        } else if matches!(msg, L2ToL1::Invalidate { .. }) {
+            return;
+        }
+        self.retry_reads_fresh(msg.block(), now);
+    }
+
+    /// A store ack of the current epoch: completes its store, installs
+    /// the lease it assigns (Figure 7b) and, if that unlocks the line,
+    /// serves the loads parked on it.
+    fn on_store_ack(&mut self, a: WriteAckResp, prev: Option<Version>, now: Cycle) {
+        let LeaseInfo::Logical { wts, rts } = a.lease else {
+            unreachable!("G-TSC write acks carry logical leases");
+        };
+        let lease = Some((wts, rts));
+        if let Some(c) = self.finish_store(a.block, a.version, lease, a.epoch, prev, true, now) {
+            self.tracer
+                .record_with(now, || EventKind::WriteAck { block: a.block });
+            self.done.push(c);
+        }
+        // The ack may unlock the line: serve parked readers.
+        let line_state = self
+            .tags
+            .peek(a.block)
+            .map(|l| (l.meta.locked(), l.meta.wts, l.meta.rts, l.meta.version));
+        match line_state {
+            Some((false, lwts, lrts, lver)) => {
+                self.serve_waiters(a.block, lwts, lrts, lver, now);
+            }
+            Some((true, ..)) => {} // still locked by another store
+            None => {
+                // Not resident (write-no-allocate / recalled):
+                // parked readers must refetch.
+                if self.mshr.contains(a.block) && !self.rd_inflight.contains_key(&a.block) {
+                    self.send_read(a.block, Timestamp(0), WarpId(0), SpanId::NONE, now);
+                }
+            }
         }
     }
 
@@ -483,25 +474,12 @@ impl GtscL1 {
 
     /// Completes the matching pending store or atomic; `lease` installs
     /// the acked version's lease when this was the line's newest store.
-    /// `prev` carries the read half of an atomic.
-    fn finish_store(
-        &mut self,
-        block: BlockAddr,
-        version: Version,
-        lease: Option<(Timestamp, Timestamp)>,
-        epoch: Epoch,
-        prev: Option<Version>,
-        now: Cycle,
-    ) -> Option<Completion> {
-        self.finish_store_at(block, version, lease, epoch, prev, true, now)
-    }
-
-    /// Like [`GtscL1::finish_store`]; `apply` controls whether the
-    /// warp-timestamp bump and line updates happen (they must not for a
-    /// stale-epoch ack, whose lease coordinates predate this L1's reset —
-    /// the lease still stamps the returned [`Completion`]).
+    /// `prev` carries the read half of an atomic. `apply` controls whether
+    /// the warp-timestamp bump and line updates happen (they must not for
+    /// a stale-epoch ack, whose lease coordinates predate this L1's reset
+    /// — the lease still stamps the returned [`Completion`]).
     #[allow(clippy::too_many_arguments)]
-    fn finish_store_at(
+    fn finish_store(
         &mut self,
         block: BlockAddr,
         version: Version,
@@ -511,12 +489,7 @@ impl GtscL1 {
         apply: bool,
         now: Cycle,
     ) -> Option<Completion> {
-        let q = self.store_acks.get_mut(&block)?;
-        let pos = q.iter().position(|s| s.version == version)?;
-        let sw = q.remove(pos).expect("position valid");
-        if q.is_empty() {
-            self.spare_acks.extend(self.store_acks.remove(&block));
-        }
+        let sw = self.stores.take(block, version)?;
         let mut completion_ts = None;
         if let Some((wts, _)) = lease {
             if apply {
@@ -534,14 +507,14 @@ impl GtscL1 {
         }
         let mut installed = None;
         if let Some(line) = self.tags.peek_mut(block).filter(|_| apply) {
-            if sw.locked_line {
+            if sw.state.locked_line {
                 line.meta.pending_stores = line.meta.pending_stores.saturating_sub(1);
                 if let Some(i) = line.meta.writers.iter().position(|w| *w == sw.warp) {
                     line.meta.writers.swap_remove(i);
                 }
             }
             if let Some((wts, rts)) = lease {
-                if sw.locked_line && line.meta.version == version {
+                if sw.state.locked_line && line.meta.version == version {
                     // Newest local store: install its lease (Figure 7b).
                     // (A non-locking store's data is not on the line — a
                     // fill may have installed the same version with an
@@ -564,14 +537,9 @@ impl GtscL1 {
             });
         }
         Some(Completion {
-            id: sw.id,
-            warp: sw.warp,
-            kind: sw.kind,
-            block,
-            version,
             ts: completion_ts,
             epoch,
-            prev,
+            ..sw.acked(block, prev)
         })
     }
 }
@@ -589,16 +557,18 @@ gtsc_types::snap_fields!(L1Meta {
     writers,
 });
 
-gtsc_types::snap_fields!(Waiter { id, warp });
-
-gtsc_types::snap_fields!(StoreWaiter {
-    id,
-    warp,
-    kind,
-    version,
-    locked_line,
-    sent,
-});
+impl Snap for StoreState {
+    fn save(&self, w: &mut SnapWriter) {
+        { self.locked_line }.save(w);
+        { self.sent }.save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(StoreState {
+            locked_line: Snap::load(r)?,
+            sent: Snap::load(r)?,
+        })
+    }
+}
 
 impl L1Controller for GtscL1 {
     fn enable_retry(&mut self, timeout: u64) {
@@ -610,11 +580,11 @@ impl L1Controller for GtscL1 {
         self.warp_ts.save(w);
         self.mshr.save_state(w);
         self.rd_inflight.save(w);
-        self.store_acks.save(w);
+        self.stores.save(w);
         self.retry_timeout.save(w);
         self.out.save(w);
         self.epoch.save(w);
-        self.version_ctr.save(w);
+        self.mint.save_state(w);
         self.stats.save(w);
         Ok(())
     }
@@ -622,8 +592,7 @@ impl L1Controller for GtscL1 {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.tags.load_state(r)?;
         let warp_ts: Vec<Timestamp> = Snap::load(r)?;
-        let n_warps = self.warp_ts.len();
-        if warp_ts.len() != n_warps {
+        if warp_ts.len() != self.warp_ts.len() {
             return Err(SnapshotError::Mismatch {
                 what: "L1 warp-timestamp table size".into(),
             });
@@ -634,18 +603,12 @@ impl L1Controller for GtscL1 {
         // lint: allow(hash-iter): a count does not depend on the order.
         let renewals = self.rd_inflight.values().filter(|&&(_, r)| r).count();
         self.renewals_inflight = u32::try_from(renewals).unwrap_or(0);
-        self.store_acks = Snap::load(r)?;
+        self.stores = Snap::load(r)?;
         self.retry_timeout = Snap::load(r)?;
         self.retry_due = self.earliest_retry();
         self.out = Snap::load(r)?;
         self.epoch = Snap::load(r)?;
-        let version_ctr: Vec<u64> = Snap::load(r)?;
-        if version_ctr.len() != n_warps {
-            return Err(SnapshotError::Mismatch {
-                what: "L1 version-counter table size".into(),
-            });
-        }
-        self.version_ctr = version_ctr;
+        self.mint.load_state(r)?;
         self.stats = Snap::load(r)?;
         Ok(())
     }
@@ -692,10 +655,7 @@ impl L1Controller for GtscL1 {
                                     warp_ts: warp_now,
                                     rts: old.rts,
                                 });
-                                let w = Waiter {
-                                    id: acc.id,
-                                    warp: acc.warp,
-                                };
+                                let w = Waiter::of(&acc);
                                 let c = self.complete_load(w, acc.block, old.wts, old.version, now);
                                 return L1Outcome::Hit(c);
                             }
@@ -730,10 +690,7 @@ impl L1Controller for GtscL1 {
                         rts: line_rts,
                     });
                     let (wts, version) = (line.meta.wts, line.meta.version);
-                    let w = Waiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                    };
+                    let w = Waiter::of(&acc);
                     return L1Outcome::Hit(self.complete_load(w, acc.block, wts, version, now));
                 }
                 // Expired relative to this warp: coherence miss → renewal.
@@ -757,7 +714,7 @@ impl L1Controller for GtscL1 {
             AccessKind::Store | AccessKind::Atomic => {
                 self.stats.accesses += 1;
                 self.stats.stores += 1;
-                let version = self.mint_version(acc.warp);
+                let version = self.mint.mint(acc.warp);
                 let mut locked_line = false;
                 if let Some(line) = self.tags.probe_mut(acc.block) {
                     // Figure 3: update data, lock the line until the ack.
@@ -784,23 +741,13 @@ impl L1Controller for GtscL1 {
                     span: acc.span,
                 };
                 self.note_sent(now);
-                self.out.push_back(if acc.kind == AccessKind::Atomic {
-                    L1ToL2::Atomic(req)
-                } else {
-                    L1ToL2::Write(req)
-                });
-                let spare = &mut self.spare_acks;
-                self.store_acks
-                    .entry(acc.block)
-                    .or_insert_with(|| spare.pop().unwrap_or_default())
-                    .push_back(StoreWaiter {
-                        id: acc.id,
-                        warp: acc.warp,
-                        kind: acc.kind,
-                        version,
-                        locked_line,
-                        sent: now,
-                    });
+                self.out.push_back(L1ToL2::store(acc.kind, req));
+                let state = StoreState {
+                    locked_line,
+                    sent: now,
+                };
+                let store = PendingStore::new(&acc, version, state);
+                self.stores.push(acc.block, store);
                 L1Outcome::Queued
             }
         }
@@ -813,6 +760,10 @@ impl L1Controller for GtscL1 {
             self.enter_epoch(e, now);
         } else if e < self.epoch {
             self.on_stale_response(msg, now);
+            return &self.done;
+        }
+        if let Some((a, prev)) = msg.as_store_ack() {
+            self.on_store_ack(a, prev, now);
             return &self.done;
         }
         match msg {
@@ -906,50 +857,16 @@ impl L1Controller for GtscL1 {
                     }
                 }
             }
-            L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
-                let LeaseInfo::Logical { wts, rts } = a.lease else {
-                    unreachable!("G-TSC write acks carry logical leases");
-                };
-                let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
-                    Some(prev)
-                } else {
-                    None
-                };
-                if let Some(c) =
-                    self.finish_store(a.block, a.version, Some((wts, rts)), a.epoch, prev, now)
-                {
-                    self.tracer
-                        .record_with(now, || EventKind::WriteAck { block: a.block });
-                    self.done.push(c);
-                }
-                // The ack may unlock the line: serve parked readers.
-                let line_state = self
-                    .tags
-                    .peek(a.block)
-                    .map(|l| (l.meta.locked(), l.meta.wts, l.meta.rts, l.meta.version));
-                match line_state {
-                    Some((false, lwts, lrts, lver)) => {
-                        self.serve_waiters(a.block, lwts, lrts, lver, now);
-                    }
-                    Some((true, ..)) => {} // still locked by another store
-                    None => {
-                        // Not resident (write-no-allocate / recalled):
-                        // parked readers must refetch.
-                        if self.mshr.contains(a.block) && !self.rd_inflight.contains_key(&a.block) {
-                            self.send_read(a.block, Timestamp(0), WarpId(0), SpanId::NONE, now);
-                        }
-                    }
-                }
+            L2ToL1::WriteAck(_) | L2ToL1::AtomicAck { .. } => {
+                unreachable!("store acks are decoded before the match")
             }
             L2ToL1::Invalidate { block, .. } => {
                 self.tags.invalidate(block);
                 // Same rule as the epoch flush: the invalidated line's
                 // lock state is gone, so its pending stores must not
                 // unlock a future re-install of the block.
-                if let Some(q) = self.store_acks.get_mut(&block) {
-                    for sw in q.iter_mut() {
-                        sw.locked_line = false;
-                    }
+                for s in self.stores.block_mut(block) {
+                    s.state.locked_line = false;
                 }
                 if self.mshr.contains(block) && !self.rd_inflight.contains_key(&block) {
                     self.send_read(block, Timestamp(0), WarpId(0), SpanId::NONE, now);
@@ -1013,15 +930,12 @@ impl L1Controller for GtscL1 {
         // way. The warp timestamp is re-read (>= the original; the L2
         // takes the max anyway) and the epoch is current — a request
         // from a pre-crash epoch would only be degraded by the L2.
-        // lint: allow(hash-iter): sorted below, before anything is emitted.
-        let mut blocks: Vec<BlockAddr> = self.store_acks.keys().copied().collect();
-        blocks.sort_unstable();
-        for block in blocks {
-            for sw in self.store_acks.get_mut(&block).into_iter().flatten() {
-                if now.0.saturating_sub(sw.sent.0) < timeout {
+        for block in self.stores.blocks() {
+            for sw in self.stores.block_mut(block) {
+                if now.0.saturating_sub(sw.state.sent.0) < timeout {
                     continue;
                 }
-                sw.sent = now;
+                sw.state.sent = now;
                 self.stats.retries += 1;
                 let req = WriteReq {
                     block,
@@ -1030,11 +944,7 @@ impl L1Controller for GtscL1 {
                     epoch: self.epoch,
                     span: SpanId::NONE,
                 };
-                self.out.push_back(if sw.kind == AccessKind::Atomic {
-                    L1ToL2::Atomic(req)
-                } else {
-                    L1ToL2::Write(req)
-                });
+                self.out.push_back(L1ToL2::store(sw.kind, req));
             }
         }
         self.retry_due = self.earliest_retry();
@@ -1049,7 +959,7 @@ impl L1Controller for GtscL1 {
     }
 
     fn is_idle(&self) -> bool {
-        self.mshr.is_empty() && self.store_acks.is_empty() && self.out.is_empty()
+        self.mshr.is_empty() && self.stores.is_empty() && self.out.is_empty()
     }
 
     fn stats(&self) -> CacheStats {
@@ -1060,11 +970,7 @@ impl L1Controller for GtscL1 {
         ControllerPressure {
             mshr: self.mshr.len(),
             out_queue: self.out.len(),
-            waiting: self
-                .store_acks
-                .values() // lint: allow(hash-iter): a sum does not depend on the order.
-                .map(std::collections::VecDeque::len)
-                .sum(),
+            waiting: self.stores.len(),
         }
     }
 
@@ -1091,7 +997,7 @@ impl L1Controller for GtscL1 {
             WaitHint::NocBackpressure
         } else if self.renewals_inflight > 0 {
             WaitHint::LeaseExpired
-        } else if !self.mshr.is_empty() || !self.store_acks.is_empty() {
+        } else if !self.mshr.is_empty() || !self.stores.is_empty() {
             WaitHint::Downstream
         } else {
             WaitHint::None
@@ -1102,7 +1008,8 @@ impl L1Controller for GtscL1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtsc_protocol::msg::{FillResp, WriteAckResp};
+    use gtsc_protocol::msg::FillResp;
+    use gtsc_protocol::AccessId;
 
     fn l1() -> GtscL1 {
         GtscL1::new(L1Params::default())
@@ -1139,6 +1046,11 @@ mod tests {
             epoch: 0,
             span: SpanId::NONE,
         })
+    }
+
+    #[test]
+    fn a_booked_store_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<PendingStore<StoreState>>(), 32);
     }
 
     #[test]

@@ -366,14 +366,7 @@ impl HomeNode {
                         epoch: prior.epoch,
                         span: w.span,
                     };
-                    let resp = if atomic {
-                        L2ToL1::AtomicAck {
-                            ack,
-                            prev: prior.prev,
-                        }
-                    } else {
-                        L2ToL1::WriteAck(ack)
-                    };
+                    let resp = L2ToL1::store_ack(atomic, ack, prior.prev);
                     self.out.push_back((dev, resp));
                     return;
                 }
@@ -400,11 +393,7 @@ impl HomeNode {
                     epoch,
                     span: w.span,
                 };
-                let resp = if atomic {
-                    L2ToL1::AtomicAck { ack, prev }
-                } else {
-                    L2ToL1::WriteAck(ack)
-                };
+                let resp = L2ToL1::store_ack(atomic, ack, prev);
                 self.out.push_back((dev, resp));
             }
         }

@@ -11,13 +11,16 @@
 //!   [`api::L2Controller`] traits implemented by G-TSC
 //!   (`gtsc-core`), TC/TC-Weak and the baselines (`gtsc-baselines`);
 //! * [`shell`] — the [`shell::BankShell`] every one of those L2 banks
-//!   queues its requests, fetches and responses in.
+//!   queues its requests, fetches and responses in;
+//! * [`front`] — the [`front::VersionMint`] and [`front::StoreBook`]
+//!   every one of those L1s names and tracks its stores with.
 //!
 //! The same SM pipeline, NoC, and DRAM models drive every protocol through
 //! these traits, so measured differences are attributable to the protocol
 //! alone — the property the paper's evaluation relies on.
 
 pub mod api;
+pub mod front;
 pub mod msg;
 pub mod shell;
 
@@ -25,6 +28,7 @@ pub use api::{
     AccessId, AccessKind, Completion, ControllerPressure, L1Controller, L1Outcome, L2Controller,
     MemAccess, WaitHint,
 };
+pub use front::{PendingStore, StoreBook, VersionMint, Waiter};
 pub use msg::{
     Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, MsgSizes, ReadReq, WriteAckResp, WriteReq,
 };

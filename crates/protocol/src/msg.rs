@@ -16,6 +16,8 @@
 
 use gtsc_types::{BlockAddr, Cycle, SpanId, Timestamp, Version};
 
+use crate::api::AccessKind;
+
 /// A timestamp-reset epoch (Section V-D).
 ///
 /// Every G-TSC message carries the sending bank's epoch; an L1 receiving a
@@ -162,6 +164,19 @@ pub enum L1ToL2 {
 }
 
 impl L1ToL2 {
+    /// The request a store of `kind` sends: a `BusWr`, or for an atomic
+    /// the read-modify-write the L2 performs.
+    #[inline]
+    #[must_use]
+    pub fn store(kind: AccessKind, req: WriteReq) -> L1ToL2 {
+        debug_assert_ne!(kind, AccessKind::Load, "a load sends a ReadReq");
+        if kind == AccessKind::Atomic {
+            L1ToL2::Atomic(req)
+        } else {
+            L1ToL2::Write(req)
+        }
+    }
+
     /// Block the request addresses (used for bank routing).
     #[must_use]
     pub fn block(&self) -> BlockAddr {
@@ -240,6 +255,31 @@ pub enum L2ToL1 {
 }
 
 impl L2ToL1 {
+    /// The acknowledgment of a store, or — if `atomic` — of an atomic
+    /// whose read half observed `prev`.
+    #[inline]
+    #[must_use]
+    pub fn store_ack(atomic: bool, ack: WriteAckResp, prev: Version) -> L2ToL1 {
+        if atomic {
+            L2ToL1::AtomicAck { ack, prev }
+        } else {
+            L2ToL1::WriteAck(ack)
+        }
+    }
+
+    /// The store acknowledgment this response is, with what an atomic's
+    /// read half observed (`None` for a plain store); `None` for every
+    /// other response.
+    #[inline]
+    #[must_use]
+    pub fn as_store_ack(&self) -> Option<(WriteAckResp, Option<Version>)> {
+        match *self {
+            L2ToL1::WriteAck(ack) => Some((ack, None)),
+            L2ToL1::AtomicAck { ack, prev } => Some((ack, Some(prev))),
+            _ => None,
+        }
+    }
+
     /// Block the response addresses.
     #[must_use]
     pub fn block(&self) -> BlockAddr {
@@ -657,6 +697,68 @@ mod tests {
                 msg,
                 "a newer request is not the bank's to rewrite"
             );
+        }
+    }
+
+    /// A store is framed by its kind; the framing is the only difference.
+    #[test]
+    fn stores_frame_per_kind() {
+        let w = WriteReq {
+            block: BlockAddr(4),
+            warp_ts: Timestamp(9),
+            version: Version(5),
+            epoch: 1,
+            span: SpanId(3),
+        };
+        assert_eq!(L1ToL2::store(AccessKind::Store, w), L1ToL2::Write(w));
+        assert_eq!(L1ToL2::store(AccessKind::Atomic, w), L1ToL2::Atomic(w));
+    }
+
+    /// A store ack is built per variant and decodes back into the same
+    /// `(ack, prev)`; no other response decodes as one.
+    #[test]
+    fn store_acks_build_and_decode_per_variant() {
+        let ack = WriteAckResp {
+            block: BlockAddr(4),
+            lease: logical(),
+            version: Version(5),
+            epoch: 1,
+            span: SpanId(3),
+        };
+        let write = L2ToL1::store_ack(false, ack, Version(2));
+        let atomic = L2ToL1::store_ack(true, ack, Version(2));
+        assert_eq!(write, L2ToL1::WriteAck(ack));
+        assert_eq!(
+            atomic,
+            L2ToL1::AtomicAck {
+                ack,
+                prev: Version(2)
+            }
+        );
+        assert_eq!(write.as_store_ack(), Some((ack, None)));
+        assert_eq!(atomic.as_store_ack(), Some((ack, Some(Version(2)))));
+        let others = [
+            L2ToL1::Fill(FillResp {
+                block: BlockAddr(4),
+                lease: logical(),
+                version: Version(5),
+                epoch: 1,
+                span: SpanId(3),
+            }),
+            L2ToL1::Renew {
+                block: BlockAddr(4),
+                lease: logical(),
+                epoch: 1,
+                span: SpanId(3),
+            },
+            L2ToL1::Invalidate {
+                block: BlockAddr(4),
+                epoch: 1,
+                span: SpanId(3),
+            },
+        ];
+        for other in others {
+            assert_eq!(other.as_store_ack(), None, "{other:?}");
         }
     }
 

@@ -7,15 +7,17 @@
 //!
 //! Run: `cargo run --release --example custom_protocol`
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gtsc::mem::{Mshr, MshrAlloc, TagArray};
 use gtsc::protocol::msg::{L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteReq};
-use gtsc::protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
+use gtsc::protocol::{
+    AccessKind, Completion, L1Controller, L1Outcome, MemAccess, PendingStore, StoreBook,
+    VersionMint, Waiter,
+};
 use gtsc::sim::SimBuilder;
 use gtsc::types::{
-    BlockAddr, CacheStats, ConsistencyModel, Cycle, GpuConfig, ProtocolKind, Timestamp, Version,
-    WarpId,
+    CacheStats, ConsistencyModel, Cycle, GpuConfig, ProtocolKind, Timestamp, Version,
 };
 use gtsc::workloads::{Benchmark, Scale};
 
@@ -23,33 +25,34 @@ use gtsc::workloads::{Benchmark, Scale};
 /// "eventual coherence". (It is *not* coherent between flushes — expect
 /// the checker to object on sharing workloads; that contrast is the demo.)
 struct EpochFlushL1 {
-    sm_index: usize,
     period: u64,
     last_flush: Cycle,
     tags: TagArray<Version>,
-    mshr: Mshr<(AccessId, WarpId)>,
-    store_acks: HashMap<BlockAddr, VecDeque<(AccessId, WarpId, AccessKind, Version)>>,
+    mshr: Mshr<Waiter>,
+    /// Stores awaiting their ack. Every built-in L1 keeps its stores in a
+    /// `StoreBook` and names them with a `VersionMint`, so a data-race-free
+    /// kernel leaves the same memory image under any of them.
+    stores: StoreBook<()>,
+    mint: VersionMint,
     out: VecDeque<L1ToL2>,
     /// The completions of the latest `on_response`: the controller keeps
     /// the buffer and lends it out, so a response allocates nothing (see
     /// the validity rule on `L1Outcome::Reject`).
     done: Vec<Completion>,
-    version_ctr: u64,
     stats: CacheStats,
 }
 
 impl EpochFlushL1 {
     fn new(cfg: &GpuConfig, sm_index: usize, period: u64) -> Self {
         EpochFlushL1 {
-            sm_index,
             period,
             last_flush: Cycle(0),
             tags: TagArray::new(cfg.l1),
             mshr: Mshr::new(cfg.l1_mshr_entries, cfg.l1_mshr_merges),
-            store_acks: HashMap::new(),
+            stores: StoreBook::default(),
+            mint: VersionMint::new(sm_index, cfg.warps_per_sm),
             out: VecDeque::new(),
             done: Vec::new(),
-            version_ctr: 0,
             stats: CacheStats::default(),
         }
     }
@@ -62,19 +65,10 @@ impl L1Controller for EpochFlushL1 {
             AccessKind::Load => {
                 if let Some(line) = self.tags.probe(acc.block) {
                     self.stats.hits += 1;
-                    return L1Outcome::Hit(Completion {
-                        id: acc.id,
-                        warp: acc.warp,
-                        kind: AccessKind::Load,
-                        block: acc.block,
-                        version: line.meta,
-                        ts: None,
-                        epoch: 0,
-                        prev: None,
-                    });
+                    return L1Outcome::Hit(Waiter::of(&acc).loaded(acc.block, line.meta));
                 }
                 self.stats.cold_misses += 1;
-                match self.mshr.register(acc.block, (acc.id, acc.warp)) {
+                match self.mshr.register(acc.block, Waiter::of(&acc)) {
                     MshrAlloc::Full => L1Outcome::Reject,
                     MshrAlloc::AllocatedNew => {
                         self.out.push_back(L1ToL2::Read(ReadReq {
@@ -91,12 +85,7 @@ impl L1Controller for EpochFlushL1 {
             }
             AccessKind::Store | AccessKind::Atomic => {
                 self.stats.stores += 1;
-                self.version_ctr += 1;
-                let version = Version(
-                    ((self.sm_index as u64 + 1) << 40)
-                        | ((acc.warp.0 as u64) << 28)
-                        | self.version_ctr,
-                );
+                let version = self.mint.mint(acc.warp);
                 if let Some(line) = self.tags.probe_mut(acc.block) {
                     line.meta = version;
                 }
@@ -107,15 +96,9 @@ impl L1Controller for EpochFlushL1 {
                     epoch: 0,
                     span: acc.span,
                 };
-                self.out.push_back(if acc.kind == AccessKind::Atomic {
-                    L1ToL2::Atomic(req)
-                } else {
-                    L1ToL2::Write(req)
-                });
-                self.store_acks
-                    .entry(acc.block)
-                    .or_default()
-                    .push_back((acc.id, acc.warp, acc.kind, version));
+                self.out.push_back(L1ToL2::store(acc.kind, req));
+                self.stores
+                    .push(acc.block, PendingStore::new(&acc, version, ()));
                 L1Outcome::Queued
             }
         }
@@ -125,52 +108,18 @@ impl L1Controller for EpochFlushL1 {
         // Emptied on entry: the slice handed out holds this call's
         // completions and nothing older.
         self.done.clear();
-        match msg {
-            L2ToL1::Fill(f) => {
-                debug_assert_eq!(f.lease, LeaseInfo::None);
-                self.tags.fill(f.block, f.version);
-                let mut waiters = self.mshr.take(f.block);
-                for (id, warp) in waiters.drain(..) {
-                    self.done.push(Completion {
-                        id,
-                        warp,
-                        kind: AccessKind::Load,
-                        block: f.block,
-                        version: f.version,
-                        ts: None,
-                        epoch: 0,
-                        prev: None,
-                    });
-                }
-                // The entry's list goes back for the next miss to reuse.
-                self.mshr.recycle(waiters);
-            }
-            L2ToL1::WriteAck(a) | L2ToL1::AtomicAck { ack: a, .. } => {
-                let prev = if let L2ToL1::AtomicAck { prev, .. } = msg {
-                    Some(prev)
-                } else {
-                    None
-                };
-                if let Some(q) = self.store_acks.get_mut(&a.block) {
-                    if let Some(pos) = q.iter().position(|(_, _, _, v)| *v == a.version) {
-                        let (id, warp, kind, version) = q.remove(pos).expect("pos valid");
-                        if q.is_empty() {
-                            self.store_acks.remove(&a.block);
-                        }
-                        self.done.push(Completion {
-                            id,
-                            warp,
-                            kind,
-                            block: a.block,
-                            version,
-                            ts: None,
-                            epoch: 0,
-                            prev,
-                        });
-                    }
-                }
-            }
-            L2ToL1::Renew { .. } | L2ToL1::Invalidate { .. } => {}
+        if let Some((a, prev)) = msg.as_store_ack() {
+            // An ack finds its store by version; a duplicate finds none.
+            let acked = self.stores.take(a.block, a.version);
+            self.done.extend(acked.map(|s| s.acked(a.block, prev)));
+        } else if let L2ToL1::Fill(f) = msg {
+            debug_assert_eq!(f.lease, LeaseInfo::None);
+            self.tags.fill(f.block, f.version);
+            let mut waiters = self.mshr.take(f.block);
+            let loaded = waiters.drain(..).map(|w| w.loaded(f.block, f.version));
+            self.done.extend(loaded);
+            // The entry's list goes back for the next miss to reuse.
+            self.mshr.recycle(waiters);
         }
         &self.done
     }
@@ -209,7 +158,7 @@ impl L1Controller for EpochFlushL1 {
     }
 
     fn is_idle(&self) -> bool {
-        self.mshr.is_empty() && self.store_acks.is_empty() && self.out.is_empty()
+        self.mshr.is_empty() && self.stores.is_empty() && self.out.is_empty()
     }
 
     fn stats(&self) -> CacheStats {

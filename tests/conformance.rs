@@ -344,6 +344,55 @@ fn store_serialization_is_consistent() {
     }
 }
 
+/// Scenario: two warps store to one block and the real bank acks both,
+/// but the acks reach the L1 in reverse order, and the first one twice —
+/// as a retry racing its original can deliver them. Each ack completes
+/// exactly its own store, matched by version rather than by queue
+/// position, and the duplicate completes nothing.
+#[test]
+fn store_acks_out_of_order_complete_their_own_stores() {
+    for p in ALL {
+        let mut pair = Pair::new(p, 1);
+        let (a, _) = pair.access(0, AccessKind::Store, 11);
+        let (b, _) = pair.access(1, AccessKind::Store, 11);
+        let reqs: Vec<L1ToL2> = std::iter::from_fn(|| pair.l1.take_request()).collect();
+        let [L1ToL2::Write(wa), L1ToL2::Write(wb)] = reqs[..] else {
+            panic!("{p:?}: expected two BusWr, got {reqs:?}");
+        };
+        assert_ne!(wa.version, wb.version, "{p:?}");
+        for req in reqs {
+            pair.l2.on_request(0, req, pair.now);
+        }
+        let mut acks = Vec::new();
+        for c in 0..5000 {
+            let now = Cycle(c);
+            pair.l2.tick(now);
+            while let Some((b, w)) = pair.l2.take_dram_request() {
+                pair.l2.on_dram_response(b, w, now);
+            }
+            acks.extend(std::iter::from_fn(|| pair.l2.take_response()).map(|(_, r)| r));
+            if acks.len() == 2 {
+                break;
+            }
+        }
+        let [ack_a, ack_b] = acks[..] else {
+            panic!("{p:?}: the bank acked {acks:?}");
+        };
+        let now = Cycle(6000);
+        let first = pair.l1.on_response(ack_b, now).to_vec();
+        assert_eq!(first.len(), 1, "{p:?}: {first:?}");
+        assert_eq!((first[0].id, first[0].version), (b, wb.version), "{p:?}");
+        let second = pair.l1.on_response(ack_a, now).to_vec();
+        assert_eq!(second.len(), 1, "{p:?}: {second:?}");
+        assert_eq!((second[0].id, second[0].version), (a, wa.version), "{p:?}");
+        assert!(
+            pair.l1.on_response(ack_b, now).is_empty(),
+            "{p:?}: a duplicated ack completed something"
+        );
+        assert!(pair.l1.is_idle(), "{p:?}");
+    }
+}
+
 /// Scenario: a burst larger than the L1 MSHR leads to rejects, never to
 /// lost accesses.
 #[test]
