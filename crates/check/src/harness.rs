@@ -211,8 +211,8 @@ trait MemorySide: Debug {
     /// Whether any component asks for the Section V-D reset.
     fn needs_reset(&self) -> bool;
 
-    /// Moves every component to `epoch` in the same step.
-    fn apply_reset(&mut self, epoch: Epoch);
+    /// Moves every component to `epoch` in the same step, at `now`.
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle);
 
     /// The next response `unit` has for an L1 (after anything bound for
     /// a unit from further away has been delivered to it), already
@@ -288,8 +288,8 @@ impl MemorySide for LocalDram {
         self.l2.needs_reset()
     }
 
-    fn apply_reset(&mut self, epoch: Epoch) {
-        self.l2.apply_reset(epoch);
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
+        self.l2.apply_reset(epoch, now);
     }
 
     fn take_response(
@@ -373,10 +373,10 @@ impl MemorySide for FabricToHome {
         self.home.needs_reset() || self.devices.iter().any(DeviceL2::needs_reset)
     }
 
-    fn apply_reset(&mut self, epoch: Epoch) {
-        self.home.apply_reset(epoch);
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
+        self.home.apply_reset(epoch, now);
         for dev in &mut self.devices {
-            dev.apply_reset(epoch);
+            dev.apply_reset(epoch, now);
         }
     }
 
@@ -566,7 +566,7 @@ impl MicroGtsc {
     fn maybe_reset(&mut self) {
         if self.mem.needs_reset() {
             self.epoch += 1;
-            self.mem.apply_reset(self.epoch);
+            self.mem.apply_reset(self.epoch, self.now);
         }
     }
 

@@ -217,7 +217,7 @@ fn a_recorded_recovery_without_an_epoch_bump_is_flagged_offline() {
         serve(&mut l2, read(1), 0);
         l2.crash(Cycle(200));
         assert!(l2.needs_reset());
-        l2.apply_reset(1);
+        l2.apply_reset(1, Cycle(200));
         serve(&mut l2, read(1), 300);
         l2.tracer().expect("installed").events().to_vec()
     };

@@ -113,9 +113,6 @@ pub struct GtscL2 {
     /// serve class and DRAM-wait overlay noted here. Excluded from
     /// snapshots, like the tracer ring.
     spans: SpanTracker,
-    /// Last cycle observed on any driving call (stamps events from
-    /// clock-less trait methods like `apply_reset`).
-    clock: Cycle,
     /// Test-only protocol mutant (see [`crate::mutation`]); `None` in
     /// production.
     mutation: ProtocolMutation,
@@ -136,7 +133,6 @@ impl GtscL2 {
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
             spans: SpanTracker::disabled(),
-            clock: Cycle(0),
             mutation: ProtocolMutation::None,
             p,
         }
@@ -205,13 +201,13 @@ impl GtscL2 {
     }
 
     /// Serves a request whose block is resident. Returns the response.
-    fn serve_hit(&mut self, src: usize, msg: L1ToL2) {
+    fn serve_hit(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
         let block = msg.block();
         if let L1ToL2::Write(w) | L1ToL2::Atomic(w) = &msg {
             if self.store_is_replay(block, w.version) {
                 self.stats.replayed_stores += 1;
                 self.tracer
-                    .record_with(self.clock, || EventKind::ReplayDrop { block });
+                    .record_with(now, || EventKind::ReplayDrop { block });
                 return;
             }
         }
@@ -239,7 +235,7 @@ impl GtscL2 {
                     // (the Section VI-C traffic saving).
                     self.stats.renewals += 1;
                     self.spans.note_serve(r.span, ServeClass::Renewal);
-                    self.tracer.record_with(self.clock, || EventKind::Renewal {
+                    self.tracer.record_with(now, || EventKind::Renewal {
                         block,
                         rts: new_rts.0,
                     });
@@ -255,12 +251,11 @@ impl GtscL2 {
                 } else {
                     self.spans.note_serve(r.span, ServeClass::Grant);
                     let meta = self.tags.peek(block).map(|l| l.meta).expect("resident");
-                    self.tracer
-                        .record_with(self.clock, || EventKind::LeaseGrant {
-                            block,
-                            wts: meta.wts.0,
-                            rts: meta.rts.0,
-                        });
+                    self.tracer.record_with(now, || EventKind::LeaseGrant {
+                        block,
+                        wts: meta.wts.0,
+                        rts: meta.rts.0,
+                    });
                     L2ToL1::Fill(FillResp {
                         block,
                         lease: self.lease_of(&meta),
@@ -271,13 +266,12 @@ impl GtscL2 {
                 };
                 self.note_ts(new_rts);
                 let epoch = self.epoch;
-                self.sanitizer
-                    .check_with(self.clock, || Transition::L2Grant {
-                        block,
-                        wts: grant_wts,
-                        rts: new_rts,
-                        epoch,
-                    });
+                self.sanitizer.check_with(now, || Transition::L2Grant {
+                    block,
+                    wts: grant_wts,
+                    rts: new_rts,
+                    epoch,
+                });
                 self.shell.respond(src, resp);
             }
             L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
@@ -306,16 +300,15 @@ impl GtscL2 {
                 let rts = line.meta.rts;
                 self.stats.stores += 1;
                 self.tracer
-                    .record_with(self.clock, || EventKind::StoreCommit { block, wts: wts.0 });
+                    .record_with(now, || EventKind::StoreCommit { block, wts: wts.0 });
                 self.note_ts(rts);
                 let epoch = self.epoch;
-                self.sanitizer
-                    .check_with(self.clock, || Transition::L2Store {
-                        block,
-                        wts,
-                        rts,
-                        epoch,
-                    });
+                self.sanitizer.check_with(now, || Transition::L2Store {
+                    block,
+                    wts,
+                    rts,
+                    epoch,
+                });
                 let ack = WriteAckResp {
                     block,
                     lease: ack_lease,
@@ -330,41 +323,39 @@ impl GtscL2 {
         }
     }
 
-    fn handle(&mut self, src: usize, msg: L1ToL2) {
+    fn handle(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
         // Section V-D: a stale-epoch request is answered as a fresh one.
         let msg = msg.rebased(self.epoch);
         self.stats.accesses += 1;
         if self.tags.peek(msg.block()).is_some() {
             self.stats.hits += 1;
-            self.serve_hit(src, msg);
+            self.serve_hit(src, msg, now);
             return;
         }
         // Miss: both loads and stores fetch the block from DRAM first
         // (write-allocate; Figure 5's miss path).
         self.stats.cold_misses += 1;
-        self.spans
-            .overlay_enter(msg.span(), HopKind::DramWait, self.clock);
+        self.spans.overlay_enter(msg.span(), HopKind::DramWait, now);
         if self.shell.miss(src, msg) {
             self.stats.mshr_merges += 1;
         }
     }
 
-    fn evict(&mut self, evicted: gtsc_mem::EvictedLine<L2Meta>) {
+    fn evict(&mut self, evicted: gtsc_mem::EvictedLine<L2Meta>, now: Cycle) {
         // Figure 6: the evicted lease folds into the single per-bank
         // memory timestamp — this is what makes non-inclusion sound.
         self.mem_ts = fold_mem_ts(self.mem_ts, evicted.meta.rts);
         self.stats.evictions += 1;
-        self.tracer.record_with(self.clock, || EventKind::Eviction {
+        self.tracer.record_with(now, || EventKind::Eviction {
             block: evicted.block,
             rts: evicted.meta.rts.0,
         });
         let mem_ts = self.mem_ts;
-        self.sanitizer
-            .check_with(self.clock, || Transition::L2Evict {
-                block: evicted.block,
-                rts: evicted.meta.rts,
-                mem_ts,
-            });
+        self.sanitizer.check_with(now, || Transition::L2Evict {
+            block: evicted.block,
+            rts: evicted.meta.rts,
+            mem_ts,
+        });
         if evicted.meta.dirty {
             self.shell.write_back(evicted.block, evicted.meta.version);
         }
@@ -404,7 +395,6 @@ impl L2Controller for GtscL2 {
         self.applied_stores.save(w);
         self.shell.save_queues(w);
         self.stats.save(w);
-        self.clock.save(w);
         Ok(())
     }
 
@@ -417,12 +407,10 @@ impl L2Controller for GtscL2 {
         self.applied_stores = Snap::load(r)?;
         self.shell.load_queues(r)?;
         self.stats = Snap::load(r)?;
-        self.clock = Snap::load(r)?;
         Ok(())
     }
 
     fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        self.clock = self.clock.max(now);
         self.shell.arrive(src, msg, now);
     }
 
@@ -439,7 +427,6 @@ impl L2Controller for GtscL2 {
     }
 
     fn on_dram_response(&mut self, block: BlockAddr, is_write: bool, now: Cycle) {
-        self.clock = self.clock.max(now);
         if is_write {
             return; // write-back completion needs no action
         }
@@ -460,7 +447,7 @@ impl L2Controller for GtscL2 {
             epoch,
         });
         match self.tags.fill_if(block, meta, |_| true) {
-            Ok(Some(ev)) => self.evict(ev),
+            Ok(Some(ev)) => self.evict(ev, now),
             Ok(None) => {}
             Err(_) => unreachable!("G-TSC L2 never refuses eviction"),
         }
@@ -471,7 +458,7 @@ impl L2Controller for GtscL2 {
             // epoch may have moved while they waited.
             let msg = msg.rebased(self.epoch);
             self.spans.overlay_exit(msg.span(), HopKind::DramWait, now);
-            self.serve_hit(src, msg);
+            self.serve_hit(src, msg, now);
         }
         self.shell.recycle(waiters);
     }
@@ -481,14 +468,12 @@ impl L2Controller for GtscL2 {
     }
 
     fn tick(&mut self, now: Cycle) {
-        // `apply_reset` and `evict` stamp with it.
-        self.clock = self.clock.max(now);
         for _ in 0..self.shell.ports() {
             let resident = |m: &L1ToL2| self.tags.peek(m.block()).is_some();
             let Some((src, msg)) = self.shell.pop_ready(now, resident) else {
                 break;
             };
-            self.handle(src, msg);
+            self.handle(src, msg, now);
         }
     }
 
@@ -496,7 +481,7 @@ impl L2Controller for GtscL2 {
         self.overflow
     }
 
-    fn apply_reset(&mut self, epoch: Epoch) {
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
         // Section V-D: wts ← 1, rts ← lease, mem_ts ← 1; data is intact so
         // nothing is flushed. Subsequent responses carry the new epoch,
         // telling L1s to flush and reset their warp timestamps.
@@ -517,13 +502,12 @@ impl L2Controller for GtscL2 {
         self.overflow = false;
         self.stats.ts_rollovers += 1;
         self.tracer
-            .record_with(self.clock, || EventKind::Rollover { epoch });
+            .record_with(now, || EventKind::Rollover { epoch });
         self.sanitizer
-            .check_with(self.clock, || Transition::EpochEnter { epoch });
+            .check_with(now, || Transition::EpochEnter { epoch });
     }
 
     fn crash(&mut self, now: Cycle) -> bool {
-        self.clock = self.clock.max(now);
         // Models a coherence-state upset: the tag array and every
         // in-flight transaction vanish, but the functional data image
         // survives (as if line data were ECC-protected and recoverable
@@ -547,9 +531,9 @@ impl L2Controller for GtscL2 {
             _ => 0,
         };
         self.tracer
-            .record_with(self.clock, || EventKind::BankReset { bank, epoch });
+            .record_with(now, || EventKind::BankReset { bank, epoch });
         self.sanitizer
-            .check_with(self.clock, || Transition::BankReset { epoch });
+            .check_with(now, || Transition::BankReset { epoch });
         // Recovery rides the Section V-D machinery: forcing the
         // overflow flag makes the simulator bump the *global* epoch and
         // apply_reset() every bank. L1-held leases stay safe because
@@ -831,7 +815,7 @@ mod tests {
         l2.on_request(0, read(5, 1, 60), Cycle(50)); // rts -> 70 > 63
         settle(&mut l2, Cycle(50));
         assert!(l2.needs_reset());
-        l2.apply_reset(1);
+        l2.apply_reset(1, Cycle(90));
         assert_eq!(l2.epoch(), 1);
         assert!(!l2.needs_reset());
         assert_eq!(l2.mem_ts(), Timestamp::INIT);
@@ -866,7 +850,7 @@ mod tests {
         // The crash wiped all transaction state and requests the global
         // Section V-D reset.
         assert!(l2.needs_reset(), "recovery must force the epoch bump");
-        l2.apply_reset(1);
+        l2.apply_reset(1, Cycle(90));
         assert_eq!(l2.epoch(), 1);
         assert!(l2.is_idle(), "no transaction survives the crash");
         // The written version survives "via DRAM": a post-recovery read
@@ -896,7 +880,7 @@ mod tests {
         l2.on_request(0, write(5, 1, 42), Cycle(0));
         settle(&mut l2, Cycle(0));
         l2.crash(Cycle(50));
-        l2.apply_reset(1);
+        l2.apply_reset(1, Cycle(90));
         // Post-recovery activity is all epoch 1: no pre-crash lease may
         // reappear.
         l2.on_request(0, read(5, 0, 1), Cycle(100));

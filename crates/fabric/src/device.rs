@@ -118,7 +118,6 @@ pub struct DeviceL2 {
     tracer: Tracer,
     sanitizer: Sanitizer,
     spans: SpanTracker,
-    clock: Cycle,
     mutation: ProtocolMutation,
 }
 
@@ -140,7 +139,6 @@ impl DeviceL2 {
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
             spans: SpanTracker::disabled(),
-            clock: Cycle(0),
             mutation: ProtocolMutation::None,
         }
     }
@@ -212,6 +210,7 @@ impl DeviceL2 {
         wts: Timestamp,
         rts: Timestamp,
         version: Version,
+        now: Cycle,
     ) {
         let meta = DevMeta {
             wts,
@@ -227,25 +226,23 @@ impl DeviceL2 {
             *m = meta;
         }
         let epoch = self.epoch;
-        self.tracer
-            .record_with(self.clock, || EventKind::LeaseGrant {
-                block,
-                wts: wts.0,
-                rts: rts.0,
-            });
-        self.sanitizer
-            .check_with(self.clock, || Transition::GrantInstall {
-                block,
-                wts,
-                rts,
-                epoch,
-            });
+        self.tracer.record_with(now, || EventKind::LeaseGrant {
+            block,
+            wts: wts.0,
+            rts: rts.0,
+        });
+        self.sanitizer.check_with(now, || Transition::GrantInstall {
+            block,
+            wts,
+            rts,
+            epoch,
+        });
     }
 
     /// Serves a read locally if the installed grant covers its warp (one
     /// probe of `tags`): the L1 lease is `nest_rts`-clamped inside the
     /// grant. False, and nothing done, if the read must wait for one.
-    fn serve_if_covered(&mut self, src: usize, r: ReadReq) -> bool {
+    fn serve_if_covered(&mut self, src: usize, r: ReadReq, now: Cycle) -> bool {
         let (lease, mutation) = (self.p.lease, self.mutation);
         let covering = self.tags.get_mut(&r.block);
         let Some(meta) = covering.filter(|m| lease_covers(m.rts, r.warp_ts)) else {
@@ -254,16 +251,15 @@ impl DeviceL2 {
         let (wts, new_rts, version) = meta.serve(r.warp_ts, lease, mutation);
         let epoch = self.epoch;
         self.stats.hits += 1;
-        self.sanitizer
-            .check_with(self.clock, || Transition::DeviceServe {
-                block: r.block,
-                wts,
-                rts: new_rts,
-                epoch,
-            });
+        self.sanitizer.check_with(now, || Transition::DeviceServe {
+            block: r.block,
+            wts,
+            rts: new_rts,
+            epoch,
+        });
         let resp = if r.wts == wts {
             self.stats.renewals += 1;
-            self.tracer.record_with(self.clock, || EventKind::Renewal {
+            self.tracer.record_with(now, || EventKind::Renewal {
                 block: r.block,
                 rts: new_rts.0,
             });
@@ -299,18 +295,18 @@ impl DeviceL2 {
         }));
     }
 
-    fn serve(&mut self, src: usize, msg: L1ToL2) {
+    fn serve(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
         self.stats.accesses += 1;
         match msg {
             L1ToL2::Read(r) => {
-                if self.serve_if_covered(src, r) {
+                if self.serve_if_covered(src, r, now) {
                     return;
                 }
                 if self.tags.contains_key(&r.block) {
                     self.stats.expired_misses += 1;
                 } else {
                     self.stats.cold_misses += 1;
-                    self.tracer.record_with(self.clock, || EventKind::ColdMiss {
+                    self.tracer.record_with(now, || EventKind::ColdMiss {
                         block: r.block,
                         warp: 0,
                     });
@@ -337,11 +333,11 @@ impl DeviceL2 {
     /// Serves every parked read now covered by the installed grant; if
     /// any remain uncovered, sends one follow-up read extending the
     /// grant to the farthest waiter.
-    fn drain_waiters(&mut self, block: BlockAddr) {
+    fn drain_waiters(&mut self, block: BlockAddr, now: Cycle) {
         let Some(mut still) = self.read_waiters.remove(&block) else {
             return;
         };
-        still.retain(|&(src, r)| !self.serve_if_covered(src, r));
+        still.retain(|&(src, r)| !self.serve_if_covered(src, r, now));
         if let Some(&(_, far)) = still.iter().max_by_key(|(_, r)| r.warp_ts) {
             self.forward_read(block, far.warp_ts, far.span);
         }
@@ -352,13 +348,12 @@ impl DeviceL2 {
 
     /// Delivers a response that crossed the fabric from the home node.
     pub fn on_fabric_response(&mut self, msg: L2ToL1, now: Cycle) {
-        self.clock = self.clock.max(now);
         let e = msg.epoch();
         if e > self.epoch {
             // The home is already in a newer epoch (the simulator's
             // global bump lands this cycle): adopt it — old grants are
             // in dead coordinates.
-            self.apply_reset(e);
+            self.apply_reset(e, now);
             // apply_reset counts a rollover the simulator also counts;
             // adoption is the same event seen from the fabric side.
             self.stats.ts_rollovers -= 1;
@@ -384,15 +379,15 @@ impl DeviceL2 {
         match msg {
             L2ToL1::Fill(f) => {
                 if let LeaseInfo::Logical { wts, rts } = f.lease {
-                    self.install_grant(f.block, wts, rts, f.version);
-                    self.drain_waiters(f.block);
+                    self.install_grant(f.block, wts, rts, f.version, now);
+                    self.drain_waiters(f.block, now);
                 }
             }
             L2ToL1::Renew { block, lease, .. } => {
                 match (self.tags.contains_key(&block), lease) {
                     (true, LeaseInfo::Logical { wts, rts }) => {
-                        self.install_grant(block, wts, rts, Version::ZERO);
-                        self.drain_waiters(block);
+                        self.install_grant(block, wts, rts, Version::ZERO, now);
+                        self.drain_waiters(block, now);
                     }
                     // Renewed a grant the device no longer holds (lost
                     // to a rollover in between): the data is gone, so a
@@ -405,12 +400,12 @@ impl DeviceL2 {
                     // The ack carries the fresh grant for the version
                     // just written — install it so local readers of the
                     // store's result need no extra fabric trip.
-                    self.install_grant(a.block, wts, rts, a.version);
+                    self.install_grant(a.block, wts, rts, a.version, now);
                 }
                 if let Some((src, _)) = self.write_waiters.remove(&a.version) {
                     self.out_resp.push_back((src, msg));
                 }
-                self.drain_waiters(a.block);
+                self.drain_waiters(a.block, now);
             }
             L2ToL1::Invalidate { block, .. } => {
                 self.tags.remove(&block);
@@ -481,7 +476,6 @@ impl L2Controller for DeviceL2 {
 
     /// Accepts a request from local SM `src`.
     fn on_request(&mut self, src: usize, msg: L1ToL2, now: Cycle) {
-        self.clock = self.clock.max(now);
         self.in_queue.push_back((now + self.p.latency, src, msg));
     }
 
@@ -508,13 +502,11 @@ impl L2Controller for DeviceL2 {
 
     /// Serves ready L1 requests (up to `ports` per cycle).
     fn tick(&mut self, now: Cycle) {
-        // Above everything: `apply_reset` and `serve` stamp with it.
-        self.clock = self.clock.max(now);
         for _ in 0..self.p.ports {
             match self.in_queue.front() {
                 Some((ready, _, _)) if *ready <= now => {
                     let (_, src, msg) = self.in_queue.pop_front().expect("front exists");
-                    self.serve(src, msg);
+                    self.serve(src, msg, now);
                 }
                 _ => break,
             }
@@ -535,7 +527,7 @@ impl L2Controller for DeviceL2 {
     /// `ReadReq::rebased`). Without the degrade, a refetch would
     /// replay a near-overflow `warp_ts` at the *new* epoch, the home
     /// would overflow again, and the reset would livelock.
-    fn apply_reset(&mut self, epoch: Epoch) {
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
         self.tags.clear();
         self.epoch = epoch;
         self.needs_reset = false;
@@ -547,9 +539,9 @@ impl L2Controller for DeviceL2 {
             }
         }
         self.tracer
-            .record_with(self.clock, || EventKind::Rollover { epoch });
+            .record_with(now, || EventKind::Rollover { epoch });
         self.sanitizer
-            .check_with(self.clock, || Transition::EpochEnter { epoch });
+            .check_with(now, || Transition::EpochEnter { epoch });
     }
 
     /// Crashes the whole device: every grant, parked request, and queued
@@ -559,7 +551,6 @@ impl L2Controller for DeviceL2 {
     /// simulator sees `needs_reset` and bumps the global epoch, exactly
     /// as for an on-die bank crash.
     fn crash(&mut self, now: Cycle) -> bool {
-        self.clock = self.clock.max(now);
         self.tags.clear();
         // Every in-flight transaction dies with the device: close their
         // sampled spans so no span leaks open across the reset. The order
@@ -582,9 +573,9 @@ impl L2Controller for DeviceL2 {
             _ => 0,
         };
         self.tracer
-            .record_with(self.clock, || EventKind::BankReset { bank: dev, epoch });
+            .record_with(now, || EventKind::BankReset { bank: dev, epoch });
         self.sanitizer
-            .check_with(self.clock, || Transition::BankReset { epoch });
+            .check_with(now, || Transition::BankReset { epoch });
         self.needs_reset = true;
         true
     }
@@ -600,7 +591,6 @@ impl L2Controller for DeviceL2 {
         self.read_waiters.save(w);
         self.write_waiters.save(w);
         self.stats.save(w);
-        self.clock.save(w);
         Ok(())
     }
 
@@ -616,7 +606,6 @@ impl L2Controller for DeviceL2 {
         self.read_waiters = Snap::load(r)?;
         self.write_waiters = Snap::load(r)?;
         self.stats = Snap::load(r)?;
-        self.clock = Snap::load(r)?;
         Ok(())
     }
 }
@@ -762,11 +751,11 @@ mod tests {
         dev.set_sanitizer(root.for_scope(Scope::Device(0)));
         // Two banks of one device report under one scope, so entering
         // the same epoch twice is legal...
-        dev.apply_reset(2);
-        dev.apply_reset(2);
+        dev.apply_reset(2, Cycle(0));
+        dev.apply_reset(2, Cycle(0));
         assert!(root.violations().is_empty(), "{:?}", root.violations());
         // ...moving backwards is not.
-        dev.apply_reset(1);
+        dev.apply_reset(1, Cycle(150));
         let f = root.report().findings;
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!((f[0].rule, f[0].scope), ("epoch-order", Scope::Device(0)));
@@ -838,8 +827,8 @@ mod tests {
         assert!(dev.is_idle(), "no transaction survives the crash");
         assert!(dev.installed_grant(BlockAddr(5)).is_none());
         // The simulator bumps the global epoch on home and all devices.
-        home.apply_reset(1);
-        dev.apply_reset(1);
+        home.apply_reset(1, Cycle(150));
+        dev.apply_reset(1, Cycle(150));
         // Rejoin: the committed store survives at the home.
         dev.on_request(0, read(5, 0, 1), Cycle(200));
         let resps = settle(&mut dev, &mut home, Cycle(200));

@@ -105,7 +105,6 @@ pub struct HomeNode {
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
-    clock: Cycle,
 }
 
 impl HomeNode {
@@ -123,7 +122,6 @@ impl HomeNode {
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
-            clock: Cycle(0),
         }
     }
 
@@ -169,7 +167,6 @@ impl HomeNode {
 
     /// Accepts a fabric request from device `dev`.
     pub fn on_request(&mut self, dev: usize, msg: L1ToL2, now: Cycle) {
-        self.clock = self.clock.max(now);
         self.in_queue.push_back((now + self.p.latency, dev, msg));
     }
 
@@ -192,14 +189,12 @@ impl HomeNode {
 
     /// Serves every request whose latency has elapsed.
     pub fn tick(&mut self, now: Cycle) {
-        // Above everything: `apply_reset` and `serve` stamp with it.
-        self.clock = self.clock.max(now);
         while let Some((ready, _, _)) = self.in_queue.front() {
             if *ready > now {
                 break;
             }
             let (_, dev, msg) = self.in_queue.pop_front().expect("front exists");
-            self.serve(dev, msg);
+            self.serve(dev, msg, now);
         }
     }
 
@@ -209,9 +204,10 @@ impl HomeNode {
         self.overflow
     }
 
-    /// Performs the Section V-D timestamp reset, entering `epoch`: every
-    /// grant rebases to `[INIT, lease]`, versions (the data) survive.
-    pub fn apply_reset(&mut self, epoch: Epoch) {
+    /// Performs the Section V-D timestamp reset, entering `epoch` at cycle
+    /// `now`: every grant rebases to `[INIT, lease]`, versions (the data)
+    /// survive.
+    pub fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
         let lease = self.p.lease;
         // lint: allow(hash-iter): every grant is rebased alike, in any order.
         for meta in self.blocks.values_mut() {
@@ -222,9 +218,9 @@ impl HomeNode {
         self.overflow = false;
         self.stats.ts_rollovers += 1;
         self.tracer
-            .record_with(self.clock, || EventKind::Rollover { epoch });
+            .record_with(now, || EventKind::Rollover { epoch });
         self.sanitizer
-            .check_with(self.clock, || Transition::EpochEnter { epoch });
+            .check_with(now, || Transition::EpochEnter { epoch });
     }
 
     /// The authoritative multi-GPU memory image, sorted by block.
@@ -267,7 +263,7 @@ impl HomeNode {
         None
     }
 
-    fn serve(&mut self, dev: usize, msg: L1ToL2) {
+    fn serve(&mut self, dev: usize, msg: L1ToL2, now: Cycle) {
         // Section V-D: a stale-epoch request is answered as a fresh one.
         let msg = msg.rebased(self.epoch);
         let block = msg.block();
@@ -290,19 +286,18 @@ impl HomeNode {
                     version,
                 } = *meta;
                 self.note_ts(new_rts);
-                self.sanitizer
-                    .check_with(self.clock, || Transition::L2Grant {
-                        block,
-                        wts: grant_wts,
-                        rts: new_rts,
-                        epoch,
-                    });
+                self.sanitizer.check_with(now, || Transition::L2Grant {
+                    block,
+                    wts: grant_wts,
+                    rts: new_rts,
+                    epoch,
+                });
                 let resp = if r.wts == grant_wts {
                     // The device already holds this version: extend the
                     // grant data-lessly (the Section VI-C saving, now
                     // worth a whole fabric data transfer).
                     self.stats.renewals += 1;
-                    self.tracer.record_with(self.clock, || EventKind::Renewal {
+                    self.tracer.record_with(now, || EventKind::Renewal {
                         block,
                         rts: new_rts.0,
                     });
@@ -317,12 +312,11 @@ impl HomeNode {
                     }
                 } else {
                     self.stats.hits += 1;
-                    self.tracer
-                        .record_with(self.clock, || EventKind::LeaseGrant {
-                            block,
-                            wts: grant_wts.0,
-                            rts: new_rts.0,
-                        });
+                    self.tracer.record_with(now, || EventKind::LeaseGrant {
+                        block,
+                        wts: grant_wts.0,
+                        rts: new_rts.0,
+                    });
                     L2ToL1::Fill(FillResp {
                         block,
                         lease: LeaseInfo::Logical {
@@ -355,7 +349,7 @@ impl HomeNode {
                     // the original acknowledgement (see module docs).
                     self.stats.replayed_stores += 1;
                     self.tracer
-                        .record_with(self.clock, || EventKind::ReplayDrop { block });
+                        .record_with(now, || EventKind::ReplayDrop { block });
                     let ack = WriteAckResp {
                         block,
                         lease: LeaseInfo::Logical {
@@ -378,14 +372,13 @@ impl HomeNode {
                 self.stats.stores += 1;
                 self.note_ts(rts);
                 self.tracer
-                    .record_with(self.clock, || EventKind::StoreCommit { block, wts: wts.0 });
-                self.sanitizer
-                    .check_with(self.clock, || Transition::L2Store {
-                        block,
-                        wts,
-                        rts,
-                        epoch,
-                    });
+                    .record_with(now, || EventKind::StoreCommit { block, wts: wts.0 });
+                self.sanitizer.check_with(now, || Transition::L2Store {
+                    block,
+                    wts,
+                    rts,
+                    epoch,
+                });
                 let ack = WriteAckResp {
                     block,
                     lease: LeaseInfo::Logical { wts, rts },
@@ -408,7 +401,6 @@ impl HomeNode {
         self.in_queue.save(w);
         self.out.save(w);
         self.stats.save(w);
-        self.clock.save(w);
     }
 
     /// Restores state saved by [`HomeNode::save_state`].
@@ -424,7 +416,6 @@ impl HomeNode {
         self.in_queue = Snap::load(r)?;
         self.out = Snap::load(r)?;
         self.stats = Snap::load(r)?;
-        self.clock = Snap::load(r)?;
         Ok(())
     }
 }
@@ -590,7 +581,7 @@ mod tests {
         home.on_request(0, read(5, 1, 250), Cycle(50)); // rts -> 314 > 255
         settle(&mut home, Cycle(50));
         assert!(home.needs_reset());
-        home.apply_reset(1);
+        home.apply_reset(1, Cycle(90));
         assert_eq!(home.epoch(), 1);
         assert!(!home.needs_reset());
         // Stale-epoch renewal degrades to a fresh fill in epoch 1.

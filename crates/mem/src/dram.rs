@@ -78,9 +78,11 @@ pub struct Dram<P> {
     /// fault-free fast path.
     faults: Option<DramFaults>,
     tracer: Tracer,
-    /// Last cycle observed in [`Dram::tick`] (stamps enqueue events —
-    /// [`Dram::enqueue`] itself is clock-less).
-    clock: Cycle,
+    /// How many requests at the tail of `queue` arrived since the last
+    /// [`Dram::tick`], which records their arrival at its `now`. Volatile,
+    /// never snapshotted: a partition is ticked in every cycle it is
+    /// handed a request, so this is 0 between cycles.
+    arrived: usize,
     /// No tick before this cycle can issue or complete anything unless a
     /// request is enqueued first (see [`Dram::next_event_at`]). Derived
     /// state, never snapshotted: [`Dram::enqueue`] and
@@ -119,7 +121,7 @@ impl<P> Dram<P> {
             stats: DramStats::default(),
             faults: None,
             tracer: Tracer::disabled(),
-            clock: Cycle(0),
+            arrived: 0,
             idle_until: Cycle(0),
             done: Vec::new(),
             cfg,
@@ -173,18 +175,15 @@ impl<P> Dram<P> {
     }
 
     /// Offers a request; returns `false` (back-pressure) if the queue is
-    /// full — the caller must retry later.
+    /// full — the caller must retry later. The next [`Dram::tick`] dates
+    /// its arrival.
     pub fn enqueue(&mut self, req: DramRequest<P>) -> bool {
         if self.queue.len() >= self.cfg.queue_depth {
             self.stats.queue_full_events += 1;
             return false;
         }
-        self.tracer
-            .record_with(self.clock, || EventKind::DramEnqueue {
-                block: req.block,
-                write: req.is_write,
-            });
         self.queue.push_back(req);
+        self.arrived += 1;
         self.idle_until = Cycle(0);
         true
     }
@@ -195,15 +194,21 @@ impl<P> Dram<P> {
         self.queue.len() < self.cfg.queue_depth
     }
 
-    /// Advances the model to `now`: issues eligible queued requests to free
-    /// banks (FR-FCFS) and returns every response whose data burst has
-    /// completed by `now`. The responses live in a buffer the partition
-    /// keeps: whatever the caller leaves unread is dropped, never
-    /// returned by a later tick.
+    /// Advances the model to `now`: records the requests enqueued since
+    /// the last tick as arrived at `now`, issues eligible queued requests
+    /// to free banks (FR-FCFS) and returns every response whose data burst
+    /// has completed by `now`. The responses live in a buffer the
+    /// partition keeps: whatever the caller leaves unread is dropped,
+    /// never returned by a later tick.
     pub fn tick(&mut self, now: Cycle) -> std::vec::Drain<'_, DramResponse<P>> {
-        // Above the early return: an enqueue event raised after a skipped
-        // tick must still carry this cycle's stamp.
-        self.clock = self.clock.max(now);
+        let fresh = self.queue.len() - self.arrived;
+        for req in self.queue.range(fresh..) {
+            self.tracer.record_with(now, || EventKind::DramEnqueue {
+                block: req.block,
+                write: req.is_write,
+            });
+        }
+        self.arrived = 0;
         if now < self.idle_until {
             debug_assert!(
                 now < self.earliest_event(),
@@ -390,7 +395,6 @@ impl<P: Snap> Dram<P> {
         self.last_burst.save(w);
         self.stats.save(w);
         self.faults.save(w);
-        self.clock.save(w);
     }
 
     /// Restores dynamic state into a partition built from the same
@@ -413,7 +417,7 @@ impl<P: Snap> Dram<P> {
         self.last_burst = Snap::load(r)?;
         self.stats = Snap::load(r)?;
         self.faults = Snap::load(r)?;
-        self.clock = Snap::load(r)?;
+        self.arrived = 0;
         self.idle_until = Cycle(0);
         Ok(())
     }
@@ -650,6 +654,35 @@ mod tests {
             d.tick(Cycle(c));
         }
         assert_eq!(d.queued() + d.in_flight(), 0);
+    }
+
+    /// The engine ticks a partition in every cycle it hands it a request,
+    /// so the tick dates the enqueue: a request handed over at `c + k` to
+    /// a partition last ticked at `c` arrives at `c + k`, and issues there.
+    #[test]
+    fn an_enqueue_is_dated_by_the_tick_that_follows_it() {
+        use gtsc_trace::Scope;
+        use gtsc_types::TraceConfig;
+        let mut d: Dram<u32> = Dram::new(DramConfig::default());
+        d.set_tracer(Tracer::new(Scope::Dram(0), &TraceConfig::full()));
+        let (c, k) = (64, 3);
+        d.tick(Cycle(c));
+        d.enqueue(DramRequest {
+            block: BlockAddr(0),
+            is_write: false,
+            payload: 1,
+        });
+        d.tick(Cycle(c + k));
+        let dated: Vec<_> = (d.tracer().events().iter())
+            .map(|e| (e.cycle, e.kind.name()))
+            .collect();
+        assert_eq!(
+            dated,
+            [
+                (Cycle(c + k), "dram_enqueue"),
+                (Cycle(c + k), "dram_service")
+            ]
+        );
     }
 
     proptest! {

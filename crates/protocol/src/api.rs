@@ -401,9 +401,10 @@ pub trait L2Controller {
         false
     }
 
-    /// Performs the Section V-D timestamp reset, entering `epoch`.
-    fn apply_reset(&mut self, epoch: Epoch) {
-        let _ = epoch;
+    /// Performs the Section V-D timestamp reset, entering `epoch` at
+    /// cycle `now`.
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
+        let _ = (epoch, now);
     }
 
     /// Crashes the bank: models a transient fault that wipes the tag
@@ -604,7 +605,7 @@ mod tests {
         let mut d2 = DummyL2;
         assert_eq!(d2.next_event_at(), Cycle(0), "always due by default");
         assert!(!d2.needs_reset());
-        d2.apply_reset(1);
+        d2.apply_reset(1, Cycle(0));
         d2.dram_ready(true);
         // Default crash hook: fault is ignored, no recovery advertised.
         assert!(!d2.crash(Cycle(3)));

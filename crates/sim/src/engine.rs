@@ -10,6 +10,10 @@
 //! ([`MultiGpuSim`](crate::MultiGpuSim)). Everything else — dispatch,
 //! the watchdog, reports, stall diagnosis, snapshots — exists once.
 //!
+//! `now` is the machine's only clock: every component call that can
+//! record an event or a sanitizer transition is handed it, so a component
+//! that slept through cycles dates what it does as one that was visited.
+//!
 //! One cycle, in order (the checker, the shared sanitizer and the fault
 //! streams all observe this order, so it is part of the contract). Each
 //! phase visits the *due* components of its class, in index order: the
@@ -23,9 +27,8 @@
 //!    service of the due banks ([`MemorySide::serve`]);
 //! 2. one cross-device exchange ([`MemorySide::exchange`]);
 //! 3. scheduled crashes ([`MemorySide::crash`]);
-//! 4. the global reset: memory side first, then every bank (the one
-//!    cycle that touches everything: skipped components are ticked first
-//!    for the `clock` they stamp with, sleeping SMs book a freeze);
+//! 4. the global reset at `now`: memory side first, then every bank (the
+//!    one cycle that touches everything: sleeping SMs book a freeze);
 //! 5. per device, back half: due banks → response network → L1s (a
 //!    response wakes a sleeping SM), then the cycle-reason accounting of
 //!    the SMs this cycle touched;
@@ -134,13 +137,8 @@ pub trait MemorySide {
         false
     }
 
-    /// Enters `epoch` (called before the banks').
-    fn apply_reset(&mut self, _epoch: Epoch) {}
-
-    /// Ticks, at `at`, what the memory side owns and did not visit in
-    /// that cycle: nothing happens below a horizon, but the `clock` some
-    /// components stamp events and snapshots with moves (DESIGN.md §14.1).
-    fn stamp(&mut self, _at: Cycle) {}
+    /// Enters `epoch` at `now` (called before the banks').
+    fn apply_reset(&mut self, _epoch: Epoch, _now: Cycle) {}
 
     /// Whether nothing is pending beyond the banks.
     fn is_idle(&self) -> bool;
@@ -180,11 +178,18 @@ pub trait MemorySide {
     /// `gpu` is the per-device config.
     fn config_fingerprint(&self, gpu: &GpuConfig) -> u64;
 
-    /// Writes the memory side's snapshot sections.
-    fn save(&self, b: &mut SnapshotBuilder);
+    /// Writes the memory side's snapshot sections, with the cycle the
+    /// machine last settled at after each DRAM partition's or the home
+    /// node's state (DESIGN.md §14.1).
+    fn save(&self, b: &mut SnapshotBuilder, settled: Cycle);
 
-    /// Restores the sections written by [`MemorySide::save`].
-    fn restore(&mut self, file: &SnapshotFile<'_>) -> Result<(), SnapshotError>;
+    /// Restores the sections written by [`MemorySide::save`], the settled
+    /// cycle into `settled`.
+    fn restore(
+        &mut self,
+        file: &SnapshotFile<'_>,
+        settled: &mut Cycle,
+    ) -> Result<(), SnapshotError>;
 }
 
 /// The fingerprint both topologies store in snapshots: derived `Debug`
@@ -225,9 +230,9 @@ pub fn expect_count(r: &mut SnapReader<'_>, built: usize, what: &str) -> Result<
 /// few contiguous words and touches only the components that are due.
 pub struct Wake {
     at: Vec<Cycle>,
-    /// Every entry counts as due whatever it holds: a traced machine (the
-    /// `clock` a component stamps events with moves only when it is
-    /// ticked), and the saturated-set differential.
+    /// Every entry counts as due whatever it holds: the machine that
+    /// visits everything, which the tests hold the active set to
+    /// (`Sim::saturate`).
     saturated: bool,
     /// Visits counted so far — host-side, like [`Sim::stepped_cycles`].
     visits: u64,
@@ -235,10 +240,10 @@ pub struct Wake {
 
 impl Wake {
     /// `n` components, all due.
-    pub(crate) fn new(n: usize, saturated: bool) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Wake {
             at: vec![Cycle(0); n],
-            saturated,
+            saturated: false,
             visits: 0,
         }
     }
@@ -400,13 +405,10 @@ impl<B: L2Controller + ?Sized> Device<B> {
                 sm.l1_mut().enable_retry(cfg.transport.retry_timeout);
             }
         }
-        // A traced component stamps events with the `clock` of its last
-        // tick, so a traced machine ticks everything, every cycle.
-        let saturated = cfg.trace.is_enabled();
         Device {
-            sm_wake: Wake::new(cfg.n_sms, saturated),
-            bank_wake: Wake::new(cfg.l2_banks, saturated),
-            net_wake: Wake::new(2, saturated),
+            sm_wake: Wake::new(cfg.n_sms),
+            bank_wake: Wake::new(cfg.l2_banks),
+            net_wake: Wake::new(2),
             booked: vec![0; cfg.n_sms],
             awake: Vec::with_capacity(cfg.n_sms),
             issued: 0,
@@ -648,16 +650,6 @@ impl<B: L2Controller + ?Sized> Device<B> {
         }
     }
 
-    /// Ticks, at `at`, the banks that cycle did not visit (see
-    /// [`MemorySide::stamp`]).
-    fn stamp(&mut self, at: Cycle) {
-        for (b, bank) in self.l2.iter_mut().enumerate() {
-            if !self.bank_wake.due(b, at) {
-                bank.tick(at);
-            }
-        }
-    }
-
     /// The earliest wake entry on the die.
     fn next_event_at(&self) -> Cycle {
         (self.sm_wake.earliest())
@@ -688,7 +680,8 @@ impl<B: L2Controller + ?Sized> Device<B> {
         out.push(view.of_net(&self.resp_net));
     }
 
-    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+    /// Writes the device, with `settled` after each bank's state.
+    fn save(&self, w: &mut SnapWriter, settled: Cycle) -> Result<(), SnapshotError> {
         w.usize(self.sms.len());
         for sm in &self.sms {
             sm.save_state(w)?;
@@ -696,6 +689,7 @@ impl<B: L2Controller + ?Sized> Device<B> {
         w.usize(self.l2.len());
         for bank in &self.l2 {
             bank.save_state(w)?;
+            settled.save(w);
         }
         self.req_net.save_state(w);
         self.resp_net.save_state(w);
@@ -704,8 +698,14 @@ impl<B: L2Controller + ?Sized> Device<B> {
 
     /// Restores the image of a machine that had accounted `steps` cycles
     /// (and booked them all: every way out of `advance_kernel` settles).
-    /// The active set is derived state: everything is due.
-    fn restore(&mut self, r: &mut SnapReader<'_>, steps: u64) -> Result<(), SnapshotError> {
+    /// The active set is derived state: everything is due. The settled
+    /// cycle after each bank's state goes to `settled`.
+    fn restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        steps: u64,
+        settled: &mut Cycle,
+    ) -> Result<(), SnapshotError> {
         expect_count(r, self.sms.len(), "SM count")?;
         for sm in &mut self.sms {
             sm.load_state(r)?;
@@ -713,6 +713,7 @@ impl<B: L2Controller + ?Sized> Device<B> {
         expect_count(r, self.l2.len(), "L2 bank count")?;
         for bank in &mut self.l2 {
             bank.load_state(r)?;
+            *settled = Snap::load(r)?;
         }
         self.req_net.load_state(r)?;
         self.resp_net.load_state(r)?;
@@ -787,6 +788,10 @@ pub struct Sim<M: MemorySide> {
     pub(crate) recoveries: u64,
     sizes: MsgSizes,
     now: Cycle,
+    /// The last cycle stepped as of the last `settle` — behind `now - 1`
+    /// when a slice ended inside a jump. Snapshotted after each bank's,
+    /// DRAM partition's and home node's state (DESIGN.md §14.1).
+    settled: Cycle,
     epoch: Epoch,
     checker: Checker,
     sampler: IntervalSampler,
@@ -865,6 +870,7 @@ impl<M: MemorySide> Sim<M> {
             recoveries: 0,
             sizes,
             now: Cycle(0),
+            settled: Cycle(0),
             epoch: 0,
             checker: Checker::new(),
             sampler,
@@ -1389,9 +1395,9 @@ impl<M: MemorySide> Sim<M> {
         });
         b.section("devices", |w| {
             w.usize(self.devices.len());
-            self.devices.iter().try_for_each(|dev| dev.save(w))
+            (self.devices.iter()).try_for_each(|dev| dev.save(w, self.settled))
         })?;
-        self.mem.save(&mut b);
+        self.mem.save(&mut b, self.settled);
         b.section("checker", |w| self.checker.save(w));
         b.section("sampler", |w| self.sampler.save(w));
         if let Some(p) = progress {
@@ -1440,10 +1446,10 @@ impl<M: MemorySide> Sim<M> {
         })?;
         get(&file, "devices", |r| {
             expect_count(r, self.devices.len(), "device count")?;
-            let steps = self.steps;
-            (self.devices.iter_mut()).try_for_each(|dev| dev.restore(r, steps))
+            let (steps, settled) = (self.steps, &mut self.settled);
+            (self.devices.iter_mut()).try_for_each(|dev| dev.restore(r, steps, settled))
         })?;
-        self.mem.restore(&file)?;
+        self.mem.restore(&file, &mut self.settled)?;
         self.mem.wake_mut().clear();
         self.checker = get(&file, "checker", Snap::load)?;
         self.sampler = get(&file, "sampler", Snap::load)?;
@@ -1541,13 +1547,10 @@ impl<M: MemorySide> Sim<M> {
         rollover |= self.mem.needs_reset();
         if rollover {
             self.epoch += 1;
-            // `apply_reset` has no `now`: it stamps with the `clock` of
-            // the component's last tick, which has to be this cycle's.
-            self.stamp(now);
-            self.mem.apply_reset(self.epoch);
+            self.mem.apply_reset(self.epoch, now);
             for dev in &mut self.devices {
                 for bank in &mut dev.l2 {
-                    bank.apply_reset(self.epoch);
+                    bank.apply_reset(self.epoch, now);
                 }
                 dev.bank_wake.clear();
             }
@@ -1569,23 +1572,13 @@ impl<M: MemorySide> Sim<M> {
         issued
     }
 
-    /// Ticks, at `at`, every bank and memory-side component that cycle
-    /// did not visit: a no-op below their horizons but for the `clock`
-    /// they stamp clock-less events and their snapshot with.
-    fn stamp(&mut self, at: Cycle) {
-        for dev in &mut self.devices {
-            dev.stamp(at);
-        }
-        self.mem.stamp(at);
-    }
-
     /// Leaves the machine as one that touched everything in every cycle
-    /// would be, `at` being the last cycle stepped: the `clock`s stand
-    /// there, and every SM has booked every accounted cycle. Run on every
+    /// would be, `at` being the last cycle stepped: every SM has booked
+    /// every accounted cycle, and `settled` stands at `at`. Run on every
     /// way out of `advance_kernel`, so `report`, `save_snapshot` and the
     /// next slice never see a sleeper's unbooked stretch.
     fn settle(&mut self, at: Cycle) {
-        self.stamp(at);
+        self.settled = at;
         for dev in &mut self.devices {
             dev.book_all(self.steps);
         }
@@ -1793,7 +1786,12 @@ mod tests {
         cfg.faults = FaultConfig::default().with_bank_crashes(3, 900);
     };
 
-    const TRACED: Tweak = |cfg| cfg.trace = TraceConfig::full();
+    /// Every event recorded, on the lossy and crashing machine: each reset
+    /// is dated in the trace by every bank and the home node, asleep or not.
+    const TRACED_CRASHY: Tweak = |cfg| {
+        cfg.trace = TraceConfig::full();
+        cfg.faults = FaultConfig::lossy(42, 80).with_bank_crashes(2, 400);
+    };
 
     /// Everything a run leaves behind that a caller can get at.
     struct Seen {
@@ -1868,33 +1866,36 @@ mod tests {
         assert_same(&seen, &want, &format!("budget {budget}"));
         let ((visits, of), (all, _)) = (live.component_visits(), full.component_visits());
         assert_eq!(all, of, "a saturated cycle visits every component");
-        assert!(visits <= all);
+        assert!(visits < all, "the live set visited {visits} of {all}");
         seen
     }
 
     fn saturated_set_differential<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
         let kernel = drf_traffic_kernel("drf-traffic", 20);
-        for tweak in [AS_IS, LOSSY_CRASHY, STARVED_CRASHY, SANITIZED_CRASHY] {
+        let tweaks = [
+            AS_IS,
+            LOSSY_CRASHY,
+            STARVED_CRASHY,
+            SANITIZED_CRASHY,
+            TRACED_CRASHY,
+        ];
+        let reset = |e: &TraceEvent| matches!(e.kind, gtsc_trace::EventKind::Rollover { .. });
+        for tweak in tweaks {
             for budget in [0, 1, 37] {
                 let seen = live_matches_saturated(build, tweak, &kernel, budget);
                 assert!(seen.violations.is_empty(), "{:?}", seen.violations);
+                // Traced, the trace dates the crashes' resets.
+                assert!(seen.trace.is_empty() || seen.trace.iter().any(reset));
             }
         }
-        // A traced machine is saturated to begin with (its components
-        // stamp events with the `clock` of their last tick).
-        let mut traced = build(TRACED);
-        let seen = watch(&mut traced, &kernel, 0);
-        let (visits, of) = traced.component_visits();
-        assert!(!seen.trace.is_empty() && visits == of, "{visits} of {of}");
-        live_matches_saturated(build, TRACED, &kernel, 37);
     }
 
     /// The active set is invisible: visiting only the due components
     /// leaves the statistics, every snapshot byte mid-run and final, the
     /// checker's observations, the trace and the sanitizer's report of a
     /// machine that visits everything — plain, lossy with crashes, starved
-    /// of DRAM, sanitized; in one piece, cycle by cycle and in slices that
-    /// end inside jumps.
+    /// of DRAM, sanitized, traced; in one piece, cycle by cycle and in
+    /// slices that end inside jumps.
     #[test]
     fn active_set_matches_the_saturated_set() {
         saturated_set_differential(single);
@@ -2083,42 +2084,6 @@ mod tests {
     fn active_set_settles_on_every_way_out() {
         every_exit_settles(single);
         every_exit_settles(multi);
-    }
-
-    /// Stamp point: the tick before `apply_reset`. A bank (or the home
-    /// node) that slept through the reset cycle still enters the epoch *at*
-    /// that cycle: traced on their own — the engine saturates a traced
-    /// machine, so this wiring exists only here — the banks of a live
-    /// machine date their resets as a saturated machine's do.
-    fn resets_are_dated_at_their_cycle<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {
-        let resets = |saturate: bool| {
-            let mut sim = build(LOSSY_CRASHY);
-            if saturate {
-                sim.saturate();
-            }
-            for (d, dev) in sim.devices.iter_mut().enumerate() {
-                for (b, bank) in dev.l2.iter_mut().enumerate() {
-                    bank.set_tracer(Tracer::new(M::bank_scope(d, b), &TraceConfig::full()));
-                }
-            }
-            let kernel = drf_traffic_kernel("drf-traffic", 6);
-            sim.run_kernel(&kernel).expect("completes");
-            let mut events = Vec::new();
-            for bank in sim.banks() {
-                events.extend(bank.tracer().expect("traced").events().iter().copied());
-            }
-            events.retain(|e| matches!(e.kind, gtsc_trace::EventKind::Rollover { .. }));
-            events
-        };
-        let (live, full) = (resets(false), resets(true));
-        assert!(!full.is_empty(), "no reset to date");
-        assert_eq!(live, full);
-    }
-
-    #[test]
-    fn active_set_dates_a_reset_at_its_cycle() {
-        resets_are_dated_at_their_cycle(single);
-        resets_are_dated_at_their_cycle(multi);
     }
 
     fn foreign_progress_is_rejected<M: MemorySide>(build: fn(Tweak) -> Sim<M>) {

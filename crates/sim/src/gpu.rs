@@ -12,7 +12,7 @@ use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
 use gtsc_mem::{Dram, DramRequest};
 use gtsc_protocol::L2Controller;
 use gtsc_trace::{Scope, TraceEvent, Tracer};
-use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
+use gtsc_types::snap::{Snap, SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{Cycle, GpuConfig, SimStats};
 
 use crate::build::{build_l1, build_l2};
@@ -47,7 +47,7 @@ impl LocalDram {
             }
         }
         let bank_faults = (0..n).map(|b| plan.bank(b as u64, n as u64)).collect();
-        let wake = Wake::new(n, cfg.trace.is_enabled());
+        let wake = Wake::new(n);
         (LocalDram { drams, wake }, bank_faults)
     }
 }
@@ -94,14 +94,6 @@ impl MemorySide for LocalDram {
             reset |= bank.needs_reset();
         }
         reset
-    }
-
-    fn stamp(&mut self, at: Cycle) {
-        for (b, dram) in self.drams.iter_mut().enumerate() {
-            if !self.wake.due(b, at) {
-                dram.tick(at);
-            }
-        }
     }
 
     /// A bank crash: its tags, MSHRs, and queues vanish mid-cycle and
@@ -153,19 +145,28 @@ impl MemorySide for LocalDram {
         fingerprint_of(gpu, &gpu.label())
     }
 
-    fn save(&self, b: &mut SnapshotBuilder) {
+    fn save(&self, b: &mut SnapshotBuilder, settled: Cycle) {
         b.section("dram", |w| {
             w.usize(self.drams.len());
             for d in &self.drams {
                 d.save_state(w);
+                settled.save(w);
             }
         });
     }
 
-    fn restore(&mut self, file: &SnapshotFile<'_>) -> Result<(), SnapshotError> {
+    fn restore(
+        &mut self,
+        file: &SnapshotFile<'_>,
+        settled: &mut Cycle,
+    ) -> Result<(), SnapshotError> {
         get(file, "dram", |r| {
             expect_count(r, self.drams.len(), "DRAM partition count")?;
-            self.drams.iter_mut().try_for_each(|d| d.load_state(r))
+            for d in &mut self.drams {
+                d.load_state(r)?;
+                *settled = Snap::load(r)?;
+            }
+            Ok(())
         })
     }
 }

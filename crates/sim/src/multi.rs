@@ -26,7 +26,7 @@ use gtsc_noc::ReliableNet;
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
 use gtsc_protocol::L2Controller;
 use gtsc_trace::{Sanitizer, Scope, TraceEvent, Tracer};
-use gtsc_types::snap::{SnapshotBuilder, SnapshotError, SnapshotFile};
+use gtsc_types::snap::{Snap, SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{BlockAddr, Cycle, GpuConfig, MultiGpuConfig, ProtocolKind, SimStats, Version};
 
 use crate::build::build_l1;
@@ -117,7 +117,7 @@ impl FabricToHome {
             cfg.gpu.l1.block_size(),
         );
         let fabric = FabricToHome {
-            wake: Wake::new(3, cfg.gpu.trace.is_enabled()),
+            wake: Wake::new(3),
             cfg,
             home,
             up_net,
@@ -240,15 +240,9 @@ impl MemorySide for FabricToHome {
         self.home.needs_reset()
     }
 
-    fn apply_reset(&mut self, epoch: Epoch) {
-        self.home.apply_reset(epoch);
+    fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
+        self.home.apply_reset(epoch, now);
         self.wake.touch(HOME);
-    }
-
-    fn stamp(&mut self, at: Cycle) {
-        if !self.wake.due(HOME, at) {
-            self.home.tick(at);
-        }
     }
 
     fn is_idle(&self) -> bool {
@@ -317,20 +311,31 @@ impl MemorySide for FabricToHome {
         fingerprint_of(&self.cfg, &self.cfg.label())
     }
 
-    fn save(&self, b: &mut SnapshotBuilder) {
+    fn save(&self, b: &mut SnapshotBuilder, settled: Cycle) {
         b.section("fabric", |w| {
             self.up_net.save_state(w);
             self.down_net.save_state(w);
         });
-        b.section("home", |w| self.home.save_state(w));
+        b.section("home", |w| {
+            self.home.save_state(w);
+            settled.save(w);
+        });
     }
 
-    fn restore(&mut self, file: &SnapshotFile<'_>) -> Result<(), SnapshotError> {
+    fn restore(
+        &mut self,
+        file: &SnapshotFile<'_>,
+        settled: &mut Cycle,
+    ) -> Result<(), SnapshotError> {
         get(file, "fabric", |r| {
             self.up_net.load_state(r)?;
             self.down_net.load_state(r)
         })?;
-        get(file, "home", |r| self.home.load_state(r))
+        get(file, "home", |r| {
+            self.home.load_state(r)?;
+            *settled = Snap::load(r)?;
+            Ok(())
+        })
     }
 }
 

@@ -281,11 +281,13 @@ fn sampled_span_ids_match_the_per_cycle_scan_pin() {
 
 /// A fully traced run emits every per-cycle event through the same path
 /// as before the engine learnt to jump (a traced SM never sleeps, so its
-/// horizon is always the next cycle) — and the components whose `tick`
-/// now returns early must still stamp what clock-less methods raise
-/// (`Dram::enqueue`, `apply_reset`, `evict`) with the cycle they happen
-/// in. Pinned at the last commit that ticked everything every cycle:
-/// a lossy NoC, 8-bit timestamps rolling over, and two bank crashes.
+/// horizon is always the next cycle), and every event carries the cycle
+/// the engine handed its component — also those of a reset, an eviction
+/// or a DRAM enqueue in a component the cycle otherwise left alone. A
+/// lossy NoC, 8-bit timestamps rolling over, and two bank crashes. Pinned
+/// at the last commit that ticked everything every cycle, but for its 321
+/// `dram_enqueue` events: that engine dated them at the partition's
+/// previous tick, one cycle before the enqueue; they now read its cycle.
 #[test]
 fn full_trace_matches_the_tick_every_cycle_pin() {
     let cfg = GpuConfig::paper_default()
@@ -300,7 +302,7 @@ fn full_trace_matches_the_tick_every_cycle_pin() {
     let crc = crc32(text.as_bytes());
     assert_eq!(
         (events.len(), crc),
-        (194_475, 0x9837_40bc),
+        (194_475, 0xa9f8_93c4),
         "trace moved ({}, {crc:#010x})",
         events.len()
     );

@@ -277,6 +277,62 @@ macro_rules! land_fixture {
     }};
 }
 
+/// Runs `$bench` Small on `$sim` in 37-cycle slices and returns `(now,
+/// save_snapshot CRC)` at the first three slice ends of a slice that
+/// stepped one cycle and jumped the other 36: the cycle the machine last
+/// settled at, written after each bank's, DRAM partition's and home
+/// node's state (DESIGN.md §14.1), is 36 cycles behind `now` there.
+macro_rules! mid_jump_crcs {
+    ($sim:expr, $bench:expr) => {{
+        let kernel = $bench.build(Scale::Small);
+        let mut sim = $sim;
+        let mut progress = KernelProgress::new(&*kernel);
+        let mut crcs = Vec::new();
+        while crcs.len() < 3 {
+            let stepped = sim.stepped_cycles();
+            let slice = sim.advance_kernel(&*kernel, &mut progress, 37);
+            assert!(slice.expect("advance").is_none(), "drained first");
+            if sim.stepped_cycles() == stepped + 1 {
+                let image = sim.save_snapshot(Some(&progress)).expect("snapshot");
+                crcs.push((sim.now().0, crc32(&image)));
+            }
+        }
+        crcs
+    }};
+}
+
+/// The images no fixture covers: those of a slice that ends inside a jump,
+/// where the settled cycle is not `now - 1`. Pinned at the build whose
+/// banks, partitions and home node each kept that cycle as a `clock` of
+/// their own, on one device and on two.
+#[test]
+fn mid_jump_images_match_the_pins() {
+    let gtsc = GpuConfig::paper_default().with_protocol(ProtocolKind::Gtsc);
+    assert_eq!(
+        mid_jump_crcs!(GpuSim::new(gtsc.clone()), Benchmark::Ccp),
+        [
+            (4_921, 0xb7e8_6613),
+            (5_106, 0x1c42_77f9),
+            (5_735, 0xf527_aef9)
+        ],
+        "CCP Small on one device"
+    );
+    let two = MultiGpuConfig {
+        n_devices: 2,
+        gpu: gtsc,
+        fabric: FabricConfig::default(),
+    };
+    assert_eq!(
+        mid_jump_crcs!(MultiGpuSim::new(two), Benchmark::Stn),
+        [
+            (555, 0x26c1_400b),
+            (3_626, 0x7354_7cb1),
+            (3_774, 0x580f_8d24)
+        ],
+        "STN Small on two devices"
+    );
+}
+
 /// Snapshots **written by the parent build** of the change that shared
 /// warp programs, swapped the hasher of simulation-state maps and hashed
 /// the checker's outer maps (commit 91d45cf; `tests/fixtures/README.md`
