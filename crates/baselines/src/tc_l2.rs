@@ -77,6 +77,11 @@ pub struct TcL2 {
     /// Fills that could not install because every victim's lease is live
     /// (the inclusive-L2 replacement stall).
     install_wait: Vec<BlockAddr>,
+    /// What a tick retries: `install_wait` swapped out, emptied and kept,
+    /// so a replacement stall allocates nothing per cycle.
+    install_retry: Vec<BlockAddr>,
+    /// `blocked`'s keys as `drain_blocked` walks them, kept likewise.
+    blocked_keys: Vec<BlockAddr>,
     stats: CacheStats,
     tracer: Tracer,
     sanitizer: Sanitizer,
@@ -91,6 +96,8 @@ impl TcL2 {
             shell: BankShell::new(p.latency, p.ports, p.mshr_entries, p.mshr_merges),
             blocked: BTreeMap::new(),
             install_wait: Vec::new(),
+            install_retry: Vec::new(),
+            blocked_keys: Vec::new(),
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
             sanitizer: Sanitizer::disabled(),
@@ -270,8 +277,9 @@ impl TcL2 {
     /// Drains per-block stall queues whose head write has become
     /// performable.
     fn drain_blocked(&mut self, now: Cycle) {
-        let blocks: Vec<BlockAddr> = self.blocked.keys().copied().collect();
-        for block in blocks {
+        let mut blocks = std::mem::take(&mut self.blocked_keys);
+        blocks.extend(self.blocked.keys().copied());
+        for block in blocks.drain(..) {
             // If the line was evicted while its queue waited (possible
             // once the lease expired — which also satisfies the parked
             // write's wait condition), re-handle the whole queue through
@@ -296,6 +304,7 @@ impl TcL2 {
                 self.blocked.remove(&block);
             }
         }
+        self.blocked_keys = blocks;
     }
 }
 
@@ -339,12 +348,14 @@ impl L2Controller for TcL2 {
     fn tick(&mut self, now: Cycle) {
         // Retry fills stalled on inclusive replacement.
         if !self.install_wait.is_empty() {
-            let waiting = std::mem::take(&mut self.install_wait);
-            for block in waiting {
+            let mut waiting = std::mem::take(&mut self.install_retry);
+            std::mem::swap(&mut waiting, &mut self.install_wait);
+            for block in waiting.drain(..) {
                 if !self.try_install(block, now) {
                     self.install_wait.push(block);
                 }
             }
+            self.install_retry = waiting;
         }
         self.drain_blocked(now);
         for _ in 0..self.shell.ports() {

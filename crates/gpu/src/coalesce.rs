@@ -57,6 +57,39 @@ pub(crate) fn coalesce_into(addrs: &[Addr], block_shift: u32, out: &mut VecDeque
     }
 }
 
+/// [`coalesce_into`] for the `n` lanes `base + i·stride`, none wrapping
+/// `u64`, without reading an address. The lanes are monotone, so a block
+/// once left is never re-entered: first touch is a change of block, and
+/// each step jumps to the first lane past the current block's edge in the
+/// direction of travel — O(blocks), not O(lanes).
+pub(crate) fn coalesce_affine_into(
+    base: u64,
+    stride: i64,
+    n: u32,
+    block_shift: u32,
+    out: &mut VecDeque<BlockAddr>,
+) {
+    out.clear();
+    let size = 1u64 << block_shift;
+    let step = stride.unsigned_abs();
+    let mut lane = 0u64;
+    while lane < u64::from(n) {
+        // Modular arithmetic lands on the true address: none wraps.
+        let a = base.wrapping_add((stride as u64).wrapping_mul(lane));
+        out.push_back(BlockAddr(a >> block_shift));
+        if step == 0 {
+            break;
+        }
+        let offset = a & (size - 1);
+        let to_edge = if stride > 0 {
+            size - offset
+        } else {
+            offset + 1
+        };
+        lane += to_edge.div_ceil(step);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,5 +25,5 @@ pub mod kernel;
 pub mod sm;
 
 pub use coalesce::coalesce;
-pub use kernel::{Kernel, VecKernel, WarpOp, WarpProgram};
+pub use kernel::{Kernel, Lanes, VecKernel, WarpOp, WarpProgram};
 pub use sm::{Sm, SmParams, WarpStallInfo};

@@ -14,7 +14,6 @@ use gtsc_types::{
     StallKind, WarpId, WarpScheduler,
 };
 
-use crate::coalesce::coalesce_into;
 use crate::kernel::{ProgramCursor, WarpOp, WarpProgram};
 
 /// Construction parameters for [`Sm`].
@@ -859,10 +858,10 @@ impl Sm {
             WarpOp::Atomic(a) => Some((AccessKind::Atomic, a)),
             _ => None, // a fence whose condition held
         };
-        if let Some((kind, addrs)) = mem {
+        if let Some((kind, lanes)) = mem {
             w.atomic_pending |= kind == AccessKind::Atomic;
             w.mem_kind = kind;
-            coalesce_into(addrs, self.p.block_shift, &mut w.mem_blocks);
+            lanes.coalesce_into(self.p.block_shift, &mut w.mem_blocks);
             self.stats.mem_issued += 1;
         }
         w.ops.advance();
@@ -1323,8 +1322,8 @@ mod tests {
         let (l1, q) = TestL1::new();
         let mut sm = Sm::new(SmParams::default(), Box::new(l1));
         // 4 lanes strided by 128B: 4 blocks.
-        let addrs: Vec<Addr> = (0..4).map(|i| Addr(i * 128)).collect();
-        sm.assign_cta(CtaId(0), one_warp_kernel(vec![WarpOp::Load(addrs)]));
+        let lanes = (0..4).map(|i| Addr(i * 128)).collect();
+        sm.assign_cta(CtaId(0), one_warp_kernel(vec![WarpOp::Load(lanes)]));
         sm.cycle(Cycle(0));
         assert_eq!(q.borrow().len(), 1, "one access per issue slot");
         sm.cycle(Cycle(1));

@@ -9,7 +9,8 @@
 //! The default report derives solely from [`gtsc_types::SimStats`] —
 //! state that rides in snapshots — so a run restored from a mid-kernel
 //! checkpoint reproduces it byte-identically (proved in
-//! `tests/spans.rs`). The three host-side lines under it (`stepped …`,
+//! `tests/spans.rs`). The line above it (`kernel: …`) says what the kernel
+//! costs to hold; the three host-side lines under it (`stepped …`,
 //! `visited …`, `host allocations: …`) describe how this process executed
 //! the run. `--gpus N` runs the kernel on N devices behind the inter-GPU
 //! fabric (`MultiGpuSim`, DESIGN.md §17) and prints the same report.
@@ -19,11 +20,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gtsc_gpu::{Kernel, WarpOp};
 use gtsc_sim::{render_folded, render_profile, spans_to_chrome_trace, MultiGpuSim, SimBuilder};
 use gtsc_sweep::{
     benchmark_from_name, consistency_from_name, protocol_from_name, scale_from_name, JobSpec,
 };
-use gtsc_types::{ConsistencyModel, FabricConfig, GpuConfig, MultiGpuConfig};
+use gtsc_types::{ConsistencyModel, CtaId, FabricConfig, GpuConfig, MultiGpuConfig};
 
 const USAGE: &str = "\
 profile_report: run one kernel and report per-SM cycle attribution
@@ -227,9 +229,33 @@ macro_rules! run_and_report {
     }};
 }
 
+/// What `kernel` costs to hold: its instructions, the memory instructions
+/// among them, and the bytes of lane addresses those keep on the heap (a
+/// gather's; an affine instruction keeps none, DESIGN.md §15.5).
+fn kernel_footprint(kernel: &dyn Kernel) -> (usize, usize, usize) {
+    let (mut ops, mut mem, mut bytes) = (0, 0, 0);
+    for cta in 0..kernel.n_ctas() {
+        for warp in 0..kernel.warps_per_cta() {
+            let program = kernel.shared_program(CtaId(cta as u32), warp);
+            ops += program.len();
+            for op in &program.0 {
+                if let WarpOp::Load(lanes) | WarpOp::Store(lanes) | WarpOp::Atomic(lanes) = op {
+                    mem += 1;
+                    bytes += lanes.heap_bytes();
+                }
+            }
+        }
+    }
+    (ops, mem, bytes)
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let cli = parse_args(args)?;
     let kernel = cli.spec.kernel();
+    if !cli.quiet {
+        let (ops, mem, bytes) = kernel_footprint(kernel.as_ref());
+        println!("kernel: {ops} ops, {mem} memory instructions, {bytes} bytes of lane addresses");
+    }
     let report = if cli.gpus == 1 {
         let mut sim = SimBuilder::new(gpu_config(&cli))
             .try_build()

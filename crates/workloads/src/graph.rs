@@ -29,21 +29,21 @@ pub fn connected_components(scale: Scale, seed: u64) -> VecKernel {
             ));
             // Gather the endpoint labels (divergent, skewed towards the
             // hot high-degree nodes every real graph has).
-            let gather: Vec<Addr> = (0..8)
+            let gather = (0..8)
                 .map(|_| labels.block(skewed_index(rng, &labels, 16, 0.6)))
                 .collect();
             ops.push(WarpOp::Load(gather));
             ops.push(WarpOp::Compute(3));
             // Re-read the hot labels (convergence check) before the
             // scatter: load-dominated, as label propagation is.
-            let reread: Vec<Addr> = (0..6)
+            let reread = (0..6)
                 .map(|_| labels.block(skewed_index(rng, &labels, 16, 0.7)))
                 .collect();
             ops.push(WarpOp::Load(reread));
             // atomicMin the propagated label into the *updated* (mostly
             // fresh, non-hub) nodes — real label propagation rarely
             // rewrites converged hubs, and does it with atomics.
-            let scatter: Vec<Addr> = (0..2)
+            let scatter = (0..2)
                 .map(|_| labels.block(skewed_index(rng, &labels, 16, 0.02)))
                 .collect();
             ops.push(WarpOp::Atomic(scatter));
@@ -69,7 +69,7 @@ pub fn bfs(scale: Scale, seed: u64) -> VecKernel {
             // CTAs alternately produce and consume it).
             ops.push(WarpOp::load_coalesced(frontier.block(level as u64), 32));
             // Divergent adjacency gather (skewed: high-degree hubs).
-            let gather: Vec<Addr> = (0..6)
+            let gather = (0..6)
                 .map(|_| adj.block(skewed_index(rng, &adj, 32, 0.5)))
                 .collect();
             ops.push(WarpOp::Load(gather));
@@ -79,11 +79,11 @@ pub fn bfs(scale: Scale, seed: u64) -> VecKernel {
             let checks: Vec<Addr> = (0..4)
                 .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.7)))
                 .collect();
-            ops.push(WarpOp::Load(checks.clone()));
-            ops.push(WarpOp::Load(checks[..2].to_vec()));
+            ops.push(WarpOp::Load(checks.clone().into()));
+            ops.push(WarpOp::Load(checks[..2].to_vec().into()));
             // atomicOr the genuinely new (cold) nodes into the visited
             // bitmap, as the CUDA kernels do.
-            let v: Vec<Addr> = (0..2)
+            let v = (0..2)
                 .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.05)))
                 .collect();
             ops.push(WarpOp::Atomic(v));
@@ -118,16 +118,16 @@ pub fn bfs_level(scale: Scale, seed: u64, level: usize) -> VecKernel {
             let mut ops = Vec::new();
             ops.push(WarpOp::load_coalesced(frontier.block(level as u64), 32));
             for _ in 0..3 {
-                let gather: Vec<Addr> = (0..6)
+                let gather = (0..6)
                     .map(|_| adj.block(skewed_index(rng, &adj, 32, 0.5)))
                     .collect();
                 ops.push(WarpOp::Load(gather));
                 ops.push(WarpOp::Compute(2));
-                let checks: Vec<Addr> = (0..4)
+                let checks = (0..4)
                     .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.7)))
                     .collect();
                 ops.push(WarpOp::Load(checks));
-                let v: Vec<Addr> = (0..2)
+                let v = (0..2)
                     .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.05)))
                     .collect();
                 ops.push(WarpOp::Atomic(v));

@@ -118,7 +118,7 @@ mod tests {
             .0
             .iter()
             .filter_map(|op| match op {
-                WarpOp::Store(a) => Some(a[0].0 / 128),
+                WarpOp::Store(a) => Some(a.iter().next().unwrap().0 / 128),
                 _ => None,
             })
             .collect()
@@ -129,7 +129,7 @@ mod tests {
             .0
             .iter()
             .filter_map(|op| match op {
-                WarpOp::Load(a) => Some(a[0].0 / 128),
+                WarpOp::Load(a) => Some(a.iter().next().unwrap().0 / 128),
                 _ => None,
             })
             .collect()
@@ -166,12 +166,12 @@ mod tests {
         for w in 0..k.warps_per_cta() {
             for op in &k.program(CtaId(0), w).0 {
                 if let WarpOp::Store(a) = op {
-                    st0.insert(a[0].0 / 128);
+                    st0.insert(a.iter().next().unwrap().0 / 128);
                 }
             }
             for op in &k.program(CtaId(1), w).0 {
                 if let WarpOp::Load(a) = op {
-                    ld1.insert(a[0].0 / 128);
+                    ld1.insert(a.iter().next().unwrap().0 / 128);
                 }
             }
         }

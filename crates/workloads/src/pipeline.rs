@@ -64,7 +64,7 @@ mod tests {
                 .0
                 .iter()
                 .filter_map(|op| match op {
-                    WarpOp::Store(a) => Some(a[0].0 / 128),
+                    WarpOp::Store(a) => Some(a.iter().next().unwrap().0 / 128),
                     _ => None,
                 })
                 .collect()
@@ -74,7 +74,7 @@ mod tests {
                 .0
                 .iter()
                 .filter_map(|op| match op {
-                    WarpOp::Load(a) => Some(a[0].0 / 128),
+                    WarpOp::Load(a) => Some(a.iter().next().unwrap().0 / 128),
                     _ => None,
                 })
                 .collect()

@@ -143,7 +143,7 @@ mod tests {
             .0
             .iter()
             .filter_map(|op| match op {
-                WarpOp::Store(a) => Some(a[0].0 / 128),
+                WarpOp::Store(a) => Some(a.iter().next().unwrap().0 / 128),
                 _ => None,
             })
             .collect()
@@ -185,7 +185,7 @@ mod tests {
         let mut counts = std::collections::HashMap::new();
         for op in &p.0 {
             if let WarpOp::Store(a) = op {
-                *counts.entry(a[0].0 / 128).or_insert(0) += 1;
+                *counts.entry(a.iter().next().unwrap().0 / 128).or_insert(0) += 1;
             }
         }
         assert!(counts.values().all(|&c| c == 1), "GE is write-once");
@@ -198,7 +198,7 @@ mod tests {
         let loads: Vec<u64> =
             p.0.iter()
                 .filter_map(|op| match op {
-                    WarpOp::Load(a) => Some(a[0].0 / 128),
+                    WarpOp::Load(a) => Some(a.iter().next().unwrap().0 / 128),
                     _ => None,
                 })
                 .collect();

@@ -37,7 +37,7 @@
 
 use std::fmt;
 
-use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
+use gtsc_gpu::{Lanes, VecKernel, WarpOp, WarpProgram};
 use gtsc_types::Addr;
 
 /// Why a trace failed to parse.
@@ -74,7 +74,7 @@ fn parse_addr(tok: &str, line: usize) -> Result<Addr, TraceError> {
         .map_err(|_| TraceError::new(line, format!("bad address `{tok}`")))
 }
 
-fn parse_addr_list(toks: &[&str], line: usize) -> Result<Vec<Addr>, TraceError> {
+fn parse_addr_list(toks: &[&str], line: usize) -> Result<Lanes, TraceError> {
     if toks.is_empty() {
         return Err(TraceError::new(
             line,
@@ -225,14 +225,14 @@ cta 1 warp 1
         assert_eq!(
             p.0,
             vec![
-                WarpOp::Store(vec![Addr(0)]),
+                WarpOp::Store(vec![Addr(0)].into()),
                 WarpOp::Fence,
-                WarpOp::Atomic(vec![Addr(0x80)]),
+                WarpOp::Atomic(vec![Addr(0x80)].into()),
             ]
         );
         let p = k.program(CtaId(1), 1);
         assert_eq!(p.0.len(), 3);
-        assert_eq!(p.0[0], WarpOp::Load(vec![Addr(0x80), Addr(0x100)]));
+        assert_eq!(p.0[0], WarpOp::Load(vec![Addr(0x80), Addr(0x100)].into()));
         // Unmentioned warps are empty.
         assert!(k.program(CtaId(0), 1).is_empty());
     }
@@ -273,7 +273,7 @@ cta 1 warp 1
         let k =
             parse_trace("kernel t ctas=1 warps_per_cta=1\ncta 0 warp 0\nld 0x80 128\n").unwrap();
         let p = k.program(CtaId(0), 0);
-        assert_eq!(p.0[0], WarpOp::Load(vec![Addr(0x80), Addr(128)]));
+        assert_eq!(p.0[0], WarpOp::Load(vec![Addr(0x80), Addr(128)].into()));
     }
 
     #[test]

@@ -76,7 +76,7 @@ mod tests {
                 .0
                 .iter()
                 .filter_map(|op| match op {
-                    WarpOp::Load(a) | WarpOp::Store(a) => Some(a[0].0 >> 7),
+                    WarpOp::Load(a) | WarpOp::Store(a) => Some(a.iter().next().unwrap().0 >> 7),
                     _ => None,
                 })
                 .collect()

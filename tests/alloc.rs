@@ -109,6 +109,56 @@ fn run_kernel_allocations_stay_bounded() {
     assert!(n <= 3_000, "{n} allocator calls on the 2-device machine");
 }
 
+/// The TC banks keep their stall buffers too: a fill waiting for a victim
+/// and a write waiting out a lease are retried every tick from kept lists.
+/// BH Small made 55 050 allocator calls inside `run_kernel` under
+/// TC-Strong and 21 807 under TC-Weak while each stalled tick rebuilt
+/// them; kept, 996 and 892 (G-TSC-RC: 1 321). One allocation per stalled
+/// tick is thousands more.
+#[test]
+fn tc_banks_allocate_nothing_per_stalled_tick() {
+    for protocol in [ProtocolKind::Tc, ProtocolKind::TcWeak] {
+        let kernel = Benchmark::Bh.build(Scale::Small);
+        let cfg = GpuConfig::test_small()
+            .with_protocol(protocol)
+            .with_consistency(ConsistencyModel::Rc);
+        let mut sim = GpuSim::new(cfg);
+        let (report, n) = allocations(|| sim.run_kernel(kernel.as_ref()).expect("completes"));
+        assert!(report.violations.is_empty(), "{}", protocol.label());
+        println!(
+            "BH small {:<7} {n:>6} allocations over {} cycles",
+            protocol.label(),
+            report.stats.cycles.0
+        );
+        assert!(
+            n <= 2_000,
+            "{n} allocator calls inside run_kernel under {}",
+            protocol.label()
+        );
+    }
+}
+
+/// Generation holds lane addresses without allocating for them
+/// (DESIGN.md §15.5): every memory instruction of BH is an affine line, so
+/// building the Full kernel allocates per program — its `Vec` growing, its
+/// `Arc` — and for the kernel's tables, not per instruction. With a `Vec`
+/// of addresses per instruction the build made at least 76 458 more.
+#[test]
+fn kernel_generation_allocates_per_program_not_per_instruction() {
+    let (kernel, n) = allocations(|| Benchmark::Bh.build(Scale::Full));
+    let programs = kernel.n_ctas() * kernel.warps_per_cta();
+    println!("BH full: {n} allocations building {programs} programs");
+    assert!(
+        n <= GENERATION_ALLOCATIONS,
+        "{n} allocator calls building BH at Full"
+    );
+}
+
+/// Building BH Full: 384 programs of about 400 instructions each. The
+/// count sits far below the 76 458 memory instructions a per-instruction
+/// allocation would add.
+const GENERATION_ALLOCATIONS: u64 = 5_000;
+
 /// Steady state: once every CTA is dispatched and a kernel re-touches a
 /// fixed working set, the machine itself allocates nothing. What is left
 /// is the checker's record of each completion, which only ever grows.
