@@ -46,7 +46,8 @@ fn hash_iter_rule_is_live_on_the_real_sources() {
         // the retry scan's sorted walk.
         ("crates/core/src/l1.rs", 3),
         // `sorted_blocks` (every walk of `finish` and `compact` goes
-        // through it), the frontier minimum, two footprint sums.
+        // through it), the frontier minimum, and `footprint`'s fold over
+        // the load logs and sum over the store maps.
         ("crates/sim/src/check.rs", 4),
         // `expired_grant_blocks`, which sorts; order-free folds — two
         // counts, "all empty", a sum, the reset's rebase, the crash's

@@ -48,7 +48,63 @@ pub struct LoadObservation {
     pub exclusive: bool,
 }
 
-type LoadEv = LoadObservation;
+/// A [`LoadObservation`] as the checker keeps it, in four words instead
+/// of seven: the timestamp, version and cycle whole, and a fourth word
+/// packing the epoch (bits 0–31), the SM (bits 32–47) and the keyed and
+/// exclusive flags (bits 48 and 49). An unkeyed load stores timestamp and
+/// epoch 0. Every read unpacks it, so what the checker reports, and the
+/// bytes it snapshots, are the [`LoadObservation`]'s (DESIGN.md §15.6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LoadRecord {
+    ts: Timestamp,
+    version: Version,
+    at: Cycle,
+    packed: u64,
+}
+
+const SM_SHIFT: u32 = 32;
+const KEYED: u64 = 1 << 48;
+const EXCLUSIVE: u64 = 1 << 49;
+
+impl LoadRecord {
+    /// Packs `ld`; `None` if its SM does not fit 16 bits or its epoch 32.
+    fn pack(ld: &LoadObservation) -> Option<Self> {
+        let sm = u64::from(u16::try_from(ld.sm).ok()?);
+        let (ts, keyed_epoch) = match ld.key {
+            Some((epoch, ts)) => (ts, u64::from(u32::try_from(epoch).ok()?) | KEYED),
+            None => (Timestamp(0), 0),
+        };
+        let exclusive = if ld.exclusive { EXCLUSIVE } else { 0 };
+        Some(LoadRecord {
+            ts,
+            version: ld.version,
+            at: ld.at,
+            packed: keyed_epoch | sm << SM_SHIFT | exclusive,
+        })
+    }
+
+    fn unpack(&self) -> LoadObservation {
+        LoadObservation {
+            key: (self.packed & KEYED != 0).then_some((self.packed & u64::from(u32::MAX), self.ts)),
+            version: self.version,
+            at: self.at,
+            sm: usize::from((self.packed >> SM_SHIFT) as u16),
+            exclusive: self.packed & EXCLUSIVE != 0,
+        }
+    }
+}
+
+/// What a [`Checker`] holds, as [`Checker::footprint`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckerFootprint {
+    /// Observed loads retained.
+    pub loads: usize,
+    /// Committed stores retained.
+    pub stores: usize,
+    /// Bytes the per-block load logs take on the heap, spare capacity
+    /// included.
+    pub load_bytes: usize,
+}
 
 /// Collects load/store completions during a run and validates them at the
 /// end (validation is deferred because a load's producing store may
@@ -64,7 +120,12 @@ pub struct Checker {
     stores: FxHashMap<BlockAddr, BTreeMap<(Epoch, Timestamp), Version>>,
     /// All versions ever stored per block (functional fallback).
     written: FxHashMap<BlockAddr, FxHashSet<Version>>,
-    loads: FxHashMap<BlockAddr, Vec<LoadEv>>,
+    loads: FxHashMap<BlockAddr, Vec<LoadRecord>>,
+    /// Records in `loads` and in `stores`, kept as they change so that
+    /// [`Checker::retained_events`] does not walk them (not saved: a
+    /// restore recounts).
+    n_loads: usize,
+    n_stores: usize,
     n_events: u64,
     /// Highest completion key observed per SM (drives [`Checker::compact`]).
     frontier: FxHashMap<usize, (Epoch, Timestamp)>,
@@ -93,64 +154,59 @@ impl Checker {
     }
 
     /// Feeds one completed access from SM `sm` at cycle `now`.
+    ///
+    /// # Panics
+    ///
+    /// If a load or an atomic's read half comes from an SM above
+    /// `u16::MAX`, or carries a key in an epoch above `u32::MAX`: the
+    /// checker keeps them in those widths. The engine numbers SMs as a
+    /// global [`gtsc_types::SmId`] (16 bits), and an epoch is one global
+    /// Section V-D reset, so neither happens in a well-formed run.
     pub fn on_completion(&mut self, sm: usize, c: &Completion, now: Cycle) {
         self.n_events += 1;
         if let Some(ts) = c.ts {
             let f = self.frontier.entry(sm).or_insert((c.epoch, ts));
             *f = (*f).max((c.epoch, ts));
         }
-        match c.kind {
-            AccessKind::Store => {
-                self.written.entry(c.block).or_default().insert(c.version);
-                if let Some(wts) = c.ts {
-                    self.stores
-                        .entry(c.block)
-                        .or_default()
-                        .insert((c.epoch, wts), c.version);
-                }
+        if c.kind != AccessKind::Load {
+            // A store, or an atomic's write half: a store at the assigned wts.
+            self.written.entry(c.block).or_default().insert(c.version);
+            if let Some(wts) = c.ts {
+                let history = self.stores.entry(c.block).or_default();
+                self.n_stores += usize::from(history.insert((c.epoch, wts), c.version).is_none());
             }
-            AccessKind::Atomic => {
-                // The write half is a store at the assigned wts; the read
-                // half observed `prev` immediately before it.
-                self.written.entry(c.block).or_default().insert(c.version);
-                if let Some(wts) = c.ts {
-                    self.stores
-                        .entry(c.block)
-                        .or_default()
-                        .insert((c.epoch, wts), c.version);
-                }
-                if let Some(prev) = c.prev {
-                    self.loads
-                        .entry(c.block)
-                        .or_default()
-                        .push(LoadObservation {
-                            key: c.ts.map(|t| (c.epoch, t)),
-                            version: prev,
-                            at: now,
-                            sm,
-                            exclusive: true,
-                        });
-                }
-            }
-            AccessKind::Load => {
-                self.loads
-                    .entry(c.block)
-                    .or_default()
-                    .push(LoadObservation {
-                        key: c.ts.map(|t| (c.epoch, t)),
-                        version: c.version,
-                        at: now,
-                        sm,
-                        exclusive: false,
-                    });
-            }
+        }
+        let observed = match c.kind {
+            AccessKind::Store => None,
+            // The read half observed `prev` immediately before the write.
+            AccessKind::Atomic => c.prev.map(|prev| (prev, true)),
+            AccessKind::Load => Some((c.version, false)),
+        };
+        if let Some((version, exclusive)) = observed {
+            let ld = LoadObservation {
+                key: c.ts.map(|t| (c.epoch, t)),
+                version,
+                at: now,
+                sm,
+                exclusive,
+            };
+            let record = LoadRecord::pack(&ld).unwrap_or_else(|| {
+                // lint: allow(panic): documented under `# Panics` above.
+                panic!("{ld:?} does not fit the checker's record (16-bit SM, 32-bit epoch)")
+            });
+            self.loads.entry(c.block).or_default().push(record);
+            self.n_loads += 1;
         }
     }
 
     /// Loads observed on `block`, in completion order (litmus assertions).
     #[must_use]
     pub fn load_observations(&self, block: BlockAddr) -> Vec<LoadObservation> {
-        let mut v = self.loads.get(&block).cloned().unwrap_or_default();
+        let mut v: Vec<LoadObservation> = self
+            .loads
+            .get(&block)
+            .map(|log| log.iter().map(LoadRecord::unpack).collect())
+            .unwrap_or_default();
         v.sort_by_key(|l| l.at);
         v
     }
@@ -175,7 +231,8 @@ impl Checker {
             let stores = self.stores.get(block);
             let written = self.written.get(block);
             let horizon = self.horizon.get(block).copied();
-            for ld in observed {
+            for record in observed {
+                let ld = record.unpack();
                 match ld.key {
                     Some(key) => {
                         if horizon.is_some_and(|h| key < h) {
@@ -185,7 +242,7 @@ impl Checker {
                             self.horizon_accepts.set(self.horizon_accepts.get() + 1);
                             continue;
                         }
-                        out.extend(keyed_violation(*block, ld, key, stores));
+                        out.extend(keyed_violation(*block, &ld, key, stores));
                     }
                     None => {
                         // Functional fallback: the version must exist.
@@ -246,9 +303,33 @@ impl Checker {
     /// footprint, which [`Checker::compact`] bounds on long soaks).
     #[must_use]
     pub fn retained_events(&self) -> usize {
-        // lint: allow(hash-iter): a sum (of both) does not depend on the order.
-        self.stores.values().map(BTreeMap::len).sum::<usize>()
-            + self.loads.values().map(Vec::len).sum::<usize>()
+        debug_assert_eq!(
+            (self.n_loads, self.n_stores),
+            {
+                let walked = self.footprint();
+                (walked.loads, walked.stores)
+            },
+            "retained counts drifted from the logs"
+        );
+        self.n_loads + self.n_stores
+    }
+
+    /// The retained loads and stores, and the heap bytes of the load logs
+    /// (`profile_report`'s `checker:` line). Walks every log, where
+    /// [`Checker::retained_events`] reads running counts.
+    #[must_use]
+    pub fn footprint(&self) -> CheckerFootprint {
+        // lint: allow(hash-iter): sums do not depend on the order.
+        let (loads, slots) = self.loads.values().fold((0, 0), |(n, slots), log| {
+            (n + log.len(), slots + log.capacity())
+        });
+        // lint: allow(hash-iter): a sum does not depend on the order.
+        let stores = self.stores.values().map(BTreeMap::len).sum();
+        CheckerFootprint {
+            loads,
+            stores,
+            load_bytes: slots * std::mem::size_of::<LoadRecord>(),
+        }
     }
 
     /// Keyed loads accepted without exact validation because a
@@ -291,13 +372,15 @@ impl Checker {
             };
             if let Some(observed) = self.loads.get_mut(block) {
                 let mut kept = Vec::with_capacity(observed.len());
-                for ld in observed.drain(..) {
+                for record in observed.drain(..) {
+                    let ld = record.unpack();
                     match ld.key {
                         Some(key) if key < base => {
                             self.early
                                 .extend(keyed_violation(*block, &ld, key, Some(&*history)));
+                            self.n_loads -= 1;
                         }
-                        _ => kept.push(ld),
+                        _ => kept.push(record),
                     }
                 }
                 *observed = kept;
@@ -305,6 +388,7 @@ impl Checker {
             // Retain the base store itself: it is the expected value for
             // every remaining load at or above the horizon.
             let keep = history.split_off(&base);
+            self.n_stores -= history.len();
             if let Some(w) = self.written.get_mut(block) {
                 for v in history.values() {
                     w.remove(v);
@@ -345,6 +429,21 @@ gtsc_types::snap_fields!(LoadObservation {
     exclusive,
 });
 
+// Written as the `LoadObservation` it packs, so a checker's bytes do not
+// depend on how it keeps its loads.
+impl Snap for LoadRecord {
+    fn save(&self, w: &mut SnapWriter) {
+        self.unpack().save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let ld = LoadObservation::load(r)?;
+        LoadRecord::pack(&ld).ok_or_else(|| SnapshotError::Malformed {
+            context: format!("checker load {ld:?} outside a 16-bit SM or a 32-bit epoch"),
+        })
+    }
+}
+
 // Manual rather than `snap_fields!` because `horizon_accepts` lives in a
 // `Cell` (saved/restored by value).
 impl Snap for Checker {
@@ -360,16 +459,21 @@ impl Snap for Checker {
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Checker {
+        let mut checker = Checker {
             stores: Snap::load(r)?,
             written: Snap::load(r)?,
             loads: Snap::load(r)?,
+            n_loads: 0,
+            n_stores: 0,
             n_events: Snap::load(r)?,
             frontier: Snap::load(r)?,
             horizon: Snap::load(r)?,
             early: Snap::load(r)?,
             horizon_accepts: std::cell::Cell::new(Snap::load(r)?),
-        })
+        };
+        let walked = checker.footprint();
+        (checker.n_loads, checker.n_stores) = (walked.loads, walked.stores);
+        Ok(checker)
     }
 }
 
@@ -641,5 +745,356 @@ mod tests {
         ld0.ts = None;
         ch.on_completion(1, &ld0, Cycle(3));
         assert!(ch.finish().is_empty());
+    }
+
+    fn bytes<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_record_is_four_words_and_round_trips_at_its_bounds() {
+        assert_eq!(std::mem::size_of::<LoadRecord>(), 32);
+        for key in [
+            None,
+            Some((0, Timestamp(0))),
+            Some((Epoch::from(u32::MAX), Timestamp(u64::MAX))),
+        ] {
+            for sm in [0, usize::from(u16::MAX)] {
+                for exclusive in [false, true] {
+                    let ld = LoadObservation {
+                        key,
+                        version: Version(u64::MAX),
+                        at: Cycle(u64::MAX),
+                        sm,
+                        exclusive,
+                    };
+                    let record = LoadRecord::pack(&ld).expect("fits");
+                    assert_eq!(record.unpack(), ld);
+                    assert_eq!(bytes(&record), bytes(&ld));
+                }
+            }
+        }
+        let wide = LoadObservation {
+            key: Some((Epoch::from(u32::MAX) + 1, Timestamp(0))),
+            version: Version(1),
+            at: Cycle(0),
+            sm: 0,
+            exclusive: false,
+        };
+        assert_eq!(LoadRecord::pack(&wide), None);
+        let far = LoadObservation {
+            key: None,
+            sm: usize::from(u16::MAX) + 1,
+            ..wide
+        };
+        assert_eq!(LoadRecord::pack(&far), None);
+        // A snapshot holding either is malformed, not a panic.
+        for ld in [wide, far] {
+            let image = bytes(&ld);
+            assert!(LoadRecord::load(&mut SnapReader::new(&image)).is_err());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the checker's record")]
+    fn a_load_from_beyond_a_16_bit_sm_panics() {
+        let mut ch = Checker::new();
+        ch.on_completion(usize::from(u16::MAX) + 1, &load(5, 1, 0, 0), Cycle(1));
+    }
+
+    #[test]
+    fn retained_count_matches_the_walk_after_compact_and_restore() {
+        let mut ch = Checker::new();
+        for i in 0..40u64 {
+            ch.on_completion(0, &store(i % 4, 10 + i, 100 + i, 0), Cycle(i));
+            // The same key twice replaces a store, it does not add one.
+            ch.on_completion(0, &store(i % 4, 10 + i, 100 + i, 0), Cycle(i));
+            ch.on_completion(1, &load(i % 4, 5 + i, 100 + i, 0), Cycle(i));
+            ch.on_completion(2, &atomic(7, 10 + i, 300 + i, 299 + i), Cycle(i));
+        }
+        let walk = |ch: &Checker| {
+            let walked = ch.footprint();
+            walked.loads + walked.stores
+        };
+        assert_eq!(ch.retained_events(), walk(&ch));
+        assert_eq!(ch.retained_events(), 40 + 40 + 40 + 40);
+        ch.compact();
+        assert!(ch.retained_events() < 160);
+        assert_eq!(ch.retained_events(), walk(&ch));
+        let image = bytes(&ch);
+        let restored = Checker::load(&mut SnapReader::new(&image)).expect("restores");
+        assert_eq!(restored.retained_events(), walk(&restored));
+        assert_eq!(restored.retained_events(), ch.retained_events());
+        // A restored log is allocated to its length: only the counts match.
+        let (a, b) = (restored.footprint(), ch.footprint());
+        assert_eq!((a.loads, a.stores), (b.loads, b.stores));
+    }
+
+    /// The checker as it was before its loads were packed: every
+    /// observation kept verbatim per block. The validation helpers are
+    /// shared; what differs is only how a load is stored.
+    #[derive(Default)]
+    struct Reference {
+        stores: FxHashMap<BlockAddr, BTreeMap<(Epoch, Timestamp), Version>>,
+        written: FxHashMap<BlockAddr, FxHashSet<Version>>,
+        loads: FxHashMap<BlockAddr, Vec<LoadObservation>>,
+        n_events: u64,
+        frontier: FxHashMap<usize, (Epoch, Timestamp)>,
+        horizon: BTreeMap<BlockAddr, (Epoch, Timestamp)>,
+        early: Vec<Violation>,
+        horizon_accepts: u64,
+    }
+
+    impl Reference {
+        fn on_completion(&mut self, sm: usize, c: &Completion, now: Cycle) {
+            self.n_events += 1;
+            if let Some(ts) = c.ts {
+                let f = self.frontier.entry(sm).or_insert((c.epoch, ts));
+                *f = (*f).max((c.epoch, ts));
+            }
+            if c.kind != AccessKind::Load {
+                self.written.entry(c.block).or_default().insert(c.version);
+                if let Some(wts) = c.ts {
+                    let history = self.stores.entry(c.block).or_default();
+                    history.insert((c.epoch, wts), c.version);
+                }
+            }
+            let (version, exclusive) = match c.kind {
+                AccessKind::Store => return,
+                AccessKind::Atomic => match c.prev {
+                    Some(prev) => (prev, true),
+                    None => return,
+                },
+                AccessKind::Load => (c.version, false),
+            };
+            self.loads
+                .entry(c.block)
+                .or_default()
+                .push(LoadObservation {
+                    key: c.ts.map(|t| (c.epoch, t)),
+                    version,
+                    at: now,
+                    sm,
+                    exclusive,
+                });
+        }
+
+        fn load_observations(&self, block: BlockAddr) -> Vec<LoadObservation> {
+            let mut v = self.loads.get(&block).cloned().unwrap_or_default();
+            v.sort_by_key(|l| l.at);
+            v
+        }
+
+        fn finish(&mut self) -> Vec<Violation> {
+            let mut out = self.early.clone();
+            for block in &sorted_blocks(&self.loads) {
+                let stores = self.stores.get(block);
+                let horizon = self.horizon.get(block).copied();
+                for ld in &self.loads[block] {
+                    match ld.key {
+                        Some(key) if horizon.is_some_and(|h| key < h) => {
+                            self.horizon_accepts += 1;
+                        }
+                        Some(key) => out.extend(keyed_violation(*block, ld, key, stores)),
+                        None => {
+                            let known = ld.version == Version::ZERO
+                                || self
+                                    .written
+                                    .get(block)
+                                    .is_some_and(|w| w.contains(&ld.version));
+                            if !known {
+                                out.push(Violation(format!(
+                                    "phantom value at {block}: load by sm{} at {} observed {} \
+                                     which no store produced",
+                                    ld.sm, ld.at, ld.version
+                                )));
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        fn compact(&mut self) {
+            let Some(visible) = self.frontier.values().min().copied() else {
+                return;
+            };
+            for block in &sorted_blocks(&self.stores) {
+                let history = self.stores.get_mut(block).expect("listed above");
+                let Some((&base, _)) = history.range(..=visible).next_back() else {
+                    continue;
+                };
+                if let Some(observed) = self.loads.get_mut(block) {
+                    let mut kept = Vec::new();
+                    for ld in observed.drain(..) {
+                        match ld.key {
+                            Some(key) if key < base => self.early.extend(keyed_violation(
+                                *block,
+                                &ld,
+                                key,
+                                Some(&*history),
+                            )),
+                            _ => kept.push(ld),
+                        }
+                    }
+                    *observed = kept;
+                }
+                let keep = history.split_off(&base);
+                if let Some(w) = self.written.get_mut(block) {
+                    for v in history.values() {
+                        w.remove(v);
+                    }
+                }
+                *history = keep;
+                self.horizon.insert(*block, base);
+            }
+        }
+
+        fn retained_events(&self) -> usize {
+            self.stores.values().map(BTreeMap::len).sum::<usize>()
+                + self.loads.values().map(Vec::len).sum::<usize>()
+        }
+
+        /// The bytes `Snap for Checker` writes, from verbatim observations.
+        fn snapshot(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            self.stores.save(&mut w);
+            self.written.save(&mut w);
+            self.loads.save(&mut w);
+            self.n_events.save(&mut w);
+            self.frontier.save(&mut w);
+            self.horizon.save(&mut w);
+            self.early.save(&mut w);
+            self.horizon_accepts.save(&mut w);
+            w.into_bytes()
+        }
+    }
+
+    /// A seeded SplitMix64 stream.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            gtsc_trace::span::mix64(self.0) % n
+        }
+
+        fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+            of[self.below(of.len() as u64) as usize]
+        }
+    }
+
+    /// One random completion: loads, stores and atomics, keyed and not,
+    /// over a few blocks, epochs and SMs, with versions that are mostly
+    /// right and sometimes stale, future or phantom.
+    fn random_completion(rng: &mut Stream) -> (usize, Completion, Cycle) {
+        const EPOCHS: [Epoch; 4] = [0, 1, 2, u32::MAX as Epoch];
+        let sm = rng.pick(&[0, 1, 2, 3, usize::from(u16::MAX)]);
+        let kind = rng.pick(&[
+            AccessKind::Load,
+            AccessKind::Load,
+            AccessKind::Load,
+            AccessKind::Store,
+            AccessKind::Atomic,
+        ]);
+        let c = Completion {
+            id: AccessId(0),
+            warp: WarpId(0),
+            kind,
+            block: BlockAddr(rng.below(6)),
+            version: Version(rng.below(24)),
+            ts: (rng.below(8) != 0).then(|| Timestamp(rng.below(40))),
+            epoch: rng.pick(&EPOCHS),
+            prev: (kind == AccessKind::Atomic && rng.below(8) != 0).then(|| Version(rng.below(24))),
+        };
+        (sm, c, Cycle(rng.below(10_000)))
+    }
+
+    fn assert_agree(ch: &Checker, reference: &mut Reference, seed: u64) -> usize {
+        assert_eq!(ch.n_events(), reference.n_events, "seed {seed}");
+        assert_eq!(
+            ch.retained_events(),
+            reference.retained_events(),
+            "seed {seed}"
+        );
+        for b in 0..6 {
+            assert_eq!(
+                ch.load_observations(BlockAddr(b)),
+                reference.load_observations(BlockAddr(b)),
+                "seed {seed}, block {b}"
+            );
+        }
+        assert_eq!(bytes(ch), reference.snapshot(), "seed {seed}: snapshot");
+        let want = reference.finish();
+        assert_eq!(ch.finish(), want, "seed {seed}: finish");
+        assert_eq!(ch.finish_capped(3), capped(&reference.finish(), 3));
+        assert_eq!(ch.finish_capped(0), capped(&reference.finish(), usize::MAX));
+        assert_eq!(
+            ch.horizon_accepts(),
+            reference.horizon_accepts,
+            "seed {seed}"
+        );
+        want.len()
+    }
+
+    /// `finish_capped` from `finish`'s output: identical lines merged,
+    /// then the cap; checks the record changed nothing the cap reads.
+    fn capped(all: &[Violation], cap: usize) -> Vec<Violation> {
+        let mut distinct: Vec<(Violation, usize)> = Vec::new();
+        for v in all {
+            match distinct.iter_mut().find(|(d, _)| d == v) {
+                Some((_, n)) => *n += 1,
+                None => distinct.push((v.clone(), 1)),
+            }
+        }
+        let mut out: Vec<Violation> = distinct
+            .into_iter()
+            .map(|(mut v, n)| {
+                if n > 1 {
+                    v.0.push_str(&format!(" (×{n} identical)"));
+                }
+                v
+            })
+            .collect();
+        if out.len() > cap {
+            let extra = out.len() - cap;
+            out.truncate(cap);
+            out.push(Violation(format!(
+                "…and {extra} more violation(s) suppressed (cap {cap}; raise \
+                 GpuConfig::max_violations_reported to see all)"
+            )));
+        }
+        out
+    }
+
+    #[test]
+    fn packed_records_agree_with_verbatim_observations() {
+        let (mut accepted, mut violations) = (0, 0);
+        for seed in 0..48u64 {
+            let mut rng = Stream(seed);
+            let (mut ch, mut reference) = (Checker::new(), Reference::default());
+            for step in 0..400 {
+                let (sm, c, now) = random_completion(&mut rng);
+                ch.on_completion(sm, &c, now);
+                reference.on_completion(sm, &c, now);
+                if rng.below(40) == 0 {
+                    ch.compact();
+                    reference.compact();
+                }
+                if step % 100 == 99 {
+                    assert_agree(&ch, &mut reference, seed);
+                }
+            }
+            let image = bytes(&ch);
+            let restored = Checker::load(&mut SnapReader::new(&image)).expect("restores");
+            assert_eq!(bytes(&restored), image, "seed {seed}: re-save");
+            violations += assert_agree(&restored, &mut reference, seed);
+            accepted += ch.horizon_accepts();
+        }
+        assert!(accepted > 0, "no stream reached a compaction horizon");
+        assert!(violations > 0, "no stream produced a violation");
     }
 }

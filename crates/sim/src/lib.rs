@@ -52,7 +52,7 @@ pub mod profile;
 mod report;
 
 pub use build::{build_l1, build_l2};
-pub use check::{Checker, LoadObservation, Violation};
+pub use check::{Checker, CheckerFootprint, LoadObservation, Violation};
 pub use checkpoint::{CheckpointError, CheckpointSource, CheckpointStore};
 pub use engine::Sim;
 pub use gpu::{GpuSim, SimBuilder};

@@ -9,8 +9,9 @@
 //! The default report derives solely from [`gtsc_types::SimStats`] —
 //! state that rides in snapshots — so a run restored from a mid-kernel
 //! checkpoint reproduces it byte-identically (proved in
-//! `tests/spans.rs`). The line above it (`kernel: …`) says what the kernel
-//! costs to hold; the three host-side lines under it (`stepped …`,
+//! `tests/spans.rs`). The two lines above it say what the kernel costs to
+//! hold (`kernel: …`) and what the coherence checker holds when the run
+//! ends (`checker: …`); the three host-side lines under it (`stepped …`,
 //! `visited …`, `host allocations: …`) describe how this process executed
 //! the run. `--gpus N` runs the kernel on N devices behind the inter-GPU
 //! fabric (`MultiGpuSim`, DESIGN.md §17) and prints the same report.
@@ -186,6 +187,13 @@ macro_rules! run_and_report {
         let report = $sim.run_kernel($kernel).map_err(|e| e.to_string())?;
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         if !cli.quiet {
+            // What the run's coherence checker holds at the end: the
+            // largest thing a long run keeps (DESIGN.md §15.6).
+            let checker = $sim.checker().footprint();
+            println!(
+                "checker: {} loads, {} stores retained, {} bytes of load records",
+                checker.loads, checker.stores, checker.load_bytes
+            );
             print!("{}", render_profile(&report.stats));
             // How the cycles above were executed, not what they were
             // (DESIGN.md §15.2): N near M on an idle-heavy kernel means

@@ -1,7 +1,9 @@
 //! Host allocation guard (DESIGN.md §15.4): a stepped cycle keeps what
 //! it produces and tracks in storage that outlives the cycle, so the
 //! allocator is called for dispatch, for the first touch of a block and
-//! for amortised growth — not per access. Counted, not timed: the counts
+//! for amortised growth — not per access. The same allocator also keeps
+//! the bytes still live, which bounds what a finished run holds per
+//! checker event (DESIGN.md §15.6). Counted, not timed: the counts
 //! repeat exactly, so a regression fails here instead of in a benchmark.
 //!
 //! Release-only: debug builds allocate inside `cfg!(debug_assertions)`
@@ -20,26 +22,41 @@ thread_local! {
     /// `alloc` + `realloc` calls made by this thread (the harness runs
     /// tests on threads of their own, so counts do not mix).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed: `alloc` minus
+    /// `dealloc`, plus what each `realloc` grew or shrank.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Adds `delta` to this thread's live bytes.
+fn book(delta: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
+fn size(n: usize) -> i64 {
+    i64::try_from(n).expect("a `Layout` size is at most `isize::MAX`")
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` with no destructor, so touching it neither
+// the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell`s with no destructor, so touching them neither
 // allocates nor outlives its thread (`try_with` covers teardown).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        book(size(layout.size()));
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(-size(layout.size()));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        book(size(new_size) - size(layout.size()));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,6 +70,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.with(Cell::get);
     let out = f();
     (out, CALLS.with(Cell::get) - before)
+}
+
+/// Bytes `f` leaves allocated on this thread: what it built and kept,
+/// including what its result holds.
+fn kept_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
 }
 
 fn gtsc_rc() -> GpuConfig {
@@ -219,3 +244,28 @@ fn steady_state_slices_allocate_only_for_the_checker() {
 /// doublings of completion buffers (`GtscL1::done`, `Sm::done`) still
 /// reaching their high-water mark. Anything else is a regression.
 const STEADY_STATE_ALLOCATIONS: u64 = 653;
+
+/// What a finished run keeps grows with the checker's record of every
+/// completion — each observed load until `finish` (DESIGN.md §15.6). CC
+/// Small under G-TSC-RC, whose checker keeps more loads than stores: its
+/// `run_kernel` leaves 859 184 bytes live over 5 083 checker events (169
+/// per event) while each load is kept as a 56-byte `LoadObservation`, and
+/// 671 120 (132 per event) as a 32-byte record. The rest is the
+/// checker's stores and version sets and the queues the run grew.
+#[test]
+fn a_finished_run_keeps_few_bytes_per_checker_event() {
+    let kernel = Benchmark::Cc.build(Scale::Small);
+    let mut sim = GpuSim::new(gtsc_rc());
+    let (report, kept) = kept_bytes(|| sim.run_kernel(kernel.as_ref()).expect("completes"));
+    assert!(report.violations.is_empty());
+    let events = sim.checker().n_events();
+    let per_event = kept as f64 / events as f64;
+    println!("CC small: {kept} bytes kept over {events} checker events, {per_event:.1} per event");
+    assert!(
+        per_event <= KEPT_BYTES_PER_EVENT,
+        "{per_event:.1} bytes kept per checker event (bound {KEPT_BYTES_PER_EVENT})"
+    );
+}
+
+/// Between the two readings above: a load record back at 56 bytes fails.
+const KEPT_BYTES_PER_EVENT: f64 = 150.0;
