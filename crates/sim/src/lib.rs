@@ -53,7 +53,7 @@ mod report;
 
 pub use build::{build_l1, build_l2};
 pub use check::{Checker, CheckerFootprint, LoadObservation, Violation};
-pub use checkpoint::{CheckpointError, CheckpointSource, CheckpointStore};
+pub use checkpoint::{sync_parent_dir, CheckpointError, CheckpointSource, CheckpointStore};
 pub use engine::Sim;
 pub use gpu::{GpuSim, SimBuilder};
 pub use multi::MultiGpuSim;

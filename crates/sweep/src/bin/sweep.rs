@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use gtsc_sim::sync_parent_dir;
 use gtsc_sweep::{
     benchmark_from_name, consistency_from_name, protocol_from_name, run_sweep_with_metrics,
     scale_from_name, JobSpec, SweepConfig, SweepMetrics, TransientFaultPlan,
@@ -170,21 +171,24 @@ fn build_specs(cli: &Cli) -> Vec<JobSpec> {
     specs
 }
 
-/// Writes `aggregates.txt` atomically (tmp + fsync + rename) so a crash
-/// during the final write cannot leave a torn report.
+/// Writes `aggregates.txt` atomically (tmp + fsync + rename + directory
+/// sync) so a crash during the final write cannot leave a torn report,
+/// and a power cut after it cannot undo the rename.
 fn write_aggregates(dir: &Path, text: &str) -> std::io::Result<()> {
     let tmp = dir.join("aggregates.txt.tmp");
+    let path = dir.join("aggregates.txt");
     {
         let mut f = std::fs::File::create(&tmp)?;
         std::io::Write::write_all(&mut f, text.as_bytes())?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, dir.join("aggregates.txt"))
+    std::fs::rename(&tmp, &path)?;
+    sync_parent_dir(&path)
 }
 
 /// Writes the Prometheus metrics text atomically (same tmp + fsync +
-/// rename discipline as the aggregates: a scraper never sees a torn
-/// file).
+/// rename + directory sync discipline as the aggregates: a scraper never
+/// sees a torn file).
 fn write_metrics(path: &Path, metrics: &SweepMetrics) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
@@ -192,7 +196,8 @@ fn write_metrics(path: &Path, metrics: &SweepMetrics) -> std::io::Result<()> {
         std::io::Write::write_all(&mut f, metrics.render_prometheus().as_bytes())?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)
 }
 
 /// Set by the raw SIGUSR1 handler; drained by the watcher thread.

@@ -277,12 +277,13 @@ pub struct JobRun {
 /// The kernel advances in `slice_cycles` slices (0 = one unbounded
 /// shot). Every `checkpoint_every` simulated cycles a whole-machine
 /// snapshot is offered to `allow_checkpoint(size_bytes)`; if the budget
-/// callback approves, it is atomically persisted to `store`, and its
-/// first refusal ends checkpointing for the job. On entry,
-/// the newest loadable checkpoint (primary, then `.prev`) is restored —
-/// a corrupt pair silently restarts the job from cycle zero, which is
-/// slower but produces the identical result. Terminal paths clear the
-/// store so finished jobs reclaim their disk.
+/// callback approves, it is persisted to `store` (synced before the
+/// next slice runs), and its first refusal ends checkpointing for the
+/// job. On entry, the newest loadable checkpoint (the store's newer slot,
+/// then the other) is restored — a corrupt pair silently restarts the
+/// job from cycle zero, which is slower but produces the identical
+/// result. Terminal paths clear the store so finished jobs reclaim their
+/// disk.
 ///
 /// Simulation failures (budget, stall, rejection) are *outcomes*, not
 /// errors — they are deterministic facts about the spec.

@@ -19,6 +19,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use gtsc_sim::sync_parent_dir;
 use gtsc_types::snap::{crc32, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::job::JobResult;
@@ -152,15 +153,16 @@ impl Journal {
     /// Opens (or creates) the journal at `path`, replays every intact
     /// record, truncates any torn tail, and positions the write cursor
     /// for appending. Returns the journal and the replayed records.
+    /// Creating the file syncs its directory too.
     ///
     /// # Errors
     ///
     /// Any filesystem error.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<(Journal, Vec<Record>)> {
         let path = path.into();
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        let (bytes, created) = match fs::read(&path) {
+            Ok(b) => (b, false),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), true),
             Err(e) => return Err(e),
         };
         let (records, good) = replay(&bytes);
@@ -170,6 +172,11 @@ impl Journal {
             .read(true)
             .write(true)
             .open(&path)?;
+        if created {
+            // Without this a power cut could lose the file, and with it
+            // every record synced into it.
+            sync_parent_dir(&path)?;
+        }
         if good as u64 != file.metadata()?.len() {
             file.set_len(good as u64)?;
             file.sync_all()?;

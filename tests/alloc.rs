@@ -14,8 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gtsc::gpu::{VecKernel, WarpOp, WarpProgram};
-use gtsc::sim::{GpuSim, KernelProgress, MultiGpuSim};
-use gtsc::types::{Addr, ConsistencyModel, FabricConfig, GpuConfig, MultiGpuConfig, ProtocolKind};
+use gtsc::sim::{CheckpointSource, CheckpointStore, GpuSim, KernelProgress, MultiGpuSim};
+use gtsc::types::{
+    Addr, ConsistencyModel, FabricConfig, GpuConfig, MultiGpuConfig, ProtocolKind, SnapshotError,
+};
 use gtsc::workloads::{Benchmark, Scale};
 
 thread_local! {
@@ -25,11 +27,17 @@ thread_local! {
     /// Bytes this thread has allocated and not freed: `alloc` minus
     /// `dealloc`, plus what each `realloc` grew or shrank.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since [`peak_bytes`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Adds `delta` to this thread's live bytes.
 fn book(delta: i64) {
-    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+    let _ = LIVE.try_with(|c| {
+        let live = c.get() + delta;
+        c.set(live);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
+    });
 }
 
 fn size(n: usize) -> i64 {
@@ -78,6 +86,15 @@ fn kept_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
     let before = LIVE.with(Cell::get);
     let out = f();
     (out, LIVE.with(Cell::get) - before)
+}
+
+/// The most bytes `f` held allocated on this thread at any one time,
+/// above what was live when it started.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (out, PEAK.with(Cell::get) - before)
 }
 
 fn gtsc_rc() -> GpuConfig {
@@ -269,3 +286,68 @@ fn a_finished_run_keeps_few_bytes_per_checker_event() {
 
 /// Between the two readings above: a load record back at 56 bytes fails.
 const KEPT_BYTES_PER_EVENT: f64 = 150.0;
+
+/// A checkpoint image as large as a Full-scale one, and what either
+/// direction of the store may hold beside it.
+const IMAGE_BYTES: usize = 1 << 20;
+const STORE_SLACK: i64 = 64 * 1024;
+
+fn checkpoint_dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("gtsc-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
+
+/// `CheckpointStore::save` writes the image from the caller's slice
+/// (DESIGN.md §14.3): a frame assembled in a buffer of its own would
+/// hold a second copy of every image.
+#[test]
+fn a_checkpoint_save_does_not_copy_the_image() {
+    let dir = checkpoint_dir("save");
+    let image = vec![0xAB; IMAGE_BYTES];
+    let store = CheckpointStore::new(dir.join("job.ck"));
+    // Two saves create the two slots, the third overwrites one.
+    for what in ["first", "second", "third"] {
+        let (saved, peak) = peak_bytes(|| store.save(&image));
+        saved.unwrap();
+        println!("{what} save of {IMAGE_BYTES} bytes: peak {peak} bytes allocated");
+        assert!(peak < STORE_SLACK, "{what} save: {peak} bytes allocated");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `CheckpointStore::load_latest` holds one image at a time: it reads
+/// the older slot only after it has dropped the newer one's buffer.
+#[test]
+fn a_checkpoint_load_holds_one_image_at_a_time() {
+    let dir = checkpoint_dir("load");
+    let store = CheckpointStore::new(dir.join("job.ck"));
+    let parse = |bytes: &[u8]| {
+        if bytes[0] == 0xAB {
+            Ok(bytes.len())
+        } else {
+            Err(SnapshotError::BadMagic)
+        }
+    };
+    store.save(&vec![0xAB; IMAGE_BYTES]).unwrap();
+    store.save(&vec![0xAB; IMAGE_BYTES]).unwrap();
+    let bound = IMAGE_BYTES as i64 + STORE_SLACK;
+    let (loaded, peak) = peak_bytes(|| store.load_latest(parse));
+    assert_eq!(
+        loaded.unwrap().unwrap(),
+        (IMAGE_BYTES, CheckpointSource::Primary)
+    );
+    println!("load of the newest image: peak {peak} bytes allocated");
+    assert!(peak <= bound, "{peak} bytes allocated loading one image");
+    // A newest image `parse` rejects: the load falls back to the other.
+    store.save(&vec![0xCD; IMAGE_BYTES]).unwrap();
+    let (loaded, peak) = peak_bytes(|| store.load_latest(parse));
+    assert_eq!(
+        loaded.unwrap().unwrap(),
+        (IMAGE_BYTES, CheckpointSource::Previous)
+    );
+    println!("load falling back to the older image: peak {peak} bytes allocated");
+    assert!(peak <= bound, "{peak} bytes allocated falling back");
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -179,7 +179,7 @@ proptest! {
     }
 }
 
-/// A corrupt primary checkpoint file falls back to the previous good
+/// A damaged newest checkpoint image falls back to the previous good
 /// image; only when both are damaged does the loader report (not
 /// panic) `AllCorrupt`.
 #[test]
@@ -198,10 +198,19 @@ fn checkpoint_store_falls_back_to_previous_good_image() {
     store
         .save(&sim.save_snapshot(Some(&progress)).unwrap())
         .unwrap();
+    // The slot the second save overwrites holds the newest image; the
+    // other keeps the first. Neither name says which is which.
+    let slots = [dir.join("sim.ck"), dir.join("sim.ck.prev")];
+    let read_slots = || slots.clone().map(|p| std::fs::read(p).ok());
+    let before = read_slots();
     advance_past(&mut sim, &*kernel, &mut progress, 97, 240);
     store
         .save(&sim.save_snapshot(Some(&progress)).unwrap())
         .unwrap();
+    let after = read_slots();
+    let newest = usize::from(before[0] == after[0]);
+    assert_ne!(before[newest], after[newest], "the save wrote neither slot");
+    assert!(after[1 - newest].is_some(), "the first image was not kept");
 
     let parse = |bytes: &[u8]| -> Result<KernelProgress, SnapshotError> {
         let mut fresh = build(&cfg);
@@ -217,20 +226,20 @@ fn checkpoint_store_falls_back_to_previous_good_image() {
     assert_eq!(src, CheckpointSource::Primary);
     assert_eq!(latest.dispatched(), progress.dispatched());
 
-    // Scribble the primary: the previous image must load instead.
-    let mut bytes = std::fs::read(store.path()).unwrap();
+    // Scribble the newest image: the previous image must load instead.
+    let mut bytes = after[newest].clone().unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
-    std::fs::write(store.path(), &bytes).unwrap();
+    std::fs::write(&slots[newest], &bytes).unwrap();
     let (_, src) = store.load_latest(parse).unwrap().unwrap();
     assert_eq!(
         src,
         CheckpointSource::Previous,
-        "fallback to .prev expected"
+        "fallback to the previous image expected"
     );
 
     // Destroy the fallback too: structured error, not a panic.
-    std::fs::write(dir.join("sim.ck.prev"), b"not a snapshot").unwrap();
+    std::fs::write(&slots[1 - newest], b"not a snapshot").unwrap();
     match store.load_latest(parse) {
         Err(CheckpointError::AllCorrupt { primary, fallback }) => {
             assert!(primary.is_some() && fallback.is_some());
