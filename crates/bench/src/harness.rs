@@ -3,6 +3,7 @@
 
 use gtsc_energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 use gtsc_faults::FaultStats;
+use gtsc_gpu::Kernel;
 use gtsc_sim::GpuSim;
 use gtsc_types::{ConsistencyModel, GpuConfig, ProtocolKind, SimStats};
 use gtsc_workloads::{Benchmark, Scale};
@@ -25,33 +26,28 @@ pub struct PaperConfig {
 /// SC issue rules, as in the original TC paper's pairing.
 #[must_use]
 pub fn paper_configs() -> [PaperConfig; 5] {
+    use ConsistencyModel::{Rc, Sc};
+    use ProtocolKind::{Gtsc, L1NoCoherence, Tc, TcWeak};
     [
-        PaperConfig {
-            protocol: ProtocolKind::L1NoCoherence,
-            consistency: ConsistencyModel::Rc,
-            label: "BL-W/L1",
-        },
-        PaperConfig {
-            protocol: ProtocolKind::Gtsc,
-            consistency: ConsistencyModel::Rc,
-            label: "G-TSC-RC",
-        },
-        PaperConfig {
-            protocol: ProtocolKind::Gtsc,
-            consistency: ConsistencyModel::Sc,
-            label: "G-TSC-SC",
-        },
-        PaperConfig {
-            protocol: ProtocolKind::TcWeak,
-            consistency: ConsistencyModel::Rc,
-            label: "TC-RC",
-        },
-        PaperConfig {
-            protocol: ProtocolKind::Tc,
-            consistency: ConsistencyModel::Sc,
-            label: "TC-SC",
-        },
+        (L1NoCoherence, Rc, "BL-W/L1"),
+        (Gtsc, Rc, "G-TSC-RC"),
+        (Gtsc, Sc, "G-TSC-SC"),
+        (TcWeak, Rc, "TC-RC"),
+        (Tc, Sc, "TC-SC"),
     ]
+    .map(|(protocol, consistency, label)| PaperConfig {
+        protocol,
+        consistency,
+        label,
+    })
+}
+
+impl PaperConfig {
+    /// The paper-platform [`GpuConfig`] of this system.
+    #[must_use]
+    pub fn cfg(self) -> GpuConfig {
+        config_for(self.protocol, self.consistency)
+    }
 }
 
 /// The paper-platform [`GpuConfig`] for a protocol/consistency pair.
@@ -78,19 +74,18 @@ pub struct RunOutcome {
     pub faults: Option<FaultStats>,
 }
 
-/// Runs `benchmark` under an explicit config.
+/// Runs `kernel` under `cfg` and estimates its energy.
 ///
 /// # Panics
 ///
 /// Panics if the simulation hits its cycle limit (a protocol deadlock —
 /// should never happen).
 #[must_use]
-pub fn run_with_config(benchmark: Benchmark, cfg: GpuConfig, scale: Scale) -> RunOutcome {
-    let kernel = benchmark.build(scale);
+pub fn run_kernel(kernel: &dyn Kernel, cfg: GpuConfig) -> RunOutcome {
     let mut sim = GpuSim::new(cfg);
     let report = sim
-        .run_kernel(kernel.as_ref())
-        .unwrap_or_else(|e| panic!("{} deadlocked: {e}", benchmark.name()));
+        .run_kernel(kernel)
+        .unwrap_or_else(|e| panic!("{} deadlocked: {e}", kernel.name()));
     let energy = EnergyModel::new(EnergyParams::default()).estimate(&report.stats);
     let faults = sim.fault_stats();
     RunOutcome {
@@ -110,24 +105,8 @@ pub fn run_benchmark(
     consistency: ConsistencyModel,
     scale: Scale,
 ) -> RunOutcome {
-    run_with_config(benchmark, config_for(protocol, consistency), scale)
-}
-
-/// Parses the common `--scale small|full|tiny` CLI argument
-/// (default [`Scale::Full`]).
-#[must_use]
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("tiny") => Scale::Tiny,
-        Some("small") => Scale::Small,
-        _ => Scale::Full,
-    }
+    let kernel = benchmark.build(scale);
+    run_kernel(kernel.as_ref(), config_for(protocol, consistency))
 }
 
 /// A simple fixed-width text table (benchmarks × configurations),
@@ -295,26 +274,6 @@ impl Table {
         out
     }
 
-    /// Writes the CSV (`--csv <path>`) and/or JSON (`--json <path>`)
-    /// renderings next to the experiment outputs; quietly does nothing
-    /// when neither flag was given.
-    pub fn save_csv_if_requested(&self) {
-        let args: Vec<String> = std::env::args().collect();
-        for (flag, contents) in [("--csv", self.to_csv()), ("--json", self.to_json())] {
-            if let Some(path) = args
-                .iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-            {
-                if let Err(e) = std::fs::write(path, &contents) {
-                    eprintln!("could not write {path}: {e}");
-                } else {
-                    eprintln!("wrote {path}");
-                }
-            }
-        }
-    }
-
     /// Renders the table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -399,7 +358,7 @@ mod tests {
         let cfg = GpuConfig::test_small()
             .with_protocol(ProtocolKind::Gtsc)
             .with_faults(FaultConfig::lossy(11, 50));
-        let out = run_with_config(Benchmark::Hs, cfg, Scale::Tiny);
+        let out = run_kernel(Benchmark::Hs.build(Scale::Tiny).as_ref(), cfg);
         let mut lossy = Table::new("demo", &["a"]);
         lossy.transport_counters(&out);
         let json = lossy.to_json();
