@@ -42,7 +42,7 @@
 use gtsc_check::lint_events;
 use gtsc_faults::FaultStats;
 use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
-use gtsc_sim::{GpuSim, MultiGpuSim};
+use gtsc_sim::{GpuSim, MultiGpuSim, RunReport, SimError};
 use gtsc_trace::{EventKind, Scope, TraceEvent};
 use gtsc_types::{
     Addr, ConsistencyModel, FabricConfig, FaultConfig, GpuConfig, Lease, MultiGpuConfig,
@@ -251,33 +251,46 @@ fn run_one(
     drop_permille: Option<u16>,
 ) -> (Option<String>, Option<FaultStats>) {
     let mut sim = single_sim(seed, sc, drop_permille);
-    let failure = match sim.run_kernel(&sc.kernel) {
-        Ok(report) if report.violations.is_empty() => audit_tail(&sim.flight_tail())
-            .err()
-            .map(|why| format!("{why}\n  {}", hotspots(&report.stats))),
-        Ok(report) => {
-            let mut why = format!(
-                "{} violation(s): {:?}",
-                report.violations.len(),
-                report.violations
-            );
-            let tail = &report.trace_tail;
-            if !tail.is_empty() {
-                let shown = tail.len().min(16);
-                why.push_str(&format!("\n  last {shown} trace events:"));
-                for e in &tail[tail.len() - shown..] {
-                    why.push_str(&format!("\n    {e}"));
-                }
-            }
-            why.push_str(&format!("\n  {}", hotspots(&report.stats)));
-            if let Some(t) = transport_hotspots(tail) {
-                why.push_str(&format!("\n  {t}"));
-            }
-            Some(why)
-        }
-        Err(e) => Some(format!("did not complete: {e}")),
-    };
+    let failure = failure_report(sim.run_kernel(&sc.kernel), || sim.flight_tail());
     (failure, sim.fault_stats())
+}
+
+/// How a finished storm failed, if it did: its violations with the last
+/// 16 trace events and the hotspots, a flagged audit of its
+/// flight-recorder tail (read through `flight_tail`, only when the
+/// checker found nothing) with the hotspots, or the error that stopped
+/// it.
+fn failure_report(
+    run: Result<RunReport, SimError>,
+    flight_tail: impl FnOnce() -> Vec<TraceEvent>,
+) -> Option<String> {
+    let report = match run {
+        Ok(report) => report,
+        Err(e) => return Some(format!("did not complete: {e}")),
+    };
+    let mut why = if report.violations.is_empty() {
+        audit_tail(&flight_tail()).err()?
+    } else {
+        let mut why = format!(
+            "{} violation(s): {:?}",
+            report.violations.len(),
+            report.violations
+        );
+        let tail = &report.trace_tail;
+        if !tail.is_empty() {
+            let shown = tail.len().min(16);
+            why.push_str(&format!("\n  last {shown} trace events:"));
+            for e in &tail[tail.len() - shown..] {
+                why.push_str(&format!("\n    {e}"));
+            }
+        }
+        why
+    };
+    why.push_str(&format!("\n  {}", hotspots(&report.stats)));
+    if let Some(t) = transport_hotspots(&report.trace_tail) {
+        why.push_str(&format!("\n  {t}"));
+    }
+    Some(why)
 }
 
 /// Multi-GPU sweep knobs (`--gpus`, `--fabric-drop-rate`,
@@ -394,30 +407,7 @@ fn run_one_multi(
     drop_permille: Option<u16>,
 ) -> (Option<String>, Option<FaultStats>) {
     let mut sim = multi_sim(seed, sc, opts, drop_permille);
-    let failure = match sim.run_kernel(&sc.kernel) {
-        Ok(report) if report.violations.is_empty() => audit_tail(&sim.flight_tail()).err(),
-        Ok(report) => {
-            let mut why = format!(
-                "{} violation(s): {:?}",
-                report.violations.len(),
-                report.violations
-            );
-            let tail = &report.trace_tail;
-            if !tail.is_empty() {
-                let shown = tail.len().min(16);
-                why.push_str(&format!("\n  last {shown} trace events:"));
-                for e in &tail[tail.len() - shown..] {
-                    why.push_str(&format!("\n    {e}"));
-                }
-            }
-            why.push_str(&format!("\n  {}", hotspots(&report.stats)));
-            if let Some(t) = transport_hotspots(tail) {
-                why.push_str(&format!("\n  {t}"));
-            }
-            Some(why)
-        }
-        Err(e) => Some(format!("did not complete: {e}")),
-    };
+    let failure = failure_report(sim.run_kernel(&sc.kernel), || sim.flight_tail());
     // A failing multi-GPU storm gets the device-scoped post-mortem: which
     // link was hot in the tail, and what each device was stalled on.
     let failure = failure.map(|mut why| {

@@ -442,13 +442,14 @@ fn stats_expiry() -> Experiment {
         let [g, t] = expired(Workload::LoadDominated);
         let footer = format!(
             "G-TSC expiration misses vs TC across group A (geomean): {:+.0}%  (paper: about -48%)\n\
-             NOTE: our group-A generators are more atomic-intensive than the CUDA
-         originals appear to be; every atomic advances logical time, which costs
-         G-TSC expirations. §VI-E's mechanism concerns *load-dominated* kernels —
-         demonstrated directly below.
-\nload-dominated sharing kernel: G-TSC expiry misses = {g}, TC = {t} ({:+.0}%)
-         — logical time barely advances between rare writes, so G-TSC's leases
-         effectively never expire, while TC self-invalidates every {} cycles.\n",
+             NOTE: our group-A generators are more atomic-intensive than the CUDA\n\
+             originals appear to be; every atomic advances logical time, which costs\n\
+             G-TSC expirations. §VI-E's mechanism concerns *load-dominated* kernels —\n\
+             demonstrated directly below.\n\
+             \n\
+             load-dominated sharing kernel: G-TSC expiry misses = {g}, TC = {t} ({:+.0}%)\n\
+             — logical time barely advances between rare writes, so G-TSC's leases\n\
+             effectively never expire, while TC self-invalidates every {} cycles.\n",
             (geomean(&ratios) - 1.0) * 100.0,
             (g as f64 / t.max(1) as f64 - 1.0) * 100.0,
             cfgs[1].tc_lease_cycles

@@ -179,20 +179,25 @@ impl Table {
         self.rows.push((name.to_owned(), values));
     }
 
-    /// Appends a geometric-mean row over all current rows.
+    /// Appends a geometric-mean row over all current rows. A column's
+    /// mean skips its NaN (not applicable) cells, and is NaN when every
+    /// cell is.
     pub fn geomean_row(&mut self) {
         if self.rows.is_empty() {
             return;
         }
-        let n = self.rows.len() as f64;
         let means: Vec<f64> = (0..self.columns.len())
             .map(|c| {
-                let log_sum: f64 = self
-                    .rows
-                    .iter()
-                    .map(|(_, v)| v[c].max(f64::MIN_POSITIVE).ln())
-                    .sum();
-                (log_sum / n).exp()
+                let (n, log_sum) = (self.rows.iter().map(|(_, v)| v[c]))
+                    .filter(|x| !x.is_nan())
+                    .fold((0u32, 0.0), |(n, sum), x| {
+                        (n + 1, sum + x.max(f64::MIN_POSITIVE).ln())
+                    });
+                if n == 0 {
+                    f64::NAN
+                } else {
+                    (log_sum / f64::from(n)).exp()
+                }
             })
             .collect();
         self.rows.push(("GEOMEAN".to_owned(), means));
@@ -407,6 +412,22 @@ mod tests {
         let s = t.render();
         assert!(s.contains("GEOMEAN"));
         assert!(s.contains("2.000"), "geomean of 1 and 4 is 2: {s}");
+    }
+
+    #[test]
+    fn geomean_skips_nan_cells() {
+        let mut t = Table::new("demo", &["a", "b"]);
+        t.row("x", vec![f64::NAN, 1.0]);
+        t.row("y", vec![1.0, f64::NAN]);
+        t.row("z", vec![4.0, f64::NAN]);
+        t.row("w", vec![f64::NAN, f64::NAN]);
+        let mut all_nan = Table::new("demo", &["a"]);
+        all_nan.row("x", vec![f64::NAN]);
+        t.geomean_row();
+        all_nan.geomean_row();
+        let geo = |t: &Table| t.rows.last().unwrap().1.clone();
+        assert_eq!(geo(&t), vec![2.0, 1.0], "only the non-NaN cells count");
+        assert!(geo(&all_nan)[0].is_nan(), "no cell, no mean");
     }
 
     #[test]

@@ -34,11 +34,11 @@
 //!   `results/kill_matrix.txt` (asserted by the `mutants` test) records
 //!   which seeded protocol mutant each layer's rules kill.
 //!
-//! The crate also ships two binaries: `model_check` (runs the litmus
-//! catalog, including IRIW, with the race oracle attached) and
-//! `src_lint` (the AST-driven source lint from `gtsc-lint`, keeping raw
-//! timestamp arithmetic confined to `gtsc_core::rules` and simulator
-//! state deterministic).
+//! The crate also ships the `model_check` binary, which runs the litmus
+//! catalog, including IRIW, with the race oracle attached. The source
+//! lints — raw timestamp arithmetic confined to `gtsc_core::rules`,
+//! simulator state deterministic — are clippy configuration
+//! (`clippy.toml`, DESIGN.md §16.2).
 
 pub mod explore;
 pub mod harness;

@@ -248,7 +248,10 @@ impl GtscL1 {
         let Some(timeout) = self.retry_timeout else {
             return Cycle(u64::MAX);
         };
-        // lint: allow(hash-iter): a minimum does not depend on the order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a minimum does not depend on the order"
+        )]
         let reads = self.rd_inflight.values().map(|&(sent, _)| sent);
         let stores = self.stores.min_of(|s| s.state.sent);
         (reads.chain(stores).min()).map_or(Cycle(u64::MAX), |sent| sent + timeout)
@@ -600,7 +603,10 @@ impl L1Controller for GtscL1 {
         self.warp_ts = warp_ts;
         self.mshr.load_state(r)?;
         self.rd_inflight = Snap::load(r)?;
-        // lint: allow(hash-iter): a count does not depend on the order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a count does not depend on the order"
+        )]
         let renewals = self.rd_inflight.values().filter(|&&(_, r)| r).count();
         self.renewals_inflight = u32::try_from(renewals).unwrap_or(0);
         self.stores = Snap::load(r)?;
@@ -906,9 +912,13 @@ impl L1Controller for GtscL1 {
         // lease situation may have changed arbitrarily since); the fill
         // they fetch serves the parked MSHR waiters, with renewals
         // covering any the lease misses.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted below, before anything is emitted"
+        )]
         let mut overdue: Vec<BlockAddr> = self
             .rd_inflight
-            .iter() // lint: allow(hash-iter): sorted below, before anything is emitted.
+            .iter()
             .filter(|&(_, &(sent, _))| now.0.saturating_sub(sent.0) >= timeout)
             .map(|(&b, _)| b)
             .collect();

@@ -279,11 +279,14 @@ impl GtscL2 {
                 // the store (or the write half of an atomic) is simply
                 // scheduled after every outstanding lease.
                 let prev = line.meta.version;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the SkipLeaseExpiryOnStore mutant: a deliberately broken store_wts"
+                )]
                 let wts = if self.mutation == ProtocolMutation::SkipLeaseExpiryOnStore {
                     // Mutant: ignore outstanding read leases; keep only
                     // per-block monotonicity so the write-order rules
                     // stay silent and only the lease-expiry ones fire.
-                    // lint: allow(raw-ts-arith): deliberate broken variant of store_wts.
                     line.meta.wts.succ().max(w.warp_ts)
                 } else {
                     store_wts(line.meta.rts, w.warp_ts)
@@ -1016,7 +1019,6 @@ mod prop_tests {
     use super::*;
     use gtsc_protocol::msg::{ReadReq, WriteReq};
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     /// Drives one bank with an arbitrary request stream (instant DRAM) and
     /// checks the protocol invariants on every response.
@@ -1026,7 +1028,7 @@ mod prop_tests {
             ..L2Params::default()
         });
         let mut now = Cycle(0);
-        let mut last_wts: HashMap<BlockAddr, Timestamp> = HashMap::new();
+        let mut last_wts: FxHashMap<BlockAddr, Timestamp> = FxHashMap::default();
         let mut version = 0u64;
         for (is_write, block, warp_ts, gap) in ops {
             now += gap + 1;

@@ -4,6 +4,15 @@
 //! controllers in [`crate::l1`] and [`crate::l2`] are plumbing around
 //! them. Keeping them pure makes the protocol's safety arguments testable
 //! in isolation (see the property tests at the bottom of this module).
+//!
+//! The one module allowed to do arithmetic on logical timestamps: the
+//! rest of the workspace is denied `Timestamp::{succ, max}` (clippy.toml)
+//! and, in this crate, operators on anything but plain integers.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::arithmetic_side_effects,
+    reason = "the timestamp rules are stated here, once"
+)]
 
 use gtsc_types::{Lease, Timestamp};
 

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use gtsc_core::rules::{extend_rts, lease_covers, nest_rts};
+use gtsc_core::rules::{extend_rts, lease_covers, merge_rts, nest_rts};
 use gtsc_core::ProtocolMutation;
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq};
 use gtsc_protocol::{ControllerPressure, L2Controller};
@@ -170,7 +170,10 @@ impl DeviceL2 {
     #[must_use]
     pub fn stall_attribution(&self) -> (usize, usize, usize) {
         let (mut expired, mut cold) = (0usize, 0usize);
-        // lint: allow(hash-iter): two counts do not depend on the order.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "two counts do not depend on the order"
+        )]
         for (block, parked) in &self.read_waiters {
             if self.tags.contains_key(block) {
                 expired += parked.len();
@@ -187,9 +190,13 @@ impl DeviceL2 {
     /// MSHR stall.
     #[must_use]
     pub fn expired_grant_blocks(&self) -> Vec<(BlockAddr, u64)> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted below, before anything reads it"
+        )]
         let mut blocks: Vec<(BlockAddr, u64)> = self
             .read_waiters
-            .iter() // lint: allow(hash-iter): sorted below, before anything reads it.
+            .iter()
             .filter(|(_, parked)| !parked.is_empty())
             .filter_map(|(block, _)| self.tags.get(block).map(|m| (*block, m.rts.0)))
             .collect();
@@ -221,7 +228,7 @@ impl DeviceL2 {
         let m = self.tags.entry(block).or_insert(meta);
         // Same version: pure grant extension, keep the serve high-water.
         if m.wts == wts {
-            m.rts = m.rts.max(rts);
+            m.rts = merge_rts(m.rts, rts);
         } else {
             *m = meta;
         }
@@ -454,19 +461,25 @@ impl L2Controller for DeviceL2 {
     }
 
     /// Whether no transaction is pending inside the device L2.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "whether all are empty does not depend on the order"
+    )]
     fn is_idle(&self) -> bool {
         self.in_queue.is_empty()
             && self.fabric_out.is_empty()
             && self.out_resp.is_empty()
-            // lint: allow(hash-iter): "all empty" does not depend on the order.
             && self.read_waiters.values().all(Vec::is_empty)
             && self.write_waiters.is_empty()
     }
 
     /// Occupancy snapshot for stall diagnosis.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum does not depend on the order"
+    )]
     fn pressure(&self) -> ControllerPressure {
         ControllerPressure {
-            // lint: allow(hash-iter): a sum does not depend on the order.
             mshr: self.read_waiters.values().map(Vec::len).sum::<usize>()
                 + self.write_waiters.len(),
             out_queue: self.in_queue.len() + self.fabric_out.len(),
@@ -532,7 +545,11 @@ impl L2Controller for DeviceL2 {
         self.epoch = epoch;
         self.needs_reset = false;
         self.stats.ts_rollovers += 1;
-        // lint: allow(hash-iter): every parked read is rebased alike, in any order.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "every parked read is rebased alike, in any order"
+        )]
         for parked in self.read_waiters.values_mut() {
             for (_, r) in parked.iter_mut() {
                 *r = r.rebased(epoch);
@@ -556,10 +573,13 @@ impl L2Controller for DeviceL2 {
         // sampled spans so no span leaks open across the reset. The order
         // is not observable: a close only stamps its own record, and every
         // close here carries the same cycle and reason.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-free, see above (both maps)"
+        )]
         let dead = (self.in_queue.drain(..).map(|(_, _, m)| m.span()))
             .chain(self.fabric_out.drain(..).map(|m| m.span()))
             .chain(self.out_resp.drain(..).map(|(_, m)| m.span()))
-            // lint: allow(hash-iter): order-free, see above (both maps).
             .chain(self.read_waiters.values().flatten().map(|(_, r)| r.span))
             .chain(self.write_waiters.values().map(|&(_, span)| span));
         for span in dead {

@@ -209,7 +209,11 @@ impl HomeNode {
     /// survive.
     pub fn apply_reset(&mut self, epoch: Epoch, now: Cycle) {
         let lease = self.p.lease;
-        // lint: allow(hash-iter): every grant is rebased alike, in any order.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "every grant is rebased alike, in any order"
+        )]
         for meta in self.blocks.values_mut() {
             meta.wts = Timestamp::INIT;
             meta.rts = Timestamp(lease.0);
@@ -226,11 +230,12 @@ impl HomeNode {
     /// The authoritative multi-GPU memory image, sorted by block.
     #[must_use]
     pub fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
-        let mut image: Vec<(BlockAddr, Version)> = self
-            .blocks
-            .iter() // lint: allow(hash-iter): sorted below, before anything reads it.
-            .map(|(b, m)| (*b, m.version))
-            .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted below, before anything reads it"
+        )]
+        let mut image: Vec<(BlockAddr, Version)> =
+            self.blocks.iter().map(|(b, m)| (*b, m.version)).collect();
         image.sort_unstable_by_key(|&(block, _)| block);
         image
     }

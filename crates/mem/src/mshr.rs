@@ -172,7 +172,10 @@ impl<W> Mshr<W> {
     /// leak out.
     #[must_use]
     pub fn blocks(&self) -> Vec<BlockAddr> {
-        // lint: allow(hash-iter): sorted before anything observes the order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted before anything observes the order"
+        )]
         let mut blocks: Vec<BlockAddr> = self.entries.keys().copied().collect();
         blocks.sort_unstable();
         blocks

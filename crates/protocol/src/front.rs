@@ -279,8 +279,11 @@ impl<X> StoreBook<X> {
 
     /// How many stores await their ack.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum does not depend on the order"
+    )]
     pub fn len(&self) -> usize {
-        // lint: allow(hash-iter): a sum does not depend on the order.
         self.by_block.values().map(VecDeque::len).sum()
     }
 
@@ -292,15 +295,21 @@ impl<X> StoreBook<X> {
     /// Every block with a store awaiting its ack, in address order.
     #[must_use]
     pub fn blocks(&self) -> Vec<BlockAddr> {
-        // lint: allow(hash-iter): sorted below, before anyone sees the order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted below, before anyone sees the order"
+        )]
         let mut blocks: Vec<BlockAddr> = self.by_block.keys().copied().collect();
         blocks.sort_unstable();
         blocks
     }
 
     /// The least `key` of any booked store; `None` with none booked.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a minimum does not depend on the order"
+    )]
     pub fn min_of<K: Ord>(&self, key: impl Fn(&PendingStore<X>) -> K) -> Option<K> {
-        // lint: allow(hash-iter): a minimum does not depend on the order.
         self.by_block.values().flatten().map(key).min()
     }
 
@@ -308,7 +317,10 @@ impl<X> StoreBook<X> {
     /// at a time and carries nothing from one to the next, so the order
     /// it is applied in cannot show.
     pub fn for_each_mut(&mut self, f: impl Fn(&mut PendingStore<X>)) {
-        // lint: allow(hash-iter): each store is changed alone, in any order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each store is changed alone, in any order"
+        )]
         self.by_block.values_mut().flatten().for_each(f);
     }
 }

@@ -241,11 +241,12 @@ impl BankShell {
     ) -> Vec<(BlockAddr, Version)> {
         // BTreeMap so the returned image is sorted by block address and
         // never leaks the hash-keyed backing store's iteration order.
-        let mut img: BTreeMap<BlockAddr, Version> = self
-            .backing
-            .iter() // lint: allow(hash-iter): re-keyed into a BTreeMap before anything observes the order.
-            .map(|(b, v)| (*b, *v))
-            .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "re-keyed into a BTreeMap before anything observes the order"
+        )]
+        let mut img: BTreeMap<BlockAddr, Version> =
+            self.backing.iter().map(|(b, v)| (*b, *v)).collect();
         img.extend(resident);
         img.into_iter().collect()
     }

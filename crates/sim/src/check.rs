@@ -190,8 +190,8 @@ impl Checker {
                 sm,
                 exclusive,
             };
+            #[expect(clippy::panic, reason = "documented under `# Panics` above")]
             let record = LoadRecord::pack(&ld).unwrap_or_else(|| {
-                // lint: allow(panic): documented under `# Panics` above.
                 panic!("{ld:?} does not fit the checker's record (16-bit SM, 32-bit epoch)")
             });
             self.loads.entry(c.block).or_default().push(record);
@@ -319,11 +319,14 @@ impl Checker {
     /// [`Checker::retained_events`] reads running counts.
     #[must_use]
     pub fn footprint(&self) -> CheckerFootprint {
-        // lint: allow(hash-iter): sums do not depend on the order.
+        #[expect(clippy::disallowed_methods, reason = "sums do not depend on the order")]
         let (loads, slots) = self.loads.values().fold((0, 0), |(n, slots), log| {
             (n + log.len(), slots + log.capacity())
         });
-        // lint: allow(hash-iter): a sum does not depend on the order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a sum does not depend on the order"
+        )]
         let stores = self.stores.values().map(BTreeMap::len).sum();
         CheckerFootprint {
             loads,
@@ -360,7 +363,10 @@ impl Checker {
     /// Blocks are visited in address order, so a compacted run remains
     /// byte-for-byte reproducible for a given seed.
     pub fn compact(&mut self) {
-        // lint: allow(hash-iter): a minimum does not depend on the order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a minimum does not depend on the order"
+        )]
         let Some(visible) = self.frontier.values().min().copied() else {
             return;
         };
@@ -403,7 +409,10 @@ impl Checker {
 /// The keys of a per-block map in address order: the only order in which
 /// anything walks one.
 fn sorted_blocks<V>(map: &FxHashMap<BlockAddr, V>) -> Vec<BlockAddr> {
-    // lint: allow(hash-iter): sorted before anything observes the order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted before anything observes the order"
+    )]
     let mut blocks: Vec<BlockAddr> = map.keys().copied().collect();
     blocks.sort_unstable();
     blocks
@@ -919,6 +928,10 @@ mod tests {
         }
 
         fn compact(&mut self) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a minimum does not depend on the order"
+            )]
             let Some(visible) = self.frontier.values().min().copied() else {
                 return;
             };
@@ -953,6 +966,7 @@ mod tests {
             }
         }
 
+        #[expect(clippy::disallowed_methods, reason = "sums do not depend on the order")]
         fn retained_events(&self) -> usize {
             self.stores.values().map(BTreeMap::len).sum::<usize>()
                 + self.loads.values().map(Vec::len).sum::<usize>()

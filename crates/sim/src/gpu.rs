@@ -243,8 +243,8 @@ impl SimBuilder {
     /// Panics if the config is degenerate (zero SMs or banks); use
     /// [`SimBuilder::try_build`] for a structured error instead.
     #[must_use]
+    #[expect(clippy::panic, reason = "the documented infallible shorthand")]
     pub fn build(self) -> GpuSim {
-        // lint: allow(panic): the documented infallible shorthand.
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 

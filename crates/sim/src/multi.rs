@@ -347,8 +347,8 @@ impl MultiGpuSim {
     /// Panics if `cfg` is degenerate; use [`MultiGpuSim::try_build`] for
     /// a structured error.
     #[must_use]
+    #[expect(clippy::panic, reason = "the documented infallible shorthand")]
     pub fn new(cfg: MultiGpuConfig) -> Self {
-        // lint: allow(panic): the documented infallible shorthand.
         Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
