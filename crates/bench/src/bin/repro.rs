@@ -1,23 +1,21 @@
-//! Regenerates the paper's tables, figures and ablations: the rows of
-//! `gtsc_bench::catalog`.
+//! Regenerates the paper's tables, figures and ablations, the bank-crash
+//! scan and the multi-GPU fault smoke: the rows of `gtsc_bench::catalog`.
 //!
 //! The selected rows' runs are simulated once each, over as many threads
 //! as the host has cores; the rows then print in catalog order, each
-//! exactly what `results/<row>.txt` holds at full scale. `--csv DIR` and
-//! `--json DIR` also write each row's table to `DIR/<row>.{csv,json}`.
-//! Exits 2 on bad usage, 1 if a table could not be written.
+//! exactly what `results/<row>.txt` holds at full scale. `--out DIR` also
+//! writes each row's output to `DIR/<row>.txt` and its table to
+//! `DIR/<row>.{csv,json}`. Exits 2 on bad usage, 1 if a file could not be
+//! written.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::process::ExitCode;
 
-use gtsc_bench::{catalog, Experiment, Plan, RunKey, Table};
+use gtsc_bench::{catalog, Experiment, Plan, RunKey};
 use gtsc_workloads::Scale;
 
-/// Where to write each row's table, and how to render it.
-type Output = (String, &'static str, fn(&Table) -> String);
-
-const USAGE: &str = "usage: repro <row>…|all [--scale tiny|small|full] [--csv DIR] [--json DIR]";
+const USAGE: &str = "usage: repro <row>…|all [--scale tiny|small|full] [--out DIR]";
 
 fn main() -> ExitCode {
     let rows = catalog();
@@ -26,8 +24,7 @@ fn main() -> ExitCode {
         eprintln!("{error}\n{USAGE}\nrows: {}", names.join(" "));
         ExitCode::from(2)
     };
-    let (mut names, mut scale) = (Vec::new(), Scale::Full);
-    let mut outputs: Vec<Output> = Vec::new();
+    let (mut names, mut scale, mut out_dir) = (Vec::new(), Scale::Full, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if !arg.starts_with("--") {
@@ -41,8 +38,7 @@ fn main() -> ExitCode {
             ("--scale", "tiny") => scale = Scale::Tiny,
             ("--scale", "small") => scale = Scale::Small,
             ("--scale", "full") => scale = Scale::Full,
-            ("--csv", _) => outputs.push((value, "csv", Table::to_csv)),
-            ("--json", _) => outputs.push((value, "json", Table::to_json)),
+            ("--out", _) => out_dir = Some(value),
             _ => return usage(&format!("bad option {arg} {value}")),
         }
     }
@@ -63,16 +59,18 @@ fn main() -> ExitCode {
     for row in selected {
         let out = (row.render)(&runs);
         print!("{}", out.text);
-        for (dir, ext, render) in &outputs {
+        let Some(dir) = &out_dir else { continue };
+        let files = [
+            ("txt", out.text),
+            ("csv", out.table.to_csv()),
+            ("json", out.table.to_json()),
+        ];
+        for (ext, body) in files {
             let path = Path::new(dir).join(format!("{}.{ext}", row.name));
-            match std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, render(&out.table)))
+            if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body))
             {
-                Ok(()) => eprintln!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("could not write {}: {e}", path.display());
-                    status = ExitCode::FAILURE;
-                }
+                eprintln!("could not write {}: {e}", path.display());
+                status = ExitCode::FAILURE;
             }
         }
     }

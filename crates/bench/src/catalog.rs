@@ -4,23 +4,27 @@
 //! A row names the runs it reads and renders its [`Table`], plus the
 //! lines it prints around it, from their outcomes. The `repro` binary
 //! runs the union of the selected rows' runs once each
-//! ([`Plan`](crate::Plan)) and prints the rows in catalog order.
+//! ([`Plan`](crate::Plan)) and prints the rows in catalog order. Besides
+//! the paper's artifacts, two rows are verdicts over fault runs: the
+//! bank-crash scan and the multi-GPU fault smoke.
 
 use gtsc_types::ConsistencyModel::{Rc, Sc};
 use gtsc_types::ProtocolKind::{Gtsc, L1NoCoherence, NoL1, Tc, TcWeak};
-use gtsc_types::{CombinePolicy, GpuConfig, InclusionPolicy, Lease, NocTopology};
+use gtsc_types::{CombinePolicy, FaultConfig, GpuConfig, InclusionPolicy, Lease, NocTopology};
 use gtsc_types::{VisibilityPolicy, WarpScheduler};
-use gtsc_workloads::Benchmark;
+use gtsc_workloads::{Benchmark, Scale};
 
-use crate::harness::{config_for, paper_configs, PaperConfig, RunOutcome, Table};
-use crate::matrix::{Runs, Workload};
+use crate::harness::{config_for, paper_configs, End, PaperConfig, RunOutcome, Table};
+use crate::matrix::{RunKey, Runs, Workload};
+use crate::storm::Soak;
 
 /// One row of the catalog.
 pub struct Experiment {
     /// Row name: the `repro` argument and its `results/<name>.txt`.
     pub name: &'static str,
-    /// The runs the row reads, at whatever scale the plan runs.
-    pub runs: Vec<(Workload, GpuConfig)>,
+    /// The runs the row reads; a [`Workload::Bench`] runs at the plan's
+    /// scale.
+    pub runs: Vec<RunKey>,
     /// Renders the row from the plan's outcomes.
     pub render: Box<dyn Fn(&Runs) -> Rendered>,
 }
@@ -28,7 +32,7 @@ pub struct Experiment {
 /// What a row produces.
 #[derive(Debug, Clone)]
 pub struct Rendered {
-    /// The row's numbers (`--csv` / `--json`).
+    /// The row's numbers (`--out`'s `.csv` and `.json`).
     pub table: Table,
     /// Everything the row prints.
     pub text: String,
@@ -54,13 +58,15 @@ pub fn catalog() -> Vec<Experiment> {
         ablation_adaptive_lease(),
         ablation_noc(),
         ablation_scheduler(),
+        bank_crash_scan(),
+        multi_soak_smoke(),
     ]
 }
 
 /// A row named `name` that reads `runs` and renders with `render`.
 fn row(
     name: &'static str,
-    runs: Vec<(Workload, GpuConfig)>,
+    runs: Vec<RunKey>,
     render: impl Fn(&Runs) -> Rendered + 'static,
 ) -> Experiment {
     let render = Box::new(render);
@@ -68,8 +74,11 @@ fn row(
 }
 
 /// Every benchmark of `benches` under every config of `cfgs`.
-fn grid(benches: &[Benchmark], cfgs: &[GpuConfig]) -> Vec<(Workload, GpuConfig)> {
-    let pairs = |b| cfgs.iter().map(move |c| (Workload::Bench(b), c.clone()));
+fn grid(benches: &[Benchmark], cfgs: &[GpuConfig]) -> Vec<RunKey> {
+    let pairs = |b| {
+        cfgs.iter()
+            .map(move |c| RunKey::new(Workload::Bench(b), c.clone()))
+    };
     benches.iter().flat_map(|&b| pairs(b)).collect()
 }
 
@@ -87,11 +96,11 @@ fn plotted(b: Benchmark, system: PaperConfig) -> bool {
 }
 
 /// Every paper system each benchmark is plotted under.
-fn plotted_runs() -> Vec<(Workload, GpuConfig)> {
+fn plotted_runs() -> Vec<RunKey> {
     let mut runs = Vec::new();
     for b in Benchmark::all() {
         let systems = paper_configs().into_iter().filter(|&pc| plotted(b, pc));
-        runs.extend(systems.map(|pc| (Workload::Bench(b), pc.cfg())));
+        runs.extend(systems.map(|pc| RunKey::new(Workload::Bench(b), pc.cfg())));
     }
     runs
 }
@@ -215,7 +224,7 @@ fn table2() -> Experiment {
 /// `TC-SC`, each normalized to the coherent no-L1 baseline (`BL`):
 /// `normalized performance = BL cycles / config cycles` — higher is
 /// better, exactly as the paper plots it. The transport/loss bins ride
-/// the stable `--json` schema (all zero here: figure runs are fault-free
+/// the stable `.json` schema (all zero here: figure runs are fault-free
 /// by construction).
 fn fig12() -> Experiment {
     let mut needs = grid(&Benchmark::all(), &[config_for(NoL1, Rc)]);
@@ -232,8 +241,8 @@ fn fig12() -> Experiment {
             systems.map(cell).to_vec()
         });
         table.geomean_row();
-        for (w, cfg) in plotted_runs() {
-            table.transport_counters(runs.get(w, &cfg));
+        for key in plotted_runs() {
+            table.transport_counters(runs.get(key.workload, &key.cfg));
         }
         let speedup = Benchmark::group_a()
             .map(|b| cycles(b, config_for(TcWeak, Rc)) / cycles(b, config_for(Gtsc, Rc)));
@@ -248,7 +257,7 @@ fn fig12() -> Experiment {
 
 /// BL and the four coherent paper systems (all but `BL-W/L1`) on every
 /// benchmark.
-fn over_bl_runs() -> Vec<(Workload, GpuConfig)> {
+fn over_bl_runs() -> Vec<RunKey> {
     let [_, coherent @ ..] = paper_configs();
     let mut cfgs = vec![config_for(NoL1, Rc)];
     cfgs.extend(coherent.map(PaperConfig::cfg));
@@ -424,7 +433,10 @@ fn fig17() -> Experiment {
 fn stats_expiry() -> Experiment {
     let cfgs = [config_for(Gtsc, Rc), config_for(TcWeak, Rc)];
     let mut needs = grid(&Benchmark::group_a(), &cfgs);
-    needs.extend(cfgs.clone().map(|c| (Workload::LoadDominated, c)));
+    needs.extend(
+        cfgs.clone()
+            .map(|c| RunKey::new(Workload::LoadDominated, c)),
+    );
     row("stats_expiry", needs, move |runs| {
         let misses = |o: &RunOutcome| o.stats.l1.expired_misses;
         let expired = |w| cfgs.each_ref().map(|c| misses(runs.get(w, c)));
@@ -667,18 +679,109 @@ fn ablation_scheduler() -> Experiment {
     })
 }
 
+/// The shape of a bank-crash violation, from the checker's own wording:
+/// a *lost store* observed `v0` where a store had written `vN`, a *read
+/// from the future* observed `vN` where the latest store at or below its
+/// key wrote `v0`.
+fn shape(violation: &str) -> &'static str {
+    let observed_v0 = violation.contains("observed v0 ");
+    let wrote_v0 = violation.ends_with("wrote v0");
+    match (observed_v0, wrote_v0) {
+        (true, false) => "lost store",
+        (false, true) => "read from future",
+        _ => "other",
+    }
+}
+
+/// The bank-crash scan (ROADMAP item 1): G-TSC-RC on STN, BH and VPR at
+/// `Scale::Small` whatever the plan's, seeds 1–16, under
+/// `FaultConfig::lossy(seed, 20)` and `FaultConfig::chaos(seed)`, each
+/// `.with_bank_crashes(2, 400)` — 96 runs. Prints one line per run that
+/// does not end clean (plan, benchmark, seed, then the [`shape`] and text
+/// of its first violation, or its error), then `N of 96`.
+fn bank_crash_scan() -> Experiment {
+    type Faults = fn(u64) -> FaultConfig;
+    let plans: [(&str, Faults); 2] = [
+        ("lossy", |seed| FaultConfig::lossy(seed, 20)),
+        ("chaos", FaultConfig::chaos),
+    ];
+    let benches = [Benchmark::Stn, Benchmark::Bh, Benchmark::Vpr];
+    let seeds = 1..=16;
+    let key = |faults: Faults, b, seed| {
+        let cfg = config_for(Gtsc, Rc).with_faults(faults(seed).with_bank_crashes(2, 400));
+        RunKey::new(Workload::BenchAt(b, Scale::Small), cfg)
+    };
+    let cells = plans.iter().flat_map(|&(_, f)| benches.map(|b| (f, b)));
+    let needs = cells.flat_map(|(f, b)| seeds.clone().map(move |s| key(f, b, s)));
+    row("bank_crash_scan", needs.collect(), move |runs| {
+        let title = "bank-crash scan: G-TSC-RC runs ending with a violation [Small]";
+        let mut table = Table::new(title, &["runs", "failing"]);
+        let (mut text, mut failing) = (String::new(), 0);
+        for (plan, faults) in plans {
+            for b in benches {
+                let mut failed = 0;
+                for seed in seeds.clone() {
+                    let verdict = match &runs.outcome(&key(faults, b, seed)).end {
+                        End::Clean => continue,
+                        End::Violated(v) => format!("{}: {v}", shape(v)),
+                        End::Error(e) => format!("error: {e}"),
+                    };
+                    failed += 1;
+                    text += &format!("{plan} {} seed {seed}: {verdict}\n", b.name());
+                }
+                let cell = format!("{plan} {}", b.name());
+                table.row(&cell, vec![16.0, f64::from(failed)]);
+                failing += failed;
+            }
+        }
+        text += &format!("{failing} of 96\n");
+        Rendered { table, text }
+    })
+}
+
+/// The multi-GPU fault smoke: what `stress_faults --start 1 --seeds 64
+/// --gpus 2 --fabric-drop-rate 60 --partition`, then `… --gpus 4
+/// --fabric-drop-rate 40`, print — storms across the fabric, whose
+/// hierarchical leases follow HALCONE (DESIGN.md §17). Its hashed maps
+/// (§15.4) leaking an order, or a changed grant or waiter, moves a storm.
+fn multi_soak_smoke() -> Experiment {
+    let soak = |gpus, fabric_drop, partition| Soak {
+        seeds: (1..=64).collect(),
+        gpus: Some(gpus),
+        fabric_drop: Some(fabric_drop),
+        partition,
+        ..Soak::default()
+    };
+    let soaks = [soak(2, 60, true), soak(4, 40, false)];
+    let needs = soaks.iter().flat_map(Soak::keys).collect();
+    row("multi_soak_smoke", needs, move |runs| {
+        let title = "multi-GPU fault smoke: storms per soak";
+        let mut table = Table::new(title, &["storms", "failing"]);
+        let mut text = String::new();
+        for soak in &soaks {
+            let (report, failing) = soak.report(runs);
+            let label = format!("{} GPUs", soak.gpus.unwrap_or(1));
+            table.row(&label, vec![soak.storms() as f64, failing as f64]);
+            text += &report;
+        }
+        Rendered { table, text }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Plan, RunKey};
-    use gtsc_workloads::Scale;
+    use crate::Plan;
 
-    /// Every row's `--json` output has the stable schema, whatever the
-    /// row renders: `title`, `columns`, one object per row, `counters`.
+    /// Every row's `.json` output has the stable schema, whatever the row
+    /// renders: `title`, `columns`, one object per row, `counters`. The
+    /// schema does not depend on the numbers, so the runs are not
+    /// simulated: each is a clean all-zero outcome.
     #[test]
     fn every_row_has_the_stable_json_schema() {
         let rows = catalog();
-        let runs = Plan::new(&rows.iter().collect::<Vec<_>>(), Scale::Tiny).run(2, RunKey::run);
+        let plan = Plan::new(&rows.iter().collect::<Vec<_>>(), Scale::Tiny);
+        let runs = plan.run(2, |_, _| RunOutcome::default());
         for row in &rows {
             let json = (row.render)(&runs).table.to_json();
             let at = |part: &str| {

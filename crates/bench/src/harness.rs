@@ -1,12 +1,16 @@
 //! Shared experiment plumbing: configuration presets matching the paper's
-//! evaluated systems, the run loop, and text-table rendering.
+//! evaluated systems, what a run measured and how it ended — with the
+//! post-mortem a fault soak prints for a run that failed — and text-table
+//! rendering.
 
+use std::collections::BTreeMap;
+
+use gtsc_check::lint_events;
 use gtsc_energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 use gtsc_faults::FaultStats;
-use gtsc_gpu::Kernel;
-use gtsc_sim::GpuSim;
+use gtsc_sim::{RunReport, SimError};
+use gtsc_trace::{EventKind, Scope, TraceEvent};
 use gtsc_types::{ConsistencyModel, GpuConfig, ProtocolKind, SimStats};
-use gtsc_workloads::{Benchmark, Scale};
 
 /// One evaluated system of Figure 12: a protocol/consistency pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,55 +62,222 @@ pub fn config_for(protocol: ProtocolKind, consistency: ConsistencyModel) -> GpuC
         .with_consistency(consistency)
 }
 
+/// How a run ended.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum End {
+    /// It completed, and neither the checker nor the trace rules over its
+    /// flight-recorder tail found anything.
+    #[default]
+    Clean,
+    /// It completed with a finding: the first checker violation's text,
+    /// or else the trace rules' first.
+    Violated(String),
+    /// It did not complete (a stall, the cycle limit): the error's text.
+    Error(String),
+}
+
 /// Everything measured from one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
-    /// Hardware counters.
+    /// Hardware counters (zero when the run did not complete).
     pub stats: SimStats,
     /// Energy estimate.
     pub energy: EnergyBreakdown,
-    /// Coherence violations (expected nonzero only for the non-coherent
-    /// baseline on group-A workloads).
-    pub violations: usize,
+    /// How the run ended.
+    pub end: End,
+    /// What a fault soak prints about a run that did not end clean: its
+    /// violations or error, the flight-recorder tail and the hotspots.
+    /// Empty when it ended clean.
+    pub post_mortem: String,
     /// Aggregated fault-injection counters, when a fault plan was active
     /// (`None` for clean runs). Carries the NoC loss counters that pair
     /// with `stats.transport`.
     pub faults: Option<FaultStats>,
 }
 
-/// Runs `kernel` under `cfg` and estimates its energy.
-///
-/// # Panics
-///
-/// Panics if the simulation hits its cycle limit (a protocol deadlock —
-/// should never happen).
-#[must_use]
-pub fn run_kernel(kernel: &dyn Kernel, cfg: GpuConfig) -> RunOutcome {
-    let mut sim = GpuSim::new(cfg);
-    let report = sim
-        .run_kernel(kernel)
-        .unwrap_or_else(|e| panic!("{} deadlocked: {e}", kernel.name()));
-    let energy = EnergyModel::new(EnergyParams::default()).estimate(&report.stats);
-    let faults = sim.fault_stats();
-    RunOutcome {
-        stats: report.stats,
-        energy,
-        violations: report.violations.len(),
-        faults,
+impl RunOutcome {
+    /// The outcome of `run`, its energy estimated. A run that did not end
+    /// clean gets its post-mortem: its checker violations, or else a
+    /// flagged audit of its flight-recorder tail (read through
+    /// `flight_tail`, only when the checker found nothing), with the
+    /// hotspots; or the error that stopped it.
+    pub(crate) fn new(
+        run: Result<RunReport, SimError>,
+        faults: Option<FaultStats>,
+        flight_tail: impl FnOnce() -> Vec<TraceEvent>,
+    ) -> Self {
+        let (stats, end, post_mortem) = match run {
+            Err(e) => {
+                let why = format!("did not complete: {e}");
+                (SimStats::default(), End::Error(e.to_string()), why)
+            }
+            Ok(report) => {
+                let finding = match report.violations.first() {
+                    None => audit_tail(&flight_tail()).err(),
+                    Some(first) => {
+                        let n = report.violations.len();
+                        let why = format!("{n} violation(s): {:?}", report.violations);
+                        Some((first.to_string(), why))
+                    }
+                };
+                match finding {
+                    None => (report.stats, End::Clean, String::new()),
+                    Some((first, why)) => {
+                        let why = why + &hotspots(&report);
+                        (report.stats, End::Violated(first), why)
+                    }
+                }
+            }
+        };
+        let energy = EnergyModel::new(EnergyParams::default()).estimate(&stats);
+        RunOutcome {
+            stats,
+            energy,
+            end,
+            post_mortem,
+            faults,
+        }
     }
 }
 
-/// Runs `benchmark` under a protocol/consistency pair on the paper
-/// platform.
-#[must_use]
-pub fn run_benchmark(
-    benchmark: Benchmark,
-    protocol: ProtocolKind,
-    consistency: ConsistencyModel,
-    scale: Scale,
-) -> RunOutcome {
-    let kernel = benchmark.build(scale);
-    run_kernel(kernel.as_ref(), config_for(protocol, consistency))
+/// Replays a finished run's flight-recorder tail through the offline
+/// rule driver. `Ok` carries the number of facts the rules examined (a
+/// zero would mean the audit looked at nothing); `Err` says what fired:
+/// the first finding, and all of them.
+fn audit_tail(tail: &[TraceEvent]) -> Result<u64, (String, String)> {
+    let lint = lint_events(tail);
+    if lint.is_clean() {
+        return Ok(lint.scanned);
+    }
+    let lines = lint.lines();
+    let mut why = format!(
+        "trace rules flagged {} distinct finding(s) in the flight-recorder tail:",
+        lint.findings.len()
+    );
+    for l in &lines {
+        why.push_str(&format!("\n    {l}"));
+    }
+    Err((lines.first().cloned().unwrap_or_default(), why))
+}
+
+/// What follows a failing run's findings: the last 16 events of its trace
+/// tail (which a report carries only with violations), which SM / bank
+/// saw the traffic it implicates, and which flows of the tail were hot.
+fn hotspots(report: &RunReport) -> String {
+    let (stats, tail) = (&report.stats, &report.trace_tail);
+    let mut why = String::new();
+    let shown = &tail[tail.len().saturating_sub(16)..];
+    if !shown.is_empty() {
+        why.push_str(&format!("\n  last {} trace events:", shown.len()));
+        for e in shown {
+            why.push_str(&format!("\n    {e}"));
+        }
+    }
+    let l1: Vec<String> = stats
+        .per_l1
+        .iter()
+        .enumerate()
+        .map(|(i, c)| format!("sm{i}={}h/{}e", c.hits, c.expired_misses))
+        .collect();
+    let l2: Vec<String> = stats
+        .per_l2
+        .iter()
+        .enumerate()
+        .map(|(b, c)| format!("bank{b}={}st", c.stores))
+        .collect();
+    let t = &stats.transport;
+    why.push_str(&format!(
+        "\n  hotspots: l1 [{}], l2 [{}], transport [{}rtx {}nack {}dup {}reset {}rec]",
+        l1.join(" "),
+        l2.join(" "),
+        t.retransmits,
+        t.nacks,
+        t.dup_dropped,
+        t.flows_reset,
+        t.bank_recoveries,
+    ));
+    if let Some(t) = transport_hotspots(tail) {
+        why.push_str(&format!("\n  {t}"));
+    }
+    why
+}
+
+/// (retransmits, NACKs, drops + corruptions) in the flight-recorder tail,
+/// per the key `key` gives an event's (scope, src, dst); `None` skips it.
+fn tally<K: Ord>(
+    tail: &[TraceEvent],
+    key: impl Fn(Scope, u16, u16) -> Option<K>,
+) -> BTreeMap<K, [u64; 3]> {
+    let mut counts = BTreeMap::new();
+    for e in tail {
+        let (slot, src, dst) = match e.kind {
+            EventKind::Retransmit { src, dst, .. } => (0, src, dst),
+            EventKind::Nack { src, dst, .. } => (1, src, dst),
+            EventKind::PacketDrop { src, dst } | EventKind::PacketCorrupt { src, dst } => {
+                (2, src, dst)
+            }
+            _ => continue,
+        };
+        if let Some(k) = key(e.scope, src, dst) {
+            counts.entry(k).or_insert([0; 3])[slot] += 1;
+        }
+    }
+    counts
+}
+
+/// Transport hotspots from the flight-recorder tail: which flows were
+/// dropping, NACKing, and retransmitting when the run went wrong. The
+/// counter totals say *how much* the transport worked; this says *where*.
+fn transport_hotspots(tail: &[TraceEvent]) -> Option<String> {
+    let flows = tally(tail, |_, src, dst| Some((src, dst)));
+    let is_reset = |e: &&TraceEvent| matches!(e.kind, EventKind::BankReset { .. });
+    let resets = tail.iter().filter(is_reset).count();
+    if flows.is_empty() && resets == 0 {
+        return None;
+    }
+    let mut items: Vec<_> = flows.into_iter().collect();
+    items.sort_by_key(|&(_, [r, n, d])| std::cmp::Reverse(r + n + d));
+    let shown: Vec<String> = items
+        .iter()
+        .take(6)
+        .map(|((s, d), [r, n, d2])| format!("{s}->{d}:{r}rtx/{n}nack/{d2}drop"))
+        .collect();
+    let reset_note = if resets > 0 {
+        format!(", {resets} bank reset(s) in tail")
+    } else {
+        String::new()
+    };
+    Some(format!(
+        "transport tail hotspots: [{}]{reset_note}",
+        shown.join(" ")
+    ))
+}
+
+/// Per-device fabric hotspots from the flight-recorder tail: the up/down
+/// fabric nets trace under `Scope::Noc(2N)` / `Scope::Noc(2N + 1)`, with
+/// the device index as the up-net source and down-net destination. This
+/// answers *which device's link* was dropping and retransmitting when
+/// the storm went wrong — the transport totals only say how much.
+pub(crate) fn device_fabric_hotspots(tail: &[TraceEvent], n_devices: usize) -> Option<String> {
+    let up = Scope::Noc(2 * n_devices as u16);
+    let down = Scope::Noc(2 * n_devices as u16 + 1);
+    let devs = tally(tail, |scope, src, dst| match scope {
+        s if s == up => Some(usize::from(src)),
+        s if s == down => Some(usize::from(dst)),
+        _ => None,
+    });
+    let devs: Vec<[u64; 3]> = (0..n_devices)
+        .map(|i| devs.get(&i).copied().unwrap_or_default())
+        .collect();
+    if devs.iter().flatten().all(|&c| c == 0) {
+        return None;
+    }
+    let shown: Vec<String> = devs
+        .iter()
+        .enumerate()
+        .map(|(i, [r, n, d])| format!("dev{i}={r}rtx/{n}nack/{d}drop"))
+        .collect();
+    Some(format!("fabric hotspots by device: [{}]", shown.join(" ")))
 }
 
 /// A simple fixed-width text table (benchmarks × configurations),
@@ -309,6 +480,16 @@ impl std::fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storm::{contended_atomics, Soak};
+    use crate::{RunKey, Workload};
+    use gtsc_sim::{GpuSim, MultiGpuSim};
+    use gtsc_types::{FaultConfig, MultiGpuConfig, TraceConfig};
+    use gtsc_workloads::{micro, Benchmark, Scale};
+
+    /// `b` under a protocol/consistency pair on the paper platform, Tiny.
+    fn run_tiny(b: Benchmark, protocol: ProtocolKind, consistency: ConsistencyModel) -> RunOutcome {
+        RunKey::new(Workload::Bench(b), config_for(protocol, consistency)).run(Scale::Tiny)
+    }
 
     #[test]
     fn paper_configs_are_the_figure_bars() {
@@ -363,7 +544,7 @@ mod tests {
         let cfg = GpuConfig::test_small()
             .with_protocol(ProtocolKind::Gtsc)
             .with_faults(FaultConfig::lossy(11, 50));
-        let out = run_kernel(Benchmark::Hs.build(Scale::Tiny).as_ref(), cfg);
+        let out = RunKey::new(Workload::Bench(Benchmark::Hs), cfg).run(Scale::Tiny);
         let mut lossy = Table::new("demo", &["a"]);
         lossy.transport_counters(&out);
         let json = lossy.to_json();
@@ -392,12 +573,7 @@ mod tests {
 
         // A clean run emits the same bins (all zero), so the schema does
         // not depend on whether faults were configured.
-        let clean = run_benchmark(
-            Benchmark::Hs,
-            ProtocolKind::Gtsc,
-            ConsistencyModel::Rc,
-            Scale::Tiny,
-        );
+        let clean = run_tiny(Benchmark::Hs, ProtocolKind::Gtsc, ConsistencyModel::Rc);
         let mut zeroes = Table::new("demo", &["a"]);
         zeroes.transport_counters(&clean);
         assert!(zeroes.to_json().contains(r#""transport.dropped":0"#));
@@ -432,14 +608,85 @@ mod tests {
 
     #[test]
     fn small_run_produces_stats() {
-        let out = run_benchmark(
-            Benchmark::Hs,
-            ProtocolKind::Gtsc,
-            ConsistencyModel::Rc,
-            Scale::Tiny,
-        );
+        let out = run_tiny(Benchmark::Hs, ProtocolKind::Gtsc, ConsistencyModel::Rc);
         assert!(out.stats.cycles.0 > 0);
-        assert_eq!(out.violations, 0);
+        assert_eq!(out.end, End::Clean);
         assert!(out.energy.total_nj() > 0.0);
+    }
+
+    /// The audit is not vacuous: a clean storm's tail yields facts.
+    #[test]
+    fn audit_of_a_clean_storm_examines_facts() {
+        let soak = Soak {
+            drop_rate: Some(10),
+            ..Soak::default()
+        };
+        let key = soak.key(1, &soak.scenarios()[0]);
+        let mut sim = GpuSim::new(key.cfg);
+        let report = sim
+            .run_kernel(&micro::message_passing(3))
+            .expect("completes");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(
+            report.trace_tail.is_empty(),
+            "a clean report carries no tail — the audit must read the sim's"
+        );
+        let examined = audit_tail(&sim.flight_tail()).expect("clean");
+        assert!(examined > 0, "the audit looked at nothing");
+    }
+
+    /// Healthy crash recovery comes back clean: a bank records the epoch
+    /// it crashed in, then the rollover into the next.
+    #[test]
+    fn audit_passes_healthy_bank_and_device_crash_storms() {
+        for seed in 0..6 {
+            let cfg = GpuConfig::test_small()
+                .with_protocol(ProtocolKind::Gtsc)
+                .with_consistency(ConsistencyModel::Rc)
+                .with_faults(FaultConfig::lossy(seed, 10).with_bank_crashes(2, 400))
+                .with_trace(TraceConfig::flight());
+            let mut sim = GpuSim::new(cfg);
+            let report = sim
+                .run_kernel(&micro::message_passing(3))
+                .expect("completes");
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            let tail = sim.flight_tail();
+            assert!(
+                tail.iter()
+                    .any(|e| matches!(e.kind, EventKind::BankReset { .. })),
+                "seed {seed}: no crash reached the tail"
+            );
+            let examined =
+                audit_tail(&tail).unwrap_or_else(|(_, why)| panic!("seed {seed}: {why}"));
+            assert!(examined > 0);
+        }
+
+        let soak = Soak {
+            gpus: Some(2),
+            ..Soak::default()
+        };
+        let sc = soak.scenarios().last().expect("the device-crash storm");
+        for seed in 0..6 {
+            let key = soak.key(seed, sc);
+            let fabric = key.fabric.expect("multi-GPU");
+            let mut sim = MultiGpuSim::new(MultiGpuConfig {
+                n_devices: fabric.devices,
+                gpu: key.cfg,
+                fabric: fabric.config,
+            });
+            let report = sim.run_kernel(&contended_atomics()).expect("completes");
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            let tail = sim.flight_tail();
+            assert!(
+                tail.iter().any(|e| matches!(
+                    (e.scope, e.kind),
+                    (Scope::Device(_), EventKind::BankReset { .. })
+                )),
+                "seed {seed}: no device crash reached the tail"
+            );
+            let examined =
+                audit_tail(&tail).unwrap_or_else(|(_, why)| panic!("seed {seed}: {why}"));
+            assert!(examined > 0);
+        }
     }
 }

@@ -21,15 +21,19 @@
 //! | `ablation_adaptive_lease` | extension — adaptive lease prediction |
 //! | `ablation_noc` | extension — NoC topology and bandwidth |
 //! | `ablation_scheduler` | extension — GTO vs round-robin warps |
+//! | `bank_crash_scan` | ROADMAP item 1 — runs a mid-kernel L2 bank crash breaks |
+//! | `multi_soak_smoke` | §17 — fault storms across 2 and 4 GPUs behind the fabric |
 //!
 //! Run them with `cargo run --release -p gtsc-bench --bin repro -- <row>…|all
-//! [--scale tiny|small|full] [--csv DIR] [--json DIR]`; a run two rows
-//! share simulates once ([`Plan`]).
+//! [--scale tiny|small|full] [--out DIR]`; a run two rows share simulates
+//! once ([`Plan`]). The fault storms ([`storm`]) are runs of the same
+//! matrix, and `stress_faults` runs a soak of them from its flags.
 
 pub mod catalog;
 pub mod harness;
 pub mod matrix;
+pub mod storm;
 
 pub use catalog::{catalog, Experiment, Rendered};
-pub use harness::{config_for, paper_configs, run_benchmark, PaperConfig, RunOutcome, Table};
-pub use matrix::{Plan, RunKey, Runs, Workload};
+pub use harness::{config_for, paper_configs, End, PaperConfig, RunOutcome, Table};
+pub use matrix::{Fabric, Plan, RunKey, Runs, Workload};

@@ -1,27 +1,58 @@
 //! The experiment matrix: the union of the [catalog](mod@crate::catalog)
-//! rows' runs at one [`Scale`], deduplicated by `==` (a
-//! `with_lease(Lease(10))` or `ts_bits = 16` variant *is* the default
-//! config and runs once), simulated once each over a fixed number of
-//! threads. Rows render afterwards from [`Runs`], so what they print does
-//! not depend on the thread count.
+//! rows' runs, deduplicated by `==` (a `with_lease(Lease(10))` or
+//! `ts_bits = 16` variant *is* the default config and runs once),
+//! simulated once each over a fixed number of threads. Rows render
+//! afterwards from [`Runs`], so what they print does not depend on the
+//! thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
-use gtsc_types::{Addr, GpuConfig};
-use gtsc_workloads::{Benchmark, Scale};
+use gtsc_gpu::{Kernel, VecKernel, WarpOp, WarpProgram};
+use gtsc_sim::{GpuSim, MultiGpuSim};
+use gtsc_types::{Addr, FabricConfig, GpuConfig, MultiGpuConfig};
+use gtsc_workloads::{micro, Benchmark, Scale};
 
 use crate::catalog::Experiment;
-use crate::harness::{run_kernel, RunOutcome};
+use crate::harness::{device_fabric_hotspots, End, RunOutcome};
+use crate::storm;
 
 /// What a run simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// One of the paper's twelve benchmarks.
+    /// One of the paper's twelve benchmarks, at the plan's scale.
     Bench(Benchmark),
+    /// One of them at a scale the row fixes, whatever the plan's.
+    BenchAt(Benchmark, Scale),
     /// §VI-E's load-dominated sharing kernel ([`load_dominated`]).
     LoadDominated,
+    /// The fault storms' message-passing litmus, three rounds.
+    MessagePassing,
+    /// The fault storms' contended atomics ([`storm::contended_atomics`]).
+    ContendedAtomics,
+}
+
+impl Workload {
+    /// The kernel, a benchmark of [`Workload::Bench`] at `scale`; the
+    /// other kernels have a size of their own.
+    fn kernel(self, scale: Scale) -> Box<dyn Kernel> {
+        match self {
+            Workload::Bench(b) => b.build(scale),
+            Workload::BenchAt(b, scale) => b.build(scale),
+            Workload::LoadDominated => Box::new(load_dominated()),
+            Workload::MessagePassing => Box::new(micro::message_passing(3)),
+            Workload::ContendedAtomics => Box::new(storm::contended_atomics()),
+        }
+    }
+}
+
+/// A multi-GPU machine: `devices` GPUs behind one fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fabric {
+    /// Devices the kernel's CTAs spread over.
+    pub devices: usize,
+    /// The fabric and its home node.
+    pub config: FabricConfig,
 }
 
 /// One simulation of the matrix.
@@ -29,50 +60,72 @@ pub enum Workload {
 pub struct RunKey {
     /// The kernel.
     pub workload: Workload,
-    /// The machine it runs on.
+    /// The GPU it runs on (each device, on a multi-GPU machine).
     pub cfg: GpuConfig,
-    /// The kernel's size.
-    pub scale: Scale,
+    /// `Some`: the GPUs are several devices behind a fabric
+    /// (`MultiGpuSim`); `None`: one (`GpuSim`).
+    pub fabric: Option<Fabric>,
 }
 
 impl RunKey {
-    /// Simulates the key. Panics if the run deadlocks or ends with a
-    /// coherence violation: no run in the matrix is the non-coherent
-    /// baseline on a workload that needs coherence.
+    /// `workload` on one GPU under `cfg`.
     #[must_use]
-    pub fn run(&self) -> RunOutcome {
-        let kernel = match self.workload {
-            Workload::Bench(b) => b.build(self.scale),
-            Workload::LoadDominated => Box::new(load_dominated()),
+    pub fn new(workload: Workload, cfg: GpuConfig) -> Self {
+        RunKey {
+            workload,
+            cfg,
+            fabric: None,
+        }
+    }
+
+    /// Simulates the key, a [`Workload::Bench`] at `scale`, and estimates
+    /// its energy. A violation or an error does not panic: the outcome's
+    /// [`End`] records it.
+    #[must_use]
+    pub fn run(&self, scale: Scale) -> RunOutcome {
+        let (kernel, gpu) = (self.workload.kernel(scale), self.cfg.clone());
+        let Some(Fabric { devices, config }) = self.fabric else {
+            let mut sim = GpuSim::new(gpu);
+            let run = sim.run_kernel(kernel.as_ref());
+            return RunOutcome::new(run, sim.fault_stats(), || sim.flight_tail());
         };
-        let out = run_kernel(kernel.as_ref(), self.cfg.clone());
-        assert_eq!(out.violations, 0, "{self:?} violated coherence");
+        let mut sim = MultiGpuSim::new(MultiGpuConfig {
+            n_devices: devices,
+            gpu,
+            fabric: config,
+        });
+        let run = sim.run_kernel(kernel.as_ref());
+        let mut out = RunOutcome::new(run, sim.fault_stats(), || sim.flight_tail());
+        // A failing multi-GPU run gets the device-scoped post-mortem: which
+        // link was hot in the tail, and what each device was stalled on.
+        if out.end != End::Clean {
+            let hot = device_fabric_hotspots(&sim.flight_tail(), devices);
+            let stalls = sim.device_stalls().into_iter().map(|d| d.to_string());
+            for line in hot.into_iter().chain(stalls) {
+                out.post_mortem += &format!("\n  {line}");
+            }
+        }
         out
     }
 }
 
-/// The distinct runs a set of rows needs at one scale, in first-use order.
+/// The distinct runs a set of rows needs, in first-use order.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// The scale every key runs at.
+    /// The scale a [`Workload::Bench`] runs at.
     pub scale: Scale,
     /// Distinct keys.
     pub keys: Vec<RunKey>,
 }
 
 impl Plan {
-    /// The union of `rows`' runs at `scale`, each once.
+    /// The union of `rows`' runs, each once, benchmarks at `scale`.
     #[must_use]
     pub fn new(rows: &[&Experiment], scale: Scale) -> Self {
         let mut keys: Vec<RunKey> = Vec::new();
-        for (workload, cfg) in rows.iter().flat_map(|r| &r.runs) {
-            let key = RunKey {
-                workload: *workload,
-                cfg: cfg.clone(),
-                scale,
-            };
-            if !keys.contains(&key) {
-                keys.push(key);
+        for key in rows.iter().flat_map(|r| &r.runs) {
+            if !keys.contains(key) {
+                keys.push(key.clone());
             }
         }
         Plan { scale, keys }
@@ -82,7 +135,11 @@ impl Plan {
     /// ([`RunKey::run`] but in tests): threads claim keys from a shared
     /// next-index, so each is simulated once.
     #[must_use]
-    pub fn run(&self, workers: usize, simulate: impl Fn(&RunKey) -> RunOutcome + Sync) -> Runs {
+    pub fn run(
+        &self,
+        workers: usize,
+        simulate: impl Fn(&RunKey, Scale) -> RunOutcome + Sync,
+    ) -> Runs {
         // `Relaxed`: the index publishes nothing; each outcome is published
         // by its `OnceLock` and read after the scope joins every thread.
         let next = AtomicUsize::new(0);
@@ -92,7 +149,7 @@ impl Plan {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(key) = self.keys.get(i) else { break };
-                    let _ = done[i].set(simulate(key));
+                    let _ = done[i].set(simulate(key, self.scale));
                 });
             }
         });
@@ -111,26 +168,41 @@ impl Plan {
 /// The outcomes of a [`Plan`], looked up by key.
 #[derive(Debug, Clone)]
 pub struct Runs {
-    /// The scale every run ran at.
+    /// The scale a [`Workload::Bench`] ran at.
     pub scale: Scale,
     keys: Vec<RunKey>,
     outcomes: Vec<RunOutcome>,
 }
 
 impl Runs {
-    /// The outcome of `workload` under `cfg`. Panics if the plan did not
-    /// include that run: a row read a run it does not declare.
+    /// The outcome of `key`, however the run ended: what the bank-crash
+    /// scan and the fault soaks read. Panics if the plan did not include
+    /// it: a row read a run it does not declare.
     #[must_use]
-    pub fn get(&self, workload: Workload, cfg: &GpuConfig) -> &RunOutcome {
-        let i = self
-            .keys
-            .iter()
-            .position(|k| k.workload == workload && k.cfg == *cfg)
-            .unwrap_or_else(|| panic!("{workload:?} under {cfg:?} is not in the plan"));
-        &self.outcomes[i]
+    pub fn outcome(&self, key: &RunKey) -> &RunOutcome {
+        // The fault seed first: it tells a soak's storms apart at one compare.
+        let same = |k: &RunKey| k.cfg.faults.seed == key.cfg.faults.seed && k == key;
+        let i = self.keys.iter().position(same);
+        &self.outcomes[i.unwrap_or_else(|| panic!("{key:?} is not in the plan"))]
     }
 
-    /// The outcome of benchmark `b` under `cfg`.
+    /// The outcome of `workload` on one GPU under `cfg`. Panics if the
+    /// plan did not include that run, or if it did not end clean: a
+    /// figure reads only coherent, completed runs (no run of one is the
+    /// non-coherent baseline on a workload that needs coherence).
+    #[must_use]
+    pub fn get(&self, workload: Workload, cfg: &GpuConfig) -> &RunOutcome {
+        let out = self.outcome(&RunKey::new(workload, cfg.clone()));
+        if out.end != End::Clean {
+            panic!(
+                "{workload:?} under {cfg:?} did not end clean: {}",
+                out.post_mortem
+            );
+        }
+        out
+    }
+
+    /// The outcome of benchmark `b` under `cfg` (see [`Runs::get`]).
     #[must_use]
     pub fn bench(&self, b: Benchmark, cfg: &GpuConfig) -> &RunOutcome {
         self.get(Workload::Bench(b), cfg)
