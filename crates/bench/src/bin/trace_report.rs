@@ -16,6 +16,10 @@
 //!
 //! Run: `cargo run --release -p gtsc-bench --bin trace_report
 //!       [-- --chrome trace.json] [-- --lines trace.txt] [-- --lint]`
+//!
+//! An unknown flag, or `--chrome` / `--lines` without a path, exits 2
+//! with the usage line before anything runs, so a typo cannot skip the
+//! lints and pass.
 
 use std::collections::BTreeMap;
 
@@ -25,15 +29,34 @@ use gtsc_trace::to_lines;
 use gtsc_types::{ConsistencyModel, GpuConfig, ProtocolKind, TraceConfig};
 use gtsc_workloads::micro;
 
-fn arg_path(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: trace_report [--chrome PATH] [--lines PATH] [--lint]";
+
+/// What the command line asks for besides the report itself.
+#[derive(Default)]
+struct Cli {
+    chrome: Option<String>,
+    lines: Option<String>,
+    lint: bool,
+}
+
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--chrome" => cli.chrome = Some(args.next().ok_or("--chrome needs a path")?),
+            "--lines" => cli.lines = Some(args.next().ok_or("--lines needs a path")?),
+            "--lint" => cli.lint = true,
+            _ => return Err(format!("unknown flag {flag:?}")),
+        }
+    }
+    Ok(cli)
 }
 
 fn main() {
+    let cli = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     let trace = TraceConfig::full().with_interval(128);
     let cfg = GpuConfig::test_small()
         .with_protocol(ProtocolKind::Gtsc)
@@ -91,8 +114,8 @@ fn main() {
         println!("  {e}");
     }
 
-    if let Some(path) = arg_path("--chrome") {
-        match std::fs::write(&path, sim.chrome_trace()) {
+    if let Some(path) = &cli.chrome {
+        match std::fs::write(path, sim.chrome_trace()) {
             Ok(()) => println!("\nwrote Chrome trace to {path}"),
             Err(e) => {
                 eprintln!("could not write {path}: {e}");
@@ -100,8 +123,8 @@ fn main() {
             }
         }
     }
-    if let Some(path) = arg_path("--lines") {
-        match std::fs::write(&path, to_lines(&events)) {
+    if let Some(path) = &cli.lines {
+        match std::fs::write(path, to_lines(&events)) {
             Ok(()) => println!("wrote line dump to {path}"),
             Err(e) => {
                 eprintln!("could not write {path}: {e}");
@@ -109,7 +132,7 @@ fn main() {
             }
         }
     }
-    if std::env::args().any(|a| a == "--lint") {
+    if cli.lint {
         if !report.violations.is_empty() {
             for v in &report.violations {
                 println!("  {v}");

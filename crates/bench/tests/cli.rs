@@ -1,6 +1,6 @@
-//! The soak's command line: a malformed value, a missing value or an
-//! unknown flag exits 2 with the usage line before any storm runs, so a
-//! typo in a nightly job cannot pass green on a different sweep.
+//! The command lines CI drives: a malformed value, a missing value or an
+//! unknown flag exits 2 with the usage line before anything runs, so a
+//! typo in a job cannot pass green on a different sweep or skip a check.
 
 use std::process::Command;
 
@@ -29,5 +29,25 @@ fn stress_faults_refuses_bad_arguments() {
             "{args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?} ran a sweep");
+    }
+}
+
+#[test]
+fn trace_report_refuses_bad_arguments() {
+    let refused: [&[&str]; 4] = [
+        &["--lnit"],
+        &["--chrome"],
+        &["--lint", "--lines"],
+        &["lint"],
+    ];
+    for args in refused {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace_report"))
+            .args(args)
+            .output()
+            .expect("the binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: trace_report"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran the report");
     }
 }

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use gtsc_protocol::msg::Epoch;
 use gtsc_protocol::{AccessKind, Completion};
-use gtsc_types::{BlockAddr, Cycle, FxHashMap, FxHashSet, Timestamp, Version};
+use gtsc_types::{BlockAddr, Cycle, FxHashMap, Timestamp, Version};
 
 /// One detected inconsistency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,49 +48,224 @@ pub struct LoadObservation {
     pub exclusive: bool,
 }
 
-/// A [`LoadObservation`] as the checker keeps it, in four words instead
-/// of seven: the timestamp, version and cycle whole, and a fourth word
-/// packing the epoch (bits 0–31), the SM (bits 32–47) and the keyed and
-/// exclusive flags (bits 48 and 49). An unkeyed load stores timestamp and
-/// epoch 0. Every read unpacks it, so what the checker reports, and the
-/// bytes it snapshots, are the [`LoadObservation`]'s (DESIGN.md §15.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LoadRecord {
-    ts: Timestamp,
-    version: Version,
-    at: Cycle,
-    packed: u64,
+/// One block's observed loads in completion order, each coded against the
+/// one before it (DESIGN.md §15.6). A load is a header byte — the keyed
+/// and exclusive flags and "same SM / same epoch / same version" bits —
+/// then varints: the SM and the epoch when they changed, zigzag deltas of
+/// the completion cycle and the timestamp, and a zigzag delta of the
+/// version when it changed. Deltas wrap, so every `u64` round-trips; an
+/// unkeyed load carries no epoch or timestamp and leaves both as they
+/// were. Every read decodes to [`LoadObservation`], so what the checker
+/// reports, and the bytes it snapshots, are the observation's.
+#[derive(Debug, Default)]
+struct LoadLog {
+    bytes: Vec<u8>,
+    len: usize,
+    /// The last load's fields: what the next one is coded against.
+    last: Coded,
 }
 
-const SM_SHIFT: u32 = 32;
-const KEYED: u64 = 1 << 48;
-const EXCLUSIVE: u64 = 1 << 49;
+/// The fields a load is coded against, as the encoder leaves them after
+/// a load and the decoder finds them before the next.
+#[derive(Debug, Default, Clone, Copy)]
+struct Coded {
+    sm: usize,
+    epoch: Epoch,
+    ts: u64,
+    version: u64,
+    at: u64,
+}
 
-impl LoadRecord {
-    /// Packs `ld`; `None` if its SM does not fit 16 bits or its epoch 32.
-    fn pack(ld: &LoadObservation) -> Option<Self> {
-        let sm = u64::from(u16::try_from(ld.sm).ok()?);
-        let (ts, keyed_epoch) = match ld.key {
-            Some((epoch, ts)) => (ts, u64::from(u32::try_from(epoch).ok()?) | KEYED),
-            None => (Timestamp(0), 0),
-        };
-        let exclusive = if ld.exclusive { EXCLUSIVE } else { 0 };
-        Some(LoadRecord {
-            ts,
-            version: ld.version,
-            at: ld.at,
-            packed: keyed_epoch | sm << SM_SHIFT | exclusive,
-        })
+const KEYED: u8 = 1;
+const EXCLUSIVE: u8 = 1 << 1;
+const SAME_SM: u8 = 1 << 2;
+const SAME_EPOCH: u8 = 1 << 3;
+const SAME_VERSION: u8 = 1 << 4;
+
+impl LoadLog {
+    fn push(&mut self, ld: &LoadObservation) {
+        let last = self.last;
+        let mut head = 0;
+        if ld.exclusive {
+            head |= EXCLUSIVE;
+        }
+        if ld.sm == last.sm {
+            head |= SAME_SM;
+        }
+        if ld.version.0 == last.version {
+            head |= SAME_VERSION;
+        }
+        if let Some((epoch, _)) = ld.key {
+            head |= KEYED;
+            if epoch == last.epoch {
+                head |= SAME_EPOCH;
+            }
+        }
+        let out = &mut self.bytes;
+        out.push(head);
+        if head & SAME_SM == 0 {
+            put_varint(out, ld.sm as u64);
+        }
+        if let Some((epoch, ts)) = ld.key {
+            if head & SAME_EPOCH == 0 {
+                put_varint(out, epoch);
+            }
+            put_varint(out, zigzag(ts.0.wrapping_sub(last.ts)));
+            self.last.epoch = epoch;
+            self.last.ts = ts.0;
+        }
+        put_varint(out, zigzag(ld.at.0.wrapping_sub(last.at)));
+        if head & SAME_VERSION == 0 {
+            put_varint(out, zigzag(ld.version.0.wrapping_sub(last.version)));
+        }
+        self.last.sm = ld.sm;
+        self.last.version = ld.version.0;
+        self.last.at = ld.at.0;
+        self.len += 1;
     }
 
-    fn unpack(&self) -> LoadObservation {
-        LoadObservation {
-            key: (self.packed & KEYED != 0).then_some((self.packed & u64::from(u32::MAX), self.ts)),
-            version: self.version,
-            at: self.at,
-            sm: usize::from((self.packed >> SM_SHIFT) as u16),
-            exclusive: self.packed & EXCLUSIVE != 0,
+    fn iter(&self) -> LoadLogIter<'_> {
+        LoadLogIter {
+            bytes: &self.bytes,
+            last: Coded::default(),
         }
+    }
+}
+
+/// Decodes a [`LoadLog`] front to back.
+struct LoadLogIter<'a> {
+    bytes: &'a [u8],
+    last: Coded,
+}
+
+impl LoadLogIter<'_> {
+    /// The LEB128 varint at the front of the rest of the log. The bytes
+    /// are the log's own, so the varint is whole.
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for (i, &b) in self.bytes.iter().enumerate() {
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b < 0x80 {
+                self.bytes = &self.bytes[i + 1..];
+                return v;
+            }
+        }
+        unreachable!("a load log ends on a whole varint")
+    }
+}
+
+impl Iterator for LoadLogIter<'_> {
+    type Item = LoadObservation;
+
+    fn next(&mut self) -> Option<LoadObservation> {
+        let (&head, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
+        if head & SAME_SM == 0 {
+            self.last.sm = self.varint() as usize;
+        }
+        let key = (head & KEYED != 0).then(|| {
+            if head & SAME_EPOCH == 0 {
+                self.last.epoch = self.varint();
+            }
+            self.last.ts = self.last.ts.wrapping_add(unzigzag(self.varint()));
+            (self.last.epoch, Timestamp(self.last.ts))
+        });
+        self.last.at = self.last.at.wrapping_add(unzigzag(self.varint()));
+        if head & SAME_VERSION == 0 {
+            self.last.version = self.last.version.wrapping_add(unzigzag(self.varint()));
+        }
+        Some(LoadObservation {
+            key,
+            version: Version(self.last.version),
+            at: Cycle(self.last.at),
+            sm: self.last.sm,
+            exclusive: head & EXCLUSIVE != 0,
+        })
+    }
+}
+
+/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A wrapped difference as a small unsigned number either way round.
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// One block's committed stores, sorted by `(epoch, wts)`. Keys arrive
+/// nearly in order, so an insert is nearly always a push; reads are
+/// binary searches.
+#[derive(Debug, Default)]
+struct History(Vec<((Epoch, Timestamp), Version)>);
+
+impl History {
+    /// Stores `version` at `key`, replacing the version at an equal key;
+    /// whether the key is new.
+    fn insert(&mut self, key: (Epoch, Timestamp), version: Version) -> bool {
+        let i = self.0.partition_point(|&(k, _)| k < key);
+        match self.0.get_mut(i) {
+            Some(entry) if entry.0 == key => {
+                entry.1 = version;
+                false
+            }
+            _ => {
+                self.0.insert(i, (key, version));
+                true
+            }
+        }
+    }
+
+    /// The latest store strictly below `key`, or at or below it when
+    /// `inclusive`.
+    fn latest(
+        &self,
+        key: (Epoch, Timestamp),
+        inclusive: bool,
+    ) -> Option<&((Epoch, Timestamp), Version)> {
+        let i = self
+            .0
+            .partition_point(|&(k, _)| k < key || (inclusive && k == key));
+        self.0[..i].last()
+    }
+
+    /// The version a load at `key` must return: the latest store at or
+    /// before its logical time (strictly before, for an atomic's read
+    /// half), or the initial contents.
+    fn expected(&self, key: (Epoch, Timestamp), exclusive: bool) -> Version {
+        self.latest(key, !exclusive)
+            .map_or(Version::ZERO, |&(_, v)| v)
+    }
+}
+
+/// Every version stored to one block, sorted and deduplicated.
+#[derive(Debug, Default)]
+struct VersionSet(Vec<Version>);
+
+impl VersionSet {
+    fn insert(&mut self, v: Version) {
+        if let Err(i) = self.0.binary_search(&v) {
+            self.0.insert(i, v);
+        }
+    }
+
+    fn remove(&mut self, v: Version) {
+        if let Ok(i) = self.0.binary_search(&v) {
+            self.0.remove(i);
+        }
+    }
+
+    fn contains(&self, v: Version) -> bool {
+        self.0.binary_search(&v).is_ok()
     }
 }
 
@@ -101,8 +276,8 @@ pub struct CheckerFootprint {
     pub loads: usize,
     /// Committed stores retained.
     pub stores: usize,
-    /// Bytes the per-block load logs take on the heap, spare capacity
-    /// included.
+    /// Bytes the per-block coded load logs take on the heap, spare
+    /// capacity included (DESIGN.md §15.6).
     pub load_bytes: usize,
 }
 
@@ -116,11 +291,11 @@ pub struct Checker {
     /// none walks them — and whatever does walk (`finish`, `compact`, a
     /// snapshot) goes in block order, so violation reports come out in a
     /// deterministic order (the fault-injection tests compare reports byte
-    /// for byte). The inner map stays ordered: it serves range queries.
-    stores: FxHashMap<BlockAddr, BTreeMap<(Epoch, Timestamp), Version>>,
+    /// for byte). The inner list stays ordered: it serves range queries.
+    stores: FxHashMap<BlockAddr, History>,
     /// All versions ever stored per block (functional fallback).
-    written: FxHashMap<BlockAddr, FxHashSet<Version>>,
-    loads: FxHashMap<BlockAddr, Vec<LoadRecord>>,
+    written: FxHashMap<BlockAddr, VersionSet>,
+    loads: FxHashMap<BlockAddr, LoadLog>,
     /// Records in `loads` and in `stores`, kept as they change so that
     /// [`Checker::retained_events`] does not walk them (not saved: a
     /// restore recounts).
@@ -154,14 +329,6 @@ impl Checker {
     }
 
     /// Feeds one completed access from SM `sm` at cycle `now`.
-    ///
-    /// # Panics
-    ///
-    /// If a load or an atomic's read half comes from an SM above
-    /// `u16::MAX`, or carries a key in an epoch above `u32::MAX`: the
-    /// checker keeps them in those widths. The engine numbers SMs as a
-    /// global [`gtsc_types::SmId`] (16 bits), and an epoch is one global
-    /// Section V-D reset, so neither happens in a well-formed run.
     pub fn on_completion(&mut self, sm: usize, c: &Completion, now: Cycle) {
         self.n_events += 1;
         if let Some(ts) = c.ts {
@@ -173,7 +340,7 @@ impl Checker {
             self.written.entry(c.block).or_default().insert(c.version);
             if let Some(wts) = c.ts {
                 let history = self.stores.entry(c.block).or_default();
-                self.n_stores += usize::from(history.insert((c.epoch, wts), c.version).is_none());
+                self.n_stores += usize::from(history.insert((c.epoch, wts), c.version));
             }
         }
         let observed = match c.kind {
@@ -183,18 +350,16 @@ impl Checker {
             AccessKind::Load => Some((c.version, false)),
         };
         if let Some((version, exclusive)) = observed {
-            let ld = LoadObservation {
-                key: c.ts.map(|t| (c.epoch, t)),
-                version,
-                at: now,
-                sm,
-                exclusive,
-            };
-            #[expect(clippy::panic, reason = "documented under `# Panics` above")]
-            let record = LoadRecord::pack(&ld).unwrap_or_else(|| {
-                panic!("{ld:?} does not fit the checker's record (16-bit SM, 32-bit epoch)")
-            });
-            self.loads.entry(c.block).or_default().push(record);
+            self.loads
+                .entry(c.block)
+                .or_default()
+                .push(&LoadObservation {
+                    key: c.ts.map(|t| (c.epoch, t)),
+                    version,
+                    at: now,
+                    sm,
+                    exclusive,
+                });
             self.n_loads += 1;
         }
     }
@@ -205,7 +370,7 @@ impl Checker {
         let mut v: Vec<LoadObservation> = self
             .loads
             .get(&block)
-            .map(|log| log.iter().map(LoadRecord::unpack).collect())
+            .map(|log| log.iter().collect())
             .unwrap_or_default();
         v.sort_by_key(|l| l.at);
         v
@@ -217,7 +382,7 @@ impl Checker {
     pub fn store_order(&self, block: BlockAddr) -> Vec<Version> {
         self.stores
             .get(&block)
-            .map(|m| m.values().copied().collect())
+            .map(|h| h.0.iter().map(|&(_, v)| v).collect())
             .unwrap_or_default()
     }
 
@@ -231,8 +396,7 @@ impl Checker {
             let stores = self.stores.get(block);
             let written = self.written.get(block);
             let horizon = self.horizon.get(block).copied();
-            for record in observed {
-                let ld = record.unpack();
+            for ld in observed.iter() {
                 match ld.key {
                     Some(key) => {
                         if horizon.is_some_and(|h| key < h) {
@@ -242,12 +406,14 @@ impl Checker {
                             self.horizon_accepts.set(self.horizon_accepts.get() + 1);
                             continue;
                         }
-                        out.extend(keyed_violation(*block, &ld, key, stores));
+                        let expected =
+                            stores.map_or(Version::ZERO, |h| h.expected(key, ld.exclusive));
+                        out.extend(keyed_violation(*block, &ld, key, expected));
                     }
                     None => {
                         // Functional fallback: the version must exist.
                         let known = ld.version == Version::ZERO
-                            || written.is_some_and(|w| w.contains(&ld.version));
+                            || written.is_some_and(|w| w.contains(ld.version));
                         if !known {
                             out.push(Violation(format!(
                                 "phantom value at {block}: load by sm{} at {} observed {} which \
@@ -320,18 +486,18 @@ impl Checker {
     #[must_use]
     pub fn footprint(&self) -> CheckerFootprint {
         #[expect(clippy::disallowed_methods, reason = "sums do not depend on the order")]
-        let (loads, slots) = self.loads.values().fold((0, 0), |(n, slots), log| {
-            (n + log.len(), slots + log.capacity())
+        let (loads, load_bytes) = self.loads.values().fold((0, 0), |(n, bytes), log| {
+            (n + log.len, bytes + log.bytes.capacity())
         });
         #[expect(
             clippy::disallowed_methods,
             reason = "a sum does not depend on the order"
         )]
-        let stores = self.stores.values().map(BTreeMap::len).sum();
+        let stores = self.stores.values().map(|h| h.0.len()).sum();
         CheckerFootprint {
             loads,
             stores,
-            load_bytes: slots * std::mem::size_of::<LoadRecord>(),
+            load_bytes,
         }
     }
 
@@ -373,34 +539,34 @@ impl Checker {
         let blocks = sorted_blocks(&self.stores);
         for block in &blocks {
             let history = self.stores.get_mut(block).expect("listed above");
-            let Some((&base, _)) = history.range(..=visible).next_back() else {
+            let Some(&(base, _)) = history.latest(visible, true) else {
                 continue;
             };
             if let Some(observed) = self.loads.get_mut(block) {
-                let mut kept = Vec::with_capacity(observed.len());
-                for record in observed.drain(..) {
-                    let ld = record.unpack();
+                let mut kept = LoadLog::default();
+                for ld in observed.iter() {
                     match ld.key {
                         Some(key) if key < base => {
+                            let expected = history.expected(key, ld.exclusive);
                             self.early
-                                .extend(keyed_violation(*block, &ld, key, Some(&*history)));
+                                .extend(keyed_violation(*block, &ld, key, expected));
                             self.n_loads -= 1;
                         }
-                        _ => kept.push(record),
+                        _ => kept.push(&ld),
                     }
                 }
                 *observed = kept;
             }
             // Retain the base store itself: it is the expected value for
             // every remaining load at or above the horizon.
-            let keep = history.split_off(&base);
-            self.n_stores -= history.len();
+            let below = history.0.partition_point(|&(k, _)| k < base);
+            self.n_stores -= below;
+            let pruned = history.0.drain(..below);
             if let Some(w) = self.written.get_mut(block) {
-                for v in history.values() {
+                for (_, v) in pruned {
                     w.remove(v);
                 }
             }
-            *history = keep;
             self.horizon.insert(*block, base);
         }
     }
@@ -438,18 +604,51 @@ gtsc_types::snap_fields!(LoadObservation {
     exclusive,
 });
 
-// Written as the `LoadObservation` it packs, so a checker's bytes do not
-// depend on how it keeps its loads.
-impl Snap for LoadRecord {
+// The three per-block containers are written as the `Vec<LoadObservation>`,
+// the `BTreeMap` and the hash set they replace, so a checker's bytes do not
+// depend on how it keeps its history (DESIGN.md §15.6).
+impl Snap for LoadLog {
     fn save(&self, w: &mut SnapWriter) {
-        self.unpack().save(w);
+        w.usize(self.len);
+        for ld in self.iter() {
+            ld.save(w);
+        }
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let ld = LoadObservation::load(r)?;
-        LoadRecord::pack(&ld).ok_or_else(|| SnapshotError::Malformed {
-            context: format!("checker load {ld:?} outside a 16-bit SM or a 32-bit epoch"),
-        })
+        let n = r.seq_len(1)?;
+        let mut log = LoadLog::default();
+        for _ in 0..n {
+            log.push(&LoadObservation::load(r)?);
+        }
+        Ok(log)
+    }
+}
+
+impl Snap for History {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let mut history = History::default();
+        for (key, version) in Vec::load(r)? {
+            history.insert(key, version);
+        }
+        Ok(history)
+    }
+}
+
+impl Snap for VersionSet {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let mut versions: Vec<Version> = Snap::load(r)?;
+        versions.sort_unstable();
+        versions.dedup();
+        Ok(VersionSet(versions))
     }
 }
 
@@ -486,24 +685,14 @@ impl Snap for Checker {
     }
 }
 
-/// The timestamp-ordering check for one keyed load: the expected version
-/// is the latest store at or before the load's logical time (strictly
-/// before, for an atomic's read half).
+/// The timestamp-ordering check for one keyed load, given the version
+/// [`History::expected`] says it must return.
 fn keyed_violation(
     block: BlockAddr,
     ld: &LoadObservation,
     key: (Epoch, Timestamp),
-    stores: Option<&BTreeMap<(Epoch, Timestamp), Version>>,
+    expected: Version,
 ) -> Option<Violation> {
-    let expected = if ld.exclusive {
-        stores
-            .and_then(|m| m.range(..key).next_back())
-            .map_or(Version::ZERO, |(_, v)| *v)
-    } else {
-        stores
-            .and_then(|m| m.range(..=key).next_back())
-            .map_or(Version::ZERO, |(_, v)| *v)
-    };
     (ld.version != expected).then(|| {
         Violation(format!(
             "timestamp-order violation at {block}: load by sm{} at {} \
@@ -517,6 +706,7 @@ fn keyed_violation(
 mod tests {
     use super::*;
     use gtsc_protocol::AccessId;
+    use gtsc_types::FxHashSet;
     use gtsc_types::WarpId;
 
     fn store(block: u64, wts: u64, version: u64, epoch: Epoch) -> Completion {
@@ -762,55 +952,135 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Loads at the extremes the coding must carry: SMs and epochs past
+    /// any narrower width, `u64::MAX` timestamps, versions and cycles,
+    /// cycles and timestamps going backwards, unkeyed loads between keyed
+    /// ones, and runs of unchanged fields.
     #[test]
-    fn load_record_is_four_words_and_round_trips_at_its_bounds() {
-        assert_eq!(std::mem::size_of::<LoadRecord>(), 32);
-        for key in [
-            None,
-            Some((0, Timestamp(0))),
-            Some((Epoch::from(u32::MAX), Timestamp(u64::MAX))),
-        ] {
-            for sm in [0, usize::from(u16::MAX)] {
-                for exclusive in [false, true] {
-                    let ld = LoadObservation {
-                        key,
-                        version: Version(u64::MAX),
-                        at: Cycle(u64::MAX),
-                        sm,
-                        exclusive,
-                    };
-                    let record = LoadRecord::pack(&ld).expect("fits");
-                    assert_eq!(record.unpack(), ld);
-                    assert_eq!(bytes(&record), bytes(&ld));
-                }
-            }
-        }
-        let wide = LoadObservation {
-            key: Some((Epoch::from(u32::MAX) + 1, Timestamp(0))),
-            version: Version(1),
-            at: Cycle(0),
-            sm: 0,
-            exclusive: false,
+    fn load_log_round_trips_at_the_extremes() {
+        let ld = |key, version, at, sm, exclusive| LoadObservation {
+            key,
+            version: Version(version),
+            at: Cycle(at),
+            sm,
+            exclusive,
         };
-        assert_eq!(LoadRecord::pack(&wide), None);
-        let far = LoadObservation {
-            key: None,
-            sm: usize::from(u16::MAX) + 1,
-            ..wide
-        };
-        assert_eq!(LoadRecord::pack(&far), None);
-        // A snapshot holding either is malformed, not a panic.
-        for ld in [wide, far] {
-            let image = bytes(&ld);
-            assert!(LoadRecord::load(&mut SnapReader::new(&image)).is_err());
+        let (wide_sm, wide_epoch) = (usize::from(u16::MAX) + 1, Epoch::from(u32::MAX) + 1);
+        let loads = vec![
+            ld(Some((0, Timestamp(0))), 0, 0, 0, false),
+            ld(
+                Some((wide_epoch, Timestamp(u64::MAX))),
+                u64::MAX,
+                u64::MAX,
+                wide_sm,
+                true,
+            ),
+            ld(None, u64::MAX, 3, wide_sm, false),
+            ld(Some((wide_epoch, Timestamp(1))), 1, 2, usize::MAX, false),
+            ld(
+                Some((Epoch::MAX, Timestamp(u64::MAX))),
+                0,
+                u64::MAX,
+                0,
+                true,
+            ),
+            ld(Some((0, Timestamp(0))), u64::MAX, 0, usize::MAX, false),
+            ld(None, 7, 5, 1, true),
+            ld(Some((0, Timestamp(0))), 7, 5, 1, false),
+            ld(Some((0, Timestamp(0))), 7, 5, 1, false),
+            ld(Some((1, Timestamp(40))), 9, 4, 1, false),
+        ];
+        let mut log = LoadLog::default();
+        for ld in &loads {
+            log.push(ld);
         }
+        assert_eq!(log.len, loads.len());
+        assert_eq!(log.iter().collect::<Vec<_>>(), loads);
+        // The log saves as the observations it codes, and restores to them.
+        let image = bytes(&log);
+        assert_eq!(image, bytes(&loads));
+        let restored = LoadLog::load(&mut SnapReader::new(&image)).expect("restores");
+        assert_eq!(restored.iter().collect::<Vec<_>>(), loads);
+        // A load repeating its predecessor a cycle later is three bytes
+        // (the header and two one-byte deltas) where a record was 32.
+        let before = log.bytes.len();
+        log.push(&LoadObservation {
+            at: Cycle(6),
+            ..loads[loads.len() - 1]
+        });
+        assert_eq!(log.bytes.len() - before, 3);
     }
 
     #[test]
-    #[should_panic(expected = "does not fit the checker's record")]
-    fn a_load_from_beyond_a_16_bit_sm_panics() {
+    fn loads_from_any_sm_and_epoch_are_checked() {
         let mut ch = Checker::new();
-        ch.on_completion(usize::from(u16::MAX) + 1, &load(5, 1, 0, 0), Cycle(1));
+        let (sm, epoch) = (usize::from(u16::MAX) + 1, Epoch::from(u32::MAX) + 1);
+        ch.on_completion(sm, &store(5, u64::MAX, 100, epoch), Cycle(u64::MAX));
+        ch.on_completion(sm, &load(5, u64::MAX, 100, epoch), Cycle(0));
+        ch.on_completion(usize::MAX, &load(5, 0, 0, epoch), Cycle(1));
+        assert!(ch.finish().is_empty());
+        let seen = ch.load_observations(BlockAddr(5));
+        assert_eq!(
+            seen.iter().map(|l| (l.sm, l.key)).collect::<Vec<_>>(),
+            [
+                (sm, Some((epoch, Timestamp(u64::MAX)))),
+                (usize::MAX, Some((epoch, Timestamp(0))))
+            ]
+        );
+        // A stale read at the far end of both widths is still caught.
+        ch.on_completion(sm, &load(5, u64::MAX, 0, epoch), Cycle(2));
+        assert_eq!(ch.finish().len(), 1);
+    }
+
+    #[test]
+    fn history_sorts_out_of_order_keys_and_replaces_equal_ones() {
+        let keys: [(Epoch, u64, u64); 8] = [
+            (0, 30, 1),
+            (0, 10, 2),
+            (1, 5, 3),
+            (0, 20, 4),
+            (0, 10, 5), // replaces version 2
+            (Epoch::MAX, u64::MAX, 6),
+            (0, 0, 7),
+            (1, 5, 8), // replaces version 3
+        ];
+        let (mut history, mut map) = (History::default(), BTreeMap::new());
+        for (epoch, wts, v) in keys {
+            let key = (epoch, Timestamp(wts));
+            assert_eq!(
+                history.insert(key, Version(v)),
+                map.insert(key, Version(v)).is_none()
+            );
+        }
+        let entries: Vec<_> = map.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(history.0, entries);
+        assert_eq!(bytes(&history), bytes(&map));
+        for epoch in [0, 1, Epoch::MAX] {
+            for ts in [0, 5, 10, 15, 20, 30, 31, u64::MAX] {
+                let key = (epoch, Timestamp(ts));
+                let inclusive = map.range(..=key).next_back().map(|(&k, &v)| (k, v));
+                let strict = map.range(..key).next_back().map(|(&k, &v)| (k, v));
+                assert_eq!(history.latest(key, true).copied(), inclusive, "{key:?}");
+                assert_eq!(history.latest(key, false).copied(), strict, "{key:?}");
+            }
+        }
+        // An image holding the keys as they arrived restores as the map
+        // would: sorted, the later of two equal keys kept.
+        let arrived: Vec<_> = keys
+            .iter()
+            .map(|&(epoch, wts, v)| ((epoch, Timestamp(wts)), Version(v)))
+            .collect();
+        let restored = History::load(&mut SnapReader::new(&bytes(&arrived))).expect("restores");
+        assert_eq!(restored.0, entries);
+    }
+
+    #[test]
+    fn version_set_restores_as_the_hash_set_did() {
+        let arrived: Vec<Version> = [9, 3, u64::MAX, 3, 0, 7].map(Version).into();
+        let set: FxHashSet<Version> = arrived.iter().copied().collect();
+        let restored = VersionSet::load(&mut SnapReader::new(&bytes(&arrived))).expect("restores");
+        assert_eq!(bytes(&restored), bytes(&set));
+        assert!(restored.contains(Version(u64::MAX)) && !restored.contains(Version(8)));
     }
 
     #[test]
@@ -836,14 +1106,15 @@ mod tests {
         let restored = Checker::load(&mut SnapReader::new(&image)).expect("restores");
         assert_eq!(restored.retained_events(), walk(&restored));
         assert_eq!(restored.retained_events(), ch.retained_events());
-        // A restored log is allocated to its length: only the counts match.
+        // A restored log is coded afresh: only the counts match.
         let (a, b) = (restored.footprint(), ch.footprint());
         assert_eq!((a.loads, a.stores), (b.loads, b.stores));
     }
 
-    /// The checker as it was before its loads were packed: every
-    /// observation kept verbatim per block. The validation helpers are
-    /// shared; what differs is only how a load is stored.
+    /// The checker as it was before its history was coded: every
+    /// observation kept verbatim per block, the stores in a `BTreeMap` and
+    /// the versions in a hash set. The violation text is shared; what
+    /// differs is how the history is kept and searched.
     #[derive(Default)]
     struct Reference {
         stores: FxHashMap<BlockAddr, BTreeMap<(Epoch, Timestamp), Version>>,
@@ -906,7 +1177,12 @@ mod tests {
                         Some(key) if horizon.is_some_and(|h| key < h) => {
                             self.horizon_accepts += 1;
                         }
-                        Some(key) => out.extend(keyed_violation(*block, ld, key, stores)),
+                        Some(key) => out.extend(keyed_violation(
+                            *block,
+                            ld,
+                            key,
+                            reference_expected(stores, key, ld.exclusive),
+                        )),
                         None => {
                             let known = ld.version == Version::ZERO
                                 || self
@@ -948,7 +1224,7 @@ mod tests {
                                 *block,
                                 &ld,
                                 key,
-                                Some(&*history),
+                                reference_expected(Some(&*history), key, ld.exclusive),
                             )),
                             _ => kept.push(ld),
                         }
@@ -987,6 +1263,23 @@ mod tests {
         }
     }
 
+    /// The latest store at or before `key` (strictly before, for an
+    /// atomic's read half), by the ordered map's own range queries.
+    fn reference_expected(
+        stores: Option<&BTreeMap<(Epoch, Timestamp), Version>>,
+        key: (Epoch, Timestamp),
+        exclusive: bool,
+    ) -> Version {
+        let latest = stores.and_then(|m| {
+            if exclusive {
+                m.range(..key).next_back()
+            } else {
+                m.range(..=key).next_back()
+            }
+        });
+        latest.map_or(Version::ZERO, |(_, v)| *v)
+    }
+
     /// A seeded SplitMix64 stream.
     struct Stream(u64);
 
@@ -999,14 +1292,22 @@ mod tests {
         fn pick<T: Copy>(&mut self, of: &[T]) -> T {
             of[self.below(of.len() as u64) as usize]
         }
+
+        /// Below `n`, or one time in four within `n` of `u64::MAX`.
+        fn wide(&mut self, n: u64) -> u64 {
+            let base = if self.below(4) == 0 { u64::MAX - n } else { 0 };
+            base + self.below(n)
+        }
     }
 
     /// One random completion: loads, stores and atomics, keyed and not,
     /// over a few blocks, epochs and SMs, with versions that are mostly
-    /// right and sometimes stale, future or phantom.
+    /// right and sometimes stale, future or phantom. SMs, epochs,
+    /// timestamps, versions and cycles reach past 16 and 32 bits to the
+    /// top of their types, so deltas wrap both ways.
     fn random_completion(rng: &mut Stream) -> (usize, Completion, Cycle) {
-        const EPOCHS: [Epoch; 4] = [0, 1, 2, u32::MAX as Epoch];
-        let sm = rng.pick(&[0, 1, 2, 3, usize::from(u16::MAX)]);
+        const EPOCHS: [Epoch; 6] = [0, 1, 2, u32::MAX as Epoch, 1 << 32, Epoch::MAX];
+        let sm = rng.pick(&[0, 1, 2, 3, usize::from(u16::MAX) + 1, usize::MAX]);
         let kind = rng.pick(&[
             AccessKind::Load,
             AccessKind::Load,
@@ -1019,12 +1320,12 @@ mod tests {
             warp: WarpId(0),
             kind,
             block: BlockAddr(rng.below(6)),
-            version: Version(rng.below(24)),
-            ts: (rng.below(8) != 0).then(|| Timestamp(rng.below(40))),
+            version: Version(rng.wide(24)),
+            ts: (rng.below(8) != 0).then(|| Timestamp(rng.wide(40))),
             epoch: rng.pick(&EPOCHS),
-            prev: (kind == AccessKind::Atomic && rng.below(8) != 0).then(|| Version(rng.below(24))),
+            prev: (kind == AccessKind::Atomic && rng.below(8) != 0).then(|| Version(rng.wide(24))),
         };
-        (sm, c, Cycle(rng.below(10_000)))
+        (sm, c, Cycle(rng.wide(10_000)))
     }
 
     fn assert_agree(ch: &Checker, reference: &mut Reference, seed: u64) -> usize {
@@ -1085,7 +1386,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_records_agree_with_verbatim_observations() {
+    fn coded_history_agrees_with_verbatim_observations() {
         let (mut accepted, mut violations) = (0, 0);
         for seed in 0..48u64 {
             let mut rng = Stream(seed);

@@ -188,7 +188,9 @@ macro_rules! run_and_report {
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         if !cli.quiet {
             // What the run's coherence checker holds at the end: the
-            // largest thing a long run keeps (DESIGN.md §15.6).
+            // largest thing a long run keeps (DESIGN.md §15.6). The bytes
+            // are the capacity of its per-block delta-coded load logs, a
+            // few bytes a load, not a count of fixed-size records.
             let checker = $sim.checker().footprint();
             println!(
                 "checker: {} loads, {} stores retained, {} bytes of load records",

@@ -253,22 +253,26 @@ fn steady_state_slices_allocate_only_for_the_checker() {
 }
 
 /// Exact, because the simulation is deterministic (a toolchain whose
-/// `Vec`, `BTreeMap` or `HashSet` grow differently may move it: re-pin
-/// after checking the sites). Over the 4 000 measured cycles and 26 046
-/// completions, by sampled backtrace: 623 nodes of `Checker::stores`'
-/// per-block ordered maps (3 255 stores), 23 growths of
-/// `Checker::written`'s sets, 1 of a `Checker::loads` log, and 6
-/// doublings of completion buffers (`GtscL1::done`, `Sm::done`) still
-/// reaching their high-water mark. Anything else is a regression.
-const STEADY_STATE_ALLOCATIONS: u64 = 653;
+/// `Vec` grows differently may move it: re-pin after checking the
+/// sites). Over the 4 000 measured cycles and 26 046 completions, by
+/// sampled backtrace, every one a doubling: for each of the 8 blocks,
+/// two of its coded load log (`LoadLog::push`, 8 → 32 KiB), two of its
+/// store history (256 → 1 024 entries) and two of its version set (the
+/// last two inlined into `Checker::on_completion`); and 6 of completion
+/// buffers (`GtscL1::done` from `serve_waiters`, `Sm::done`) still
+/// reaching their high-water mark. Anything else is a regression. While
+/// the stores sat in per-block `BTreeMap`s and the versions in hash sets
+/// this was 653, 623 of them map nodes.
+const STEADY_STATE_ALLOCATIONS: u64 = 54;
 
 /// What a finished run keeps grows with the checker's record of every
 /// completion — each observed load until `finish` (DESIGN.md §15.6). CC
 /// Small under G-TSC-RC, whose checker keeps more loads than stores: its
 /// `run_kernel` leaves 859 184 bytes live over 5 083 checker events (169
-/// per event) while each load is kept as a 56-byte `LoadObservation`, and
-/// 671 120 (132 per event) as a 32-byte record. The rest is the
-/// checker's stores and version sets and the queues the run grew.
+/// per event) while each load is kept as a 56-byte `LoadObservation`,
+/// 671 120 (132 per event) as a 32-byte record, and 438 808 (86.3 per
+/// event) delta-coded, with the stores and versions in flat lists. The
+/// rest is the checker's per-block state and the queues the run grew.
 #[test]
 fn a_finished_run_keeps_few_bytes_per_checker_event() {
     let kernel = Benchmark::Cc.build(Scale::Small);
@@ -284,8 +288,9 @@ fn a_finished_run_keeps_few_bytes_per_checker_event() {
     );
 }
 
-/// Between the two readings above: a load record back at 56 bytes fails.
-const KEPT_BYTES_PER_EVENT: f64 = 150.0;
+/// Between the last two readings above: a load kept as a 32-byte record
+/// again fails.
+const KEPT_BYTES_PER_EVENT: f64 = 110.0;
 
 /// A checkpoint image as large as a Full-scale one, and what either
 /// direction of the store may hold beside it.
