@@ -20,7 +20,7 @@ use gtsc_protocol::{
     AccessKind, Completion, L1Controller, L1Outcome, MemAccess, PendingStore, StoreBook,
     VersionMint, Waiter,
 };
-use gtsc_trace::{EventKind, Tracer};
+use gtsc_trace::{EventKind, LeaseOp, Probe};
 use gtsc_types::{CacheGeometry, CacheStats, Cycle, Timestamp, Version, WarpId};
 
 use crate::TcMode;
@@ -76,7 +76,7 @@ pub struct TcL1 {
     out: VecDeque<L1ToL2>,
     mint: VersionMint,
     stats: CacheStats,
-    tracer: Tracer,
+    probe: Probe,
 }
 
 impl TcL1 {
@@ -92,7 +92,7 @@ impl TcL1 {
             out: VecDeque::new(),
             mint: VersionMint::new(p.sm_index, p.n_warps),
             stats: CacheStats::default(),
-            tracer: Tracer::disabled(),
+            probe: Probe::disabled(),
             p,
         }
     }
@@ -119,7 +119,7 @@ impl L1Controller for TcL1 {
                         self.stats.hits += 1;
                         let version = line.meta.version;
                         let expires = line.meta.expires;
-                        self.tracer.record_with(now, || EventKind::Hit {
+                        self.probe.emit(now, || EventKind::Hit {
                             block: acc.block,
                             warp: acc.warp.0,
                             warp_ts: now.0,
@@ -153,14 +153,14 @@ impl L1Controller for TcL1 {
                     self.stats.expired_misses += 1;
                     // TC leases are physical: `now` and the expiry time play
                     // the roles G-TSC gives `warp_ts` and `rts`.
-                    self.tracer.record_with(now, || EventKind::ExpiredMiss {
+                    self.probe.emit(now, || EventKind::ExpiredMiss {
                         block: acc.block,
                         warp_ts: now.0,
                         rts: expires.0,
                     });
                 } else {
                     self.stats.cold_misses += 1;
-                    self.tracer.record_with(now, || EventKind::ColdMiss {
+                    self.probe.emit(now, || EventKind::ColdMiss {
                         block: acc.block,
                         warp: acc.warp.0,
                     });
@@ -212,8 +212,8 @@ impl L1Controller for TcL1 {
                     let g = &mut self.gwct[sw.warp.0 as usize];
                     *g = (*g).max(expires);
                 }
-                self.tracer
-                    .record_with(now, || EventKind::WriteAck { block: a.block });
+                self.probe
+                    .emit(now, || EventKind::WriteAck { block: a.block });
                 self.done.push(sw.acked(a.block, prev));
             }
             return &self.done;
@@ -229,13 +229,20 @@ impl L1Controller for TcL1 {
                 };
                 if let Some(ev) = self.tags.fill(f.block, meta) {
                     self.stats.evictions += 1;
-                    self.tracer.record_with(now, || EventKind::Eviction {
+                    self.probe.emit(now, || EventKind::Eviction {
                         block: ev.block,
                         rts: ev.meta.expires.0,
+                        mem_ts: None,
                     });
                 }
-                self.tracer
-                    .record_with(now, || EventKind::FillApplied { block: f.block });
+                // A physical lease: `[0, expiry]` in the logical slots.
+                self.probe.emit(now, || EventKind::Lease {
+                    op: LeaseOp::Install,
+                    block: f.block,
+                    wts: 0,
+                    rts: expires.0,
+                    epoch: 0,
+                });
                 let mut waiters = self.mshr.take(f.block);
                 for w in waiters.drain(..) {
                     self.done.push(w.loaded(f.block, f.version));
@@ -291,12 +298,12 @@ impl L1Controller for TcL1 {
         self.stats
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    fn tracer(&self) -> Option<&Tracer> {
-        Some(&self.tracer)
+    fn probe(&self) -> Option<&Probe> {
+        Some(&self.probe)
     }
 }
 

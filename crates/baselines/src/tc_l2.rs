@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 use gtsc_mem::TagArray;
 use gtsc_protocol::msg::{FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq, WriteAckResp, WriteReq};
 use gtsc_protocol::{BankShell, ControllerPressure, L2Controller};
-use gtsc_trace::{EventKind, Sanitizer, Tracer, Transition};
+use gtsc_trace::{EventKind, Probe};
 use gtsc_types::{BlockAddr, CacheGeometry, CacheStats, Cycle, Version};
 
 use crate::TcMode;
@@ -83,8 +83,7 @@ pub struct TcL2 {
     /// `blocked`'s keys as `drain_blocked` walks them, kept likewise.
     blocked_keys: Vec<BlockAddr>,
     stats: CacheStats,
-    tracer: Tracer,
-    sanitizer: Sanitizer,
+    probe: Probe,
 }
 
 impl TcL2 {
@@ -99,8 +98,7 @@ impl TcL2 {
             install_retry: Vec::new(),
             blocked_keys: Vec::new(),
             stats: CacheStats::default(),
-            tracer: Tracer::disabled(),
-            sanitizer: Sanitizer::disabled(),
+            probe: Probe::disabled(),
             p,
         }
     }
@@ -114,17 +112,9 @@ impl TcL2 {
             .expect("caller checked residency");
         line.meta.expires = line.meta.expires.max(now + lease);
         let (expires, version) = (line.meta.expires, line.meta.version);
-        // TC leases are physical: `wts` has no analogue, the expiry time
-        // plays the role G-TSC gives `rts`.
-        self.tracer.record_with(now, || EventKind::LeaseGrant {
+        self.probe.emit(now, || EventKind::TcLease {
             block,
-            wts: 0,
-            rts: expires.0,
-        });
-        self.sanitizer.check_with(now, || Transition::TcLease {
-            block,
-            now,
-            expires,
+            expires: expires.0,
         });
         let fill = FillResp {
             block,
@@ -148,17 +138,14 @@ impl TcL2 {
         line.meta.version = w.version;
         line.meta.dirty = true;
         self.stats.stores += 1;
-        self.tracer
-            .record_with(now, || EventKind::StoreCommit { block, wts: now.0 });
-        if self.p.mode == TcMode::Strong {
-            // Write atomicity: a strong write performs only once every
-            // outstanding lease has run out.
-            self.sanitizer.check_with(now, || Transition::TcWrite {
-                block,
-                now,
-                expires: pre_expires,
-            });
-        }
+        // Under TC-Strong, write atomicity: a strong write performs only
+        // once every outstanding lease has run out.
+        let strong = self.p.mode == TcMode::Strong;
+        self.probe.emit(now, || EventKind::TcWrite {
+            block,
+            expires: pre_expires.0,
+            strong,
+        });
         let lease = match self.p.mode {
             // Strong: the ack certifies global performance; nothing to carry.
             TcMode::Strong => LeaseInfo::None,
@@ -212,8 +199,7 @@ impl TcL2 {
         } else if self.performable(&msg, now) {
             self.perform(src, msg, now);
         } else {
-            self.tracer
-                .record_with(now, || EventKind::BlockedOnWrite { block });
+            self.probe.emit(now, || EventKind::BlockedOnWrite { block });
             self.park(src, msg);
         }
     }
@@ -250,9 +236,10 @@ impl TcL2 {
             Ok(evicted) => {
                 if let Some(ev) = evicted {
                     self.stats.evictions += 1;
-                    self.tracer.record_with(now, || EventKind::Eviction {
+                    self.probe.emit(now, || EventKind::Eviction {
                         block: ev.block,
                         rts: ev.meta.expires.0,
+                        mem_ts: None,
                     });
                     if ev.meta.dirty {
                         self.shell.write_back(ev.block, ev.meta.version);
@@ -382,16 +369,12 @@ impl L2Controller for TcL2 {
         self.shell.pressure()
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    fn tracer(&self) -> Option<&Tracer> {
-        Some(&self.tracer)
-    }
-
-    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
+    fn probe(&self) -> Option<&Probe> {
+        Some(&self.probe)
     }
 
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {

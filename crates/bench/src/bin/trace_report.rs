@@ -8,11 +8,11 @@
 //! sampled IPC / expired-miss-rate series as counter tracks.
 //!
 //! The run executes with the online transition sanitizer armed;
-//! `--lint` additionally replays the collected event log through the
-//! invariant catalog's offline driver ([`gtsc_check::lint_events`] —
-//! every per-event rule recorded events can feed) and exits nonzero on
-//! any sanitizer violation or error-severity finding, making this the
-//! CI sanitize-smoke as well as the worked tracing example.
+//! `--lint` additionally runs the invariant catalog's offline sink
+//! ([`gtsc_check::lint_events`] — every rule a recording can judge) over
+//! the same events, collected, and exits nonzero on any sanitizer
+//! violation or error-severity finding, making this the CI
+//! sanitize-smoke as well as the worked tracing example.
 //!
 //! Run: `cargo run --release -p gtsc-bench --bin trace_report
 //!       [-- --chrome trace.json] [-- --lines trace.txt] [-- --lint]`

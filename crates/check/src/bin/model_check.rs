@@ -15,17 +15,41 @@
 //! ```text
 //! model_check [--verbose] [--races] [--max-schedules N]
 //! ```
+//!
+//! An unknown flag, or a missing or malformed `--max-schedules`, exits 2
+//! with the usage line before anything runs, so a typo cannot quietly
+//! check something else.
 
 use gtsc_check::litmus::{all_litmus, run_litmus, LitmusRun};
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
+const USAGE: &str = "usage: model_check [--verbose] [--races] [--max-schedules N]";
+
+/// What the command line asks for.
+struct Cli {
+    verbose: bool,
+    races: bool,
+    max_schedules: u64,
+}
+
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli {
+        verbose: false,
+        races: false,
+        max_schedules: 1_000_000,
+    };
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--verbose" => cli.verbose = true,
+            "--races" => cli.races = true,
+            "--max-schedules" => {
+                let n = args.next().ok_or("--max-schedules needs a number")?;
+                cli.max_schedules = (n.parse())
+                    .map_err(|_| format!("--max-schedules takes a number, not {n:?}"))?;
+            }
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    None
+    Ok(cli)
 }
 
 /// Prints one run's report; returns whether it failed.
@@ -79,10 +103,13 @@ fn report(r: &LitmusRun, verbose: bool, races: bool) -> bool {
 }
 
 fn main() {
-    let verbose = std::env::args().any(|a| a == "--verbose");
-    let races = std::env::args().any(|a| a == "--races");
-    let max_schedules = arg_value("--max-schedules").map_or(1_000_000, |v| {
-        v.parse().expect("--max-schedules takes a number")
+    let Cli {
+        verbose,
+        races,
+        max_schedules,
+    } = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
     });
 
     let mut failed = 0usize;

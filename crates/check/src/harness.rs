@@ -24,9 +24,12 @@
 //! exactly the nondeterminism the protocol's timestamp rules must
 //! tolerate.
 //!
-//! Every run executes with an enabled [`Sanitizer`] shared across all
-//! components; its violations are part of the run's outcome, so a
-//! transition-invariant breach on *any* schedule fails the litmus test.
+//! Every component reports through a [`Probe`] whose rule sink is one
+//! enabled [`Sanitizer`] shared across all of them; its violations are
+//! part of the run's outcome, so a transition-invariant breach on *any*
+//! schedule fails the litmus test. The probes also keep the full event
+//! log ([`MicroGtsc::recording`]), which the offline sink can judge
+//! after the run.
 //! Independently, every message handed over and every retired access is
 //! fed to a [`RaceOracle`], whose findings are also part of the outcome
 //! — the oracle derives ordering from message causality alone, so it
@@ -35,9 +38,10 @@
 //! What the fabric adds is hierarchy: a device is simultaneously a lease
 //! *consumer* (it installs inter-GPU grants from the home) and a lease
 //! *producer* (it hands nested leases to L1s). The sanitizer checks the
-//! nesting online (`DeviceServe`), and the oracle checks it from the
-//! message stream (`lease-outside-grant`), observing the device as both
-//! an installing SM-like actor and a granting bank-like actor.
+//! nesting online (`serve-outside-device-grant`), and the oracle checks
+//! it from the message stream (`lease-outside-grant`), observing the
+//! device as both an installing SM-like actor and a granting bank-like
+//! actor.
 //!
 //! Crashes are first-class on both sides: [`HarnessCfg`] can wipe one
 //! unit — the bank, or a device — just before the Nth serve. Committed
@@ -55,8 +59,8 @@ use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, LeaseInfo};
 use gtsc_protocol::{
     AccessId, AccessKind, Completion, L1Controller, L1Outcome, L2Controller, MemAccess, VersionMint,
 };
-use gtsc_trace::{Finding, Report, Sanitizer, Scope};
-use gtsc_types::{BlockAddr, Cycle, Lease, Version, WarpId};
+use gtsc_trace::{merge_tails, Finding, Probe, Report, Sanitizer, Scope, SpanTracker, TraceEvent};
+use gtsc_types::{BlockAddr, Cycle, Lease, TraceConfig, Version, WarpId};
 
 use crate::explore::Schedulable;
 use crate::litmus::Op;
@@ -228,6 +232,9 @@ trait MemorySide: Debug {
     fn drained(&self) -> bool {
         true
     }
+
+    /// The probes of every component, for the recording.
+    fn probes(&self) -> Vec<&Probe>;
 }
 
 const BANK: Scope = Scope::L2Bank(0);
@@ -242,14 +249,19 @@ struct LocalDram {
 }
 
 impl LocalDram {
-    fn new(n_sms: usize, cfg: &HarnessCfg, duplicate: bool, sanitizer: &Sanitizer) -> Self {
+    fn new(
+        n_sms: usize,
+        cfg: &HarnessCfg,
+        duplicate: bool,
+        probe: &dyn Fn(Scope) -> Probe,
+    ) -> Self {
         let mut l2 = GtscL2::new(L2Params {
             lease: Lease(cfg.lease),
             ts_bits: cfg.ts_bits,
             n_sms,
             ..L2Params::default()
         });
-        l2.set_sanitizer(sanitizer.for_scope(BANK));
+        l2.set_probe(probe(BANK));
         l2.set_mutation(cfg.mutation);
         LocalDram { l2, duplicate }
     }
@@ -310,6 +322,10 @@ impl MemorySide for LocalDram {
     fn drained(&self) -> bool {
         !self.duplicate || self.l2.is_idle()
     }
+
+    fn probes(&self) -> Vec<&Probe> {
+        self.l2.probe().into_iter().collect()
+    }
 }
 
 /// Per-device `DeviceL2`s under one authoritative `HomeNode`, joined by
@@ -321,7 +337,12 @@ struct FabricToHome {
 }
 
 impl FabricToHome {
-    fn new(n_devices: usize, cfg: &HarnessCfg, grant_lease: u64, sanitizer: &Sanitizer) -> Self {
+    fn new(
+        n_devices: usize,
+        cfg: &HarnessCfg,
+        grant_lease: u64,
+        probe: &dyn Fn(Scope) -> Probe,
+    ) -> Self {
         let devices = (0..n_devices)
             .map(|d| {
                 let mut dev = DeviceL2::new(DeviceParams {
@@ -329,7 +350,7 @@ impl FabricToHome {
                     latency: 1,
                     ports: 4,
                 });
-                dev.set_sanitizer(sanitizer.for_scope(device_scope(d)));
+                dev.set_probe(probe(device_scope(d)));
                 dev.set_mutation(cfg.mutation);
                 dev
             })
@@ -339,7 +360,7 @@ impl FabricToHome {
             ts_bits: cfg.ts_bits,
             latency: 1,
         });
-        home.set_sanitizer(sanitizer.for_scope(HOME));
+        home.set_probe(probe(HOME));
         FabricToHome { devices, home }
     }
 }
@@ -347,6 +368,11 @@ impl FabricToHome {
 impl MemorySide for FabricToHome {
     fn scope(&self, unit: usize) -> Scope {
         device_scope(unit)
+    }
+
+    fn probes(&self) -> Vec<&Probe> {
+        let devices = self.devices.iter().filter_map(|d| d.probe());
+        devices.chain([self.home.probe()]).collect()
     }
 
     fn crash(&mut self, unit: usize, now: Cycle) {
@@ -452,6 +478,8 @@ impl MicroGtsc {
             );
         }
         let sanitizer = Sanitizer::enabled(Scope::Sm(0));
+        let (trace, spans) = (TraceConfig::full(), SpanTracker::disabled());
+        let probe = |scope| Probe::new(scope, &trace, &sanitizer, &spans);
         let l1s: Vec<GtscL1> = (0..n)
             .map(|t| {
                 let mut l1 = GtscL1::new(L1Params {
@@ -459,7 +487,7 @@ impl MicroGtsc {
                     sm_index: t,
                     ..L1Params::default()
                 });
-                l1.set_sanitizer(sanitizer.for_scope(sm_scope(t)));
+                l1.set_probe(probe(sm_scope(t)));
                 l1.set_mutation(cfg.mutation);
                 l1
             })
@@ -467,10 +495,10 @@ impl MicroGtsc {
         let mem: Box<dyn MemorySide> = match cfg.topology {
             Topology::OnDie { duplicate_serves } => {
                 assert!(n_units == 1, "on die every thread runs on device 0");
-                Box::new(LocalDram::new(n, &cfg, duplicate_serves, &sanitizer))
+                Box::new(LocalDram::new(n, &cfg, duplicate_serves, &probe))
             }
             Topology::Fabric { grant_lease } => {
-                Box::new(FabricToHome::new(n_units, &cfg, grant_lease, &sanitizer))
+                Box::new(FabricToHome::new(n_units, &cfg, grant_lease, &probe))
             }
         };
         let mut m = MicroGtsc {
@@ -708,6 +736,18 @@ pub(crate) fn resp_meta(resp: L2ToL1) -> Option<RespMeta> {
             })
         }
         L2ToL1::Invalidate { .. } => None,
+    }
+}
+
+impl MicroGtsc {
+    /// Every component's recorded events, merged in cycle order.
+    #[must_use]
+    pub fn recording(&self) -> Vec<TraceEvent> {
+        let l1s = self.l1s.iter().filter_map(|l1| l1.probe());
+        let logs: Vec<Vec<TraceEvent>> = (l1s.chain(self.mem.probes()))
+            .map(|p| p.events().to_vec())
+            .collect();
+        merge_tails(&logs)
     }
 }
 

@@ -2,17 +2,17 @@
 //!
 //! Three layers, each catching bugs the others cannot:
 //!
-//! * **The invariant catalog, two drivers** — every per-event protocol
+//! * **The invariant catalog, two sinks** — every per-event protocol
 //!   rule is stated once, in [`gtsc_trace::rules`] ([`RULES`] names
-//!   them; one [`gtsc_trace::RuleMachine`] evaluates them). The *online*
-//!   driver is the transition [`Sanitizer`], hooked into every
-//!   GtscL1/GtscL2 (and TC baseline, device, home) state change and
-//!   enabled with `GpuConfig::sanitize`: it catches *transient*
-//!   violations that self-heal before the end-of-run value checker
-//!   looks. The *offline* driver is [`lint_events`] ([`lint`]), which
-//!   replays any recorded [`gtsc_trace::TraceEvent`] stream through the
-//!   same machine — including traces captured from full-scale runs
-//!   where the sanitizer was off.
+//!   them; one [`gtsc_trace::RuleMachine`] evaluates them over the
+//!   events every component emits through its `gtsc_trace::Probe`). The
+//!   *online* sink is the [`Sanitizer`], enabled with
+//!   `GpuConfig::sanitize`: it catches *transient* violations that
+//!   self-heal before the end-of-run value checker looks. The *offline*
+//!   sink is [`lint_events`] ([`lint`]), the same machine over any
+//!   recorded [`gtsc_trace::TraceEvent`] stream — including traces
+//!   captured from full-scale runs where the sanitizer was off.
+//!   `Rule::fed` says which sink judges which rule.
 //! * **Exhaustive litmus model checking** ([`litmus`], [`harness`],
 //!   [`spec`], [`explore`]) — every schedule of tiny two-to-four-thread
 //!   programs driven through the real controllers and compared against
@@ -48,7 +48,7 @@ pub mod races;
 pub mod spec;
 
 pub use explore::{explore_all, Explored, Schedulable};
-pub use gtsc_trace::{Finding, Report, Sanitizer, Severity, Transition, RULES};
+pub use gtsc_trace::{Finding, Report, Sanitizer, Severity, RULES};
 pub use harness::{HarnessCfg, MicroGtsc, Topology};
 pub use lint::lint_events;
 pub use litmus::{all_litmus, run_litmus, Litmus, LitmusRun, Mode, Op};

@@ -13,13 +13,19 @@
 //! The rendered table is `results/kill_matrix.txt`; the test compares a
 //! fresh rendering with the committed file, so a rule that starts or
 //! stops killing a mutant shows up as a diff to review, not as silence.
+//!
+//! The same shapes also show the two sinks of the catalog agree on the
+//! real controllers: judged offline, each run's full recording raises
+//! exactly the [`Fed::Both`] part of what the live sink raised.
 
 use std::collections::BTreeSet;
 
-use gtsc_check::explore::explore_all;
+use gtsc_check::explore::{explore_all, Schedulable};
 use gtsc_check::harness::{HarnessCfg, MicroGtsc, Topology};
+use gtsc_check::lint_events;
 use gtsc_check::litmus::{on_die, Op};
 use gtsc_core::ProtocolMutation;
+use gtsc_trace::{Fed, RULES};
 
 fn ld(id: u32, block: u64) -> Op {
     Op::Load { id, block }
@@ -194,4 +200,59 @@ fn the_kill_matrix_is_exact_and_every_control_is_clean() {
         include_str!("../../../results/kill_matrix.txt"),
         "results/kill_matrix.txt is stale; the fresh table is:\n{fresh}"
     );
+}
+
+/// A run judged by both sinks: live, and offline over its recording.
+struct Recorded(MicroGtsc);
+
+impl Schedulable for Recorded {
+    /// The rules the live sink raised, and those the recording raised.
+    type Outcome = (BTreeSet<&'static str>, BTreeSet<&'static str>);
+
+    fn fanout(&self) -> usize {
+        self.0.fanout()
+    }
+
+    fn choose(&mut self, idx: usize) {
+        self.0.choose(idx);
+    }
+
+    fn outcome(&self) -> Self::Outcome {
+        let (_, live, _) = self.0.outcome();
+        let recorded = lint_events(&self.0.recording()).findings;
+        let rules = |f: &[gtsc_check::Finding]| f.iter().map(|f| f.rule).collect();
+        (rules(&live), rules(&recorded))
+    }
+}
+
+#[test]
+fn every_recording_raises_the_both_fed_part_of_the_live_findings() {
+    let both: BTreeSet<&str> = (RULES.iter())
+        .filter(|r| r.fed == Fed::Both)
+        .map(|r| r.name)
+        .collect();
+    for m in MUTANTS {
+        let (threads, healthy, per_event, _) = witness(m);
+        for mutation in [ProtocolMutation::None, m] {
+            let cfg = HarnessCfg {
+                mutation,
+                ..healthy
+            };
+            let r = explore_all(|| Recorded(MicroGtsc::new(&threads, cfg)), 200_000);
+            assert!(!r.truncated);
+            let mut recorded_any = BTreeSet::new();
+            for (live, recorded) in &r.outcomes {
+                let expected: BTreeSet<_> = live.intersection(&both).copied().collect();
+                assert_eq!(recorded, &expected, "{mutation:?} on {m:?}'s shape");
+                recorded_any.extend(recorded);
+            }
+            let want: BTreeSet<_> = match mutation {
+                ProtocolMutation::None => BTreeSet::new(),
+                _ => (per_event.iter().copied())
+                    .filter(|r| both.contains(r))
+                    .collect(),
+            };
+            assert_eq!(recorded_any, want, "{mutation:?}: raised offline");
+        }
+    }
 }

@@ -1,20 +1,18 @@
-//! One row per catalog rule, both drivers.
+//! One row per catalog rule, through the sink that judges it.
 //!
-//! Every [`RULES`] entry gets a clean fact sequence and a dirty one.
-//! Each row runs through the online driver ([`Sanitizer::check_with`])
-//! and — where the catalog says recorded events carry the rule's facts —
-//! is rendered as the [`TraceEvent`]s a controller would have recorded
-//! and run through the offline driver ([`lint_events`]). Either driver
-//! must raise exactly the row's rule on the dirty sequence and nothing
-//! on the clean one: a rule means the same thing whichever stream it was
-//! read from, and every name a driver can print is a catalog name.
+//! Every [`RULES`] entry gets a clean event sequence and a dirty one,
+//! written in the one vocabulary the components emit ([`EventKind`]).
+//! Each row runs through the live sink ([`Sanitizer`]) unless the rule is
+//! [`Fed::Offline`], and through the recorded-stream sink
+//! ([`lint_events`]) unless it is [`Fed::Online`] — the same events, no
+//! translation. Either sink must raise exactly the row's rule on the
+//! dirty sequence and nothing on the clean one, and every name a sink can
+//! print is a catalog name.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use gtsc_check::lint_events;
-use gtsc_trace::{
-    EventKind, Fed, Finding, Sanitizer, Scope, Severity, TraceEvent, Transition, RULES,
-};
+use gtsc_trace::{EventKind, Fed, Finding, LeaseOp, Sanitizer, Scope, Severity, TraceEvent, RULES};
 use gtsc_types::{BlockAddr, Cycle, Timestamp};
 
 const SM: Scope = Scope::Sm(0);
@@ -23,7 +21,7 @@ const HOME: Scope = Scope::Home(0);
 const DEV: Scope = Scope::Device(0);
 const NOC: Scope = Scope::Noc(0);
 
-type Facts = Vec<(Scope, Transition)>;
+type Facts = Vec<TraceEvent>;
 
 struct Row {
     rule: &'static str,
@@ -34,95 +32,115 @@ struct Row {
     dirty: Facts,
 }
 
-fn ts(n: u64) -> Timestamp {
-    Timestamp(n)
-}
 fn b(n: u64) -> BlockAddr {
     BlockAddr(n)
 }
-fn l1_lease(block: u64, wts: u64, rts: u64, epoch: u64) -> Transition {
-    Transition::L1Lease {
+/// `(scope, kind)` pairs at cycles 0, 1, 2…
+fn seq(facts: Vec<(Scope, EventKind)>) -> Facts {
+    let at = |(i, (scope, kind)): (usize, (Scope, EventKind))| TraceEvent {
+        cycle: Cycle(i as u64),
+        scope,
+        kind,
+    };
+    facts.into_iter().enumerate().map(at).collect()
+}
+fn on(scope: Scope, kinds: Vec<EventKind>) -> Facts {
+    seq(kinds.into_iter().map(|k| (scope, k)).collect())
+}
+fn at(cycle: u64, scope: Scope, kind: EventKind) -> TraceEvent {
+    TraceEvent {
+        cycle: Cycle(cycle),
+        scope,
+        kind,
+    }
+}
+/// An install: an L1's lease under [`SM`], a device's grant under
+/// [`DEV`], a DRAM fill under [`BANK`].
+fn install(block: u64, wts: u64, rts: u64, epoch: u64) -> EventKind {
+    EventKind::Lease {
+        op: LeaseOp::Install,
         block: b(block),
-        wts: ts(wts),
-        rts: ts(rts),
+        wts,
+        rts,
         epoch,
     }
 }
-fn l1_hit(block: u64, warp_ts: u64, rts: u64) -> Transition {
-    Transition::L1Hit {
+fn l1_hit(block: u64, warp_ts: u64, rts: u64) -> EventKind {
+    EventKind::Hit {
         block: b(block),
         warp: 0,
-        warp_ts: ts(warp_ts),
-        rts: ts(rts),
+        warp_ts,
+        rts,
     }
 }
-fn warp_ts(warp: u16, t: u64) -> Transition {
-    Transition::WarpTs { warp, ts: ts(t) }
+fn warp_ts(warp: u16, t: u64) -> EventKind {
+    EventKind::WarpTs {
+        warp,
+        ts: Timestamp(t),
+    }
 }
-fn enter(epoch: u64) -> Transition {
-    Transition::EpochEnter { epoch }
+fn enter(epoch: u64) -> EventKind {
+    EventKind::Rollover { epoch }
 }
-fn grant(block: u64, wts: u64, rts: u64, epoch: u64) -> Transition {
-    Transition::L2Grant {
+fn crash(epoch: u64) -> EventKind {
+    EventKind::BankReset { epoch }
+}
+/// A grant served with data: a bank's or the home's, or under [`DEV`] a
+/// device's serve from its installed grant.
+fn grant(block: u64, wts: u64, rts: u64, epoch: u64) -> EventKind {
+    EventKind::Lease {
+        op: LeaseOp::Grant,
         block: b(block),
-        wts: ts(wts),
-        rts: ts(rts),
+        wts,
+        rts,
         epoch,
     }
 }
-fn renew(block: u64, rts: u64, epoch: u64) -> Transition {
-    Transition::L2Renew {
+fn renew(block: u64, wts: u64, rts: u64, epoch: u64) -> EventKind {
+    EventKind::Lease {
+        op: LeaseOp::Renew,
         block: b(block),
-        rts: ts(rts),
+        wts,
+        rts,
         epoch,
     }
 }
-fn store(block: u64, wts: u64, rts: u64, epoch: u64) -> Transition {
-    Transition::L2Store {
+fn store(block: u64, wts: u64, rts: u64, epoch: u64) -> EventKind {
+    EventKind::Lease {
+        op: LeaseOp::Commit,
         block: b(block),
-        wts: ts(wts),
-        rts: ts(rts),
+        wts,
+        rts,
         epoch,
     }
 }
-fn install(block: u64, wts: u64, rts: u64, epoch: u64) -> Transition {
-    Transition::GrantInstall {
-        block: b(block),
-        wts: ts(wts),
-        rts: ts(rts),
-        epoch,
-    }
-}
-fn serve(block: u64, wts: u64, rts: u64, epoch: u64) -> Transition {
-    Transition::DeviceServe {
-        block: b(block),
-        wts: ts(wts),
-        rts: ts(rts),
-        epoch,
-    }
-}
-fn evict(block: u64, rts: u64) -> Transition {
-    Transition::Recorded(EventKind::Eviction {
+fn evict(block: u64, rts: u64, mem_ts: Option<u64>) -> EventKind {
+    EventKind::Eviction {
         block: b(block),
         rts,
-    })
+        mem_ts,
+    }
 }
-fn retransmit(src: u16, age: u64, timeout: u64, nack: bool) -> Transition {
-    Transition::Recorded(EventKind::Retransmit {
+fn tc_write(block: u64, expires: u64, strong: bool) -> EventKind {
+    EventKind::TcWrite {
+        block: b(block),
+        expires,
+        strong,
+    }
+}
+fn retransmit(src: u16, age: u64, timeout: u64, nack: bool) -> EventKind {
+    EventKind::Retransmit {
         src,
         dst: 1,
         seq: 4,
         age,
         timeout,
         nack,
-    })
+    }
 }
 
 #[allow(clippy::too_many_lines)]
 fn rows() -> Vec<Row> {
-    let on = |scope: Scope, facts: Vec<Transition>| -> Facts {
-        facts.into_iter().map(|t| (scope, t)).collect()
-    };
     vec![
         Row {
             rule: "load-past-rts",
@@ -144,7 +162,7 @@ fn rows() -> Vec<Row> {
             // ...one inside a lease a renewal extended is not.
             dirty: on(
                 BANK,
-                vec![grant(3, 1, 15, 0), renew(3, 25, 0), store(3, 20, 30, 0)],
+                vec![grant(3, 1, 15, 0), renew(3, 1, 25, 0), store(3, 20, 30, 0)],
             ),
         },
         Row {
@@ -171,26 +189,19 @@ fn rows() -> Vec<Row> {
         Row {
             rule: "lease-beyond-grant",
             implies: &[],
-            clean: vec![
+            clean: seq(vec![
                 (BANK, grant(3, 1, 11, 0)),
-                (SM, l1_lease(3, 1, 11, 0)),
+                (SM, install(3, 1, 11, 0)),
                 (SM, warp_ts(0, 5)),
                 (SM, warp_ts(0, 9)),
                 // A grant from another epoch says nothing about this one.
-                (SM, l1_lease(3, 1, 40, 1)),
-            ],
-            dirty: vec![
+                (SM, install(3, 1, 40, 1)),
+            ]),
+            dirty: seq(vec![
                 (BANK, grant(2, 1, 10, 0)),
-                (SM, l1_lease(2, 1, 20, 0)),
-                (
-                    SM,
-                    Transition::L1Renew {
-                        block: b(2),
-                        rts: ts(30),
-                        epoch: 0,
-                    },
-                ),
-            ],
+                (SM, install(2, 1, 20, 0)),
+                (SM, renew(2, 1, 30, 0)),
+            ]),
         },
         Row {
             rule: "warp-ts-backwards",
@@ -214,20 +225,20 @@ fn rows() -> Vec<Row> {
         Row {
             rule: "crash-epoch-reuse",
             implies: &[],
-            clean: vec![
+            clean: seq(vec![
                 (BANK, grant(4, 1, 9, 0)),
-                (BANK, Transition::BankReset { epoch: 0 }),
+                (BANK, crash(0)),
                 (BANK, enter(1)),
                 (BANK, grant(4, 0, 5, 1)),
                 // A scope that never crashed is unaffected.
                 (Scope::L2Bank(3), grant(6, 1, 9, 0)),
-            ],
+            ]),
             // The recovery re-entered the epoch it crashed in.
             dirty: on(
                 BANK,
                 vec![
                     grant(4, 1, 9, 0),
-                    Transition::BankReset { epoch: 0 },
+                    crash(0),
                     enter(0),
                     grant(4, 1, 9, 0),
                     store(5, 3, 9, 0),
@@ -237,98 +248,84 @@ fn rows() -> Vec<Row> {
         Row {
             rule: "evict-unfolded-lease",
             implies: &[],
-            clean: on(
-                BANK,
-                vec![Transition::L2Evict {
-                    block: b(9),
-                    rts: ts(40),
-                    mem_ts: ts(40),
-                }],
-            ),
-            dirty: on(
-                BANK,
-                vec![Transition::L2Evict {
-                    block: b(9),
-                    rts: ts(40),
-                    mem_ts: ts(12),
-                }],
-            ),
+            // An L1 eviction folds nothing.
+            clean: seq(vec![
+                (BANK, evict(9, 40, Some(40))),
+                (SM, evict(9, 40, None)),
+            ]),
+            dirty: on(BANK, vec![evict(9, 40, Some(12))]),
         },
         Row {
             rule: "grant-beyond-home",
             implies: &[],
-            clean: vec![(HOME, grant(8, 1, 20, 0)), (DEV, install(8, 1, 20, 0))],
-            dirty: vec![(HOME, grant(8, 1, 20, 0)), (DEV, install(8, 1, 25, 0))],
+            clean: seq(vec![
+                (HOME, grant(8, 1, 20, 0)),
+                (DEV, install(8, 1, 20, 0)),
+            ]),
+            dirty: seq(vec![
+                (HOME, grant(8, 1, 20, 0)),
+                (DEV, install(8, 1, 25, 0)),
+            ]),
         },
         Row {
             rule: "serve-outside-device-grant",
             implies: &[],
             // Serving inside the grant is fine; at its edge is fine.
-            clean: vec![
+            clean: seq(vec![
                 (HOME, grant(3, 1, 50, 0)),
                 (DEV, install(3, 1, 50, 0)),
-                (DEV, serve(3, 1, 30, 0)),
-                (DEV, serve(3, 1, 50, 0)),
-            ],
+                (DEV, grant(3, 1, 30, 0)),
+                (DEV, renew(3, 1, 50, 0)),
+            ]),
             // Past the grant (the serve-past-grant-rts bug); and a
             // device that holds no grant for the block at all.
-            dirty: vec![
+            dirty: seq(vec![
                 (DEV, install(3, 1, 50, 0)),
-                (DEV, serve(3, 1, 51, 0)),
-                (Scope::Device(1), serve(3, 1, 10, 0)),
-            ],
+                (DEV, grant(3, 1, 51, 0)),
+                (Scope::Device(1), grant(3, 1, 10, 0)),
+            ]),
         },
         Row {
             rule: "tc-lease-born-expired",
             implies: &[],
-            clean: on(
+            clean: vec![at(
+                5,
                 BANK,
-                vec![Transition::TcLease {
+                EventKind::TcLease {
                     block: b(1),
-                    now: Cycle(5),
-                    expires: Cycle(100),
-                }],
-            ),
-            dirty: on(
+                    expires: 100,
+                },
+            )],
+            dirty: vec![at(
+                50,
                 BANK,
-                vec![Transition::TcLease {
+                EventKind::TcLease {
                     block: b(1),
-                    now: Cycle(50),
-                    expires: Cycle(10),
-                }],
-            ),
+                    expires: 10,
+                },
+            )],
         },
         Row {
             rule: "tc-write-inside-lease",
             implies: &[],
-            clean: on(
-                BANK,
-                vec![Transition::TcWrite {
-                    block: b(1),
-                    now: Cycle(100),
-                    expires: Cycle(100),
-                }],
-            ),
-            dirty: on(
-                BANK,
-                vec![Transition::TcWrite {
-                    block: b(1),
-                    now: Cycle(50),
-                    expires: Cycle(100),
-                }],
-            ),
+            // TC-Weak writes inside a lease by design.
+            clean: vec![
+                at(100, BANK, tc_write(1, 100, true)),
+                at(50, BANK, tc_write(2, 100, false)),
+            ],
+            dirty: vec![at(50, BANK, tc_write(1, 100, true))],
         },
         Row {
             rule: "evict-live-lease",
             implies: &[],
             // A lease every observed warp has already outrun is dead
             // weight; an SM that showed no hit says nothing either way.
-            clean: vec![
+            clean: seq(vec![
                 (SM, l1_hit(1, 60, 70)),
-                (SM, evict(1, 50)),
-                (Scope::Sm(1), evict(1, 50)),
-            ],
-            dirty: on(SM, vec![l1_hit(1, 3, 50), evict(1, 50)]),
+                (SM, evict(1, 50, None)),
+                (Scope::Sm(1), evict(1, 50, None)),
+            ]),
+            dirty: on(SM, vec![l1_hit(1, 3, 50), evict(1, 50, None)]),
         },
         Row {
             rule: "retransmit-without-timeout",
@@ -346,84 +343,13 @@ fn rows() -> Vec<Row> {
     ]
 }
 
-fn online(facts: &Facts) -> Vec<Finding> {
+/// What the live sink raises over `events`, each reported by its scope.
+fn online(events: &[TraceEvent]) -> Vec<Finding> {
     let root = Sanitizer::enabled(SM);
-    for (i, &(scope, t)) in facts.iter().enumerate() {
-        root.for_scope(scope).check_with(Cycle(i as u64), || t);
+    for e in events {
+        root.for_scope(e.scope).check_with(e.cycle, || e.kind);
     }
-    assert_eq!(root.checked(), facts.len() as u64);
     root.report().findings
-}
-
-/// The events a controller reporting `facts` would have recorded — the
-/// inverse of the offline driver's translation. Events carry no epoch,
-/// so a fact's must be the one its scope last entered.
-fn recorded(rule: &str, facts: &Facts) -> Vec<TraceEvent> {
-    let mut epochs: BTreeMap<Scope, u64> = BTreeMap::new();
-    facts
-        .iter()
-        .enumerate()
-        .map(|(i, &(scope, t))| {
-            let in_epoch = |epoch: u64| {
-                assert_eq!(
-                    epochs.get(&scope).copied().unwrap_or(0),
-                    epoch,
-                    "{rule}: {t:?} is not in the epoch {scope} last entered"
-                );
-            };
-            let kind = match t {
-                Transition::L1Hit {
-                    block,
-                    warp,
-                    warp_ts,
-                    rts,
-                } => EventKind::Hit {
-                    block,
-                    warp,
-                    warp_ts: warp_ts.0,
-                    rts: rts.0,
-                },
-                Transition::L2Grant {
-                    block,
-                    wts,
-                    rts,
-                    epoch,
-                } => {
-                    in_epoch(epoch);
-                    EventKind::LeaseGrant {
-                        block,
-                        wts: wts.0,
-                        rts: rts.0,
-                    }
-                }
-                Transition::L2Renew { block, rts, epoch } => {
-                    in_epoch(epoch);
-                    EventKind::Renewal { block, rts: rts.0 }
-                }
-                Transition::L2Store {
-                    block, wts, epoch, ..
-                } => {
-                    in_epoch(epoch);
-                    EventKind::StoreCommit { block, wts: wts.0 }
-                }
-                Transition::EpochEnter { epoch } => {
-                    epochs.insert(scope, epoch);
-                    EventKind::Rollover { epoch }
-                }
-                Transition::BankReset { epoch } => EventKind::BankReset { bank: 0, epoch },
-                Transition::Recorded(kind) => kind,
-                other => panic!(
-                    "{rule}: {other:?} is recorded by no event, so the catalog \
-                     must mark the rule Fed::Online"
-                ),
-            };
-            TraceEvent {
-                cycle: Cycle(i as u64),
-                scope,
-                kind,
-            }
-        })
-        .collect()
 }
 
 fn raised(findings: &[Finding]) -> BTreeSet<&'static str> {
@@ -431,7 +357,7 @@ fn raised(findings: &[Finding]) -> BTreeSet<&'static str> {
 }
 
 #[test]
-fn every_rule_means_the_same_thing_to_both_drivers() {
+fn every_rule_means_the_same_thing_to_every_sink_that_judges_it() {
     let rows = rows();
     assert_eq!(
         rows.iter().map(|r| r.rule).collect::<Vec<_>>(),
@@ -445,24 +371,24 @@ fn every_rule_means_the_same_thing_to_both_drivers() {
         let expected: BTreeSet<_> = std::iter::once(row.rule)
             .chain(row.implies.iter().copied())
             .collect();
-        let mut verdicts = vec![("online", online(&row.clean), online(&row.dirty))];
-        if spec.fed != Fed::Online {
-            verdicts.push((
-                "offline",
-                lint_events(&recorded(row.rule, &row.clean)).findings,
-                lint_events(&recorded(row.rule, &row.dirty)).findings,
-            ));
+        let mut verdicts = Vec::new();
+        if spec.fed != Fed::Offline {
+            verdicts.push(("online", online(&row.clean), online(&row.dirty)));
         }
-        for (driver, clean, dirty) in verdicts {
+        if spec.fed != Fed::Online {
+            let lint = |e: &Facts| lint_events(e).findings;
+            verdicts.push(("offline", lint(&row.clean), lint(&row.dirty)));
+        }
+        for (sink, clean, dirty) in verdicts {
             assert!(
                 clean.is_empty(),
-                "{} ({driver}): clean row raised {clean:?}",
+                "{} ({sink}): clean row raised {clean:?}",
                 row.rule
             );
             assert_eq!(
                 raised(&dirty),
                 expected,
-                "{} ({driver}): dirty row raised {dirty:?}",
+                "{} ({sink}): dirty row raised {dirty:?}",
                 row.rule
             );
             for f in &dirty {
@@ -473,35 +399,50 @@ fn every_rule_means_the_same_thing_to_both_drivers() {
                 assert_eq!(f.severity, cat.severity, "{f}");
             }
         }
+        // A sink that does not judge the rule stays silent on its row.
+        let silent = match spec.fed {
+            Fed::Both => None,
+            Fed::Online => Some(lint_events(&row.dirty).findings),
+            Fed::Offline => Some(online(&row.dirty)),
+        };
+        if let Some(f) = silent {
+            assert!(!raised(&f).contains(row.rule), "{}: {f:?}", row.rule);
+        }
     }
     // The one warning in the catalog does not dirty a report.
     let live = rows.iter().find(|r| r.rule == "evict-live-lease").unwrap();
-    let r = lint_events(&recorded(live.rule, &live.dirty));
+    let r = lint_events(&live.dirty);
     assert_eq!((r.errors(), r.findings.len()), (0, 1));
     assert!(r.is_clean());
     assert_eq!(r.findings[0].severity, Severity::Warning);
 }
 
-/// `wts ≤ rts` guards every fact that carries a lease, not only the
-/// L2's grant the table row uses.
+/// `wts ≤ rts` guards every event that carries a lease, not only the
+/// bank grant the table row uses.
 #[test]
 fn every_lease_carrying_fact_is_interval_checked() {
-    let inverted: Facts = vec![
-        (SM, l1_lease(1, 12, 4, 0)),
+    let inverted = [
+        (SM, install(1, 12, 4, 0)),
         (BANK, grant(2, 12, 4, 0)),
+        (BANK, renew(2, 12, 4, 0)),
+        (BANK, install(2, 12, 4, 0)),
         (BANK, store(3, 12, 4, 0)),
         (DEV, install(4, 12, 4, 0)),
     ];
-    for (scope, t) in inverted {
-        let f = online(&vec![(scope, t)]);
-        assert_eq!(raised(&f), BTreeSet::from(["wts-gt-rts"]), "{t:?}: {f:?}");
+    for (scope, kind) in inverted {
+        let f = online(&seq(vec![(scope, kind)]));
+        assert_eq!(
+            raised(&f),
+            BTreeSet::from(["wts-gt-rts"]),
+            "{kind:?}: {f:?}"
+        );
     }
     // A serve is also judged against the device's grant, which an
     // inverted lease cannot nest in either.
-    let f = online(&vec![
+    let f = online(&seq(vec![
         (DEV, install(5, 1, 20, 0)),
-        (DEV, serve(5, 12, 4, 0)),
-    ]);
+        (DEV, grant(5, 12, 4, 0)),
+    ]));
     assert_eq!(raised(&f), BTreeSet::from(["wts-gt-rts"]), "{f:?}");
 }
 
@@ -510,20 +451,20 @@ fn every_lease_carrying_fact_is_interval_checked() {
 /// grant in the bumped epoch serves cleanly.
 #[test]
 fn device_crash_wipes_grants_and_blocks_pre_crash_serves() {
-    let mut facts: Facts = vec![
+    let mut facts = vec![
         (DEV, install(4, 1, 40, 0)),
-        (DEV, Transition::BankReset { epoch: 0 }),
-        (DEV, serve(4, 1, 30, 0)),
+        (DEV, crash(0)),
+        (DEV, grant(4, 1, 30, 0)),
     ];
     assert_eq!(
-        raised(&online(&facts)),
+        raised(&online(&seq(facts.clone()))),
         BTreeSet::from(["crash-epoch-reuse", "serve-outside-device-grant"])
     );
     facts.truncate(2);
     facts.extend([
         (DEV, enter(1)),
         (DEV, install(4, 0, 8, 1)),
-        (DEV, serve(4, 0, 8, 1)),
+        (DEV, renew(4, 0, 8, 1)),
     ]);
-    assert!(online(&facts).is_empty());
+    assert!(online(&seq(facts)).is_empty());
 }

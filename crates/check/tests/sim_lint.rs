@@ -1,6 +1,6 @@
-//! End-to-end check of the invariant catalog's two drivers against the
+//! End-to-end check of the invariant catalog's two sinks against the
 //! full simulator: a traced run under G-TSC must come back clean from
-//! both the online transition sanitizer and the offline replay of its
+//! both the online transition sanitizer and the offline lint of its
 //! event log — under 6-bit timestamps, where Section V-D rollovers
 //! exercise the epoch rules on a real stream; across bank crashes; and
 //! on the 2-device fabric, where the banks of a device share a scope.
@@ -13,7 +13,7 @@ use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
 use gtsc_protocol::msg::{L1ToL2, ReadReq};
 use gtsc_protocol::L2Controller;
 use gtsc_sim::{GpuSim, MultiGpuSim};
-use gtsc_trace::{EventKind, Scope, Tracer};
+use gtsc_trace::{EventKind, Probe, Scope};
 use gtsc_types::{
     Addr, BlockAddr, ConsistencyModel, Cycle, FabricConfig, FaultConfig, GpuConfig, MultiGpuConfig,
     ProtocolKind, SpanId, Timestamp, TraceConfig,
@@ -136,8 +136,8 @@ fn traced_bank_crash_runs_pass_both_drivers() {
 
 /// The soak-shaped 2-device run: lossy on die and on the fabric, link
 /// partitions, the fabric's rollovers reported by every bank of a
-/// device under one `Scope::Device`. Both drivers see the devices'
-/// epochs now, and neither mistakes two banks entering one epoch for a
+/// device under one `Scope::Device`. Both sinks see the devices'
+/// epochs, and neither mistakes two banks entering one epoch for a
 /// regression.
 #[test]
 fn traced_two_device_run_passes_both_drivers() {
@@ -199,7 +199,7 @@ fn a_recorded_recovery_without_an_epoch_bump_is_flagged_offline() {
     };
     let record = |mutation: ProtocolMutation| {
         let mut l2 = GtscL2::new(L2Params::default());
-        l2.set_tracer(Tracer::new(Scope::L2Bank(0), &TraceConfig::full()));
+        l2.set_probe(Probe::recording(Scope::L2Bank(0), &TraceConfig::full()));
         l2.set_mutation(mutation);
         let serve = |l2: &mut GtscL2, req: L1ToL2, at: u64| {
             l2.on_request(0, req, Cycle(at));
@@ -219,7 +219,7 @@ fn a_recorded_recovery_without_an_epoch_bump_is_flagged_offline() {
         assert!(l2.needs_reset());
         l2.apply_reset(1, Cycle(200));
         serve(&mut l2, read(1), 300);
-        l2.tracer().expect("installed").events().to_vec()
+        l2.probe().expect("installed").events().to_vec()
     };
 
     let healthy = lint_events(&record(ProtocolMutation::None));

@@ -24,7 +24,7 @@ use gtsc_protocol::{
     StoreBook, VersionMint, WaitHint, Waiter,
 };
 use gtsc_trace::span::ServeClass;
-use gtsc_trace::{EventKind, Sanitizer, SpanTracker, Tracer, Transition};
+use gtsc_trace::{EventKind, LeaseOp, Probe};
 use gtsc_types::{
     BlockAddr, CacheGeometry, CacheStats, CombinePolicy, Cycle, FxHashMap, SpanId, Timestamp,
     Version, VisibilityPolicy, WarpId,
@@ -164,9 +164,7 @@ pub struct GtscL1 {
     epoch: Epoch,
     mint: VersionMint,
     stats: CacheStats,
-    tracer: Tracer,
-    sanitizer: Sanitizer,
-    spans: SpanTracker,
+    probe: Probe,
     /// Test-only protocol mutant (see [`crate::mutation`]); `None` in
     /// production.
     mutation: ProtocolMutation,
@@ -191,9 +189,7 @@ impl GtscL1 {
             epoch: 0,
             mint: VersionMint::new(p.sm_index, p.n_warps),
             stats: CacheStats::default(),
-            tracer: Tracer::disabled(),
-            sanitizer: Sanitizer::disabled(),
-            spans: SpanTracker::disabled(),
+            probe: Probe::disabled(),
             mutation: ProtocolMutation::None,
             p,
         }
@@ -268,8 +264,8 @@ impl GtscL1 {
         let slot = &mut self.warp_ts[w.warp.0 as usize];
         *slot = load_ts(*slot, wts);
         let ts = *slot;
-        self.sanitizer
-            .check_with(now, || Transition::WarpTs { warp: w.warp.0, ts });
+        self.probe
+            .emit(now, || EventKind::WarpTs { warp: w.warp.0, ts });
         Completion {
             ts: Some(ts),
             epoch: self.epoch,
@@ -318,7 +314,7 @@ impl GtscL1 {
             }
             MshrAlloc::Merged => {
                 self.stats.mshr_merges += 1;
-                self.spans.note_merged(acc.span);
+                self.probe.spans(|s| s.note_merged(acc.span));
                 if self.p.combine == CombinePolicy::ForwardAll {
                     if let Some(wts) = request_wts {
                         self.send_read(acc.block, wts, acc.warp, acc.span, now);
@@ -380,10 +376,7 @@ impl GtscL1 {
         }
         self.epoch = epoch;
         self.stats.ts_rollovers += 1;
-        self.tracer
-            .record_with(now, || EventKind::Rollover { epoch });
-        self.sanitizer
-            .check_with(now, || Transition::EpochEnter { epoch });
+        self.probe.emit(now, || EventKind::Rollover { epoch });
         // Parked loads (no BusRd in flight) will be re-driven by the store
         // acks that still owe them service; in-flight reads will be
         // answered in the new epoch by the (already reset) L2.
@@ -420,8 +413,8 @@ impl GtscL1 {
         };
         let lease = Some((wts, rts));
         if let Some(c) = self.finish_store(a.block, a.version, lease, a.epoch, prev, true, now) {
-            self.tracer
-                .record_with(now, || EventKind::WriteAck { block: a.block });
+            self.probe
+                .emit(now, || EventKind::WriteAck { block: a.block });
             self.done.push(c);
         }
         // The ack may unlock the line: serve parked readers.
@@ -501,7 +494,7 @@ impl GtscL1 {
                 // store's commit timestamp.
                 *slot = load_ts(*slot, wts);
                 let ts = *slot;
-                self.sanitizer.check_with(now, || Transition::WarpTs {
+                self.probe.emit(now, || EventKind::WarpTs {
                     warp: sw.warp.0,
                     ts,
                 });
@@ -532,11 +525,13 @@ impl GtscL1 {
             }
         }
         if let Some((wts, rts)) = installed {
-            self.sanitizer.check_with(now, || Transition::L1Lease {
+            let epoch = self.epoch;
+            self.probe.emit(now, || EventKind::Lease {
+                op: LeaseOp::Install,
                 block,
-                wts,
-                rts,
-                epoch: self.epoch,
+                wts: wts.0,
+                rts: rts.0,
+                epoch,
             });
         }
         Some(Completion {
@@ -632,7 +627,7 @@ impl L1Controller for GtscL1 {
                     if !matches!(outcome, L1Outcome::Reject) {
                         self.stats.accesses += 1;
                         self.stats.cold_misses += 1;
-                        self.tracer.record_with(now, || EventKind::ColdMiss {
+                        self.probe.emit(now, || EventKind::ColdMiss {
                             block: acc.block,
                             warp: acc.warp.0,
                         });
@@ -649,17 +644,11 @@ impl L1Controller for GtscL1 {
                             if lease_covers(old.rts, warp_now) {
                                 self.stats.accesses += 1;
                                 self.stats.hits += 1;
-                                self.tracer.record_with(now, || EventKind::Hit {
+                                self.probe.emit(now, || EventKind::Hit {
                                     block: acc.block,
                                     warp: acc.warp.0,
                                     warp_ts: warp_now.0,
                                     rts: old.rts.0,
-                                });
-                                self.sanitizer.check_with(now, || Transition::L1Hit {
-                                    block: acc.block,
-                                    warp: acc.warp.0,
-                                    warp_ts: warp_now,
-                                    rts: old.rts,
                                 });
                                 let w = Waiter::of(&acc);
                                 let c = self.complete_load(w, acc.block, old.wts, old.version, now);
@@ -672,8 +661,8 @@ impl L1Controller for GtscL1 {
                     if !matches!(outcome, L1Outcome::Reject) {
                         self.stats.accesses += 1;
                         self.stats.blocked_on_pending_write += 1;
-                        self.tracer
-                            .record_with(now, || EventKind::BlockedOnWrite { block: acc.block });
+                        self.probe
+                            .emit(now, || EventKind::BlockedOnWrite { block: acc.block });
                     }
                     return outcome;
                 }
@@ -683,17 +672,11 @@ impl L1Controller for GtscL1 {
                     self.stats.accesses += 1;
                     self.stats.hits += 1;
                     let line_rts = line.meta.rts;
-                    self.tracer.record_with(now, || EventKind::Hit {
+                    self.probe.emit(now, || EventKind::Hit {
                         block: acc.block,
                         warp: acc.warp.0,
                         warp_ts: warp_now.0,
                         rts: line_rts.0,
-                    });
-                    self.sanitizer.check_with(now, || Transition::L1Hit {
-                        block: acc.block,
-                        warp: acc.warp.0,
-                        warp_ts: warp_now,
-                        rts: line_rts,
                     });
                     let (wts, version) = (line.meta.wts, line.meta.version);
                     let w = Waiter::of(&acc);
@@ -708,8 +691,8 @@ impl L1Controller for GtscL1 {
                     self.stats.expired_misses += 1;
                     // First serve-class report wins; an expired miss is a
                     // refetch regardless of how the L2 answers it.
-                    self.spans.note_serve(acc.span, ServeClass::ExpiredRefetch);
-                    self.tracer.record_with(now, || EventKind::ExpiredMiss {
+                    (self.probe).spans(|s| s.note_serve(acc.span, ServeClass::ExpiredRefetch));
+                    self.probe.emit(now, || EventKind::ExpiredMiss {
                         block: acc.block,
                         warp_ts: warp_now.0,
                         rts: rts.0,
@@ -804,20 +787,20 @@ impl L1Controller for GtscL1 {
                                 self.spare_writers.push(writers);
                             }
                             self.stats.evictions += 1;
-                            self.tracer.record_with(now, || EventKind::Eviction {
+                            self.probe.emit(now, || EventKind::Eviction {
                                 block: evicted.block,
                                 rts: evicted.meta.rts.0,
+                                mem_ts: None,
                             });
                         }
                         Ok(None) => {}
                         Err(_) => { /* every victim locked: serve from message only */ }
                     }
-                    self.tracer
-                        .record_with(now, || EventKind::FillApplied { block: f.block });
-                    self.sanitizer.check_with(now, || Transition::L1Lease {
+                    self.probe.emit(now, || EventKind::Lease {
+                        op: LeaseOp::Install,
                         block: f.block,
-                        wts,
-                        rts,
+                        wts: wts.0,
+                        rts: rts.0,
                         epoch: f.epoch,
                     });
                 }
@@ -825,7 +808,7 @@ impl L1Controller for GtscL1 {
             }
             L2ToL1::Renew { block, lease, .. } => {
                 self.rd_remove(block);
-                let LeaseInfo::Logical { rts, .. } = lease else {
+                let LeaseInfo::Logical { wts, rts } = lease else {
                     unreachable!("G-TSC renewals carry logical leases");
                 };
                 // Extend the resident lease (Figure 7a), then serve
@@ -833,12 +816,13 @@ impl L1Controller for GtscL1 {
                 // lets the store ack serve the parked waiters instead; an
                 // evicted line needs a full refetch (renewals carry no
                 // data).
-                self.tracer
-                    .record_with(now, || EventKind::Renewal { block, rts: rts.0 });
-                self.sanitizer.check_with(now, || Transition::L1Renew {
+                let epoch = self.epoch;
+                self.probe.emit(now, || EventKind::Lease {
+                    op: LeaseOp::Renew,
                     block,
-                    rts,
-                    epoch: self.epoch,
+                    wts: wts.0,
+                    rts: rts.0,
+                    epoch,
                 });
                 let state = self.tags.peek_mut(block).map(|line| {
                     if !line.meta.locked() {
@@ -984,20 +968,12 @@ impl L1Controller for GtscL1 {
         }
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    fn tracer(&self) -> Option<&Tracer> {
-        Some(&self.tracer)
-    }
-
-    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
-    }
-
-    fn set_span_tracker(&mut self, spans: SpanTracker) {
-        self.spans = spans;
+    fn probe(&self) -> Option<&Probe> {
+        Some(&self.probe)
     }
 
     fn wait_hint(&self) -> WaitHint {

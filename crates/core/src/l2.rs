@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use gtsc_mem::TagArray;
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
 use gtsc_protocol::{BankShell, ControllerPressure, L2Controller};
-use gtsc_trace::{EventKind, HopKind, Sanitizer, ServeClass, SpanTracker, Tracer, Transition};
+use gtsc_trace::{EventKind, HopKind, LeaseOp, Probe, ServeClass};
 use gtsc_types::{
     BlockAddr, CacheGeometry, CacheStats, Cycle, FxHashMap, InclusionPolicy, Lease, SpanId,
     Timestamp, Version,
@@ -107,12 +107,10 @@ pub struct GtscL2 {
     /// (which is never dropped, only delayed) satisfies the L1.
     applied_stores: FxHashMap<BlockAddr, VecDeque<Version>>,
     stats: CacheStats,
-    tracer: Tracer,
-    sanitizer: Sanitizer,
-    /// Latency-observatory handle: sampled request spans get their L2
-    /// serve class and DRAM-wait overlay noted here. Excluded from
-    /// snapshots, like the tracer ring.
-    spans: SpanTracker,
+    /// Events, rule checks, and sampled spans' serve class and DRAM-wait
+    /// overlay. Excluded from snapshots (the rule machine is saved once,
+    /// by the simulator).
+    probe: Probe,
     /// Test-only protocol mutant (see [`crate::mutation`]); `None` in
     /// production.
     mutation: ProtocolMutation,
@@ -130,9 +128,7 @@ impl GtscL2 {
             shell: BankShell::new(p.latency, p.ports, p.mshr_entries, p.mshr_merges),
             applied_stores: FxHashMap::default(),
             stats: CacheStats::default(),
-            tracer: Tracer::disabled(),
-            sanitizer: Sanitizer::disabled(),
-            spans: SpanTracker::disabled(),
+            probe: Probe::disabled(),
             mutation: ProtocolMutation::None,
             p,
         }
@@ -206,8 +202,7 @@ impl GtscL2 {
         if let L1ToL2::Write(w) | L1ToL2::Atomic(w) = &msg {
             if self.store_is_replay(block, w.version) {
                 self.stats.replayed_stores += 1;
-                self.tracer
-                    .record_with(now, || EventKind::ReplayDrop { block });
+                self.probe.emit(now, || EventKind::ReplayDrop { block });
                 return;
             }
         }
@@ -230,14 +225,19 @@ impl GtscL2 {
                 line.meta.rts = extend_rts(line.meta.rts, r.warp_ts, eff);
                 let new_rts = line.meta.rts;
                 let grant_wts = line.meta.wts;
+                let epoch = self.epoch;
                 let resp = if r.wts == line.meta.wts {
                     // The L1 already holds this version: renewal, no data
                     // (the Section VI-C traffic saving).
                     self.stats.renewals += 1;
-                    self.spans.note_serve(r.span, ServeClass::Renewal);
-                    self.tracer.record_with(now, || EventKind::Renewal {
+                    self.probe
+                        .spans(|s| s.note_serve(r.span, ServeClass::Renewal));
+                    self.probe.emit(now, || EventKind::Lease {
+                        op: LeaseOp::Renew,
                         block,
+                        wts: grant_wts.0,
                         rts: new_rts.0,
+                        epoch,
                     });
                     L2ToL1::Renew {
                         block,
@@ -249,12 +249,15 @@ impl GtscL2 {
                         span: r.span,
                     }
                 } else {
-                    self.spans.note_serve(r.span, ServeClass::Grant);
+                    self.probe
+                        .spans(|s| s.note_serve(r.span, ServeClass::Grant));
                     let meta = self.tags.peek(block).map(|l| l.meta).expect("resident");
-                    self.tracer.record_with(now, || EventKind::LeaseGrant {
+                    self.probe.emit(now, || EventKind::Lease {
+                        op: LeaseOp::Grant,
                         block,
                         wts: meta.wts.0,
                         rts: meta.rts.0,
+                        epoch,
                     });
                     L2ToL1::Fill(FillResp {
                         block,
@@ -265,13 +268,6 @@ impl GtscL2 {
                     })
                 };
                 self.note_ts(new_rts);
-                let epoch = self.epoch;
-                self.sanitizer.check_with(now, || Transition::L2Grant {
-                    block,
-                    wts: grant_wts,
-                    rts: new_rts,
-                    epoch,
-                });
                 self.shell.respond(src, resp);
             }
             L1ToL2::Write(w) | L1ToL2::Atomic(w) => {
@@ -302,14 +298,13 @@ impl GtscL2 {
                 };
                 let rts = line.meta.rts;
                 self.stats.stores += 1;
-                self.tracer
-                    .record_with(now, || EventKind::StoreCommit { block, wts: wts.0 });
                 self.note_ts(rts);
                 let epoch = self.epoch;
-                self.sanitizer.check_with(now, || Transition::L2Store {
+                self.probe.emit(now, || EventKind::Lease {
+                    op: LeaseOp::Commit,
                     block,
-                    wts,
-                    rts,
+                    wts: wts.0,
+                    rts: rts.0,
                     epoch,
                 });
                 let ack = WriteAckResp {
@@ -338,7 +333,7 @@ impl GtscL2 {
         // Miss: both loads and stores fetch the block from DRAM first
         // (write-allocate; Figure 5's miss path).
         self.stats.cold_misses += 1;
-        self.spans.overlay_enter(msg.span(), HopKind::DramWait, now);
+        (self.probe).spans(|s| s.overlay_enter(msg.span(), HopKind::DramWait, now));
         if self.shell.miss(src, msg) {
             self.stats.mshr_merges += 1;
         }
@@ -349,15 +344,11 @@ impl GtscL2 {
         // memory timestamp — this is what makes non-inclusion sound.
         self.mem_ts = fold_mem_ts(self.mem_ts, evicted.meta.rts);
         self.stats.evictions += 1;
-        self.tracer.record_with(now, || EventKind::Eviction {
+        let mem_ts = self.mem_ts;
+        self.probe.emit(now, || EventKind::Eviction {
             block: evicted.block,
             rts: evicted.meta.rts.0,
-        });
-        let mem_ts = self.mem_ts;
-        self.sanitizer.check_with(now, || Transition::L2Evict {
-            block: evicted.block,
-            rts: evicted.meta.rts,
-            mem_ts,
+            mem_ts: Some(mem_ts.0),
         });
         if evicted.meta.dirty {
             self.shell.write_back(evicted.block, evicted.meta.version);
@@ -443,10 +434,11 @@ impl L2Controller for GtscL2 {
         };
         self.note_ts(meta.rts);
         let epoch = self.epoch;
-        self.sanitizer.check_with(now, || Transition::L2Grant {
+        self.probe.emit(now, || EventKind::Lease {
+            op: LeaseOp::Install,
             block,
-            wts: meta.wts,
-            rts: meta.rts,
+            wts: meta.wts.0,
+            rts: meta.rts.0,
             epoch,
         });
         match self.tags.fill_if(block, meta, |_| true) {
@@ -460,7 +452,7 @@ impl L2Controller for GtscL2 {
             // They were already counted on arrival; serve directly. The
             // epoch may have moved while they waited.
             let msg = msg.rebased(self.epoch);
-            self.spans.overlay_exit(msg.span(), HopKind::DramWait, now);
+            (self.probe).spans(|s| s.overlay_exit(msg.span(), HopKind::DramWait, now));
             self.serve_hit(src, msg, now);
         }
         self.shell.recycle(waiters);
@@ -504,10 +496,7 @@ impl L2Controller for GtscL2 {
         self.epoch = epoch;
         self.overflow = false;
         self.stats.ts_rollovers += 1;
-        self.tracer
-            .record_with(now, || EventKind::Rollover { epoch });
-        self.sanitizer
-            .check_with(now, || Transition::EpochEnter { epoch });
+        self.probe.emit(now, || EventKind::Rollover { epoch });
     }
 
     fn crash(&mut self, now: Cycle) -> bool {
@@ -521,7 +510,7 @@ impl L2Controller for GtscL2 {
         }
         // Every in-flight transaction dies with the bank, its sampled
         // spans closed so none leaks open across the reset.
-        self.shell.crash(&self.spans, now);
+        self.shell.crash(&self.probe, now);
         // The replay filter dies with the bank. Safe only because the
         // transport resets the bank's flows in the same cycle: a store
         // duplicate from before the crash can no longer be delivered
@@ -529,14 +518,7 @@ impl L2Controller for GtscL2 {
         // end-to-end atomic caveat is documented in DESIGN.md §13.
         self.applied_stores.clear();
         let epoch = self.epoch;
-        let bank = match self.tracer.scope() {
-            gtsc_trace::Scope::L2Bank(b) => b,
-            _ => 0,
-        };
-        self.tracer
-            .record_with(now, || EventKind::BankReset { bank, epoch });
-        self.sanitizer
-            .check_with(now, || Transition::BankReset { epoch });
+        self.probe.emit(now, || EventKind::BankReset { epoch });
         // Recovery rides the Section V-D machinery: forcing the
         // overflow flag makes the simulator bump the *global* epoch and
         // apply_reset() every bank. L1-held leases stay safe because
@@ -559,20 +541,12 @@ impl L2Controller for GtscL2 {
         self.shell.pressure()
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    fn tracer(&self) -> Option<&Tracer> {
-        Some(&self.tracer)
-    }
-
-    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
-    }
-
-    fn set_span_tracker(&mut self, spans: SpanTracker) {
-        self.spans = spans;
+    fn probe(&self) -> Option<&Probe> {
+        Some(&self.probe)
     }
 
     fn memory_image(&self) -> Vec<(BlockAddr, Version)> {
@@ -876,10 +850,11 @@ mod tests {
 
     #[test]
     fn crash_recovery_passes_the_sanitizer() {
-        use gtsc_trace::Scope;
+        use gtsc_trace::{Sanitizer, Scope, SpanTracker};
         let mut l2 = GtscL2::new(L2Params::default());
         let root = Sanitizer::enabled(Scope::Sm(0));
-        l2.set_sanitizer(root.for_scope(Scope::L2Bank(0)));
+        let (off, spans) = (gtsc_types::TraceConfig::default(), SpanTracker::disabled());
+        l2.set_probe(Probe::new(Scope::L2Bank(0), &off, &root, &spans));
         l2.on_request(0, write(5, 1, 42), Cycle(0));
         settle(&mut l2, Cycle(0));
         l2.crash(Cycle(50));

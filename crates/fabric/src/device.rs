@@ -22,7 +22,7 @@ use gtsc_core::rules::{extend_rts, lease_covers, merge_rts, nest_rts};
 use gtsc_core::ProtocolMutation;
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, ReadReq};
 use gtsc_protocol::{ControllerPressure, L2Controller};
-use gtsc_trace::{CloseReason, EventKind, Sanitizer, Scope, SpanTracker, Tracer, Transition};
+use gtsc_trace::{CloseReason, EventKind, LeaseOp, Probe};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Lease, SpanId, Timestamp, Version};
 
@@ -115,9 +115,7 @@ pub struct DeviceL2 {
     /// version: `(local SM, span)`.
     write_waiters: FxHashMap<Version, (usize, SpanId)>,
     stats: CacheStats,
-    tracer: Tracer,
-    sanitizer: Sanitizer,
-    spans: SpanTracker,
+    probe: Probe,
     mutation: ProtocolMutation,
 }
 
@@ -136,9 +134,7 @@ impl DeviceL2 {
             read_waiters: FxHashMap::default(),
             write_waiters: FxHashMap::default(),
             stats: CacheStats::default(),
-            tracer: Tracer::disabled(),
-            sanitizer: Sanitizer::disabled(),
-            spans: SpanTracker::disabled(),
+            probe: Probe::disabled(),
             mutation: ProtocolMutation::None,
         }
     }
@@ -233,15 +229,11 @@ impl DeviceL2 {
             *m = meta;
         }
         let epoch = self.epoch;
-        self.tracer.record_with(now, || EventKind::LeaseGrant {
+        self.probe.emit(now, || EventKind::Lease {
+            op: LeaseOp::Install,
             block,
             wts: wts.0,
             rts: rts.0,
-        });
-        self.sanitizer.check_with(now, || Transition::GrantInstall {
-            block,
-            wts,
-            rts,
             epoch,
         });
     }
@@ -258,17 +250,14 @@ impl DeviceL2 {
         let (wts, new_rts, version) = meta.serve(r.warp_ts, lease, mutation);
         let epoch = self.epoch;
         self.stats.hits += 1;
-        self.sanitizer.check_with(now, || Transition::DeviceServe {
-            block: r.block,
-            wts,
-            rts: new_rts,
-            epoch,
-        });
         let resp = if r.wts == wts {
             self.stats.renewals += 1;
-            self.tracer.record_with(now, || EventKind::Renewal {
+            self.probe.emit(now, || EventKind::Lease {
+                op: LeaseOp::Renew,
                 block: r.block,
+                wts: wts.0,
                 rts: new_rts.0,
+                epoch,
             });
             L2ToL1::Renew {
                 block: r.block,
@@ -277,6 +266,13 @@ impl DeviceL2 {
                 span: r.span,
             }
         } else {
+            self.probe.emit(now, || EventKind::Lease {
+                op: LeaseOp::Grant,
+                block: r.block,
+                wts: wts.0,
+                rts: new_rts.0,
+                epoch,
+            });
             L2ToL1::Fill(FillResp {
                 block: r.block,
                 lease: LeaseInfo::Logical { wts, rts: new_rts },
@@ -313,7 +309,7 @@ impl DeviceL2 {
                     self.stats.expired_misses += 1;
                 } else {
                     self.stats.cold_misses += 1;
-                    self.tracer.record_with(now, || EventKind::ColdMiss {
+                    self.probe.emit(now, || EventKind::ColdMiss {
                         block: r.block,
                         warp: 0,
                     });
@@ -437,22 +433,13 @@ impl DeviceL2 {
 /// its memory side is the fabric ([`DeviceL2::take_fabric_request`],
 /// [`DeviceL2::on_fabric_response`]).
 impl L2Controller for DeviceL2 {
-    /// Installs a protocol event tracer.
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Installs the device's probe (scoped `Scope::Device`).
+    fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    fn tracer(&self) -> Option<&Tracer> {
-        Some(&self.tracer)
-    }
-
-    /// Installs an online transition sanitizer (scoped `Scope::Device`).
-    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
-    }
-
-    fn set_span_tracker(&mut self, spans: SpanTracker) {
-        self.spans = spans;
+    fn probe(&self) -> Option<&Probe> {
+        Some(&self.probe)
     }
 
     /// Counters accumulated so far.
@@ -555,10 +542,7 @@ impl L2Controller for DeviceL2 {
                 *r = r.rebased(epoch);
             }
         }
-        self.tracer
-            .record_with(now, || EventKind::Rollover { epoch });
-        self.sanitizer
-            .check_with(now, || Transition::EpochEnter { epoch });
+        self.probe.emit(now, || EventKind::Rollover { epoch });
     }
 
     /// Crashes the whole device: every grant, parked request, and queued
@@ -582,20 +566,14 @@ impl L2Controller for DeviceL2 {
             .chain(self.out_resp.drain(..).map(|(_, m)| m.span()))
             .chain(self.read_waiters.values().flatten().map(|(_, r)| r.span))
             .chain(self.write_waiters.values().map(|&(_, span)| span));
+        let probe = &self.probe;
         for span in dead {
-            self.spans.close(span, CloseReason::BankReset, now);
+            probe.spans(|s| s.close(span, CloseReason::BankReset, now));
         }
         self.read_waiters.clear();
         self.write_waiters.clear();
         let epoch = self.epoch;
-        let dev = match self.tracer.scope() {
-            Scope::Device(d) => d,
-            _ => 0,
-        };
-        self.tracer
-            .record_with(now, || EventKind::BankReset { bank: dev, epoch });
-        self.sanitizer
-            .check_with(now, || Transition::BankReset { epoch });
+        self.probe.emit(now, || EventKind::BankReset { epoch });
         self.needs_reset = true;
         true
     }
@@ -635,7 +613,24 @@ mod tests {
     use super::*;
     use crate::home::{HomeNode, HomeParams};
     use gtsc_protocol::msg::WriteReq;
-    use gtsc_trace::SpanRecord;
+    use gtsc_trace::{Sanitizer, Scope, SpanRecord, SpanTracker};
+    use gtsc_types::TraceConfig;
+
+    /// A probe whose one sink is `root`'s rule machine.
+    fn checked(root: &Sanitizer, scope: Scope) -> Probe {
+        Probe::new(
+            scope,
+            &TraceConfig::default(),
+            root,
+            &SpanTracker::disabled(),
+        )
+    }
+
+    /// A device probe whose one sink is `spans`.
+    fn spanned(spans: &SpanTracker) -> Probe {
+        let off = Sanitizer::disabled();
+        Probe::new(Scope::Device(0), &TraceConfig::default(), &off, spans)
+    }
 
     fn read(block: u64, wts: u64, warp_ts: u64) -> L1ToL2 {
         L1ToL2::Read(ReadReq {
@@ -751,8 +746,8 @@ mod tests {
         let root = Sanitizer::enabled(Scope::Sm(0));
         let mut dev = DeviceL2::new(DeviceParams::default());
         let mut home = HomeNode::new(HomeParams::default());
-        dev.set_sanitizer(root.for_scope(Scope::Device(0)));
-        home.set_sanitizer(root.for_scope(Scope::Home(0)));
+        dev.set_probe(checked(&root, Scope::Device(0)));
+        home.set_probe(checked(&root, Scope::Home(0)));
         for i in 0..20u64 {
             dev.on_request(0, read(i % 3, 0, 1 + i * 7), Cycle(i * 100));
             if i % 4 == 3 {
@@ -768,7 +763,7 @@ mod tests {
     fn device_epochs_are_reported_to_the_sanitizer() {
         let root = Sanitizer::enabled(Scope::Sm(0));
         let mut dev = DeviceL2::new(DeviceParams::default());
-        dev.set_sanitizer(root.for_scope(Scope::Device(0)));
+        dev.set_probe(checked(&root, Scope::Device(0)));
         // Two banks of one device report under one scope, so entering
         // the same epoch twice is legal...
         dev.apply_reset(2, Cycle(0));
@@ -791,8 +786,8 @@ mod tests {
             ..DeviceParams::default()
         });
         let mut home = HomeNode::new(HomeParams::default());
-        dev.set_sanitizer(root.for_scope(Scope::Device(0)));
-        home.set_sanitizer(root.for_scope(Scope::Home(0)));
+        dev.set_probe(checked(&root, Scope::Device(0)));
+        home.set_probe(checked(&root, Scope::Home(0)));
         dev.set_mutation(ProtocolMutation::ServePastGrantRts);
         dev.on_request(0, read(5, 0, 30), Cycle(0));
         settle(&mut dev, &mut home, Cycle(0));
@@ -838,8 +833,8 @@ mod tests {
         let root = Sanitizer::enabled(Scope::Sm(0));
         let mut dev = DeviceL2::new(DeviceParams::default());
         let mut home = HomeNode::new(HomeParams::default());
-        dev.set_sanitizer(root.for_scope(Scope::Device(0)));
-        home.set_sanitizer(root.for_scope(Scope::Home(0)));
+        dev.set_probe(checked(&root, Scope::Device(0)));
+        home.set_probe(checked(&root, Scope::Home(0)));
         dev.on_request(0, write(5, 1, 42), Cycle(0));
         settle(&mut dev, &mut home, Cycle(0));
         dev.crash(Cycle(100));
@@ -867,7 +862,7 @@ mod tests {
         // home ack.
         let spans = SpanTracker::new(16);
         let mut dev = DeviceL2::new(DeviceParams::default());
-        dev.set_span_tracker(spans.clone());
+        dev.set_probe(spanned(&spans));
         let ids = [SpanId(1), SpanId(2), SpanId(3)];
         for id in ids {
             spans.open(id, Cycle(0));
@@ -972,7 +967,7 @@ mod tests {
         // home acks. Every access is sampled: span `b + 1` rides block `b`.
         let spans = SpanTracker::new(64);
         let mut dev = DeviceL2::new(DeviceParams::default());
-        dev.set_span_tracker(spans.clone());
+        dev.set_probe(spanned(&spans));
         let requested: Vec<u64> = (0..6).chain(12..24).collect();
         for &b in &requested {
             spans.open(SpanId(b + 1), Cycle(0));

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 
 use gtsc_core::rules::{extend_rts, grant_rts, store_wts};
 use gtsc_protocol::msg::{Epoch, FillResp, L1ToL2, L2ToL1, LeaseInfo, WriteAckResp};
-use gtsc_trace::{EventKind, Sanitizer, Tracer, Transition};
+use gtsc_trace::{EventKind, LeaseOp, Probe};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, CacheStats, Cycle, FxHashMap, Lease, Timestamp, Version};
 
@@ -103,8 +103,7 @@ pub struct HomeNode {
     in_queue: VecDeque<(Cycle, usize, L1ToL2)>,
     out: VecDeque<(usize, L2ToL1)>,
     stats: CacheStats,
-    tracer: Tracer,
-    sanitizer: Sanitizer,
+    probe: Probe,
 }
 
 impl HomeNode {
@@ -120,8 +119,7 @@ impl HomeNode {
             in_queue: VecDeque::new(),
             out: VecDeque::new(),
             stats: CacheStats::default(),
-            tracer: Tracer::disabled(),
-            sanitizer: Sanitizer::disabled(),
+            probe: Probe::disabled(),
         }
     }
 
@@ -131,20 +129,15 @@ impl HomeNode {
         self.epoch
     }
 
-    /// Installs a protocol event tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Installs the directory's probe (scoped `Scope::Home`).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    /// The installed tracer (disabled by default).
+    /// The installed probe (disabled by default).
     #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Installs an online transition sanitizer (scoped `Scope::Home`).
-    pub fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        self.sanitizer = sanitizer;
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// Counters accumulated so far.
@@ -221,10 +214,7 @@ impl HomeNode {
         self.epoch = epoch;
         self.overflow = false;
         self.stats.ts_rollovers += 1;
-        self.tracer
-            .record_with(now, || EventKind::Rollover { epoch });
-        self.sanitizer
-            .check_with(now, || Transition::EpochEnter { epoch });
+        self.probe.emit(now, || EventKind::Rollover { epoch });
     }
 
     /// The authoritative multi-GPU memory image, sorted by block.
@@ -291,20 +281,17 @@ impl HomeNode {
                     version,
                 } = *meta;
                 self.note_ts(new_rts);
-                self.sanitizer.check_with(now, || Transition::L2Grant {
-                    block,
-                    wts: grant_wts,
-                    rts: new_rts,
-                    epoch,
-                });
                 let resp = if r.wts == grant_wts {
                     // The device already holds this version: extend the
                     // grant data-lessly (the Section VI-C saving, now
                     // worth a whole fabric data transfer).
                     self.stats.renewals += 1;
-                    self.tracer.record_with(now, || EventKind::Renewal {
+                    self.probe.emit(now, || EventKind::Lease {
+                        op: LeaseOp::Renew,
                         block,
+                        wts: grant_wts.0,
                         rts: new_rts.0,
+                        epoch,
                     });
                     L2ToL1::Renew {
                         block,
@@ -317,10 +304,12 @@ impl HomeNode {
                     }
                 } else {
                     self.stats.hits += 1;
-                    self.tracer.record_with(now, || EventKind::LeaseGrant {
+                    self.probe.emit(now, || EventKind::Lease {
+                        op: LeaseOp::Grant,
                         block,
                         wts: grant_wts.0,
                         rts: new_rts.0,
+                        epoch,
                     });
                     L2ToL1::Fill(FillResp {
                         block,
@@ -353,8 +342,7 @@ impl HomeNode {
                     // A retried store the home already applied: re-emit
                     // the original acknowledgement (see module docs).
                     self.stats.replayed_stores += 1;
-                    self.tracer
-                        .record_with(now, || EventKind::ReplayDrop { block });
+                    self.probe.emit(now, || EventKind::ReplayDrop { block });
                     let ack = WriteAckResp {
                         block,
                         lease: LeaseInfo::Logical {
@@ -376,12 +364,11 @@ impl HomeNode {
                 };
                 self.stats.stores += 1;
                 self.note_ts(rts);
-                self.tracer
-                    .record_with(now, || EventKind::StoreCommit { block, wts: wts.0 });
-                self.sanitizer.check_with(now, || Transition::L2Store {
+                self.probe.emit(now, || EventKind::Lease {
+                    op: LeaseOp::Commit,
                     block,
-                    wts,
-                    rts,
+                    wts: wts.0,
+                    rts: rts.0,
                     epoch,
                 });
                 let ack = WriteAckResp {
@@ -634,10 +621,11 @@ mod tests {
 
     #[test]
     fn sanitizer_sees_home_grants_and_stores() {
-        use gtsc_trace::Scope;
+        use gtsc_trace::{Sanitizer, Scope, SpanTracker};
         let root = Sanitizer::enabled(Scope::Sm(0));
         let mut home = HomeNode::new(HomeParams::default());
-        home.set_sanitizer(root.for_scope(Scope::Home(0)));
+        let (off, spans) = (gtsc_types::TraceConfig::default(), SpanTracker::disabled());
+        home.set_probe(Probe::new(Scope::Home(0), &off, &root, &spans));
         home.on_request(0, read(5, 0, 1), Cycle(0));
         home.on_request(1, write(5, 1, 7), Cycle(10));
         settle(&mut home, Cycle(0));

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use gtsc_protocol::msg::{L1ToL2, L2ToL1};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
-use gtsc_trace::{CloseReason, EventKind, SpanTracker, Tracer};
+use gtsc_trace::{CloseReason, EventKind, Probe, SpanTracker};
 use gtsc_types::{
     BlockAddr, ConsistencyModel, CtaId, Cycle, CycleReason, FxHashMap, SmId, SmStats, SpanId,
     StallKind, WarpId, WarpScheduler,
@@ -217,15 +217,16 @@ pub struct Sm {
     /// Issue time of each in-flight access (latency accounting).
     issue_time: FxHashMap<AccessId, Cycle>,
     stats: SmStats,
-    tracer: Tracer,
+    /// The pipeline's warp-issue and warp-stall events (the L1 carries
+    /// its own probe) and the span tracker sampled accesses open in.
+    probe: Probe,
     /// Causal-span sampling: every `1/span_rate`-th minted access (a pure
     /// function of `span_seed` and the snapshotted access ordinal, so the
     /// sampled set is identical across a snapshot/restore boundary) gets a
-    /// [`SpanId`] and an open span in `spans`. Volatile observability
-    /// state — like the tracer, none of this is snapshotted.
+    /// [`SpanId`] and an open span. Volatile observability state — like
+    /// the probe, none of this is snapshotted.
     span_rate: u64,
     span_seed: u64,
-    spans: SpanTracker,
     /// Span of each in-flight sampled access (close-on-completion).
     span_of: FxHashMap<AccessId, SpanId>,
     /// What the latest `cycle` / `tick_l1` / `on_response` completed:
@@ -276,10 +277,9 @@ impl Sm {
             next_access: 0,
             issue_time: FxHashMap::default(),
             stats: SmStats::default(),
-            tracer: Tracer::disabled(),
+            probe: Probe::disabled(),
             span_rate: 0,
             span_seed: 0,
-            spans: SpanTracker::disabled(),
             span_of: FxHashMap::default(),
             done: Vec::new(),
             issued_last_cycle: false,
@@ -287,13 +287,12 @@ impl Sm {
         }
     }
 
-    /// Installs the shared span tracker and the sampling parameters
-    /// (`rate` of 0 disables sampling; otherwise every access whose
-    /// seeded hash lands on `0 mod rate` is traced end-to-end).
-    pub fn set_span_sampling(&mut self, rate: u64, seed: u64, spans: SpanTracker) {
+    /// Sets the span sampling parameters (`rate` of 0 disables sampling;
+    /// otherwise every access whose seeded hash lands on `0 mod rate` is
+    /// traced end-to-end, in the probe's span tracker).
+    pub fn set_span_sampling(&mut self, rate: u64, seed: u64) {
         self.span_rate = rate;
         self.span_seed = seed;
-        self.spans = spans;
     }
 
     /// Whether the most recent [`Sm::cycle`] call issued at least one
@@ -329,18 +328,20 @@ impl Sm {
         self.stats.cycle_buckets.record_n(reason, k);
     }
 
-    /// Installs a configured tracer (the pipeline's warp-issue and
-    /// warp-stall events; the L1 carries its own).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.dormant = None; // a traced SM scans every cycle
-        self.tracer = tracer;
+    /// Installs the pipeline's probe (warp-issue and warp-stall events,
+    /// sampled spans; the L1 carries its own).
+    pub fn set_probe(&mut self, probe: Probe) {
+        if probe.is_recording() {
+            self.dormant = None; // a recording SM scans every cycle
+        }
+        self.probe = probe;
     }
 
-    /// The SM pipeline's tracer (disabled unless the simulator installed
+    /// The SM pipeline's probe (disabled unless the simulator installed
     /// one).
     #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// This SM's identifier.
@@ -504,7 +505,7 @@ impl Sm {
                 // fall back to the issue cycle so the span still closes
                 // in direct-drive unit tests.
                 if let Some(at) = now.or(t0) {
-                    self.spans.close(span, CloseReason::Completed, at);
+                    (self.probe).spans(|s| s.close(span, CloseReason::Completed, at));
                 }
             }
         }
@@ -588,9 +589,9 @@ impl Sm {
         // waiting on a horizon, an event or an access the L1 just rejected
         // (a ready warp always issues, a finished one was retired above):
         // until the earliest horizon every cycle books exactly what this
-        // one did. With the tracer on the per-warp stall events must keep
+        // one did. With the recorder on the per-warp stall events must keep
         // appearing.
-        let quiet = !any_issued && !self.tracer.is_enabled();
+        let quiet = !any_issued && !self.probe.is_recording();
         self.dormant = quiet.then_some(self.census.horizon);
         &self.done
     }
@@ -813,8 +814,8 @@ impl Sm {
     fn note_issue(&mut self, i: usize, now: Cycle) {
         self.mark_issued(i, now);
         self.stats.issued += 1;
-        self.tracer
-            .record_with(now, || EventKind::WarpIssue { warp: i as u16 });
+        self.probe
+            .emit(now, || EventKind::WarpIssue { warp: i as u16 });
     }
 
     fn try_issue_warp(&mut self, i: usize, now: Cycle) -> bool {
@@ -922,14 +923,16 @@ impl Sm {
         self.mark_issued(i, now);
         if let L1Outcome::Hit(c) = outcome {
             self.stats.mem_latency.record(1); // L1 hit latency
-            self.spans.open(span, now);
-            self.spans.close(span, CloseReason::Completed, now);
+            self.probe.spans(|s| {
+                s.open(span, now);
+                s.close(span, CloseReason::Completed, now);
+            });
             self.done.push(c);
             return true;
         }
         self.issue_time.insert(acc.id, now);
         if !span.is_none() {
-            self.spans.open(span, now);
+            self.probe.spans(|s| s.open(span, now));
             self.span_of.insert(acc.id, span);
         }
         let w = &mut self.warps[i];
@@ -942,7 +945,7 @@ impl Sm {
     /// Per-cycle warp-stall accounting (the Figure 13 metric counts
     /// `Memory` warp-cycles): every warp books its verdict's stall, except
     /// those that issued this cycle — the census minus `issued_now`. With
-    /// the tracer on, the same verdicts also appear as per-warp events.
+    /// the recorder on, the same verdicts also appear as per-warp events.
     fn account_stalls(&mut self, now: Cycle) {
         let mut stalled = self.census.stalled;
         for &i in &self.issued_now {
@@ -951,10 +954,10 @@ impl Sm {
             }
         }
         self.book_stalls(stalled, 0);
-        if self.tracer.is_enabled() {
+        if self.probe.is_recording() {
             for (i, w) in self.warps.iter().enumerate() {
                 if let Some(kind) = self.waits[i].1.filter(|_| w.issued_at != now) {
-                    self.tracer.record_with(now, || EventKind::WarpStall {
+                    self.probe.emit(now, || EventKind::WarpStall {
                         warp: i as u16,
                         kind,
                     });
@@ -1020,7 +1023,7 @@ impl Sm {
     /// Serializes the pipeline's dynamic state — warp and CTA slots,
     /// scheduler cursors, access-id counter, latency bookkeeping, and
     /// counters — followed by the L1 controller's state via its trait
-    /// hook. `SmParams` and the tracer are config-derived and come from
+    /// hook. `SmParams` and the probe are config-derived and come from
     /// the SM being restored into.
     ///
     /// # Errors
@@ -1514,7 +1517,7 @@ mod tests {
         use gtsc_types::TraceConfig;
         let (l1, _q) = TestL1::new();
         let mut sm = Sm::new(SmParams::default(), Box::new(l1));
-        sm.set_tracer(Tracer::new(Scope::Sm(0), &TraceConfig::full()));
+        sm.set_probe(Probe::recording(Scope::Sm(0), &TraceConfig::full()));
         let cta = vec![
             WarpProgram(vec![
                 WarpOp::atomic_coalesced(Addr(0), 32),
@@ -1533,7 +1536,7 @@ mod tests {
                 EventKind::WarpStall { warp, kind } if e.cycle == Cycle(c) => Some((warp, kind)),
                 _ => None,
             };
-            sm.tracer().events().iter().filter_map(stall).collect()
+            sm.probe().events().iter().filter_map(stall).collect()
         };
         // Round-robin issues one warp a cycle: 0, 1, 2. Warp 1 computes;
         // warp 2 reaches its fence at cycle 2 but issued there.

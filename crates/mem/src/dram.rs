@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 
 use gtsc_faults::{DramFaults, FaultStats};
-use gtsc_trace::{EventKind, Tracer};
+use gtsc_trace::{EventKind, Probe};
 use gtsc_types::{BlockAddr, Cycle, DramConfig, DramStats, PagePolicy};
 
 /// A request handed to the DRAM by an L2 bank.
@@ -77,7 +77,7 @@ pub struct Dram<P> {
     /// Optional fault injector (variable service latency); `None` on the
     /// fault-free fast path.
     faults: Option<DramFaults>,
-    tracer: Tracer,
+    probe: Probe,
     /// How many requests at the tail of `queue` arrived since the last
     /// [`Dram::tick`], which records their arrival at its `now`. Volatile,
     /// never snapshotted: a partition is ticked in every cycle it is
@@ -120,7 +120,7 @@ impl<P> Dram<P> {
             last_burst: Cycle(0),
             stats: DramStats::default(),
             faults: None,
-            tracer: Tracer::disabled(),
+            probe: Probe::disabled(),
             arrived: 0,
             idle_until: Cycle(0),
             done: Vec::new(),
@@ -128,16 +128,16 @@ impl<P> Dram<P> {
         }
     }
 
-    /// Installs a configured tracer (enqueue/service events).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Installs the partition's probe (enqueue/service events).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    /// This partition's tracer (disabled unless the simulator installed
+    /// This partition's probe (disabled unless the simulator installed
     /// one).
     #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// Installs (or clears) a fault injector. Faults only ever *extend*
@@ -203,7 +203,7 @@ impl<P> Dram<P> {
     pub fn tick(&mut self, now: Cycle) -> std::vec::Drain<'_, DramResponse<P>> {
         let fresh = self.queue.len() - self.arrived;
         for req in self.queue.range(fresh..) {
-            self.tracer.record_with(now, || EventKind::DramEnqueue {
+            self.probe.emit(now, || EventKind::DramEnqueue {
                 block: req.block,
                 write: req.is_write,
             });
@@ -283,7 +283,7 @@ impl<P> Dram<P> {
             } else {
                 self.stats.reads += 1;
             }
-            self.tracer.record_with(now, || EventKind::DramService {
+            self.probe.emit(now, || EventKind::DramService {
                 block: req.block,
                 write: req.is_write,
             });
@@ -386,7 +386,7 @@ impl<P: Snap> Dram<P> {
     /// Serializes all dynamic state: bank rows/timers, the request
     /// queue, in-flight bursts (in their exact `Vec` order — completion
     /// uses `swap_remove`, so order is observable), bus/burst timing,
-    /// counters, and the armed fault injector. The config and tracer
+    /// counters, and the armed fault injector. The config and probe
     /// are rebuilt on restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.banks.save(w);
@@ -664,7 +664,7 @@ mod tests {
         use gtsc_trace::Scope;
         use gtsc_types::TraceConfig;
         let mut d: Dram<u32> = Dram::new(DramConfig::default());
-        d.set_tracer(Tracer::new(Scope::Dram(0), &TraceConfig::full()));
+        d.set_probe(Probe::recording(Scope::Dram(0), &TraceConfig::full()));
         let (c, k) = (64, 3);
         d.tick(Cycle(c));
         d.enqueue(DramRequest {
@@ -673,7 +673,7 @@ mod tests {
             payload: 1,
         });
         d.tick(Cycle(c + k));
-        let dated: Vec<_> = (d.tracer().events().iter())
+        let dated: Vec<_> = (d.probe().events().iter())
             .map(|e| (e.cycle, e.kind.name()))
             .collect();
         assert_eq!(

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use gtsc_faults::{FaultStats, LinkFaults, NocFaults};
-use gtsc_trace::{EventKind, Tracer};
+use gtsc_trace::{EventKind, Probe};
 use gtsc_types::{Cycle, NocConfig, NocStats, NocTopology};
 
 /// A queued or in-flight packet.
@@ -78,7 +78,7 @@ pub struct Network<T> {
     link_faults: Vec<Option<LinkFaults>>,
     /// Packets that vanished inside a link-down window.
     link_dropped: u64,
-    tracer: Tracer,
+    probe: Probe,
     /// No tick before `inject_at` can inject anything unless a packet is
     /// sent first, none before `arrive_at` can deliver anything (see
     /// [`Network::next_event_at`]): a tick runs only the pass whose cycle
@@ -125,23 +125,23 @@ impl<T> Network<T> {
             corrupted: Vec::new(),
             link_faults: Vec::new(),
             link_dropped: 0,
-            tracer: Tracer::disabled(),
+            probe: Probe::disabled(),
             inject_at: Cycle(0),
             arrive_at: Cycle(0),
             out: Vec::new(),
         }
     }
 
-    /// Installs a configured tracer (packet send/deliver events).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Installs the network's probe (packet send/deliver events).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    /// This network's tracer (disabled unless the simulator installed
+    /// This network's probe (disabled unless the simulator installed
     /// one).
     #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// Installs (or clears) a fault injector. The classic faults only
@@ -260,7 +260,7 @@ impl<T> Network<T> {
         } else {
             self.stats.control_packets += 1;
         }
-        self.tracer.record_with(now, || EventKind::PacketSend {
+        self.probe.emit(now, || EventKind::PacketSend {
             src: src as u16,
             dst: dst as u16,
             bytes: bytes as u32,
@@ -385,7 +385,7 @@ impl<T: Clone> Network<T> {
                     .is_some_and(|lf| lf.down(start.0))
                 {
                     self.link_dropped += 1;
-                    self.tracer.record_with(now, || EventKind::PacketDrop {
+                    self.probe.emit(now, || EventKind::PacketDrop {
                         src: src as u16,
                         dst: pkt.dst as u16,
                     });
@@ -399,7 +399,7 @@ impl<T: Clone> Network<T> {
                         // Loss fault: the packet (and any duplicate it
                         // would have spawned) vanishes on the wire. The
                         // injection bandwidth was still consumed.
-                        self.tracer.record_with(now, || EventKind::PacketDrop {
+                        self.probe.emit(now, || EventKind::PacketDrop {
                             src: src as u16,
                             dst: pkt.dst as u16,
                         });
@@ -459,7 +459,7 @@ impl<T: Clone> Network<T> {
                 let p = self.inflight.swap_remove(i);
                 if p.is_corrupt {
                     // The header survives; the payload does not.
-                    self.tracer.record_with(now, || EventKind::PacketCorrupt {
+                    self.probe.emit(now, || EventKind::PacketCorrupt {
                         src: p.src as u16,
                         dst: p.dst as u16,
                     });
@@ -468,7 +468,7 @@ impl<T: Clone> Network<T> {
                 }
                 if !p.is_dup {
                     self.stats.total_packet_latency += now - p.enqueued;
-                    self.tracer.record_with(now, || EventKind::PacketDeliver {
+                    self.probe.emit(now, || EventKind::PacketDeliver {
                         src: p.src as u16,
                         dst: p.dst as u16,
                     });
@@ -531,7 +531,7 @@ impl<T: Snap> Network<T> {
     /// Serializes the dynamic state: queues, port schedules, wire
     /// traffic, counters, fault-injector streams, flow clamps, and
     /// pending corruption headers. The geometry (`cfg`, port counts)
-    /// and tracer are config-derived and come from the network being
+    /// and probe are config-derived and come from the network being
     /// restored into. `inflight` is written in its exact `Vec` order —
     /// delivery uses `swap_remove`, so the order is observable and must
     /// survive a round trip byte-for-byte.

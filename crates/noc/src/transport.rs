@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gtsc_faults::{FaultStats, LinkFaults, NocFaults, SplitMix64};
-use gtsc_trace::{merge_tails, CloseReason, EventKind, SpanTracker, TraceEvent, Tracer};
+use gtsc_trace::{merge_tails, CloseReason, EventKind, Probe, TraceEvent};
 use gtsc_types::{Cycle, NocConfig, NocStats, SpanId, TransportConfig, TransportStats};
 
 use crate::Network;
@@ -186,12 +186,12 @@ pub struct ReliableNet<T> {
     rx: Vec<RxFlow<T>>,
     rng: SplitMix64,
     stats: TransportStats,
-    tracer: Tracer,
-    /// Latency-observatory handle plus a probe extracting the payload's
-    /// causal [`SpanId`] (a plain fn pointer keeps `ReliableNet` generic
-    /// over payloads that know nothing about spans).
-    spans: SpanTracker,
-    span_probe: Option<fn(&T) -> SpanId>,
+    /// Transport events (retransmits, NACKs) and span notes; the data
+    /// network carries a clone for the packet events.
+    probe: Probe,
+    /// The payload's causal [`SpanId`] (a plain fn pointer keeps
+    /// `ReliableNet` generic over payloads that know nothing about spans).
+    span_of: fn(&T) -> SpanId,
     /// No retransmit timer fires before this cycle: a lower bound on
     /// every unacked segment's `deadline`, lowered wherever one is set
     /// and made exact by the timer scan that gets past it. Derived state,
@@ -219,21 +219,22 @@ impl<T: Clone> ReliableNet<T> {
             rx: (0..n_srcs * n_dsts).map(|_| RxFlow::new()).collect(),
             rng: SplitMix64::new(0),
             stats: TransportStats::default(),
-            tracer: Tracer::disabled(),
-            spans: SpanTracker::disabled(),
-            span_probe: None,
+            probe: Probe::disabled(),
+            span_of: |_| SpanId::NONE,
             next_deadline: Cycle(u64::MAX),
             out: Vec::new(),
         }
     }
 
-    /// Installs the span tracker and the payload-to-span probe: sampled
-    /// payloads get retransmit overlays noted, and payloads discarded by
-    /// a flow reset get their spans closed with
-    /// [`CloseReason::Dropped`].
-    pub fn set_span_probe(&mut self, spans: SpanTracker, probe: fn(&T) -> SpanId) {
-        self.spans = spans;
-        self.span_probe = Some(probe);
+    /// Installs the probe — a clone goes to the data network (packet
+    /// send/deliver/drop/corrupt events), this one takes the transport
+    /// events — and the payload-to-span map: sampled payloads get
+    /// retransmit overlays noted, and payloads discarded by a flow reset
+    /// get their spans closed with [`CloseReason::Dropped`].
+    pub fn set_probe(&mut self, probe: Probe, span_of: fn(&T) -> SpanId) {
+        self.data.set_probe(probe.clone());
+        self.probe = probe;
+        self.span_of = span_of;
     }
 
     /// Switches from passthrough to reliable delivery, seeding the
@@ -275,27 +276,19 @@ impl<T: Clone> ReliableNet<T> {
         self.data.link_down(src, dst, now)
     }
 
-    /// Installs a tracer: a clone goes to the data network (packet
-    /// send/deliver/drop/corrupt events) and one stays here for the
-    /// transport events (retransmits, NACKs).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.data.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
     /// Combined flight-recorder tail of the data network and the
     /// transport layer, cycle-ordered.
     #[must_use]
     pub fn flight_tail(&self) -> Vec<TraceEvent> {
-        merge_tails(&[self.data.tracer().flight_tail(), self.tracer.flight_tail()])
+        merge_tails(&[self.data.probe().flight_tail(), self.probe.flight_tail()])
     }
 
     /// The full in-order transport event log (empty unless tracing in
     /// `Full` mode).
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = self.data.tracer().events().to_vec();
-        all.extend_from_slice(self.tracer.events());
+        let mut all: Vec<TraceEvent> = self.data.probe().events().to_vec();
+        all.extend_from_slice(self.probe.events());
         all.sort_by_key(|e| e.cycle);
         all
     }
@@ -419,15 +412,13 @@ impl<T: Clone> ReliableNet<T> {
             // A flow reset is the one place the transport abandons
             // payloads for good (everywhere else a lost segment is
             // retransmitted), so it is the one terminal `Dropped` site.
-            if let Some(probe) = self.span_probe {
-                for sent in &tx.unacked {
-                    self.spans
-                        .close(probe(&sent.payload), CloseReason::Dropped, now);
+            let span_of = self.span_of;
+            self.probe.spans(|s| {
+                let payloads = tx.unacked.iter().map(|sent| &sent.payload);
+                for payload in payloads.chain(rx.buffer.values()) {
+                    s.close(span_of(payload), CloseReason::Dropped, now);
                 }
-                for payload in rx.buffer.values() {
-                    self.spans.close(probe(payload), CloseReason::Dropped, now);
-                }
-            }
+            });
             // Generation bump: segments and control messages of the old
             // generation still in flight are discarded on arrival, so
             // the restarted sequence space can never collide with them.
@@ -512,7 +503,7 @@ impl<T: Clone> ReliableNet<T> {
         let expected = rxf.next_expected;
         let gen = rxf.gen;
         self.stats.nacks += 1;
-        self.tracer.record_with(now, || EventKind::Nack {
+        self.probe.emit(now, || EventKind::Nack {
             src: flow_src as u16,
             dst: flow_dst as u16,
             expected,
@@ -546,14 +537,12 @@ impl<T: Clone> ReliableNet<T> {
         self.next_deadline = self.next_deadline.min(entry.deadline);
         let age = now.0.saturating_sub(entry.first_sent.0);
         let (bytes, payload) = (entry.bytes, entry.payload.clone());
-        if let Some(probe) = self.span_probe {
-            self.spans.note_retransmit(probe(&payload), now);
-        }
+        (self.probe).spans(|s| s.note_retransmit((self.span_of)(&payload), now));
         self.stats.retransmits += 1;
         if !via_nack {
             self.stats.timeouts += 1;
         }
-        self.tracer.record_with(now, || EventKind::Retransmit {
+        self.probe.emit(now, || EventKind::Retransmit {
             src: src as u16,
             dst: dst as u16,
             seq,
@@ -823,7 +812,7 @@ impl<T: Snap> ReliableNet<T> {
     /// the enabled flag, every sender/receiver flow (retransmit queues,
     /// reorder buffers, generations), the backoff-jitter RNG stream, and
     /// the counters. `tcfg`, `ctl_bytes`, the port geometry, and the
-    /// tracers are config-derived and come from the wrapper being
+    /// probes are config-derived and come from the wrapper being
     /// restored into.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.data.save_state(w);

@@ -9,7 +9,7 @@
 //! * `gtsc_baselines::{BypassL1, PlainL2}` — the no-L1 baseline ("BL");
 //! * `gtsc_baselines::NonCoherentL1` — "Baseline W/L1".
 
-use gtsc_trace::{Sanitizer, SpanTracker, Tracer};
+use gtsc_trace::Probe;
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, CacheStats, Cycle, SpanId, Timestamp, Version, WarpId};
 
@@ -286,33 +286,19 @@ pub trait L1Controller {
         }
     }
 
-    /// Installs a protocol event tracer. Controllers that emit trace
-    /// events override this; the default discards the tracer so plain
-    /// implementations need no tracing plumbing.
-    fn set_tracer(&mut self, tracer: Tracer) {
-        let _ = tracer;
+    /// Installs the controller's observation probe (see
+    /// `gtsc_trace::Probe`: recorder, rule sink and span tracker behind
+    /// one handle). Controllers that emit events override this; the
+    /// default discards the probe — span chains self-heal around layers
+    /// that do not report.
+    fn set_probe(&mut self, probe: Probe) {
+        let _ = probe;
     }
 
-    /// The installed tracer, for flight-recorder dumps. `None` when the
-    /// controller does not trace.
-    fn tracer(&self) -> Option<&Tracer> {
+    /// The installed probe, for flight-recorder dumps. `None` when the
+    /// controller emits nothing.
+    fn probe(&self) -> Option<&Probe> {
         None
-    }
-
-    /// Installs an online transition sanitizer (see
-    /// `gtsc_trace::Sanitizer`). Controllers that report transitions
-    /// override this; the default discards the handle so plain
-    /// implementations need no checking plumbing.
-    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        let _ = sanitizer;
-    }
-
-    /// Installs a causal-span tracker (see `gtsc_trace::SpanTracker`).
-    /// Controllers that annotate spans (MSHR merges, expiry refetches)
-    /// override this; the default discards the handle — span chains
-    /// self-heal around layers that do not report.
-    fn set_span_tracker(&mut self, spans: SpanTracker) {
-        let _ = spans;
     }
 
     /// Serializes the controller's dynamic state for a whole-simulator
@@ -439,32 +425,19 @@ pub trait L2Controller {
         ControllerPressure::default()
     }
 
-    /// Installs a protocol event tracer. Controllers that emit trace
-    /// events override this; the default discards the tracer so plain
-    /// implementations need no tracing plumbing.
-    fn set_tracer(&mut self, tracer: Tracer) {
-        let _ = tracer;
+    /// Installs the controller's observation probe (see
+    /// `gtsc_trace::Probe`: recorder, rule sink and span tracker behind
+    /// one handle). Controllers that emit events override this; the
+    /// default discards the probe — span chains self-heal around layers
+    /// that do not report.
+    fn set_probe(&mut self, probe: Probe) {
+        let _ = probe;
     }
 
-    /// The installed tracer, for flight-recorder dumps. `None` when the
-    /// controller does not trace.
-    fn tracer(&self) -> Option<&Tracer> {
+    /// The installed probe, for flight-recorder dumps. `None` when the
+    /// controller emits nothing.
+    fn probe(&self) -> Option<&Probe> {
         None
-    }
-
-    /// Installs an online transition sanitizer (see
-    /// `gtsc_trace::Sanitizer`). Controllers that report transitions
-    /// override this; the default discards the handle so plain
-    /// implementations need no checking plumbing.
-    fn set_sanitizer(&mut self, sanitizer: Sanitizer) {
-        let _ = sanitizer;
-    }
-
-    /// Installs a causal-span tracker (see `gtsc_trace::SpanTracker`).
-    /// Banks that annotate spans (serve class, DRAM waits, crash
-    /// closes) override this; the default discards the handle.
-    fn set_span_tracker(&mut self, spans: SpanTracker) {
-        let _ = spans;
     }
 
     /// Serializes the bank's dynamic state for a whole-simulator
@@ -612,19 +585,13 @@ mod tests {
         assert!(d.pressure().is_empty());
         assert!(d2.pressure().is_empty());
         assert_eq!(d2.pressure().to_string(), "mshr=0 out_queue=0 waiting=0");
-        // Default tracer hooks: discard on install, report nothing.
+        // Default probe hooks: discard on install, report nothing; the
+        // default wait hint is derived from the (empty) pressure report.
         let mut d = d;
-        d.set_tracer(Tracer::default());
-        d2.set_tracer(Tracer::default());
-        assert!(d.tracer().is_none());
-        assert!(d2.tracer().is_none());
-        // Default sanitizer hooks likewise discard the handle.
-        d.set_sanitizer(Sanitizer::default());
-        d2.set_sanitizer(Sanitizer::default());
-        // Default span hooks discard too, and the default wait hint is
-        // derived from the (empty) pressure report.
-        d.set_span_tracker(SpanTracker::default());
-        d2.set_span_tracker(SpanTracker::default());
+        d.set_probe(Probe::default());
+        d2.set_probe(Probe::default());
+        assert!(d.probe().is_none());
+        assert!(d2.probe().is_none());
         assert_eq!(d.wait_hint(), WaitHint::None);
     }
 }

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gtsc_mem::{Mshr, MshrAlloc};
-use gtsc_trace::{CloseReason, SpanTracker};
+use gtsc_trace::{CloseReason, Probe};
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, Cycle, FxHashMap, Version};
 
@@ -255,18 +255,19 @@ impl BankShell {
     /// queues and the DRAM requests not yet taken are emptied, and each
     /// sampled span among them is closed `BankReset`, exactly once. What
     /// was written back survives.
-    pub fn crash(&mut self, spans: &SpanTracker, now: Cycle) {
+    pub fn crash(&mut self, probe: &Probe, now: Cycle) {
+        let close = |span| probe.spans(|s| s.close(span, CloseReason::BankReset, now));
         for block in self.pending.blocks() {
             for (_, msg) in self.pending.take(block) {
-                spans.close(msg.span(), CloseReason::BankReset, now);
+                close(msg.span());
             }
         }
         for (_, _, msg) in self.in_queue.drain(..) {
-            spans.close(msg.span(), CloseReason::BankReset, now);
+            close(msg.span());
         }
         self.head_stalled = false;
         for (_, resp) in self.out_resp.drain(..) {
-            spans.close(resp.span(), CloseReason::BankReset, now);
+            close(resp.span());
         }
         self.dram_out.clear();
     }
@@ -446,7 +447,7 @@ mod tests {
                         }
                         1 => {
                             for twin in [&mut eager, &mut lazy] {
-                                twin.shell.crash(&SpanTracker::disabled(), at);
+                                twin.shell.crash(&Probe::disabled(), at);
                                 twin.resident.clear();
                             }
                         }

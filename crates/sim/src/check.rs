@@ -310,9 +310,8 @@ pub struct Checker {
     /// Violations found by eager validation during [`Checker::compact`].
     early: Vec<Violation>,
     /// Keyed loads accepted without exact validation because their key
-    /// fell below a compaction horizon (counted in `finish`, which is
-    /// `&self` — hence the `Cell`).
-    horizon_accepts: std::cell::Cell<u64>,
+    /// fell below a compaction horizon (counted once, on arrival).
+    horizon_accepts: u64,
 }
 
 impl Checker {
@@ -350,11 +349,17 @@ impl Checker {
             AccessKind::Load => Some((c.version, false)),
         };
         if let Some((version, exclusive)) = observed {
+            let key = c.ts.map(|t| (c.epoch, t));
+            if key.is_some_and(|k| self.horizon.get(&c.block).is_some_and(|&h| k < h)) {
+                // The stores this load could legally observe were pruned
+                // by `compact`: `finish` accepts it leniently.
+                self.horizon_accepts += 1;
+            }
             self.loads
                 .entry(c.block)
                 .or_default()
                 .push(&LoadObservation {
-                    key: c.ts.map(|t| (c.epoch, t)),
+                    key,
                     version,
                     at: now,
                     sm,
@@ -400,10 +405,8 @@ impl Checker {
                 match ld.key {
                     Some(key) => {
                         if horizon.is_some_and(|h| key < h) {
-                            // The stores this load could legally observe
-                            // were pruned by `compact`: accept leniently
-                            // and count the imprecision.
-                            self.horizon_accepts.set(self.horizon_accepts.get() + 1);
+                            // Pruned by `compact`: accepted leniently,
+                            // counted on arrival.
                             continue;
                         }
                         let expected =
@@ -503,10 +506,10 @@ impl Checker {
 
     /// Keyed loads accepted without exact validation because a
     /// [`Checker::compact`] horizon had pruned their candidate stores
-    /// (0 unless `compact` ran; populated by `finish`).
+    /// (0 unless `compact` ran; each counted once, when it arrives).
     #[must_use]
     pub fn horizon_accepts(&self) -> u64 {
-        self.horizon_accepts.get()
+        self.horizon_accepts
     }
 
     /// Bounds the checker's memory on long runs by pruning history that
@@ -652,8 +655,8 @@ impl Snap for VersionSet {
     }
 }
 
-// Manual rather than `snap_fields!` because `horizon_accepts` lives in a
-// `Cell` (saved/restored by value).
+// Manual rather than `snap_fields!` because the running record counts are
+// not saved: a restore recounts them.
 impl Snap for Checker {
     fn save(&self, w: &mut SnapWriter) {
         self.stores.save(w);
@@ -663,7 +666,7 @@ impl Snap for Checker {
         self.frontier.save(w);
         self.horizon.save(w);
         self.early.save(w);
-        self.horizon_accepts.get().save(w);
+        self.horizon_accepts.save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
@@ -677,7 +680,7 @@ impl Snap for Checker {
             frontier: Snap::load(r)?,
             horizon: Snap::load(r)?,
             early: Snap::load(r)?,
-            horizon_accepts: std::cell::Cell::new(Snap::load(r)?),
+            horizon_accepts: Snap::load(r)?,
         };
         let walked = checker.footprint();
         (checker.n_loads, checker.n_stores) = (walked.loads, walked.stores);
@@ -919,6 +922,21 @@ mod tests {
         assert_eq!(ch.horizon_accepts(), 1);
     }
 
+    /// Reading the verdict does not change it: a late load is counted
+    /// once however often the run is reported on.
+    #[test]
+    fn a_late_load_is_counted_once_across_reports() {
+        let mut ch = Checker::new();
+        ch.on_completion(0, &store(5, 10, 100, 0), Cycle(1));
+        ch.on_completion(0, &store(5, 20, 200, 0), Cycle(2));
+        ch.on_completion(1, &load(5, 25, 200, 0), Cycle(3));
+        ch.compact();
+        ch.on_completion(1, &load(5, 5, 100, 0), Cycle(4));
+        assert!(ch.finish().is_empty());
+        assert!(ch.finish_capped(8).is_empty());
+        assert_eq!(ch.horizon_accepts(), 1);
+    }
+
     #[test]
     fn compact_is_idempotent_on_clean_history() {
         let mut ch = Checker::new();
@@ -1149,11 +1167,15 @@ mod tests {
                 },
                 AccessKind::Load => (c.version, false),
             };
+            let key = c.ts.map(|t| (c.epoch, t));
+            if key.is_some_and(|k| self.horizon.get(&c.block).is_some_and(|&h| k < h)) {
+                self.horizon_accepts += 1;
+            }
             self.loads
                 .entry(c.block)
                 .or_default()
                 .push(LoadObservation {
-                    key: c.ts.map(|t| (c.epoch, t)),
+                    key,
                     version,
                     at: now,
                     sm,
@@ -1167,16 +1189,14 @@ mod tests {
             v
         }
 
-        fn finish(&mut self) -> Vec<Violation> {
+        fn finish(&self) -> Vec<Violation> {
             let mut out = self.early.clone();
             for block in &sorted_blocks(&self.loads) {
                 let stores = self.stores.get(block);
                 let horizon = self.horizon.get(block).copied();
                 for ld in &self.loads[block] {
                     match ld.key {
-                        Some(key) if horizon.is_some_and(|h| key < h) => {
-                            self.horizon_accepts += 1;
-                        }
+                        Some(key) if horizon.is_some_and(|h| key < h) => {}
                         Some(key) => out.extend(keyed_violation(
                             *block,
                             ld,

@@ -11,7 +11,7 @@
 //! the watchdog, reports, stall diagnosis, snapshots — exists once.
 //!
 //! `now` is the machine's only clock: every component call that can
-//! record an event or a sanitizer transition is handed it, so a component
+//! emit an event through its probe is handed it, so a component
 //! that slept through cycles dates what it does as one that was visited.
 //!
 //! One cycle, in order (the checker, the shared sanitizer and the fault
@@ -55,8 +55,8 @@ use gtsc_noc::ReliableNet;
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
 use gtsc_protocol::{L1Controller, L2Controller, WaitHint};
 use gtsc_trace::{
-    merge_tails, HopKind, IntervalSample, IntervalSampler, Sanitizer, Scope, SpanRecord,
-    SpanTracker, TraceEvent, Tracer,
+    merge_tails, HopKind, IntervalSample, IntervalSampler, Probe, Sanitizer, Scope, SpanRecord,
+    SpanTracker, TraceEvent,
 };
 use gtsc_types::snap::{
     crc32, Snap, SnapReader, SnapWriter, SnapshotBuilder, SnapshotError, SnapshotFile,
@@ -89,11 +89,11 @@ pub enum TraceView {
 }
 
 impl TraceView {
-    /// `tracer`'s events under this view.
-    pub fn of(self, tracer: &Tracer) -> Vec<TraceEvent> {
+    /// The events `probe` recorded, under this view.
+    pub fn of(self, probe: &Probe) -> Vec<TraceEvent> {
         match self {
-            TraceView::Full => tracer.events().to_vec(),
-            TraceView::Tail => tracer.flight_tail(),
+            TraceView::Full => probe.events().to_vec(),
+            TraceView::Tail => probe.flight_tail(),
         }
     }
 
@@ -114,7 +114,7 @@ pub trait MemorySide {
     /// The bank controller a device's L2 slots hold.
     type Bank: L2Controller + ?Sized;
 
-    /// Tracer/sanitizer scope of bank `b` on device `d`.
+    /// Probe scope of bank `b` on device `d`.
     fn bank_scope(d: usize, b: usize) -> Scope;
 
     /// Front half, per device, after request delivery: tick device
@@ -422,8 +422,12 @@ impl<B: L2Controller + ?Sized> Device<B> {
         }
     }
 
-    /// Hands every component its tracer, span-tracker clone and scoped
-    /// sanitizer (each only when enabled). Device `d`'s crossbars are
+    /// Hands every component its probe: a recorder per `cfg.trace`, the
+    /// shared span tracker, and — for the protocol controllers, whose
+    /// events the live rules read — the shared rule machine behind
+    /// `sanitizer` (each only when enabled). The pipeline and the
+    /// crossbars emit no fact a live rule reads, so a sanitized run leaves
+    /// their probes as cheap as a plain one. Device `d`'s crossbars are
     /// `Noc(2d)` / `Noc(2d + 1)`; its banks are scoped by `bank_scope(d, b)`.
     fn instrument(
         &mut self,
@@ -433,41 +437,24 @@ impl<B: L2Controller + ?Sized> Device<B> {
         sanitizer: &Sanitizer,
         spans: &SpanTracker,
     ) {
-        let sm_scope = |i: usize| Scope::Sm((self.sm_base + i) as u16);
-        if cfg.trace.is_enabled() {
-            let noc = 2 * d as u16;
-            for (i, sm) in self.sms.iter_mut().enumerate() {
-                sm.set_tracer(Tracer::new(sm_scope(i), &cfg.trace));
-                sm.l1_mut().set_tracer(Tracer::new(sm_scope(i), &cfg.trace));
-            }
-            for (b, bank) in self.l2.iter_mut().enumerate() {
-                bank.set_tracer(Tracer::new(bank_scope(d, b), &cfg.trace));
-            }
-            self.req_net
-                .set_tracer(Tracer::new(Scope::Noc(noc), &cfg.trace));
-            self.resp_net
-                .set_tracer(Tracer::new(Scope::Noc(noc + 1), &cfg.trace));
+        let no_rules = Sanitizer::disabled();
+        let probe = |scope, rules| Probe::new(scope, &cfg.trace, rules, spans);
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            let scope = Scope::Sm((self.sm_base + i) as u16);
+            sm.set_probe(probe(scope, &no_rules));
+            sm.set_span_sampling(cfg.trace.span_rate, cfg.trace.span_seed);
+            sm.l1_mut().set_probe(probe(scope, sanitizer));
         }
-        if spans.is_enabled() {
-            for sm in &mut self.sms {
-                sm.set_span_sampling(cfg.trace.span_rate, cfg.trace.span_seed, spans.clone());
-                sm.l1_mut().set_span_tracker(spans.clone());
-            }
-            for bank in &mut self.l2 {
-                bank.set_span_tracker(spans.clone());
-            }
-            self.req_net
-                .set_span_probe(spans.clone(), |p: &(usize, L1ToL2)| p.1.span());
-            self.resp_net.set_span_probe(spans.clone(), L2ToL1::span);
+        for (b, bank) in self.l2.iter_mut().enumerate() {
+            bank.set_probe(probe(bank_scope(d, b), sanitizer));
         }
-        if sanitizer.is_enabled() {
-            for (i, sm) in self.sms.iter_mut().enumerate() {
-                sm.l1_mut().set_sanitizer(sanitizer.for_scope(sm_scope(i)));
-            }
-            for (b, bank) in self.l2.iter_mut().enumerate() {
-                bank.set_sanitizer(sanitizer.for_scope(bank_scope(d, b)));
-            }
-        }
+        let noc = 2 * d as u16;
+        let (req, resp) = (
+            probe(Scope::Noc(noc), &no_rules),
+            probe(Scope::Noc(noc + 1), &no_rules),
+        );
+        (self.req_net).set_probe(req, |p: &(usize, L1ToL2)| p.1.span());
+        (self.resp_net).set_probe(resp, L2ToL1::span);
     }
 
     /// Crashes bank `b`; if the controller supports crash/recovery, its
@@ -667,15 +654,10 @@ impl<B: L2Controller + ?Sized> Device<B> {
 
     fn trace(&self, view: TraceView, out: &mut Vec<Vec<TraceEvent>>) {
         for sm in &self.sms {
-            out.push(view.of(sm.tracer()));
-            out.extend(sm.l1().tracer().map(|t| view.of(t)));
+            out.push(view.of(sm.probe()));
+            out.extend(sm.l1().probe().map(|p| view.of(p)));
         }
-        out.extend(
-            self.l2
-                .iter()
-                .filter_map(|b| b.tracer())
-                .map(|t| view.of(t)),
-        );
+        out.extend(self.l2.iter().filter_map(|b| b.probe()).map(|p| view.of(p)));
         out.push(view.of_net(&self.req_net));
         out.push(view.of_net(&self.resp_net));
     }

@@ -11,7 +11,7 @@
 use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
 use gtsc_mem::{Dram, DramRequest};
 use gtsc_protocol::L2Controller;
-use gtsc_trace::{Scope, TraceEvent, Tracer};
+use gtsc_trace::{Probe, Scope, TraceEvent};
 use gtsc_types::snap::{Snap, SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{Cycle, GpuConfig, SimStats};
 
@@ -42,9 +42,7 @@ impl LocalDram {
         let mut drams: Vec<Dram<()>> = (0..n).map(|_| Dram::new(cfg.dram)).collect();
         for (i, d) in drams.iter_mut().enumerate() {
             d.set_faults(plan.dram(i as u64));
-            if cfg.trace.is_enabled() {
-                d.set_tracer(Tracer::new(Scope::Dram(i as u16), &cfg.trace));
-            }
+            d.set_probe(Probe::recording(Scope::Dram(i as u16), &cfg.trace));
         }
         let bank_faults = (0..n).map(|b| plan.bank(b as u64, n as u64)).collect();
         let wake = Wake::new(n);
@@ -124,7 +122,7 @@ impl MemorySide for LocalDram {
     }
 
     fn trace(&self, view: TraceView, out: &mut Vec<Vec<TraceEvent>>) {
-        out.extend(self.drams.iter().map(|d| view.of(d.tracer())));
+        out.extend(self.drams.iter().map(|d| view.of(d.probe())));
     }
 
     fn fault_stats(&self) -> Vec<FaultStats> {
@@ -684,7 +682,8 @@ mod tests {
             "cold_miss",
             "lease_grant",
             "store_commit",
-            "fill_applied",
+            "lease_install",
+            "warp_ts",
             "packet_send",
             "packet_deliver",
             "dram_service",

@@ -25,7 +25,7 @@ use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
 use gtsc_noc::ReliableNet;
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
 use gtsc_protocol::L2Controller;
-use gtsc_trace::{Sanitizer, Scope, TraceEvent, Tracer};
+use gtsc_trace::{Probe, Sanitizer, Scope, SpanTracker, TraceEvent};
 use gtsc_types::snap::{Snap, SnapshotBuilder, SnapshotError, SnapshotFile};
 use gtsc_types::{BlockAddr, Cycle, GpuConfig, MultiGpuConfig, ProtocolKind, SimStats, Version};
 
@@ -102,15 +102,22 @@ impl FabricToHome {
                 )
             })
             .collect();
-        if cfg.gpu.trace.is_enabled() {
-            let fabric_scope = 2 * n_devices as u16;
-            home.set_tracer(Tracer::new(Scope::Home(0), &cfg.gpu.trace));
-            up_net.set_tracer(Tracer::new(Scope::Noc(fabric_scope), &cfg.gpu.trace));
-            down_net.set_tracer(Tracer::new(Scope::Noc(fabric_scope + 1), &cfg.gpu.trace));
-        }
-        if sanitizer.is_enabled() {
-            home.set_sanitizer(sanitizer.for_scope(Scope::Home(0)));
-        }
+        // The fabric feeds no span: its probes record and (the home's)
+        // check.
+        let trace = &cfg.gpu.trace;
+        home.set_probe(Probe::new(
+            Scope::Home(0),
+            trace,
+            sanitizer,
+            &SpanTracker::disabled(),
+        ));
+        let fabric_scope = 2 * n_devices as u16;
+        let up = Probe::recording(Scope::Noc(fabric_scope), trace);
+        up_net.set_probe(up, |p: &(usize, L1ToL2)| p.1.span());
+        down_net.set_probe(
+            Probe::recording(Scope::Noc(fabric_scope + 1), trace),
+            L2ToL1::span,
+        );
         let sizes = MsgSizes::new(
             fabric.noc.control_bytes,
             cfg.gpu.ts_bits,
@@ -274,7 +281,7 @@ impl MemorySide for FabricToHome {
     }
 
     fn trace(&self, view: TraceView, out: &mut Vec<Vec<TraceEvent>>) {
-        out.push(view.of(self.home.tracer()));
+        out.push(view.of(self.home.probe()));
         out.push(view.of_net(&self.up_net));
         out.push(view.of_net(&self.down_net));
     }

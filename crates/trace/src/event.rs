@@ -1,12 +1,16 @@
-//! The protocol event taxonomy.
+//! The protocol event taxonomy: the one fact vocabulary.
 //!
 //! Tardis-style protocols are debugged in terms of their timestamp
 //! transitions (lease grants, renewals, expiries, future-scheduled
 //! writes, rollovers), so every event carries the logical-time facts a
-//! post-mortem needs, not just a name. Events are small `Copy` values —
-//! cheap to push into a ring buffer on the protocol paths.
+//! post-mortem needs, not just a name — and every fact a rule of the
+//! invariant catalog ([`crate::rules`]) reads, epochs included. A
+//! component reports each transition once, through its
+//! [`crate::Probe`]; the recorder, the rule machine and the span tracker
+//! all read that one event. Events are small `Copy` values — cheap to
+//! push into a ring buffer on the protocol paths.
 
-use gtsc_types::{BlockAddr, Cycle, StallKind};
+use gtsc_types::{BlockAddr, Cycle, StallKind, Timestamp};
 
 /// Coarse event category; each class owns one bit of
 /// [`gtsc_types::TraceConfig::class_mask`].
@@ -16,7 +20,7 @@ pub enum EventClass {
     /// Cache lookups: hits, cold misses, expired (coherence) misses,
     /// accesses blocked on a pending write.
     Access = 0,
-    /// Logical-lease machinery: grants, renewals, fills.
+    /// Logical-lease machinery: grants, renewals, installs.
     Lease = 1,
     /// Store lifecycle: commit at L2, ack at L1, replay drops.
     Store = 2,
@@ -24,7 +28,7 @@ pub enum EventClass {
     Eviction = 3,
     /// Timestamp rollover epochs (Section V-D).
     Rollover = 4,
-    /// SM pipeline: warp issue and stall.
+    /// Warps: issue, stall, and logical-timestamp advances.
     Warp = 5,
     /// Interconnect packet send/deliver.
     Noc = 6,
@@ -142,7 +146,11 @@ impl std::fmt::Display for Scope {
 
 /// One protocol event. Timestamps are raw logical-time values
 /// ([`gtsc_types::Timestamp`]`.0`) so the enum stays `Copy` and free of
-/// protocol-crate dependencies.
+/// protocol-crate dependencies; the one exception, [`EventKind::WarpTs`],
+/// keeps the typed [`Timestamp`] its benchmark rung names. Which
+/// component reported an event ([`TraceEvent::scope`]) says which rules
+/// read it: a lease event from an SM is its L1's, from a bank or the home
+/// the serving side's, from a device its fabric shard's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// L1/L2 lookup hit with a live (unexpired) lease.
@@ -182,34 +190,21 @@ pub enum EventKind {
         /// Locked block.
         block: BlockAddr,
     },
-    /// L2 granted a fresh lease `[wts, rts]` with fill data.
-    LeaseGrant {
+    /// A lease `[wts, rts]` was granted, renewed, installed or committed
+    /// (`op`), in `epoch`.
+    Lease {
+        /// What happened to the lease.
+        op: LeaseOp,
         /// Leased block.
         block: BlockAddr,
-        /// Write timestamp.
+        /// Write timestamp of the version the lease covers (`0` for a TC
+        /// physical lease).
         wts: u64,
-        /// Read-timestamp upper bound.
+        /// Read-timestamp upper bound (the expiry cycle of a TC physical
+        /// lease).
         rts: u64,
-    },
-    /// Lease extended without data (renewal, Section II-D).
-    Renewal {
-        /// Renewed block.
-        block: BlockAddr,
-        /// New read-timestamp upper bound.
-        rts: u64,
-    },
-    /// L1 installed fill data for an earlier miss.
-    FillApplied {
-        /// Filled block.
-        block: BlockAddr,
-    },
-    /// L2 committed a store at logical time `wts` (future-scheduled
-    /// write).
-    StoreCommit {
-        /// Written block.
-        block: BlockAddr,
-        /// Commit write-timestamp.
-        wts: u64,
+        /// Epoch the lease belongs to.
+        epoch: u64,
     },
     /// L1 received the global-performance ack for a store.
     WriteAck {
@@ -227,9 +222,12 @@ pub enum EventKind {
         block: BlockAddr,
         /// The evicted line's read-timestamp upper bound (lease expiry
         /// cycle for the TC baselines); `0` when unknown. Lets the
-        /// `evict-live-lease` rule spot evictions that dropped an
+        /// `evict-live-lease` rule spot L1 evictions that dropped an
         /// unexpired lease.
         rts: u64,
+        /// A G-TSC bank's `mem_ts` after folding the eviction in (Fig. 6,
+        /// the `evict-unfolded-lease` rule); `None` where nothing folds.
+        mem_ts: Option<u64>,
     },
     /// Timestamp rollover: the component entered reset epoch `epoch`
     /// (Section V-D).
@@ -248,6 +246,14 @@ pub enum EventKind {
         warp: u16,
         /// Why it could not issue.
         kind: StallKind,
+    },
+    /// A warp's logical timestamp advanced to `ts` (a load or a store
+    /// ack observed a newer version, §III-C).
+    WarpTs {
+        /// Warp slot within the reporting SM.
+        warp: u16,
+        /// The new warp timestamp.
+        ts: Timestamp,
     },
     /// A packet entered a network.
     PacketSend {
@@ -305,12 +311,10 @@ pub enum EventKind {
         /// The sequence number the receiver expects next.
         expected: u64,
     },
-    /// An L2 bank (or, under a [`Scope::Device`], a whole device)
-    /// crashed while in `epoch`; the recovery's epoch bump follows as a
-    /// [`EventKind::Rollover`].
+    /// The reporting L2 bank (or, under a [`Scope::Device`], the whole
+    /// device with its installed grants) crashed while in `epoch`; the
+    /// recovery's epoch bump follows as a [`EventKind::Rollover`].
     BankReset {
-        /// Crashed bank (the device index for a device crash).
-        bank: u16,
         /// The epoch the unit was in when it crashed — recovery must
         /// leave it behind.
         epoch: u64,
@@ -329,6 +333,58 @@ pub enum EventKind {
         /// Whether it is a write burst.
         write: bool,
     },
+    /// TC baseline: a physical lease was granted at the event's cycle,
+    /// expiring at cycle `expires` (§II-D).
+    TcLease {
+        /// Leased block.
+        block: BlockAddr,
+        /// Expiry cycle of the lease.
+        expires: u64,
+    },
+    /// TC baseline: a write performed at the event's cycle on a line
+    /// whose last granted lease expires at cycle `expires`. Under
+    /// TC-Strong (`strong`) write atomicity requires that lease to have
+    /// run out; TC-Weak writes inside it by design.
+    TcWrite {
+        /// Written block.
+        block: BlockAddr,
+        /// Expiry cycle of the last lease on the block.
+        expires: u64,
+        /// Whether the L2 runs TC-Strong.
+        strong: bool,
+    },
+}
+
+/// What an [`EventKind::Lease`] event did with its lease. The reporting
+/// component ([`TraceEvent::scope`]) says whose lease it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeaseOp {
+    /// Served with data: a bank's or the home's fresh grant (Fig. 4), or
+    /// a device's serve from its installed grant.
+    Grant,
+    /// Extended without data (renewal, Section VI-C): served by a bank,
+    /// the home or a device, or applied by an L1.
+    Renew,
+    /// Installed from the level above: an L1 fill or store ack (Fig. 7),
+    /// a bank's DRAM fill under `mem_ts` (Fig. 6), or a device's
+    /// inter-GPU grant from the home (DESIGN.md §17).
+    Install,
+    /// Committed by a store at the L2: the block's new version lives at
+    /// `wts` (future-scheduled write, Fig. 5).
+    Commit,
+}
+
+impl LeaseOp {
+    /// Stable event name, used by the exporters.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            LeaseOp::Grant => "lease_grant",
+            LeaseOp::Renew => "renewal",
+            LeaseOp::Install => "lease_install",
+            LeaseOp::Commit => "store_commit",
+        }
+    }
 }
 
 impl EventKind {
@@ -340,15 +396,19 @@ impl EventKind {
             | EventKind::ColdMiss { .. }
             | EventKind::ExpiredMiss { .. }
             | EventKind::BlockedOnWrite { .. } => EventClass::Access,
-            EventKind::LeaseGrant { .. }
-            | EventKind::Renewal { .. }
-            | EventKind::FillApplied { .. } => EventClass::Lease,
-            EventKind::StoreCommit { .. }
+            EventKind::Lease {
+                op: LeaseOp::Commit,
+                ..
+            }
             | EventKind::WriteAck { .. }
-            | EventKind::ReplayDrop { .. } => EventClass::Store,
+            | EventKind::ReplayDrop { .. }
+            | EventKind::TcWrite { .. } => EventClass::Store,
+            EventKind::Lease { .. } | EventKind::TcLease { .. } => EventClass::Lease,
             EventKind::Eviction { .. } => EventClass::Eviction,
             EventKind::Rollover { .. } => EventClass::Rollover,
-            EventKind::WarpIssue { .. } | EventKind::WarpStall { .. } => EventClass::Warp,
+            EventKind::WarpIssue { .. }
+            | EventKind::WarpStall { .. }
+            | EventKind::WarpTs { .. } => EventClass::Warp,
             EventKind::PacketSend { .. } | EventKind::PacketDeliver { .. } => EventClass::Noc,
             EventKind::PacketDrop { .. }
             | EventKind::PacketCorrupt { .. }
@@ -368,18 +428,18 @@ impl EventKind {
             | EventKind::ColdMiss { block, .. }
             | EventKind::ExpiredMiss { block, .. }
             | EventKind::BlockedOnWrite { block }
-            | EventKind::LeaseGrant { block, .. }
-            | EventKind::Renewal { block, .. }
-            | EventKind::FillApplied { block }
-            | EventKind::StoreCommit { block, .. }
+            | EventKind::Lease { block, .. }
             | EventKind::WriteAck { block }
             | EventKind::ReplayDrop { block }
             | EventKind::Eviction { block, .. }
             | EventKind::DramEnqueue { block, .. }
-            | EventKind::DramService { block, .. } => Some(block),
+            | EventKind::DramService { block, .. }
+            | EventKind::TcLease { block, .. }
+            | EventKind::TcWrite { block, .. } => Some(block),
             EventKind::Rollover { .. }
             | EventKind::WarpIssue { .. }
             | EventKind::WarpStall { .. }
+            | EventKind::WarpTs { .. }
             | EventKind::PacketSend { .. }
             | EventKind::PacketDeliver { .. }
             | EventKind::PacketDrop { .. }
@@ -399,16 +459,14 @@ impl EventKind {
             EventKind::ColdMiss { .. } => "cold_miss",
             EventKind::ExpiredMiss { .. } => "expired_miss",
             EventKind::BlockedOnWrite { .. } => "blocked_on_write",
-            EventKind::LeaseGrant { .. } => "lease_grant",
-            EventKind::Renewal { .. } => "renewal",
-            EventKind::FillApplied { .. } => "fill_applied",
-            EventKind::StoreCommit { .. } => "store_commit",
+            EventKind::Lease { op, .. } => op.name(),
             EventKind::WriteAck { .. } => "write_ack",
             EventKind::ReplayDrop { .. } => "replay_drop",
             EventKind::Eviction { .. } => "eviction",
             EventKind::Rollover { .. } => "rollover",
             EventKind::WarpIssue { .. } => "warp_issue",
             EventKind::WarpStall { .. } => "warp_stall",
+            EventKind::WarpTs { .. } => "warp_ts",
             EventKind::PacketSend { .. } => "packet_send",
             EventKind::PacketDeliver { .. } => "packet_deliver",
             EventKind::PacketDrop { .. } => "packet_drop",
@@ -418,6 +476,8 @@ impl EventKind {
             EventKind::BankReset { .. } => "bank_reset",
             EventKind::DramEnqueue { .. } => "dram_enqueue",
             EventKind::DramService { .. } => "dram_service",
+            EventKind::TcLease { .. } => "tc_lease",
+            EventKind::TcWrite { .. } => "tc_write",
         }
     }
 }
@@ -448,20 +508,32 @@ impl std::fmt::Display for EventKind {
             EventKind::BlockedOnWrite { block } => {
                 write!(f, "blocked on pending write, block {block}")
             }
-            EventKind::LeaseGrant { block, wts, rts } => {
-                write!(f, "lease grant block {block} [{wts}, {rts}]")
-            }
-            EventKind::Renewal { block, rts } => write!(f, "renewal block {block} rts -> {rts}"),
-            EventKind::FillApplied { block } => write!(f, "fill applied block {block}"),
-            EventKind::StoreCommit { block, wts } => {
-                write!(f, "store commit block {block} at wts {wts}")
+            EventKind::Lease {
+                op,
+                block,
+                wts,
+                rts,
+                epoch,
+            } => {
+                let what = op.name().replace('_', " ");
+                write!(f, "{what} block {block} [{wts}, {rts}] e{epoch}")
             }
             EventKind::WriteAck { block } => write!(f, "write ack block {block}"),
             EventKind::ReplayDrop { block } => write!(f, "replay drop block {block}"),
-            EventKind::Eviction { block, rts } => write!(f, "evict block {block} (rts {rts})"),
+            EventKind::Eviction {
+                block,
+                rts,
+                mem_ts: None,
+            } => write!(f, "evict block {block} (rts {rts})"),
+            EventKind::Eviction {
+                block,
+                rts,
+                mem_ts: Some(mem_ts),
+            } => write!(f, "evict block {block} (rts {rts}, mem_ts -> {mem_ts})"),
             EventKind::Rollover { epoch } => write!(f, "rollover to epoch {epoch}"),
             EventKind::WarpIssue { warp } => write!(f, "warp {warp} issue"),
             EventKind::WarpStall { warp, kind } => write!(f, "warp {warp} stall ({kind:?})"),
+            EventKind::WarpTs { warp, ts } => write!(f, "warp {warp} ts -> {}", ts.0),
             EventKind::PacketSend { src, dst, bytes } => {
                 write!(f, "packet {src} -> {dst} ({bytes} B)")
             }
@@ -487,9 +559,7 @@ impl std::fmt::Display for EventKind {
             EventKind::Nack { src, dst, expected } => {
                 write!(f, "nack flow {src} -> {dst}, expected seq {expected}")
             }
-            EventKind::BankReset { bank, epoch } => {
-                write!(f, "bank {bank} crash/reset in epoch {epoch}")
-            }
+            EventKind::BankReset { epoch } => write!(f, "crash/reset in epoch {epoch}"),
             EventKind::DramEnqueue { block, write } => write!(
                 f,
                 "dram enqueue {} block {block}",
@@ -499,6 +569,18 @@ impl std::fmt::Display for EventKind {
                 f,
                 "dram service {} block {block}",
                 if write { "write" } else { "read" }
+            ),
+            EventKind::TcLease { block, expires } => {
+                write!(f, "tc lease block {block} expires {expires}")
+            }
+            EventKind::TcWrite {
+                block,
+                expires,
+                strong,
+            } => write!(
+                f,
+                "tc {} write block {block} (lease expires {expires})",
+                if strong { "strong" } else { "weak" }
             ),
         }
     }
@@ -550,15 +632,35 @@ mod tests {
     fn kind_class_and_block_are_consistent() {
         let b = BlockAddr(42);
         assert_eq!(
-            EventKind::LeaseGrant {
+            EventKind::Lease {
+                op: LeaseOp::Grant,
                 block: b,
                 wts: 1,
-                rts: 11
+                rts: 11,
+                epoch: 0,
             }
             .class(),
             EventClass::Lease
         );
-        assert_eq!(EventKind::Eviction { block: b, rts: 9 }.block(), Some(b));
+        let commit = EventKind::Lease {
+            op: LeaseOp::Commit,
+            block: b,
+            wts: 12,
+            rts: 22,
+            epoch: 3,
+        };
+        assert_eq!(
+            (commit.class(), commit.name()),
+            (EventClass::Store, "store_commit")
+        );
+        assert_eq!(commit.to_string(), "store commit block B0x2a [12, 22] e3");
+        let evict = EventKind::Eviction {
+            block: b,
+            rts: 9,
+            mem_ts: Some(9),
+        };
+        assert_eq!(evict.block(), Some(b));
+        assert!(evict.to_string().contains("mem_ts -> 9"), "{evict}");
         assert_eq!(
             EventKind::Hit {
                 block: b,
@@ -608,7 +710,7 @@ mod tests {
                 dst: 1,
                 expected: 3,
             },
-            EventKind::BankReset { bank: 1, epoch: 2 },
+            EventKind::BankReset { epoch: 2 },
         ] {
             assert_eq!(k.class(), EventClass::Transport, "{k:?}");
         }

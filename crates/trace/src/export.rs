@@ -149,6 +149,7 @@ pub fn to_lines(events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::LeaseOp;
     use gtsc_types::{BlockAddr, Cycle, SimStats};
 
     fn demo_events() -> Vec<TraceEvent> {
@@ -164,10 +165,12 @@ mod tests {
             TraceEvent {
                 cycle: Cycle(9),
                 scope: Scope::L2Bank(1),
-                kind: EventKind::LeaseGrant {
+                kind: EventKind::Lease {
+                    op: LeaseOp::Grant,
                     block: BlockAddr(4),
                     wts: 0,
                     rts: 10,
+                    epoch: 0,
                 },
             },
         ]

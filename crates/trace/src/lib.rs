@@ -2,36 +2,40 @@
 //!
 //! Aggregate counters ([`gtsc_types::SimStats`]) say what a run did;
 //! this crate records *how*: the lease grants, renewals, expiries,
-//! future-scheduled writes, and rollovers of the logical-time machinery,
-//! with three consumers:
+//! future-scheduled writes, and rollovers of the logical-time machinery.
+//! [`EventKind`] is the one fact vocabulary: every component reports each
+//! transition once, through its [`Probe`], and the probe feeds three
+//! sinks —
 //!
-//! * a bounded [`FlightRecorder`] per component, dumped into stall
-//!   diagnoses and checker violation reports;
-//! * an [`IntervalSampler`] turning cumulative stats into a time-series
-//!   (IPC, stall breakdown, expired-miss rate, NoC flits per interval);
-//! * exporters — [`to_chrome_trace`] (Chrome `trace_event` JSON) and
-//!   [`to_lines`] — plus the `trace_report` bench binary for human
-//!   summaries.
+//! * its [`Tracer`]: a bounded flight-recorder ring (dumped into stall
+//!   diagnoses and checker violation reports) plus, in full mode, the
+//!   in-order log the exporters ([`to_chrome_trace`], [`to_lines`]) and
+//!   the `trace_report` binary read;
+//! * the shared [`RuleMachine`] of the [`Sanitizer`], which judges the
+//!   invariant catalog ([`rules`]) on the live stream — the same machine
+//!   `gtsc_check::lint_events` runs over a recorded one;
+//! * the [`SpanTracker`] of sampled request spans.
 //!
-//! Tracing is configured through [`gtsc_types::TraceConfig`] and is off
-//! by default: every hot-path hook goes through [`Tracer::record_with`]
-//! (or [`Tracer::record`] off the fast paths), which compiles to a
-//! single predicted-not-taken branch when disabled — the event payload
-//! is never even built (the benchmark's `bench.trace_overhead_pct` and
-//! `trace.record_disabled_ns` hold this to <2%).
+//! An [`IntervalSampler`] turns cumulative stats into a time-series
+//! beside them. Everything is configured through
+//! [`gtsc_types::TraceConfig`] and `GpuConfig::sanitize`, and is off by
+//! default: a disabled probe is one null word, and [`Probe::emit`]
+//! compiles to a single predicted-not-taken branch — the event payload is
+//! never even built.
 //!
 //! # Examples
 //!
 //! ```
-//! use gtsc_trace::{EventKind, Scope, Tracer};
+//! use gtsc_trace::{EventKind, LeaseOp, Probe, Sanitizer, Scope, SpanTracker};
 //! use gtsc_types::{BlockAddr, Cycle, TraceConfig};
 //!
-//! let mut t = Tracer::new(Scope::Sm(0), &TraceConfig::flight());
-//! t.record(
-//!     Cycle(5),
-//!     EventKind::LeaseGrant { block: BlockAddr(1), wts: 0, rts: 10 },
-//! );
-//! assert_eq!(t.flight_tail().len(), 1);
+//! let rules = Sanitizer::enabled(Scope::Sm(0));
+//! let spans = SpanTracker::disabled();
+//! let mut p = Probe::new(Scope::L2Bank(0), &TraceConfig::flight(), &rules, &spans);
+//! let (op, block) = (LeaseOp::Grant, BlockAddr(1));
+//! p.emit(Cycle(5), || EventKind::Lease { op, block, wts: 0, rts: 10, epoch: 0 });
+//! assert_eq!(p.flight_tail().len(), 1); // recorded
+//! assert_eq!(rules.checked(), 1); // and judged
 //! ```
 
 pub mod event;
@@ -42,7 +46,7 @@ pub mod sampler;
 pub mod sanitize;
 pub mod span;
 
-pub use event::{EventClass, EventKind, Scope, TraceEvent};
+pub use event::{EventClass, EventKind, LeaseOp, Scope, TraceEvent};
 pub use export::{json_escape, to_chrome_trace, to_lines};
 pub use recorder::FlightRecorder;
 pub use rules::{Fed, Finding, Report, Rule, RuleMachine, Severity, MAX_FINDINGS, RULES};
@@ -52,15 +56,129 @@ pub use span::{CloseReason, Hop, HopKind, ServeClass, SpanRecord, SpanTracker};
 
 use gtsc_types::{Cycle, TraceConfig, TraceMode};
 
-/// One component's event recorder: a mode, conjunctive filters, a
-/// flight-recorder ring, and (in [`TraceMode::Full`]) an unbounded
-/// in-order log.
+/// One component's observation handle: where it reports every event
+/// ([`Probe::emit`]) and span hop ([`Probe::spans`]). The probe fans an
+/// event out to its recorder and its rule sink; span calls go to the
+/// shared [`SpanTracker`].
 ///
-/// The default tracer is disabled and records nothing; components embed
-/// one and the simulator swaps in configured tracers at build time.
-/// Everything beyond the mode tag lives behind a `Box` that disabled
-/// tracers never allocate, so embedding one costs a component struct two
-/// words, not a ring buffer.
+/// The default probe is disabled: one null word in the component, and
+/// each call one predicted-not-taken branch that never runs its payload
+/// closure. The simulator builds an enabled one per component
+/// ([`Probe::new`]) when tracing, sanitizing or span sampling is on.
+#[derive(Debug, Clone, Default)]
+pub struct Probe {
+    sinks: Option<Box<Sinks>>,
+}
+
+#[derive(Debug, Clone)]
+struct Sinks {
+    recorder: Tracer,
+    rules: Sanitizer,
+    spans: SpanTracker,
+    /// Whether an event has anywhere to go (recorder or rules enabled):
+    /// a probe kept only for its spans builds no events.
+    emits: bool,
+}
+
+impl Sinks {
+    /// The fan-out, kept out of line so [`Probe::emit`] stays a bare
+    /// branch at every call site.
+    #[cold]
+    #[inline(never)]
+    fn emit(&mut self, cycle: Cycle, kind: EventKind) {
+        self.recorder.record(cycle, kind);
+        self.rules.check_with(cycle, || kind);
+    }
+}
+
+impl Probe {
+    /// A probe with no sink (the hot-path default).
+    #[must_use]
+    pub fn disabled() -> Self {
+        Probe { sinks: None }
+    }
+
+    /// The probe of the component `scope`: a recorder configured by
+    /// `trace`, a handle on the shared rule machine behind `rules`, and a
+    /// clone of `spans` — disabled when all three are.
+    #[must_use]
+    pub fn new(scope: Scope, trace: &TraceConfig, rules: &Sanitizer, spans: &SpanTracker) -> Self {
+        let recorder = Tracer::new(scope, trace);
+        let emits = recorder.is_enabled() || rules.is_enabled();
+        if !emits && !spans.is_enabled() {
+            return Probe::disabled();
+        }
+        Probe {
+            sinks: Some(Box::new(Sinks {
+                recorder,
+                rules: rules.for_scope(scope),
+                spans: spans.clone(),
+                emits,
+            })),
+        }
+    }
+
+    /// A probe whose one sink is a recorder configured by `trace`
+    /// (components that feed no rule and no span).
+    #[must_use]
+    pub fn recording(scope: Scope, trace: &TraceConfig) -> Self {
+        Probe::new(
+            scope,
+            trace,
+            &Sanitizer::disabled(),
+            &SpanTracker::disabled(),
+        )
+    }
+
+    /// Whether events are being recorded (an SM that records its
+    /// per-warp stalls must scan every cycle). Asked on every SM cycle.
+    #[must_use]
+    #[inline]
+    pub fn is_recording(&self) -> bool {
+        (self.sinks.as_deref()).is_some_and(|s| s.recorder.is_enabled())
+    }
+
+    /// Reports the event built by `kind` to the recorder and the rule
+    /// sink; `kind` runs only when one of them is enabled. This is the
+    /// per-access hot-path hook: a disabled probe pays one null check.
+    #[inline]
+    pub fn emit(&mut self, cycle: Cycle, kind: impl FnOnce() -> EventKind) {
+        if let Some(sinks) = self.sinks.as_deref_mut() {
+            if sinks.emits {
+                sinks.emit(cycle, kind());
+            }
+        }
+    }
+
+    /// Runs `f` against the span tracker; `f` never runs on a disabled
+    /// probe.
+    #[inline]
+    pub fn spans(&self, f: impl FnOnce(&SpanTracker)) {
+        if let Some(sinks) = self.sinks.as_deref() {
+            f(&sinks.spans);
+        }
+    }
+
+    /// The recorder's flight-recorder tail (oldest first).
+    #[must_use]
+    pub fn flight_tail(&self) -> Vec<TraceEvent> {
+        (self.sinks.as_deref()).map_or_else(Vec::new, |s| s.recorder.flight_tail())
+    }
+
+    /// The recorder's full in-order log (empty unless
+    /// [`TraceMode::Full`]).
+    #[must_use]
+    pub fn events(&self) -> &[TraceEvent] {
+        (self.sinks.as_deref()).map_or(&[], |s| s.recorder.events())
+    }
+}
+
+/// A probe's recorder: a mode, conjunctive filters, a flight-recorder
+/// ring, and (in [`TraceMode::Full`]) an unbounded in-order log.
+///
+/// The default tracer is disabled and records nothing. Everything beyond
+/// the mode tag lives behind a `Box` that disabled tracers never
+/// allocate.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Box<TracerInner>>,
@@ -106,24 +224,13 @@ impl Tracer {
 
     /// Whether any recording is enabled.
     #[must_use]
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// The component this tracer belongs to ([`Scope::Sm`]`(0)` when
-    /// disabled).
-    #[must_use]
-    pub fn scope(&self) -> Scope {
-        self.inner
-            .as_ref()
-            .map_or(Scope::Sm(0), |inner| inner.scope)
-    }
-
     /// Records one event. When tracing is off this is a single
-    /// null-pointer check — the only cost the protocol hot paths ever
-    /// pay. Call sites that execute once per access should prefer
-    /// [`Tracer::record_with`], which also skips building the
-    /// [`EventKind`] itself.
+    /// null-pointer check.
     #[inline]
     pub fn record(&mut self, cycle: Cycle, kind: EventKind) {
         if self.inner.is_none() {
@@ -133,11 +240,8 @@ impl Tracer {
     }
 
     /// Records the event built by `kind`, which only runs when tracing
-    /// is enabled. This is the per-access hot-path hook: a disabled
-    /// tracer pays the null check and never materialises the event
-    /// payload (measurably cheaper than [`Tracer::record`] on the L1
-    /// hit path, where the 32-byte `EventKind` would otherwise be
-    /// written to the stack before the branch).
+    /// is enabled (the lazy form [`Probe::emit`] uses across all sinks;
+    /// the benchmark's `trace.record_disabled_ns` rung times this one).
     #[inline]
     pub fn record_with(&mut self, cycle: Cycle, kind: impl FnOnce() -> EventKind) {
         if self.inner.is_none() {
@@ -223,11 +327,70 @@ mod tests {
     use gtsc_types::{BlockAddr, StallKind};
 
     fn grant(block: u64) -> EventKind {
-        EventKind::LeaseGrant {
+        EventKind::Lease {
+            op: LeaseOp::Grant,
             block: BlockAddr(block),
             wts: 0,
             rts: 10,
+            epoch: 0,
         }
+    }
+
+    /// The hot-path contract: a disabled probe is one word, and neither
+    /// `emit` nor a span call on it builds its payload.
+    #[test]
+    fn disabled_probe_is_one_word_and_never_builds_a_payload() {
+        assert_eq!(std::mem::size_of::<Probe>(), std::mem::size_of::<usize>());
+        let off = SpanTracker::disabled();
+        let mut p = Probe::new(
+            Scope::Sm(0),
+            &TraceConfig::default(),
+            &Sanitizer::disabled(),
+            &off,
+        );
+        p.emit(Cycle(1), || unreachable!("event built on a disabled probe"));
+        p.spans(|_| unreachable!("span call on a disabled probe"));
+        let mut p = Probe::disabled();
+        p.emit(Cycle(1), || unreachable!("event built on a disabled probe"));
+        // Spans alone: the tracker is handed out, but no event is built.
+        let spans = SpanTracker::new(4);
+        let mut p = Probe::new(
+            Scope::Sm(0),
+            &TraceConfig::default(),
+            &Sanitizer::disabled(),
+            &spans,
+        );
+        assert!(!p.is_recording());
+        p.emit(Cycle(1), || unreachable!("event built with no event sink"));
+        let mut reached = false;
+        p.spans(|s| reached = s.is_enabled());
+        assert!(reached);
+    }
+
+    /// One emit reaches the recorder and the rule sink; a kind no rule
+    /// reads is recorded but never counted by the machine.
+    #[test]
+    fn emit_feeds_recorder_and_rules() {
+        let rules = Sanitizer::enabled(Scope::Sm(0));
+        let mut p = Probe::new(
+            Scope::Sm(2),
+            &TraceConfig::full(),
+            &rules,
+            &SpanTracker::disabled(),
+        );
+        assert!(p.is_recording());
+        p.emit(Cycle(1), || EventKind::WarpIssue { warp: 0 });
+        p.emit(Cycle(2), || EventKind::Hit {
+            block: BlockAddr(1),
+            warp: 0,
+            warp_ts: 9,
+            rts: 5,
+        });
+        assert_eq!(p.events().len(), 2);
+        assert_eq!(p.events()[1].scope, Scope::Sm(2));
+        assert_eq!(rules.checked(), 1, "WarpIssue is no fact");
+        let f = rules.report().findings;
+        assert_eq!((f[0].rule, f[0].scope), ("load-past-rts", Scope::Sm(2)));
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The invariant catalog: every per-event protocol rule, stated once.
 //!
 //! [`RULES`] names each rule, [`RuleMachine`] is the one state machine
-//! that evaluates them over a stream of [`Transition`] facts, and
-//! [`Report`] is the one accumulator findings land in. Two drivers feed
-//! the machine: *online*, [`crate::Sanitizer::check_with`], hooked into
-//! every controller state change; *offline*, `gtsc_check::lint_events`,
-//! which translates a recorded [`crate::TraceEvent`] stream (a full log
-//! or a merged flight-recorder tail) into the same facts.
+//! that evaluates them over a stream of [`EventKind`]s, and [`Report`]
+//! is the one accumulator findings land in. The machine is a sink of two
+//! streams of the same events: *online*, the [`crate::Sanitizer`] behind
+//! every component's [`crate::Probe`], judging each event as it is
+//! emitted; *offline*, `gtsc_check::lint_events`, judging a recorded
+//! [`crate::TraceEvent`] stream (a full log or a merged flight-recorder
+//! tail). Nothing is translated between them: [`Rule::fed`] alone
+//! decides which sink judges a rule, so on one stream the two raise the
+//! same [`Fed::Both`] findings by construction.
 //!
-//! A rule fires from whichever stream carries its facts and is silent
-//! where a stream cannot supply them: no rule fires on the *absence* of
-//! a fact, so a truncated tail or an event that records less than its
-//! transition only makes the machine see less.
+//! An event is a *fact* when a rule this sink judges reads it; the rest
+//! ([`EventKind::WarpIssue`], packets, DRAM traffic…) are turned away at
+//! the machine's first match, uncounted and leaving no state.
 //!
 //! State is keyed by block for the lease-serving side (a block has one
 //! serving bank on die, one home across the fabric) and by [`Scope`]
@@ -26,7 +28,7 @@ use std::hash::Hash;
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use gtsc_types::{BlockAddr, Cycle, Timestamp};
 
-use crate::{EventKind, Scope, Transition};
+use crate::{EventKind, LeaseOp, Scope};
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,15 +48,21 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Which driver's stream carries the facts a rule reads.
+/// Which sink of the one event stream judges a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fed {
-    /// Controllers report the fact and recorded events carry it too.
+    /// Both: the rule reads facts of one scope, each whole in its own
+    /// event, so a recording judges it exactly as the live run does.
     Both,
-    /// No event records the fields, or the rule compares two components
-    /// whose truncated rings cannot be aligned epoch for epoch.
+    /// The live run only: the rule compares two components (an L1's
+    /// lease against its bank's grants, a device's against the home's)
+    /// whose independently truncated rings cannot be aligned, convicts on
+    /// an absent grant, or needs every epoch reset of its scope, which a
+    /// class-filtered recording may drop.
     Online,
-    /// No controller reports it (see [`Transition::Recorded`]).
+    /// Recordings only: a tuning warning that must not become a run
+    /// violation, or a transport audit kept out of the live machine (and
+    /// so out of the snapshots it is part of).
     Offline,
 }
 
@@ -69,134 +77,168 @@ pub struct Rule {
     /// The paper figure or section (or DESIGN.md section, for the
     /// transport and multi-GPU extensions) whose rule it guards.
     pub guards: &'static str,
-    /// Which driver feeds it.
+    /// Which sink judges it.
     pub fed: Fed,
     /// One-line meaning.
     pub meaning: &'static str,
 }
 
+const LOAD_PAST_RTS: Rule = Rule {
+    name: "load-past-rts",
+    severity: Severity::Error,
+    guards: "Fig. 2",
+    fed: Fed::Both,
+    meaning: "a hit was served to a warp whose timestamp exceeds the line's rts",
+};
+
+const WTS_GT_RTS: Rule = Rule {
+    name: "wts-gt-rts",
+    severity: Severity::Error,
+    guards: "Fig. 2",
+    fed: Fed::Both,
+    meaning: "a lease was installed, granted or served with wts > rts (inverted interval)",
+};
+
+const STORE_BEFORE_LEASE_EXPIRY: Rule = Rule {
+    name: "store-before-lease-expiry",
+    severity: Severity::Error,
+    guards: "Fig. 5",
+    fed: Fed::Both,
+    meaning: "a store committed at a wts at or below an rts already granted for the block",
+};
+
+const STORE_WTS_ORDER: Rule = Rule {
+    name: "store-wts-order",
+    severity: Severity::Error,
+    guards: "Fig. 5",
+    fed: Fed::Both,
+    meaning: "a block's store wts did not strictly increase within an epoch",
+};
+
+const GRANT_RTS_REGRESSION: Rule = Rule {
+    name: "grant-rts-regression",
+    severity: Severity::Error,
+    guards: "Fig. 4",
+    fed: Fed::Both,
+    meaning: "a grant carried an rts below the block's granted high-water (extension is a max)",
+};
+
+const GRANT_WTS_REGRESSION: Rule = Rule {
+    name: "grant-wts-regression",
+    severity: Severity::Error,
+    guards: "Fig. 5",
+    fed: Fed::Both,
+    meaning: "a grant carried a wts older than the block's last granted or committed version",
+};
+
+const LEASE_BEYOND_GRANT: Rule = Rule {
+    name: "lease-beyond-grant",
+    severity: Severity::Error,
+    guards: "Figs. 7, 8",
+    fed: Fed::Online,
+    meaning:
+        "an L1 installed or renewed a lease past every rts its L2 granted (L1 lease ⊆ L2 grant)",
+};
+
+const WARP_TS_BACKWARDS: Rule = Rule {
+    name: "warp-ts-backwards",
+    severity: Severity::Error,
+    guards: "§III-C",
+    fed: Fed::Online,
+    meaning: "a warp's timestamp decreased without an epoch reset in between",
+};
+
+const EPOCH_ORDER: Rule = Rule {
+    name: "epoch-order",
+    severity: Severity::Error,
+    guards: "§V-D",
+    fed: Fed::Both,
+    meaning: "within a scope, a reset entered an epoch older than one already reached",
+};
+
+const CRASH_EPOCH_REUSE: Rule = Rule {
+    name: "crash-epoch-reuse",
+    severity: Severity::Error,
+    guards: "§V-D, DESIGN §13",
+    fed: Fed::Both,
+    meaning: "a grant, store, install or serve at or below the epoch its scope crashed in",
+};
+
+const EVICT_UNFOLDED_LEASE: Rule = Rule {
+    name: "evict-unfolded-lease",
+    severity: Severity::Error,
+    guards: "Fig. 6, §V-C",
+    fed: Fed::Both,
+    meaning: "an L2 eviction left mem_ts below the evicted line's rts",
+};
+
+const GRANT_BEYOND_HOME: Rule = Rule {
+    name: "grant-beyond-home",
+    severity: Severity::Error,
+    guards: "DESIGN §17.2",
+    fed: Fed::Online,
+    meaning: "a device installed an inter-GPU grant past every rts the home granted",
+};
+
+const SERVE_OUTSIDE_DEVICE_GRANT: Rule = Rule {
+    name: "serve-outside-device-grant",
+    severity: Severity::Error,
+    guards: "DESIGN §17.2",
+    fed: Fed::Online,
+    meaning: "a device served an L1 lease with no live grant, or past its grant's rts",
+};
+
+const TC_LEASE_BORN_EXPIRED: Rule = Rule {
+    name: "tc-lease-born-expired",
+    severity: Severity::Error,
+    guards: "§II-D (TC)",
+    fed: Fed::Both,
+    meaning: "a TC physical lease was granted with its expiry already in the past",
+};
+
+const TC_WRITE_INSIDE_LEASE: Rule = Rule {
+    name: "tc-write-inside-lease",
+    severity: Severity::Error,
+    guards: "§II-D (TC-Strong)",
+    fed: Fed::Both,
+    meaning: "a TC-Strong write performed before the block's last lease expired",
+};
+
+const EVICT_LIVE_LEASE: Rule = Rule {
+    name: "evict-live-lease",
+    severity: Severity::Warning,
+    guards: "§VI-C",
+    fed: Fed::Offline,
+    meaning: "an L1 evicted a line whose lease still covered every local warp (renewal churn)",
+};
+
+const RETRANSMIT_WITHOUT_TIMEOUT: Rule = Rule {
+    name: "retransmit-without-timeout",
+    severity: Severity::Error,
+    guards: "DESIGN §13",
+    fed: Fed::Offline,
+    meaning: "the transport re-sent a segment on a timer that had not yet run out",
+};
+
 /// The catalog. DESIGN.md §12 renders this table.
 pub const RULES: &[Rule] = &[
-    Rule {
-        name: "load-past-rts",
-        severity: Severity::Error,
-        guards: "Fig. 2",
-        fed: Fed::Both,
-        meaning: "a hit was served to a warp whose timestamp exceeds the line's rts",
-    },
-    Rule {
-        name: "wts-gt-rts",
-        severity: Severity::Error,
-        guards: "Fig. 2",
-        fed: Fed::Both,
-        meaning: "a lease was installed, granted or served with wts > rts (inverted interval)",
-    },
-    Rule {
-        name: "store-before-lease-expiry",
-        severity: Severity::Error,
-        guards: "Fig. 5",
-        fed: Fed::Both,
-        meaning: "a store committed at a wts at or below an rts already granted for the block",
-    },
-    Rule {
-        name: "store-wts-order",
-        severity: Severity::Error,
-        guards: "Fig. 5",
-        fed: Fed::Both,
-        meaning: "a block's store wts did not strictly increase within an epoch",
-    },
-    Rule {
-        name: "grant-rts-regression",
-        severity: Severity::Error,
-        guards: "Fig. 4",
-        fed: Fed::Both,
-        meaning: "a grant carried an rts below the block's granted high-water (extension is a max)",
-    },
-    Rule {
-        name: "grant-wts-regression",
-        severity: Severity::Error,
-        guards: "Fig. 5",
-        fed: Fed::Both,
-        meaning: "a grant carried a wts older than the block's last granted or committed version",
-    },
-    Rule {
-        name: "lease-beyond-grant",
-        severity: Severity::Error,
-        guards: "Figs. 7, 8",
-        fed: Fed::Online,
-        meaning:
-            "an L1 installed or renewed a lease past every rts its L2 granted (L1 lease ⊆ L2 grant)",
-    },
-    Rule {
-        name: "warp-ts-backwards",
-        severity: Severity::Error,
-        guards: "§III-C",
-        fed: Fed::Online,
-        meaning: "a warp's timestamp decreased without an epoch reset in between",
-    },
-    Rule {
-        name: "epoch-order",
-        severity: Severity::Error,
-        guards: "§V-D",
-        fed: Fed::Both,
-        meaning: "within a scope, a reset entered an epoch older than one already reached",
-    },
-    Rule {
-        name: "crash-epoch-reuse",
-        severity: Severity::Error,
-        guards: "§V-D, DESIGN §13",
-        fed: Fed::Both,
-        meaning: "a grant, store, install or serve at or below the epoch its scope crashed in",
-    },
-    Rule {
-        name: "evict-unfolded-lease",
-        severity: Severity::Error,
-        guards: "Fig. 6, §V-C",
-        fed: Fed::Online,
-        meaning: "an L2 eviction left mem_ts below the evicted line's rts",
-    },
-    Rule {
-        name: "grant-beyond-home",
-        severity: Severity::Error,
-        guards: "DESIGN §17.2",
-        fed: Fed::Online,
-        meaning: "a device installed an inter-GPU grant past every rts the home granted",
-    },
-    Rule {
-        name: "serve-outside-device-grant",
-        severity: Severity::Error,
-        guards: "DESIGN §17.2",
-        fed: Fed::Online,
-        meaning: "a device served an L1 lease with no live grant, or past its grant's rts",
-    },
-    Rule {
-        name: "tc-lease-born-expired",
-        severity: Severity::Error,
-        guards: "§II-D (TC)",
-        fed: Fed::Online,
-        meaning: "a TC physical lease was granted with its expiry already in the past",
-    },
-    Rule {
-        name: "tc-write-inside-lease",
-        severity: Severity::Error,
-        guards: "§II-D (TC-Strong)",
-        fed: Fed::Online,
-        meaning: "a TC-Strong write performed before the block's last lease expired",
-    },
-    Rule {
-        name: "evict-live-lease",
-        severity: Severity::Warning,
-        guards: "§VI-C",
-        fed: Fed::Offline,
-        meaning: "an L1 evicted a line whose lease still covered every local warp (renewal churn)",
-    },
-    Rule {
-        name: "retransmit-without-timeout",
-        severity: Severity::Error,
-        guards: "DESIGN §13",
-        fed: Fed::Offline,
-        meaning: "the transport re-sent a segment on a timer that had not yet run out",
-    },
+    LOAD_PAST_RTS,
+    WTS_GT_RTS,
+    STORE_BEFORE_LEASE_EXPIRY,
+    STORE_WTS_ORDER,
+    GRANT_RTS_REGRESSION,
+    GRANT_WTS_REGRESSION,
+    LEASE_BEYOND_GRANT,
+    WARP_TS_BACKWARDS,
+    EPOCH_ORDER,
+    CRASH_EPOCH_REUSE,
+    EVICT_UNFOLDED_LEASE,
+    GRANT_BEYOND_HOME,
+    SERVE_OUTSIDE_DEVICE_GRANT,
+    TC_LEASE_BORN_EXPIRED,
+    TC_WRITE_INSIDE_LEASE,
+    EVICT_LIVE_LEASE,
+    RETRANSMIT_WITHOUT_TIMEOUT,
 ];
 
 /// Cap on *distinct* findings a [`Report`] keeps. Repeats of a `(rule,
@@ -393,10 +435,12 @@ fn raise<K: Eq + Hash>(
 /// Where a fact happened.
 type At = (Cycle, Scope);
 
-/// The rule state machine. Feed it facts with [`RuleMachine::check`];
-/// read the verdict from [`RuleMachine::report`].
+/// The rule state machine. Feed it events with [`RuleMachine::check`];
+/// read the verdict from [`RuleMachine::report`]. `OFFLINE` says which
+/// sink it is, and so which rules it judges ([`Rule::fed`]): the live
+/// sink (the default) or a recorded stream's ([`RuleMachine::offline`]).
 #[derive(Debug, Default)]
-pub struct RuleMachine {
+pub struct RuleMachine<const OFFLINE: bool = false> {
     /// High-water `rts` granted per block by its serving bank or home.
     l2_rts: HashMap<BlockAddr, Mark>,
     /// Last `wts` granted or committed per block.
@@ -418,16 +462,35 @@ pub struct RuleMachine {
     pub report: Report,
 }
 
-impl RuleMachine {
-    fn flag(&mut self, at: At, rule: &'static str, block: Option<BlockAddr>, message: String) {
-        self.report.push(rule, at.0, at.1, block, message);
+impl RuleMachine<true> {
+    /// The sink of a recorded stream: judges [`Fed::Both`] and
+    /// [`Fed::Offline`] rules.
+    #[must_use]
+    pub fn offline() -> Self {
+        RuleMachine::default()
+    }
+}
+
+impl<const OFFLINE: bool> RuleMachine<OFFLINE> {
+    fn judges(&self, rule: &Rule) -> bool {
+        match rule.fed {
+            Fed::Both => true,
+            Fed::Online => !OFFLINE,
+            Fed::Offline => OFFLINE,
+        }
+    }
+
+    fn flag(&mut self, at: At, rule: &Rule, block: Option<BlockAddr>, message: String) {
+        if self.judges(rule) {
+            self.report.push(rule.name, at.0, at.1, block, message);
+        }
     }
 
     /// `wts ≤ rts` on a lease a component installs, grants or serves.
     fn interval(&mut self, at: At, what: &str, block: BlockAddr, wts: Timestamp, rts: Timestamp) {
         if wts > rts {
             let m = format!("{what} has wts {} > rts {}", wts.0, rts.0);
-            self.flag(at, "wts-gt-rts", Some(block), m);
+            self.flag(at, &WTS_GT_RTS, Some(block), m);
         }
     }
 
@@ -443,7 +506,7 @@ impl RuleMachine {
                 let m = format!(
                     "{what} at epoch {epoch}, at or before this scope's crash epoch {crashed}"
                 );
-                self.flag(at, "crash-epoch-reuse", Some(block), m);
+                self.flag(at, &CRASH_EPOCH_REUSE, Some(block), m);
             }
         }
     }
@@ -451,14 +514,7 @@ impl RuleMachine {
     /// A lease handed down a level (`rule` says which: an L1's from its
     /// L2, a device's from the home) must lie inside what the block's
     /// serving side granted in the same epoch.
-    fn inside_grant(
-        &mut self,
-        at: At,
-        rule: &'static str,
-        block: BlockAddr,
-        rts: Timestamp,
-        epoch: u64,
-    ) {
+    fn inside_grant(&mut self, at: At, rule: &Rule, block: BlockAddr, rts: Timestamp, epoch: u64) {
         if let Some(hwm) = mark_in(&self.l2_rts, &block, epoch) {
             if rts > hwm {
                 let m = format!(
@@ -476,58 +532,138 @@ impl RuleMachine {
         if let Some(hwm) = raise(&mut self.l2_rts, block, epoch, rts) {
             if rts < hwm {
                 let m = format!("rts regressed {} -> {} in epoch {epoch}", hwm.0, rts.0);
-                self.flag(at, "grant-rts-regression", Some(block), m);
+                self.flag(at, &GRANT_RTS_REGRESSION, Some(block), m);
             }
         }
     }
 
-    /// Checks one fact reported by `scope` at `cycle`.
+    /// The serving side (bank or home) granted, renewed, or installed a
+    /// DRAM fill under `mem_ts`.
+    fn grant(&mut self, at: At, block: BlockAddr, wts: Timestamp, rts: Timestamp, epoch: u64) {
+        self.interval(at, "L2 grant", block, wts, rts);
+        self.after_crash(at, "L2 grant", block, epoch);
+        self.extend_lease(at, block, rts, epoch);
+        if let Some(last) = raise(&mut self.l2_wts, block, epoch, wts) {
+            if wts < last {
+                let m = format!("wts regressed {} -> {} in epoch {epoch}", last.0, wts.0);
+                self.flag(at, &GRANT_WTS_REGRESSION, Some(block), m);
+            }
+        }
+    }
+
+    /// The serving side committed a store: the block's new version at
+    /// `wts` with lease `[wts, rts]`.
+    fn store(&mut self, at: At, block: BlockAddr, wts: Timestamp, rts: Timestamp, epoch: u64) {
+        self.interval(at, "L2 store", block, wts, rts);
+        self.after_crash(at, "L2 store", block, epoch);
+        if let Some(hwm) = mark_in(&self.l2_rts, &block, epoch) {
+            if wts <= hwm {
+                let m = format!(
+                    "store committed at wts {} inside a granted read lease \
+                     (rts high-water {}) in epoch {epoch}",
+                    wts.0, hwm.0
+                );
+                self.flag(at, &STORE_BEFORE_LEASE_EXPIRY, Some(block), m);
+            }
+        }
+        if let Some(last) = raise(&mut self.l2_wts, block, epoch, wts) {
+            if wts <= last {
+                let m = format!(
+                    "store wts {} not after the block's wts {} in epoch {epoch}",
+                    wts.0, last.0
+                );
+                self.flag(at, &STORE_WTS_ORDER, Some(block), m);
+            }
+        }
+        raise(&mut self.l2_rts, block, epoch, rts);
+    }
+
+    /// A device installed an inter-GPU grant from the home.
+    fn grant_install(
+        &mut self,
+        at: At,
+        block: BlockAddr,
+        wts: Timestamp,
+        rts: Timestamp,
+        epoch: u64,
+    ) {
+        self.interval(at, "device grant", block, wts, rts);
+        self.after_crash(at, "grant install", block, epoch);
+        // A device grant is itself a lease the home handed down.
+        self.inside_grant(at, &GRANT_BEYOND_HOME, block, rts, epoch);
+        raise(&mut self.device_grants, (at.1, block), epoch, rts);
+    }
+
+    /// A device served an L1 lease from its own tags.
+    fn device_serve(
+        &mut self,
+        at: At,
+        block: BlockAddr,
+        wts: Timestamp,
+        rts: Timestamp,
+        epoch: u64,
+    ) {
+        self.interval(at, "device-served lease", block, wts, rts);
+        self.after_crash(at, "device serve", block, epoch);
+        let breach = match mark_in(&self.device_grants, &(at.1, block), epoch) {
+            Some(grant) if rts > grant => Some(format!(
+                "lease reaches rts {} beyond the installed grant's rts {} in epoch {epoch}",
+                rts.0, grant.0
+            )),
+            Some(_) => None,
+            None => Some(format!(
+                "lease served with no live device grant in epoch {epoch}"
+            )),
+        };
+        if let Some(m) = breach {
+            self.flag(at, &SERVE_OUTSIDE_DEVICE_GRANT, Some(block), m);
+        }
+    }
+
+    /// Checks one event reported by `scope` at `cycle`. [`Report::scanned`]
+    /// counts it only when it is a fact for this sink.
+    pub fn check(&mut self, cycle: Cycle, scope: Scope, kind: EventKind) {
+        if self.judge((cycle, scope), kind) {
+            self.report.scanned += 1;
+        }
+    }
+
+    /// Applies every rule this sink judges that reads `kind` from its
+    /// scope; false when none does.
     #[allow(clippy::too_many_lines)]
-    pub fn check(&mut self, cycle: Cycle, scope: Scope, t: Transition) {
-        self.report.scanned += 1;
-        let at = (cycle, scope);
-        match t {
-            Transition::L1Lease {
-                block,
-                wts,
-                rts,
-                epoch,
-            } => {
-                self.interval(at, "L1 lease", block, wts, rts);
-                self.inside_grant(at, "lease-beyond-grant", block, rts, epoch);
-            }
-            Transition::L1Renew { block, rts, epoch } => {
-                self.inside_grant(at, "lease-beyond-grant", block, rts, epoch);
-            }
-            Transition::L1Hit {
+    fn judge(&mut self, at: At, kind: EventKind) -> bool {
+        let scope = at.1;
+        let l1 = matches!(scope, Scope::Sm(_));
+        let device = matches!(scope, Scope::Device(_));
+        match kind {
+            EventKind::Hit {
                 block,
                 warp,
                 warp_ts,
                 rts,
-            } => {
+            } if l1 => {
                 if warp_ts > rts {
                     let m = format!(
-                        "hit served to warp {warp} at warp_ts {} past the line's rts {}",
-                        warp_ts.0, rts.0
+                        "hit served to warp {warp} at warp_ts {warp_ts} past the line's rts {rts}"
                     );
-                    self.flag(at, "load-past-rts", Some(block), m);
+                    self.flag(at, &LOAD_PAST_RTS, Some(block), m);
                 }
-                let seen = self.hit_ts.entry(scope).or_insert(warp_ts);
-                *seen = (*seen).max(warp_ts);
+                let seen = self.hit_ts.entry(scope).or_insert(Timestamp(warp_ts));
+                *seen = (*seen).max(Timestamp(warp_ts));
             }
-            Transition::WarpTs { warp, ts } => {
+            EventKind::WarpTs { warp, ts } if l1 && self.judges(&WARP_TS_BACKWARDS) => {
                 let prev = self.warp_ts.get(&(scope, warp)).copied().unwrap_or(ts);
                 if ts < prev {
                     let m = format!("warp {warp} timestamp went {} -> {}", prev.0, ts.0);
-                    self.flag(at, "warp-ts-backwards", None, m);
+                    self.flag(at, &WARP_TS_BACKWARDS, None, m);
                 }
                 self.warp_ts.insert((scope, warp), prev.max(ts));
             }
-            Transition::EpochEnter { epoch } => {
+            EventKind::Rollover { epoch } => {
                 let prev = self.epochs.get(&scope).copied().unwrap_or(epoch);
                 if epoch < prev {
                     let m = format!("entered epoch {epoch} after reaching epoch {prev}");
-                    self.flag(at, "epoch-order", None, m);
+                    self.flag(at, &EPOCH_ORDER, None, m);
                 }
                 self.epochs.insert(scope, prev.max(epoch));
                 // The reset returns this component's warp timestamps to
@@ -536,125 +672,48 @@ impl RuleMachine {
                 self.warp_ts.retain(|(s, _), _| *s != scope);
                 self.hit_ts.remove(&scope);
             }
-            Transition::L2Grant {
+            EventKind::Lease {
+                op,
                 block,
                 wts,
                 rts,
                 epoch,
             } => {
-                self.interval(at, "L2 grant", block, wts, rts);
-                self.after_crash(at, "L2 grant", block, epoch);
-                self.extend_lease(at, block, rts, epoch);
-                if let Some(last) = raise(&mut self.l2_wts, block, epoch, wts) {
-                    if wts < last {
-                        let m = format!("wts regressed {} -> {} in epoch {epoch}", last.0, wts.0);
-                        self.flag(at, "grant-wts-regression", Some(block), m);
+                let (wts, rts) = (Timestamp(wts), Timestamp(rts));
+                let serving = matches!(scope, Scope::L2Bank(_) | Scope::Home(_));
+                match op {
+                    LeaseOp::Install if l1 => {
+                        self.interval(at, "L1 lease", block, wts, rts);
+                        self.inside_grant(at, &LEASE_BEYOND_GRANT, block, rts, epoch);
                     }
+                    LeaseOp::Renew if l1 && self.judges(&LEASE_BEYOND_GRANT) => {
+                        self.inside_grant(at, &LEASE_BEYOND_GRANT, block, rts, epoch);
+                    }
+                    LeaseOp::Install if device => self.grant_install(at, block, wts, rts, epoch),
+                    LeaseOp::Grant | LeaseOp::Renew if device => {
+                        self.device_serve(at, block, wts, rts, epoch);
+                    }
+                    LeaseOp::Commit if serving => self.store(at, block, wts, rts, epoch),
+                    _ if serving => self.grant(at, block, wts, rts, epoch),
+                    _ => return false,
                 }
             }
-            Transition::L2Renew { block, rts, epoch } => {
-                self.after_crash(at, "L2 renewal", block, epoch);
-                self.extend_lease(at, block, rts, epoch);
-            }
-            Transition::L2Store {
+            EventKind::Eviction {
                 block,
-                wts,
                 rts,
-                epoch,
+                mem_ts: Some(mem_ts),
             } => {
-                self.interval(at, "L2 store", block, wts, rts);
-                self.after_crash(at, "L2 store", block, epoch);
-                if let Some(hwm) = mark_in(&self.l2_rts, &block, epoch) {
-                    if wts <= hwm {
-                        let m = format!(
-                            "store committed at wts {} inside a granted read lease \
-                             (rts high-water {}) in epoch {epoch}",
-                            wts.0, hwm.0
-                        );
-                        self.flag(at, "store-before-lease-expiry", Some(block), m);
-                    }
-                }
-                if let Some(last) = raise(&mut self.l2_wts, block, epoch, wts) {
-                    if wts <= last {
-                        let m = format!(
-                            "store wts {} not after the block's wts {} in epoch {epoch}",
-                            wts.0, last.0
-                        );
-                        self.flag(at, "store-wts-order", Some(block), m);
-                    }
-                }
-                raise(&mut self.l2_rts, block, epoch, rts);
-            }
-            Transition::L2Evict { block, rts, mem_ts } => {
                 if mem_ts < rts {
-                    let m = format!(
-                        "eviction folded rts {} into a smaller mem_ts {}",
-                        rts.0, mem_ts.0
-                    );
-                    self.flag(at, "evict-unfolded-lease", Some(block), m);
+                    let m = format!("eviction folded rts {rts} into a smaller mem_ts {mem_ts}");
+                    self.flag(at, &EVICT_UNFOLDED_LEASE, Some(block), m);
                 }
             }
-            Transition::BankReset { epoch } => {
-                let crashed = self.crashed_at_epoch.entry(scope).or_insert(epoch);
-                *crashed = (*crashed).max(epoch);
-                // A crashed device loses every grant it held; serving
-                // from a pre-crash grant after recovery must be flagged.
-                // (A bank scope holds none, so this is a no-op there.)
-                self.device_grants.retain(|(s, _), _| *s != scope);
-            }
-            Transition::GrantInstall {
+            // rts 0 means unknown.
+            EventKind::Eviction {
                 block,
-                wts,
                 rts,
-                epoch,
-            } => {
-                self.interval(at, "device grant", block, wts, rts);
-                self.after_crash(at, "grant install", block, epoch);
-                // A device grant is itself a lease the home handed down.
-                self.inside_grant(at, "grant-beyond-home", block, rts, epoch);
-                raise(&mut self.device_grants, (scope, block), epoch, rts);
-            }
-            Transition::DeviceServe {
-                block,
-                wts,
-                rts,
-                epoch,
-            } => {
-                self.interval(at, "device-served lease", block, wts, rts);
-                self.after_crash(at, "device serve", block, epoch);
-                let m = match mark_in(&self.device_grants, &(scope, block), epoch) {
-                    Some(grant) if rts > grant => format!(
-                        "lease reaches rts {} beyond the installed grant's rts {} \
-                         in epoch {epoch}",
-                        rts.0, grant.0
-                    ),
-                    Some(_) => return,
-                    None => format!("lease served with no live device grant in epoch {epoch}"),
-                };
-                self.flag(at, "serve-outside-device-grant", Some(block), m);
-            }
-            Transition::TcLease {
-                block,
-                now,
-                expires,
-            } => {
-                if expires < now {
-                    let m = format!("TC lease granted already expired ({expires} < {now})");
-                    self.flag(at, "tc-lease-born-expired", Some(block), m);
-                }
-            }
-            Transition::TcWrite {
-                block,
-                now,
-                expires,
-            } => {
-                if now < expires {
-                    let m =
-                        format!("TC strong write at {now} before its lease expires at {expires}");
-                    self.flag(at, "tc-write-inside-lease", Some(block), m);
-                }
-            }
-            Transition::Recorded(EventKind::Eviction { block, rts }) => {
+                mem_ts: None,
+            } if l1 && rts > 0 && self.judges(&EVICT_LIVE_LEASE) => {
                 // Judged only against hits this stream has shown: an SM
                 // with no recorded hit says nothing about its warps.
                 if let Some(&seen) = self.hit_ts.get(&scope) {
@@ -664,18 +723,46 @@ impl RuleMachine {
                              (max observed warp_ts {})",
                             seen.0
                         );
-                        self.flag(at, "evict-live-lease", Some(block), m);
+                        self.flag(at, &EVICT_LIVE_LEASE, Some(block), m);
                     }
                 }
             }
-            Transition::Recorded(EventKind::Retransmit {
+            EventKind::BankReset { epoch } => {
+                let crashed = self.crashed_at_epoch.entry(scope).or_insert(epoch);
+                *crashed = (*crashed).max(epoch);
+                // A crashed device loses every grant it held; serving
+                // from a pre-crash grant after recovery must be flagged.
+                // (A bank scope holds none, so this is a no-op there.)
+                self.device_grants.retain(|(s, _), _| *s != scope);
+            }
+            EventKind::TcLease { block, expires } => {
+                let now = at.0;
+                if expires < now.0 {
+                    let m = format!("TC lease granted already expired (cyc{expires} < {now})");
+                    self.flag(at, &TC_LEASE_BORN_EXPIRED, Some(block), m);
+                }
+            }
+            EventKind::TcWrite {
+                block,
+                expires,
+                strong: true,
+            } => {
+                let now = at.0;
+                if now.0 < expires {
+                    let m = format!(
+                        "TC strong write at {now} before its lease expires at cyc{expires}"
+                    );
+                    self.flag(at, &TC_WRITE_INSIDE_LEASE, Some(block), m);
+                }
+            }
+            EventKind::Retransmit {
                 src,
                 dst,
                 seq,
                 age,
                 timeout,
                 nack,
-            }) => {
+            } if self.judges(&RETRANSMIT_WITHOUT_TIMEOUT) => {
                 // Timer-driven: the (backed-off) deadline must really
                 // have elapsed. A NACK-driven one is legitimate only
                 // after the receiver asked — but "no Nack earlier in the
@@ -686,11 +773,12 @@ impl RuleMachine {
                         "retransmit of {src} -> {dst} seq {seq} at age {age}, before its \
                          timeout {timeout} elapsed"
                     );
-                    self.flag(at, "retransmit-without-timeout", None, m);
+                    self.flag(at, &RETRANSMIT_WITHOUT_TIMEOUT, None, m);
                 }
             }
-            Transition::Recorded(_) => {}
+            _ => return false,
         }
+        true
     }
 }
 

@@ -1,184 +1,31 @@
-//! The fact vocabulary of the invariant catalog, and its online driver.
+//! The online rule sink: the shared [`RuleMachine`] on the live stream.
 //!
 //! The checker in `gtsc-sim` validates *end-of-run load values*; a
 //! transition that briefly violates a timestamp invariant and
-//! self-heals is invisible to it. The [`Sanitizer`] closes that gap: a
-//! handle hooked into every GtscL1/GtscL2 (and TC baseline, device L2,
-//! home node) state transition, reporting each as a [`Transition`] to
-//! the shared [`RuleMachine`] — the one place the per-event rules are
-//! written ([`crate::rules`]; `gtsc_check::lint_events` feeds the same
-//! machine from recorded events).
+//! self-heals is invisible to it. The [`Sanitizer`] closes that gap: it
+//! is the rule sink of every component's [`crate::Probe`], so each
+//! [`EventKind`] a GtscL1/GtscL2 (TC baseline, device L2, home node)
+//! emits reaches the shared machine as it happens — the same machine,
+//! judging the same events, that `gtsc_check::lint_events` runs over a
+//! recorded stream ([`crate::rules`]).
 //!
-//! Like [`crate::Tracer::record_with`], the hook costs one
-//! predicted-not-taken branch when disabled and never materialises the
-//! [`Transition`] payload. Enabled sanitizers share one machine (the
-//! containment rules span components), so the simulator clones one
-//! root handle per component via [`Sanitizer::for_scope`].
+//! Enabled sanitizers share one machine (the containment rules span
+//! components), so the simulator clones one root handle per component
+//! via [`Sanitizer::for_scope`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use gtsc_types::{BlockAddr, Cycle, Timestamp};
+use gtsc_types::Cycle;
 
 use crate::rules::{Report, RuleMachine};
 use crate::{EventKind, Scope};
 
-/// One protocol fact, as reported by a component (online, built lazily
-/// by the [`Sanitizer::check_with`] closure — never constructed when the
-/// sanitizer is disabled) or as translated from a recorded event
-/// (offline). Variants marked *offline only* have no controller hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition {
-    /// L1 installed a logical lease `[wts, rts]` (fill or store ack).
-    L1Lease {
-        /// Leased block.
-        block: BlockAddr,
-        /// Write timestamp of the installed line.
-        wts: Timestamp,
-        /// Read-timestamp upper bound of the installed line.
-        rts: Timestamp,
-        /// Epoch the lease belongs to.
-        epoch: u64,
-    },
-    /// L1 applied a data-less renewal extending a held lease to `rts`.
-    L1Renew {
-        /// Renewed block.
-        block: BlockAddr,
-        /// Extended read-timestamp upper bound.
-        rts: Timestamp,
-        /// Epoch the renewal belongs to.
-        epoch: u64,
-    },
-    /// L1 served a hit on a line with read-timestamp bound `rts` to a
-    /// warp at `warp_ts` (Figure 2 requires `warp_ts <= rts`).
-    L1Hit {
-        /// Block looked up.
-        block: BlockAddr,
-        /// Accessing warp slot.
-        warp: u16,
-        /// The warp's logical timestamp at lookup.
-        warp_ts: Timestamp,
-        /// The hit line's read-timestamp upper bound.
-        rts: Timestamp,
-    },
-    /// A warp's logical timestamp advanced to `ts`.
-    WarpTs {
-        /// Warp slot within the reporting SM.
-        warp: u16,
-        /// The new warp timestamp.
-        ts: Timestamp,
-    },
-    /// The component entered `epoch` (Section V-D rollover reset).
-    EpochEnter {
-        /// The new epoch.
-        epoch: u64,
-    },
-    /// L2 granted or extended a lease `[wts, rts]` (fill, renewal, or
-    /// read-side `extend_rts`).
-    L2Grant {
-        /// Granted block.
-        block: BlockAddr,
-        /// Write timestamp of the granted version.
-        wts: Timestamp,
-        /// Read-timestamp upper bound granted.
-        rts: Timestamp,
-        /// Epoch the grant belongs to.
-        epoch: u64,
-    },
-    /// *Offline only*: L2 extended a lease to `rts` without data. Online
-    /// a renewal is an [`Transition::L2Grant`], which knows the line's
-    /// `wts`; the recorded renewal event does not.
-    L2Renew {
-        /// Renewed block.
-        block: BlockAddr,
-        /// Extended read-timestamp upper bound.
-        rts: Timestamp,
-        /// Epoch the renewal belongs to.
-        epoch: u64,
-    },
-    /// L2 committed a store: the block's new version lives at `wts`
-    /// with lease `[wts, rts]`.
-    L2Store {
-        /// Written block.
-        block: BlockAddr,
-        /// Commit write-timestamp.
-        wts: Timestamp,
-        /// Read-timestamp upper bound after the store.
-        rts: Timestamp,
-        /// Epoch the store belongs to.
-        epoch: u64,
-    },
-    /// L2 evicted a line, folding its lease into the bank's `mem_ts`
-    /// (non-inclusion, Section V-C).
-    L2Evict {
-        /// Evicted block.
-        block: BlockAddr,
-        /// The evicted line's read-timestamp upper bound.
-        rts: Timestamp,
-        /// The bank's `mem_ts` after folding the eviction in.
-        mem_ts: Timestamp,
-    },
-    /// An L2 bank — or, reported under a [`Scope::Device`], a whole
-    /// device with its installed grants — crashed while at `epoch`,
-    /// losing its tags and transport state. Recovery rebuilds coherence
-    /// behind a global epoch bump (DESIGN.md §13, §17.4).
-    BankReset {
-        /// The epoch the unit was in when it crashed.
-        epoch: u64,
-    },
-    /// Multi-GPU: a device L2 installed an inter-GPU grant `[wts, rts]`
-    /// received from the home node (fill or write ack over the fabric) —
-    /// its delegated slice of logical time (DESIGN.md §17).
-    GrantInstall {
-        /// Granted block.
-        block: BlockAddr,
-        /// Write timestamp of the granted version.
-        wts: Timestamp,
-        /// Read-timestamp upper bound of the grant.
-        rts: Timestamp,
-        /// Epoch the grant belongs to.
-        epoch: u64,
-    },
-    /// Multi-GPU: a device L2 served an L1 lease `[wts, rts]` from its
-    /// local tags on its own authority (rule `serve-outside-device-grant`).
-    DeviceServe {
-        /// Served block.
-        block: BlockAddr,
-        /// Write timestamp of the served version.
-        wts: Timestamp,
-        /// Read-timestamp upper bound served to the L1.
-        rts: Timestamp,
-        /// Epoch the lease belongs to.
-        epoch: u64,
-    },
-    /// TC baseline: a physical lease was granted, expiring at
-    /// `expires`.
-    TcLease {
-        /// Leased block.
-        block: BlockAddr,
-        /// Current cycle at grant time.
-        now: Cycle,
-        /// Expiry cycle of the lease.
-        expires: Cycle,
-    },
-    /// TC baseline, strong variant: a write proceeded at `now` on a
-    /// line whose last granted lease expires at `expires` (write
-    /// atomicity requires the lease to have run out).
-    TcWrite {
-        /// Written block.
-        block: BlockAddr,
-        /// Current cycle at write time.
-        now: Cycle,
-        /// Expiry cycle of the last lease on the block.
-        expires: Cycle,
-    },
-    /// *Offline only*: a recorded event that is its own fact — an L1
-    /// [`EventKind::Eviction`] (reported online it would turn a tuning
-    /// hint into a violation) or a transport [`EventKind::Retransmit`]
-    /// (the transport has no sanitizer hook). No other event kind is a
-    /// fact by itself.
-    Recorded(EventKind),
-}
+/// The sanitizer's old name for its input. Facts and events are one
+/// vocabulary now; the alias stays only because the benchmark crate,
+/// which moves in its own change, still spells a warp-timestamp fact
+/// `Transition::WarpTs`.
+pub type Transition = EventKind;
 
 /// One component's handle on the shared invariant state machine.
 ///
@@ -231,14 +78,13 @@ impl Sanitizer {
         self.shared.is_some()
     }
 
-    /// Checks the transition built by `t`, which only runs when the
-    /// sanitizer is enabled. This is the per-transition hot-path hook:
-    /// a disabled sanitizer pays one predicted-not-taken branch and
-    /// never materialises the payload (the benchmark's
-    /// `trace.sanitize_check_{disabled,enabled}_ns` rungs time it, inside
-    /// the same <2% budget as tracing).
+    /// Checks the event built by `t`, which only runs when the sanitizer
+    /// is enabled: a disabled sanitizer pays one predicted-not-taken
+    /// branch and never materialises the payload (the benchmark's
+    /// `trace.sanitize_check_{disabled,enabled}_ns` rungs time it).
+    /// Components reach it through [`crate::Probe::emit`].
     #[inline]
-    pub fn check_with(&self, cycle: Cycle, t: impl FnOnce() -> Transition) {
+    pub fn check_with(&self, cycle: Cycle, t: impl FnOnce() -> EventKind) {
         if self.shared.is_none() {
             return;
         }
@@ -249,14 +95,14 @@ impl Sanitizer {
     /// fast path stays a bare branch.
     #[cold]
     #[inline(never)]
-    fn check_slow(&self, cycle: Cycle, t: Transition) {
+    fn check_slow(&self, cycle: Cycle, t: EventKind) {
         if let Some(shared) = self.shared.as_ref() {
             shared.borrow_mut().check(cycle, self.scope, t);
         }
     }
 
     /// The verdict so far (findings deduplicated by `(rule, scope,
-    /// block)` and capped, transitions checked); empty when disabled.
+    /// block)` and capped, facts checked); empty when disabled.
     #[must_use]
     pub fn report(&self) -> Report {
         let shared = self.shared.as_ref();
@@ -272,7 +118,8 @@ impl Sanitizer {
         lines.iter().map(|l| format!("sanitizer: {l}")).collect()
     }
 
-    /// Number of transitions checked.
+    /// Number of facts checked: emitted events some online-judged rule
+    /// reads (the rest never reach the machine's state).
     #[must_use]
     pub fn checked(&self) -> u64 {
         let shared = self.shared.as_ref();
@@ -322,12 +169,14 @@ impl Sanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LeaseOp;
+    use gtsc_types::{BlockAddr, Timestamp};
 
     #[test]
     fn disabled_sanitizer_checks_nothing() {
         let s = Sanitizer::disabled();
         assert!(!s.is_enabled());
-        s.check_with(Cycle(0), || Transition::WarpTs {
+        s.check_with(Cycle(0), || EventKind::WarpTs {
             warp: 0,
             ts: Timestamp(5),
         });
@@ -349,16 +198,18 @@ mod tests {
         let root = Sanitizer::enabled(Scope::Sm(0));
         let l2 = root.for_scope(Scope::L2Bank(0));
         let l1 = root.for_scope(Scope::Sm(1));
-        l2.check_with(Cycle(1), || Transition::L2Grant {
+        l2.check_with(Cycle(1), || EventKind::Lease {
+            op: LeaseOp::Grant,
             block: BlockAddr(2),
-            wts: Timestamp(1),
-            rts: Timestamp(10),
+            wts: 1,
+            rts: 10,
             epoch: 0,
         });
-        l1.check_with(Cycle(2), || Transition::L1Lease {
+        l1.check_with(Cycle(2), || EventKind::Lease {
+            op: LeaseOp::Install,
             block: BlockAddr(2),
-            wts: Timestamp(1),
-            rts: Timestamp(20),
+            wts: 1,
+            rts: 20,
             epoch: 0,
         });
         assert_eq!(root.checked(), 2);
@@ -379,10 +230,11 @@ mod tests {
     #[test]
     fn state_round_trips_through_a_snapshot() {
         use gtsc_types::snap::{SnapReader, SnapWriter};
-        let store = |wts: u64| Transition::L2Store {
+        let store = |wts: u64| EventKind::Lease {
+            op: LeaseOp::Commit,
             block: BlockAddr(7),
-            wts: Timestamp(wts),
-            rts: Timestamp(wts + 10),
+            wts,
+            rts: wts + 10,
             epoch: 0,
         };
         let s = Sanitizer::enabled(Scope::L2Bank(0));
