@@ -4,12 +4,15 @@
 //! number of warps, each warp executing a [`WarpProgram`] — a straight
 //! sequence of [`WarpOp`]s. This is a *memory-behaviour* representation
 //! (the quantity that drives coherence studies), not a functional ISA:
-//! arithmetic appears only as [`WarpOp::Compute`] delays.
+//! arithmetic appears only as [`WarpOp::Compute`] delays. A kernel
+//! keeps each program as a [`CodedProgram`], a few bytes per
+//! instruction, which a warp slot decodes one instruction at a time.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+use gtsc_types::varint::{self, unzigzag, zigzag};
 use gtsc_types::{Addr, BlockAddr, CtaId};
 
 use crate::coalesce::{coalesce_affine_into, coalesce_into};
@@ -122,17 +125,6 @@ impl Lanes {
             Repr::Gather(addrs) => std::mem::size_of_val(&addrs[..]),
         }
     }
-
-    /// Coalesces the lanes into `out` (emptied first), in first-touch
-    /// order: a line arithmetically, a gather by [`coalesce_into`].
-    pub(crate) fn coalesce_into(&self, block_shift: u32, out: &mut VecDeque<BlockAddr>) {
-        match &self.0 {
-            Repr::Affine { base, stride, n } => {
-                coalesce_affine_into(*base, *stride, *n, block_shift, out);
-            }
-            Repr::Gather(addrs) => coalesce_into(addrs, block_shift, out),
-        }
-    }
 }
 
 impl From<Vec<Addr>> for Lanes {
@@ -243,38 +235,382 @@ impl FromIterator<WarpOp> for WarpProgram {
     }
 }
 
-/// A warp's place in its program: what a warp slot holds. The program is
-/// shared with the kernel — dispatch copies a handle, issue advances `pc`
-/// — so no instruction (nor a gather's addresses) is cloned or freed
-/// while it runs.
+/// Tags of the coded stream: a [`WarpOp`]'s snapshot tag, with
+/// [`GATHER`] set on a memory instruction whose lanes are no line.
+const LOAD: u8 = 0;
+const STORE: u8 = 1;
+const ATOMIC: u8 = 2;
+const COMPUTE: u8 = 3;
+const FENCE: u8 = 4;
+const RELEASE_FENCE: u8 = 5;
+const ACQUIRE_FENCE: u8 = 6;
+const BARRIER: u8 = 7;
+const GATHER: u8 = 8;
+
+impl WarpOp {
+    /// The tag the stream and the snapshot both give this op.
+    fn tag(&self) -> u8 {
+        match self {
+            WarpOp::Load(_) => LOAD,
+            WarpOp::Store(_) => STORE,
+            WarpOp::Atomic(_) => ATOMIC,
+            WarpOp::Compute(_) => COMPUTE,
+            WarpOp::Fence => FENCE,
+            WarpOp::ReleaseFence => RELEASE_FENCE,
+            WarpOp::AcquireFence => ACQUIRE_FENCE,
+            WarpOp::Barrier => BARRIER,
+        }
+    }
+
+    /// A memory instruction's lanes.
+    fn lanes(&self) -> Option<&Lanes> {
+        match self {
+            WarpOp::Load(a) | WarpOp::Store(a) | WarpOp::Atomic(a) => Some(a),
+            _ => None,
+        }
+    }
+}
+
+/// The most bytes a `u64`'s varint takes.
+const MAX_VARINT: usize = 10;
+
+/// Reads the `n` lanes of a gather whose deltas start at byte `at` into
+/// `out` (emptied first).
+fn read_gather(code: &[u8], mut at: usize, n: u32, out: &mut Vec<Addr>) {
+    out.clear();
+    let mut addr = 0u64;
+    for _ in 0..n {
+        addr = addr.wrapping_add(unzigzag(varint::get(code, &mut at)));
+        out.push(Addr(addr));
+    }
+}
+
+/// A warp program as a kernel keeps it and a warp slot runs it: one byte
+/// stream in one exact-size allocation, shared by handle (DESIGN.md
+/// §15.5). The stream is the instruction count, then each instruction on
+/// its own: a tag byte, then `Compute`'s cycles, a line's base, zigzagged
+/// stride and lane count, or a gather's lane count and zigzagged address
+/// deltas — every number an LEB128 varint. 32 words read from a low
+/// address take six bytes, where a [`WarpOp`] takes 32.
+///
+/// # Examples
+///
+/// ```
+/// use gtsc_gpu::{CodedProgram, WarpOp, WarpProgram};
+/// use gtsc_types::Addr;
+///
+/// let program = WarpProgram(vec![
+///     WarpOp::load_coalesced(Addr(0x4000), 32),
+///     WarpOp::Compute(2),
+///     WarpOp::Fence,
+/// ]);
+/// let coded = CodedProgram::from(program.clone());
+/// assert_eq!(coded.len(), 3);
+/// assert_eq!(coded.bytes(), 1 + 6 + 2 + 1);
+/// assert_eq!(coded.decode(), program);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CodedProgram(Arc<[u8]>);
+
+impl CodedProgram {
+    /// Number of instructions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.start().0
+    }
+
+    /// Whether the program has no instructions.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes of the stream: what the program holds beside its handle.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The instructions, expanded.
+    #[must_use]
+    pub fn decode(&self) -> WarpProgram {
+        let (n, at) = self.start();
+        WarpProgram(self.expand(at, n).collect())
+    }
+
+    /// The instruction count, and the byte the first instruction starts
+    /// at. An empty stream (the default) has none.
+    fn start(&self) -> (usize, usize) {
+        let mut at = 0;
+        if self.0.is_empty() {
+            return (0, 0);
+        }
+        (varint::get(&self.0, &mut at) as usize, at)
+    }
+
+    /// The `n` instructions from byte `at` on, expanded.
+    fn expand(&self, mut at: usize, n: usize) -> impl Iterator<Item = WarpOp> + '_ {
+        (0..n).map(move |_| Instr::read(&self.0, &mut at).expand(&self.0))
+    }
+}
+
+impl From<WarpProgram> for CodedProgram {
+    fn from(program: WarpProgram) -> Self {
+        ProgramEncoder::default().encode(&program)
+    }
+}
+
+/// Builds [`CodedProgram`]s one instruction at a time, in a buffer kept
+/// across programs: a generator pushes a warp's instructions and takes
+/// its program, and never holds them expanded.
+///
+/// # Examples
+///
+/// ```
+/// use gtsc_gpu::{ProgramEncoder, WarpOp, WarpProgram};
+/// use gtsc_types::Addr;
+///
+/// let mut ops = ProgramEncoder::default();
+/// ops.push(WarpOp::store_coalesced(Addr(0), 32));
+/// ops.push(WarpOp::Barrier);
+/// let first = ops.finish();
+/// ops.push(WarpOp::Compute(9));
+/// let second = ops.finish();
+/// assert_eq!(
+///     first.decode(),
+///     WarpProgram(vec![WarpOp::store_coalesced(Addr(0), 32), WarpOp::Barrier])
+/// );
+/// assert_eq!(second.decode(), WarpProgram(vec![WarpOp::Compute(9)]));
+/// ```
+#[derive(Debug)]
+pub struct ProgramEncoder {
+    /// Room for the instruction count's varint, then the instructions
+    /// pushed since the last `finish`, coded: `finish` writes the count
+    /// right-aligned in the room, so the program is one contiguous copy.
+    buf: Vec<u8>,
+    n: u64,
+}
+
+impl Default for ProgramEncoder {
+    fn default() -> Self {
+        ProgramEncoder {
+            buf: vec![0; MAX_VARINT],
+            n: 0,
+        }
+    }
+}
+
+impl ProgramEncoder {
+    /// Appends `op` to the program being built.
+    pub fn push(&mut self, op: WarpOp) {
+        self.put(&op);
+    }
+
+    fn put(&mut self, op: &WarpOp) {
+        self.n += 1;
+        let out = &mut self.buf;
+        match op.lanes().map(|lanes| &lanes.0) {
+            None => {
+                out.push(op.tag());
+                if let WarpOp::Compute(c) = op {
+                    varint::put(out, u64::from(*c));
+                }
+            }
+            Some(Repr::Affine { base, stride, n }) => {
+                out.push(op.tag());
+                varint::put(out, *base);
+                varint::put(out, zigzag(*stride as u64));
+                varint::put(out, u64::from(*n));
+            }
+            Some(Repr::Gather(addrs)) => {
+                out.push(op.tag() | GATHER);
+                varint::put(out, addrs.len() as u64);
+                let mut previous = 0u64;
+                for a in addrs {
+                    varint::put(out, zigzag(a.0.wrapping_sub(previous)));
+                    previous = a.0;
+                }
+            }
+        }
+    }
+
+    /// The program pushed since the last call, in an allocation of its
+    /// exact size; the encoder starts the next one empty.
+    pub fn finish(&mut self) -> CodedProgram {
+        let bits = 64 - (self.n | 1).leading_zeros() as usize;
+        let start = MAX_VARINT - bits.div_ceil(7);
+        let mut v = self.n;
+        for byte in &mut self.buf[start..MAX_VARINT] {
+            *byte = v as u8 | 0x80;
+            v >>= 7;
+        }
+        self.buf[MAX_VARINT - 1] &= 0x7F;
+        let code = Arc::from(&self.buf[start..]);
+        self.buf.truncate(MAX_VARINT);
+        self.n = 0;
+        CodedProgram(code)
+    }
+
+    /// `program`, coded.
+    fn encode(&mut self, program: &WarpProgram) -> CodedProgram {
+        program.0.iter().for_each(|op| self.put(op));
+        self.finish()
+    }
+}
+
+/// Where a memory instruction's lanes are: a line, held as its triple,
+/// or a gather's `n` deltas from byte `at` of the stream, read when the
+/// instruction issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LanesAt {
+    Line { base: u64, stride: i64, n: u32 },
+    Gather { at: usize, n: u32 },
+}
+
+/// One instruction as a cursor keeps its head: a [`WarpOp`] whose lanes
+/// are a [`LanesAt`], so decoding it allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Instr {
+    Load(LanesAt),
+    Store(LanesAt),
+    Atomic(LanesAt),
+    Compute(u32),
+    Fence,
+    ReleaseFence,
+    AcquireFence,
+    Barrier,
+}
+
+impl Instr {
+    /// Reads the instruction at `*at`, leaving `*at` past it.
+    fn read(code: &[u8], at: &mut usize) -> Instr {
+        let tag = code[*at];
+        *at += 1;
+        let lanes = |at: &mut usize| {
+            if tag & GATHER == 0 {
+                let base = varint::get(code, at);
+                let stride = unzigzag(varint::get(code, at)) as i64;
+                let n = varint::get(code, at) as u32;
+                return LanesAt::Line { base, stride, n };
+            }
+            let n = varint::get(code, at) as u32;
+            let start = *at;
+            for _ in 0..n {
+                let _ = varint::get(code, at);
+            }
+            LanesAt::Gather { at: start, n }
+        };
+        match tag & !GATHER {
+            LOAD => Instr::Load(lanes(at)),
+            STORE => Instr::Store(lanes(at)),
+            ATOMIC => Instr::Atomic(lanes(at)),
+            COMPUTE => Instr::Compute(varint::get(code, at) as u32),
+            FENCE => Instr::Fence,
+            RELEASE_FENCE => Instr::ReleaseFence,
+            ACQUIRE_FENCE => Instr::AcquireFence,
+            _ => Instr::Barrier,
+        }
+    }
+
+    /// The [`WarpOp`] this is, read from `code`.
+    fn expand(self, code: &[u8]) -> WarpOp {
+        let lanes = |at: LanesAt| match at {
+            LanesAt::Line { base, stride, n } => Lanes(Repr::Affine { base, stride, n }),
+            LanesAt::Gather { at, n } => {
+                let mut addrs = Vec::with_capacity(n as usize);
+                read_gather(code, at, n, &mut addrs);
+                Lanes(Repr::Gather(addrs.into_boxed_slice()))
+            }
+        };
+        match self {
+            Instr::Load(at) => WarpOp::Load(lanes(at)),
+            Instr::Store(at) => WarpOp::Store(lanes(at)),
+            Instr::Atomic(at) => WarpOp::Atomic(lanes(at)),
+            Instr::Compute(c) => WarpOp::Compute(c),
+            Instr::Fence => WarpOp::Fence,
+            Instr::ReleaseFence => WarpOp::ReleaseFence,
+            Instr::AcquireFence => WarpOp::AcquireFence,
+            Instr::Barrier => WarpOp::Barrier,
+        }
+    }
+}
+
+/// A warp's place in its program: what a warp slot holds. The stream is
+/// shared with the kernel — dispatch copies a handle — and the next
+/// instruction is kept decoded, so the scheduler reads a field and issue
+/// decodes the one after it. Nothing is expanded, cloned or allocated
+/// while the warp runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProgramCursor {
-    /// `None` in a slot that was never dispatched into.
-    program: Option<Arc<WarpProgram>>,
-    pc: usize,
+    code: CodedProgram,
+    /// Instructions not yet issued, `head` included.
+    left: usize,
+    /// The first of them, decoded; `None` once none is left.
+    head: Option<Instr>,
+    /// The byte the instruction after `head` starts at.
+    next: usize,
 }
 
 impl ProgramCursor {
-    pub(crate) fn new(program: Arc<WarpProgram>) -> Self {
+    pub(crate) fn new(code: CodedProgram) -> Self {
+        let (left, mut next) = code.start();
+        let head = (left > 0).then(|| Instr::read(&code.0, &mut next));
         ProgramCursor {
-            program: Some(program),
-            pc: 0,
+            code,
+            left,
+            head,
+            next,
         }
+    }
+
+    /// The next instruction, if any is left.
+    pub(crate) fn first(&self) -> Option<&Instr> {
+        self.head.as_ref()
+    }
+
+    /// Instructions left.
+    pub(crate) fn len(&self) -> usize {
+        self.left
+    }
+
+    /// Whether none is left.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.left == 0
     }
 
     /// Consumes the first remaining instruction (there must be one).
     pub(crate) fn advance(&mut self) {
         debug_assert!(!self.is_empty(), "advanced past the end of the program");
-        self.pc += 1;
+        self.left -= 1;
+        self.head = (self.left > 0).then(|| Instr::read(&self.code.0, &mut self.next));
     }
-}
 
-/// The instructions not yet issued.
-impl std::ops::Deref for ProgramCursor {
-    type Target = [WarpOp];
+    /// Coalesces `lanes` — the head's — into `out` (emptied first), in
+    /// first-touch order: a line arithmetically, a gather read into
+    /// `scratch` and coalesced by [`coalesce_into`].
+    pub(crate) fn coalesce_into(
+        &self,
+        lanes: LanesAt,
+        block_shift: u32,
+        scratch: &mut Vec<Addr>,
+        out: &mut VecDeque<BlockAddr>,
+    ) {
+        match lanes {
+            LanesAt::Line { base, stride, n } => {
+                coalesce_affine_into(base, stride, n, block_shift, out);
+            }
+            LanesAt::Gather { at, n } => {
+                read_gather(&self.code.0, at, n, scratch);
+                coalesce_into(scratch, block_shift, out);
+            }
+        }
+    }
 
-    fn deref(&self) -> &[WarpOp] {
-        self.program.as_deref().map_or(&[], |p| &p.0[self.pc..])
+    /// The instructions left, expanded.
+    fn expanded(&self) -> impl Iterator<Item = WarpOp> + '_ {
+        let head = self.head.map(|op| op.expand(&self.code.0));
+        let rest = self.left.saturating_sub(1);
+        head.into_iter().chain(self.code.expand(self.next, rest))
     }
 }
 
@@ -295,10 +631,10 @@ pub trait Kernel {
     /// The instruction stream of warp `warp_in_cta` of CTA `cta`.
     fn program(&self, cta: CtaId, warp_in_cta: usize) -> WarpProgram;
 
-    /// The same stream as a handle dispatch can give a warp slot. A
-    /// kernel that keeps its programs overrides this to share them.
-    fn shared_program(&self, cta: CtaId, warp_in_cta: usize) -> Arc<WarpProgram> {
-        Arc::new(self.program(cta, warp_in_cta))
+    /// The same stream, coded, as dispatch gives it a warp slot. A kernel
+    /// that keeps its programs coded overrides this to share them.
+    fn shared_program(&self, cta: CtaId, warp_in_cta: usize) -> CodedProgram {
+        CodedProgram::from(self.program(cta, warp_in_cta))
     }
 }
 
@@ -335,12 +671,13 @@ pub trait Kernel {
 pub struct VecKernel {
     name: String,
     warps_per_cta: usize,
-    /// Each program once, shared with every warp slot running it.
-    ctas: Vec<Vec<Arc<WarpProgram>>>,
+    /// Each program once, coded, shared with every warp slot running it.
+    ctas: Vec<Vec<CodedProgram>>,
 }
 
 impl VecKernel {
-    /// Builds a kernel from explicit per-CTA, per-warp programs.
+    /// Builds a kernel from explicit per-CTA, per-warp programs, coding
+    /// each (none is kept expanded).
     ///
     /// # Panics
     ///
@@ -348,16 +685,29 @@ impl VecKernel {
     /// `warps_per_cta`.
     #[must_use]
     pub fn new(name: &str, warps_per_cta: usize, ctas: Vec<Vec<WarpProgram>>) -> Self {
+        let mut ops = ProgramEncoder::default();
+        let ctas = ctas
+            .iter()
+            .map(|cta| cta.iter().map(|p| ops.encode(p)).collect())
+            .collect();
+        VecKernel::from_coded(name, warps_per_cta, ctas)
+    }
+
+    /// Builds a kernel from programs already coded.
+    ///
+    /// # Panics
+    ///
+    /// As [`VecKernel::new`].
+    #[must_use]
+    pub fn from_coded(name: &str, warps_per_cta: usize, ctas: Vec<Vec<CodedProgram>>) -> Self {
         assert!(
             ctas.iter().all(|c| c.len() == warps_per_cta),
             "every CTA must have exactly warps_per_cta programs"
         );
-        // Wraps each program where it is: no instruction is copied.
-        let share = |cta: Vec<WarpProgram>| cta.into_iter().map(Arc::new).collect();
         VecKernel {
             name: name.to_owned(),
             warps_per_cta,
-            ctas: ctas.into_iter().map(share).collect(),
+            ctas,
         }
     }
 }
@@ -376,27 +726,29 @@ impl Kernel for VecKernel {
     }
 
     fn program(&self, cta: CtaId, warp_in_cta: usize) -> WarpProgram {
-        WarpProgram::clone(&self.ctas[cta.0 as usize][warp_in_cta])
+        self.ctas[cta.0 as usize][warp_in_cta].decode()
     }
 
-    fn shared_program(&self, cta: CtaId, warp_in_cta: usize) -> Arc<WarpProgram> {
-        Arc::clone(&self.ctas[cta.0 as usize][warp_in_cta])
+    fn shared_program(&self, cta: CtaId, warp_in_cta: usize) -> CodedProgram {
+        self.ctas[cta.0 as usize][warp_in_cta].clone()
     }
 }
 
 use gtsc_types::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// A cursor is saved as the instructions it has left, `(len, items)` —
-/// byte for byte what the `VecDeque<WarpOp>` it replaced wrote — and
-/// restored as a program of its own that starts there.
+/// byte for byte what the `VecDeque<WarpOp>` it replaced wrote, however
+/// the program is stored — and restored as a program of its own that
+/// starts there.
 impl Snap for ProgramCursor {
     fn save(&self, w: &mut SnapWriter) {
         w.usize(self.len());
-        self.iter().for_each(|op| op.save(w));
+        self.expanded().for_each(|op| op.save(w));
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ProgramCursor::new(Arc::new(WarpProgram(Snap::load(r)?))))
+        let left: Vec<WarpOp> = Snap::load(r)?;
+        Ok(ProgramCursor::new(CodedProgram::from(WarpProgram(left))))
     }
 }
 
@@ -415,40 +767,23 @@ impl Snap for Lanes {
 
 impl Snap for WarpOp {
     fn save(&self, w: &mut SnapWriter) {
+        w.u8(self.tag());
         match self {
-            WarpOp::Load(a) => {
-                w.u8(0);
-                a.save(w);
-            }
-            WarpOp::Store(a) => {
-                w.u8(1);
-                a.save(w);
-            }
-            WarpOp::Atomic(a) => {
-                w.u8(2);
-                a.save(w);
-            }
-            WarpOp::Compute(c) => {
-                w.u8(3);
-                c.save(w);
-            }
-            WarpOp::Fence => w.u8(4),
-            WarpOp::ReleaseFence => w.u8(5),
-            WarpOp::AcquireFence => w.u8(6),
-            WarpOp::Barrier => w.u8(7),
+            WarpOp::Compute(c) => c.save(w),
+            op => op.lanes().into_iter().for_each(|a| a.save(w)),
         }
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         match r.u8()? {
-            0 => Ok(WarpOp::Load(Snap::load(r)?)),
-            1 => Ok(WarpOp::Store(Snap::load(r)?)),
-            2 => Ok(WarpOp::Atomic(Snap::load(r)?)),
-            3 => Ok(WarpOp::Compute(Snap::load(r)?)),
-            4 => Ok(WarpOp::Fence),
-            5 => Ok(WarpOp::ReleaseFence),
-            6 => Ok(WarpOp::AcquireFence),
-            7 => Ok(WarpOp::Barrier),
+            LOAD => Ok(WarpOp::Load(Snap::load(r)?)),
+            STORE => Ok(WarpOp::Store(Snap::load(r)?)),
+            ATOMIC => Ok(WarpOp::Atomic(Snap::load(r)?)),
+            COMPUTE => Ok(WarpOp::Compute(Snap::load(r)?)),
+            FENCE => Ok(WarpOp::Fence),
+            RELEASE_FENCE => Ok(WarpOp::ReleaseFence),
+            ACQUIRE_FENCE => Ok(WarpOp::AcquireFence),
+            BARRIER => Ok(WarpOp::Barrier),
             other => Err(SnapshotError::Malformed {
                 context: format!("WarpOp tag {other}"),
             }),
@@ -468,10 +803,16 @@ mod tests {
         w.into_bytes()
     }
 
-    /// What the SM coalesces a list into, through its compact form.
+    /// What the SM coalesces a list into: a load of it, coded, at the
+    /// head of a cursor.
     fn coalesced(lanes: &Lanes, shift: u32) -> Vec<BlockAddr> {
+        let load = WarpProgram(vec![WarpOp::Load(lanes.clone())]);
+        let cursor = ProgramCursor::new(CodedProgram::from(load));
+        let Some(&Instr::Load(at)) = cursor.first() else {
+            panic!("the head is the load")
+        };
         let mut out = VecDeque::new();
-        lanes.coalesce_into(shift, &mut out);
+        cursor.coalesce_into(at, shift, &mut Vec::new(), &mut out);
         out.into()
     }
 
@@ -588,12 +929,88 @@ mod tests {
         }
     }
 
-    /// A program holds an instruction in four words, and a line keeps
-    /// nothing beside them.
+    /// A program holds a line of 32 words from a low address in six
+    /// bytes, and nothing takes more than its varints.
     #[test]
-    fn a_memory_instruction_fits_in_four_words() {
-        assert!(std::mem::size_of::<WarpOp>() <= 32);
-        assert_eq!(Lanes::words(Addr(0), 32).heap_bytes(), 0);
+    fn an_instruction_codes_in_a_few_bytes() {
+        let bytes = |op: WarpOp| CodedProgram::from(WarpProgram(vec![op])).bytes() - 1;
+        assert_eq!(bytes(WarpOp::load_coalesced(Addr(0x4000), 32)), 6);
+        assert_eq!(bytes(WarpOp::Compute(2)), 2);
+        assert_eq!(bytes(WarpOp::Compute(u32::MAX)), 6);
+        assert_eq!(bytes(WarpOp::Barrier), 1);
+        assert_eq!(bytes(WarpOp::store_coalesced(Addr(u64::MAX - 124), 32)), 13);
+        // A gather: tag, count, then one delta a lane.
+        let gather = Lanes::from(vec![Addr(0x80), Addr(0x300), Addr(0x100)]);
+        assert_eq!(bytes(WarpOp::Atomic(gather)), 1 + 1 + 2 + 2 + 2);
+        assert!(std::mem::size_of::<Instr>() <= 32);
+    }
+
+    /// The drawn instruction `sel`: every kind, `Compute` at both ends of
+    /// `u32`, and lines of 0–70 lanes with positive, negative, zero and
+    /// extreme strides from bases at both ends of `u64` — a line that
+    /// would wrap `u64` becoming a gather — or one lane off a line.
+    fn drawn_op((sel, pick, n, end, low): (u8, u8, usize, u8, u64)) -> WarpOp {
+        let stride = [4, -4, 0, 128, -384, 1 << 40, i64::MAX, i64::MIN][usize::from(pick % 8)];
+        let base = [low, u64::MAX - low, 1 << 63][usize::from(end)];
+        let off = pick >= 8 && n > 2;
+        let lanes: Lanes = (0..n)
+            .map(|i| {
+                let on_line = base.wrapping_add((stride as u64).wrapping_mul(i as u64));
+                Addr(on_line.wrapping_add(u64::from(off && i == n / 2)))
+            })
+            .collect();
+        match sel {
+            0 => WarpOp::Load(lanes),
+            1 => WarpOp::Store(lanes),
+            2 => WarpOp::Atomic(lanes),
+            3 => WarpOp::Compute(0),
+            4 => WarpOp::Compute(u32::MAX),
+            5 => WarpOp::Compute(low as u32),
+            6 => WarpOp::Fence,
+            7 => WarpOp::ReleaseFence,
+            8 => WarpOp::AcquireFence,
+            _ => WarpOp::Barrier,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// A coded program decodes to the instructions it was built from,
+        /// pushed one by one or all at once; a cursor advanced past any
+        /// `k` of them snapshots to exactly the bytes the expanded
+        /// remainder writes; and the cursor restored from those bytes
+        /// holds the same instructions and writes the same bytes again.
+        #[test]
+        fn coded_programs_are_their_instructions(
+            ops in proptest::collection::vec((0u8..10, 0u8..16, 0usize..71, 0u8..3, 0u64..1 << 12), 0..40),
+            k in 0usize..41,
+        ) {
+            let program = WarpProgram(ops.into_iter().map(drawn_op).collect());
+            let coded = CodedProgram::from(program.clone());
+            prop_assert_eq!(coded.len(), program.len());
+            prop_assert_eq!(&coded.decode(), &program);
+            let mut pushed = ProgramEncoder::default();
+            program.0.iter().cloned().for_each(|op| pushed.push(op));
+            prop_assert_eq!(&pushed.finish(), &coded);
+
+            let k = k.min(program.len());
+            let mut cursor = ProgramCursor::new(coded);
+            for _ in 0..k {
+                cursor.advance();
+            }
+            let rest = &program.0[k..];
+            prop_assert_eq!(cursor.len(), rest.len());
+            prop_assert_eq!(cursor.is_empty(), rest.is_empty());
+            prop_assert_eq!(cursor.expanded().collect::<Vec<_>>(), rest.to_vec());
+            let bytes = snap_bytes(&cursor);
+            prop_assert_eq!(&bytes, &snap_bytes(&rest.iter().cloned().collect::<VecDeque<_>>()));
+
+            let restored = ProgramCursor::load(&mut SnapReader::new(&bytes)).expect("loads");
+            prop_assert_eq!(restored.len(), cursor.len());
+            prop_assert_eq!(restored.expanded().collect::<Vec<_>>(), rest.to_vec());
+            prop_assert_eq!(snap_bytes(&restored), bytes);
+        }
     }
 
     #[test]

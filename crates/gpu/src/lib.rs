@@ -4,7 +4,8 @@
 //! This crate rebuilds the GPGPU-Sim-like execution substrate the paper
 //! runs on (Section II-A): a kernel is a grid of CTAs, each CTA a group of
 //! warps, each warp a stream of [`WarpOp`]s (loads, stores, compute
-//! bursts, fences, CTA barriers). An [`Sm`] schedules resident warps
+//! bursts, fences, CTA barriers), kept coded as a [`CodedProgram`] of a
+//! few bytes per instruction. An [`Sm`] schedules resident warps
 //! (round-robin or greedy-then-oldest), coalesces each memory
 //! instruction's per-lane addresses into block-granular accesses, and
 //! drives them through any [`gtsc_protocol::L1Controller`].
@@ -25,5 +26,5 @@ pub mod kernel;
 pub mod sm;
 
 pub use coalesce::coalesce;
-pub use kernel::{Kernel, Lanes, VecKernel, WarpOp, WarpProgram};
+pub use kernel::{CodedProgram, Kernel, Lanes, ProgramEncoder, VecKernel, WarpOp, WarpProgram};
 pub use sm::{Sm, SmParams, WarpStallInfo};

@@ -4,17 +4,16 @@
 //! cache, CTA barriers, and the consistency-model issue rules.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use gtsc_protocol::msg::{L1ToL2, L2ToL1};
 use gtsc_protocol::{AccessId, AccessKind, Completion, L1Controller, L1Outcome, MemAccess};
 use gtsc_trace::{CloseReason, EventKind, Probe, SpanTracker};
 use gtsc_types::{
-    BlockAddr, ConsistencyModel, CtaId, Cycle, CycleReason, FxHashMap, SmId, SmStats, SpanId,
+    Addr, BlockAddr, ConsistencyModel, CtaId, Cycle, CycleReason, FxHashMap, SmId, SmStats, SpanId,
     StallKind, WarpId, WarpScheduler,
 };
 
-use crate::kernel::{ProgramCursor, WarpOp, WarpProgram};
+use crate::kernel::{CodedProgram, Instr, ProgramCursor};
 
 /// Construction parameters for [`Sm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,6 +228,10 @@ pub struct Sm {
     span_seed: u64,
     /// Span of each in-flight sampled access (close-on-completion).
     span_of: FxHashMap<AccessId, SpanId>,
+    /// The lanes of the gather issuing now, read from its program: kept
+    /// so that issuing one allocates nothing. Volatile, never
+    /// snapshotted.
+    gather: Vec<Addr>,
     /// What the latest `cycle` / `tick_l1` / `on_response` completed:
     /// emptied on entry to each, lent out until the next call
     /// (DESIGN.md §15.4). Volatile, never snapshotted.
@@ -281,6 +284,7 @@ impl Sm {
             span_rate: 0,
             span_seed: 0,
             span_of: FxHashMap::default(),
+            gather: Vec::new(),
             done: Vec::new(),
             issued_last_cycle: false,
             p,
@@ -438,7 +442,7 @@ impl Sm {
     ///
     /// Panics if capacity is insufficient (check
     /// [`Sm::can_accept_cta`] first).
-    pub fn assign_cta<P: Into<Arc<WarpProgram>>>(&mut self, cta: CtaId, programs: Vec<P>) {
+    pub fn assign_cta<P: Into<CodedProgram>>(&mut self, cta: CtaId, programs: Vec<P>) {
         assert!(
             self.can_accept_cta(programs.len()),
             "SM lacks capacity for CTA {cta}"
@@ -787,18 +791,18 @@ impl Sm {
         };
         match w.ops.first() {
             None => (Event, Some(Memory)), // its last accesses are in flight
-            Some(WarpOp::Compute(_)) => (event_if(sc_blocked), sc_blocked.then_some(Memory)),
-            Some(WarpOp::Load(_) | WarpOp::Store(_) | WarpOp::Atomic(_)) => {
+            Some(Instr::Compute(_)) => (event_if(sc_blocked), sc_blocked.then_some(Memory)),
+            Some(Instr::Load(_) | Instr::Store(_) | Instr::Atomic(_)) => {
                 let closed = sc_blocked || window_full;
                 (event_if(closed), closed.then_some(Memory))
             }
-            Some(WarpOp::Fence) => (fence(w.outstanding), Some(Fence)),
+            Some(Instr::Fence) => (fence(w.outstanding), Some(Fence)),
             // Only prior stores/atomics must be performed.
-            Some(WarpOp::ReleaseFence) => (fence(w.outstanding_writes), Some(Fence)),
+            Some(Instr::ReleaseFence) => (fence(w.outstanding_writes), Some(Fence)),
             // Only prior loads/atomics must have returned.
-            Some(WarpOp::AcquireFence) => (event_if(w.outstanding_reads > 0), Some(Fence)),
+            Some(Instr::AcquireFence) => (event_if(w.outstanding_reads > 0), Some(Fence)),
             // A barrier implies memory visibility.
-            Some(WarpOp::Barrier) => (event_if(w.outstanding > 0), None),
+            Some(Instr::Barrier) => (event_if(w.outstanding > 0), None),
         }
     }
 
@@ -835,7 +839,7 @@ impl Sm {
             self.release_barrier(cta_slot);
             return true;
         }
-        if self.warps[i].ops.first() == Some(&WarpOp::Barrier) {
+        if self.warps[i].ops.first() == Some(&Instr::Barrier) {
             // The op stays at the front until the whole CTA is released.
             self.warps[i].at_barrier = true;
             self.ctas[cta_slot].at_barrier += 1;
@@ -848,21 +852,23 @@ impl Sm {
         }
         self.note_issue(i, now);
         let w = &mut self.warps[i];
-        let op = (w.ops.first()).expect("an issuable warp has a next instruction");
+        let op = *(w.ops.first()).expect("an issuable warp has a next instruction");
         let mem = match op {
-            WarpOp::Compute(c) => {
-                w.compute_until = now + u64::from(*c);
+            Instr::Compute(c) => {
+                w.compute_until = now + u64::from(c);
                 None
             }
-            WarpOp::Load(a) => Some((AccessKind::Load, a)),
-            WarpOp::Store(a) => Some((AccessKind::Store, a)),
-            WarpOp::Atomic(a) => Some((AccessKind::Atomic, a)),
+            Instr::Load(a) => Some((AccessKind::Load, a)),
+            Instr::Store(a) => Some((AccessKind::Store, a)),
+            Instr::Atomic(a) => Some((AccessKind::Atomic, a)),
             _ => None, // a fence whose condition held
         };
         if let Some((kind, lanes)) = mem {
             w.atomic_pending |= kind == AccessKind::Atomic;
             w.mem_kind = kind;
-            lanes.coalesce_into(self.p.block_shift, &mut w.mem_blocks);
+            let shift = self.p.block_shift;
+            w.ops
+                .coalesce_into(lanes, shift, &mut self.gather, &mut w.mem_blocks);
             self.stats.mem_issued += 1;
         }
         w.ops.advance();
@@ -1112,7 +1118,8 @@ impl std::fmt::Display for WarpStallInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtsc_types::{Addr, CacheStats, Version};
+    use crate::kernel::{WarpOp, WarpProgram};
+    use gtsc_types::{CacheStats, Version};
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::collections::VecDeque as Dq;
@@ -1839,7 +1846,7 @@ mod tests {
                 let closed = |&i: &usize| {
                     let held = scanned.l1().fence_ready_at(WarpId(i as u16)) > now;
                     let front = scanned.warps[i].ops.first();
-                    held && matches!(front, Some(WarpOp::Fence | WarpOp::ReleaseFence))
+                    held && matches!(front, Some(Instr::Fence | Instr::ReleaseFence))
                 };
                 let closed: Vec<(usize, usize)> = (0..p.n_warp_slots)
                     .filter(closed)

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 
 use gtsc_protocol::msg::Epoch;
 use gtsc_protocol::{AccessKind, Completion};
+use gtsc_types::varint::{self, unzigzag, zigzag};
 use gtsc_types::{BlockAddr, Cycle, FxHashMap, Timestamp, Version};
 
 /// One detected inconsistency.
@@ -104,19 +105,19 @@ impl LoadLog {
         let out = &mut self.bytes;
         out.push(head);
         if head & SAME_SM == 0 {
-            put_varint(out, ld.sm as u64);
+            varint::put(out, ld.sm as u64);
         }
         if let Some((epoch, ts)) = ld.key {
             if head & SAME_EPOCH == 0 {
-                put_varint(out, epoch);
+                varint::put(out, epoch);
             }
-            put_varint(out, zigzag(ts.0.wrapping_sub(last.ts)));
+            varint::put(out, zigzag(ts.0.wrapping_sub(last.ts)));
             self.last.epoch = epoch;
             self.last.ts = ts.0;
         }
-        put_varint(out, zigzag(ld.at.0.wrapping_sub(last.at)));
+        varint::put(out, zigzag(ld.at.0.wrapping_sub(last.at)));
         if head & SAME_VERSION == 0 {
-            put_varint(out, zigzag(ld.version.0.wrapping_sub(last.version)));
+            varint::put(out, zigzag(ld.version.0.wrapping_sub(last.version)));
         }
         self.last.sm = ld.sm;
         self.last.version = ld.version.0;
@@ -142,15 +143,10 @@ impl LoadLogIter<'_> {
     /// The LEB128 varint at the front of the rest of the log. The bytes
     /// are the log's own, so the varint is whole.
     fn varint(&mut self) -> u64 {
-        let mut v = 0;
-        for (i, &b) in self.bytes.iter().enumerate() {
-            v |= u64::from(b & 0x7F) << (7 * i);
-            if b < 0x80 {
-                self.bytes = &self.bytes[i + 1..];
-                return v;
-            }
-        }
-        unreachable!("a load log ends on a whole varint")
+        let mut at = 0;
+        let v = varint::get(self.bytes, &mut at);
+        self.bytes = &self.bytes[at..];
+        v
     }
 }
 
@@ -182,24 +178,6 @@ impl Iterator for LoadLogIter<'_> {
             exclusive: head & EXCLUSIVE != 0,
         })
     }
-}
-
-/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// A wrapped difference as a small unsigned number either way round.
-fn zigzag(delta: u64) -> u64 {
-    (delta << 1) ^ ((delta as i64 >> 63) as u64)
-}
-
-fn unzigzag(z: u64) -> u64 {
-    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 /// One block's committed stores, sorted by `(epoch, wts)`. Keys arrive

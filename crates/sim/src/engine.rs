@@ -47,10 +47,9 @@
 //!    machine behind, which is why slicing stays invisible.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use gtsc_faults::{BankFaults, FaultPlan, FaultStats};
-use gtsc_gpu::{Kernel, Sm, SmParams, WarpProgram};
+use gtsc_gpu::{CodedProgram, Kernel, Sm, SmParams};
 use gtsc_noc::ReliableNet;
 use gtsc_protocol::msg::{Epoch, L1ToL2, L2ToL1, MsgSizes};
 use gtsc_protocol::{L1Controller, L2Controller, WaitHint};
@@ -477,7 +476,7 @@ impl<B: L2Controller + ?Sized> Device<B> {
     }
 
     /// Dispatches `cta` onto SM `i` (which [`Device::find_room`] picked).
-    fn assign_cta(&mut self, i: usize, cta: CtaId, programs: Vec<Arc<WarpProgram>>, steps: u64) {
+    fn assign_cta(&mut self, i: usize, cta: CtaId, programs: Vec<CodedProgram>, steps: u64) {
         book(&mut self.sms[i], &mut self.booked[i], steps);
         self.resident += programs.len();
         self.sms[i].assign_cta(cta, programs);
@@ -1975,6 +1974,31 @@ mod tests {
         }
         back_to_back(single);
         back_to_back(multi);
+    }
+
+    /// A flight tail spans kernel boundaries: nothing drops the rings
+    /// between the kernels of `run_kernels`, so the post-mortem of the
+    /// second kernel still shows the first.
+    #[test]
+    fn a_flight_tail_holds_events_of_both_kernels() {
+        let cfg = GpuConfig::test_small()
+            .with_protocol(ProtocolKind::Gtsc)
+            .with_trace(TraceConfig::flight().with_flight_capacity(4096));
+        let (first, second) = (drf_traffic_kernel("first", 2), one_miss());
+        let mut alone = GpuSim::new(cfg.clone());
+        let boundary = alone.run_kernel(&first).expect("completes").stats.cycles;
+        let mut sim = GpuSim::new(cfg);
+        sim.run_kernels(&[&first, &second]).expect("completes");
+        assert!(sim.now() > boundary, "the second kernel ran");
+        let tail = sim.flight_tail();
+        assert!(
+            tail.iter().any(|e| e.cycle < boundary),
+            "no event of the first kernel"
+        );
+        assert!(
+            tail.iter().any(|e| e.cycle > boundary),
+            "no event of the second kernel"
+        );
     }
 
     /// Settle point: dispatch. The stretch an SM slept through is booked

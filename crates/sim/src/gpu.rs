@@ -186,13 +186,10 @@ impl MemorySide for LocalDram {
 pub struct SimBuilder {
     cfg: GpuConfig,
     l1_factory: L1Factory,
-    l2_factory: L2Factory,
 }
 
 /// Factory producing one private-cache controller per SM.
 type L1Factory = Box<dyn Fn(&GpuConfig, usize) -> Box<dyn gtsc_protocol::L1Controller>>;
-/// Factory producing one shared-cache bank controller.
-type L2Factory = Box<dyn Fn(&GpuConfig) -> Box<dyn L2Controller>>;
 
 impl std::fmt::Debug for SimBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -209,7 +206,6 @@ impl SimBuilder {
         SimBuilder {
             cfg,
             l1_factory: Box::new(|cfg, i| build_l1(cfg, i)),
-            l2_factory: Box::new(build_l2),
         }
     }
 
@@ -221,16 +217,6 @@ impl SimBuilder {
         factory: impl Fn(&GpuConfig, usize) -> Box<dyn gtsc_protocol::L1Controller> + 'static,
     ) -> Self {
         self.l1_factory = Box::new(factory);
-        self
-    }
-
-    /// Overrides the shared-cache bank controller (called once per bank).
-    #[must_use]
-    pub fn with_l2(
-        mut self,
-        factory: impl Fn(&GpuConfig) -> Box<dyn L2Controller> + 'static,
-    ) -> Self {
-        self.l2_factory = Box::new(factory);
         self
     }
 
@@ -277,7 +263,7 @@ impl SimBuilder {
             1,
             l1_retry,
             &*self.l1_factory,
-            &*self.l2_factory,
+            &build_l2,
             |_| mem,
         ))
     }

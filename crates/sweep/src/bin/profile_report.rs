@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gtsc_gpu::{Kernel, WarpOp};
+use gtsc_gpu::Kernel;
 use gtsc_sim::{render_folded, render_profile, spans_to_chrome_trace, MultiGpuSim, SimBuilder};
 use gtsc_sweep::{
     benchmark_from_name, consistency_from_name, protocol_from_name, scale_from_name, JobSpec,
@@ -240,20 +240,15 @@ macro_rules! run_and_report {
 }
 
 /// What `kernel` costs to hold: its instructions, the memory instructions
-/// among them, and the bytes of lane addresses those keep on the heap (a
-/// gather's; an affine instruction keeps none, DESIGN.md §15.5).
+/// among them, and the bytes its coded programs hold (DESIGN.md §15.5).
 fn kernel_footprint(kernel: &dyn Kernel) -> (usize, usize, usize) {
     let (mut ops, mut mem, mut bytes) = (0, 0, 0);
     for cta in 0..kernel.n_ctas() {
         for warp in 0..kernel.warps_per_cta() {
-            let program = kernel.shared_program(CtaId(cta as u32), warp);
+            let program = kernel.program(CtaId(cta as u32), warp);
             ops += program.len();
-            for op in &program.0 {
-                if let WarpOp::Load(lanes) | WarpOp::Store(lanes) | WarpOp::Atomic(lanes) = op {
-                    mem += 1;
-                    bytes += lanes.heap_bytes();
-                }
-            }
+            mem += program.0.iter().filter(|op| op.is_memory()).count();
+            bytes += kernel.shared_program(CtaId(cta as u32), warp).bytes();
         }
     }
     (ops, mem, bytes)
@@ -264,7 +259,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let kernel = cli.spec.kernel();
     if !cli.quiet {
         let (ops, mem, bytes) = kernel_footprint(kernel.as_ref());
-        println!("kernel: {ops} ops, {mem} memory instructions, {bytes} bytes of lane addresses");
+        println!(
+            "kernel: {ops} ops, {mem} memory instructions, {bytes} bytes of programs ({:.2} per op)",
+            bytes as f64 / ops.max(1) as f64
+        );
     }
     let report = if cli.gpus == 1 {
         let mut sim = SimBuilder::new(gpu_config(&cli))

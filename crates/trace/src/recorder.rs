@@ -10,7 +10,9 @@ use std::collections::VecDeque;
 use crate::event::TraceEvent;
 
 /// A bounded ring of the most recent events: pushing beyond capacity
-/// evicts the oldest entry, preserving order.
+/// evicts the oldest entry, preserving order. Nothing else drops one, so
+/// a tail spans kernel boundaries: after a `run_kernels` sequence it
+/// still holds the end of the kernels before the last.
 ///
 /// # Examples
 ///
@@ -62,29 +64,6 @@ impl FlightRecorder {
     pub fn tail(&self) -> Vec<TraceEvent> {
         self.buf.iter().copied().collect()
     }
-
-    /// Events currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum events retained.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops all retained events (kernel boundaries).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +89,6 @@ mod tests {
         for c in 0..5 {
             r.push(ev(c));
         }
-        assert_eq!(r.len(), 5);
         let cycles: Vec<u64> = r.tail().iter().map(|e| e.cycle.0).collect();
         assert_eq!(cycles, vec![0, 1, 2, 3, 4]);
     }
@@ -121,8 +99,6 @@ mod tests {
         for c in 0..10 {
             r.push(ev(c));
         }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.capacity(), 4);
         let cycles: Vec<u64> = r.tail().iter().map(|e| e.cycle.0).collect();
         assert_eq!(cycles, vec![6, 7, 8, 9]);
     }
@@ -131,18 +107,7 @@ mod tests {
     fn zero_capacity_records_nothing() {
         let mut r = FlightRecorder::new(0);
         r.push(ev(1));
-        assert!(r.is_empty());
         assert_eq!(r.tail(), vec![]);
-    }
-
-    #[test]
-    fn clear_empties_the_ring() {
-        let mut r = FlightRecorder::new(4);
-        r.push(ev(1));
-        r.clear();
-        assert!(r.is_empty());
-        r.push(ev(2));
-        assert_eq!(r.len(), 1);
     }
 
     proptest! {

@@ -573,13 +573,6 @@ impl TraceConfig {
         self
     }
 
-    /// Returns the config with the retained-span cap set.
-    #[must_use]
-    pub fn with_span_cap(mut self, cap: usize) -> Self {
-        self.span_cap = cap;
-        self
-    }
-
     /// Whether causal-span sampling is on.
     #[must_use]
     pub fn spans_enabled(&self) -> bool {

@@ -26,6 +26,7 @@ pub mod snap;
 pub mod stats;
 pub mod time;
 pub mod value;
+pub mod varint;
 
 pub use addr::{Addr, BlockAddr, CacheGeometry};
 pub use config::{

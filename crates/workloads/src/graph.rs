@@ -19,8 +19,7 @@ use crate::layout::{assemble, skewed_index, Region, Scale};
 pub fn connected_components(scale: Scale, seed: u64) -> VecKernel {
     let labels = Region::new(Addr(0), 96 * scale.data_factor());
     let edges = Region::new(labels.end(), 128 * scale.data_factor()); // read-only edge list
-    assemble("CC", scale, seed, |_cta, _w, rng| {
-        let mut ops = Vec::new();
+    assemble("CC", scale, seed, |_cta, _w, rng, ops| {
         for i in 0..scale.iters() {
             // Stream a chunk of the edge list (coalesced, read-only).
             ops.push(WarpOp::load_coalesced(
@@ -51,7 +50,6 @@ pub fn connected_components(scale: Scale, seed: u64) -> VecKernel {
                 ops.push(WarpOp::Fence);
             }
         }
-        ops
     })
 }
 
@@ -62,8 +60,7 @@ pub fn bfs(scale: Scale, seed: u64) -> VecKernel {
     let visited = Region::new(Addr(0), 64 * scale.data_factor());
     let adj = Region::new(visited.end(), 256 * scale.data_factor()); // read-only adjacency
     let frontier = Region::new(adj.end(), 16 * scale.data_factor());
-    assemble("BFS", scale, seed, |_cta, w, rng| {
-        let mut ops = Vec::new();
+    assemble("BFS", scale, seed, |_cta, w, rng, ops| {
         for level in 0..scale.iters() {
             // Read the current frontier (shared, rotates per level so
             // CTAs alternately produce and consume it).
@@ -97,7 +94,6 @@ pub fn bfs(scale: Scale, seed: u64) -> VecKernel {
             }
             ops.push(WarpOp::Fence);
         }
-        ops
     })
 }
 
@@ -114,8 +110,7 @@ pub fn bfs_level(scale: Scale, seed: u64, level: usize) -> VecKernel {
         &format!("BFS-L{level}"),
         scale,
         seed ^ (level as u64) << 32,
-        move |_cta, w, rng| {
-            let mut ops = Vec::new();
+        move |_cta, w, rng, ops| {
             ops.push(WarpOp::load_coalesced(frontier.block(level as u64), 32));
             for _ in 0..3 {
                 let gather = (0..6)
@@ -139,7 +134,6 @@ pub fn bfs_level(scale: Scale, seed: u64, level: usize) -> VecKernel {
                 ));
             }
             ops.push(WarpOp::Fence);
-            ops
         },
     )
 }

@@ -14,8 +14,7 @@ use crate::layout::{assemble, skewed_index, Region, Scale};
 #[must_use]
 pub fn place_route(scale: Scale, seed: u64) -> VecKernel {
     let grid = Region::new(Addr(0), 128 * scale.data_factor());
-    assemble("VPR", scale, seed, |_cta, _w, rng| {
-        let mut ops = Vec::new();
+    assemble("VPR", scale, seed, |_cta, _w, rng, ops| {
         for i in 0..scale.iters() {
             // Congested placement regions are evaluated far more often
             // than they are modified: skewed reads, rare commits.
@@ -39,7 +38,6 @@ pub fn place_route(scale: Scale, seed: u64) -> VecKernel {
                 ops.push(WarpOp::Fence);
             }
         }
-        ops
     })
 }
 
@@ -51,8 +49,7 @@ pub fn shared_stencil(scale: Scale, seed: u64) -> VecKernel {
     let n_ctas = scale.ctas() as u64;
     let row_blocks = 4u64;
     let grid = Region::new(Addr(0), n_ctas * row_blocks);
-    assemble("STN", scale, seed, move |cta, w, rng| {
-        let mut ops = Vec::new();
+    assemble("STN", scale, seed, move |cta, w, rng, ops| {
         let my_row = cta;
         let up = (cta + n_ctas - 1) % n_ctas;
         let down = (cta + 1) % n_ctas;
@@ -81,7 +78,6 @@ pub fn shared_stencil(scale: Scale, seed: u64) -> VecKernel {
             ops.push(WarpOp::Fence);
             ops.push(WarpOp::Barrier);
         }
-        ops
     })
 }
 
@@ -92,9 +88,8 @@ pub fn private_stencil(scale: Scale, seed: u64) -> VecKernel {
     let n_ctas = scale.ctas() as u64;
     let tile_blocks = 8u64;
     let grid = Region::new(Addr(0), n_ctas * tile_blocks);
-    assemble("HS", scale, seed, move |cta, w, rng| {
+    assemble("HS", scale, seed, move |cta, w, rng, ops| {
         let tile = grid.slice(cta, n_ctas);
-        let mut ops = Vec::new();
         for iter in 0..scale.iters() as u64 {
             let col = (w + iter) % tile.len();
             ops.push(WarpOp::load_coalesced(tile.block(col), 32));
@@ -103,7 +98,6 @@ pub fn private_stencil(scale: Scale, seed: u64) -> VecKernel {
             ops.push(WarpOp::store_coalesced(tile.block(col), 32));
             ops.push(WarpOp::Barrier);
         }
-        ops
     })
 }
 

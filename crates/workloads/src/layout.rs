@@ -1,19 +1,22 @@
 //! Address-space layout helpers, workload scales, and the generator
 //! assembly harness.
 
-use gtsc_gpu::{VecKernel, WarpOp, WarpProgram};
+use gtsc_gpu::{ProgramEncoder, VecKernel};
 use gtsc_types::Addr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Builds a [`VecKernel`] by invoking `gen(cta, warp, rng)` for every warp
-/// with a deterministic per-warp RNG derived from `seed`.
+/// Builds a [`VecKernel`] by invoking `gen(cta, warp, rng, ops)` for every
+/// warp with a deterministic per-warp RNG derived from `seed`. `gen`
+/// pushes the warp's instructions into `ops`, which codes each as it
+/// comes, in buffers reused across warps: no program is held expanded.
 pub fn assemble(
     name: &str,
     scale: Scale,
     seed: u64,
-    mut gen: impl FnMut(u64, u64, &mut StdRng) -> Vec<WarpOp>,
+    mut gen: impl FnMut(u64, u64, &mut StdRng, &mut ProgramEncoder),
 ) -> VecKernel {
+    let mut ops = ProgramEncoder::default();
     let ctas = (0..scale.ctas() as u64)
         .map(|cta| {
             (0..scale.warps_per_cta() as u64)
@@ -21,12 +24,13 @@ pub fn assemble(
                     let mut rng = StdRng::seed_from_u64(
                         seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (cta << 20) ^ w,
                     );
-                    WarpProgram(gen(cta, w, &mut rng))
+                    gen(cta, w, &mut rng, &mut ops);
+                    ops.finish()
                 })
                 .collect()
         })
         .collect();
-    VecKernel::new(name, scale.warps_per_cta(), ctas)
+    VecKernel::from_coded(name, scale.warps_per_cta(), ctas)
 }
 
 /// Cache-block size assumed by the generators (matches the paper's 128 B

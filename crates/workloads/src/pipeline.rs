@@ -19,8 +19,7 @@ pub fn producer_consumer(scale: Scale, seed: u64) -> VecKernel {
     let tile_blocks = 6u64;
     let tiles = Region::new(Addr(0), n_ctas * tile_blocks * 2);
     let flags = Region::new(tiles.end(), n_ctas * 2);
-    assemble("DLP", scale, seed, move |cta, w, rng| {
-        let mut ops = Vec::new();
+    assemble("DLP", scale, seed, move |cta, w, rng, ops| {
         for round in 0..scale.iters() as u64 {
             let my_tile = cta + round * n_ctas;
             let prev_tile = (cta + n_ctas - 1) % n_ctas + round * n_ctas;
@@ -46,7 +45,6 @@ pub fn producer_consumer(scale: Scale, seed: u64) -> VecKernel {
             }
             ops.push(WarpOp::Compute(3));
         }
-        ops
     })
 }
 

@@ -24,9 +24,8 @@ fn warp_index(scale: Scale, cta: u64, w: u64) -> u64 {
 #[must_use]
 pub fn compute_heavy(scale: Scale, seed: u64) -> VecKernel {
     let data = Region::new(Addr(0), 64 * total_warps(scale));
-    assemble("CCP", scale, seed, move |cta, w, rng| {
+    assemble("CCP", scale, seed, move |cta, w, rng, ops| {
         let mine = data.slice(warp_index(scale, cta, w), total_warps(scale));
-        let mut ops = Vec::new();
         for i in 0..scale.iters() as u64 {
             ops.push(WarpOp::Compute(30 + rng.gen_range(0..20)));
             ops.push(WarpOp::load_coalesced(mine.block(i), 32));
@@ -35,7 +34,6 @@ pub fn compute_heavy(scale: Scale, seed: u64) -> VecKernel {
                 ops.push(WarpOp::store_coalesced(mine.block(i), 32));
             }
         }
-        ops
     })
 }
 
@@ -45,9 +43,8 @@ pub fn compute_heavy(scale: Scale, seed: u64) -> VecKernel {
 #[must_use]
 pub fn gaussian_elim(scale: Scale, seed: u64) -> VecKernel {
     let rows = Region::new(Addr(0), 16 * total_warps(scale));
-    assemble("GE", scale, seed, move |cta, w, rng| {
+    assemble("GE", scale, seed, move |cta, w, rng, ops| {
         let mine = rows.slice(warp_index(scale, cta, w), total_warps(scale));
-        let mut ops = Vec::new();
         for i in 0..scale.iters() as u64 {
             // Read a moving window of three row blocks.
             for d in 0..3 {
@@ -57,7 +54,6 @@ pub fn gaussian_elim(scale: Scale, seed: u64) -> VecKernel {
             // Write each result block exactly once.
             ops.push(WarpOp::store_coalesced(mine.block(i), 32));
         }
-        ops
     })
 }
 
@@ -68,10 +64,9 @@ pub fn kmeans(scale: Scale, seed: u64) -> VecKernel {
     let centroids = Region::new(Addr(0), 8);
     let points = Region::new(centroids.end(), 32 * total_warps(scale));
     let assign = Region::new(points.end(), 8 * total_warps(scale));
-    assemble("KM", scale, seed, move |cta, w, rng| {
+    assemble("KM", scale, seed, move |cta, w, rng, ops| {
         let my_points = points.slice(warp_index(scale, cta, w), total_warps(scale));
         let my_assign = assign.slice(warp_index(scale, cta, w), total_warps(scale));
-        let mut ops = Vec::new();
         for i in 0..scale.iters() as u64 {
             ops.push(WarpOp::load_coalesced(my_points.block(i), 32));
             // Distance to a couple of centroids (shared, read-only).
@@ -86,7 +81,6 @@ pub fn kmeans(scale: Scale, seed: u64) -> VecKernel {
             ops.push(WarpOp::Compute(12));
             ops.push(WarpOp::store_coalesced(my_assign.block(i), 32));
         }
-        ops
     })
 }
 
@@ -96,9 +90,8 @@ pub fn kmeans(scale: Scale, seed: u64) -> VecKernel {
 pub fn backprop(scale: Scale, seed: u64) -> VecKernel {
     let input = Region::new(Addr(0), 32); // shared, read-only
     let weights = Region::new(input.end(), 24 * total_warps(scale));
-    assemble("BP", scale, seed, move |cta, w, rng| {
+    assemble("BP", scale, seed, move |cta, w, rng, ops| {
         let mine = weights.slice(warp_index(scale, cta, w), total_warps(scale));
-        let mut ops = Vec::new();
         for layer in 0..scale.iters() as u64 {
             ops.push(WarpOp::load_coalesced(input.block(layer), 32));
             ops.push(WarpOp::load_coalesced(mine.block(layer), 32));
@@ -106,7 +99,6 @@ pub fn backprop(scale: Scale, seed: u64) -> VecKernel {
             ops.push(WarpOp::store_coalesced(mine.block(layer), 32));
             ops.push(WarpOp::Barrier);
         }
-        ops
     })
 }
 
@@ -116,10 +108,9 @@ pub fn backprop(scale: Scale, seed: u64) -> VecKernel {
 pub fn sgm(scale: Scale, seed: u64) -> VecKernel {
     let bands = Region::new(Addr(0), 24 * total_warps(scale));
     let out = Region::new(bands.end(), 12 * total_warps(scale));
-    assemble("SGM", scale, seed, move |cta, w, rng| {
+    assemble("SGM", scale, seed, move |cta, w, rng, ops| {
         let my_band = bands.slice(warp_index(scale, cta, w), total_warps(scale));
         let my_out = out.slice(warp_index(scale, cta, w), total_warps(scale));
-        let mut ops = Vec::new();
         for i in 0..scale.iters() as u64 {
             // Sliding band with re-reads (reuse makes L1 matter).
             ops.push(WarpOp::load_coalesced(my_band.block(i), 32));
@@ -128,7 +119,6 @@ pub fn sgm(scale: Scale, seed: u64) -> VecKernel {
             ops.push(WarpOp::Compute(4 + rng.gen_range(0..4)));
             ops.push(WarpOp::store_coalesced(my_out.block(i), 32));
         }
-        ops
     })
 }
 

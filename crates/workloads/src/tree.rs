@@ -19,8 +19,7 @@ pub fn barnes_hut(scale: Scale, seed: u64) -> VecKernel {
     let tree = Region::new(Addr(0), 64 * scale.data_factor());
     let bodies = Region::new(tree.end(), 32 * scale.data_factor());
     let depth = 4;
-    assemble("BH", scale, seed, |_cta, _w, rng| {
-        let mut ops = Vec::new();
+    assemble("BH", scale, seed, |_cta, _w, rng, ops| {
         for _ in 0..scale.iters() {
             // Root-to-leaf walk: dependent node loads.
             let mut idx = 0u64;
@@ -48,7 +47,6 @@ pub fn barnes_hut(scale: Scale, seed: u64) -> VecKernel {
                 ops.push(WarpOp::load_coalesced(bodies.block(other), 32));
             }
         }
-        ops
     })
 }
 

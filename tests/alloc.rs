@@ -16,7 +16,8 @@ use std::cell::Cell;
 use gtsc::gpu::{VecKernel, WarpOp, WarpProgram};
 use gtsc::sim::{CheckpointSource, CheckpointStore, GpuSim, KernelProgress, MultiGpuSim};
 use gtsc::types::{
-    Addr, ConsistencyModel, FabricConfig, GpuConfig, MultiGpuConfig, ProtocolKind, SnapshotError,
+    Addr, ConsistencyModel, CtaId, FabricConfig, GpuConfig, MultiGpuConfig, ProtocolKind,
+    SnapshotError,
 };
 use gtsc::workloads::{Benchmark, Scale};
 
@@ -182,9 +183,10 @@ fn tc_banks_allocate_nothing_per_stalled_tick() {
 
 /// Generation holds lane addresses without allocating for them
 /// (DESIGN.md §15.5): every memory instruction of BH is an affine line, so
-/// building the Full kernel allocates per program — its `Vec` growing, its
-/// `Arc` — and for the kernel's tables, not per instruction. With a `Vec`
-/// of addresses per instruction the build made at least 76 458 more.
+/// building the Full kernel allocates per program — its coded stream — and
+/// for the kernel's tables and the encoder's reused buffer, not per
+/// instruction. With a `Vec` of addresses per instruction the build made
+/// at least 76 458 more.
 #[test]
 fn kernel_generation_allocates_per_program_not_per_instruction() {
     let (kernel, n) = allocations(|| Benchmark::Bh.build(Scale::Full));
@@ -200,6 +202,32 @@ fn kernel_generation_allocates_per_program_not_per_instruction() {
 /// count sits far below the 76 458 memory instructions a per-instruction
 /// allocation would add.
 const GENERATION_ALLOCATIONS: u64 = 5_000;
+
+/// What a Full kernel keeps is its coded programs (DESIGN.md §15.5): BH
+/// kept 6.02 MiB over 131 754 instructions (47.8 bytes each) and CC 52.9
+/// bytes each while each instruction was a 32-byte `WarpOp` in a `Vec`
+/// grown to 1.5× its length, CC's gathers beside them on the heap. Coded,
+/// a line is a few bytes and a gather one or two a lane.
+#[test]
+fn a_full_kernel_keeps_few_bytes_per_instruction() {
+    for (b, bound) in [(Benchmark::Bh, 8.0), (Benchmark::Cc, 16.0)] {
+        let (kernel, kept) = kept_bytes(|| b.build(Scale::Full));
+        let instructions: usize = (0..kernel.n_ctas())
+            .flat_map(|c| (0..kernel.warps_per_cta()).map(move |w| (c, w)))
+            .map(|(c, w)| kernel.shared_program(CtaId(c as u32), w).len())
+            .sum();
+        let per_instruction = kept as f64 / instructions as f64;
+        println!(
+            "{:<4} full: {kept} bytes kept over {instructions} instructions, {per_instruction:.2} each",
+            b.name()
+        );
+        assert!(
+            per_instruction <= bound,
+            "{} Full keeps {per_instruction:.2} bytes per instruction (bound {bound})",
+            b.name()
+        );
+    }
+}
 
 /// Steady state: once every CTA is dispatched and a kernel re-touches a
 /// fixed working set, the machine itself allocates nothing. What is left
@@ -271,8 +299,9 @@ const STEADY_STATE_ALLOCATIONS: u64 = 54;
 /// `run_kernel` leaves 859 184 bytes live over 5 083 checker events (169
 /// per event) while each load is kept as a 56-byte `LoadObservation`,
 /// 671 120 (132 per event) as a 32-byte record, and 438 808 (86.3 per
-/// event) delta-coded, with the stores and versions in flat lists. The
-/// rest is the checker's per-block state and the queues the run grew.
+/// event) delta-coded, with the stores and versions in flat lists —
+/// 439 320 (86.4) once each SM kept a buffer for the gather it issues.
+/// The rest is the checker's per-block state and the queues the run grew.
 #[test]
 fn a_finished_run_keeps_few_bytes_per_checker_event() {
     let kernel = Benchmark::Cc.build(Scale::Small);
