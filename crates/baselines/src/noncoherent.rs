@@ -145,7 +145,7 @@ impl L1Controller for NonCoherentL1 {
     }
 
     fn flush(&mut self) {
-        self.tags.flush();
+        self.tags.flush(drop);
     }
 
     fn is_idle(&self) -> bool {

@@ -284,7 +284,7 @@ impl L1Controller for TcL1 {
     }
 
     fn flush(&mut self) {
-        self.tags.flush();
+        self.tags.flush(drop);
         for g in &mut self.gwct {
             *g = Cycle(0);
         }

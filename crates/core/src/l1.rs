@@ -364,7 +364,7 @@ impl GtscL1 {
     /// Section V-D: a response from a newer epoch flushes the L1 and
     /// resets every warp timestamp before it is consumed.
     fn enter_epoch(&mut self, epoch: Epoch, now: Cycle) {
-        self.tags.flush();
+        self.tags.flush(drop);
         // The flush destroyed every line's pending-store lock state. Acks
         // still owed to the surviving waiters must not decrement (or
         // install a lease into) whatever line is re-installed in the new
@@ -946,7 +946,7 @@ impl L1Controller for GtscL1 {
     }
 
     fn flush(&mut self) {
-        self.tags.flush();
+        self.tags.flush(drop);
         for ts in &mut self.warp_ts {
             *ts = Timestamp::INIT;
         }

@@ -505,9 +505,8 @@ impl L2Controller for GtscL2 {
         // survives (as if line data were ECC-protected and recoverable
         // from DRAM). Resident versions fold into the backing store so
         // post-recovery fetches observe them.
-        for line in self.tags.flush() {
-            self.shell.store_back(line.block, line.meta.version);
-        }
+        self.tags
+            .flush(|line| self.shell.store_back(line.block, line.meta.version));
         // Every in-flight transaction dies with the bank, its sampled
         // spans closed so none leaks open across the reset.
         self.shell.crash(&self.probe, now);

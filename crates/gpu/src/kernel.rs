@@ -389,6 +389,8 @@ pub struct ProgramEncoder {
     /// right-aligned in the room, so the program is one contiguous copy.
     buf: Vec<u8>,
     n: u64,
+    /// The lanes of the instruction [`ProgramEncoder::push_lanes`] codes.
+    lanes: Vec<Addr>,
 }
 
 impl Default for ProgramEncoder {
@@ -396,6 +398,7 @@ impl Default for ProgramEncoder {
         ProgramEncoder {
             buf: vec![0; MAX_VARINT],
             n: 0,
+            lanes: Vec::new(),
         }
     }
 }
@@ -404,6 +407,24 @@ impl ProgramEncoder {
     /// Appends `op` to the program being built.
     pub fn push(&mut self, op: WarpOp) {
         self.put(&op);
+    }
+
+    /// Appends the memory instruction `op` makes of the lanes `addrs`,
+    /// coded as `push(op(addrs.into_iter().collect()))` codes it — a line
+    /// when the lanes step by one stride, a gather otherwise — without
+    /// boxing a gather: the lanes pass through a buffer the encoder keeps.
+    pub fn push_lanes(&mut self, op: fn(Lanes) -> WarpOp, addrs: impl IntoIterator<Item = Addr>) {
+        // The tag of `op`'s kind, read off an instruction with no lanes.
+        let tag = op(Lanes::line(0, 0, 0)).tag();
+        self.lanes.clear();
+        self.lanes.extend(addrs);
+        self.n += 1;
+        match Lanes::affine(&self.lanes) {
+            Some(Lanes(Repr::Affine { base, stride, n })) => {
+                put_line(&mut self.buf, tag, base, stride, n);
+            }
+            _ => put_gather(&mut self.buf, tag, &self.lanes),
+        }
     }
 
     fn put(&mut self, op: &WarpOp) {
@@ -416,21 +437,8 @@ impl ProgramEncoder {
                     varint::put(out, u64::from(*c));
                 }
             }
-            Some(Repr::Affine { base, stride, n }) => {
-                out.push(op.tag());
-                varint::put(out, *base);
-                varint::put(out, zigzag(*stride as u64));
-                varint::put(out, u64::from(*n));
-            }
-            Some(Repr::Gather(addrs)) => {
-                out.push(op.tag() | GATHER);
-                varint::put(out, addrs.len() as u64);
-                let mut previous = 0u64;
-                for a in addrs {
-                    varint::put(out, zigzag(a.0.wrapping_sub(previous)));
-                    previous = a.0;
-                }
-            }
+            Some(&Repr::Affine { base, stride, n }) => put_line(out, op.tag(), base, stride, n),
+            Some(Repr::Gather(addrs)) => put_gather(out, op.tag(), addrs),
         }
     }
 
@@ -455,6 +463,28 @@ impl ProgramEncoder {
     fn encode(&mut self, program: &WarpProgram) -> CodedProgram {
         program.0.iter().for_each(|op| self.put(op));
         self.finish()
+    }
+}
+
+/// Codes a memory instruction whose lanes are the line `{ base, stride,
+/// n }`.
+#[inline]
+fn put_line(out: &mut Vec<u8>, tag: u8, base: u64, stride: i64, n: u32) {
+    out.push(tag);
+    varint::put(out, base);
+    varint::put(out, zigzag(stride as u64));
+    varint::put(out, u64::from(n));
+}
+
+/// Codes a memory instruction whose lanes are the gather `addrs`.
+#[inline]
+fn put_gather(out: &mut Vec<u8>, tag: u8, addrs: &[Addr]) {
+    out.push(tag | GATHER);
+    varint::put(out, addrs.len() as u64);
+    let mut previous = 0u64;
+    for a in addrs {
+        varint::put(out, zigzag(a.0.wrapping_sub(previous)));
+        previous = a.0;
     }
 }
 
@@ -977,7 +1007,8 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
 
         /// A coded program decodes to the instructions it was built from,
-        /// pushed one by one or all at once; a cursor advanced past any
+        /// pushed one by one — a memory instruction as an op or as its
+        /// lanes — or all at once; a cursor advanced past any
         /// `k` of them snapshots to exactly the bytes the expanded
         /// remainder writes; and the cursor restored from those bytes
         /// holds the same instructions and writes the same bytes again.
@@ -992,6 +1023,15 @@ mod tests {
             prop_assert_eq!(&coded.decode(), &program);
             let mut pushed = ProgramEncoder::default();
             program.0.iter().cloned().for_each(|op| pushed.push(op));
+            prop_assert_eq!(&pushed.finish(), &coded);
+            for op in &program.0 {
+                match op {
+                    WarpOp::Load(lanes) => pushed.push_lanes(WarpOp::Load, lanes.iter()),
+                    WarpOp::Store(lanes) => pushed.push_lanes(WarpOp::Store, lanes.iter()),
+                    WarpOp::Atomic(lanes) => pushed.push_lanes(WarpOp::Atomic, lanes.iter()),
+                    other => pushed.push(other.clone()),
+                }
+            }
             prop_assert_eq!(&pushed.finish(), &coded);
 
             let k = k.min(program.len());

@@ -187,12 +187,15 @@ impl<M> TagArray<M> {
             .and_then(Option::take)
     }
 
-    /// Empties the whole array (kernel-boundary flush), returning the lines.
-    pub fn flush(&mut self) -> Vec<Line<M>> {
+    /// Empties the whole array (kernel-boundary flush), handing each
+    /// resident line to `each`; a caller that drops the lines passes
+    /// `drop`, and nothing is allocated.
+    pub fn flush(&mut self, each: impl FnMut(Line<M>)) {
         self.sets
             .iter_mut()
-            .flat_map(|set| set.iter_mut().filter_map(Option::take))
-            .collect()
+            .flatten()
+            .filter_map(Option::take)
+            .for_each(each);
     }
 
     /// Iterates over all resident lines.
@@ -340,7 +343,8 @@ mod tests {
         t.fill(BlockAddr(1), 2);
         assert_eq!(t.invalidate(BlockAddr(0)).unwrap().meta, 1);
         assert!(t.invalidate(BlockAddr(0)).is_none());
-        let flushed = t.flush();
+        let mut flushed = Vec::new();
+        t.flush(|line| flushed.push(line));
         assert_eq!(flushed.len(), 1);
         assert!(t.is_empty());
     }

@@ -49,25 +49,35 @@ pub struct LoadObservation {
     pub exclusive: bool,
 }
 
-/// One block's observed loads in completion order, each coded against the
-/// one before it (DESIGN.md §15.6). A load is a header byte — the keyed
-/// and exclusive flags and "same SM / same epoch / same version" bits —
-/// then varints: the SM and the epoch when they changed, zigzag deltas of
-/// the completion cycle and the timestamp, and a zigzag delta of the
-/// version when it changed. Deltas wrap, so every `u64` round-trips; an
-/// unkeyed load carries no epoch or timestamp and leaves both as they
-/// were. Every read decodes to [`LoadObservation`], so what the checker
-/// reports, and the bytes it snapshots, are the observation's.
+/// A store's or a load's logical `(epoch, timestamp)`.
+type Key = (Epoch, Timestamp);
+
+/// One block's history: every completion on it — loads and stores, keyed
+/// or not — in one byte stream, each entry coded against the one before
+/// it (DESIGN.md §15.6). An entry is a header byte — the keyed, store and
+/// exclusive flags and "same SM / same epoch / same version" bits — then
+/// varints: a load's SM when it changed, the epoch when it changed, zigzag
+/// deltas of the timestamp and of a load's completion cycle, and a zigzag
+/// delta of the version when it changed. A store carries no SM or cycle.
+/// Deltas wrap, so every `u64` round-trips; an unkeyed entry leaves the
+/// epoch and timestamp as they were. A compacted log starts with its
+/// horizon. Every read decodes into the [`Views`] the checks use, so what
+/// the checker reports, and the bytes it snapshots, are the views'.
 #[derive(Debug, Default)]
-struct LoadLog {
+struct BlockLog {
     bytes: Vec<u8>,
-    len: usize,
-    /// The last load's fields: what the next one is coded against.
+    /// The last entry's fields: what the next one is coded against.
     last: Coded,
+    /// At or above the key of every store in the log: a store above it
+    /// is new to the history without a look at the log.
+    top: Key,
+    /// Which snapshot sections list the block: [`IN_STORES`],
+    /// [`IN_WRITTEN`], [`IN_LOADS`].
+    flags: u8,
 }
 
-/// The fields a load is coded against, as the encoder leaves them after
-/// a load and the decoder finds them before the next.
+/// The fields an entry is coded against, as the encoder leaves them after
+/// an entry and the decoder finds them before the next.
 #[derive(Debug, Default, Clone, Copy)]
 struct Coded {
     sm: usize,
@@ -78,36 +88,100 @@ struct Coded {
 }
 
 const KEYED: u8 = 1;
+/// On a load: the read half of an atomic.
 const EXCLUSIVE: u8 = 1 << 1;
+/// On a store (the same bit): its version is not in the block's written
+/// set — `compact` pruned an equal version, or a restore lists the set
+/// apart.
+const UNWRITTEN: u8 = EXCLUSIVE;
 const SAME_SM: u8 = 1 << 2;
 const SAME_EPOCH: u8 = 1 << 3;
 const SAME_VERSION: u8 = 1 << 4;
+const STORE: u8 = 1 << 5;
+/// The compaction horizon, its epoch and timestamp whole: only ever the
+/// first entry, and nothing is coded against it.
+const HORIZON: u8 = 1 << 6;
 
-impl LoadLog {
-    fn push(&mut self, ld: &LoadObservation) {
-        let last = self.last;
-        let mut head = 0;
-        if ld.exclusive {
-            head |= EXCLUSIVE;
+/// The block had a keyed store: the snapshot's `stores` section lists it.
+const IN_STORES: u8 = 1;
+/// The block had a store: the `written` section lists it.
+const IN_WRITTEN: u8 = 1 << 1;
+/// The block had a load: the `loads` section lists it.
+const IN_LOADS: u8 = 1 << 2;
+
+/// One decoded entry of a [`BlockLog`].
+enum Entry {
+    Load(LoadObservation),
+    /// A committed store: into the history at its key, if it has one, and
+    /// into the written set if `written`.
+    Store {
+        key: Option<Key>,
+        version: Version,
+        written: bool,
+    },
+    Horizon(Key),
+}
+
+impl BlockLog {
+    fn push_load(&mut self, ld: &LoadObservation) {
+        let head = if ld.exclusive { EXCLUSIVE } else { 0 };
+        self.put(head, ld.key, ld.version, Some((ld.sm, ld.at)));
+        self.flags |= IN_LOADS;
+    }
+
+    /// Appends a store; whether its key is new to the history. A store at
+    /// a key the history has replaces that key's version when the log is
+    /// read, and is not a second store.
+    fn push_store(&mut self, key: Option<Key>, version: Version, written: bool) -> bool {
+        let new = key.is_some_and(|k| !self.has_store_at(k));
+        let head = if written { STORE } else { STORE | UNWRITTEN };
+        self.put(head, key, version, None);
+        if let Some(key) = key {
+            self.top = self.top.max(key);
+            self.flags |= IN_STORES;
         }
-        if ld.sm == last.sm {
+        if written {
+            self.flags |= IN_WRITTEN;
+        }
+        new
+    }
+
+    /// Whether the history has a store at `key`: only a key at or below
+    /// the top one reads the log.
+    fn has_store_at(&self, key: Key) -> bool {
+        key <= self.top
+            && self
+                .entries()
+                .any(|e| matches!(e, Entry::Store { key: Some(k), .. } if k == key))
+    }
+
+    /// Codes one entry. `load` is a load's SM and completion cycle.
+    fn put(
+        &mut self,
+        mut head: u8,
+        key: Option<Key>,
+        version: Version,
+        load: Option<(usize, Cycle)>,
+    ) {
+        let last = self.last;
+        if load.is_some_and(|(sm, _)| sm == last.sm) {
             head |= SAME_SM;
         }
-        if ld.version.0 == last.version {
-            head |= SAME_VERSION;
-        }
-        if let Some((epoch, _)) = ld.key {
+        if let Some((epoch, _)) = key {
             head |= KEYED;
             if epoch == last.epoch {
                 head |= SAME_EPOCH;
             }
         }
+        if version.0 == last.version {
+            head |= SAME_VERSION;
+        }
         let out = &mut self.bytes;
         out.push(head);
-        if head & SAME_SM == 0 {
-            varint::put(out, ld.sm as u64);
+        if let Some((sm, _)) = load.filter(|_| head & SAME_SM == 0) {
+            varint::put(out, sm as u64);
         }
-        if let Some((epoch, ts)) = ld.key {
+        if let Some((epoch, ts)) = key {
             if head & SAME_EPOCH == 0 {
                 varint::put(out, epoch);
             }
@@ -115,48 +189,132 @@ impl LoadLog {
             self.last.epoch = epoch;
             self.last.ts = ts.0;
         }
-        varint::put(out, zigzag(ld.at.0.wrapping_sub(last.at)));
-        if head & SAME_VERSION == 0 {
-            varint::put(out, zigzag(ld.version.0.wrapping_sub(last.version)));
+        if let Some((sm, at)) = load {
+            varint::put(out, zigzag(at.0.wrapping_sub(last.at)));
+            self.last.sm = sm;
+            self.last.at = at.0;
         }
-        self.last.sm = ld.sm;
-        self.last.version = ld.version.0;
-        self.last.at = ld.at.0;
-        self.len += 1;
+        if head & SAME_VERSION == 0 {
+            varint::put(out, zigzag(version.0.wrapping_sub(last.version)));
+        }
+        self.last.version = version.0;
     }
 
-    fn iter(&self) -> LoadLogIter<'_> {
-        LoadLogIter {
+    /// Puts `horizon` in front of the log, in place of none.
+    fn put_horizon(&mut self, (epoch, ts): Key) {
+        let len = self.bytes.len();
+        self.bytes.push(HORIZON);
+        varint::put(&mut self.bytes, epoch);
+        varint::put(&mut self.bytes, ts.0);
+        let n = self.bytes.len() - len;
+        self.bytes.rotate_right(n);
+    }
+
+    /// The key `compact` pruned the block's stores up to: keyed loads
+    /// below it can no longer be validated exactly.
+    fn horizon(&self) -> Option<Key> {
+        if self.bytes.first()? & HORIZON == 0 {
+            return None;
+        }
+        match self.entries().next() {
+            Some(Entry::Horizon(h)) => Some(h),
+            _ => None,
+        }
+    }
+
+    fn entries(&self) -> Entries<'_> {
+        Entries {
             bytes: &self.bytes,
+            at: 0,
             last: Coded::default(),
         }
     }
-}
 
-/// Decodes a [`LoadLog`] front to back.
-struct LoadLogIter<'a> {
-    bytes: &'a [u8],
-    last: Coded,
-}
+    /// Decodes the log: its horizon, history and written set into `views`,
+    /// and each load, in order, to `load`.
+    fn decode(&self, views: &mut Views, mut load: impl FnMut(LoadObservation)) {
+        views.horizon = None;
+        views.history.0.clear();
+        views.written.0.clear();
+        for entry in self.entries() {
+            match entry {
+                Entry::Load(ld) => load(ld),
+                Entry::Store {
+                    key,
+                    version,
+                    written,
+                } => {
+                    if let Some(key) = key {
+                        views.history.insert(key, version);
+                    }
+                    if written {
+                        views.written.insert(version);
+                    }
+                }
+                Entry::Horizon(h) => views.horizon = Some(h),
+            }
+        }
+    }
 
-impl LoadLogIter<'_> {
-    /// The LEB128 varint at the front of the rest of the log. The bytes
-    /// are the log's own, so the varint is whole.
-    fn varint(&mut self) -> u64 {
-        let mut at = 0;
-        let v = varint::get(self.bytes, &mut at);
-        self.bytes = &self.bytes[at..];
-        v
+    /// Decodes the whole log into `views`.
+    fn read(&self, views: &mut Views) {
+        let mut loads = std::mem::take(&mut views.loads);
+        loads.clear();
+        self.decode(views, |ld| loads.push(ld));
+        views.loads = loads;
+    }
+
+    /// A log that reads as `views`, listed in the sections `flags` lists:
+    /// the horizon, the history as stores that leave the written set
+    /// alone, the written set as unkeyed stores, then the loads.
+    fn recode(views: &Views, flags: u8) -> BlockLog {
+        let mut log = BlockLog::default();
+        if let Some(horizon) = views.horizon {
+            log.put_horizon(horizon);
+        }
+        for &(key, version) in &views.history.0 {
+            log.push_store(Some(key), version, false);
+        }
+        for &version in &views.written.0 {
+            log.push_store(None, version, true);
+        }
+        for ld in &views.loads {
+            log.push_load(ld);
+        }
+        log.flags |= flags;
+        log
     }
 }
 
-impl Iterator for LoadLogIter<'_> {
-    type Item = LoadObservation;
+/// Decodes a [`BlockLog`] front to back.
+struct Entries<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    last: Coded,
+}
 
-    fn next(&mut self) -> Option<LoadObservation> {
-        let (&head, rest) = self.bytes.split_first()?;
-        self.bytes = rest;
-        if head & SAME_SM == 0 {
+impl Entries<'_> {
+    /// The LEB128 varint at `at`. The bytes are the log's own, so the
+    /// varint is whole.
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        varint::get(self.bytes, &mut self.at)
+    }
+}
+
+impl Iterator for Entries<'_> {
+    type Item = Entry;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry> {
+        let head = *self.bytes.get(self.at)?;
+        self.at += 1;
+        if head & HORIZON != 0 {
+            let epoch = self.varint();
+            return Some(Entry::Horizon((epoch, Timestamp(self.varint()))));
+        }
+        let load = head & STORE == 0;
+        if load && head & SAME_SM == 0 {
             self.last.sm = self.varint() as usize;
         }
         let key = (head & KEYED != 0).then(|| {
@@ -166,50 +324,61 @@ impl Iterator for LoadLogIter<'_> {
             self.last.ts = self.last.ts.wrapping_add(unzigzag(self.varint()));
             (self.last.epoch, Timestamp(self.last.ts))
         });
-        self.last.at = self.last.at.wrapping_add(unzigzag(self.varint()));
+        if load {
+            self.last.at = self.last.at.wrapping_add(unzigzag(self.varint()));
+        }
         if head & SAME_VERSION == 0 {
             self.last.version = self.last.version.wrapping_add(unzigzag(self.varint()));
         }
-        Some(LoadObservation {
-            key,
-            version: Version(self.last.version),
-            at: Cycle(self.last.at),
-            sm: self.last.sm,
-            exclusive: head & EXCLUSIVE != 0,
+        let version = Version(self.last.version);
+        Some(if load {
+            Entry::Load(LoadObservation {
+                key,
+                version,
+                at: Cycle(self.last.at),
+                sm: self.last.sm,
+                exclusive: head & EXCLUSIVE != 0,
+            })
+        } else {
+            Entry::Store {
+                key,
+                version,
+                written: head & UNWRITTEN == 0,
+            }
         })
     }
+}
+
+/// One block's history as the checks read it, decoded from its
+/// [`BlockLog`] into buffers reused from block to block.
+#[derive(Debug, Default)]
+struct Views {
+    horizon: Option<Key>,
+    history: History,
+    written: VersionSet,
+    /// The observed loads, in completion order.
+    loads: Vec<LoadObservation>,
 }
 
 /// One block's committed stores, sorted by `(epoch, wts)`. Keys arrive
 /// nearly in order, so an insert is nearly always a push; reads are
 /// binary searches.
 #[derive(Debug, Default)]
-struct History(Vec<((Epoch, Timestamp), Version)>);
+struct History(Vec<(Key, Version)>);
 
 impl History {
-    /// Stores `version` at `key`, replacing the version at an equal key;
-    /// whether the key is new.
-    fn insert(&mut self, key: (Epoch, Timestamp), version: Version) -> bool {
+    /// Stores `version` at `key`, replacing the version at an equal key.
+    fn insert(&mut self, key: Key, version: Version) {
         let i = self.0.partition_point(|&(k, _)| k < key);
         match self.0.get_mut(i) {
-            Some(entry) if entry.0 == key => {
-                entry.1 = version;
-                false
-            }
-            _ => {
-                self.0.insert(i, (key, version));
-                true
-            }
+            Some(entry) if entry.0 == key => entry.1 = version,
+            _ => self.0.insert(i, (key, version)),
         }
     }
 
     /// The latest store strictly below `key`, or at or below it when
     /// `inclusive`.
-    fn latest(
-        &self,
-        key: (Epoch, Timestamp),
-        inclusive: bool,
-    ) -> Option<&((Epoch, Timestamp), Version)> {
+    fn latest(&self, key: Key, inclusive: bool) -> Option<&(Key, Version)> {
         let i = self
             .0
             .partition_point(|&(k, _)| k < key || (inclusive && k == key));
@@ -219,9 +388,20 @@ impl History {
     /// The version a load at `key` must return: the latest store at or
     /// before its logical time (strictly before, for an atomic's read
     /// half), or the initial contents.
-    fn expected(&self, key: (Epoch, Timestamp), exclusive: bool) -> Version {
+    fn expected(&self, key: Key, exclusive: bool) -> Version {
         self.latest(key, !exclusive)
             .map_or(Version::ZERO, |&(_, v)| v)
+    }
+
+    /// Reads the `BTreeMap` image a snapshot holds, as the map restored
+    /// it: sorted, the later of two equal keys kept.
+    fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        self.0.clear();
+        for _ in 0..r.seq_len(1)? {
+            let key = Snap::load(r)?;
+            self.insert(key, Snap::load(r)?);
+        }
+        Ok(())
     }
 }
 
@@ -245,18 +425,31 @@ impl VersionSet {
     fn contains(&self, v: Version) -> bool {
         self.0.binary_search(&v).is_ok()
     }
+
+    /// Reads the hash-set image a snapshot holds, as the set restored it.
+    fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        self.0.clear();
+        for _ in 0..r.seq_len(1)? {
+            self.0.push(Snap::load(r)?);
+        }
+        self.0.sort_unstable();
+        self.0.dedup();
+        Ok(())
+    }
 }
 
 /// What a [`Checker`] holds, as [`Checker::footprint`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckerFootprint {
+    /// Blocks with a record.
+    pub blocks: usize,
     /// Observed loads retained.
     pub loads: usize,
     /// Committed stores retained.
     pub stores: usize,
-    /// Bytes the per-block coded load logs take on the heap, spare
-    /// capacity included (DESIGN.md §15.6).
-    pub load_bytes: usize,
+    /// Bytes the records take: the table's capacity times its entry size,
+    /// plus every coded log's heap capacity (DESIGN.md §15.6).
+    pub bytes: usize,
 }
 
 /// Collects load/store completions during a run and validates them at the
@@ -264,27 +457,20 @@ pub struct CheckerFootprint {
 /// complete — from the checker's viewpoint — after the load).
 #[derive(Debug, Default)]
 pub struct Checker {
-    /// Committed stores per block, keyed by `(epoch, wts)`. The per-block
-    /// maps are hashed — every completion looks one or two of them up,
-    /// none walks them — and whatever does walk (`finish`, `compact`, a
-    /// snapshot) goes in block order, so violation reports come out in a
-    /// deterministic order (the fault-injection tests compare reports byte
-    /// for byte). The inner list stays ordered: it serves range queries.
-    stores: FxHashMap<BlockAddr, History>,
-    /// All versions ever stored per block (functional fallback).
-    written: FxHashMap<BlockAddr, VersionSet>,
-    loads: FxHashMap<BlockAddr, LoadLog>,
-    /// Records in `loads` and in `stores`, kept as they change so that
+    /// Each block's history, one record a block. Hashed — every completion
+    /// probes it once, nothing walks it per completion — and whatever does
+    /// walk it (`finish`, `compact`, a snapshot) goes in block order, so
+    /// violation reports come out in a deterministic order (the
+    /// fault-injection tests compare reports byte for byte).
+    blocks: FxHashMap<BlockAddr, BlockLog>,
+    /// Loads and stores retained in `blocks`, kept as they change so that
     /// [`Checker::retained_events`] does not walk them (not saved: a
     /// restore recounts).
     n_loads: usize,
     n_stores: usize,
     n_events: u64,
     /// Highest completion key observed per SM (drives [`Checker::compact`]).
-    frontier: FxHashMap<usize, (Epoch, Timestamp)>,
-    /// Per block: the store key history was pruned up to. Loads arriving
-    /// below it can no longer be validated exactly.
-    horizon: BTreeMap<BlockAddr, (Epoch, Timestamp)>,
+    frontier: FxHashMap<usize, Key>,
     /// Violations found by eager validation during [`Checker::compact`].
     early: Vec<Violation>,
     /// Keyed loads accepted without exact validation because their key
@@ -308,17 +494,15 @@ impl Checker {
     /// Feeds one completed access from SM `sm` at cycle `now`.
     pub fn on_completion(&mut self, sm: usize, c: &Completion, now: Cycle) {
         self.n_events += 1;
-        if let Some(ts) = c.ts {
-            let f = self.frontier.entry(sm).or_insert((c.epoch, ts));
-            *f = (*f).max((c.epoch, ts));
+        let key = c.ts.map(|ts| (c.epoch, ts));
+        if let Some(key) = key {
+            let f = self.frontier.entry(sm).or_insert(key);
+            *f = (*f).max(key);
         }
+        let log = self.blocks.entry(c.block).or_default();
         if c.kind != AccessKind::Load {
             // A store, or an atomic's write half: a store at the assigned wts.
-            self.written.entry(c.block).or_default().insert(c.version);
-            if let Some(wts) = c.ts {
-                let history = self.stores.entry(c.block).or_default();
-                self.n_stores += usize::from(history.insert((c.epoch, wts), c.version));
-            }
+            self.n_stores += usize::from(log.push_store(key, c.version, true));
         }
         let observed = match c.kind {
             AccessKind::Store => None,
@@ -327,22 +511,18 @@ impl Checker {
             AccessKind::Load => Some((c.version, false)),
         };
         if let Some((version, exclusive)) = observed {
-            let key = c.ts.map(|t| (c.epoch, t));
-            if key.is_some_and(|k| self.horizon.get(&c.block).is_some_and(|&h| k < h)) {
+            if key.is_some_and(|k| log.horizon().is_some_and(|h| k < h)) {
                 // The stores this load could legally observe were pruned
                 // by `compact`: `finish` accepts it leniently.
                 self.horizon_accepts += 1;
             }
-            self.loads
-                .entry(c.block)
-                .or_default()
-                .push(&LoadObservation {
-                    key,
-                    version,
-                    at: now,
-                    sm,
-                    exclusive,
-                });
+            log.push_load(&LoadObservation {
+                key,
+                version,
+                at: now,
+                sm,
+                exclusive,
+            });
             self.n_loads += 1;
         }
     }
@@ -350,51 +530,50 @@ impl Checker {
     /// Loads observed on `block`, in completion order (litmus assertions).
     #[must_use]
     pub fn load_observations(&self, block: BlockAddr) -> Vec<LoadObservation> {
-        let mut v: Vec<LoadObservation> = self
-            .loads
-            .get(&block)
-            .map(|log| log.iter().collect())
-            .unwrap_or_default();
-        v.sort_by_key(|l| l.at);
-        v
+        let mut views = Views::default();
+        if let Some(log) = self.blocks.get(&block) {
+            log.read(&mut views);
+        }
+        views.loads.sort_by_key(|l| l.at);
+        views.loads
     }
 
     /// Versions stored to `block`, in `(epoch, wts)` order (timestamp
     /// protocols only).
     #[must_use]
     pub fn store_order(&self, block: BlockAddr) -> Vec<Version> {
-        self.stores
-            .get(&block)
-            .map(|h| h.0.iter().map(|&(_, v)| v).collect())
-            .unwrap_or_default()
+        let mut views = Views::default();
+        if let Some(log) = self.blocks.get(&block) {
+            log.read(&mut views);
+        }
+        views.history.0.iter().map(|&(_, v)| v).collect()
     }
 
     /// Validates all collected events; returns every violation found.
     #[must_use]
     pub fn finish(&self) -> Vec<Violation> {
         let mut out = self.early.clone();
-        let blocks = sorted_blocks(&self.loads);
-        for block in &blocks {
-            let observed = &self.loads[block];
-            let stores = self.stores.get(block);
-            let written = self.written.get(block);
-            let horizon = self.horizon.get(block).copied();
-            for ld in observed.iter() {
+        let mut views = Views::default();
+        for (block, log) in sorted_logs(&self.blocks) {
+            if log.flags & IN_LOADS == 0 {
+                continue;
+            }
+            log.read(&mut views);
+            for ld in &views.loads {
                 match ld.key {
                     Some(key) => {
-                        if horizon.is_some_and(|h| key < h) {
+                        if views.horizon.is_some_and(|h| key < h) {
                             // Pruned by `compact`: accepted leniently,
                             // counted on arrival.
                             continue;
                         }
-                        let expected =
-                            stores.map_or(Version::ZERO, |h| h.expected(key, ld.exclusive));
-                        out.extend(keyed_violation(*block, &ld, key, expected));
+                        let expected = views.history.expected(key, ld.exclusive);
+                        out.extend(keyed_violation(block, ld, key, expected));
                     }
                     None => {
                         // Functional fallback: the version must exist.
-                        let known = ld.version == Version::ZERO
-                            || written.is_some_and(|w| w.contains(ld.version));
+                        let known =
+                            ld.version == Version::ZERO || views.written.contains(ld.version);
                         if !known {
                             out.push(Violation(format!(
                                 "phantom value at {block}: load by sm{} at {} observed {} which \
@@ -461,24 +640,27 @@ impl Checker {
         self.n_loads + self.n_stores
     }
 
-    /// The retained loads and stores, and the heap bytes of the load logs
-    /// (`profile_report`'s `checker:` line). Walks every log, where
+    /// The blocks, retained loads and stores, and the bytes of the records
+    /// (`profile_report`'s `checker:` line). Decodes every log, where
     /// [`Checker::retained_events`] reads running counts.
     #[must_use]
     pub fn footprint(&self) -> CheckerFootprint {
+        let mut views = Views::default();
         #[expect(clippy::disallowed_methods, reason = "sums do not depend on the order")]
-        let (loads, load_bytes) = self.loads.values().fold((0, 0), |(n, bytes), log| {
-            (n + log.len, bytes + log.bytes.capacity())
+        let (loads, stores, logs) = self.blocks.values().fold((0, 0, 0), |(n, m, bytes), log| {
+            log.read(&mut views);
+            (
+                n + views.loads.len(),
+                m + views.history.0.len(),
+                bytes + log.bytes.capacity(),
+            )
         });
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a sum does not depend on the order"
-        )]
-        let stores = self.stores.values().map(|h| h.0.len()).sum();
+        let table = self.blocks.capacity() * std::mem::size_of::<(BlockAddr, BlockLog)>();
         CheckerFootprint {
+            blocks: self.blocks.len(),
             loads,
             stores,
-            load_bytes,
+            bytes: table + logs,
         }
     }
 
@@ -499,8 +681,9 @@ impl Checker {
     /// latest store at or below that frontier becomes the new base:
     /// loads strictly below the base are validated eagerly (their
     /// candidate stores are all still present) and drained, and stores
-    /// strictly below the base are pruned. The base key is remembered as
-    /// the block's *horizon*; a keyed load that later arrives below it
+    /// strictly below the base are pruned, their versions with them. The
+    /// base key is remembered as the block's *horizon*; a keyed load that
+    /// later arrives below it
     /// (possible — per-SM frontiers are maxima over warps, and a lagging
     /// warp can complete out of order) is accepted without exact
     /// validation and counted in [`Checker::horizon_accepts`]. This is
@@ -517,40 +700,52 @@ impl Checker {
         let Some(visible) = self.frontier.values().min().copied() else {
             return;
         };
-        let blocks = sorted_blocks(&self.stores);
-        for block in &blocks {
-            let history = self.stores.get_mut(block).expect("listed above");
-            let Some(&(base, _)) = history.latest(visible, true) else {
+        let mut views = Views::default();
+        for block in sorted_blocks(&self.blocks) {
+            let log = self.blocks.get_mut(&block).expect("listed above");
+            if log.flags & IN_STORES == 0 {
+                continue;
+            }
+            log.read(&mut views);
+            let Some(&(base, _)) = views.history.latest(visible, true) else {
                 continue;
             };
-            if let Some(observed) = self.loads.get_mut(block) {
-                let mut kept = LoadLog::default();
-                for ld in observed.iter() {
-                    match ld.key {
-                        Some(key) if key < base => {
-                            let expected = history.expected(key, ld.exclusive);
-                            self.early
-                                .extend(keyed_violation(*block, &ld, key, expected));
-                            self.n_loads -= 1;
-                        }
-                        _ => kept.push(&ld),
-                    }
+            let (history, early) = (&views.history, &mut self.early);
+            let before = views.loads.len();
+            views.loads.retain(|ld| match ld.key {
+                Some(key) if key < base => {
+                    let expected = history.expected(key, ld.exclusive);
+                    early.extend(keyed_violation(block, ld, key, expected));
+                    false
                 }
-                *observed = kept;
-            }
+                _ => true,
+            });
+            self.n_loads -= before - views.loads.len();
             // Retain the base store itself: it is the expected value for
-            // every remaining load at or above the horizon.
-            let below = history.0.partition_point(|&(k, _)| k < base);
+            // every remaining load at or above the horizon. A pruned
+            // store's version leaves the written set even when a kept
+            // store wrote it too.
+            let below = views.history.0.partition_point(|&(k, _)| k < base);
             self.n_stores -= below;
-            let pruned = history.0.drain(..below);
-            if let Some(w) = self.written.get_mut(block) {
-                for (_, v) in pruned {
-                    w.remove(v);
-                }
+            for (_, v) in views.history.0.drain(..below) {
+                views.written.remove(v);
             }
-            self.horizon.insert(*block, base);
+            views.horizon = Some(base);
+            *log = BlockLog::recode(&views, log.flags);
         }
     }
+}
+
+/// The records in address order: the only order in which anything walks
+/// them.
+fn sorted_logs(blocks: &FxHashMap<BlockAddr, BlockLog>) -> Vec<(BlockAddr, &BlockLog)> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted before anything observes the order"
+    )]
+    let mut logs: Vec<(BlockAddr, &BlockLog)> = blocks.iter().map(|(&b, log)| (b, log)).collect();
+    logs.sort_unstable_by_key(|&(b, _)| b);
+    logs
 }
 
 /// The keys of a per-block map in address order: the only order in which
@@ -585,83 +780,124 @@ gtsc_types::snap_fields!(LoadObservation {
     exclusive,
 });
 
-// The three per-block containers are written as the `Vec<LoadObservation>`,
-// the `BTreeMap` and the hash set they replace, so a checker's bytes do not
-// depend on how it keeps its history (DESIGN.md §15.6).
-impl Snap for LoadLog {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.len);
-        for ld in self.iter() {
-            ld.save(w);
-        }
+/// The record of `block` for a snapshot section that lists it under
+/// `flag`; a block a section lists twice is malformed.
+fn listed<'a>(
+    blocks: &'a mut FxHashMap<BlockAddr, BlockLog>,
+    r: &mut SnapReader<'_>,
+    flag: u8,
+) -> Result<&'a mut BlockLog, SnapshotError> {
+    let block = BlockAddr::load(r)?;
+    let log = blocks.entry(block).or_default();
+    if log.flags & flag != 0 {
+        return Err(SnapshotError::Malformed {
+            context: format!("checker lists {block} twice"),
+        });
     }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.seq_len(1)?;
-        let mut log = LoadLog::default();
-        for _ in 0..n {
-            log.push(&LoadObservation::load(r)?);
-        }
-        Ok(log)
-    }
+    log.flags |= flag;
+    Ok(log)
 }
 
-impl Snap for History {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut history = History::default();
-        for (key, version) in Vec::load(r)? {
-            history.insert(key, version);
-        }
-        Ok(history)
-    }
-}
-
-impl Snap for VersionSet {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut versions: Vec<Version> = Snap::load(r)?;
-        versions.sort_unstable();
-        versions.dedup();
-        Ok(VersionSet(versions))
-    }
-}
-
-// Manual rather than `snap_fields!` because the running record counts are
-// not saved: a restore recounts them.
+// A checker is written as the maps it once kept — `stores` (a `BTreeMap`
+// per block), `written` (a hash set per block), `loads` (the observations
+// per block), then `horizon` — so its bytes do not depend on how it keeps
+// its history (DESIGN.md §15.6). Each section is written from the records
+// in block order, a block decoded at a time, and a restore codes each
+// section back into the records. The running counts are not saved: a
+// restore recounts them.
 impl Snap for Checker {
     fn save(&self, w: &mut SnapWriter) {
-        self.stores.save(w);
-        self.written.save(w);
-        self.loads.save(w);
+        let logs = sorted_logs(&self.blocks);
+        let count = |flag: u8| logs.iter().filter(|(_, log)| log.flags & flag != 0).count();
+        // One decode of each block feeds all three sections. The loads,
+        // the bulk of them, go straight into `w`; the stores and written
+        // sections, a few words a store, are gathered beside it and put
+        // in front of the loads once every block is written.
+        let (mut stores, mut written) = (SnapWriter::new(), SnapWriter::new());
+        stores.usize(count(IN_STORES));
+        written.usize(count(IN_WRITTEN));
+        let at = w.len();
+        w.usize(count(IN_LOADS));
+        let mut horizons = BTreeMap::new();
+        let mut views = Views::default();
+        for &(block, log) in &logs {
+            if log.flags & IN_LOADS != 0 {
+                // The count goes in once the block's loads are written.
+                block.save(w);
+                let n_at = w.len();
+                w.usize(0);
+                let mut n = 0;
+                log.decode(&mut views, |ld| {
+                    ld.save(w);
+                    n += 1;
+                });
+                w.set_u64(n_at, n);
+            } else {
+                log.decode(&mut views, drop);
+            }
+            if log.flags & IN_STORES != 0 {
+                block.save(&mut stores);
+                views.history.0.save(&mut stores);
+            }
+            if log.flags & IN_WRITTEN != 0 {
+                block.save(&mut written);
+                views.written.0.save(&mut written);
+            }
+            if let Some(horizon) = views.horizon {
+                horizons.insert(block, horizon);
+            }
+        }
+        stores.bytes(&written.into_bytes());
+        w.insert(at, &stores.into_bytes());
         self.n_events.save(w);
         self.frontier.save(w);
-        self.horizon.save(w);
+        horizons.save(w);
         self.early.save(w);
         self.horizon_accepts.save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut checker = Checker {
-            stores: Snap::load(r)?,
-            written: Snap::load(r)?,
-            loads: Snap::load(r)?,
-            n_loads: 0,
-            n_stores: 0,
-            n_events: Snap::load(r)?,
-            frontier: Snap::load(r)?,
-            horizon: Snap::load(r)?,
-            early: Snap::load(r)?,
-            horizon_accepts: Snap::load(r)?,
-        };
-        let walked = checker.footprint();
-        (checker.n_loads, checker.n_stores) = (walked.loads, walked.stores);
+        let mut checker = Checker::default();
+        let blocks = &mut checker.blocks;
+        let mut views = Views::default();
+        for _ in 0..r.seq_len(2)? {
+            let log = listed(blocks, r, IN_STORES)?;
+            views.history.load_into(r)?;
+            for &(key, version) in &views.history.0 {
+                log.push_store(Some(key), version, false);
+            }
+            checker.n_stores += views.history.0.len();
+        }
+        for _ in 0..r.seq_len(2)? {
+            let log = listed(blocks, r, IN_WRITTEN)?;
+            views.written.load_into(r)?;
+            for &version in &views.written.0 {
+                log.push_store(None, version, true);
+            }
+        }
+        for _ in 0..r.seq_len(2)? {
+            let log = listed(blocks, r, IN_LOADS)?;
+            let n = r.seq_len(1)?;
+            for _ in 0..n {
+                log.push_load(&LoadObservation::load(r)?);
+            }
+            checker.n_loads += n;
+        }
+        checker.n_events = Snap::load(r)?;
+        checker.frontier = Snap::load(r)?;
+        for _ in 0..r.seq_len(2)? {
+            let block = BlockAddr::load(r)?;
+            let horizon = Key::load(r)?;
+            let log = blocks.entry(block).or_default();
+            if log.horizon().is_some() {
+                return Err(SnapshotError::Malformed {
+                    context: format!("checker lists the horizon of {block} twice"),
+                });
+            }
+            log.put_horizon(horizon);
+        }
+        checker.early = Snap::load(r)?;
+        checker.horizon_accepts = Snap::load(r)?;
         Ok(checker)
     }
 }
@@ -948,12 +1184,12 @@ mod tests {
         w.into_bytes()
     }
 
-    /// Loads at the extremes the coding must carry: SMs and epochs past
+    /// Entries at the extremes the coding must carry: SMs and epochs past
     /// any narrower width, `u64::MAX` timestamps, versions and cycles,
-    /// cycles and timestamps going backwards, unkeyed loads between keyed
-    /// ones, and runs of unchanged fields.
+    /// cycles and timestamps going backwards, unkeyed entries between
+    /// keyed ones, stores between loads, and runs of unchanged fields.
     #[test]
-    fn load_log_round_trips_at_the_extremes() {
+    fn block_log_round_trips_at_the_extremes() {
         let ld = |key, version, at, sm, exclusive| LoadObservation {
             key,
             version: Version(version),
@@ -986,21 +1222,57 @@ mod tests {
             ld(Some((0, Timestamp(0))), 7, 5, 1, false),
             ld(Some((1, Timestamp(40))), 9, 4, 1, false),
         ];
-        let mut log = LoadLog::default();
-        for ld in &loads {
-            log.push(ld);
+        // A store after every load but the last: keyed at the extremes,
+        // unkeyed, and one outside the written set.
+        // (key, version, into the written set)
+        type Stored = (Option<(Epoch, u64)>, u64, bool);
+        let stores: [Stored; 9] = [
+            (Some((Epoch::MAX, u64::MAX)), u64::MAX, true),
+            (None, 0, true),
+            (Some((0, 0)), 0, false),
+            (Some((wide_epoch, 1)), 1, true),
+            (None, u64::MAX, true),
+            (Some((1, 40)), 9, true),
+            (Some((0, 3)), 3, true),
+            (None, 3, true),
+            (Some((0, 0)), 8, true),
+        ];
+        let (mut log, mut map, mut written) = (BlockLog::default(), BTreeMap::new(), Vec::new());
+        for (i, ld) in loads.iter().enumerate() {
+            log.push_load(ld);
+            let Some(&(key, version, into_written)) = stores.get(i) else {
+                continue;
+            };
+            let key = key.map(|(epoch, ts)| (epoch, Timestamp(ts)));
+            let new = log.push_store(key, Version(version), into_written);
+            if let Some(key) = key {
+                assert_eq!(new, map.insert(key, Version(version)).is_none(), "{key:?}");
+            }
+            if into_written {
+                written.push(Version(version));
+            }
         }
-        assert_eq!(log.len, loads.len());
-        assert_eq!(log.iter().collect::<Vec<_>>(), loads);
-        // The log saves as the observations it codes, and restores to them.
-        let image = bytes(&log);
-        assert_eq!(image, bytes(&loads));
-        let restored = LoadLog::load(&mut SnapReader::new(&image)).expect("restores");
-        assert_eq!(restored.iter().collect::<Vec<_>>(), loads);
+        written.sort_unstable();
+        written.dedup();
+        let mut views = Views::default();
+        log.read(&mut views);
+        assert_eq!(views.loads, loads);
+        let entries: Vec<_> = map.into_iter().collect();
+        assert_eq!(views.history.0, entries);
+        assert_eq!(views.written.0, written);
+        assert_eq!(views.horizon, None);
+        // A horizon put in front leaves every entry after it as it was.
+        log.put_horizon((Epoch::MAX, Timestamp(u64::MAX)));
+        assert_eq!(log.horizon(), Some((Epoch::MAX, Timestamp(u64::MAX))));
+        log.read(&mut views);
+        assert_eq!(
+            (views.loads.len(), views.history.0.len()),
+            (loads.len(), entries.len())
+        );
         // A load repeating its predecessor a cycle later is three bytes
         // (the header and two one-byte deltas) where a record was 32.
         let before = log.bytes.len();
-        log.push(&LoadObservation {
+        log.push_load(&LoadObservation {
             at: Cycle(6),
             ..loads[loads.len() - 1]
         });
@@ -1043,14 +1315,12 @@ mod tests {
         let (mut history, mut map) = (History::default(), BTreeMap::new());
         for (epoch, wts, v) in keys {
             let key = (epoch, Timestamp(wts));
-            assert_eq!(
-                history.insert(key, Version(v)),
-                map.insert(key, Version(v)).is_none()
-            );
+            history.insert(key, Version(v));
+            map.insert(key, Version(v));
         }
         let entries: Vec<_> = map.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(history.0, entries);
-        assert_eq!(bytes(&history), bytes(&map));
+        assert_eq!(bytes(&history.0), bytes(&map));
         for epoch in [0, 1, Epoch::MAX] {
             for ts in [0, 5, 10, 15, 20, 30, 31, u64::MAX] {
                 let key = (epoch, Timestamp(ts));
@@ -1066,7 +1336,10 @@ mod tests {
             .iter()
             .map(|&(epoch, wts, v)| ((epoch, Timestamp(wts)), Version(v)))
             .collect();
-        let restored = History::load(&mut SnapReader::new(&bytes(&arrived))).expect("restores");
+        let mut restored = History::default();
+        restored
+            .load_into(&mut SnapReader::new(&bytes(&arrived)))
+            .expect("restores");
         assert_eq!(restored.0, entries);
     }
 
@@ -1074,8 +1347,11 @@ mod tests {
     fn version_set_restores_as_the_hash_set_did() {
         let arrived: Vec<Version> = [9, 3, u64::MAX, 3, 0, 7].map(Version).into();
         let set: FxHashSet<Version> = arrived.iter().copied().collect();
-        let restored = VersionSet::load(&mut SnapReader::new(&bytes(&arrived))).expect("restores");
-        assert_eq!(bytes(&restored), bytes(&set));
+        let mut restored = VersionSet::default();
+        restored
+            .load_into(&mut SnapReader::new(&bytes(&arrived)))
+            .expect("restores");
+        assert_eq!(bytes(&restored.0), bytes(&set));
         assert!(restored.contains(Version(u64::MAX)) && !restored.contains(Version(8)));
     }
 
@@ -1105,6 +1381,65 @@ mod tests {
         // A restored log is coded afresh: only the counts match.
         let (a, b) = (restored.footprint(), ch.footprint());
         assert_eq!((a.loads, a.stores), (b.loads, b.stores));
+    }
+
+    /// A keyed store at a key the block's history already has replaces
+    /// that store's version and is not a second store; the version it
+    /// replaced stays written. The key lies below the block's top one, so
+    /// the log is read to find it.
+    #[test]
+    fn a_store_at_a_key_the_block_has_replaces_it_and_is_not_counted_again() {
+        let mut ch = Checker::new();
+        ch.on_completion(0, &store(5, 10, 100, 0), Cycle(1));
+        ch.on_completion(0, &store(5, 20, 200, 0), Cycle(2));
+        assert_eq!(ch.retained_events(), 2);
+        ch.on_completion(0, &store(5, 10, 150, 0), Cycle(3));
+        assert_eq!(ch.retained_events(), 2);
+        assert_eq!(ch.footprint().stores, 2);
+        assert_eq!(
+            ch.store_order(BlockAddr(5)),
+            vec![Version(150), Version(200)]
+        );
+        // A new key below the top one is a store of its own.
+        ch.on_completion(0, &store(5, 15, 175, 0), Cycle(4));
+        assert_eq!(ch.retained_events(), 3);
+        ch.on_completion(1, &load(5, 12, 150, 0), Cycle(5));
+        let mut unkeyed = load(5, 0, 100, 0);
+        unkeyed.ts = None;
+        ch.on_completion(1, &unkeyed, Cycle(6));
+        assert!(ch.finish().is_empty(), "{:?}", ch.finish());
+    }
+
+    /// `compact` removes a pruned store's version from the written set
+    /// even when a kept store wrote the same version: the recoded log
+    /// keeps the kept store in the history and out of the set.
+    #[test]
+    fn compact_drops_a_pruned_version_a_kept_store_also_wrote() {
+        let mut ch = Checker::new();
+        ch.on_completion(0, &store(5, 10, 100, 0), Cycle(1));
+        ch.on_completion(0, &store(5, 20, 100, 0), Cycle(2));
+        ch.on_completion(0, &store(5, 30, 300, 0), Cycle(3));
+        // Frontiers: sm0 = (0,30), sm1 = (0,25) ⇒ base = the store at 20.
+        ch.on_completion(1, &load(5, 25, 100, 0), Cycle(4));
+        ch.compact();
+        assert_eq!(
+            ch.store_order(BlockAddr(5)),
+            vec![Version(100), Version(300)]
+        );
+        let mut unkeyed = load(5, 0, 100, 0);
+        unkeyed.ts = None;
+        ch.on_completion(1, &unkeyed, Cycle(5));
+        let v = ch.finish();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].0.contains("phantom"), "{:?}", v[0]);
+        // The snapshot lists the block's written set without the version,
+        // and a restore reads it back that way.
+        let restored = Checker::load(&mut SnapReader::new(&bytes(&ch))).expect("restores");
+        assert_eq!(restored.finish(), v);
+        assert_eq!(bytes(&restored), bytes(&ch));
+        // A later store writes the version again.
+        ch.on_completion(0, &store(5, 40, 100, 0), Cycle(6));
+        assert!(ch.finish().is_empty());
     }
 
     /// The checker as it was before its history was coded: every

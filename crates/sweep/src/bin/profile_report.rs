@@ -189,12 +189,12 @@ macro_rules! run_and_report {
         if !cli.quiet {
             // What the run's coherence checker holds at the end: the
             // largest thing a long run keeps (DESIGN.md §15.6). The bytes
-            // are the capacity of its per-block delta-coded load logs, a
-            // few bytes a load, not a count of fixed-size records.
+            // are its table of per-block records and the capacity of
+            // their delta-coded logs, a few bytes a load or a store.
             let checker = $sim.checker().footprint();
             println!(
-                "checker: {} loads, {} stores retained, {} bytes of load records",
-                checker.loads, checker.stores, checker.load_bytes
+                "checker: {} loads, {} stores retained, {} bytes of block records",
+                checker.loads, checker.stores, checker.bytes
             );
             print!("{}", render_profile(&report.stats));
             // How the cycles above were executed, not what they were

@@ -211,6 +211,29 @@ impl SnapWriter {
         self.buf.is_empty()
     }
 
+    /// Puts `bytes` at offset `at` of what was written, ahead of the
+    /// bytes written after it.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is past the bytes written.
+    pub fn insert(&mut self, at: usize, bytes: &[u8]) {
+        let end = self.buf.len();
+        self.buf.resize(end + bytes.len(), 0);
+        self.buf.copy_within(at..end, at + bytes.len());
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Overwrites the `u64` written at offset `at` (a count known only
+    /// after what it counts).
+    ///
+    /// # Panics
+    ///
+    /// If the eight bytes at `at` were not written.
+    pub fn set_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

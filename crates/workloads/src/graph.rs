@@ -28,24 +28,24 @@ pub fn connected_components(scale: Scale, seed: u64) -> VecKernel {
             ));
             // Gather the endpoint labels (divergent, skewed towards the
             // hot high-degree nodes every real graph has).
-            let gather = (0..8)
-                .map(|_| labels.block(skewed_index(rng, &labels, 16, 0.6)))
-                .collect();
-            ops.push(WarpOp::Load(gather));
+            ops.push_lanes(
+                WarpOp::Load,
+                (0..8).map(|_| labels.block(skewed_index(rng, &labels, 16, 0.6))),
+            );
             ops.push(WarpOp::Compute(3));
             // Re-read the hot labels (convergence check) before the
             // scatter: load-dominated, as label propagation is.
-            let reread = (0..6)
-                .map(|_| labels.block(skewed_index(rng, &labels, 16, 0.7)))
-                .collect();
-            ops.push(WarpOp::Load(reread));
+            ops.push_lanes(
+                WarpOp::Load,
+                (0..6).map(|_| labels.block(skewed_index(rng, &labels, 16, 0.7))),
+            );
             // atomicMin the propagated label into the *updated* (mostly
             // fresh, non-hub) nodes — real label propagation rarely
             // rewrites converged hubs, and does it with atomics.
-            let scatter = (0..2)
-                .map(|_| labels.block(skewed_index(rng, &labels, 16, 0.02)))
-                .collect();
-            ops.push(WarpOp::Atomic(scatter));
+            ops.push_lanes(
+                WarpOp::Atomic,
+                (0..2).map(|_| labels.block(skewed_index(rng, &labels, 16, 0.02))),
+            );
             if i % 3 == 2 {
                 ops.push(WarpOp::Fence);
             }
@@ -66,24 +66,23 @@ pub fn bfs(scale: Scale, seed: u64) -> VecKernel {
             // CTAs alternately produce and consume it).
             ops.push(WarpOp::load_coalesced(frontier.block(level as u64), 32));
             // Divergent adjacency gather (skewed: high-degree hubs).
-            let gather = (0..6)
-                .map(|_| adj.block(skewed_index(rng, &adj, 32, 0.5)))
-                .collect();
-            ops.push(WarpOp::Load(gather));
+            ops.push_lanes(
+                WarpOp::Load,
+                (0..6).map(|_| adj.block(skewed_index(rng, &adj, 32, 0.5))),
+            );
             ops.push(WarpOp::Compute(2));
             // Check visited (hot shared bitmap, read-dominated) and mark
             // only the genuinely new nodes.
-            let checks: Vec<Addr> = (0..4)
-                .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.7)))
-                .collect();
-            ops.push(WarpOp::Load(checks.clone().into()));
-            ops.push(WarpOp::Load(checks[..2].to_vec().into()));
+            let checks: [Addr; 4] =
+                std::array::from_fn(|_| visited.block(skewed_index(rng, &visited, 12, 0.7)));
+            ops.push_lanes(WarpOp::Load, checks);
+            ops.push_lanes(WarpOp::Load, checks[..2].iter().copied());
             // atomicOr the genuinely new (cold) nodes into the visited
             // bitmap, as the CUDA kernels do.
-            let v = (0..2)
-                .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.05)))
-                .collect();
-            ops.push(WarpOp::Atomic(v));
+            ops.push_lanes(
+                WarpOp::Atomic,
+                (0..2).map(|_| visited.block(skewed_index(rng, &visited, 12, 0.05))),
+            );
             // One warp per CTA claims the next frontier slot with an
             // atomic tail-pointer update.
             if w == 0 {
@@ -113,19 +112,19 @@ pub fn bfs_level(scale: Scale, seed: u64, level: usize) -> VecKernel {
         move |_cta, w, rng, ops| {
             ops.push(WarpOp::load_coalesced(frontier.block(level as u64), 32));
             for _ in 0..3 {
-                let gather = (0..6)
-                    .map(|_| adj.block(skewed_index(rng, &adj, 32, 0.5)))
-                    .collect();
-                ops.push(WarpOp::Load(gather));
+                ops.push_lanes(
+                    WarpOp::Load,
+                    (0..6).map(|_| adj.block(skewed_index(rng, &adj, 32, 0.5))),
+                );
                 ops.push(WarpOp::Compute(2));
-                let checks = (0..4)
-                    .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.7)))
-                    .collect();
-                ops.push(WarpOp::Load(checks));
-                let v = (0..2)
-                    .map(|_| visited.block(skewed_index(rng, &visited, 12, 0.05)))
-                    .collect();
-                ops.push(WarpOp::Atomic(v));
+                ops.push_lanes(
+                    WarpOp::Load,
+                    (0..4).map(|_| visited.block(skewed_index(rng, &visited, 12, 0.7))),
+                );
+                ops.push_lanes(
+                    WarpOp::Atomic,
+                    (0..2).map(|_| visited.block(skewed_index(rng, &visited, 12, 0.05))),
+                );
             }
             if w == 0 {
                 ops.push(WarpOp::atomic_coalesced(

@@ -131,7 +131,7 @@ impl L1Controller for EpochFlushL1 {
     fn tick(&mut self, now: Cycle) -> &[Completion] {
         // The whole point: periodic self-flush.
         if now - self.last_flush >= self.period {
-            self.tags.flush();
+            self.tags.flush(drop);
             self.last_flush = now;
         }
         &[] // a flush completes nothing
@@ -154,7 +154,7 @@ impl L1Controller for EpochFlushL1 {
     }
 
     fn flush(&mut self) {
-        self.tags.flush();
+        self.tags.flush(drop);
     }
 
     fn is_idle(&self) -> bool {

@@ -282,16 +282,16 @@ fn steady_state_slices_allocate_only_for_the_checker() {
 
 /// Exact, because the simulation is deterministic (a toolchain whose
 /// `Vec` grows differently may move it: re-pin after checking the
-/// sites). Over the 4 000 measured cycles and 26 046 completions, by
-/// sampled backtrace, every one a doubling: for each of the 8 blocks,
-/// two of its coded load log (`LoadLog::push`, 8 → 32 KiB), two of its
-/// store history (256 → 1 024 entries) and two of its version set (the
-/// last two inlined into `Checker::on_completion`); and 6 of completion
-/// buffers (`GtscL1::done` from `serve_waiters`, `Sm::done`) still
-/// reaching their high-water mark. Anything else is a regression. While
-/// the stores sat in per-block `BTreeMap`s and the versions in hash sets
-/// this was 653, 623 of them map nodes.
-const STEADY_STATE_ALLOCATIONS: u64 = 54;
+/// sites). Over the 4 000 measured cycles and 26 046 completions, every
+/// one a doubling: for each of the 8 blocks, two of its coded log
+/// (`BlockLog::put`, 8 → 32 KiB: loads, stores and versions in one
+/// stream), and 6 of completion buffers (`GtscL1::done` from
+/// `serve_waiters`, `Sm::done`) still reaching their high-water mark.
+/// Anything else is a regression. This was 54 while each block's loads,
+/// stores and versions grew three buffers (two doublings each), and 653
+/// while the stores sat in per-block `BTreeMap`s and the versions in
+/// hash sets, 623 of them map nodes.
+const STEADY_STATE_ALLOCATIONS: u64 = 22;
 
 /// What a finished run keeps grows with the checker's record of every
 /// completion — each observed load until `finish` (DESIGN.md §15.6). CC
@@ -300,8 +300,10 @@ const STEADY_STATE_ALLOCATIONS: u64 = 54;
 /// per event) while each load is kept as a 56-byte `LoadObservation`,
 /// 671 120 (132 per event) as a 32-byte record, and 438 808 (86.3 per
 /// event) delta-coded, with the stores and versions in flat lists —
-/// 439 320 (86.4) once each SM kept a buffer for the gather it issues.
-/// The rest is the checker's per-block state and the queues the run grew.
+/// 439 320 (86.4) once each SM kept a buffer for the gather it issues,
+/// and 393 672 (77.4) with one record per block — loads, stores and
+/// versions in one coded log, one table. The rest is the checker's table
+/// and the queues the run grew.
 #[test]
 fn a_finished_run_keeps_few_bytes_per_checker_event() {
     let kernel = Benchmark::Cc.build(Scale::Small);
@@ -317,9 +319,36 @@ fn a_finished_run_keeps_few_bytes_per_checker_event() {
     );
 }
 
-/// Between the last two readings above: a load kept as a 32-byte record
-/// again fails.
-const KEPT_BYTES_PER_EVENT: f64 = 110.0;
+/// Just above the last reading: a load kept as a 32-byte record, or a
+/// block's stores and versions in tables of their own again, fails.
+const KEPT_BYTES_PER_EVENT: f64 = 80.0;
+
+/// BP touches thousands of blocks once — one store and two loads each —
+/// so what its finished run keeps is set by the checker's per-block
+/// cost, not its per-event one (DESIGN.md §15.6). BP Small under
+/// G-TSC-RC: its `run_kernel` left 275 936 bytes live over 330 checker
+/// blocks (836 per block) while each block sat in three hash tables, a
+/// `History` and a `VersionSet` allocation beside its load log; one
+/// record per block, in one table, leaves 211 904 (642 per block). The
+/// rest is the machine's queues and windows at their high-water marks.
+#[test]
+fn a_finished_run_keeps_few_bytes_per_checker_block() {
+    let kernel = Benchmark::Bp.build(Scale::Small);
+    let mut sim = GpuSim::new(gtsc_rc());
+    let (report, kept) = kept_bytes(|| sim.run_kernel(kernel.as_ref()).expect("completes"));
+    assert!(report.violations.is_empty());
+    let blocks = sim.checker().footprint().blocks;
+    let per_block = kept as f64 / blocks as f64;
+    println!("BP small: {kept} bytes kept over {blocks} checker blocks, {per_block:.1} per block");
+    assert!(
+        per_block <= KEPT_BYTES_PER_BLOCK,
+        "{per_block:.1} bytes kept per checker block (bound {KEPT_BYTES_PER_BLOCK})"
+    );
+}
+
+/// Between the two readings above: the block's history back in three
+/// tables fails.
+const KEPT_BYTES_PER_BLOCK: f64 = 700.0;
 
 /// A checkpoint image as large as a Full-scale one, and what either
 /// direction of the store may hold beside it.
